@@ -404,35 +404,71 @@ def catalog_entry(label: str) -> CatalogEntry:
 
 
 def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
+    """Backtracking search for a relabeling of ``a`` onto ``b``.
+
+    Components are mapped one at a time, in breadth-first order of the
+    contact graph of ``a``, each to an unused component of ``b`` with the same
+    self-intersection, genus and singularity marker whose contacts (multiplicity
+    and tangency) with every component mapped so far agree.  The concurrency
+    flags are compared once every component is mapped.
+    """
     if len(a.components) != len(b.components):
         return False
     key = lambda c: (c.self_int, c.pa, c.sing or "")
     if sorted(map(key, a.components)) != sorted(map(key, b.components)):
         return False
-    b_names = b.names
-    for perm in itertools.permutations(a.names):
-        mapping = dict(zip(perm, b_names))
-        ok = True
-        for x, y in zip(perm, b_names):
-            cx, cy = a.component(x), b.component(y)
-            if key(cx) != key(cy):
-                ok = False
-                break
-        if not ok:
+    a_links, b_links = _links(a), _links(b)
+    targets: dict[tuple, list[str]] = {}
+    for c in b.components:
+        targets.setdefault(key(c), []).append(c.name)
+    order = _breadth_first(a, a_links)
+    a_keys = {c.name: key(c) for c in a.components}
+    b_triples = set(b.concurrent)
+    mapping: dict[str, str] = {}
+
+    def extend(depth: int) -> bool:
+        if depth == len(order):
+            return {frozenset(mapping[x] for x in t) for t in a.concurrent} == b_triples
+        x = order[depth]
+        used = set(mapping.values())
+        for y in targets[a_keys[x]]:
+            if y in used:
+                continue
+            if all(a_links[x].get(w) == b_links[y].get(mapping[w]) for w in order[:depth]):
+                mapping[x] = y
+                if extend(depth + 1):
+                    return True
+                del mapping[x]
+        return False
+
+    return extend(0)
+
+
+def _links(config: CurveConfiguration) -> dict[str, dict[str, tuple[int, bool]]]:
+    """For each component, its contacts as (multiplicity, tangential) by partner."""
+    links: dict[str, dict[str, tuple[int, bool]]] = {name: {} for name in config.names}
+    for contact in config.contacts:
+        links[contact.first][contact.second] = (contact.mult, contact.tangential)
+        links[contact.second][contact.first] = (contact.mult, contact.tangential)
+    return links
+
+
+def _breadth_first(config: CurveConfiguration, links: dict[str, dict]) -> list[str]:
+    """Component names, each connected piece in breadth-first order."""
+    order: list[str] = []
+    seen: set[str] = set()
+    for root in config.names:
+        if root in seen:
             continue
-        for x1, x2 in itertools.combinations(perm, 2):
-            if a.contact_mult(x1, x2) != b.contact_mult(mapping[x1], mapping[x2]):
-                ok = False
-                break
-            if a.is_tangential(x1, x2) != b.is_tangential(mapping[x1], mapping[x2]):
-                ok = False
-                break
-        if not ok:
-            continue
-        mapped = {frozenset(mapping[x] for x in t) for t in a.concurrent}
-        if mapped == set(b.concurrent):
-            return True
-    return False
+        seen.add(root)
+        queue = [root]
+        for name in queue:
+            order.append(name)
+            for other in links[name]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+    return order
 
 
 def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:

@@ -398,10 +398,11 @@ def local_intersection(f: Germ, g: Germ) -> int:
 def _common_factor(f: Germ, g: Germ) -> Germ | None:
     u, v = sympy.symbols("u v")
 
-    def to_expr(h: Germ):
-        return sum(sympy.Rational(c.numerator, c.denominator) * u**a * v**b for (a, b), c in h.items())
+    def to_poly(h: Germ) -> sympy.Poly:
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in h.items()}
+        return sympy.Poly(terms, u, v, domain="QQ")
 
-    gcd = sympy.gcd(sympy.Poly(to_expr(f), u, v), sympy.Poly(to_expr(g), u, v))
+    gcd = sympy.gcd(to_poly(f), to_poly(g))
     if gcd.total_degree() == 0:
         return None
     out: Germ = {}
@@ -434,10 +435,15 @@ def an_type_at(
 ) -> AnVerdict:
     """Classify a point as smooth, A_n, or other.
 
-    A_n means multiplicity two with Milnor number n, the Milnor number being
-    the local-algebra dimension of the two partials computed by exact linear
-    algebra with a degree bound that starts at 2*candidate + 2 and doubles at
-    most three times; failure to stabilize is reported, never silenced.
+    A_n means multiplicity two with Milnor number n.  The Milnor number
+    mu = dim O/J, J = (f_u, f_v), is certified by exact linear algebra.  Let
+    d(b) = dim O/(J + m^b).  An equality d(b) = d(b+1) means
+    m^b is in J + m^(b+1), so m^b is in J by Nakayama's lemma and mu = d(b).
+    The search starts at b = 1 (d(1) = 1 at a singular point) and raises b
+    by one; d rises strictly until the stop, so it ends by b = mu.  The
+    candidate only caps b at 16*candidate + 16: reaching the cap without an
+    equal pair certifies mu > 16*candidate + 16, reported as inconclusive,
+    never silenced.  A corank-zero point must come out with mu = 1.
     """
     g = _coerce_germ(form_or_germ, point)
     if not g:
@@ -462,55 +468,70 @@ def an_type_at(
     disc = b * b - 4 * a * c
     corank = 0 if disc != 0 else 1
 
-    bound = 2 * candidate + 2
-    dim = _local_algebra_dim(gu, gv, bound)
-    for _ in range(3):
-        double = _local_algebra_dim(gu, gv, 2 * bound)
-        if double == dim:
-            mu = dim
-            if corank == 0 and mu != 1:
-                return AnVerdict("inconclusive", None, m, mu, "corank and Milnor number disagree")
-            return AnVerdict("A", mu, m, mu)
-        bound, dim = 2 * bound, double
+    dim = 1  # d(1): both partials vanish at the origin
+    for b in range(1, 16 * candidate + 17):
+        previous, dim = dim, _local_algebra_dim(gu, gv, b + 1)
+        if dim == previous:  # d(b) = d(b + 1): mu = d(b)
+            if corank == 0 and dim != 1:
+                return AnVerdict("inconclusive", None, m, dim, "corank and Milnor number disagree")
+            return AnVerdict("A", dim, m, dim)
     return AnVerdict("inconclusive", None, m, None, "Milnor number failed to stabilize")
 
 
 def _local_algebra_dim(gu: Germ, gv: Germ, bound: int) -> int:
-    """Dimension of O/(J + m^bound) where J is generated by the two partials."""
+    """Dimension of O/(J + m^bound) where J is generated by the two partials.
+
+    The generators are scaled to integer coefficients, which leaves J as it
+    is.  The rows, the generators times each monomial below the bound, come
+    monomial by monomial: with the columns in the same order this keeps the
+    fill-in of the elimination small.
+    """
     monomials = [(a, b) for a in range(bound) for b in range(bound - a)]
     index = {mono: i for i, mono in enumerate(monomials)}
-    rows: list[dict[int, Fraction]] = []
-    for generator in (gu, gv):
-        for a, b in monomials:
-            row: dict[int, Fraction] = {}
+    generators = [_integral(gu), _integral(gv)]
+    rows: list[dict[int, int]] = []
+    for a, b in monomials:
+        for generator in generators:
+            row = {}
             for (c, d), coeff in generator.items():
-                key = (a + c, b + d)
-                if key in index:
-                    col = index[key]
-                    row[col] = row.get(col, frac(0)) + coeff
+                col = index.get((a + c, b + d))
+                if col is not None:
+                    row[col] = coeff
             if row:
                 rows.append(row)
     return len(monomials) - _sparse_rank(rows)
 
 
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _integral(g: Germ) -> dict[tuple[int, int], int]:
+    scale = math.lcm(*(coeff.denominator for coeff in g.values()))
+    return {e: int(coeff * scale) for e, coeff in g.items()}
+
+
+def _sparse_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of integer rows, by fraction-free elimination.
+
+    A row is reduced against the pivot row of its first column by an integer
+    combination that cancels that entry; a new pivot row is divided by the gcd
+    of its entries to keep the numbers small.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = dict(row)
         while row:
             col = min(row)
-            if col not in pivots:
-                inv = 1 / row[col]
-                pivots[col] = {k: v * inv for k, v in row.items()}
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                content = math.gcd(*row.values())
+                pivots[col] = {k: v // content for k, v in row.items()}
                 break
-            factor = row[col]
-            pivot_row = pivots[col]
+            common = math.gcd(pivot_row[col], row[col])
+            keep, cancel = pivot_row[col] // common, row[col] // common
+            row = {k: keep * v for k, v in row.items()}
             for k, v in pivot_row.items():
-                new = row.get(k, frac(0)) - factor * v
-                if new == 0:
-                    row.pop(k, None)
-                else:
+                new = row.get(k, 0) - cancel * v
+                if new:
                     row[k] = new
+                else:
+                    del row[k]
     return len(pivots)
 
 

@@ -59,6 +59,10 @@ from .sextics import family
 SCHEMA_VERSION = "1"
 KINDS = ("pipeline", "config-check", "plane-check", "dims-check")
 CORPUS_ENV = "UNIMODAL_CORPUS"
+# An an-type candidate c caps the Milnor-number search of `an_type_at` at
+# b = 16c + 16.  At c = 8 a germ whose Milnor number lies beyond that cap (a
+# disguised A_200) exhausts the search in about a minute on a 2-core machine.
+MAX_CANDIDATE = 8
 
 
 class ScenarioError(ValueError):
@@ -138,6 +142,8 @@ def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{source}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except ValueError as err:  # an integer literal past the interpreter's digit limit
+        raise ScenarioError(f"{source}: {err}") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: a scenario is a JSON object")
     schema = data.get("schema")
@@ -305,11 +311,16 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
 
 
 def _an_verdict(check: Mapping):
+    candidate = check.get("candidate", 6)
+    if isinstance(candidate, bool) or not isinstance(candidate, int):
+        raise ScenarioError(f"an-type candidate {candidate!r} is not an integer")
+    if not 1 <= candidate <= MAX_CANDIDATE:
+        raise ScenarioError(f"an-type candidate {candidate} is outside 1..{MAX_CANDIDATE}")
     if "germ" in check:
-        return an_type_at(_parse_germ(check["germ"]), candidate=int(check.get("candidate", 6)))
+        return an_type_at(_parse_germ(check["germ"]), candidate=candidate)
     form = form_from_json(check["form"])
     point = _parse_point(check["point"])
-    return an_type_at(form, point, candidate=int(check.get("candidate", 6)))
+    return an_type_at(form, point, candidate=candidate)
 
 
 def _an_label(verdict) -> str:

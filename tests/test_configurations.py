@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from unimodal.configurations import (
     fundamental_cycle,
     fundamental_cycle_brute_force,
     is_negative_definite,
+    isomorphic,
     match_catalog,
     recognize_kodaira_fiber,
 )
@@ -162,6 +164,94 @@ def test_match_catalog_relabeling_invariance():
         relabeled = entry.config.relabel(dict(zip(names, [f"t{i}" for i in range(len(names))])))
         relabeled = relabeled.relabel(dict(zip(relabeled.names, shuffled)))
         assert match_catalog(relabeled).label == label
+
+
+def _isomorphic_by_permutations(a, b):
+    """Reference search: every bijection of the components, checked in full."""
+    if len(a.components) != len(b.components):
+        return False
+    key = lambda config: {c.name: (c.self_int, c.pa, c.sing) for c in config.components}
+    link = lambda config: {c.pair: (c.mult, c.tangential) for c in config.contacts}
+    a_keys, b_keys, a_links, b_links = key(a), key(b), link(a), link(b)
+    pairs = [frozenset(pair) for pair in itertools.combinations(a.names, 2)]
+    for perm in itertools.permutations(b.names):
+        mapping = dict(zip(a.names, perm))
+        if any(a_keys[x] != b_keys[mapping[x]] for x in a.names):
+            continue
+        image = lambda names: frozenset(mapping[x] for x in names)
+        if any(a_links.get(pair) != b_links.get(image(pair)) for pair in pairs):
+            continue
+        if {image(t) for t in a.concurrent} == set(b.concurrent):
+            return True
+    return False
+
+
+def _shuffled(config, rng):
+    """The configuration under fresh names, with its records in a new order."""
+    names = list(config.names)
+    fresh = [f"r{i}" for i in range(len(names))]
+    rng.shuffle(fresh)
+    renamed = config.relabel(dict(zip(names, fresh)))
+    components, contacts = list(renamed.components), list(renamed.contacts)
+    rng.shuffle(components)
+    rng.shuffle(contacts)
+    return CurveConfiguration(tuple(components), tuple(contacts), renamed.concurrent)
+
+
+def _fiber(fiber_type):
+    size = {"I0": 1, "I1": 1, "II": 1, "III": 2, "IV": 3}.get(fiber_type) or int(fiber_type[1:])
+    return blown_up_fiber(fiber_type, (0,) * size)
+
+
+def _ade_trees():
+    def tree(n, edges):
+        return cfg([(f"v{i}", -2, 0) for i in range(n)], [(f"v{i}", f"v{j}", 1) for i, j in edges])
+
+    # the A_n chains come with the catalog
+    chain = lambda n: [(i, i + 1) for i in range(n - 1)]
+    yield from (tree(n, chain(n - 1) + [(n - 3, n - 1)]) for n in (4, 5, 6))  # D4..D6
+    yield tree(6, chain(5) + [(2, 5)])  # E6
+
+
+def _small_configurations():
+    yield from _ade_trees()
+    for fiber in ("I0", "I1", "II", "III", "IV", "I2", "I3", "I4", "I5", "I6"):
+        yield _fiber(fiber)
+    yield blown_up_fiber("I3", (1, 0, 2))
+    yield blown_up_fiber("IV", (0, 1, 0))
+    yield from (e.config for e in CATALOG if len(e.config.components) <= 6)
+
+
+def _flip_first_contact(config):
+    first = config.contacts[0]
+    flipped = Contact(first.first, first.second, first.mult, not first.tangential)
+    return CurveConfiguration(config.components, (flipped,) + config.contacts[1:], config.concurrent)
+
+
+def test_isomorphism_search_agrees_with_permutation_oracle():
+    rng = random.Random(5)
+    pool = []
+    for config in _small_configurations():
+        pool += [config, _shuffled(config, rng)]
+        if config.contacts:
+            pool.append(_shuffled(_flip_first_contact(config), rng))
+    for a in pool:
+        assert isomorphic(a, a) and isomorphic(a, _shuffled(a, rng))
+        for b in pool:
+            if len(a.components) == len(b.components):
+                assert isomorphic(a, b) == _isomorphic_by_permutations(a, b), (a, b)
+
+
+def test_isomorphism_of_nine_component_cycle_and_chain():
+    i9 = _fiber("I9")
+    a9 = cfg([(f"A{i}", -2, 0) for i in range(9)], [(f"A{i}", f"A{i + 1}", 1) for i in range(8)])
+    assert not isomorphic(i9, a9)
+    assert isomorphic(i9, _shuffled(i9, random.Random(9)))
+    e8 = cfg(
+        [(f"v{i}", -2, 0) for i in range(8)],
+        [(f"v{i}", f"v{i + 1}", 1) for i in range(6)] + [("v2", "v7", 1)],
+    )
+    assert match_catalog(e8) is None
 
 
 def test_blown_up_fiber_reproduces_catalog_graphs():

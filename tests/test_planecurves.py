@@ -283,6 +283,72 @@ def test_an_type_inconclusive_when_bound_exhausted():
 # -- A_n detection ---------------------------------------------------------------
 
 
+def _compose(g, first, second):
+    """g(first(u, v), second(u, v)) for germs given as dicts."""
+    out = {}
+    for (a, b), coeff in g.items():
+        term = {(0, 0): Fraction(1)}
+        for factor in [first] * a + [second] * b:
+            term = germ_mul(term, factor)
+        for key, value in term.items():
+            out[key] = out.get(key, 0) + coeff * value
+    return germ({k: v for k, v in out.items() if v})
+
+
+def _partial(g, var):
+    out = {}
+    for (a, b), coeff in g.items():
+        power = (a, b)[var]
+        if power:
+            key = (a - 1, b) if var == 0 else (a, b - 1)
+            out[key] = coeff * power
+    return out
+
+
+def _disguised_an(n, rng):
+    """u^2 - v^(n+1) under a random invertible change of coordinates fixing 0."""
+    small = lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+    while True:
+        a, b, c, d = (small() for _ in range(4))
+        if a * d != b * c:
+            break
+    second = {(1, 0): c, (0, 1): d}
+    first = {(1, 0): a, (0, 1): b}
+    for key, value in germ_mul(second, second).items():
+        first[key] = first.get(key, 0) + small() * value
+    return _compose({(2, 0): Fraction(1), (0, n + 1): Fraction(-1)}, first, second)
+
+
+def test_an_milnor_matches_intersection_of_partials():
+    # mu = dim O/(f_u, f_v) is the intersection number of the two partials,
+    # which local_intersection computes by blow-ups instead
+    rng = random.Random(7)
+    for n in range(1, 9):
+        g = _disguised_an(n, rng)
+        assert local_intersection(_partial(g, 0), _partial(g, 1)) == n
+        for candidate in (1, n, 3 * n):
+            verdict = an_type_at(g, candidate=candidate)
+            assert verdict.is_a(n) and verdict.milnor == n, (n, candidate, verdict)
+
+
+def test_an_cost_follows_milnor_number_not_candidate(monkeypatch):
+    import unimodal.planecurves as planecurves
+
+    bounds = []
+    original = planecurves._local_algebra_dim
+
+    def recording(gu, gv, bound):
+        bounds.append(bound)
+        return original(gu, gv, bound)
+
+    monkeypatch.setattr(planecurves, "_local_algebra_dim", recording)
+    assert an_type_at(_disguised_an(1, random.Random(3)), candidate=60).is_a(1)
+    assert bounds and max(bounds) <= 3
+    bounds.clear()
+    assert an_type_at(germ({(2, 0): 1, (0, 5): 1}), candidate=60).is_a(4)
+    assert bounds == [2, 3, 4, 5]  # d(b) = b up to b = 4, then d(4) = d(5)
+
+
 def test_an_golden_suite():
     for n in range(1, 7):
         g = germ({(2, 0): 1, (0, n + 1): 1})

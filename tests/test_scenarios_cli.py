@@ -7,6 +7,7 @@ import pytest
 
 from unimodal.cli import main
 from unimodal.scenarios import (
+    MAX_CANDIDATE,
     Report,
     ScenarioError,
     corpus_dir,
@@ -184,6 +185,23 @@ def test_plane_check_scenario():
     )
     result = run_scenario(scenario)
     assert result.exit_code == 0, [a for a in result.assertions if a.status != "pass"]
+
+
+@pytest.mark.parametrize("candidate", ["0", "-1", '"x"', "true", "2.5", "10" * 20, "9" * 5000])
+def test_an_type_candidate_out_of_range_is_exit_2(tmp_path, capsys, candidate):
+    check = {"name": "a1", "op": "an-type", "germ": {"terms": {"2,0": "1", "0,2": "1"}}}
+    text = scn("plane-check", {"checks": [dict(check, candidate="CANDIDATE")]}, {})
+    path = tmp_path / "candidate.scn"
+    path.write_text(text.replace('"CANDIDATE"', candidate))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_an_type_candidate_bounds_are_accepted():
+    for candidate in (1, MAX_CANDIDATE):
+        check = {"name": "a1", "op": "an-type", "germ": {"terms": {"2,0": "1", "0,2": "1"}}}
+        text = scn("plane-check", {"checks": [dict(check, candidate=candidate)]}, {"a1": {"value": "A1"}})
+        assert run_scenario(parse_scenario(text)).exit_code == 0
 
 
 def test_dims_check_scenario_flag():
