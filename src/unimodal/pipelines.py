@@ -867,7 +867,7 @@ def _family_checks(checks: _Recorder, fam: SexticFamily) -> None:
         )
     checks.expect(
         "family-smoothness-scan",
-        len(verification.extra_rational_singular_points),
+        "inconclusive" if verification.excess is None else verification.excess,
         0,
         "no rational singular points beyond the marked one",
     )

@@ -157,12 +157,55 @@ def form_to_json(form: HomogeneousForm) -> dict:
     }
 
 
+# Bounds on forms and germs read from input; beyond them a reader raises
+# ValueError, which a scenario reports as malformed input (exit 2).  The
+# largest generated inputs have degree 12 and coefficients of 39 bits.  The
+# sympy gcd in `_common_factor` sets the bounds: on a dense germ with random
+# rational coefficients it took 2 s at degree 16 and 64 bits, 24 s at
+# degree 32 and 21 bits, and did not finish in 150 s at degree 32 and 64 bits.
+MAX_DEGREE = 16  # form degree and total degree of a germ monomial
+MAX_COEFF_BITS = 64  # numerator and denominator of a coefficient
+_MAX_COEFF_CHARS = 64  # length of a coefficient string
+_MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
+
+
+def bounded_rational(value: int | str | Fraction) -> Fraction:
+    """A coefficient read from input, with numerator and denominator bounded.
+
+    A string's decimal exponent is bounded before :class:`Fraction` expands
+    it, so "1e100000" is refused at once instead of being built.
+    """
+    if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-")
+        if len(value) > _MAX_COEFF_CHARS or len(exponent) > _MAX_EXPONENT_DIGITS:
+            raise ValueError(f"coefficient {value[:32]!r} exceeds the input bounds")
+    q = frac(value)
+    if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
+        raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
+    return q
+
+
+def parse_exponent(key: str, arity: int) -> tuple[int, ...]:
+    """Exponents "i,j,..." of a monomial read from input, each at least 0."""
+    parts = key.split(",")
+    if len(parts) != arity:
+        raise ValueError(f"monomial {key!r} needs {arity} exponents")
+    exponent = tuple(int(part) for part in parts)
+    if min(exponent) < 0 or sum(exponent) > MAX_DEGREE:
+        raise ValueError(f"monomial {key!r} is outside exponents 0.. and degree {MAX_DEGREE}")
+    return exponent
+
+
 def form_from_json(data: dict) -> HomogeneousForm:
-    coeffs = {}
-    for key, value in data.get("coeffs", {}).items():
-        i, j, k = (int(part) for part in key.split(","))
-        coeffs[(i, j, k)] = frac(value)
-    return HomogeneousForm.from_dict(int(data["degree"]), coeffs)
+    degree = int(data["degree"])
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"form degree {degree} is outside 0..{MAX_DEGREE}")
+    coeffs = data.get("coeffs", {})
+    if not isinstance(coeffs, dict):
+        raise TypeError("the coeffs of a form are an object")
+    return HomogeneousForm.from_dict(
+        degree, {parse_exponent(key, 3): bounded_rational(value) for key, value in coeffs.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +545,7 @@ def _local_algebra_dim(gu: Germ, gv: Germ, bound: int) -> int:
     return len(monomials) - _sparse_rank(rows)
 
 
-def _integral(g: Germ) -> dict[tuple[int, int], int]:
+def _integral(g: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], int]:
     scale = math.lcm(*(coeff.denominator for coeff in g.values()))
     return {e: int(coeff * scale) for e, coeff in g.items()}
 
@@ -533,6 +576,60 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
                 else:
                     del row[k]
     return len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# Total Tjurina numbers
+# ---------------------------------------------------------------------------
+
+
+def tjurina_number(form: HomogeneousForm) -> int | None:
+    """Total Tjurina number of the plane curve F = 0, or None if not certified.
+
+    Let h(k) = dim S_k - rank J_k for the Jacobian ideal J = (F_x, F_y, F_z),
+    with exact integer ranks.  J is generated in degree d - 1, so for
+    k >= d - 1 an equal pair h(k) = h(k+1) <= k is the largest growth
+    Macaulay's bound allows, and Gotzmann's persistence theorem (Math. Z. 158,
+    1978; Bruns-Herzog, Thm 4.3.3) gives h(t) = h(k) for every t >= k.  The
+    Hilbert polynomial of S/J is then that constant: the length of the
+    Jacobian scheme, the sum of the local Tjurina numbers.  A constant also
+    certifies finitely many singular points, so the curve is reduced.
+
+    The search starts at 3(d-2) + 1, one past the socle degree of the Milnor
+    algebra of a smooth curve, and takes no rank in a degree above
+    (d-1)^2 + 3(d-2).  Reaching that cap (a non-reduced curve always does)
+    returns None: inconclusive, never a pass.
+    """
+    d = form.degree
+    if form.is_zero or d < 1:
+        raise ValueError("a plane curve needs a nonzero form of positive degree")
+    generators = [_integral(dict(form.partial(v).terms)) for v in range(3)]
+    generators = [g for g in generators if g]
+    start = max(3 * (d - 2) + 1, d - 1)
+    cap = max((d - 1) ** 2 + 3 * (d - 2), start + 1)
+    dim = _jacobian_quotient_dim(generators, d - 1, start)
+    for k in range(start, cap):
+        previous, dim = dim, _jacobian_quotient_dim(generators, d - 1, k + 1)
+        if dim == previous <= k:
+            return dim
+    return None
+
+
+def _jacobian_quotient_dim(generators: list[dict[Exponent, int]], degree: int, k: int) -> int:
+    """h(k) = dim S_k - rank J_k for generators of one degree.
+
+    The columns follow the reversed monomial basis, z-heavy monomials first,
+    so the pivots fall there first, while the rows come in the basis order,
+    x-heavy multipliers first.  On the branch sextics this takes a quarter to
+    a half of the elimination time of columns in basis order.
+    """
+    columns = monomial_basis(k)[::-1]
+    index = {mono: i for i, mono in enumerate(columns)}
+    rows = []
+    for a, b, c in monomial_basis(k - degree):
+        for generator in generators:
+            rows.append({index[(a + i, b + j, c + l)]: coeff for (i, j, l), coeff in generator.items()})
+    return len(columns) - _sparse_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,6 +1104,8 @@ class SmoothnessReport:
     The scan eliminates the partials by resultants and inspects rational
     roots; it certifies only "no rational singular points" plus the degree
     accounting of the eliminant, never smoothness over the algebraic closure.
+    It is a diagnostic only: it names the rational culprits once
+    :func:`tjurina_number` has shown singular points beyond the expected ones.
     """
 
     singular_points: tuple[MarkedPoint, ...]
@@ -1037,13 +1136,13 @@ def rational_singular_points(form: HomogeneousForm) -> SmoothnessReport:
             for (i, j, k), c in f.terms
         )
 
-    partials = [to_expr(form.partial(v)) for v in range(3)]
-    nonzero = [p for p in partials if p != 0]
-    if not nonzero:
+    # an identically zero partial imposes nothing
+    partials = [to_expr(p) for p in (form.partial(v) for v in range(3)) if not p.is_zero]
+    if not partials:
         raise ValueError("zero form")
     # an x-free partial already constrains (y : z); pairs varying in x eliminate it
-    eliminants = [sympy.expand(p) for p in nonzero if sympy.degree(p, x) == 0]
-    varying = [p for p in nonzero if sympy.degree(p, x) >= 1]
+    eliminants = [sympy.expand(p) for p in partials if sympy.degree(p, x) == 0]
+    varying = [p for p in partials if sympy.degree(p, x) >= 1]
     for f, g in itertools.combinations(varying, 2):
         eliminants.append(sympy.expand(sympy.resultant(f, g, x)))
     if not eliminants:

@@ -45,15 +45,17 @@ from .pipelines import (
 from .planecurves import (
     MarkedPoint,
     an_type_at,
+    bounded_rational,
     detect_33_point,
     form_from_json,
     germ,
     linear_form,
     mult_sequence,
+    parse_exponent,
     restrict_to_line,
     stabilizer_dim,
 )
-from .rationals import frac, rat_str
+from .rationals import rat_str
 from .sextics import family
 
 SCHEMA_VERSION = "1"
@@ -189,15 +191,18 @@ def load_scenario(path: str | Path) -> Scenario:
 def _parse_point(coords) -> MarkedPoint:
     if not isinstance(coords, (list, tuple)) or len(coords) != 3:
         raise ScenarioError("a point is a list of three rationals")
-    return MarkedPoint.of(*[frac(str(c)) for c in coords])
+    return MarkedPoint.of(*[bounded_rational(str(c)) for c in coords])
 
 
 def _parse_germ(data) -> dict:
-    terms = {}
-    for key, value in data.get("terms", {}).items():
-        a, b = (int(part) for part in key.split(","))
-        terms[(a, b)] = frac(value)
-    return germ(terms)
+    """A germ within the input bounds of `planecurves`; beyond them, exit 2."""
+    terms = data.get("terms", {}) if isinstance(data, dict) else None
+    if not isinstance(terms, dict):
+        raise ScenarioError("a germ is an object whose terms are an object")
+    try:
+        return germ({parse_exponent(k, 2): bounded_rational(v) for k, v in terms.items()})
+    except ValueError as err:
+        raise ScenarioError(f"germ: {err}") from None
 
 
 def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
@@ -302,7 +307,8 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
         elif op == "stabilizer-dim":
             points = tuple(_parse_point(p) for p in check.get("points", []))
             lines = tuple(
-                linear_form(*[frac(str(c)) for c in coeffs]) for coeffs in check.get("lines", [])
+                linear_form(*[bounded_rational(str(c)) for c in coeffs])
+                for coeffs in check.get("lines", [])
             )
             values[name] = str(stabilizer_dim(points, lines))
         else:

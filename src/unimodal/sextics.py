@@ -9,7 +9,10 @@ dimension of the projectivity stabilizer of the markings.
 
 Representatives carry fixed small-integer quintic parts used to verify the
 curve-level claims: restriction pattern, the A-type at the marked point, and
-the absence of further rational singular points.  The symbolic parameter is
+the absence of any further singular point over the algebraic closure.  The
+last is certified by the total Tjurina number: an A_n point is
+quasi-homogeneous, so its Tjurina number is n, and a curve whose total equals
+that of its mark has no other singular point.  The symbolic parameter is
 handled by specialization at several rational values away from the excluded
 ones, demanding identical combinatorial output.
 """
@@ -32,6 +35,7 @@ from .planecurves import (
     rational_singular_points,
     restrict_to_line,
     stabilizer_dim,
+    tjurina_number,
 )
 from .rationals import frac
 
@@ -160,8 +164,8 @@ _RESTRICTION_POINTS = {
 }
 
 # Fixed quintic parts for the verified representatives.  Chosen once so that
-# the marked singularity comes out right and the rational-point scan finds
-# nothing else; the tests pin the outcome.
+# the marked singularity comes out right and the total Tjurina number shows no
+# other singular point; the tests pin the outcome.
 _REPRESENTATIVE_QUINTICS = {
     "z11-case1": monomial(5, 0, 0)
     + monomial(0, 0, 5)
@@ -308,7 +312,8 @@ class FamilyVerification:
     orders: tuple[int, ...]
     residual_degree: int
     mark: AnVerdict | None
-    extra_rational_singular_points: tuple[MarkedPoint, ...]
+    excess: int | None  # total Tjurina number beyond the mark's; None if uncertified
+    rational_culprits: tuple[MarkedPoint, ...]  # listed only when the excess is not 0
     orbit_count: int
     variant_orbit_count: int | None
 
@@ -320,10 +325,15 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     representative member must show exactly the declared singular point (for
     the flagged family the variant exclusions are used, since the primary
     exclusion set does not force the declared cusp on a general member).
+    The excess is the total Tjurina number of the representative minus that
+    of the mark (n for a certified A_n, 0 without a mark); 0 certifies that
+    no other singular point exists over the algebraic closure.  Only a
+    nonzero or uncertified excess triggers the rational-point scan, which
+    lists the rational culprits for the diagnostic.
     """
     seen: set[tuple] = set()
     mark: AnVerdict | None = None
-    extra: tuple[MarkedPoint, ...] = ()
+    excess: int | None = None
     orders: tuple[int, ...] = ()
     residual = 0
     for lam in fam.lambda_samples():
@@ -332,19 +342,22 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
         if pattern.contained:
             raise ValueError(f"{fam.family_id}: representative contains the line")
         orders, residual = pattern.orders, pattern.residual_degree
-        report = rational_singular_points(rep)
-        expected_points = () if fam.singular_mark is None else (fam.singular_mark[0],)
-        extra = tuple(p for p in report.singular_points if p not in expected_points)
-        if fam.singular_mark is not None:
+        if fam.singular_mark is None:
+            mark, mark_tau = None, 0
+        else:
             point, n = fam.singular_mark
             mark = an_type_at(rep, point, candidate=max(2, n))
-            signature = (orders, residual, extra, mark.kind, mark.n)
-        else:
-            mark = None
-            signature = (orders, residual, extra)
-        seen.add(signature)
+            mark_tau = mark.n if mark.kind == "A" else None
+        tau = tjurina_number(rep)
+        excess = None if tau is None or mark_tau is None else tau - mark_tau
+        seen.add((orders, residual, excess) + ((mark.kind, mark.n) if mark else ()))
     if len(seen) != 1:
         raise ValueError(f"{fam.family_id}: specializations disagree: {sorted(map(str, seen))}")
+    culprits: tuple[MarkedPoint, ...] = ()
+    if excess != 0:
+        expected_points = () if fam.singular_mark is None else (fam.singular_mark[0],)
+        report = rational_singular_points(rep)
+        culprits = tuple(p for p in report.singular_points if p not in expected_points)
     variant = (
         fam.orbit_dim_count(fam.variant_exclusions) if fam.variant_exclusions else None
     )
@@ -353,7 +366,8 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
         orders,
         residual,
         mark,
-        extra,
+        excess,
+        culprits,
         fam.orbit_dim_count(),
         variant,
     )

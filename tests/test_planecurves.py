@@ -32,6 +32,7 @@ from unimodal.planecurves import (
     restrict_to_line,
     stabilizer_dim,
     stabilizer_dim_by_minors,
+    tjurina_number,
 )
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -274,7 +275,7 @@ def test_local_intersection_undecidable_over_q():
 
 
 def test_an_type_inconclusive_when_bound_exhausted():
-    # mu = 39 never stabilizes within three doublings from the tiny start bound
+    # mu = 39 lies beyond the cap b <= 16 * candidate + 16 = 32 of the Nakayama search
     verdict = an_type_at(germ({(2, 0): 1, (0, 40): 1}), candidate=1)
     assert verdict.kind == "inconclusive"
     assert verdict.reason == "Milnor number failed to stabilize"
@@ -582,3 +583,53 @@ def test_singular_scan_cuspidal_cubic():
     cusp = monomial(0, 2, 1) - monomial(3, 0, 0)
     report = rational_singular_points(cusp)
     assert report.singular_points == (pt(0, 0, 1),)
+
+
+def test_singular_scan_skips_zero_partials():
+    three_lines = linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(1, -1, 0)
+    assert three_lines.partial(2).is_zero
+    assert rational_singular_points(three_lines).singular_points == (pt(0, 0, 1),)
+
+
+# -- total Tjurina numbers ----------------------------------------------------------
+
+
+def _conic(a, b, c):
+    return monomial(2, 0, 0, a) + monomial(0, 2, 0, b) + monomial(0, 0, 2, c)
+
+
+@pytest.mark.parametrize(
+    "form, tau",
+    [
+        (monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6), 0),  # Fermat sextic
+        (monomial(0, 2, 1) - monomial(3, 0, 0) - monomial(2, 0, 1), 1),  # nodal cubic
+        (monomial(0, 2, 1) - monomial(3, 0, 0), 2),  # cuspidal cubic
+        (_conic(1, 1, -1) * linear_form(1, 0, 0), 2),  # conic and a secant line: two nodes
+        (linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(1, -1, 0), 4),  # a D4 point
+        (linear_form(1, 2, 3), 0),
+        (_conic(1, 1, 1), 0),
+        (linear_form(1, 0, 0) * linear_form(0, 1, 0), 1),
+    ],
+)
+def test_tjurina_number_exact_values(form, tau):
+    assert tjurina_number(form) == tau
+
+
+def test_tjurina_number_sees_irrational_nodes():
+    # two conics meeting in four nodes (+-i : +-sqrt2 : 1), none of them rational
+    curve = _conic(1, 1, -1) * _conic(1, 2, -3)
+    assert rational_singular_points(curve).singular_points == ()
+    assert tjurina_number(curve) == 4
+
+
+def test_tjurina_number_inconclusive_on_double_lines():
+    x = linear_form(1, 0, 0)
+    assert tjurina_number(x * x) is None
+    assert tjurina_number(x * x * linear_form(0, 1, 0) * linear_form(0, 0, 1)) is None
+
+
+def test_tjurina_number_rejects_constants():
+    with pytest.raises(ValueError):
+        tjurina_number(monomial(0, 0, 0, 5))
+    with pytest.raises(ValueError):
+        tjurina_number(HomogeneousForm.from_dict(3, {}))

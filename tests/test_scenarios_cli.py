@@ -204,6 +204,65 @@ def test_an_type_candidate_bounds_are_accepted():
         assert run_scenario(parse_scenario(text)).exit_code == 0
 
 
+class _NoSympy:
+    def __getattr__(self, attr):
+        raise AssertionError(f"sympy.{attr} reached on an input the parser must refuse")
+
+
+@pytest.mark.parametrize(
+    "germ_terms",
+    [
+        {"2,0": "1", "0,301": "-1"},  # a germ of degree 301
+        {"2,0": "1e100000", "0,2": "1"},
+        {"-1,2": "1", "0,2": "1"},
+        {"2,0": "1", "0,2": "1/" + str(2**64)},  # a denominator past MAX_COEFF_BITS
+        {"2,0": "1", "0,17": "1"},  # one degree past MAX_DEGREE
+        {"2,0,0": "1"},
+    ],
+)
+def test_oversized_or_malformed_germ_is_exit_2(tmp_path, capsys, monkeypatch, germ_terms):
+    import unimodal.planecurves as planecurves
+
+    monkeypatch.setattr(planecurves, "sympy", _NoSympy())
+    check = {"name": "a", "op": "an-type", "germ": {"terms": germ_terms}, "candidate": 2}
+    path = tmp_path / "germ.scn"
+    path.write_text(scn("plane-check", {"checks": [check]}, {}))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        {"degree": 301, "coeffs": {"301,0,0": "1"}},
+        {"degree": 2, "coeffs": {"-1,3,0": "1"}},
+        {"degree": 2, "coeffs": {"2,0,0": "1e100000"}},
+        {"degree": 2, "coeffs": ["2,0,0"]},
+    ],
+)
+def test_oversized_or_malformed_form_is_exit_2(tmp_path, capsys, form):
+    line = {"degree": 1, "coeffs": {"0,0,1": "1"}}
+    check = {"name": "r", "op": "restrict", "form": form, "line": line}
+    path = tmp_path / "form.scn"
+    path.write_text(scn("plane-check", {"checks": [check]}, {}))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_input_bounds_admit_their_limits():
+    from unimodal.planecurves import MAX_COEFF_BITS, MAX_DEGREE
+
+    big = str(2**MAX_COEFF_BITS - 1)
+    terms = {"2,0": big, f"0,{MAX_DEGREE}": "-1/" + big}
+    check = {"name": "a", "op": "an-type", "germ": {"terms": terms}, "candidate": 2}
+    text = scn("plane-check", {"checks": [check]}, {"a": {"value": f"A{MAX_DEGREE - 1}"}})
+    assert run_scenario(parse_scenario(text)).exit_code == 0
+    form = {"degree": 2, "coeffs": {"2,0,0": "3e-5", "0,1,1": "-2.5"}}
+    check = {"name": "r", "op": "restrict", "form": form, "line": {"degree": 1, "coeffs": {"1,0,0": "1"}}}
+    text = scn("plane-check", {"checks": [check]}, {"r": {"value": "orders=;residual=2"}})
+    assert run_scenario(parse_scenario(text)).exit_code == 0
+
+
 def test_dims_check_scenario_flag():
     scenario = load_scenario(CORPUS / "dims-z13-case2.scn")
     result = run_scenario(scenario)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unimodal.planecurves import restrict_to_line, stabilizer_dim
+from unimodal.planecurves import monomial_basis, restrict_to_line, stabilizer_dim, tjurina_number
 from unimodal.sextics import FAMILIES, LINE, family, verify_family
 
 
@@ -62,11 +62,39 @@ def test_verify_family_outcomes():
     for fam in FAMILIES:
         outcome = verify_family(fam)
         assert outcome.orders == fam.expected_orders
-        assert outcome.extra_rational_singular_points == ()
+        assert outcome.excess == 0
+        assert outcome.rational_culprits == ()
         if fam.singular_mark is None:
             assert outcome.mark is None
         else:
             assert outcome.mark.is_a(fam.singular_mark[1]), fam.family_id
+
+
+def test_representatives_have_no_singular_point_beyond_the_mark():
+    for fam in FAMILIES:
+        mark_tau = 0 if fam.singular_mark is None else fam.singular_mark[1]
+        for lam in fam.lambda_samples():
+            assert tjurina_number(fam.representative(lam)) == mark_tau, (fam.family_id, lam)
+
+
+def test_representatives_certify_at_the_first_pair(monkeypatch):
+    import unimodal.planecurves as planecurves
+
+    original = planecurves._sparse_rank
+    widths = []
+
+    def recording(rows):
+        widths.append(1 + max(col for row in rows for col in row))
+        return original(rows)
+
+    monkeypatch.setattr(planecurves, "_sparse_rank", recording)
+    top = len(monomial_basis(3 * (6 - 2) + 2))  # columns in degree k = 3(d - 2) + 2
+    for fam in FAMILIES:
+        for lam in fam.lambda_samples():
+            widths.clear()
+            tjurina_number(fam.representative(lam))
+            # one rank each in degrees 3(d - 2) + 1 and 3(d - 2) + 2, then the stop
+            assert len(widths) == 2 and max(widths) <= top, (fam.family_id, lam)
 
 
 def test_representative_respects_exclusions():
