@@ -7,12 +7,13 @@ Gram matrix alone cannot see are declared flags: a contact of multiplicity two
 may sit at one point (``tangential``) or two, and three components may pass
 through a common point (``concurrent``).
 
-On top of that sit the classical algorithms: negative definiteness, the
-incremental fundamental-cycle computation with a brute-force oracle, the
-minimally-elliptic classification, recognition of the restricted Kodaira fibre
-list, Euler-number budgeting, and the catalog of exceptional unimodal double
-points E12..E14, Z11..Z13, W12, W13 together with A_n and the two degree-one
-elliptic T-singularities.
+Self-intersections, genera and multiplicities are Python integers, so the
+Gram matrix is integral and the algorithms on top of it run on integers:
+negative definiteness, the incremental fundamental-cycle computation with a
+brute-force oracle, the minimally-elliptic classification, recognition of the
+restricted Kodaira fibre list, Euler-number budgeting, and the catalog of
+exceptional unimodal double points E12..E14, Z11..Z13, W12, W13 together with
+A_n and the two degree-one elliptic T-singularities.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import (
+    bounded_rational,
     frac,
     is_negative_definite as _gram_negative_definite,
     is_negative_semidefinite,
@@ -30,6 +32,15 @@ from .rationals import (
 )
 
 MAX_LAUFER_ITERATIONS = 10_000
+# Components of a configuration read from input, and of a Kodaira fibre I_n
+# built for comparison.  On a 2-core machine every check of a 64-component
+# chain, cycle, star or complete graph took at most 1 s.
+MAX_COMPONENTS = 64
+
+
+def _require_int(owner: str, field: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{owner}: {field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,8 @@ class Component:
     sing: str | None = None  # "node" | "cusp" for an irreducible curve singularity
 
     def __post_init__(self) -> None:
+        _require_int(f"component {self.name}", "self-intersection", self.self_int)
+        _require_int(f"component {self.name}", "arithmetic genus", self.pa)
         if self.pa < 0:
             raise ValueError(f"component {self.name}: negative arithmetic genus")
         if self.sing not in (None, "node", "cusp"):
@@ -58,6 +71,7 @@ class Contact:
     def __post_init__(self) -> None:
         if self.first == self.second:
             raise ValueError("contact needs two distinct components")
+        _require_int(f"contact {self.first}-{self.second}", "multiplicity", self.mult)
         if self.mult < 1:
             raise ValueError("contact multiplicity must be positive")
 
@@ -108,16 +122,19 @@ class CurveConfiguration:
         pair = frozenset((a, b))
         return any(c.pair == pair and c.tangential for c in self.contacts)
 
-    def gram(self) -> list[list[Fraction]]:
+    def integer_gram(self) -> list[list[int]]:
         n = len(self.components)
-        g = [[frac(0)] * n for _ in range(n)]
+        g = [[0] * n for _ in range(n)]
         index = {c.name: i for i, c in enumerate(self.components)}
         for i, c in enumerate(self.components):
-            g[i][i] = frac(c.self_int)
+            g[i][i] = c.self_int
         for contact in self.contacts:
             i, j = index[contact.first], index[contact.second]
-            g[i][j] = g[j][i] = frac(contact.mult)
+            g[i][j] = g[j][i] = contact.mult
         return g
+
+    def gram(self) -> list[list[Fraction]]:
+        return [[frac(x) for x in row] for row in self.integer_gram()]
 
     def canonical_degrees(self) -> list[Fraction]:
         """K.E_i = 2 p_a(E_i) - 2 - E_i^2 for each component."""
@@ -163,7 +180,7 @@ class CurveConfiguration:
 
 
 def is_negative_definite(config: CurveConfiguration) -> bool:
-    return _gram_negative_definite(config.gram())
+    return _gram_negative_definite(config.integer_gram())
 
 
 @dataclass(frozen=True)
@@ -173,9 +190,8 @@ class FundamentalCycle:
 
     @property
     def self_int(self) -> Fraction:
-        g = self.config.gram()
-        z = self.coeffs
-        return sum(frac(z[i]) * g[i][j] * z[j] for i in range(len(z)) for j in range(len(z)))
+        pairings = _pairings(self.config.integer_gram(), self.coeffs)
+        return frac(sum(a * p for a, p in zip(self.coeffs, pairings)))
 
     @property
     def canonical_degree(self) -> Fraction:
@@ -187,31 +203,38 @@ class FundamentalCycle:
 
     def pairings(self) -> list[Fraction]:
         """Z.E_i for every component; anti-nef means all are <= 0."""
-        g = self.config.gram()
-        n = len(self.coeffs)
-        return [sum(frac(self.coeffs[j]) * g[j][i] for j in range(n)) for i in range(n)]
+        return [frac(p) for p in _pairings(self.config.integer_gram(), self.coeffs)]
+
+
+def _pairings(gram: list[list[int]], z) -> list[int]:
+    """Z.E_i for every component, on the integral Gram matrix."""
+    return [sum(a * x for a, x in zip(z, row)) for row in gram]
 
 
 def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
     """Smallest positive cycle Z with Z.E_i <= 0 for all i, by the incremental loop.
 
-    Starts at the reduced cycle and repeatedly adds any component with positive
-    pairing; terminates because the form is negative definite.
+    Starts at the reduced cycle and repeatedly adds the first component with
+    positive pairing; terminates because the form is negative definite.  The
+    pairings live on the integral Gram matrix and are updated by the row of
+    the added component, not recomputed.  A cycle that needs more than
+    :data:`MAX_LAUFER_ITERATIONS` steps is refused with ValueError, so a
+    scenario asking for one is oversized input.
     """
     if not config.components:
         raise ValueError("empty configuration has no fundamental cycle")
     if not is_negative_definite(config):
         raise ValueError("configuration is not negative definite")
-    g = config.gram()
-    n = len(config.components)
-    z = [1] * n
+    g = config.integer_gram()
+    z = [1] * len(g)
+    pairings = _pairings(g, z)
     for _ in range(MAX_LAUFER_ITERATIONS):
-        pairings = [sum(frac(z[j]) * g[j][i] for j in range(n)) for i in range(n)]
         bad = next((i for i, p in enumerate(pairings) if p > 0), None)
         if bad is None:
             return FundamentalCycle(config, tuple(z))
         z[bad] += 1
-    raise RuntimeError("fundamental-cycle loop failed to terminate")
+        pairings = [p + x for p, x in zip(pairings, g[bad])]
+    raise ValueError(f"the fundamental cycle needs more than {MAX_LAUFER_ITERATIONS} Laufer steps")
 
 
 def fundamental_cycle_brute_force(
@@ -222,12 +245,11 @@ def fundamental_cycle_brute_force(
     Independent oracle for :func:`fundamental_cycle`; returns None when no
     anti-nef cycle exists in the box.
     """
-    g = config.gram()
+    g = config.integer_gram()
     n = len(config.components)
     anti_nef: list[tuple[int, ...]] = []
     for z in itertools.product(range(1, bound + 1), repeat=n):
-        pairings = (sum(frac(z[j]) * g[j][i] for j in range(n)) for i in range(n))
-        if all(p <= 0 for p in pairings):
+        if all(p <= 0 for p in _pairings(g, z)):
             anti_nef.append(z)
     if not anti_nef:
         return None
@@ -243,20 +265,32 @@ class EllipticClassification:
 
 
 def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassification:
-    """Minimally elliptic iff p_a(Z) = 1 and every proper connected piece is rational."""
+    """Minimally elliptic iff p_a(Z) = 1 and every proper connected piece is rational.
+
+    Only the connected pieces of E - {v}, for each component v, are checked:
+    every proper connected T lies in one of them, and rationality passes to
+    connected subconfigurations (Laufer 1972).  For connected T inside a
+    connected S, Z_S restricted to T is anti-nef on T (the rest of Z_S meets T
+    nonnegatively), so Z_T <= Z_S.  Laufer's computation sequence climbs from
+    Z_T to Z_S by adding components E_j with D.E_j >= 1, and each step changes
+    p_a by p_a(E_j) + D.E_j - 1 >= 0; started from one component it shows
+    p_a >= 0 as well.  So 0 <= p_a(Z_T) <= p_a(Z_S), and a rational S has only
+    rational connected pieces.
+    """
     cycle = fundamental_cycle(config)
     pa = cycle.pa
     if pa == 0:
         return EllipticClassification("rational", None, cycle)
     if pa != 1:
         return EllipticClassification("not-elliptic", None, cycle)
-    names = config.names
-    for size in range(1, len(names)):
-        for keep in itertools.combinations(names, size):
-            sub = config.subconfiguration(keep)
-            if not sub.is_connected():
+    links = _links(config)
+    checked: set[frozenset[str]] = set()
+    for removed in config.names:
+        for piece in map(frozenset, _connected_pieces(links, removed)):
+            if piece in checked:
                 continue
-            if fundamental_cycle(sub).pa != 0:
+            checked.add(piece)
+            if fundamental_cycle(config.subconfiguration(tuple(piece))).pa != 0:
                 return EllipticClassification("not-elliptic", None, cycle)
     degree = -cycle.self_int
     if degree.denominator != 1:
@@ -421,7 +455,7 @@ def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
     targets: dict[tuple, list[str]] = {}
     for c in b.components:
         targets.setdefault(key(c), []).append(c.name)
-    order = _breadth_first(a, a_links)
+    order = [name for piece in _connected_pieces(a_links) for name in piece]
     a_keys = {c.name: key(c) for c in a.components}
     b_triples = set(b.concurrent)
     mapping: dict[str, str] = {}
@@ -453,22 +487,23 @@ def _links(config: CurveConfiguration) -> dict[str, dict[str, tuple[int, bool]]]
     return links
 
 
-def _breadth_first(config: CurveConfiguration, links: dict[str, dict]) -> list[str]:
-    """Component names, each connected piece in breadth-first order."""
-    order: list[str] = []
-    seen: set[str] = set()
-    for root in config.names:
+def _connected_pieces(links: dict[str, dict], removed: str | None = None) -> list[list[str]]:
+    """The connected pieces of the contact graph, each in breadth-first order,
+    leaving out the component ``removed``."""
+    pieces: list[list[str]] = []
+    seen = {removed}
+    for root in links:
         if root in seen:
             continue
         seen.add(root)
-        queue = [root]
-        for name in queue:
-            order.append(name)
+        piece = [root]
+        for name in piece:
             for other in links[name]:
                 if other not in seen:
                     seen.add(other)
-                    queue.append(other)
-    return order
+                    piece.append(other)
+        pieces.append(piece)
+    return pieces
 
 
 def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
@@ -499,15 +534,11 @@ def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
     comps = config.components
     if not comps:
         return None
-    gram = config.gram()
-    if not is_negative_semidefinite(gram):
+    gram = config.integer_gram()
+    # the reduced total cycle lies in the radical iff every row sums to 0
+    if any(sum(row) for row in gram) or not is_negative_semidefinite(gram):
         return None
-    radical = nullspace(gram, len(comps))
-    if len(radical) != 1:
-        return None
-    direction = radical[0]
-    scale = next((x for x in direction if x != 0), None)
-    if scale is None or any(x / scale != 1 for x in direction):
+    if len(nullspace(config.gram(), len(comps))) != 1:
         return None
     total = FundamentalCycle(config, tuple([1] * len(comps)))
     if total.pa != 1:
@@ -621,6 +652,8 @@ def _fiber_configuration(fiber_type: str) -> CurveConfiguration:
         return _cfg([("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2)])
     if fiber_type.startswith("I") and fiber_type[1:].isdigit():
         n = int(fiber_type[1:])
+        if n > MAX_COMPONENTS:
+            raise ValueError(f"fibre {fiber_type[:16]!r} has more than {MAX_COMPONENTS} components")
         comps = [(f"E{i + 1}", -2, 0) for i in range(n)]
         contacts = [(f"E{i + 1}", f"E{(i + 1) % n + 1}", 1) for i in range(n)]
         return _cfg(comps, contacts)
@@ -655,23 +688,64 @@ def config_to_json(config: CurveConfiguration) -> dict:
     }
 
 
-def config_from_json(data: dict) -> CurveConfiguration:
-    def _int(text: str) -> int:
-        value = frac(text)
-        if value.denominator != 1:
-            raise ValueError(f"expected an integer, got {text!r}")
-        return int(value)
+def bounded_int(value: int | str) -> int:
+    """An integer read from input, within the bounds of plane-check coefficients."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    q = bounded_rational(value)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return q.numerator
 
+
+def config_from_json(data: dict) -> CurveConfiguration:
+    """Read a configuration, refusing malformed or oversized input.
+
+    Integers go through :func:`bounded_int`, and at most
+    :data:`MAX_COMPONENTS` components are read; beyond that, or on a
+    component, contact or flag of the wrong shape, ValueError or TypeError.
+    """
+    records = {key: _json_list(data, key) for key in ("components", "contacts", "concurrent")}
+    if len(records["components"]) > MAX_COMPONENTS:
+        raise ValueError(f"a configuration has at most {MAX_COMPONENTS} components")
     components = tuple(
-        Component(c["name"], _int(c["self_int"]), _int(c.get("pa", "0")), c.get("sing"))
-        for c in data.get("components", [])
+        Component(
+            _json_name(c["name"]), bounded_int(c["self_int"]), bounded_int(c.get("pa", "0")), c.get("sing")
+        )
+        for c in map(_json_object, records["components"])
     )
-    contacts = tuple(
-        Contact(c["pair"][0], c["pair"][1], _int(c["mult"]), bool(c.get("tangential", False)))
-        for c in data.get("contacts", [])
-    )
-    concurrent = tuple(frozenset(t) for t in data.get("concurrent", []))
-    return CurveConfiguration(components, contacts, concurrent)
+    contacts = []
+    for c in map(_json_object, records["contacts"]):
+        pair = c["pair"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"a contact pair names two components, got {pair!r}")
+        first, second = map(_json_name, pair)
+        contacts.append(Contact(first, second, bounded_int(c["mult"]), bool(c.get("tangential", False))))
+    concurrent = []
+    for triple in records["concurrent"]:
+        if not isinstance(triple, list):
+            raise TypeError(f"a concurrency flag is a list of names, got {triple!r}")
+        concurrent.append(frozenset(map(_json_name, triple)))
+    return CurveConfiguration(components, tuple(contacts), tuple(concurrent))
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _json_list(data, key: str) -> list:
+    value = _json_object(data).get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _json_name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"a component name is a string, got {value!r}")
+    return value
 
 
 def catalog_to_json() -> list[dict]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .configurations import (
     is_negative_definite,
     match_catalog,
 )
-from .rationals import frac, rank, rat_str, solve, solve_in_span
+from .rationals import frac, integer_rows, inverse, rat_str, row_reduce
 
 
 class LatticeError(ValueError):
@@ -65,14 +66,22 @@ class IntersectionLattice:
         except ValueError:
             raise LatticeError(f"no basis class named {name!r}") from None
 
+    @cached_property
+    def _integer_gram(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """The Gram matrix as sparse integer rows of ``(column, entry)`` over one denominator."""
+        denominator, rows = integer_rows(self.gram)
+        return denominator, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
     def pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        total = frac(0)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = self.gram[i]
-            total += x * sum(row[j] * y for j, y in enumerate(b) if y != 0)
-        return total
+        """a.G.b, summed over the integers; one Fraction is built at the end."""
+        denominator, rows = self._integer_gram
+        a_scale, (a_int,) = integer_rows([a])
+        b_scale, (b_int,) = integer_rows([b])
+        total = 0
+        for x, row in zip(a_int, rows):
+            if x:
+                total += x * sum(g * b_int[j] for j, g in row)
+        return Fraction(total, denominator * a_scale * b_scale)
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ class DivisorClass:
             raise LatticeError("coefficient vector does not match the basis")
 
     def _same_lattice(self, other: "DivisorClass") -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeError("classes live on different lattices")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -368,23 +377,6 @@ def untrack(model: SurfaceModel, names: Iterable[str]) -> SurfaceModel:
         tracked=tuple(c for c in model.tracked if c.name not in names),
         provenance=model.provenance + (step,),
     )
-
-
-# ---------------------------------------------------------------------------
-# Spec-level wrappers
-# ---------------------------------------------------------------------------
-
-
-def intersect(model: SurfaceModel, a: DivisorClass, b: DivisorClass) -> Fraction:
-    return model.intersect(a, b)
-
-
-def adjunction_pa(model: SurfaceModel, d: DivisorClass) -> Fraction:
-    return model.adjunction_pa(d)
-
-
-def rr_chi(model: SurfaceModel, d: DivisorClass) -> Fraction:
-    return model.rr_chi(d)
 
 
 # ---------------------------------------------------------------------------
@@ -812,33 +804,41 @@ def contract(
         else:
             raise ContractionError("configuration is neither rational nor minimally elliptic")
 
-    # Orthogonal-complement projection.
-    gram_config = [[a.dot(b) for b in classes] for a in classes]
+    # The new lattice is the orthogonal complement of the contracted classes.
+    # Its projection P has exactly their span as kernel, so one reduction of
+    # the classes, with the basis read right to left, gives kernel vectors
+    # v_l, each 1 at its pivot p_l and 0 at the other pivots.  A projected
+    # basis class P e_j depends on those before it iff some kernel vector
+    # ends at j, so the basis classes that are no pivot are kept; and
+    # d - sum_l d[p_l] v_l, read on the kept classes, is the coordinate
+    # vector of P d.
+    n = model.lattice.rank
+    reduced, pivots = row_reduce([c.coeffs[::-1] for c in classes])
+    dropped = [n - 1 - p for p in pivots]
+    kernel = [row[::-1] for row in reduced[: len(pivots)]]
+    kept = [i for i in range(n) if i not in dropped]
+    gram_inverse = inverse([[a.dot(b) for b in classes] for a in classes])
 
     def project(d: DivisorClass) -> DivisorClass:
         rhs = [d.dot(c) for c in classes]
-        x = solve(gram_config, rhs)
-        out = d
-        for coefficient, cls in zip(x, classes):
-            out = out - coefficient * cls
-        return out
+        out = list(d.coeffs)
+        for row, cls in zip(gram_inverse, classes):
+            x = sum(g * r for g, r in zip(row, rhs))
+            if x:
+                out = [o - x * c for o, c in zip(out, cls.coeffs)]
+        return DivisorClass(model.lattice, tuple(out))
 
-    projected = [project(model.basis_class(b)) for b in model.lattice.basis]
-    kept: list[int] = []
-    for i in range(len(projected)):
-        candidate = [list(projected[j].coeffs) for j in kept + [i]]
-        if rank(candidate) == len(kept) + 1:
-            kept.append(i)
-    new_basis = tuple(model.lattice.basis[i] for i in kept)
-    columns = [list(projected[i].coeffs) for i in kept]
-    gram = tuple(
-        tuple(projected[i].dot(projected[j]) for j in kept) for i in kept
-    )
-    lattice = IntersectionLattice(new_basis, gram)
+    projected = {i: project(model.basis_class(model.lattice.basis[i])) for i in kept}
+    gram = tuple(tuple(projected[i].dot(projected[j]) for j in kept) for i in kept)
+    lattice = IntersectionLattice(tuple(model.lattice.basis[i] for i in kept), gram)
 
     def express(d: DivisorClass) -> DivisorClass:
-        coords = solve_in_span(columns, list(project(d).coeffs))
-        return DivisorClass(lattice, tuple(coords))
+        coeffs = list(d.coeffs)
+        for p, v in zip(dropped, kernel):
+            x = coeffs[p]
+            if x:
+                coeffs = [a - x * b for a, b in zip(coeffs, v)]
+        return DivisorClass(lattice, tuple(coeffs[i] for i in kept))
 
     canonical = express(model.canonical)
     new_model = SurfaceModel(

@@ -20,7 +20,16 @@ from fractions import Fraction
 
 import sympy
 
-from .rationals import frac, nullspace, rank, rank_by_minors, rat_str, solve_in_span
+from .rationals import (
+    MAX_COEFF_BITS,
+    bounded_rational,
+    frac,
+    nullspace,
+    rank,
+    rank_by_minors,
+    rat_str,
+    solve_in_span,
+)
 
 _T = sympy.Symbol("t")
 
@@ -163,26 +172,8 @@ def form_to_json(form: HomogeneousForm) -> dict:
 # sympy gcd in `_common_factor` sets the bounds: on a dense germ with random
 # rational coefficients it took 2 s at degree 16 and 64 bits, 24 s at
 # degree 32 and 21 bits, and did not finish in 150 s at degree 32 and 64 bits.
+# Coefficients are read by `rationals.bounded_rational` (MAX_COEFF_BITS).
 MAX_DEGREE = 16  # form degree and total degree of a germ monomial
-MAX_COEFF_BITS = 64  # numerator and denominator of a coefficient
-_MAX_COEFF_CHARS = 64  # length of a coefficient string
-_MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
-
-
-def bounded_rational(value: int | str | Fraction) -> Fraction:
-    """A coefficient read from input, with numerator and denominator bounded.
-
-    A string's decimal exponent is bounded before :class:`Fraction` expands
-    it, so "1e100000" is refused at once instead of being built.
-    """
-    if isinstance(value, str):
-        exponent = value.lower().partition("e")[2].strip().lstrip("+-")
-        if len(value) > _MAX_COEFF_CHARS or len(exponent) > _MAX_EXPONENT_DIGITS:
-            raise ValueError(f"coefficient {value[:32]!r} exceeds the input bounds")
-    q = frac(value)
-    if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
-        raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
-    return q
 
 
 def parse_exponent(key: str, arity: int) -> tuple[int, ...]:

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines built on :class:`fractions.Fraction`: rank, determinant,
-solving, nullspaces and principal minors.  Floating point never appears; every
-result is exact.  Matrices are plain lists of lists (rows) of ``Fraction``.
+solving, inversion and nullspaces, plus definiteness tests that clear
+denominators and eliminate over the integers, and a bounded reader for
+rationals from input.  Floating point never appears;
+every result is exact.  Matrices are plain lists of lists (rows) of
+``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 Vector = list[Fraction]
 Matrix = list[Vector]
@@ -36,8 +40,28 @@ def rat_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def mat(rows: Iterable[Iterable[int | str | Fraction]]) -> Matrix:
-    return [[frac(x) for x in row] for row in rows]
+# Bounds on a rational read from input.  They are set by the sympy gcd of
+# plane-curve germs (see `planecurves.MAX_DEGREE`) and shared by the reader
+# of curve configurations.
+MAX_COEFF_BITS = 64  # numerator and denominator of a coefficient
+_MAX_COEFF_CHARS = 64  # length of a coefficient string
+_MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
+
+
+def bounded_rational(value: int | str | Fraction) -> Fraction:
+    """A coefficient read from input, with numerator and denominator bounded.
+
+    A string's decimal exponent is bounded before :class:`Fraction` expands
+    it, so "1e100000" is refused at once instead of being built.
+    """
+    if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-")
+        if len(value) > _MAX_COEFF_CHARS or len(exponent) > _MAX_EXPONENT_DIGITS:
+            raise ValueError(f"coefficient {value[:32]!r} exceeds the input bounds")
+    q = frac(value)
+    if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
+        raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
+    return q
 
 
 def _copy(rows: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -172,28 +196,78 @@ def solve_in_span(columns: Sequence[Vector], target: Vector) -> Vector:
     return coords
 
 
-def leading_principal_minors(matrix: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+def inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Inverse of a square nonsingular matrix, from one reduction of ``[M | I]``.
+
+    Raises ValueError if the matrix is singular.
+    """
     n = len(matrix)
-    return [det([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]
+    aug = [list(row) + [frac(1 if i == j else 0) for j in range(n)] for i, row in enumerate(matrix)]
+    reduced, pivots = row_reduce(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular system")
+    return [row[n:] for row in reduced]
+
+
+def integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(d, N)`` with ``N = d * matrix`` integral, ``d`` the lcm of the denominators.
+
+    The scale is positive, so every entry keeps its sign.
+    """
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
 
 
 def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester criterion: leading principal minors alternate, starting negative."""
-    n = len(matrix)
-    if n == 0:
-        return True
-    for k, minor in enumerate(leading_principal_minors(matrix)):
-        if (-1) ** (k + 1) * minor <= 0:
+    """Sylvester's criterion on -M, from one fraction-free elimination.
+
+    Bareiss's elimination of the integral -d*M without row exchanges divides
+    each update exactly by the previous pivot (Sylvester's identity), so the
+    k-th pivot is the k-th leading principal minor of -d*M and every entry
+    stays a minor of it.  M is negative definite iff every pivot is positive;
+    the test stops at the first that is not.
+    """
+    a = [[-x for x in row] for row in integer_rows(matrix)[1]]
+    n = len(a)
+    previous = 1
+    for k in range(n):
+        pivot, pivot_row = a[k][k], a[k]
+        if pivot <= 0:
             return False
+        tail = pivot_row[k + 1 :]
+        for row in a[k + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [(x * pivot - factor * y) // previous for x, y in zip(row[k + 1 :], tail)]
+        previous = pivot
     return True
 
 
 def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Every principal minor of -M is nonnegative.  Exponential; fine for graphs."""
-    n = len(matrix)
-    for size in range(1, n + 1):
-        for sel in combinations(range(n), size):
-            sub = [[-matrix[i][j] for j in sel] for i in sel]
-            if det(sub) < 0:
-                return False
+    """Whether the symmetric matrix M has x.M.x <= 0 for every x.
+
+    A fraction-free symmetric elimination of the integral -d*M on diagonal
+    pivots: a negative diagonal entry refutes, a positive one is eliminated
+    (Bareiss's exact division by the previous pivot, applied to rows and
+    columns alike), and when every remaining diagonal entry is 0 the rest
+    must vanish.  After pivots on the set S, the entry (i, j) is the minor of
+    -d*M on rows S+i and columns S+j, which is the last pivot (a positive
+    principal minor) times the entry of the Schur complement, so its sign is
+    the sign there.
+    """
+    a = [[-x for x in row] for row in integer_rows(matrix)[1]]
+    rest = list(range(len(a)))
+    previous = 1
+    while rest:
+        if any(a[i][i] < 0 for i in rest):
+            return False
+        k = next((i for i in rest if a[i][i] > 0), None)
+        if k is None:
+            return all(a[i][j] == 0 for i in rest for j in rest)
+        rest.remove(k)
+        pivot, pivot_row = a[k][k], a[k]
+        for i in rest:
+            row, factor = a[i], a[i][k]
+            for j in rest:
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
+        previous = pivot
     return True

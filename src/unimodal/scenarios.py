@@ -22,6 +22,7 @@ from typing import Mapping
 from . import __version__
 from .configurations import (
     blown_up_fiber,
+    bounded_int,
     classify_minimally_elliptic,
     config_from_json,
     fundamental_cycle,
@@ -263,7 +264,7 @@ def _config_check_values(payload: Mapping) -> dict[str, str]:
     values["kodaira-fiber"] = recognize_kodaira_fiber(config) or "none"
     derived = payload.get("derived_from")
     if derived:
-        rebuilt = blown_up_fiber(str(derived["fiber"]), tuple(int(k) for k in derived["blow_ups"]))
+        rebuilt = blown_up_fiber(str(derived["fiber"]), tuple(map(bounded_int, derived["blow_ups"])))
         values["blown-up-fiber-match"] = "match" if isomorphic(rebuilt, config) else "different"
     return values
 

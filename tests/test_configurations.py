@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -354,6 +355,33 @@ def test_laufer_matches_brute_force_random():
         assert oracle is not None
         assert z.coeffs == oracle.coeffs
     assert cases == 200
+
+
+@pytest.mark.parametrize("value", [Fraction(-2), -2.0, "-2", True, None])
+def test_components_and_contacts_take_only_integers(value):
+    with pytest.raises(TypeError):
+        Component("E", value)
+    with pytest.raises(TypeError):
+        Component("E", -2, value)
+    with pytest.raises(TypeError):
+        Contact("E", "F", value)
+
+
+def test_classification_of_long_cycles_and_chains():
+    # a cycle of rational curves, one of them a (-3)-curve: a cusp singularity,
+    # minimally elliptic of degree 1 with the reduced cycle as Z
+    for n in (3, 12, 40):
+        comps = [("E0", -3, 0)] + [(f"E{i}", -2, 0) for i in range(1, n)]
+        contacts = [(f"E{i}", f"E{(i + 1) % n}", 1) for i in range(n)]
+        classified = classify_minimally_elliptic(cfg(comps, contacts))
+        assert (classified.kind, classified.degree) == ("minimally-elliptic", 1)
+        assert classified.cycle.coeffs == (1,) * n
+    # a cuspidal (-1)-curve on an A_40 chain: p_a(Z) = 1, but the curve alone is not rational
+    comps = [("C", -1, 1, "cusp")] + [(f"A{i}", -2, 0) for i in range(40)]
+    contacts = [("C", "A0", 1)] + [(f"A{i}", f"A{i + 1}", 1) for i in range(39)]
+    chained = cfg(comps, contacts)
+    assert fundamental_cycle(chained).pa == 1
+    assert classify_minimally_elliptic(chained).kind == "not-elliptic"
 
 
 def test_config_json_roundtrip():

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import unimodal.pipelines as pipelines
+from unimodal.configurations import (
+    CATALOG,
+    Component,
+    Contact,
+    CurveConfiguration,
+    classify_minimally_elliptic,
+    fundamental_cycle,
+    is_negative_definite as config_negative_definite,
+)
 from unimodal.lattice import (
     DivisorClass,
     IntersectionLattice,
@@ -16,7 +28,8 @@ from unimodal.lattice import (
     replay,
     track,
 )
-from unimodal.pipelines import EnSpec, run_en_pipeline
+from unimodal.pipelines import EnSpec, ZwSpec, en_variants, run_en_pipeline, run_zw_pipeline
+from unimodal.rationals import det, is_negative_definite, is_negative_semidefinite, solve
 
 rationals = st.builds(
     Fraction,
@@ -142,3 +155,180 @@ def test_tracked_integral_pairings_are_integral():
     model = track(make_hirzebruch(2), "D", {"Cinf": 3, "Gamma": 5})
     value = model.intersect(model.curve_class("D"), model.canonical)
     assert value.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# Definiteness from one elimination, against the minor enumerations
+# ---------------------------------------------------------------------------
+
+
+def _negative_definite_by_minors(m):
+    """Sylvester: the leading principal minors alternate in sign, starting negative."""
+    return all((-1) ** (k + 1) * det([row[: k + 1] for row in m[: k + 1]]) > 0 for k in range(len(m)))
+
+
+def _negative_semidefinite_by_minors(m):
+    """Every principal minor of -M is nonnegative (2^n - 1 determinants)."""
+    n = len(m)
+    return all(
+        det([[-m[i][j] for j in sel] for i in sel]) >= 0
+        for size in range(1, n + 1)
+        for sel in combinations(range(n), size)
+    )
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices: random entries, or -B^T.B of rank r <= n
+    (semidefinite, singular when r < n), optionally shifted on the diagonal
+    to land on either side of the boundary."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["entries", "gram", "shifted"]))
+    if kind == "entries":
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(rationals)
+        return m
+    r = draw(st.integers(min_value=0, max_value=n))
+    b = [[draw(rationals) for _ in range(n)] for _ in range(r)]
+    m = [[-sum((b[k][i] * b[k][j] for k in range(r)), Fraction(0)) for j in range(n)] for i in range(n)]
+    if kind == "shifted":
+        shift = draw(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)))
+        for i in range(n):
+            m[i][i] += shift
+    return m
+
+
+@given(symmetric_matrices())
+@settings(max_examples=400, derandomize=True)
+def test_definiteness_agrees_with_minor_enumeration(m):
+    assert is_negative_definite(m) == _negative_definite_by_minors(m)
+    assert is_negative_semidefinite(m) == _negative_semidefinite_by_minors(m)
+
+
+def test_definiteness_on_long_chains_and_cycles():
+    # A_40 is negative definite; the 40-cycle (an I_40 fibre) is semidefinite, not definite
+    n = 40
+    chain = [[Fraction(-2 if i == j else int(abs(i - j) == 1)) for j in range(n)] for i in range(n)]
+    cycle = [[Fraction(-2 if i == j else int((i - j) % n in (1, n - 1))) for j in range(n)] for i in range(n)]
+    assert is_negative_definite(chain) and is_negative_semidefinite(chain)
+    assert not is_negative_definite(cycle) and is_negative_semidefinite(cycle)
+    cycle[0][0] += 1
+    assert not is_negative_semidefinite(cycle)
+
+
+# ---------------------------------------------------------------------------
+# Minimally elliptic classification, against the subset enumeration
+# ---------------------------------------------------------------------------
+
+
+def _classify_by_subsets(config):
+    """p_a(Z) = 1 and every proper connected subconfiguration rational (2^n subsets)."""
+    pa = fundamental_cycle(config).pa
+    if pa == 0:
+        return "rational"
+    if pa != 1:
+        return "not-elliptic"
+    for size in range(1, len(config.names)):
+        for keep in combinations(config.names, size):
+            sub = config.subconfiguration(keep)
+            if sub.is_connected() and fundamental_cycle(sub).pa != 0:
+                return "not-elliptic"
+    return "minimally-elliptic"
+
+
+@st.composite
+def negative_definite_configurations(draw):
+    """Configurations with genus 0 and 1 components whose self-intersection is
+    at most minus the total contact, so the Gram matrix is diagonally dominant;
+    the negative definite ones are kept."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    mults = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = draw(st.sampled_from([0, 0, 0, 1, 1, 2]))
+            if m:
+                mults[i, j] = m
+    components = []
+    for i in range(n):
+        degree = sum(m for pair, m in mults.items() if i in pair)
+        extra = draw(st.integers(min_value=0, max_value=2))
+        components.append(Component(f"C{i}", -degree - extra, draw(st.sampled_from([0, 0, 0, 0, 1]))))
+    contacts = tuple(Contact(f"C{i}", f"C{j}", m) for (i, j), m in mults.items())
+    config = CurveConfiguration(tuple(components), contacts)
+    assume(config_negative_definite(config))
+    return config
+
+
+@given(negative_definite_configurations())
+@settings(max_examples=500, derandomize=True)
+def test_classification_agrees_with_subset_enumeration(config):
+    assert classify_minimally_elliptic(config).kind == _classify_by_subsets(config)
+
+
+def test_classification_of_the_catalog_agrees_with_subset_enumeration():
+    for entry in CATALOG:
+        assert classify_minimally_elliptic(entry.config).kind == _classify_by_subsets(entry.config)
+
+
+# ---------------------------------------------------------------------------
+# Every contraction in the pipelines, against an independent projection
+# ---------------------------------------------------------------------------
+
+
+def _check_contraction(before, names, after):
+    """The surviving classes are the projections of the old ones onto the
+    orthogonal complement of the contracted classes, computed here by one
+    `solve` per class; each pairs to 0 with every contracted class."""
+    classes = [before.curve_class(n) for n in names]
+    gram = [[a.dot(b) for b in classes] for a in classes]
+
+    def project(d):
+        x = solve(gram, [d.dot(c) for c in classes])
+        coeffs = [
+            a - sum((xi * c.coeffs[k] for xi, c in zip(x, classes)), Fraction(0))
+            for k, a in enumerate(d.coeffs)
+        ]
+        return DivisorClass(before.lattice, tuple(coeffs))
+
+    images = [project(before.basis_class(b)) for b in after.lattice.basis]
+
+    def lift(cls):
+        total = before.zero()
+        for coefficient, image in zip(cls.coeffs, images):
+            total = total + coefficient * image
+        return total
+
+    for image in images:
+        assert all(image.dot(c) == 0 for c in classes)
+    assert after.lattice.gram == tuple(tuple(a.dot(b) for b in images) for a in images)
+    assert lift(after.canonical) == project(before.canonical)
+    for curve in after.tracked:
+        lifted = lift(curve.cls)
+        assert lifted == project(before.curve_class(curve.name))
+        assert all(lifted.dot(c) == 0 for c in classes)
+    assert replay(after.provenance) == after
+
+
+def _pipeline_runs():
+    for sing in ("E12", "E13", "E14"):
+        for variant in en_variants(sing):
+            yield f"{sing}-{variant}", lambda s=sing, v=variant: run_en_pipeline(EnSpec(s, fiber_variant=v))
+    for sing, case in (("Z11", 1), ("Z12", 1), ("Z13", 2), ("W12", 1), ("W13", 1)):
+        yield f"{sing}-{case}", lambda s=sing, c=case: run_zw_pipeline(ZwSpec(s, family_case=c))
+
+
+@pytest.mark.parametrize("label,run", list(_pipeline_runs()), ids=[label for label, _ in _pipeline_runs()])
+def test_every_pipeline_contraction_is_an_orthogonal_projection(monkeypatch, label, run):
+    seen = []
+
+    def checked_contract(model, names, name=None):
+        result = contract(model, names, name)
+        _check_contraction(model, list(names), result.model)
+        seen.append(names)
+        return result
+
+    monkeypatch.setattr(pipelines, "contract", checked_contract)
+    run()
+    assert seen

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -361,3 +362,105 @@ def test_report_render_text_mentions_flags():
     text = render_text(report)
     assert "FLAG" in text
     assert "nef-bundle-en-values" in text
+
+
+def test_cli_corpus_json_matches_golden(capsys):
+    # the report of the bundled corpus, byte for byte; regenerate with tools/build_goldens.py
+    golden = Path(__file__).parent / "goldens" / "corpus-report.json"
+    assert main(["corpus", "--report=json"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def _chain(n, head=None):
+    components = [{"name": f"A{i}", "self_int": "-2", "pa": "0"} for i in range(n)]
+    contacts = [{"pair": [f"A{i}", f"A{i + 1}"], "mult": "1"} for i in range(n - 1)]
+    if head is not None:
+        components.insert(0, head)
+        contacts.append({"pair": [head["name"], "A0"], "mult": "1"})
+    return {"components": components, "contacts": contacts}
+
+
+def _cycle(n):
+    components = [{"name": f"E{i}", "self_int": "-3" if i == 0 else "-2"} for i in range(n)]
+    contacts = [{"pair": [f"E{i}", f"E{(i + 1) % n}"], "mult": "1"} for i in range(n)]
+    return {"components": components, "contacts": contacts}
+
+
+_CUSP = {"name": "C", "self_int": "-1", "pa": "1", "sing": "cusp"}
+
+
+@pytest.mark.parametrize(
+    "config,expected",
+    [
+        # every principal minor of an A_40 chain: 2^40 determinants in the semidefinite test
+        (_chain(40), {"classification": "rational", "cycle-genus": "0", "kodaira-fiber": "none"}),
+        (_chain(40, _CUSP), {"classification": "not-elliptic", "cycle-genus": "1", "kodaira-fiber": "none"}),
+        # every connected subset of a 40-cycle in the minimally elliptic classification
+        (_cycle(40), {"classification": "minimally-elliptic-degree-1", "kodaira-fiber": "none"}),
+        # the largest configuration read
+        (_chain(64), {"negative-definite": "true", "cycle-self-intersection": "-2"}),
+    ],
+    ids=["A40", "cusp-A40", "cycle-40", "A64"],
+)
+def test_long_configurations_finish_quickly(tmp_path, capsys, config, expected):
+    path = tmp_path / "long.scn"
+    pins = {name: {"value": value} for name, value in expected.items()}
+    path.write_text(scn("config-check", {"config": config}, pins))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 30
+    capsys.readouterr()
+
+
+def _component(**fields):
+    return {"components": [dict({"name": "E", "self_int": "-1"}, **fields)]}
+
+
+@pytest.mark.parametrize(
+    "config,derived",
+    [
+        ([1], None),
+        ({"components": [1]}, None),
+        ({"components": {"name": "E"}}, None),
+        (_component(self_int="1e1000"), None),
+        (_component(self_int="1e10000000"), None),
+        (_component(self_int="1/2"), None),
+        (_component(self_int=2.5), None),
+        (_component(self_int=True), None),
+        (_component(self_int=str(2**64)), None),
+        (_component(pa="-1"), None),
+        (_component(name=5), None),
+        (_chain(65), None),
+        ({"components": [], "contacts": [1]}, None),
+        (dict(_chain(2), contacts=[{"pair": "A0A1", "mult": "1"}]), None),
+        (dict(_chain(2), contacts=[{"pair": ["A0", "A1"], "mult": "1e99999"}]), None),
+        ({"components": [], "concurrent": [1]}, None),
+        (_chain(3), {"fiber": "I" + "9" * 12, "blow_ups": [0, 0, 0]}),
+        (_chain(3), {"fiber": "I3", "blow_ups": [2.5, 0, 0]}),
+        # a fundamental cycle beyond MAX_LAUFER_ITERATIONS steps
+        (
+            {
+                "components": [
+                    {"name": "E", "self_int": "-1"},
+                    {"name": "F", "self_int": str(-(20000**2 + 1))},
+                ],
+                "contacts": [{"pair": ["E", "F"], "mult": "20000"}],
+            },
+            None,
+        ),
+    ],
+)
+def test_malformed_or_oversized_configuration_is_exit_2(tmp_path, capsys, config, derived):
+    payload = {"config": config}
+    if derived is not None:
+        payload["derived_from"] = derived
+    path = tmp_path / "config.scn"
+    path.write_text(scn("config-check", payload, {}))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_configuration_bounds_admit_their_limits():
+    big = str(-(2**64 - 1))
+    text = scn("config-check", {"config": _component(self_int=big)}, {"negative-definite": {"value": "true"}})
+    assert run_scenario(parse_scenario(text)).exit_code == 0

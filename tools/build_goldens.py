@@ -1,8 +1,9 @@
-"""Regenerate the golden pipeline audits under tests/goldens/.
+"""Regenerate the goldens under tests/goldens/.
 
 One golden per singularity type, pinning every check record and diagnostic of
-a designated pipeline run.  Regenerate only after re-deriving the values by
-hand:  python3 tools/build_goldens.py
+a designated pipeline run, and `corpus-report.json`, the machine report of the
+bundled corpus (`unimodal corpus --report=json`) byte for byte.  Regenerate
+only after re-deriving the values by hand:  python3 tools/build_goldens.py
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from pathlib import Path
 
 from unimodal.pipelines import EnSpec, ZwSpec, run_en_pipeline, run_zw_pipeline
+from unimodal.scenarios import emit_report, run_corpus
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
@@ -47,7 +49,8 @@ def main() -> None:
         (OUT / f"{name}.json").write_text(
             json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    print(f"wrote {len(RUNS)} goldens to {OUT}")
+    (OUT / "corpus-report.json").write_text(emit_report(run_corpus()), encoding="utf-8")
+    print(f"wrote {len(RUNS) + 1} goldens to {OUT}")
 
 
 if __name__ == "__main__":
