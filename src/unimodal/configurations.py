@@ -26,8 +26,7 @@ from .rationals import (
     bounded_rational,
     frac,
     is_negative_definite as _gram_negative_definite,
-    is_negative_semidefinite,
-    nullspace,
+    negative_semidefinite_nullity,
     rat_str,
 )
 
@@ -212,10 +211,13 @@ def _pairings(gram: list[list[int]], z) -> list[int]:
 
 
 def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
-    """Smallest positive cycle Z with Z.E_i <= 0 for all i, by the incremental loop.
+    """Smallest positive cycle Z with Z.E_i <= 0 for all i, by Laufer's loop.
 
-    Starts at the reduced cycle and repeatedly adds the first component with
-    positive pairing; terminates because the form is negative definite.  The
+    Starts at the reduced cycle and repeatedly takes the first component E_b
+    with positive pairing p = Z.E_b, adding ceil(p / -E_b^2) copies of it at
+    once: Laufer's computation sequence adds E_b one at a time while
+    Z.E_b > 0, and that many copies are exactly the ones it adds before
+    Z.E_b <= 0.  Terminates because the form is negative definite.  The
     pairings live on the integral Gram matrix and are updated by the row of
     the added component, not recomputed.  A cycle that needs more than
     :data:`MAX_LAUFER_ITERATIONS` steps is refused with ValueError, so a
@@ -232,8 +234,9 @@ def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
         bad = next((i for i, p in enumerate(pairings) if p > 0), None)
         if bad is None:
             return FundamentalCycle(config, tuple(z))
-        z[bad] += 1
-        pairings = [p + x for p, x in zip(pairings, g[bad])]
+        copies = -(pairings[bad] // g[bad][bad])  # ceil(p / -E_b^2), with E_b^2 < 0
+        z[bad] += copies
+        pairings = [p + copies * x for p, x in zip(pairings, g[bad])]
     raise ValueError(f"the fundamental cycle needs more than {MAX_LAUFER_ITERATIONS} Laufer steps")
 
 
@@ -437,8 +440,10 @@ def catalog_entry(label: str) -> CatalogEntry:
     raise KeyError(label)
 
 
-def _isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
-    """Backtracking search for a relabeling of ``a`` onto ``b``.
+def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
+    """Whether two configurations agree up to relabeling of components.
+
+    A backtracking search for a relabeling of ``a`` onto ``b``.
 
     Components are mapped one at a time, in breadth-first order of the
     contact graph of ``a``, each to an unused component of ``b`` with the same
@@ -506,15 +511,10 @@ def _connected_pieces(links: dict[str, dict], removed: str | None = None) -> lis
     return pieces
 
 
-def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
-    """Whether two configurations agree up to relabeling of components."""
-    return _isomorphic(a, b)
-
-
 def match_catalog(config: CurveConfiguration) -> CatalogEntry | None:
     """Graph-isomorphism match against the catalog; None when nothing fits."""
     for entry in CATALOG:
-        if _isomorphic(config, entry.config):
+        if isomorphic(config, entry.config):
             return entry
     return None
 
@@ -536,9 +536,7 @@ def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
         return None
     gram = config.integer_gram()
     # the reduced total cycle lies in the radical iff every row sums to 0
-    if any(sum(row) for row in gram) or not is_negative_semidefinite(gram):
-        return None
-    if len(nullspace(config.gram(), len(comps))) != 1:
+    if any(sum(row) for row in gram) or negative_semidefinite_nullity(gram) != 1:
         return None
     total = FundamentalCycle(config, tuple([1] * len(comps)))
     if total.pa != 1:

@@ -243,7 +243,13 @@ def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
 
 
 def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Whether the symmetric matrix M has x.M.x <= 0 for every x.
+    """Whether the symmetric matrix M has x.M.x <= 0 for every x."""
+    return negative_semidefinite_nullity(matrix) is not None
+
+
+def negative_semidefinite_nullity(matrix: Sequence[Sequence[Fraction]]) -> int | None:
+    """The dimension of the radical of a negative semidefinite symmetric M;
+    None when some x has x.M.x > 0.
 
     A fraction-free symmetric elimination of the integral -d*M on diagonal
     pivots: a negative diagonal entry refutes, a positive one is eliminated
@@ -252,17 +258,18 @@ def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:
     must vanish.  After pivots on the set S, the entry (i, j) is the minor of
     -d*M on rows S+i and columns S+j, which is the last pivot (a positive
     principal minor) times the entry of the Schur complement, so its sign is
-    the sign there.
+    the sign there.  The Schur complement then vanishes, so the rank is the
+    number of pivots and the nullity the number of rows left.
     """
     a = [[-x for x in row] for row in integer_rows(matrix)[1]]
     rest = list(range(len(a)))
     previous = 1
     while rest:
         if any(a[i][i] < 0 for i in rest):
-            return False
+            return None
         k = next((i for i in rest if a[i][i] > 0), None)
         if k is None:
-            return all(a[i][j] == 0 for i in rest for j in rest)
+            return len(rest) if all(a[i][j] == 0 for i in rest for j in rest) else None
         rest.remove(k)
         pivot, pivot_row = a[k][k], a[k]
         for i in rest:
@@ -270,4 +277,4 @@ def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:
             for j in rest:
                 row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
         previous = pivot
-    return True
+    return 0

@@ -3,18 +3,17 @@
 A scenario is a JSON document (conventionally ``*.scn``) with a schema
 version, a kind, a payload and a block of expected assertions.  Reports are
 JSON with sorted keys; integers and exact fractions travel as strings, never
-as floating point.  A "flagged" status is reserved for the documented
-discrepancies between stated and recomputed values and can never mask a
-computation error: the recomputation must land exactly on the documented
-engine value for the flag to stand.
+as floating point.  Every status comes from `pipelines.judge`: a "flagged"
+status is reserved for the documented discrepancies between stated and
+recomputed values and can never mask a computation error, and a pin can only
+confirm a record or turn it into a failure.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -32,12 +31,13 @@ from .configurations import (
     recognize_kodaira_fiber,
 )
 from .pipelines import (
+    FLAG_KINDS,
     CheckRecord,
     EnSpec,
     PipelineResult,
     ZwSpec,
-    _family_checks,
-    _Recorder,
+    judge,
+    run_dims_check,
     run_en_pipeline,
     run_riemann_hurwitz_check,
     run_section_class_check,
@@ -57,7 +57,6 @@ from .planecurves import (
     stabilizer_dim,
 )
 from .rationals import rat_str
-from .sextics import family
 
 SCHEMA_VERSION = "1"
 KINDS = ("pipeline", "config-check", "plane-check", "dims-check")
@@ -88,20 +87,10 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class Assertion:
-    name: str
-    computed: str
-    expected: str
-    status: str
-    anchor: str
-    flag: str | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioReport:
     name: str
     kind: str
-    assertions: tuple[Assertion, ...]
+    assertions: tuple[CheckRecord, ...]
 
     def count(self, status: str) -> int:
         return sum(1 for a in self.assertions if a.status == status)
@@ -169,9 +158,11 @@ def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
         entry = expected_block[key]
         if not isinstance(entry, dict) or "value" not in entry:
             raise ScenarioError(f"{source}: expected entry {key!r} needs a value")
-        expected.append(
-            (key, ExpectedEntry(str(entry["value"]), entry.get("claimed"), entry.get("flag")))
-        )
+        claimed, flag = entry.get("claimed"), entry.get("flag")
+        if flag is not None and flag not in FLAG_KINDS:
+            raise ScenarioError(f"{source}: expected entry {key!r} names an undocumented flag {flag!r}")
+        claimed = None if claimed is None else str(claimed)
+        expected.append((key, ExpectedEntry(str(entry["value"]), claimed, flag)))
     return Scenario(name, kind, payload, tuple(expected))
 
 
@@ -346,81 +337,54 @@ def _tree_label(node) -> str:
     return str(node.multiplicity)
 
 
-def _dims_check_result(payload: Mapping) -> PipelineResult:
-    recorder = _Recorder()
-    fam = family(str(payload["family"]))
-    _family_checks(recorder, fam)
-    recorder.note("stabilizer-dim", stabilizer_dim(fam.marked_points, fam.marked_lines))
-    recorder.note("affine-parameters", fam.affine_parameter_count())
-    return recorder.result(fam.family_id, ())
+def _agree(pin: ExpectedEntry, record: CheckRecord) -> CheckRecord:
+    """A record as pinned: unchanged when the pin restates its computed value
+    and its documented discrepancy (none for a plain value), else failed."""
+    claimed = record.expected if record.flag else None
+    if (pin.value, pin.claimed, pin.flag) == (record.computed, claimed, record.flag):
+        return record
+    return replace(record, status="fail")
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    """Execute one scenario and merge its pins with the engine records."""
+    """Execute one scenario and merge its pins with the engine records.
+
+    A pinned engine record is reported as that record; a pinned plain value
+    (a config-check or plane-check value, a diagnostic) passes or fails by
+    `judge`.  Unpinned records are reported only when they do not pass.
+    """
     records: tuple[CheckRecord, ...] = ()
-    values: dict[str, str] = {}
     anchor_default = f"{scenario.kind} value"
     try:
-        if scenario.kind == "pipeline":
-            result = _run_pipeline_payload(scenario.payload)
-            records = result.checks
-            values = {r.name: r.computed for r in records}
-            values.update({k: v for k, v in result.diagnostics})
-        elif scenario.kind == "config-check":
+        if scenario.kind == "config-check":
             values = _config_check_values(scenario.payload)
         elif scenario.kind == "plane-check":
             values = _plane_check_values(scenario.payload)
-        elif scenario.kind == "dims-check":
-            result = _dims_check_result(scenario.payload)
-            records = result.checks
-            values = {r.name: r.computed for r in records}
-            values.update({k: v for k, v in result.diagnostics})
+        else:
+            if scenario.kind == "dims-check":
+                result = run_dims_check(str(scenario.payload["family"]))
+            else:
+                result = _run_pipeline_payload(scenario.payload)
+            records, values = result.checks, dict(result.diagnostics)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as err:
         raise ScenarioError(f"scenario {scenario.name!r}: malformed payload: {err}") from None
 
     record_map = {r.name: r for r in records}
-    assertions: list[Assertion] = []
-    pinned = set()
-    for name, entry in scenario.expected:
-        pinned.add(name)
+    assertions: list[CheckRecord] = []
+    for name, pin in scenario.expected:
         record = record_map.get(name)
-        if record is not None:
-            agreed = record.computed == entry.value and record.status != "fail"
-            status = record.status if agreed else "fail"
-            if record.status == "fail":
-                shown = record.expected  # surface the engine's own comparison
-            elif entry.claimed is not None:
-                shown = entry.claimed
-            else:
-                shown = entry.value
-            assertions.append(
-                Assertion(name, record.computed, shown, status, record.anchor, record.flag or entry.flag)
-            )
-        elif name in values:
-            computed = values[name]
-            if computed == entry.value:
-                if entry.flag and entry.claimed is not None and entry.claimed != entry.value:
-                    status = "flagged"
-                else:
-                    status = "pass"
-            else:
-                status = "fail"
-            shown = entry.claimed if entry.claimed is not None else entry.value
-            assertions.append(Assertion(name, computed, shown, status, anchor_default, entry.flag))
+        if record is None and name in values:
+            record = judge(name, values[name], pin.value, anchor_default)
+        if record is None:
+            assertions.append(CheckRecord(name, "missing", pin.value, "fail", anchor_default))
         else:
-            assertions.append(
-                Assertion(name, "missing", entry.value, "fail", anchor_default, entry.flag)
-            )
-    for record in sorted(records, key=lambda r: r.name):
-        if record.name in pinned or record.status == "pass":
-            continue
-        assertions.append(
-            Assertion(
-                record.name, record.computed, record.expected, record.status, record.anchor, record.flag
-            )
-        )
+            assertions.append(_agree(pin, record))
+    pinned = {name for name, _ in scenario.expected}
+    assertions.extend(
+        r for r in sorted(records, key=lambda r: r.name) if r.name not in pinned and r.status != "pass"
+    )
     return ScenarioReport(scenario.name, scenario.kind, tuple(assertions))
 
 
@@ -438,17 +402,10 @@ def corpus_dir(override: str | Path | None = None) -> Path:
     return Path(resources.files("unimodal") / "corpus")
 
 
-def run_corpus(directory: str | Path | None = None, jobs: int = 1) -> Report:
+def run_corpus(directory: str | Path | None = None) -> Report:
     """Run every bundled scenario; output order follows sorted file names."""
-    base = corpus_dir(directory)
-    paths = sorted(base.glob("*.scn"))
-    scenarios = [load_scenario(p) for p in paths]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(run_scenario, scenarios))
-    else:
-        reports = tuple(run_scenario(s) for s in scenarios)
-    return Report(f"unimodal {__version__}", SCHEMA_VERSION, reports)
+    scenarios = [load_scenario(p) for p in sorted(corpus_dir(directory).glob("*.scn"))]
+    return Report(f"unimodal {__version__}", SCHEMA_VERSION, tuple(map(run_scenario, scenarios)))
 
 
 def report_for(scenario: Scenario) -> Report:
@@ -509,7 +466,7 @@ def parse_report(text: str) -> Report:
             s["name"],
             s["kind"],
             tuple(
-                Assertion(
+                CheckRecord(
                     a["name"], a["computed"], a["expected"], a["status"], a["anchor"], a.get("flag")
                 )
                 for a in s["assertions"]

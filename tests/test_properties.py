@@ -29,7 +29,14 @@ from unimodal.lattice import (
     track,
 )
 from unimodal.pipelines import EnSpec, ZwSpec, en_variants, run_en_pipeline, run_zw_pipeline
-from unimodal.rationals import det, is_negative_definite, is_negative_semidefinite, solve
+from unimodal.rationals import (
+    det,
+    is_negative_definite,
+    is_negative_semidefinite,
+    negative_semidefinite_nullity,
+    nullspace,
+    solve,
+)
 
 rationals = st.builds(
     Fraction,
@@ -205,6 +212,15 @@ def symmetric_matrices(draw):
 def test_definiteness_agrees_with_minor_enumeration(m):
     assert is_negative_definite(m) == _negative_definite_by_minors(m)
     assert is_negative_semidefinite(m) == _negative_semidefinite_by_minors(m)
+
+
+@given(symmetric_matrices())
+@settings(max_examples=400, derandomize=True)
+def test_semidefinite_nullity_agrees_with_nullspace(m):
+    nullity = negative_semidefinite_nullity(m)
+    assert (nullity is not None) == _negative_semidefinite_by_minors(m)
+    if nullity is not None:
+        assert nullity == len(nullspace(m))
 
 
 def test_definiteness_on_long_chains_and_cycles():

@@ -64,11 +64,11 @@ def test_corpus_clean_with_three_flag_kinds():
     assert report.flags == ("nef-bundle-en-values", "noether-c2", "z13-case2-count")
 
 
-def test_corpus_deterministic_and_parallel_identical():
+def test_corpus_deterministic_and_parallel_identical(capsys):
     serial = emit_report(run_corpus(CORPUS))
     again = emit_report(run_corpus(CORPUS))
-    parallel = emit_report(run_corpus(CORPUS, jobs=4))
-    assert serial == again == parallel
+    assert main(["corpus", "--dir", str(CORPUS), "--report=json", "--jobs=4"]) == 0
+    assert serial == again == capsys.readouterr().out
 
 
 def test_report_round_trip():
@@ -437,14 +437,20 @@ def _component(**fields):
         ({"components": [], "concurrent": [1]}, None),
         (_chain(3), {"fiber": "I" + "9" * 12, "blow_ups": [0, 0, 0]}),
         (_chain(3), {"fiber": "I3", "blow_ups": [2.5, 0, 0]}),
-        # a fundamental cycle beyond MAX_LAUFER_ITERATIONS steps
+        # a fundamental cycle beyond MAX_LAUFER_ITERATIONS steps: Z = (12911, 13816, 19967)
+        # after 40 070 steps that add several copies at once
         (
             {
                 "components": [
-                    {"name": "E", "self_int": "-1"},
-                    {"name": "F", "self_int": str(-(20000**2 + 1))},
+                    {"name": "A", "self_int": "-1339"},
+                    {"name": "B", "self_int": "-1490"},
+                    {"name": "C", "self_int": "-1020"},
                 ],
-                "contacts": [{"pair": ["E", "F"], "mult": "20000"}],
+                "contacts": [
+                    {"pair": ["A", "B"], "mult": "283"},
+                    {"pair": ["A", "C"], "mult": "670"},
+                    {"pair": ["B", "C"], "mult": "848"},
+                ],
             },
             None,
         ),
@@ -460,7 +466,130 @@ def test_malformed_or_oversized_configuration_is_exit_2(tmp_path, capsys, config
     assert "error:" in capsys.readouterr().err
 
 
+def test_laufer_step_adds_all_copies_at_once():
+    # Z = 20000 E + F: 19 999 single steps on E, one step that adds them at once
+    config = {
+        "components": [
+            {"name": "E", "self_int": "-1"},
+            {"name": "F", "self_int": str(-(20000**2 + 1))},
+        ],
+        "contacts": [{"pair": ["E", "F"], "mult": "20000"}],
+    }
+    pins = {"negative-definite": {"value": "true"}, "cycle-coefficients": {"value": "20000,1"}}
+    result = run_scenario(parse_scenario(scn("config-check", {"config": config}, pins)))
+    assert [a.status for a in result.assertions] == ["pass", "pass"]
+
+
 def test_configuration_bounds_admit_their_limits():
     big = str(-(2**64 - 1))
     text = scn("config-check", {"config": _component(self_int=big)}, {"negative-definite": {"value": "true"}})
     assert run_scenario(parse_scenario(text)).exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# A pin can confirm a record or fail it; it can never flag or pass on its own
+# ---------------------------------------------------------------------------
+
+_CONFIG_E13 = {
+    "components": [{"name": "E1", "self_int": "-3"}, {"name": "E2", "self_int": "-2"}],
+    "contacts": [{"pair": ["E1", "E2"], "mult": "2", "tangential": True}],
+}
+_PLANE_CUSP = {"checks": [{"name": "cusp", "op": "an-type", "germ": {"terms": {"2,0": "1", "0,3": "1"}}, "candidate": 2}]}
+
+
+def _verify_json(tmp_path, capsys, text):
+    path = tmp_path / "pinned.scn"
+    path.write_text(text)
+    code = main(["verify", str(path), "--report=json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if code != 2 else None
+
+
+@pytest.mark.parametrize(
+    "kind,payload,name,value",
+    [
+        ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
+        ("plane-check", _PLANE_CUSP, "cusp", "A2"),
+        ("dims-check", {"family": "z11-case2"}, "stabilizer-dim", "4"),
+    ],
+    ids=["config-check", "plane-check", "dims-check-diagnostic"],
+)
+def test_invented_flag_kind_is_exit_2(tmp_path, capsys, kind, payload, name, value):
+    for flag in ("made-up", ["noether-c2"]):
+        pin = {"value": value, "claimed": "false", "flag": flag}
+        code, report = _verify_json(tmp_path, capsys, scn(kind, payload, {name: pin}))
+        assert code == 2 and report is None
+
+
+@pytest.mark.parametrize(
+    "kind,payload,name,value",
+    [
+        ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
+        ("plane-check", _PLANE_CUSP, "cusp", "A2"),
+        ("dims-check", {"family": "z11-case2"}, "stabilizer-dim", "4"),
+    ],
+    ids=["config-check", "plane-check", "dims-check-diagnostic"],
+)
+def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload, name, value):
+    for pin in (
+        {"value": value, "claimed": "23", "flag": "noether-c2"},
+        {"value": value, "claimed": "23"},
+        {"value": value, "flag": "noether-c2"},
+    ):
+        code, report = _verify_json(tmp_path, capsys, scn(kind, payload, {name: pin}))
+        assert code == 1
+        assert [a["status"] for a in report["scenarios"][0]["assertions"]] == ["fail"]
+        assert report["summary"]["flags"] == [] and report["summary"]["flagged"] == 0
+
+
+@pytest.mark.parametrize(
+    "pin",
+    [
+        {"value": "0", "claimed": "1"},
+        {"value": "0", "flag": "noether-c2"},
+        {"value": "0", "claimed": "1", "flag": "noether-c2"},
+    ],
+)
+def test_discrepancy_pinned_on_a_passing_engine_record_fails(tmp_path, capsys, pin):
+    text = scn("pipeline", {"construction": "section-class"}, {"section-class-coefficient-genus-0": pin})
+    code, report = _verify_json(tmp_path, capsys, text)
+    assert code == 1
+    assertion = report["scenarios"][0]["assertions"][0]
+    assert (assertion["status"], assertion["computed"], assertion["expected"]) == ("fail", "0", "0")
+    assert report["summary"]["flags"] == []
+
+
+@pytest.mark.parametrize(
+    "pin",
+    [
+        {"value": "24"},  # the discrepancy left out
+        {"value": "24", "claimed": "23"},
+        {"value": "24", "flag": "noether-c2"},
+        {"value": "24", "claimed": "22", "flag": "noether-c2"},
+        {"value": "24", "claimed": "23", "flag": "nef-bundle-en-values"},
+        {"value": "23", "claimed": "23", "flag": "noether-c2"},
+    ],
+)
+def test_pin_that_does_not_restate_the_discrepancy_fails(tmp_path, capsys, pin):
+    data = json.loads((CORPUS / "e13-i2.scn").read_text())
+    data["expected"] = {"noether-euler-number": pin}
+    code, report = _verify_json(tmp_path, capsys, json.dumps(data))
+    assert code == 1
+    statuses = {a["name"]: a["status"] for a in report["scenarios"][0]["assertions"]}
+    assert statuses["noether-euler-number"] == "fail"
+    assert "noether-c2" not in report["summary"]["flags"]
+
+
+def test_kodaira_check_of_a_64_component_complete_graph_is_fast(tmp_path, capsys):
+    n = 64
+    config = {
+        "components": [{"name": f"E{i}", "self_int": str(1 - n)} for i in range(n)],
+        "contacts": [{"pair": [f"E{i}", f"E{j}"], "mult": "1"} for i in range(n) for j in range(i)],
+    }
+    pins = {"negative-definite": {"value": "false"}, "kodaira-fiber": {"value": "none"}}
+    path = tmp_path / "complete.scn"
+    path.write_text(scn("config-check", {"config": config}, pins))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 0.5
+    capsys.readouterr()

@@ -3,6 +3,7 @@
 Every pinned value here is a claim of the verified classification (catalog
 invariants, pipeline end states, dimension counts), written out explicitly so
 that the corpus stays reviewable; the engine must reproduce each one exactly.
+The documented discrepancies are pinned from `pipelines.DISCREPANCIES`.
 Run from the repository root:  python3 tools/build_corpus.py
 """
 
@@ -12,17 +13,20 @@ import json
 from pathlib import Path
 
 from unimodal.configurations import catalog_entry, config_to_json
+from unimodal.pipelines import DISCREPANCIES
 from unimodal.sextics import FAMILIES
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "unimodal" / "corpus"
 
-NOETHER = {"value": "24", "claimed": "23", "flag": "noether-c2"}
-BUNDLE_BISECTION = {"value": "2", "claimed": "4", "flag": "nef-bundle-en-values"}
-BUNDLE_SQUARED = {"value": "6", "claimed": "8", "flag": "nef-bundle-en-values"}
-
 
 def v(value) -> dict:
     return {"value": str(value)}
+
+
+def documented(check: str) -> dict:
+    """The pin of a documented discrepancy: the engine value, claiming the stated one."""
+    d = DISCREPANCIES[check]
+    return {"value": str(d.engine), "claimed": str(d.stated), "flag": d.flag}
 
 
 def write(name: str, kind: str, payload: dict, expected: dict) -> None:
@@ -87,7 +91,7 @@ def en_scenarios() -> None:
                     "cover-euler-characteristic": v(3),
                     "minimal-model-euler-characteristic": v(2),
                     "minimal-model-canonical-squared": v(0),
-                    "noether-euler-number": NOETHER,
+                    "noether-euler-number": documented("noether-euler-number"),
                     "bisection-degree-on-half-fiber": v(1),
                     "exceptional-adjunction-integral": v("integral"),
                     "exceptional-self-intersections": v(self_ints),
@@ -95,8 +99,8 @@ def en_scenarios() -> None:
                     "multiple-fiber-type": v("I0" if profile == 6 else "I1"),
                     "second-fiber-type": v(fiber),
                     "euler-budget": v("feasible"),
-                    "nef-bundle-on-bisection": BUNDLE_BISECTION,
-                    "nef-bundle-squared": BUNDLE_SQUARED,
+                    "nef-bundle-on-bisection": documented("nef-bundle-on-bisection"),
+                    "nef-bundle-squared": documented("nef-bundle-squared"),
                     "branch-germ-33-profile": v(f"true,{profile}"),
                     "contracted-canonical-squared": v(1),
                     "contracted-euler-characteristic": v(3),
@@ -147,12 +151,9 @@ def dims_scenarios() -> None:
         if fam.flag is None:
             expected["family-orbit-count"] = v(fam.claimed_count)
         else:
-            expected["family-orbit-count"] = {
-                "value": "16",
-                "claimed": str(fam.claimed_count),
-                "flag": fam.flag,
-            }
-            expected["family-orbit-count-variant"] = v(15)
+            expected["family-orbit-count"] = documented("family-orbit-count")
+            # the second monomial exclusion reaches the stated count
+            expected["family-orbit-count-variant"] = v(fam.claimed_count)
         write(f"dims-{fam.family_id}", "dims-check", {"family": fam.family_id}, expected)
 
 
