@@ -73,7 +73,7 @@ def _cmd_dims(args) -> int:
             "computed": rat_str(fam.orbit_dim_count()),
             "claimed": rat_str(fam.claimed_count),
         }
-        if fam.flag is not None:
+        if fam.variant_exclusions is not None:
             row["variant"] = rat_str(fam.orbit_dim_count(fam.variant_exclusions))
             row["flag"] = DISCREPANCIES["family-orbit-count"].flag
         rows.append(row)

@@ -68,7 +68,7 @@ DISCREPANCIES = {
     "noether-euler-number": Discrepancy("noether-c2", 23, 24),
     "nef-bundle-on-bisection": Discrepancy("nef-bundle-en-values", 4, 2),
     "nef-bundle-squared": Discrepancy("nef-bundle-en-values", 8, 6),
-    "family-orbit-count": Discrepancy(_Z13_CASE2.flag, _Z13_CASE2.claimed_count, 16),
+    "family-orbit-count": Discrepancy("z13-case2-count", _Z13_CASE2.claimed_count, 16),
 }
 FLAG_KINDS = tuple(sorted({d.flag for d in DISCREPANCIES.values()}))
 
@@ -839,10 +839,10 @@ def _family_checks(checks: _Recorder, fam: SexticFamily) -> None:
     checks.expect(
         "family-orbit-count",
         verification.orbit_count,
-        fam.claimed_count if fam.flag is None else DISCREPANCIES["family-orbit-count"],
+        fam.claimed_count if fam.variant_exclusions is None else DISCREPANCIES["family-orbit-count"],
         "affine family dimension minus the stabilizer of the markings",
     )
-    if fam.flag is not None:
+    if fam.variant_exclusions is not None:
         checks.note("family-orbit-count-variant", verification.variant_orbit_count)
 
 

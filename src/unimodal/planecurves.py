@@ -24,6 +24,8 @@ from .rationals import (
     MAX_COEFF_BITS,
     bounded_rational,
     frac,
+    integer_rank,
+    integer_rows,
     nullspace,
     rank,
     rank_by_minors,
@@ -414,11 +416,10 @@ def local_intersection(f: Germ, g: Germ) -> int:
         raise ValueError("infinite intersection: the germs share a component through the point")
     mf, mg = germ_multiplicity(f), germ_multiplicity(g)
     total = mf * mg
-    dirs_f = {d.root: d for d in _directions(f) if d.degree == 1}
-    dirs_g = {d.root: d for d in _directions(g) if d.degree == 1}
-    grouped_f = [(d.degree, d.multiplicity) for d in _directions(f) if d.degree != 1]
-    grouped_g = [(d.degree, d.multiplicity) for d in _directions(g) if d.degree != 1]
-    if grouped_f and grouped_g:
+    directions_f, directions_g = _directions(f), _directions(g)
+    dirs_f = {d.root: d for d in directions_f if d.degree == 1}
+    dirs_g = {d.root: d for d in directions_g if d.degree == 1}
+    if any(d.degree != 1 for d in directions_f) and any(d.degree != 1 for d in directions_g):
         raise UndecidableOverQ("possible common irrational tangent direction")
     for root, df in dirs_f.items():
         if root not in dirs_g:
@@ -522,7 +523,7 @@ def _local_algebra_dim(gu: Germ, gv: Germ, bound: int) -> int:
     """
     monomials = [(a, b) for a in range(bound) for b in range(bound - a)]
     index = {mono: i for i, mono in enumerate(monomials)}
-    generators = [_integral(gu), _integral(gv)]
+    generators = [_integer_terms(gu), _integer_terms(gv)]
     rows: list[dict[int, int]] = []
     for a, b in monomials:
         for generator in generators:
@@ -533,40 +534,12 @@ def _local_algebra_dim(gu: Germ, gv: Germ, bound: int) -> int:
                     row[col] = coeff
             if row:
                 rows.append(row)
-    return len(monomials) - _sparse_rank(rows)
+    return len(monomials) - integer_rank(rows)
 
 
-def _integral(g: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], int]:
-    scale = math.lcm(*(coeff.denominator for coeff in g.values()))
-    return {e: int(coeff * scale) for e, coeff in g.items()}
-
-
-def _sparse_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of integer rows, by fraction-free elimination.
-
-    A row is reduced against the pivot row of its first column by an integer
-    combination that cancels that entry; a new pivot row is divided by the gcd
-    of its entries to keep the numbers small.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
-            col = min(row)
-            pivot_row = pivots.get(col)
-            if pivot_row is None:
-                content = math.gcd(*row.values())
-                pivots[col] = {k: v // content for k, v in row.items()}
-                break
-            common = math.gcd(pivot_row[col], row[col])
-            keep, cancel = pivot_row[col] // common, row[col] // common
-            row = {k: keep * v for k, v in row.items()}
-            for k, v in pivot_row.items():
-                new = row.get(k, 0) - cancel * v
-                if new:
-                    row[k] = new
-                else:
-                    del row[k]
-    return len(pivots)
+def _integer_terms(terms: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ...], int]:
+    """The terms times the lcm of their denominators (`rationals.integer_rows`)."""
+    return dict(zip(terms, integer_rows([list(terms.values())])[1][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +567,7 @@ def tjurina_number(form: HomogeneousForm) -> int | None:
     d = form.degree
     if form.is_zero or d < 1:
         raise ValueError("a plane curve needs a nonzero form of positive degree")
-    generators = [_integral(dict(form.partial(v).terms)) for v in range(3)]
+    generators = [_integer_terms(dict(form.partial(v).terms)) for v in range(3)]
     generators = [g for g in generators if g]
     start = max(3 * (d - 2) + 1, d - 1)
     cap = max((d - 1) ** 2 + 3 * (d - 2), start + 1)
@@ -620,7 +593,7 @@ def _jacobian_quotient_dim(generators: list[dict[Exponent, int]], degree: int, k
     for a, b, c in monomial_basis(k - degree):
         for generator in generators:
             rows.append({index[(a + i, b + j, c + l)]: coeff for (i, j, l), coeff in generator.items()})
-    return len(columns) - _sparse_rank(rows)
+    return len(columns) - integer_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -727,32 +700,31 @@ def restrict_to_line(
 ) -> RestrictionPattern:
     """Vanishing orders of the restriction at marked points plus residual data.
 
-    The residual factorization is reported through squarefree degree packets
-    only; containment of the line in the curve is a result, not an error.
+    Each order is counted while the restriction is divided by the point's
+    linear factor, so what is left after the last point is the residual.  The
+    marked points must be distinct.  The residual factorization is reported
+    through squarefree degree packets only; containment of the line in the
+    curve is a result, not an error.
     """
     if line.degree != 1:
         raise ValueError("restriction needs a line")
+    if len(set(marked_points)) != len(marked_points):
+        raise ValueError("marked points must be distinct")
     for p in marked_points:
         if line.evaluate(p) != 0:
             raise ValueError(f"marked point {p} does not lie on the line")
     base = _two_points_on_line(line)
-    binary = _restrict_binary(form, base)
-    if all(c == 0 for c in binary):
+    residual = _restrict_binary(form, base)
+    if all(c == 0 for c in residual):
         return RestrictionPattern(True, (), 0, ())
     orders = []
     for p in marked_points:
         s, t = _line_coordinates(base, p)
         order = 0
-        current = list(binary)
-        while _binary_root_order(current, s, t):
-            current = _binary_divide(current, s, t)
+        while _binary_value(residual, s, t) == 0:  # nonzero, so of degree >= 1 here
+            residual = _binary_divide(residual, s, t)
             order += 1
         orders.append(order)
-    residual = list(binary)
-    for p, order in zip(marked_points, orders):
-        s, t = _line_coordinates(base, p)
-        for _ in range(order):
-            residual = _binary_divide(residual, s, t)
     degree = len(residual) - 1
     return RestrictionPattern(False, tuple(orders), degree, _squarefree_packets(residual))
 
@@ -792,16 +764,19 @@ def _line_coordinates(base, point: MarkedPoint) -> tuple[Fraction, Fraction]:
     return coords[0], coords[1]
 
 
-def _binary_root_order(coeffs: list[Fraction], s: Fraction, t: Fraction) -> bool:
-    value = sum(c * s**idx * t ** (len(coeffs) - 1 - idx) for idx, c in enumerate(coeffs))
-    return value == 0 and any(c != 0 for c in coeffs)
+def _binary_value(coeffs: list[Fraction], s: Fraction, t: Fraction) -> Fraction:
+    return sum(c * s**idx * t ** (len(coeffs) - 1 - idx) for idx, c in enumerate(coeffs))
 
 
 def _binary_divide(coeffs: list[Fraction], s: Fraction, t: Fraction) -> list[Fraction]:
-    """Divide the binary form by a linear form vanishing at (s0 : t0), up to scale."""
+    """Quotient of the binary form by a linear form vanishing at (s : t), up to scale.
+
+    The remainder is dropped, so the map is linear in the coefficients, and it
+    is the exact quotient when the form vanishes at the point.
+    """
     d = len(coeffs) - 1
     if t != 0:
-        # root (s0 : t0) with t0 != 0: synthetic division in u = s/t
+        # root (s : t) with t != 0: synthetic division in u = s/t
         root = s / t
         out = [frac(0)] * d
         carry = frac(0)
@@ -810,8 +785,6 @@ def _binary_divide(coeffs: list[Fraction], s: Fraction, t: Fraction) -> list[Fra
             out[idx - 1] = carry
         return out
     # root (1 : 0): divide by t, dropping the pure s-power coefficient
-    if coeffs[-1] != 0:
-        raise ValueError("form does not vanish at the point")
     return coeffs[:-1]
 
 
@@ -920,34 +893,14 @@ def line_order_conditions(
     for mono in basis:
         form = HomogeneousForm.from_dict(degree, {mono: 1})
         binary = _restrict_binary(form, base)
-        for order in range(at_least):
-            binary_shifted = list(binary)
-            for _ in range(order):
-                binary_shifted = _binary_divide_or_zero(binary_shifted, s0, t0)
-            rows[order].append(_binary_value(binary_shifted, s0, t0))
+        for row in rows:
+            row.append(_binary_value(binary, s0, t0))
+            binary = _binary_divide(binary, s0, t0)
     conditions = tuple(
         Condition(f"line-order>={at_least}@{point}:{order}", tuple(row))
         for order, row in enumerate(rows)
     )
     return ConditionSystem(degree, conditions)
-
-
-def _binary_value(coeffs: list[Fraction], s: Fraction, t: Fraction) -> Fraction:
-    return sum(c * s**idx * t ** (len(coeffs) - 1 - idx) for idx, c in enumerate(coeffs))
-
-
-def _binary_divide_or_zero(coeffs: list[Fraction], s: Fraction, t: Fraction) -> list[Fraction]:
-    """Division transport used for order functionals; linear in the input."""
-    d = len(coeffs) - 1
-    if t != 0:
-        root = s / t
-        out = [frac(0)] * d
-        carry = frac(0)
-        for idx in range(d, 0, -1):
-            carry = coeffs[idx] + carry * root
-            out[idx - 1] = carry
-        return out
-    return coeffs[:-1]
 
 
 def infinitely_near_conditions(
@@ -1026,40 +979,26 @@ def orbit_dim_count(
 # Stabilizers in the plane
 # ---------------------------------------------------------------------------
 
-_SL3_BASIS: list[list[list[int]]] = [
-    [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
-    [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
-    [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
-    [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-    [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
-    [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
-]
-
-
 def _stabilizer_rows(
     points: tuple[MarkedPoint, ...],
     lines: tuple[HomogeneousForm, ...],
 ) -> list[list[Fraction]]:
-    rows: list[list[Fraction]] = []
-    for p in points:
-        coords = list(p.coords)
-        for u in nullspace([coords], 3):
-            row = []
-            for basis_matrix in _SL3_BASIS:
-                image = [sum(frac(basis_matrix[i][j]) * coords[j] for j in range(3)) for i in range(3)]
-                row.append(sum(u[i] * image[i] for i in range(3)))
-            rows.append(row)
+    """The functionals A -> u^T A p on the traceless matrices A.
+
+    A point p gives one pair (u, p) for each u of a basis of the u with
+    u.p = 0, a line l the pairs (l, v) with l.v = 0.  The basis of the
+    traceless matrices is E11 - E22, E22 - E33, then Eij for i != j, so each
+    row is u1 p1 - u2 p2, u2 p2 - u3 p3, then ui pj.
+    """
+    pairs = [(u, p.coords) for p in points for u in nullspace([list(p.coords)], 3)]
     for line in lines:
         ell = [line.coeff((1, 0, 0)), line.coeff((0, 1, 0)), line.coeff((0, 0, 1))]
-        for v in nullspace([ell], 3):
-            row = []
-            for basis_matrix in _SL3_BASIS:
-                image = [sum(ell[i] * frac(basis_matrix[i][j]) for i in range(3)) for j in range(3)]
-                row.append(sum(image[j] * v[j] for j in range(3)))
-            rows.append(row)
-    return rows
+        pairs += [(ell, v) for v in nullspace([ell], 3)]
+    return [
+        [u[0] * p[0] - u[1] * p[1], u[1] * p[1] - u[2] * p[2]]
+        + [u[i] * p[j] for i in range(3) for j in range(3) if i != j]
+        for u, p in pairs
+    ]
 
 
 def stabilizer_dim(

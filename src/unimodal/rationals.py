@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines built on :class:`fractions.Fraction`: rank, determinant,
-solving, inversion and nullspaces, plus definiteness tests that clear
-denominators and eliminate over the integers, and a bounded reader for
-rationals from input.  Floating point never appears;
-every result is exact.  Matrices are plain lists of lists (rows) of
+Every rank, nullity and definiteness question goes to one of two
+fraction-free eliminations over the integers, after the denominators are
+cleared by :func:`integer_rows`: :func:`integer_rank` for the rank of sparse
+integer rows (:func:`rank` scales each row and calls it), and the symmetric
+elimination of :func:`negative_semidefinite_nullity` for definite,
+semidefinite and the nullity.  :func:`row_reduce` serves only the callers that
+need a reduced matrix: solving, inversion and nullspaces.  :func:`det` and
+:func:`rank_by_minors` are independent oracles for the tests.  A bounded
+reader for rationals from input completes the module.  Floating point never
+appears; every result is exact.  Matrices are plain lists of lists (rows) of
 ``Fraction``.
 """
 
@@ -12,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 Vector = list[Fraction]
 Matrix = list[Vector]
@@ -95,7 +100,38 @@ def row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(row_reduce(rows)[1])
+    """Rank over Q: each row scaled to integers, then :func:`integer_rank`."""
+    return integer_rank(
+        {j: x for j, x in enumerate(integer_rows([row])[1][0]) if x} for row in rows
+    )
+
+
+def integer_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows (column -> nonzero entry).
+
+    Fraction-free elimination: a row is reduced against the pivot row of its
+    first column by an integer combination that cancels that entry; a new
+    pivot row is divided by the gcd of its entries to keep the numbers small.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                content = gcd(*row.values())
+                pivots[col] = {k: v // content for k, v in row.items()}
+                break
+            common = gcd(pivot_row[col], row[col])
+            keep, cancel = pivot_row[col] // common, row[col] // common
+            row = {k: keep * v for k, v in row.items()}
+            for k, v in pivot_row.items():
+                new = row.get(k, 0) - cancel * v
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def rank_by_minors(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -219,27 +255,8 @@ def integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[i
 
 
 def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester's criterion on -M, from one fraction-free elimination.
-
-    Bareiss's elimination of the integral -d*M without row exchanges divides
-    each update exactly by the previous pivot (Sylvester's identity), so the
-    k-th pivot is the k-th leading principal minor of -d*M and every entry
-    stays a minor of it.  M is negative definite iff every pivot is positive;
-    the test stops at the first that is not.
-    """
-    a = [[-x for x in row] for row in integer_rows(matrix)[1]]
-    n = len(a)
-    previous = 1
-    for k in range(n):
-        pivot, pivot_row = a[k][k], a[k]
-        if pivot <= 0:
-            return False
-        tail = pivot_row[k + 1 :]
-        for row in a[k + 1 :]:
-            factor = row[k]
-            row[k + 1 :] = [(x * pivot - factor * y) // previous for x, y in zip(row[k + 1 :], tail)]
-        previous = pivot
-    return True
+    """Whether the symmetric matrix M has x.M.x < 0 for every x != 0."""
+    return negative_semidefinite_nullity(matrix) == 0
 
 
 def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:

@@ -64,7 +64,6 @@ class SexticFamily:
     expected_orders: tuple[int, ...]
     singular_mark: tuple[MarkedPoint, int] | None  # (point, n) for an A_n on the sextic
     claimed_count: int
-    flag: str | None = None
     variant_exclusions: tuple[tuple[int, int, int], ...] | None = None
 
     def base(self, lam: Fraction) -> HomogeneousForm:
@@ -293,7 +292,6 @@ FAMILIES: tuple[SexticFamily, ...] = (
         (3, 3),
         (_pt(1, 0, 0), 2),
         15,
-        flag="z13-case2-count",
         variant_exclusions=(_X5, _YX4),
     ),
 )

@@ -107,6 +107,20 @@ def test_restriction_containment_signal():
     assert pattern.contained
 
 
+def test_restriction_refuses_a_repeated_marked_point():
+    # x y^3 + x^3 y on z = 0 vanishes once at [0:1:0] and at [1:0:0]; listing
+    # [0:1:0] twice was reported as orders 1,1 with residual degree 2
+    f = monomial(1, 3, 0) + monomial(3, 1, 0)
+    line = linear_form(0, 0, 1)
+    for p, same in ((pt(0, 1, 0), pt(0, 2, 0)), (pt(1, 0, 0), pt(-3, 0, 0))):
+        pattern = restrict_to_line(f, line, (p,))
+        assert (pattern.orders, pattern.residual_degree) == ((1,), 3)
+        with pytest.raises(ValueError, match="distinct"):
+            restrict_to_line(f, line, (p, same))
+    pattern = restrict_to_line(f, line, (pt(0, 1, 0), pt(1, 0, 0)))
+    assert (pattern.orders, pattern.residual_degree) == ((1, 1), 2)
+
+
 def test_restriction_sum_rule_random():
     rng = random.Random(5)
     line = linear_form(0, 0, 1)

@@ -35,6 +35,8 @@ from unimodal.rationals import (
     is_negative_semidefinite,
     negative_semidefinite_nullity,
     nullspace,
+    rank,
+    rank_by_minors,
     solve,
 )
 
@@ -221,6 +223,33 @@ def test_semidefinite_nullity_agrees_with_nullspace(m):
     assert (nullity is not None) == _negative_semidefinite_by_minors(m)
     if nullity is not None:
         assert nullity == len(nullspace(m))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices up to 5 x 6 of fractions, with zero rows, repeated rows and
+    rational combinations of earlier rows, so that every rank occurs."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        kind = draw(st.sampled_from(["entries", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(rationals), draw(rationals)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([draw(rationals) for _ in range(ncols)])
+    return rows
+
+
+@given(rational_matrices())
+@settings(max_examples=300, derandomize=True)
+def test_rank_agrees_with_minor_enumeration(m):
+    assert rank(m) == rank_by_minors(m)
 
 
 def test_definiteness_on_long_chains_and_cycles():

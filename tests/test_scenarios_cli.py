@@ -250,6 +250,17 @@ def test_oversized_or_malformed_form_is_exit_2(tmp_path, capsys, form):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", [["0", "1", "0"], ["1", "0", "0"]])
+def test_repeated_marked_point_is_exit_2(tmp_path, capsys, point):
+    form = {"degree": 4, "coeffs": {"1,3,0": "1", "3,1,0": "1"}}
+    line = {"degree": 1, "coeffs": {"0,0,1": "1"}}
+    check = {"name": "r", "op": "restrict", "form": form, "line": line, "points": [point, point]}
+    path = tmp_path / "repeated.scn"
+    path.write_text(scn("plane-check", {"checks": [check]}, {}))
+    assert main(["verify", str(path)]) == 2
+    assert "marked points must be distinct" in capsys.readouterr().err
+
+
 def test_input_bounds_admit_their_limits():
     from unimodal.planecurves import MAX_COEFF_BITS, MAX_DEGREE
 

@@ -25,7 +25,7 @@ def test_family_table_is_complete():
 def test_claimed_counts_match_computation():
     for fam in FAMILIES:
         computed = fam.orbit_dim_count()
-        if fam.flag is None:
+        if fam.variant_exclusions is None:
             assert computed == fam.claimed_count, fam.family_id
         else:
             assert computed == 16
@@ -80,14 +80,14 @@ def test_representatives_have_no_singular_point_beyond_the_mark():
 def test_representatives_certify_at_the_first_pair(monkeypatch):
     import unimodal.planecurves as planecurves
 
-    original = planecurves._sparse_rank
+    original = planecurves.integer_rank
     widths = []
 
     def recording(rows):
         widths.append(1 + max(col for row in rows for col in row))
         return original(rows)
 
-    monkeypatch.setattr(planecurves, "_sparse_rank", recording)
+    monkeypatch.setattr(planecurves, "integer_rank", recording)
     top = len(monomial_basis(3 * (6 - 2) + 2))  # columns in degree k = 3(d - 2) + 2
     for fam in FAMILIES:
         for lam in fam.lambda_samples():

@@ -148,7 +148,7 @@ def dims_scenarios() -> None:
         }
         if fam.singular_mark is not None:
             expected["family-singular-mark"] = v(f"A{fam.singular_mark[1]}")
-        if fam.flag is None:
+        if fam.variant_exclusions is None:
             expected["family-orbit-count"] = v(fam.claimed_count)
         else:
             expected["family-orbit-count"] = documented("family-orbit-count")
