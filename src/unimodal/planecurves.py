@@ -9,31 +9,55 @@ lines in the plane.
 
 Everything that cannot be decided over the rationals is reported as grouped
 degree data or raised as :class:`UndecidableOverQ`; nothing is approximated.
+Tangent directions, squarefree packets and common components come from the
+integer-polynomial kernels of `rationals`; sympy is loaded only by the
+:func:`rational_singular_points` diagnostic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .rationals import (
     MAX_COEFF_BITS,
+    bivariate_gcd,
     bounded_rational,
     frac,
     integer_rank,
     integer_rows,
+    irreducible_factors,
     nullspace,
+    poly_gcd,
+    poly_value,
     rank,
     rank_by_minors,
     rat_str,
     solve_in_span,
+    squarefree_decomposition,
 )
 
-_T = sympy.Symbol("t")
+
+def __getattr__(name: str):
+    """Load sympy on first access of ``planecurves.sympy`` (PEP 562).
+
+    Only the :func:`rational_singular_points` diagnostic uses it, so the
+    engine imports no sympy until that diagnostic runs.
+    """
+    if name == "sympy":
+        import sympy
+
+        globals()["sympy"] = sympy
+        return sympy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _sympy():
+    """The module attribute ``sympy``: loaded on first use, or what stands in for it."""
+    return getattr(sys.modules[__name__], "sympy")
 
 
 class UndecidableOverQ(ValueError):
@@ -170,10 +194,15 @@ def form_to_json(form: HomogeneousForm) -> dict:
 
 # Bounds on forms and germs read from input; beyond them a reader raises
 # ValueError, which a scenario reports as malformed input (exit 2).  The
-# largest generated inputs have degree 12 and coefficients of 39 bits.  The
-# sympy gcd in `_common_factor` sets the bounds: on a dense germ with random
-# rational coefficients it took 2 s at degree 16 and 64 bits, 24 s at
-# degree 32 and 21 bits, and did not finish in 150 s at degree 32 and 64 bits.
+# largest generated inputs have degree 12 and coefficients of 39 bits.  At
+# the bounds, degree 16 and 64-bit rational coefficients, the integer
+# kernels of `rationals` stay in the tens of milliseconds (Python 3.11, one
+# Xeon core, worst of five dense random germs): `_share_component` of the
+# partials takes 6 ms, 27 ms with a common component of degree 8; the
+# factorization of a tangent cone (`_directions`) 44 ms; the squarefree
+# packets of a binary form 1 ms; an `an-type` check 12 ms.  The bounds were
+# set when sympy's bivariate gcd took 2 s at these bounds; they stay, as
+# changing them changes exit codes.
 # Coefficients are read by `rationals.bounded_rational` (MAX_COEFF_BITS).
 MAX_DEGREE = 16  # form degree and total degree of a germ monomial
 
@@ -270,11 +299,6 @@ def _tangent_cone(g: Germ) -> Germ:
     return {e: c for e, c in g.items() if e[0] + e[1] == m}
 
 
-def _to_sympy_univariate(coeffs: dict[int, Fraction]) -> sympy.Poly:
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * _T**a for a, c in coeffs.items())
-    return sympy.Poly(expr, _T, domain="QQ")
-
-
 @dataclass(frozen=True)
 class Direction:
     """One tangent direction of a germ: either rational or a grouped conjugate packet."""
@@ -285,23 +309,30 @@ class Direction:
 
 
 def _directions(g: Germ) -> list[Direction]:
+    """The tangent directions: the second chart axis, then the rational roots
+    ascending, then the irreducible non-linear packets by (degree, multiplicity).
+
+    The tangent cone, a binary form in (u, v), is read as a polynomial in
+    t = u/v; a drop in its degree is the multiplicity of the axis v = 0.
+    """
     m = germ_multiplicity(g)
-    cone = _tangent_cone(g)
-    poly_coeffs = {a: c for (a, b), c in cone.items()}
-    poly = _to_sympy_univariate(poly_coeffs)
-    out: list[Direction] = []
-    infinity_mult = m - poly.degree()
-    if infinity_mult > 0:
-        out.append(Direction(None, infinity_mult))
-    _, factors = poly.factor_list()
-    for factor, mult in sorted(factors, key=lambda fm: str(fm[0])):
-        if factor.degree() == 1:
-            a1, a0 = factor.all_coeffs()
-            root = Fraction(-sympy.Rational(a0, a1))
-            out.append(Direction(root, mult))
-        else:
-            out.append(Direction(None, mult, degree=factor.degree()))
-    return out
+    cone = _integer_terms(_tangent_cone(g))
+    poly = [cone.get((a, m - a), 0) for a in range(m + 1)]
+    while poly[-1] == 0:
+        poly.pop()
+    roots, packets = [], []
+    for part, mult in squarefree_decomposition(poly):
+        for factor in irreducible_factors(part):
+            if len(factor) == 2:
+                roots.append(Direction(Fraction(-factor[0], factor[1]), mult))
+            else:
+                packets.append(Direction(None, mult, degree=len(factor) - 1))
+    infinity = [Direction(None, m + 1 - len(poly))] if len(poly) <= m else []
+    return (
+        infinity
+        + sorted(roots, key=lambda d: d.root)
+        + sorted(packets, key=lambda d: (d.degree, d.multiplicity))
+    )
 
 
 def _blow_up_at_direction(g: Germ, direction: Direction) -> Germ:
@@ -411,9 +442,20 @@ def local_intersection(f: Germ, g: Germ) -> int:
         raise ValueError("zero germ")
     if germ_evaluate_origin(f) != 0 or germ_evaluate_origin(g) != 0:
         return 0
-    common = _common_factor(f, g)
-    if common is not None and germ_evaluate_origin(common) == 0:
+    if _share_component(f, g):
         raise ValueError("infinite intersection: the germs share a component through the point")
+    return _blow_up_intersection(f, g)
+
+
+def _blow_up_intersection(f: Germ, g: Germ) -> int:
+    """The recursion of :func:`local_intersection` for germs through the origin
+    with no common component there.
+
+    A common component of the strict transforms at a point of the exceptional
+    line would map to a common component of the germs through the origin, so
+    the check is not repeated.  Both strict transforms at a common tangent
+    direction pass through the new origin.
+    """
     mf, mg = germ_multiplicity(f), germ_multiplicity(g)
     total = mf * mg
     directions_f, directions_g = _directions(f), _directions(g)
@@ -426,23 +468,39 @@ def local_intersection(f: Germ, g: Germ) -> int:
             continue
         child_f = _blow_up_at_direction(f, df)
         child_g = _blow_up_at_direction(g, dirs_g[root])
-        total += local_intersection(child_f, child_g)
+        total += _blow_up_intersection(child_f, child_g)
     return total
 
 
-def _common_factor(f: Germ, g: Germ) -> Germ | None:
-    u, v = sympy.symbols("u v")
+def _share_component(f: Germ, g: Germ) -> bool:
+    """Whether two nonzero germs share an irreducible component through the origin.
 
-    def to_poly(h: Germ) -> sympy.Poly:
-        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in h.items()}
-        return sympy.Poly(terms, u, v, domain="QQ")
+    The only component in v alone through the origin is v = 0, common
+    exactly when v divides both.  Every other common component involves u.
+    Written in u over Z[v] and specialized at the first v0 = 1, 2, ... where
+    neither leading coefficient in u vanishes, such a component keeps its
+    degree in u and divides both specializations, so coprime specializations
+    rule it out.  Only otherwise is the gcd over Z[v][u] formed
+    (`rationals.bivariate_gcd`) and evaluated at the origin.
+    """
+    if all(b for _, b in f) and all(b for _, b in g):
+        return True
+    fu, gu = _over_zv(f), _over_zv(g)
+    if len(fu) == 1 or len(gu) == 1:  # a germ in v alone: its components are lines v = c
+        return False
+    v0 = next(v for v in itertools.count(1) if poly_value(fu[-1], v) and poly_value(gu[-1], v))
+    if len(poly_gcd([poly_value(c, v0) for c in fu], [poly_value(c, v0) for c in gu])) == 1:
+        return False
+    common = bivariate_gcd(fu, gu)
+    return len(common) > 1 and not (common[0] and common[0][0])
 
-    gcd = sympy.gcd(to_poly(f), to_poly(g))
-    if gcd.total_degree() == 0:
-        return None
-    out: Germ = {}
-    for monom, coeff in gcd.terms():
-        out[(int(monom[0]), int(monom[1]))] = Fraction(sympy.Rational(coeff))
+
+def _over_zv(h: Germ) -> list[list[int]]:
+    """The germ scaled to integer coefficients, as a polynomial in u over Z[v]."""
+    out: list[list[int]] = [[] for _ in range(max(a for a, _ in h) + 1)]
+    for (a, b), c in _integer_terms(h).items():
+        out[a] += [0] * (b + 1 - len(out[a]))
+        out[a][b] = c
     return out
 
 
@@ -492,8 +550,7 @@ def an_type_at(
         return AnVerdict("other", None, m, reason="multiplicity at least three")
 
     gu, gv = _germ_partial(g, 0), _germ_partial(g, 1)
-    common = _common_factor(gu, gv) if gu and gv else (gu or gv or None)
-    if not gu or not gv or (common is not None and germ_evaluate_origin(common) == 0):
+    if not gu or not gv or _share_component(gu, gv):
         return AnVerdict("other", None, m, reason="non-isolated singular point")
 
     quad = {e: c for e, c in g.items() if e[0] + e[1] == 2}
@@ -792,13 +849,15 @@ def _squarefree_packets(coeffs: list[Fraction]) -> tuple[tuple[int, int], ...]:
     degree = len(coeffs) - 1
     if degree <= 0 or all(c == 0 for c in coeffs):
         return ()
-    poly = _to_sympy_univariate({i: c for i, c in enumerate(coeffs)})
+    poly = integer_rows([coeffs])[1][0]
+    while poly[-1] == 0:
+        poly.pop()
     packets: dict[int, int] = {}
-    infinity = degree - poly.degree()
+    infinity = len(coeffs) - len(poly)
     if infinity > 0:
         packets[infinity] = packets.get(infinity, 0) + 1
-    for factor, mult in poly.sqf_list()[1]:
-        packets[mult] = packets.get(mult, 0) + factor.degree()
+    for factor, mult in squarefree_decomposition(poly):
+        packets[mult] = packets.get(mult, 0) + len(factor) - 1
     return tuple(sorted(packets.items()))
 
 
@@ -1058,6 +1117,7 @@ def rational_singular_points(form: HomogeneousForm) -> SmoothnessReport:
     are then lifted back through a univariate gcd in x.  The direction with
     y = z = 0 is the coordinate point, checked directly.
     """
+    sympy = _sympy()
     x, y, z = sympy.symbols("x y z")
 
     def to_expr(f: HomogeneousForm):
@@ -1115,6 +1175,7 @@ def rational_singular_points(form: HomogeneousForm) -> SmoothnessReport:
 
 
 def _x_solutions(partials, y0, z0, x, y, z) -> list[Fraction]:
+    sympy = _sympy()
     values = {y: sympy.Rational(y0), z: sympy.Rational(z0)}
     gcd_poly = None
     for p in partials:

@@ -279,6 +279,18 @@ def test_local_intersection_common_component_rejected():
         local_intersection(f, germ_mul(f, germ({(0, 1): 1, (1, 0): 1})))
 
 
+def test_local_intersection_checks_for_a_common_component_once(monkeypatch):
+    import unimodal.planecurves as planecurves
+
+    calls = []
+    share = planecurves._share_component
+    monkeypatch.setattr(planecurves, "_share_component", lambda f, g: calls.append(1) or share(f, g))
+    # v = u^4 and v = u^4 + u^5 meet with contact 5, five blow-ups deep
+    f, g = germ({(0, 1): 1, (4, 0): -1}), germ({(0, 1): 1, (4, 0): -1, (5, 0): -1})
+    assert local_intersection(f, g) == 5
+    assert calls == [1]
+
+
 def test_local_intersection_undecidable_over_q():
     from unimodal.planecurves import UndecidableOverQ
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -600,6 +601,22 @@ def test_kodaira_check_of_a_64_component_complete_graph_is_fast(tmp_path, capsys
     pins = {"negative-definite": {"value": "false"}, "kodaira-fiber": {"value": "none"}}
     path = tmp_path / "complete.scn"
     path.write_text(scn("config-check", {"config": config}, pins))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - start < 0.5
+    capsys.readouterr()
+
+
+def test_an_type_of_a_dense_germ_at_the_input_bounds_is_fast(tmp_path, capsys):
+    # degree 16, every monomial from degree 2 on, 64-bit numerators and denominators
+    rng = random.Random(16)
+    terms = {
+        f"{a},{b}": f"{rng.choice(('', '-'))}{rng.randrange(1, 2**64)}/{rng.randrange(1, 2**64)}"
+        for a in range(17) for b in range(17 - a) if a + b >= 2
+    }
+    check = {"name": "dense", "op": "an-type", "germ": {"terms": terms}, "candidate": 8}
+    path = tmp_path / "dense.scn"
+    path.write_text(scn("plane-check", {"checks": [check]}, {"dense": {"value": "A1"}}))
     start = time.perf_counter()
     assert main(["verify", str(path)]) == 0
     assert time.perf_counter() - start < 0.5
