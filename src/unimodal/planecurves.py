@@ -604,17 +604,28 @@ def _integer_terms(terms: dict[tuple[int, ...], Fraction]) -> dict[tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def tjurina_number(form: HomogeneousForm) -> int | None:
+def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
     """Total Tjurina number of the plane curve F = 0, or None if not certified.
 
     Let h(k) = dim S_k - rank J_k for the Jacobian ideal J = (F_x, F_y, F_z),
     with exact integer ranks.  J is generated in degree d - 1, so for
     k >= d - 1 an equal pair h(k) = h(k+1) <= k is the largest growth
-    Macaulay's bound allows, and Gotzmann's persistence theorem (Math. Z. 158,
-    1978; Bruns-Herzog, Thm 4.3.3) gives h(t) = h(k) for every t >= k.  The
-    Hilbert polynomial of S/J is then that constant: the length of the
-    Jacobian scheme, the sum of the local Tjurina numbers.  A constant also
-    certifies finitely many singular points, so the curve is reduced.
+    Macaulay's bound allows (h(k+1) <= h(k)^<k> = h(k) once h(k) <= k), and
+    Gotzmann's persistence theorem (Math. Z. 158, 1978; Bruns-Herzog,
+    Thm 4.3.3) gives h(t) = h(k) for every t >= k.  The Hilbert polynomial of
+    S/J is then that constant: the length of the Jacobian scheme, the sum of
+    the local Tjurina numbers.  A constant also certifies finitely many
+    singular points, so the curve is reduced.
+
+    ``at_least`` is the Tjurina number of singular points the caller has
+    already certified, and the result is certified only if it is.  Their
+    local Jacobian scheme Z has length at_least, and S/J maps onto S/I_Z,
+    whose Hilbert function is at_least in every degree t >= at_least - 1 (a
+    zero-dimensional scheme of length l imposes independent conditions in
+    degree l - 1).  So h(t) >= at_least there, and h(k) = at_least <= k
+    already forces h(k+1) = h(k): one rank certifies the equal pair.  With
+    the default 0 this is h(k) = 0, a smooth curve.  Any h(k) < at_least at
+    k >= at_least - 1 contradicts the bound and raises ValueError.
 
     The search starts at 3(d-2) + 1, one past the socle degree of the Milnor
     algebra of a smooth curve, and takes no rank in a degree above
@@ -626,13 +637,22 @@ def tjurina_number(form: HomogeneousForm) -> int | None:
         raise ValueError("a plane curve needs a nonzero form of positive degree")
     generators = [_integer_terms(dict(form.partial(v).terms)) for v in range(3)]
     generators = [g for g in generators if g]
+
+    def checked(dim: int, k: int) -> int:
+        """h(k) = dim, refused when below the bound in a degree k >= at_least - 1."""
+        if dim < at_least and k >= at_least - 1:
+            raise ValueError(f"h({k}) = {dim} is below the certified Tjurina number {at_least}")
+        return dim
+
     start = max(3 * (d - 2) + 1, d - 1)
     cap = max((d - 1) ** 2 + 3 * (d - 2), start + 1)
-    dim = _jacobian_quotient_dim(generators, d - 1, start)
+    dim = checked(_jacobian_quotient_dim(generators, d - 1, start), start)
     for k in range(start, cap):
-        previous, dim = dim, _jacobian_quotient_dim(generators, d - 1, k + 1)
-        if dim == previous <= k:
+        if dim == at_least <= k:
             return dim
+        previous, dim = dim, checked(_jacobian_quotient_dim(generators, d - 1, k + 1), k + 1)
+        if dim == previous <= k:  # h(t) = dim for every t >= k, so also at at_least - 1
+            return checked(dim, max(k, at_least - 1))
     return None
 
 
@@ -795,22 +815,34 @@ def _two_points_on_line(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tu
 
 
 def _restrict_binary(form: HomogeneousForm, base) -> list[Fraction]:
-    """Coefficients of F(s p0 + t p1) as a binary form, index = power of s."""
+    """Coefficients of F(s p0 + t p1) as a binary form, index = power of s.
+
+    The powers of each coordinate's linear form a s + b t are expanded once,
+    as sparse {s-power: coefficient} maps, so each term of F costs the product
+    of three cached powers.
+    """
     p0, p1 = base
     d = form.degree
+    powers = []
+    for var in range(3):
+        linear = {idx: c for idx, c in ((1, p0[var]), (0, p1[var])) if c != 0}
+        var_powers = [{0: frac(1)}]
+        for _ in range(d):
+            var_powers.append(_binary_product(var_powers[-1], linear))
+        powers.append(var_powers)
     out = [frac(0)] * (d + 1)
     for (i, j, k), c in form.terms:
-        poly = [frac(1)]  # binary polynomial in s, index = s-power
-        for var, power in ((0, i), (1, j), (2, k)):
-            for _ in range(power):
-                a, b = p0[var], p1[var]  # a s + b t
-                new = [frac(0)] * (len(poly) + 1)
-                for idx, coeff in enumerate(poly):
-                    new[idx + 1] += coeff * a
-                    new[idx] += coeff * b
-                poly = new
-        for idx, coeff in enumerate(poly):
+        poly = _binary_product(_binary_product(powers[0][i], powers[1][j]), powers[2][k])
+        for idx, coeff in poly.items():
             out[idx] += c * coeff
+    return out
+
+
+def _binary_product(f: dict[int, Fraction], g: dict[int, Fraction]) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for i, a in f.items():
+        for j, b in g.items():
+            out[i + j] = out.get(i + j, 0) + a * b
     return out
 
 

@@ -339,11 +339,18 @@ def _tree_label(node) -> str:
 
 def _agree(pin: ExpectedEntry, record: CheckRecord) -> CheckRecord:
     """A record as pinned: unchanged when the pin restates its computed value
-    and its documented discrepancy (none for a plain value), else failed."""
+    and its documented discrepancy (none for a plain value), else failed and
+    expecting the pin as written, so the report names the part that differs."""
     claimed = record.expected if record.flag else None
     if (pin.value, pin.claimed, pin.flag) == (record.computed, claimed, record.flag):
         return record
-    return replace(record, status="fail")
+    stated = []
+    if pin.claimed is not None:
+        stated.append(f"claimed {pin.claimed}")
+    if pin.flag is not None:
+        stated.append(f"flag {pin.flag}")
+    expected = pin.value + (f" ({', '.join(stated)})" if stated else "")
+    return replace(record, expected=expected, status="fail")
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:

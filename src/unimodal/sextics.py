@@ -328,6 +328,14 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     no other singular point exists over the algebraic closure.  Only a
     nonzero or uncertified excess triggers the rational-point scan, which
     lists the rational culprits for the diagnostic.
+
+    The mark's Tjurina number is passed to `tjurina_number` as a lower
+    bound.  An A_n point is quasi-homogeneous, so its Jacobian scheme has
+    length tau = mu = n, and the Hilbert function h of S/J is at least n in
+    every degree k >= n - 1.  Once h(k) = n <= k, Macaulay's bound gives
+    h(k+1) <= h(k), hence h(k+1) = h(k), and Gotzmann's persistence theorem
+    (Math. Z. 158, 1978) certifies the total n from that single rank; on
+    every representative this happens at the first degree 3(d-2) + 1.
     """
     seen: set[tuple] = set()
     mark: AnVerdict | None = None
@@ -346,7 +354,7 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
             point, n = fam.singular_mark
             mark = an_type_at(rep, point, candidate=max(2, n))
             mark_tau = mark.n if mark.kind == "A" else None
-        tau = tjurina_number(rep)
+        tau = tjurina_number(rep, at_least=mark_tau or 0)
         excess = None if tau is None or mark_tau is None else tau - mark_tau
         seen.add((orders, residual, excess) + ((mark.kind, mark.n) if mark else ()))
     if len(seen) != 1:

@@ -624,21 +624,52 @@ def _conic(a, b, c):
     return monomial(2, 0, 0, a) + monomial(0, 2, 0, b) + monomial(0, 0, 2, c)
 
 
-@pytest.mark.parametrize(
-    "form, tau",
-    [
-        (monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6), 0),  # Fermat sextic
-        (monomial(0, 2, 1) - monomial(3, 0, 0) - monomial(2, 0, 1), 1),  # nodal cubic
-        (monomial(0, 2, 1) - monomial(3, 0, 0), 2),  # cuspidal cubic
-        (_conic(1, 1, -1) * linear_form(1, 0, 0), 2),  # conic and a secant line: two nodes
-        (linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(1, -1, 0), 4),  # a D4 point
-        (linear_form(1, 2, 3), 0),
-        (_conic(1, 1, 1), 0),
-        (linear_form(1, 0, 0) * linear_form(0, 1, 0), 1),
-    ],
-)
+_NODAL_CUBIC = monomial(0, 2, 1) - monomial(3, 0, 0) - monomial(2, 0, 1)
+
+_TJURINA_VALUES = [
+    (monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6), 0),  # Fermat sextic
+    (_NODAL_CUBIC, 1),
+    (monomial(0, 2, 1) - monomial(3, 0, 0), 2),  # cuspidal cubic
+    (_conic(1, 1, -1) * linear_form(1, 0, 0), 2),  # conic and a secant line: two nodes
+    (linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(1, -1, 0), 4),  # a D4 point
+    (linear_form(1, 2, 3), 0),
+    (_conic(1, 1, 1), 0),
+    (linear_form(1, 0, 0) * linear_form(0, 1, 0), 1),
+]
+
+
+@pytest.mark.parametrize("form, tau", _TJURINA_VALUES)
 def test_tjurina_number_exact_values(form, tau):
     assert tjurina_number(form) == tau
+
+
+@pytest.mark.parametrize("form, tau", _TJURINA_VALUES)
+def test_tjurina_number_with_its_own_value_as_bound(form, tau):
+    assert tjurina_number(form, at_least=tau) == tjurina_number(form) == tau
+
+
+@pytest.mark.parametrize("at_least", [2, 4, 100])
+def test_tjurina_bound_above_the_truth_raises(at_least):
+    # 100 is past every degree searched: the contradiction shows only through persistence
+    with pytest.raises(ValueError, match="below the certified Tjurina number"):
+        tjurina_number(_NODAL_CUBIC, at_least=at_least)
+
+
+def test_tjurina_bound_below_the_truth_takes_the_equal_pair(monkeypatch):
+    import unimodal.planecurves as planecurves
+
+    original = planecurves._jacobian_quotient_dim
+    degrees = []
+
+    def recording(generators, degree, k):
+        degrees.append(k)
+        return original(generators, degree, k)
+
+    monkeypatch.setattr(planecurves, "_jacobian_quotient_dim", recording)
+    d4 = linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(1, -1, 0)
+    assert tjurina_number(d4, at_least=4) == 4 and degrees == [4]
+    degrees.clear()
+    assert tjurina_number(d4, at_least=1) == 4 and degrees == [4, 5]  # a nonzero excess
 
 
 def test_tjurina_number_sees_irrational_nodes():

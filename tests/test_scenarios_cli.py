@@ -220,6 +220,7 @@ class _NoSympy:
         {"2,0": "1", "0,2": "1/" + str(2**64)},  # a denominator past MAX_COEFF_BITS
         {"2,0": "1", "0,17": "1"},  # one degree past MAX_DEGREE
         {"2,0,0": "1"},
+        {"2,0": "1/0", "0,2": "1"},
     ],
 )
 def test_oversized_or_malformed_germ_is_exit_2(tmp_path, capsys, monkeypatch, germ_terms):
@@ -466,6 +467,7 @@ def _component(**fields):
             },
             None,
         ),
+        (_component(pa="-1/0"), None),
     ],
 )
 def test_malformed_or_oversized_configuration_is_exit_2(tmp_path, capsys, config, derived):
@@ -555,20 +557,25 @@ def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload,
 
 
 @pytest.mark.parametrize(
-    "pin",
+    "pin",  # (the pin, the failed record's expected column: the pin as written)
     [
-        {"value": "0", "claimed": "1"},
-        {"value": "0", "flag": "noether-c2"},
-        {"value": "0", "claimed": "1", "flag": "noether-c2"},
+        ({"value": "0", "claimed": "1"}, "0 (claimed 1)"),
+        ({"value": "0", "flag": "noether-c2"}, "0 (flag noether-c2)"),
+        ({"value": "0", "claimed": "1", "flag": "noether-c2"}, "0 (claimed 1, flag noether-c2)"),
     ],
 )
 def test_discrepancy_pinned_on_a_passing_engine_record_fails(tmp_path, capsys, pin):
+    pin, expected = pin
     text = scn("pipeline", {"construction": "section-class"}, {"section-class-coefficient-genus-0": pin})
     code, report = _verify_json(tmp_path, capsys, text)
     assert code == 1
     assertion = report["scenarios"][0]["assertions"][0]
-    assert (assertion["status"], assertion["computed"], assertion["expected"]) == ("fail", "0", "0")
+    assert (assertion["status"], assertion["computed"], assertion["expected"]) == ("fail", "0", expected)
     assert report["summary"]["flags"] == []
+    path = tmp_path / "pinned.scn"
+    assert main(["verify", str(path)]) == 1
+    line = f"FAIL section-class-coefficient-genus-0: computed 0, expected {expected}"
+    assert line in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -77,24 +77,28 @@ def test_representatives_have_no_singular_point_beyond_the_mark():
             assert tjurina_number(fam.representative(lam)) == mark_tau, (fam.family_id, lam)
 
 
-def test_representatives_certify_at_the_first_pair(monkeypatch):
+def test_representatives_certify_with_one_rank(monkeypatch):
     import unimodal.planecurves as planecurves
 
-    original = planecurves.integer_rank
+    original = planecurves._jacobian_quotient_dim
     widths = []
 
-    def recording(rows):
-        widths.append(1 + max(col for row in rows for col in row))
-        return original(rows)
+    def recording(generators, degree, k):
+        widths.append(len(monomial_basis(k)))
+        return original(generators, degree, k)
 
-    monkeypatch.setattr(planecurves, "integer_rank", recording)
-    top = len(monomial_basis(3 * (6 - 2) + 2))  # columns in degree k = 3(d - 2) + 2
+    monkeypatch.setattr(planecurves, "_jacobian_quotient_dim", recording)
+    first = len(monomial_basis(3 * (6 - 2) + 1))  # columns in degree k = 3(d - 2) + 1
     for fam in FAMILIES:
+        widths.clear()
+        verify_family(fam)
+        # the mark's Tjurina number as a lower bound: h(k) = tau(mark) <= k at the first k
+        assert widths == [first] * len(fam.lambda_samples()), fam.family_id
         for lam in fam.lambda_samples():
             widths.clear()
             tjurina_number(fam.representative(lam))
-            # one rank each in degrees 3(d - 2) + 1 and 3(d - 2) + 2, then the stop
-            assert len(widths) == 2 and max(widths) <= top, (fam.family_id, lam)
+            # without a bound h(k) = 0 still certifies at once; a mark takes the equal pair
+            assert len(widths) == (1 if fam.singular_mark is None else 2), (fam.family_id, lam)
 
 
 def test_representative_respects_exclusions():
