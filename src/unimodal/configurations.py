@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 from .rationals import (
     bounded_rational,
@@ -121,7 +123,12 @@ class CurveConfiguration:
         pair = frozenset((a, b))
         return any(c.pair == pair and c.tangential for c in self.contacts)
 
-    def integer_gram(self) -> list[list[int]]:
+    def integer_gram(self) -> tuple[tuple[int, ...], ...]:
+        return self._integer_gram
+
+    @cached_property
+    def _integer_gram(self) -> tuple[tuple[int, ...], ...]:
+        """The Gram matrix, built once per configuration as immutable rows."""
         n = len(self.components)
         g = [[0] * n for _ in range(n)]
         index = {c.name: i for i, c in enumerate(self.components)}
@@ -130,7 +137,7 @@ class CurveConfiguration:
         for contact in self.contacts:
             i, j = index[contact.first], index[contact.second]
             g[i][j] = g[j][i] = contact.mult
-        return g
+        return tuple(map(tuple, g))
 
     def gram(self) -> list[list[Fraction]]:
         return [[frac(x) for x in row] for row in self.integer_gram()]
@@ -187,25 +194,34 @@ class FundamentalCycle:
     config: CurveConfiguration
     coeffs: tuple[int, ...]
 
+    # Z^2 and K.Z are integer sums on the integral Gram matrix and the integer
+    # canonical degrees; each invariant builds one Fraction at the end.
+
+    def _self_int(self) -> int:
+        return sum(a * p for a, p in zip(self.coeffs, _pairings(self.config.integer_gram(), self.coeffs)))
+
+    def _canonical_degree(self) -> int:
+        return sum(a * (2 * c.pa - 2 - c.self_int) for a, c in zip(self.coeffs, self.config.components))
+
     @property
     def self_int(self) -> Fraction:
-        pairings = _pairings(self.config.integer_gram(), self.coeffs)
-        return frac(sum(a * p for a, p in zip(self.coeffs, pairings)))
+        return Fraction(self._self_int())
 
     @property
     def canonical_degree(self) -> Fraction:
-        return sum(frac(a) * k for a, k in zip(self.coeffs, self.config.canonical_degrees()))
+        return Fraction(self._canonical_degree())
 
     @property
     def pa(self) -> Fraction:
-        return 1 + (self.self_int + self.canonical_degree) / 2
+        """1 + (Z^2 + K.Z) / 2."""
+        return Fraction(2 + self._self_int() + self._canonical_degree(), 2)
 
     def pairings(self) -> list[Fraction]:
         """Z.E_i for every component; anti-nef means all are <= 0."""
         return [frac(p) for p in _pairings(self.config.integer_gram(), self.coeffs)]
 
 
-def _pairings(gram: list[list[int]], z) -> list[int]:
+def _pairings(gram: Sequence[Sequence[int]], z) -> list[int]:
     """Z.E_i for every component, on the integral Gram matrix."""
     return [sum(a * x for a, x in zip(z, row)) for row in gram]
 
@@ -227,6 +243,12 @@ def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
         raise ValueError("empty configuration has no fundamental cycle")
     if not is_negative_definite(config):
         raise ValueError("configuration is not negative definite")
+    return _laufer_cycle(config)
+
+
+def _laufer_cycle(config: CurveConfiguration) -> FundamentalCycle:
+    """Laufer's loop of :func:`fundamental_cycle` on a nonempty configuration
+    already known to be negative definite."""
     g = config.integer_gram()
     z = [1] * len(g)
     pairings = _pairings(g, z)
@@ -278,7 +300,9 @@ def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassific
     Z_T to Z_S by adding components E_j with D.E_j >= 1, and each step changes
     p_a by p_a(E_j) + D.E_j - 1 >= 0; started from one component it shows
     p_a >= 0 as well.  So 0 <= p_a(Z_T) <= p_a(Z_S), and a rational S has only
-    rational connected pieces.
+    rational connected pieces.  The pieces are negative definite with the
+    whole (their Gram matrices are principal submatrices), so their cycles are
+    taken without testing that again.
     """
     cycle = fundamental_cycle(config)
     pa = cycle.pa
@@ -293,12 +317,9 @@ def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassific
             if piece in checked:
                 continue
             checked.add(piece)
-            if fundamental_cycle(config.subconfiguration(tuple(piece))).pa != 0:
+            if _laufer_cycle(config.subconfiguration(tuple(piece))).pa != 0:
                 return EllipticClassification("not-elliptic", None, cycle)
-    degree = -cycle.self_int
-    if degree.denominator != 1:
-        raise ValueError("fractional degree on an integral configuration")
-    return EllipticClassification("minimally-elliptic", int(degree), cycle)
+    return EllipticClassification("minimally-elliptic", -cycle._self_int(), cycle)
 
 
 # ---------------------------------------------------------------------------

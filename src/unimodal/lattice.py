@@ -8,6 +8,10 @@ structural moves are blow-up, double cover and contraction, plus the inverse
 of contraction (attaching the known resolution graph of a singular point) and
 the splitting of a tracked curve whose preimage decomposes on a double cover.
 
+A divisor class is an integer vector over one positive denominator: sums,
+multiples and pairings run on integers against the Gram matrix cached as
+integer rows, and a pairing builds one Fraction at the end.
+
 Models are immutable; every operation returns a fresh model carrying a replay
 log, so a construction can be reproduced bit for bit from its provenance.
 """
@@ -18,6 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .configurations import (
@@ -25,11 +30,9 @@ from .configurations import (
     Contact,
     CurveConfiguration,
     classify_minimally_elliptic,
-    fundamental_cycle,
-    is_negative_definite,
     match_catalog,
 )
-from .rationals import frac, integer_rows, inverse, rat_str, row_reduce
+from .rationals import frac, integer_reduce, integer_rows, rat_str
 
 
 class LatticeError(ValueError):
@@ -52,7 +55,7 @@ class IntersectionLattice:
         if len(self.gram) != n or any(len(row) != n for row in self.gram):
             raise LatticeError("Gram matrix shape does not match the basis")
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise LatticeError("Gram matrix is not symmetric")
 
@@ -72,58 +75,91 @@ class IntersectionLattice:
         denominator, rows = integer_rows(self.gram)
         return denominator, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
 
-    def pairing(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        """a.G.b, summed over the integers; one Fraction is built at the end."""
-        denominator, rows = self._integer_gram
-        a_scale, (a_int,) = integer_rows([a])
-        b_scale, (b_int,) = integer_rows([b])
-        total = 0
-        for x, row in zip(a_int, rows):
-            if x:
-                total += x * sum(g * b_int[j] for j, g in row)
-        return Fraction(total, denominator * a_scale * b_scale)
 
-
-@dataclass(frozen=True)
 class DivisorClass:
-    lattice: IntersectionLattice
-    coeffs: tuple[Fraction, ...]
+    """An integer vector ``num`` over one denominator ``den``, on a lattice.
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.lattice.rank:
+    Kept normalised: ``den > 0`` and ``gcd(den, *num) == 1``, so the zero class
+    has ``den == 1`` and equal classes have equal fields.  ``coeffs`` is the
+    Fraction view, built on demand.
+    """
+
+    __slots__ = ("lattice", "num", "den")
+    lattice: IntersectionLattice
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, lattice: IntersectionLattice, coeffs: Sequence[int | Fraction]) -> None:
+        if len(coeffs) != lattice.rank:
             raise LatticeError("coefficient vector does not match the basis")
+        den, (num,) = integer_rows([coeffs])
+        _set_fields(self, lattice, tuple(num), den)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("divisor classes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("divisor classes are immutable")
+
+    def __repr__(self) -> str:
+        return f"DivisorClass({self})"
+
+    def __reduce__(self):
+        return _divisor, (self.lattice, self.num, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.lattice == other.lattice
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.num, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _same_lattice(self, other: "DivisorClass") -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeError("classes live on different lattices")
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
+        """self + sign * other over the lcm of the two denominators."""
         self._same_lattice(other)
-        return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _divisor(self.lattice, tuple(a * x + b * y for x, y in zip(self.num, other.num)), den)
+
+    def __add__(self, other: "DivisorClass") -> "DivisorClass":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._same_lattice(other)
-        return DivisorClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
+        return _divisor(self.lattice, tuple(-x for x in self.num), self.den)
 
-    def __rmul__(self, scalar: int | Fraction) -> "DivisorClass":
+    def __rmul__(self, scalar: int | str | Fraction) -> "DivisorClass":
         s = frac(scalar)
-        return DivisorClass(self.lattice, tuple(s * a for a in self.coeffs))
+        return _divisor(self.lattice, tuple(s.numerator * x for x in self.num), s.denominator * self.den)
 
     def dot(self, other: "DivisorClass") -> Fraction:
+        """a.G.b, summed over the integers; one Fraction is built at the end."""
         self._same_lattice(other)
-        return self.lattice.pairing(self.coeffs, other.coeffs)
+        denominator, rows = self.lattice._integer_gram
+        b = other.num
+        total = 0
+        for x, row in zip(self.num, rows):
+            if x:
+                total += x * sum(g * b[j] for j, g in row)
+        return Fraction(total, denominator * self.den * other.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.num)
 
     def coeff_map(self) -> dict[str, Fraction]:
-        return {
-            name: value for name, value in zip(self.lattice.basis, self.coeffs) if value != 0
-        }
+        return {name: Fraction(x, self.den) for name, x in zip(self.lattice.basis, self.num) if x}
 
     def __str__(self) -> str:
         parts = []
@@ -133,6 +169,34 @@ class DivisorClass:
             else:
                 parts.append(f"{rat_str(value)}*{name}")
         return " + ".join(parts) if parts else "0"
+
+
+def _set_fields(cls: DivisorClass, lattice: IntersectionLattice, num: tuple[int, ...], den: int) -> None:
+    object.__setattr__(cls, "lattice", lattice)
+    object.__setattr__(cls, "num", num)
+    object.__setattr__(cls, "den", den)
+
+
+def _divisor(lattice: IntersectionLattice, num: tuple[int, ...], den: int = 1) -> DivisorClass:
+    """The class num / den (den != 0), normalised by one gcd; no Fraction is built."""
+    common = gcd(den, *num)
+    if den < 0:
+        common = -common
+    if common != 1:
+        num, den = tuple(x // common for x in num), den // common
+    cls = object.__new__(DivisorClass)
+    _set_fields(cls, lattice, num, den)
+    return cls
+
+
+def _unit(lattice: IntersectionLattice, i: int) -> DivisorClass:
+    """The basis class at index i."""
+    return _divisor(lattice, tuple(int(j == i) for j in range(lattice.rank)))
+
+
+def _extend(lattice: IntersectionLattice, cls: DivisorClass, tail: Sequence[int]) -> DivisorClass:
+    """The class on ``lattice`` whose coordinates are those of ``cls`` followed by ``tail``."""
+    return _divisor(lattice, cls.num + tuple(t * cls.den for t in tail), cls.den)
 
 
 @dataclass(frozen=True)
@@ -179,9 +243,7 @@ class SurfaceModel:
     # -- class construction -------------------------------------------------
 
     def basis_class(self, name: str) -> DivisorClass:
-        i = self.lattice.index(name)
-        coeffs = tuple(frac(1 if j == i else 0) for j in range(self.lattice.rank))
-        return DivisorClass(self.lattice, coeffs)
+        return _unit(self.lattice, self.lattice.index(name))
 
     def divisor(self, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
         vector = [frac(0)] * self.lattice.rank
@@ -190,7 +252,7 @@ class SurfaceModel:
         return DivisorClass(self.lattice, tuple(vector))
 
     def zero(self) -> DivisorClass:
-        return DivisorClass(self.lattice, tuple([frac(0)] * self.lattice.rank))
+        return _divisor(self.lattice, (0,) * self.lattice.rank)
 
     # -- tracked curves ------------------------------------------------------
 
@@ -214,10 +276,12 @@ class SurfaceModel:
         return a.dot(b)
 
     def adjunction_pa(self, d: DivisorClass) -> Fraction:
-        return 1 + (self.intersect(d, d) + self.intersect(self.canonical, d)) / 2
+        """1 + (d + K).d / 2, from one pairing."""
+        return 1 + self.intersect(d + self.canonical, d) / 2
 
     def rr_chi(self, d: DivisorClass) -> Fraction:
-        return self.chi + (self.intersect(d, d) - self.intersect(self.canonical, d)) / 2
+        """chi + (d - K).d / 2, from one pairing."""
+        return self.chi + self.intersect(d - self.canonical, d) / 2
 
     @property
     def k_squared(self) -> Fraction:
@@ -409,12 +473,8 @@ def blow_up(
         tuple(list(row) + [frac(0)]) for row in model.lattice.gram
     ) + (tuple([frac(0)] * old_rank + [frac(-1)]),)
     lattice = IntersectionLattice(basis, gram)
-
-    def pullback(cls: DivisorClass) -> DivisorClass:
-        return DivisorClass(lattice, cls.coeffs + (frac(0),))
-
-    g_class = DivisorClass(lattice, tuple([frac(0)] * old_rank) + (frac(1),))
-    canonical = pullback(model.canonical) + g_class
+    g_class = _unit(lattice, old_rank)
+    canonical = _extend(lattice, model.canonical, (1,))
     new_model = SurfaceModel(
         name or f"blow-up of {model.name}",
         lattice,
@@ -438,7 +498,7 @@ def blow_up(
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
         mult = center.get(curve.name, 0)
-        cls = pullback(curve.cls) - mult * g_class
+        cls = _extend(lattice, curve.cls, (-mult,))
         pa = new_model.adjunction_pa(cls)
         expected = curve.pa - Fraction(mult * (mult - 1), 2)
         if pa != expected:
@@ -473,7 +533,7 @@ def double_cover(
     for cname in branch_components:
         total = total + model.curve_class(cname)
     residual = 2 * half_branch - total
-    if any(x < 0 for x in residual.coeffs):
+    if any(x < 0 for x in residual.num):
         raise ValueError("branch components exceed twice the half-branch class")
 
     chi_shift = half_branch.dot(half_branch + model.canonical) / 2
@@ -486,7 +546,7 @@ def double_cover(
     lattice = IntersectionLattice(basis, gram)
 
     def pullback(cls: DivisorClass) -> DivisorClass:
-        return DivisorClass(lattice, cls.coeffs)
+        return _divisor(lattice, cls.num, cls.den)
 
     canonical = pullback(model.canonical) + pullback(half_branch)
     new_model = SurfaceModel(
@@ -556,14 +616,14 @@ def attach_resolution(
     classification = classify_minimally_elliptic(config)
     if classification.kind == "minimally-elliptic":
         chi = model.chi - 1
-        discrepancy = dict(zip(config.names, classification.cycle.coeffs))
+        discrepancy = classification.cycle.coeffs
     elif classification.kind == "rational":
         if any(k != 0 for k in config.canonical_degrees()):
             raise ContractionError(
                 "rational configuration is not crepant; only ADE points are supported"
             )
         chi = model.chi
-        discrepancy = {n: 0 for n in config.names}
+        discrepancy = (0,) * len(config.names)
     else:
         raise ContractionError("resolution configuration is neither rational nor minimally elliptic")
 
@@ -576,16 +636,7 @@ def attach_resolution(
         rows.append([frac(0)] * old_rank + list(config_gram[i]))
     lattice = IntersectionLattice(basis, tuple(tuple(row) for row in rows))
 
-    def pullback(cls: DivisorClass) -> DivisorClass:
-        return DivisorClass(lattice, cls.coeffs + tuple([frac(0)] * k))
-
-    def component_class(comp_name: str) -> DivisorClass:
-        i = old_rank + config.names.index(comp_name)
-        return DivisorClass(lattice, tuple(frac(1 if j == i else 0) for j in range(old_rank + k)))
-
-    canonical = pullback(model.canonical)
-    for comp_name, coefficient in discrepancy.items():
-        canonical = canonical - coefficient * component_class(comp_name)
+    canonical = _extend(lattice, model.canonical, [-z for z in discrepancy])
 
     new_model = SurfaceModel(
         name or f"resolution over {model.name}",
@@ -612,15 +663,14 @@ def attach_resolution(
     )
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
-        cls = pullback(curve.cls)
-        for comp_name, mult in sorted(through.get(curve.name, {}).items()):
-            cls = cls - mult * component_class(comp_name)
+        mults = through.get(curve.name, {})
+        cls = _extend(lattice, curve.cls, [-mults.get(n, 0) for n in config.names])
         pa = new_model.adjunction_pa(cls)
         if curve.irreducible:
             _require_genus(curve.name, pa)
         curves.append(TrackedCurve(curve.name, cls, pa, curve.irreducible))
-    for comp in config.components:
-        cls = component_class(comp.name)
+    for i, comp in enumerate(config.components):
+        cls = _unit(lattice, old_rank + i)
         pa = new_model.adjunction_pa(cls)
         if pa != comp.pa:
             raise LatticeError(
@@ -674,10 +724,10 @@ def split_curve(
     lattice = IntersectionLattice(basis, tuple(tuple(r) for r in rows))
 
     def extend(cls: DivisorClass) -> DivisorClass:
-        return DivisorClass(lattice, cls.coeffs + (frac(0),))
+        return _extend(lattice, cls, (0,))
 
-    first_class = DivisorClass(lattice, tuple([frac(0)] * old_rank) + (frac(1),))
-    second_class = extend(original.cls) - first_class
+    first_class = _unit(lattice, old_rank)
+    second_class = _extend(lattice, original.cls, (-1,))
     if second_class.dot(second_class) != e_sq:
         raise LatticeError(
             "split halves have different self-intersections; the declared pairings"
@@ -769,18 +819,20 @@ def contract(
     if not names:
         raise ValueError("nothing to contract")
     config = configuration_of(model, names)
-    if not is_negative_definite(config):
-        raise ContractionError("configuration is not negative definite")
-
     classes = [model.curve_class(n) for n in names]
-    cycle = fundamental_cycle(config)
-    k_degrees = [model.intersect(model.canonical, c) for c in classes]
 
     if len(names) == 1 and config.components[0].self_int == -1 and config.components[0].pa == 0:
         kind, label = "blow-down", "smooth point"
         chi = model.chi
+        cycle: tuple[int, ...] = (1,)
     else:
-        classification = classify_minimally_elliptic(config)
+        # The classification tests definiteness and takes the fundamental cycle once.
+        try:
+            classification = classify_minimally_elliptic(config)
+        except ValueError as err:
+            raise ContractionError(str(err)) from None
+        cycle = classification.cycle.coeffs
+        k_degrees = [model.intersect(model.canonical, c) for c in classes]
         if classification.kind == "rational":
             if any(d != 0 for d in k_degrees):
                 raise ContractionError(
@@ -790,11 +842,9 @@ def contract(
             kind, label = "rational-double-point", entry.label if entry else "rational"
             chi = model.chi
         elif classification.kind == "minimally-elliptic":
-            z_class = model.zero()
-            for coefficient, cls in zip(cycle.coeffs, classes):
-                z_class = z_class + coefficient * cls
-            for cname, cls in zip(names, classes):
-                if model.intersect(model.canonical + z_class, cls) != 0:
+            # (K + Z).E_l = K.E_l + Z.E_l, and Z.E_l is read on the configuration's Gram matrix.
+            for cname, k_degree, z_degree in zip(names, k_degrees, classification.cycle.pairings()):
+                if k_degree + z_degree != 0:
                     raise ContractionError(
                         f"K + Z is not orthogonal to {cname!r}; the contraction is not Gorenstein"
                     )
@@ -805,40 +855,42 @@ def contract(
             raise ContractionError("configuration is neither rational nor minimally elliptic")
 
     # The new lattice is the orthogonal complement of the contracted classes.
-    # Its projection P has exactly their span as kernel, so one reduction of
-    # the classes, with the basis read right to left, gives kernel vectors
-    # v_l, each 1 at its pivot p_l and 0 at the other pivots.  A projected
-    # basis class P e_j depends on those before it iff some kernel vector
-    # ends at j, so the basis classes that are no pivot are kept; and
-    # d - sum_l d[p_l] v_l, read on the kept classes, is the coordinate
-    # vector of P d.
-    n = model.lattice.rank
-    reduced, pivots = row_reduce([c.coeffs[::-1] for c in classes])
+    # Its projection P has exactly their span as kernel, so one fraction-free
+    # reduction of the classes' numerators, with the basis read right to left,
+    # gives integer kernel vectors v_l, each equal to the last pivot at its
+    # pivot column p_l and 0 at the other pivot columns.  A projected basis
+    # class P e_j depends on those before it iff some kernel vector ends at j,
+    # so the basis classes that are no pivot are kept; and
+    # (pivot * x - sum_l x[p_l] v_l) / pivot, read on the kept classes, is the
+    # coordinate vector of P x.
+    n, k = model.lattice.rank, len(classes)
+    reduced, pivots, pivot = integer_reduce([c.num[::-1] for c in classes])
     dropped = [n - 1 - p for p in pivots]
     kernel = [row[::-1] for row in reduced[: len(pivots)]]
     kept = [i for i in range(n) if i not in dropped]
-    gram_inverse = inverse([[a.dot(b) for b in classes] for a in classes])
 
-    def project(d: DivisorClass) -> DivisorClass:
-        rhs = [d.dot(c) for c in classes]
-        out = list(d.coeffs)
-        for row, cls in zip(gram_inverse, classes):
-            x = sum(g * r for g, r in zip(row, rhs))
-            if x:
-                out = [o - x * c for o, c in zip(out, cls.coeffs)]
-        return DivisorClass(model.lattice, tuple(out))
-
-    projected = {i: project(model.basis_class(model.lattice.basis[i])) for i in kept}
-    gram = tuple(tuple(projected[i].dot(projected[j]) for j in kept) for i in kept)
+    # P e_i . P e_j is the Schur complement of the contracted block G_C in the
+    # Gram matrix of (classes, kept basis classes), here on the numerators and
+    # the integral scale * G.  G_C is negative definite, so the fraction-free
+    # elimination of its k columns takes no row exchange, and the rows below
+    # the block then hold the block's determinant times the Schur complement.
+    scale, g = integer_rows(model.lattice.gram)
+    images = [[sum(x * row[j] for x, row in zip(c.num, g) if x) for j in range(n)] for c in classes]
+    block = [[sum(a * b for a, b in zip(image, c.num)) for c in classes] for image in images]
+    bordered = [row + [image[j] for j in kept] for row, image in zip(block, images)] + [
+        [image[i] for image in images] + [g[i][j] for j in kept] for i in kept
+    ]
+    schur, _, minor = integer_reduce(bordered, k)
+    gram = tuple(tuple(Fraction(x, scale * minor) for x in row[k:]) for row in schur[k:])
     lattice = IntersectionLattice(tuple(model.lattice.basis[i] for i in kept), gram)
 
     def express(d: DivisorClass) -> DivisorClass:
-        coeffs = list(d.coeffs)
+        coeffs = [pivot * x for x in d.num]
         for p, v in zip(dropped, kernel):
-            x = coeffs[p]
+            x = d.num[p]
             if x:
                 coeffs = [a - x * b for a, b in zip(coeffs, v)]
-        return DivisorClass(lattice, tuple(coeffs[i] for i in kept))
+        return _divisor(lattice, tuple(coeffs[i] for i in kept), pivot * d.den)
 
     canonical = express(model.canonical)
     new_model = SurfaceModel(
@@ -872,7 +924,7 @@ def contract(
             TrackedCurve(curve.name, cls, new_model.adjunction_pa(cls), curve.irreducible)
         )
     result = new_model._with(tracked=tuple(curves))
-    return Contraction(result, kind, label, tuple(zip(names, cycle.coeffs)))
+    return Contraction(result, kind, label, tuple(zip(names, cycle)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ fraction-free eliminations over the integers, after the denominators are
 cleared by :func:`integer_rows`: :func:`integer_rank` for the rank of sparse
 integer rows (:func:`rank` scales each row and calls it), and the symmetric
 elimination of :func:`negative_semidefinite_nullity` for definite,
-semidefinite and the nullity.  :func:`row_reduce` serves only the callers that
-need a reduced matrix: solving, inversion and nullspaces.  :func:`det` and
+semidefinite and the nullity.  :func:`integer_reduce` is the fraction-free
+Gauss-Jordan elimination of integer rows that the lattice contraction takes
+its kernel vectors and Schur complements from.  :func:`row_reduce` serves only
+the callers that need a reduced matrix over Q: solving and nullspaces.  :func:`det` and
 :func:`rank_by_minors` are independent oracles for the tests.  A bounded
 reader for rationals from input follows.  Floating point never appears;
 every result is exact.  Matrices are plain lists of lists (rows) of
@@ -242,19 +244,6 @@ def solve_in_span(columns: Sequence[Vector], target: Vector) -> Vector:
     return coords
 
 
-def inverse(matrix: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Inverse of a square nonsingular matrix, from one reduction of ``[M | I]``.
-
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(matrix)
-    aug = [list(row) + [frac(1 if i == j else 0) for j in range(n)] for i, row in enumerate(matrix)]
-    reduced, pivots = row_reduce(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular system")
-    return [row[n:] for row in reduced]
-
-
 def integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """``(d, N)`` with ``N = d * matrix`` integral, ``d`` the lcm of the denominators.
 
@@ -262,6 +251,43 @@ def integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[i
     """
     scale = lcm(*(x.denominator for row in matrix for x in row))
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
+
+
+def integer_reduce(
+    rows: Sequence[Sequence[int]], columns: int | None = None
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows: ``(rows, pivots, d)``.
+
+    Pivots are taken left to right among the first ``columns`` columns (all
+    by default), each on the first remaining row that is nonzero there; every
+    row is updated by Bareiss's exact division by the previous pivot.  The
+    pivot rows come first, in pivot order; each is 0 at the other pivot
+    columns and ``d``, the last pivot, at its own, so row / d is the reduced
+    row echelon form.  A row that is no pivot row holds at column j the minor
+    on the pivot rows and itself and the pivot columns and j, which is ``d``
+    times the entry (row, j) of the Schur complement of the pivot block.
+    """
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    previous = 1
+    for c in range(ncols if columns is None else columns):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        pivot_row = m[r]
+        pivot = pivot_row[c]
+        for i, row in enumerate(m):
+            if i != r:
+                factor = row[c]
+                m[i] = [(x * pivot - factor * y) // previous for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        previous = pivot
+        if len(pivots) == len(m):
+            break
+    return m, pivots, previous
 
 
 def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:

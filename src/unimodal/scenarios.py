@@ -24,7 +24,6 @@ from .configurations import (
     bounded_int,
     classify_minimally_elliptic,
     config_from_json,
-    fundamental_cycle,
     is_negative_definite,
     isomorphic,
     match_catalog,
@@ -197,6 +196,15 @@ def _parse_germ(data) -> dict:
         raise ScenarioError(f"germ: {err}") from None
 
 
+def _field(payload: Mapping, key: str, default, types: tuple[type, ...], meaning: str):
+    """``payload[key]``, or the default, when its JSON type is exactly one of
+    ``types`` (so a boolean is no integer and 6.9 no profile); else ScenarioError."""
+    value = payload.get(key, default)
+    if type(value) not in types:
+        raise ScenarioError(f"pipeline payload: {key} must be {meaning}, got {value!r}")
+    return value
+
+
 def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
     if construction == "en":
@@ -211,19 +219,19 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
                 decomposition = (_parse_germ(first), _parse_germ(second))
             branch_germ = (shape, decomposition)
         spec = EnSpec(
-            singularity=str(payload.get("singularity")),
-            profile=int(payload.get("profile", 6)),
-            fiber_variant=payload.get("fiber_variant"),
+            singularity=_field(payload, "singularity", None, (str,), "a string"),
+            profile=_field(payload, "profile", 6, (int,), "the integer 6 or 7"),
+            fiber_variant=_field(payload, "fiber_variant", None, (str, type(None)), "a string or null"),
             config=config,
-            germ_checks=bool(payload.get("germ_checks", True)),
+            germ_checks=_field(payload, "germ_checks", True, (bool,), "true or false"),
             branch_germ=branch_germ,
         )
         return run_en_pipeline(spec)
     if construction == "zw":
         config = config_from_json(payload["config"]) if "config" in payload else None
         spec = ZwSpec(
-            singularity=str(payload.get("singularity")),
-            family_case=payload.get("family_case", 1),
+            singularity=_field(payload, "singularity", None, (str,), "a string"),
+            family_case=_field(payload, "family_case", 1, (int, type(None)), "an integer or null"),
             config=config,
         )
         return run_zw_pipeline(spec)
@@ -240,12 +248,12 @@ def _config_check_values(payload: Mapping) -> dict[str, str]:
     nd = is_negative_definite(config)
     values["negative-definite"] = "true" if nd else "false"
     if nd:
-        cycle = fundamental_cycle(config)
+        classified = classify_minimally_elliptic(config)
+        cycle = classified.cycle
         values["cycle-coefficients"] = ",".join(str(c) for c in cycle.coeffs)
         values["cycle-self-intersection"] = rat_str(cycle.self_int)
         values["cycle-canonical-degree"] = rat_str(cycle.canonical_degree)
         values["cycle-genus"] = rat_str(cycle.pa)
-        classified = classify_minimally_elliptic(config)
         if classified.kind == "minimally-elliptic":
             values["classification"] = f"minimally-elliptic-degree-{classified.degree}"
         else:

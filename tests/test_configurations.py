@@ -123,6 +123,28 @@ def test_catalog_invariants_recomputed():
             assert pa == 0, entry.label
 
 
+def test_catalog_cycle_invariants_agree_with_fraction_formulas():
+    """Z^2, K.Z and p_a(Z) as integer sums equal the sums in Fractions on the
+    Fraction Gram matrix and canonical degrees, for every catalog entry."""
+    for entry in CATALOG:
+        cycle = fundamental_cycle(entry.config)
+        z, gram = cycle.coeffs, entry.config.gram()
+        self_int = sum((Fraction(a) * g * b for a, row in zip(z, gram) for g, b in zip(row, z)), Fraction(0))
+        canonical = sum((a * k for a, k in zip(z, entry.config.canonical_degrees())), Fraction(0))
+        computed = (cycle.self_int, cycle.canonical_degree, cycle.pa)
+        assert all(isinstance(x, Fraction) for x in computed), entry.label
+        assert computed == (self_int, canonical, 1 + (self_int + canonical) / 2), entry.label
+
+
+def test_integer_gram_is_built_once_as_immutable_rows():
+    config = catalog_entry("E14").config
+    gram = config.integer_gram()
+    assert gram is config.integer_gram()
+    assert gram == ((-3, 1, 1), (1, -2, 1), (1, 1, -2))
+    assert all(isinstance(row, tuple) for row in gram)
+    assert [[Fraction(x) for x in row] for row in gram] == config.gram()
+
+
 def test_catalog_exceptional_pairs():
     for label in ("E12", "E13", "E14"):
         entry = catalog_entry(label)

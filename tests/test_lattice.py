@@ -252,6 +252,15 @@ def test_contract_minus_three_curve_rejected():
         contract(s, ["A"])
 
 
+def test_contract_rejects_a_configuration_that_is_not_negative_definite():
+    f0 = make_hirzebruch(0)  # the section Cinf has Cinf^2 = 0
+    with pytest.raises(ContractionError, match="not negative definite"):
+        contract(f0, ["Cinf"])
+    f1 = track(blow_up(make_p2(), exceptional="G"), "L", {"H": 1, "G": -1})
+    with pytest.raises(ContractionError, match="not negative definite"):
+        contract(f1, ["L", "G"])  # L^2 = 0 and G^2 = -1 meet once: indefinite
+
+
 def test_contract_elliptic_configuration():
     # Elliptic-fibration carrier: K = F, F^2 = 0, F.E = 1, E^2 = -1, pa(E) = 1.
     from unimodal.lattice import declare_surface

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,12 +32,15 @@ from unimodal.lattice import (
 from unimodal.pipelines import EnSpec, ZwSpec, en_variants, run_en_pipeline, run_zw_pipeline
 from unimodal.rationals import (
     det,
+    integer_reduce,
+    integer_rows,
     is_negative_definite,
     is_negative_semidefinite,
     negative_semidefinite_nullity,
     nullspace,
     rank,
     rank_by_minors,
+    row_reduce,
     solve,
 )
 
@@ -68,6 +72,62 @@ def lattices_with_classes(draw):
 def test_pairing_symmetry(pair):
     a, b = pair
     assert a.dot(b) == b.dot(a)
+
+
+def _normalised(cls):
+    return cls.den > 0 and gcd(cls.den, *cls.num) == 1 and (any(cls.num) or cls.den == 1)
+
+
+@given(lattices_with_classes(), st.integers(min_value=-6, max_value=6), rationals)
+@settings(max_examples=200, derandomize=True)
+def test_integer_classes_agree_with_fraction_tuples(pair, n, q):
+    """Sums, differences, negatives, multiples, pairings, equality and hashing
+    of the integer classes against plain Fraction-tuple arithmetic."""
+    a, b = pair
+    lattice = a.lattice
+    fa, fb = a.coeffs, b.coeffs
+    assert all(isinstance(x, Fraction) for x in fa)
+    assert fa == tuple(Fraction(x, a.den) for x in a.num)
+    expected = [
+        (a + b, tuple(x + y for x, y in zip(fa, fb))),
+        (a - b, tuple(x - y for x, y in zip(fa, fb))),
+        (b - b, tuple(Fraction(0) for _ in fb)),
+        (-a, tuple(-x for x in fa)),
+        (n * a, tuple(n * x for x in fa)),
+        (q * b, tuple(q * x for x in fb)),
+    ]
+    for cls, coeffs in expected:
+        assert cls.coeffs == coeffs
+        assert _normalised(cls)
+        assert cls == DivisorClass(lattice, coeffs) and hash(cls) == hash(DivisorClass(lattice, coeffs))
+        assert cls.is_zero == all(x == 0 for x in coeffs)
+        assert cls.coeff_map() == {name: x for name, x in zip(lattice.basis, coeffs) if x != 0}
+    assert _normalised(a) and _normalised(b)
+    gram = lattice.gram
+    assert a.dot(b) == sum(
+        (x * gram[i][j] * y for i, x in enumerate(fa) for j, y in enumerate(fb)), Fraction(0)
+    )
+    assert (a == b) == (fa == fb)
+    assert a == DivisorClass(lattice, fa) and hash(a) == hash(DivisorClass(lattice, fa))
+
+
+def test_pairing_of_built_classes_rescales_nothing(monkeypatch):
+    import unimodal.lattice as lattice_module
+
+    model = blow_up(make_hirzebruch(1), exceptional="G")
+    a = model.divisor({"Cinf": "1/2", "Gamma": 3, "G": "-2/3"})
+    b = Fraction(1, 5) * model.canonical
+    expected = a.dot(b)  # the lattice scales its Gram matrix once, here
+    calls = []
+
+    def recording(matrix):
+        calls.append(matrix)
+        return integer_rows(matrix)
+
+    monkeypatch.setattr(lattice_module, "integer_rows", recording)
+    assert [a.dot(b) for _ in range(3)] == [expected] * 3
+    assert b.dot(a) == expected
+    assert calls == []
 
 
 def base_models():
@@ -252,6 +312,38 @@ def test_rank_agrees_with_minor_enumeration(m):
     assert rank(m) == rank_by_minors(m)
 
 
+@given(rational_matrices())
+@settings(max_examples=300, derandomize=True)
+def test_integer_reduction_agrees_with_row_reduction(m):
+    """The pivot rows over the last pivot are the reduced row echelon form;
+    the other rows vanish."""
+    assume(m)
+    _, rows = integer_rows(m)
+    reduced, pivots, d = integer_reduce(rows)
+    echelon, expected_pivots = row_reduce(m)
+    assert pivots == expected_pivots
+    assert [[Fraction(x, d) for x in row] for row in reduced[: len(pivots)]] == echelon[: len(pivots)]
+    assert all(x == 0 for row in reduced[len(pivots) :] for x in row)
+
+
+@given(symmetric_matrices(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=300, derandomize=True)
+def test_integer_reduction_of_a_definite_block_gives_its_schur_complement(m, k):
+    """Eliminating the first k columns of a matrix whose leading k x k block
+    is negative definite leaves det(block) times the Schur complement below."""
+    k = min(k, len(m))
+    block = [row[:k] for row in m[:k]]
+    assume(is_negative_definite(block))
+    scale, rows = integer_rows(m)
+    reduced, pivots, d = integer_reduce(rows, k)
+    assert pivots == list(range(k))
+    for j in range(k, len(m)):
+        x = solve(block, [m[l][j] for l in range(k)])
+        for i in range(k, len(m)):
+            schur = m[i][j] - sum(m[i][l] * x[l] for l in range(k))
+            assert Fraction(reduced[i][j], d * scale) == schur
+
+
 def test_definiteness_on_long_chains_and_cycles():
     # A_40 is negative definite; the 40-cycle (an I_40 fibre) is semidefinite, not definite
     n = 40
@@ -310,6 +402,23 @@ def negative_definite_configurations(draw):
 @settings(max_examples=500, derandomize=True)
 def test_classification_agrees_with_subset_enumeration(config):
     assert classify_minimally_elliptic(config).kind == _classify_by_subsets(config)
+
+
+def _cycle_invariants_by_fractions(cycle):
+    """Z^2, K.Z and p_a(Z) summed in Fractions on the Fraction Gram matrix."""
+    z, gram = cycle.coeffs, cycle.config.gram()
+    self_int = sum((Fraction(a) * g * b for a, row in zip(z, gram) for g, b in zip(row, z)), Fraction(0))
+    canonical = sum((a * k for a, k in zip(z, cycle.config.canonical_degrees())), Fraction(0))
+    return self_int, canonical, 1 + (self_int + canonical) / 2
+
+
+@given(negative_definite_configurations())
+@settings(max_examples=200, derandomize=True)
+def test_cycle_invariants_agree_with_fraction_formulas(config):
+    cycle = fundamental_cycle(config)
+    computed = (cycle.self_int, cycle.canonical_degree, cycle.pa)
+    assert all(isinstance(x, Fraction) for x in computed)
+    assert computed == _cycle_invariants_by_fractions(cycle)
 
 
 def test_classification_of_the_catalog_agrees_with_subset_enumeration():

@@ -368,6 +368,50 @@ def test_scenario_semantic_payload_error_is_exit_2(tmp_path):
     assert main(["verify", str(path)]) == 2
 
 
+_EN = {"construction": "en", "singularity": "E12", "germ_checks": False}
+_ZW = {"construction": "zw", "singularity": "Z11"}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(_EN, profile=6.9),
+        dict(_EN, profile=True),
+        dict(_EN, profile="6"),
+        dict(_EN, germ_checks="false"),
+        dict(_EN, germ_checks=0),
+        dict(_EN, singularity=["E12"]),
+        {key: value for key, value in _EN.items() if key != "singularity"},
+        dict(_EN, singularity="E13", fiber_variant=2),
+        dict(_ZW, family_case=True),
+        dict(_ZW, family_case=1.0),
+        dict(_ZW, family_case="1"),
+        dict(_ZW, singularity=11),
+    ],
+    ids=[
+        "profile-float", "profile-bool", "profile-string", "germ-checks-string", "germ-checks-int",
+        "singularity-list", "singularity-missing", "fiber-variant-int", "family-case-bool",
+        "family-case-float", "family-case-string", "singularity-int",
+    ],
+)
+def test_pipeline_payload_scalars_of_the_wrong_json_type_are_exit_2(tmp_path, capsys, payload):
+    path = tmp_path / "typed.scn"
+    path.write_text(scn("pipeline", payload, {}))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [dict(_EN, profile=7), dict(_EN, singularity="E13", fiber_variant="I2"), dict(_ZW, family_case=None)],
+    ids=["profile-7", "fiber-variant", "family-case-null"],
+)
+def test_pipeline_payload_scalars_of_the_right_json_type_run(tmp_path, payload):
+    path = tmp_path / "typed.scn"
+    path.write_text(scn("pipeline", payload, {}))
+    assert main(["verify", str(path)]) == 0
+
+
 def test_report_render_text_mentions_flags():
     report = report_for(load_scenario(CORPUS / "e13-i2.scn"))
     from unimodal.scenarios import render_text
