@@ -262,26 +262,6 @@ def _laufer_cycle(config: CurveConfiguration) -> FundamentalCycle:
     raise ValueError(f"the fundamental cycle needs more than {MAX_LAUFER_ITERATIONS} Laufer steps")
 
 
-def fundamental_cycle_brute_force(
-    config: CurveConfiguration, bound: int = 6
-) -> FundamentalCycle | None:
-    """Coordinatewise minimum of all anti-nef cycles in the box [1, bound]^n.
-
-    Independent oracle for :func:`fundamental_cycle`; returns None when no
-    anti-nef cycle exists in the box.
-    """
-    g = config.integer_gram()
-    n = len(config.components)
-    anti_nef: list[tuple[int, ...]] = []
-    for z in itertools.product(range(1, bound + 1), repeat=n):
-        if all(p <= 0 for p in _pairings(g, z)):
-            anti_nef.append(z)
-    if not anti_nef:
-        return None
-    minimum = tuple(min(z[i] for z in anti_nef) for i in range(n))
-    return FundamentalCycle(config, minimum)
-
-
 @dataclass(frozen=True)
 class EllipticClassification:
     kind: str  # "minimally-elliptic" | "rational" | "not-elliptic"

@@ -30,11 +30,11 @@ from .rationals import (
     integer_rank,
     integer_rows,
     irreducible_factors,
+    modular_rank,
     nullspace,
     poly_gcd,
     poly_value,
     rank,
-    rank_by_minors,
     rat_str,
     solve_in_span,
     squarefree_decomposition,
@@ -608,7 +608,7 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
     """Total Tjurina number of the plane curve F = 0, or None if not certified.
 
     Let h(k) = dim S_k - rank J_k for the Jacobian ideal J = (F_x, F_y, F_z),
-    with exact integer ranks.  J is generated in degree d - 1, so for
+    with ranks over Q.  J is generated in degree d - 1, so for
     k >= d - 1 an equal pair h(k) = h(k+1) <= k is the largest growth
     Macaulay's bound allows (h(k+1) <= h(k)^<k> = h(k) once h(k) <= k), and
     Gotzmann's persistence theorem (Math. Z. 158, 1978; Bruns-Herzog,
@@ -624,8 +624,13 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
     zero-dimensional scheme of length l imposes independent conditions in
     degree l - 1).  So h(t) >= at_least there, and h(k) = at_least <= k
     already forces h(k+1) = h(k): one rank certifies the equal pair.  With
-    the default 0 this is h(k) = 0, a smooth curve.  Any h(k) < at_least at
-    k >= at_least - 1 contradicts the bound and raises ValueError.
+    the default 0 this is h(k) = 0, a smooth curve.  Any exact h(k) <
+    at_least at k >= at_least - 1 contradicts the bound and raises ValueError.
+
+    That one rank is first taken mod the prime p of `rationals.modular_rank`.
+    A nonzero minor mod p is a nonzero integer minor, so rank_p <= rank_Q and
+    h_p(k) >= h(k) >= at_least; h_p(k) = at_least <= k is then exact.
+    Otherwise the exact ranks run as above, from the same rows.
 
     The search starts at 3(d-2) + 1, one past the socle degree of the Milnor
     algebra of a smooth curve, and takes no rank in a degree above
@@ -646,18 +651,25 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
 
     start = max(3 * (d - 2) + 1, d - 1)
     cap = max((d - 1) ** 2 + 3 * (d - 2), start + 1)
-    dim = checked(_jacobian_quotient_dim(generators, d - 1, start), start)
+    ncols, rows = _jacobian_rows(generators, d - 1, start)
+    if at_least <= start and ncols - modular_rank(rows) == at_least:
+        return at_least  # h_p(start) >= h(start) >= at_least, so h(start) = at_least
+    dim = checked(ncols - integer_rank(rows), start)
     for k in range(start, cap):
         if dim == at_least <= k:
             return dim
-        previous, dim = dim, checked(_jacobian_quotient_dim(generators, d - 1, k + 1), k + 1)
+        ncols, rows = _jacobian_rows(generators, d - 1, k + 1)
+        previous, dim = dim, checked(ncols - integer_rank(rows), k + 1)
         if dim == previous <= k:  # h(t) = dim for every t >= k, so also at at_least - 1
             return checked(dim, max(k, at_least - 1))
     return None
 
 
-def _jacobian_quotient_dim(generators: list[dict[Exponent, int]], degree: int, k: int) -> int:
-    """h(k) = dim S_k - rank J_k for generators of one degree.
+def _jacobian_rows(
+    generators: list[dict[Exponent, int]], degree: int, k: int
+) -> tuple[int, list[dict[int, int]]]:
+    """dim S_k and the sparse integer rows spanning J_k, for generators of one
+    degree: h(k) is the first minus the rank of the second.
 
     The columns follow the reversed monomial basis, z-heavy monomials first,
     so the pivots fall there first, while the rows come in the basis order,
@@ -670,7 +682,7 @@ def _jacobian_quotient_dim(generators: list[dict[Exponent, int]], degree: int, k
     for a, b, c in monomial_basis(k - degree):
         for generator in generators:
             rows.append({index[(a + i, b + j, c + l)]: coeff for (i, j, l), coeff in generator.items()})
-    return len(columns) - integer_rank(rows)
+    return len(columns), rows
 
 
 # ---------------------------------------------------------------------------
@@ -1103,14 +1115,6 @@ def stabilizer_dim(
     each line the dual pair; the answer is 8 minus the rank.
     """
     return 8 - rank(_stabilizer_rows(points, lines))
-
-
-def stabilizer_dim_by_minors(
-    points: tuple[MarkedPoint, ...] = (),
-    lines: tuple[HomogeneousForm, ...] = (),
-) -> int:
-    """Brute-force oracle for :func:`stabilizer_dim` via minor enumeration."""
-    return 8 - rank_by_minors(_stabilizer_rows(points, lines))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Every rank, nullity and definiteness question goes to one of two
-fraction-free eliminations over the integers, after the denominators are
-cleared by :func:`integer_rows`: :func:`integer_rank` for the rank of sparse
-integer rows (:func:`rank` scales each row and calls it), and the symmetric
-elimination of :func:`negative_semidefinite_nullity` for definite,
-semidefinite and the nullity.  :func:`integer_reduce` is the fraction-free
+Every exact rank goes to :func:`integer_rank`, a fraction-free elimination
+of sparse integer rows after the denominators are cleared by
+:func:`integer_rows` (:func:`rank` scales each row and calls it); definite,
+semidefinite and the nullity go to the symmetric fraction-free elimination of
+:func:`negative_semidefinite_nullity`.  :func:`modular_rank` is the same
+sparse elimination over Z/p for one small prime p; its rank is only a lower
+bound for the rank over Q, so a caller uses it where a matching upper bound
+makes the value exact.  :func:`integer_reduce` is the fraction-free
 Gauss-Jordan elimination of integer rows that the lattice contraction takes
 its kernel vectors and Schur complements from.  :func:`row_reduce` serves only
-the callers that need a reduced matrix over Q: solving and nullspaces.  :func:`det` and
-:func:`rank_by_minors` are independent oracles for the tests.  A bounded
-reader for rationals from input follows.  Floating point never appears;
-every result is exact.  Matrices are plain lists of lists (rows) of
-``Fraction``.
+the callers that need a reduced matrix over Q: solving and nullspaces.
+:func:`det` is an independent oracle for the tests.  A bounded reader for
+rationals from input follows.  Floating point never appears; every result is
+exact.  Matrices are plain lists of lists (rows) of ``Fraction``.
 
 The last section holds the integer-polynomial kernels of the plane-curve
 layer: gcds (a modular test, then the primitive PRS), Yun's squarefree
@@ -146,22 +147,40 @@ def integer_rank(rows: Iterable[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def rank_by_minors(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank as the largest size of a nonvanishing minor.
+# The prime of :func:`modular_rank`, the largest below 2^16: a product of two
+# residues stays below 2^32, in CPython's fast path for small ints.
+MODULAR_PRIME = 65521
 
-    Exponential; intended as an independent oracle on small matrices.
+
+def modular_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Z/p, p = :data:`MODULAR_PRIME`, of sparse integer rows
+    (column -> entry).
+
+    The elimination of :func:`integer_rank` over the field: a row is reduced
+    against the pivot row of its first column, and a new pivot row is scaled
+    to a pivot of 1.  A minor that is nonzero mod p is a nonzero integer
+    minor, so the result is at most the rank over Q; it is exact only where
+    the caller has a matching upper bound.
     """
-    m = _copy(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    for size in range(min(nrows, ncols), 0, -1):
-        for rsel in combinations(range(nrows), size):
-            for csel in combinations(range(ncols), size):
-                sub = [[m[i][j] for j in csel] for i in rsel]
-                if det(sub) != 0:
-                    return size
-    return 0
+    p = MODULAR_PRIME
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {k: v % p for k, v in row.items() if v % p}
+        while row:
+            col = min(row)
+            pivot_row = pivots.get(col)
+            if pivot_row is None:
+                inverse = pow(row[col], -1, p)
+                pivots[col] = {k: v * inverse % p for k, v in row.items()}
+                break
+            factor = row[col]
+            for k, v in pivot_row.items():
+                new = (row.get(k, 0) - factor * v) % p
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+    return len(pivots)
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[Vector]:
@@ -293,11 +312,6 @@ def integer_reduce(
 def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
     """Whether the symmetric matrix M has x.M.x < 0 for every x != 0."""
     return negative_semidefinite_nullity(matrix) == 0
-
-
-def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Whether the symmetric matrix M has x.M.x <= 0 for every x."""
-    return negative_semidefinite_nullity(matrix) is not None
 
 
 def negative_semidefinite_nullity(matrix: Sequence[Sequence[Fraction]]) -> int | None:

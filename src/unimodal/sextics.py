@@ -334,8 +334,11 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     length tau = mu = n, and the Hilbert function h of S/J is at least n in
     every degree k >= n - 1.  Once h(k) = n <= k, Macaulay's bound gives
     h(k+1) <= h(k), hence h(k+1) = h(k), and Gotzmann's persistence theorem
-    (Math. Z. 158, 1978) certifies the total n from that single rank; on
-    every representative this happens at the first degree 3(d-2) + 1.
+    (Math. Z. 158, 1978) certifies the total n from that single rank.  The
+    rank is taken mod a small prime, and a rank mod p is at most the rank
+    over Q, so n <= h(k) <= h_p(k): h_p(k) = n is exact.  On every
+    representative this one modular rank certifies at the first degree
+    3(d-2) + 1.
     """
     seen: set[tuple] = set()
     mark: AnVerdict | None = None

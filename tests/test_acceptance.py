@@ -14,7 +14,6 @@ from unimodal.cli import main
 from unimodal.configurations import (
     catalog_entry,
     fundamental_cycle,
-    fundamental_cycle_brute_force,
     is_negative_definite,
 )
 from unimodal.lattice import make_hirzebruch, make_p2
@@ -33,11 +32,12 @@ from unimodal.planecurves import (
     germ,
     linear_form,
     stabilizer_dim,
-    stabilizer_dim_by_minors,
     MarkedPoint,
 )
 from unimodal.scenarios import emit_report, run_corpus
 from unimodal.sextics import family
+
+from oracles import fundamental_cycle_brute_force, stabilizer_dim_by_minors
 
 
 @contextmanager

@@ -21,12 +21,13 @@ from unimodal.configurations import (
     euler_budget,
     fiber_euler_number,
     fundamental_cycle,
-    fundamental_cycle_brute_force,
     is_negative_definite,
     isomorphic,
     match_catalog,
     recognize_kodaira_fiber,
 )
+
+from oracles import fundamental_cycle_brute_force
 
 
 def cfg(comps, contacts=(), concurrent=()):

@@ -31,9 +31,11 @@ from unimodal.planecurves import (
     rational_singular_points,
     restrict_to_line,
     stabilizer_dim,
-    stabilizer_dim_by_minors,
     tjurina_number,
 )
+from unimodal.rationals import MODULAR_PRIME, integer_rank
+
+from oracles import stabilizer_dim_by_minors
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -658,18 +660,33 @@ def test_tjurina_bound_above_the_truth_raises(at_least):
 def test_tjurina_bound_below_the_truth_takes_the_equal_pair(monkeypatch):
     import unimodal.planecurves as planecurves
 
-    original = planecurves._jacobian_quotient_dim
+    original = planecurves._jacobian_rows
     degrees = []
 
     def recording(generators, degree, k):
         degrees.append(k)
         return original(generators, degree, k)
 
-    monkeypatch.setattr(planecurves, "_jacobian_quotient_dim", recording)
+    monkeypatch.setattr(planecurves, "_jacobian_rows", recording)
     d4 = linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(1, -1, 0)
     assert tjurina_number(d4, at_least=4) == 4 and degrees == [4]
     degrees.clear()
     assert tjurina_number(d4, at_least=1) == 4 and degrees == [4, 5]  # a nonzero excess
+
+
+def test_tjurina_falls_back_to_exact_ranks_when_the_prime_drops_one(monkeypatch):
+    import unimodal.planecurves as planecurves
+
+    exact = []
+
+    def recording(rows):
+        exact.append(rows)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(planecurves, "integer_rank", recording)
+    # F_z = 6p z^5 vanishes mod p, so h_p is positive in every degree
+    curve = monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6, MODULAR_PRIME)
+    assert tjurina_number(curve) == 0 and len(exact) == 1
 
 
 def test_tjurina_number_sees_irrational_nodes():

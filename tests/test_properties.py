@@ -30,19 +30,23 @@ from unimodal.lattice import (
     track,
 )
 from unimodal.pipelines import EnSpec, ZwSpec, en_variants, run_en_pipeline, run_zw_pipeline
+from unimodal.planecurves import HomogeneousForm, monomial_basis, tjurina_number
 from unimodal.rationals import (
     det,
+    MODULAR_PRIME,
+    integer_rank,
     integer_reduce,
     integer_rows,
     is_negative_definite,
-    is_negative_semidefinite,
+    modular_rank,
     negative_semidefinite_nullity,
     nullspace,
     rank,
-    rank_by_minors,
     row_reduce,
     solve,
 )
+
+from oracles import is_negative_semidefinite, rank_by_minors, tjurina_number_exact
 
 rationals = st.builds(
     Fraction,
@@ -353,6 +357,63 @@ def test_definiteness_on_long_chains_and_cycles():
     assert not is_negative_definite(cycle) and is_negative_semidefinite(cycle)
     cycle[0][0] += 1
     assert not is_negative_semidefinite(cycle)
+
+
+# ---------------------------------------------------------------------------
+# Ranks mod the small prime, and the Tjurina numbers they shortcut
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """Sparse integer rows over up to 8 columns, with small entries, entries
+    that are multiples of the modular prime, and rows that agree with an
+    earlier row mod the prime, so that the rank mod p can fall short."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    p = MODULAR_PRIME
+    entries = st.one_of(st.integers(-5, 5), st.integers(-3, 3).map(lambda a: a * p))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        if rows and draw(st.booleans()):
+            base = draw(st.sampled_from(rows))
+            row = {k: v + p * draw(st.integers(-2, 2)) for k, v in base.items()}
+            col = draw(st.integers(0, ncols - 1))
+            row[col] = row.get(col, 0) + p
+        else:
+            row = {k: draw(entries) for k in draw(st.sets(st.integers(0, ncols - 1)))}
+        rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+@given(sparse_integer_rows())
+@settings(max_examples=400, derandomize=True)
+def test_modular_rank_is_at_most_the_integer_rank(rows):
+    assert modular_rank(rows) <= integer_rank(rows)
+    assert modular_rank([{k: MODULAR_PRIME * v for k, v in row.items()} for row in rows]) == 0
+
+
+@st.composite
+def plane_curves(draw):
+    """Cubics and quartics with small coefficients: random sparse forms, and
+    products with a line, which are singular where the factors meet."""
+    degree = draw(st.sampled_from([3, 4]))
+
+    def form(d):
+        support = draw(st.sets(st.sampled_from(monomial_basis(d)), min_size=1))
+        return HomogeneousForm.from_dict(d, {m: draw(st.integers(-3, 3)) for m in support})
+
+    curve = form(degree) if draw(st.booleans()) else form(1) * form(degree - 1)
+    assume(not curve.is_zero)
+    return curve
+
+
+@given(plane_curves())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_tjurina_number_agrees_with_exact_ranks_alone(curve):
+    tau = tjurina_number_exact(curve)
+    assert tjurina_number(curve) == tau
+    if tau is not None:
+        assert tjurina_number(curve, at_least=tau) == tjurina_number_exact(curve, at_least=tau) == tau
 
 
 # ---------------------------------------------------------------------------

@@ -80,20 +80,37 @@ def test_representatives_have_no_singular_point_beyond_the_mark():
 def test_representatives_certify_with_one_rank(monkeypatch):
     import unimodal.planecurves as planecurves
 
-    original = planecurves._jacobian_quotient_dim
-    widths = []
+    original_rows = planecurves._jacobian_rows
+    original_modular = planecurves.modular_rank
+    original_exact = planecurves.integer_rank
+    widths, jacobian, modular, exact = [], [], [], []
 
-    def recording(generators, degree, k):
-        widths.append(len(monomial_basis(k)))
-        return original(generators, degree, k)
+    def recording_rows(generators, degree, k):
+        ncols, rows = original_rows(generators, degree, k)
+        widths.append(ncols)
+        jacobian.append(rows)
+        return ncols, rows
 
-    monkeypatch.setattr(planecurves, "_jacobian_quotient_dim", recording)
+    def recording_modular(rows):
+        modular.append(rows)
+        return original_modular(rows)
+
+    def recording_exact(rows):
+        if any(rows is built for built in jacobian):  # not the ranks of local algebras
+            exact.append(rows)
+        return original_exact(rows)
+
+    monkeypatch.setattr(planecurves, "_jacobian_rows", recording_rows)
+    monkeypatch.setattr(planecurves, "modular_rank", recording_modular)
+    monkeypatch.setattr(planecurves, "integer_rank", recording_exact)
     first = len(monomial_basis(3 * (6 - 2) + 1))  # columns in degree k = 3(d - 2) + 1
     for fam in FAMILIES:
-        widths.clear()
+        for log in (widths, jacobian, modular, exact):
+            log.clear()
         verify_family(fam)
-        # the mark's Tjurina number as a lower bound: h(k) = tau(mark) <= k at the first k
+        # the mark's Tjurina number as a lower bound: h_p(k) = tau(mark) <= k at the first k
         assert widths == [first] * len(fam.lambda_samples()), fam.family_id
+        assert len(modular) == len(fam.lambda_samples()) and exact == [], fam.family_id
         for lam in fam.lambda_samples():
             widths.clear()
             tjurina_number(fam.representative(lam))
