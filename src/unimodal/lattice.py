@@ -8,21 +8,28 @@ structural moves are blow-up, double cover and contraction, plus the inverse
 of contraction (attaching the known resolution graph of a singular point) and
 the splitting of a tracked curve whose preimage decomposes on a double cover.
 
-A divisor class is an integer vector over one positive denominator: sums,
-multiples and pairings run on integers against the Gram matrix cached as
-integer rows, and a pairing builds one Fraction at the end.
+A lattice holds its Gram matrix once, as integer rows over one positive
+denominator.  Rational data is scaled to integers once, where it enters:
+the lattice constructor, divisor classes and the pairings declared when a
+curve splits.  Every move derives its result's rows from its input's: a
+blow-up borders them with -1, a double cover doubles them, an attached
+resolution borders them with the configuration's integer Gram matrix, and a
+contraction takes their Schur complement.  A divisor class is an integer
+vector over one positive denominator: sums, multiples and pairings run on
+integers, and a pairing builds one Fraction at the end.
 
-Models are immutable; every operation returns a fresh model carrying a replay
-log, so a construction can be reproduced bit for bit from its provenance.
+Models are immutable; every operation returns a fresh model whose provenance
+lists the operations with their call arguments as immutable values, so
+``replay`` re-runs the calls and reproduces the construction bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .configurations import (
@@ -43,25 +50,38 @@ class ContractionError(ValueError):
     """Configuration that cannot be contracted to a Gorenstein model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntersectionLattice:
-    basis: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    """An ordered named basis with the Gram matrix ``rows / den``.
 
-    def __post_init__(self) -> None:
-        n = len(self.basis)
-        if len(set(self.basis)) != n:
-            raise LatticeError("duplicate basis names")
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+    Kept normalised as a divisor class is: ``den > 0`` and
+    ``gcd(den, *entries) == 1``, so equal lattices have equal fields and
+    equal hashes.  The constructor takes a rational Gram matrix from outside,
+    checks its shape and symmetry, and scales it to integers once; the moves
+    build their lattices from integer rows (``_lattice``).  ``gram`` is the
+    Fraction view.
+    """
+
+    basis: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    def __init__(self, basis: Sequence[str], gram: Sequence[Sequence[int | Fraction]]) -> None:
+        n = len(basis)
+        if len(gram) != n or any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix shape does not match the basis")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError("Gram matrix is not symmetric")
+        den, rows = integer_rows(gram)
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise LatticeError("Gram matrix is not symmetric")
+        _set_lattice(self, tuple(basis), tuple(map(tuple, rows)), den)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
     def index(self, name: str) -> int:
         try:
@@ -69,11 +89,38 @@ class IntersectionLattice:
         except ValueError:
             raise LatticeError(f"no basis class named {name!r}") from None
 
-    @cached_property
-    def _integer_gram(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """The Gram matrix as sparse integer rows of ``(column, entry)`` over one denominator."""
-        denominator, rows = integer_rows(self.gram)
-        return denominator, tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+def _set_lattice(
+    lattice: IntersectionLattice, basis: tuple[str, ...], rows: tuple[tuple[int, ...], ...], den: int
+) -> None:
+    """Give ``lattice`` the Gram matrix rows / den (den != 0), normalised by one gcd."""
+    if len(set(basis)) != len(basis):
+        raise LatticeError("duplicate basis names")
+    common = gcd(den, *chain.from_iterable(rows))
+    if den < 0:
+        common = -common
+    if common != 1:
+        rows, den = tuple(tuple(x // common for x in row) for row in rows), den // common
+    object.__setattr__(lattice, "basis", basis)
+    object.__setattr__(lattice, "rows", rows)
+    object.__setattr__(lattice, "den", den)
+
+
+def _lattice(basis: tuple[str, ...], rows: tuple[tuple[int, ...], ...], den: int) -> IntersectionLattice:
+    """The lattice with Gram matrix rows / den, built without a Fraction."""
+    lattice = object.__new__(IntersectionLattice)
+    _set_lattice(lattice, basis, rows, den)
+    return lattice
+
+
+def _direct_sum(
+    lattice: IntersectionLattice, names: tuple[str, ...], block: Sequence[Sequence[int]]
+) -> IntersectionLattice:
+    """``lattice`` plus the classes ``names``, orthogonal to it, with the integer Gram ``block``."""
+    pad, zeros = (0,) * len(names), (0,) * lattice.rank
+    rows = tuple(row + pad for row in lattice.rows)
+    rows += tuple(zeros + tuple(lattice.den * x for x in row) for row in block)
+    return _lattice(lattice.basis + names, rows, lattice.den)
 
 
 class DivisorClass:
@@ -146,13 +193,12 @@ class DivisorClass:
     def dot(self, other: "DivisorClass") -> Fraction:
         """a.G.b, summed over the integers; one Fraction is built at the end."""
         self._same_lattice(other)
-        denominator, rows = self.lattice._integer_gram
         b = other.num
         total = 0
-        for x, row in zip(self.num, rows):
+        for x, row in zip(self.num, self.lattice.rows):
             if x:
-                total += x * sum(g * b[j] for j, g in row)
-        return Fraction(total, denominator * self.den * other.den)
+                total += x * sum(map(mul, row, b))
+        return Fraction(total, self.lattice.den * self.den * other.den)
 
     @property
     def is_zero(self) -> bool:
@@ -209,16 +255,30 @@ class TrackedCurve:
 
 @dataclass(frozen=True)
 class ProvenanceStep:
+    """One operation and its call arguments after the model, positionally.
+
+    The arguments are kept as immutable values (names, numbers, divisor
+    classes, configurations, tuples), so a caller that mutates what it passed
+    does not change the log.  A mapping is kept as its (key, value) pairs in
+    order: each operation first copies its mapping arguments with ``dict``,
+    which takes the pairs as well, so ``replay`` passes the arguments back as
+    they are.
+    """
+
     op: str
-    args: str  # canonical JSON
+    args: tuple
 
 
-def _canonical(args: dict) -> str:
-    return json.dumps(args, sort_keys=True, separators=(",", ":"))
+def _frozen(value):
+    if isinstance(value, dict):
+        return tuple((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    return value
 
 
-def _class_json(cls: DivisorClass) -> dict[str, str]:
-    return {name: rat_str(v) for name, v in sorted(cls.coeff_map().items())}
+def _step(op: str, *args) -> ProvenanceStep:
+    return ProvenanceStep(op, _frozen(args))
 
 
 @dataclass(frozen=True)
@@ -305,7 +365,7 @@ def make_p2() -> SurfaceModel:
     """The projective plane: basis {H}, H^2 = 1, K = -3H, chi = 1."""
     lattice = IntersectionLattice(("H",), ((frac(1),),))
     canonical = DivisorClass(lattice, (frac(-3),))
-    step = ProvenanceStep("p2", _canonical({}))
+    step = _step("p2")
     return SurfaceModel("P2", lattice, canonical, 1, (), (step,))
 
 
@@ -319,59 +379,42 @@ def make_hirzebruch(n: int) -> SurfaceModel:
     )
     canonical = DivisorClass(lattice, (frac(-2), frac(-n - 2)))
     section = TrackedCurve("Cinf", DivisorClass(lattice, (frac(1), frac(0))), frac(0))
-    step = ProvenanceStep("hirzebruch", _canonical({"n": n}))
+    step = _step("hirzebruch", n)
     return SurfaceModel(f"F{n}", lattice, canonical, 1, (section,), (step,))
 
 
 def declare_surface(
     name: str,
     basis: Sequence[str],
-    gram: Mapping[str, Mapping[str, int | str | Fraction]] | Sequence[Sequence[int | str | Fraction]],
+    gram: Mapping[str, Mapping[str, int | str | Fraction]],
     canonical: Mapping[str, int | str | Fraction],
     chi: int,
     tracked: Sequence[tuple[str, Mapping[str, int | str | Fraction]]] = (),
 ) -> SurfaceModel:
     """Assemble a surface model from explicit data (replayable creation step).
 
-    ``gram`` may be a full row list or a sparse symmetric mapping; omitted
-    entries are zero.  Tracked curves get their genus from adjunction.
+    ``gram`` is a sparse symmetric mapping; omitted entries are zero.
+    Tracked curves get their genus from adjunction.
     """
     basis = tuple(basis)
+    gram = {a: dict(row) for a, row in dict(gram).items()}
+    canonical = dict(canonical)
+    tracked = [(cname, dict(coeffs)) for cname, coeffs in tracked]
+    step = _step("declare", name, basis, gram, canonical, chi, tracked)
     n = len(basis)
     rows = [[frac(0)] * n for _ in range(n)]
-    if isinstance(gram, Mapping):
-        for a, row in gram.items():
-            for b, value in row.items():
-                i, j = basis.index(a), basis.index(b)
-                rows[i][j] = frac(value)
-                rows[j][i] = frac(value)
-    else:
-        rows = [[frac(x) for x in row] for row in gram]
-    lattice = IntersectionLattice(basis, tuple(tuple(row) for row in rows))
+    for a, row in gram.items():
+        for b, value in row.items():
+            i, j = basis.index(a), basis.index(b)
+            rows[i][j] = rows[j][i] = frac(value)
+    lattice = IntersectionLattice(basis, rows)
     model = SurfaceModel(
         name,
         lattice,
         DivisorClass(lattice, tuple(frac(canonical.get(b, 0)) for b in basis)),
         chi,
         (),
-        (
-            ProvenanceStep(
-                "declare",
-                _canonical(
-                    {
-                        "name": name,
-                        "basis": list(basis),
-                        "gram": [[rat_str(x) for x in row] for row in rows],
-                        "canonical": {b: rat_str(frac(v)) for b, v in sorted(canonical.items())},
-                        "chi": chi,
-                        "tracked": [
-                            [cname, {k: rat_str(frac(v)) for k, v in sorted(coeffs.items())}]
-                            for cname, coeffs in tracked
-                        ],
-                    }
-                ),
-            ),
-        ),
+        (step,),
     )
     for cname, coeffs in tracked:
         model = _track_quiet(model, cname, model.divisor(coeffs))
@@ -402,21 +445,13 @@ def track(
     """Give a name to a class and start tracking it as a curve."""
     if model.has_curve(name):
         raise LatticeError(f"curve name {name!r} already tracked")
+    coeffs = dict(coeffs)
     cls = model.divisor(coeffs)
     pa = model.adjunction_pa(cls)
     if irreducible:
         _require_genus(name, pa)
     curve = TrackedCurve(name, cls, pa, irreducible)
-    step = ProvenanceStep(
-        "track",
-        _canonical(
-            {
-                "name": name,
-                "coeffs": {k: rat_str(frac(v)) for k, v in sorted(coeffs.items())},
-                "irreducible": irreducible,
-            }
-        ),
-    )
+    step = _step("track", name, coeffs, irreducible)
     return model._with(tracked=model.tracked + (curve,), provenance=model.provenance + (step,))
 
 
@@ -424,7 +459,7 @@ def rename_curve(model: SurfaceModel, old: str, new: str) -> SurfaceModel:
     curve = model.curve(old)
     if model.has_curve(new):
         raise LatticeError(f"curve name {new!r} already tracked")
-    step = ProvenanceStep("rename_curve", _canonical({"old": old, "new": new}))
+    step = _step("rename_curve", old, new)
     tracked = tuple(
         TrackedCurve(new, c.cls, c.pa, c.irreducible) if c.name == old else c
         for c in model.tracked
@@ -436,7 +471,7 @@ def untrack(model: SurfaceModel, names: Iterable[str]) -> SurfaceModel:
     names = list(names)
     for name in names:
         model.curve(name)
-    step = ProvenanceStep("untrack", _canonical({"names": sorted(names)}))
+    step = _step("untrack", names)
     return model._with(
         tracked=tuple(c for c in model.tracked if c.name not in names),
         provenance=model.provenance + (step,),
@@ -468,11 +503,7 @@ def blow_up(
         if not isinstance(mult, int) or mult < 0:
             raise ValueError(f"multiplicity at the centre must be a nonnegative integer, got {mult!r}")
     old_rank = model.lattice.rank
-    basis = model.lattice.basis + (exceptional,)
-    gram = tuple(
-        tuple(list(row) + [frac(0)]) for row in model.lattice.gram
-    ) + (tuple([frac(0)] * old_rank + [frac(-1)]),)
-    lattice = IntersectionLattice(basis, gram)
+    lattice = _direct_sum(model.lattice, (exceptional,), ((-1,),))
     g_class = _unit(lattice, old_rank)
     canonical = _extend(lattice, model.canonical, (1,))
     new_model = SurfaceModel(
@@ -481,19 +512,7 @@ def blow_up(
         canonical,
         model.chi,
         (),
-        model.provenance
-        + (
-            ProvenanceStep(
-                "blow_up",
-                _canonical(
-                    {
-                        "center": {k: center[k] for k in sorted(center)},
-                        "exceptional": exceptional,
-                        "name": name,
-                    }
-                ),
-            ),
-        ),
+        model.provenance + (_step("blow_up", center, exceptional, name),),
     )
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
@@ -541,9 +560,11 @@ def double_cover(
     if chi.denominator != 1:
         raise LatticeError("double cover has non-integral holomorphic Euler characteristic")
 
-    basis = tuple(f"{b}_pb" for b in model.lattice.basis)
-    gram = tuple(tuple(2 * x for x in row) for row in model.lattice.gram)
-    lattice = IntersectionLattice(basis, gram)
+    lattice = _lattice(
+        tuple(f"{b}_pb" for b in model.lattice.basis),
+        tuple(tuple(2 * x for x in row) for row in model.lattice.rows),
+        model.lattice.den,
+    )
 
     def pullback(cls: DivisorClass) -> DivisorClass:
         return _divisor(lattice, cls.num, cls.den)
@@ -555,19 +576,7 @@ def double_cover(
         canonical,
         int(chi),
         (),
-        model.provenance
-        + (
-            ProvenanceStep(
-                "double_cover",
-                _canonical(
-                    {
-                        "half_branch": _class_json(half_branch),
-                        "branch_components": sorted(branch_components),
-                        "name": name,
-                    }
-                ),
-            ),
-        ),
+        model.provenance + (_step("double_cover", half_branch, branch_components, name),),
     )
     curves: list[TrackedCurve] = []
     branch_set = set(branch_components)
@@ -602,7 +611,7 @@ def attach_resolution(
     point, the multiplicities against each new component; those curves are
     replaced by their strict transforms.
     """
-    through = {k: dict(v) for k, v in (through or {}).items()}
+    through = {k: dict(v) for k, v in dict(through or {}).items()}
     for comp in config.components:
         if comp.name in model.lattice.basis:
             raise LatticeError(f"basis name {comp.name!r} already taken")
@@ -628,13 +637,7 @@ def attach_resolution(
         raise ContractionError("resolution configuration is neither rational nor minimally elliptic")
 
     old_rank = model.lattice.rank
-    config_gram = config.gram()
-    k = len(config.components)
-    basis = model.lattice.basis + config.names
-    rows = [list(row) + [frac(0)] * k for row in model.lattice.gram]
-    for i in range(k):
-        rows.append([frac(0)] * old_rank + list(config_gram[i]))
-    lattice = IntersectionLattice(basis, tuple(tuple(row) for row in rows))
+    lattice = _direct_sum(model.lattice, config.names, config.integer_gram())
 
     canonical = _extend(lattice, model.canonical, [-z for z in discrepancy])
 
@@ -644,22 +647,7 @@ def attach_resolution(
         canonical,
         chi,
         (),
-        model.provenance
-        + (
-            ProvenanceStep(
-                "attach_resolution",
-                _canonical(
-                    {
-                        "config": _config_args(config),
-                        "through": {
-                            c: {k2: v2 for k2, v2 in sorted(m.items())}
-                            for c, m in sorted(through.items())
-                        },
-                        "name": name,
-                    }
-                ),
-            ),
-        ),
+        model.provenance + (_step("attach_resolution", config, through, name),),
     )
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
@@ -678,12 +666,6 @@ def attach_resolution(
             )
         curves.append(TrackedCurve(comp.name, cls, pa))
     return new_model._with(tracked=tuple(curves))
-
-
-def _config_args(config: CurveConfiguration) -> dict:
-    from .configurations import config_to_json
-
-    return config_to_json(config)
 
 
 # ---------------------------------------------------------------------------
@@ -712,21 +694,23 @@ def split_curve(
         if fresh in model.lattice.basis or model.has_curve(fresh):
             raise LatticeError(f"name {fresh!r} already in use")
     e_sq = frac(self_int)
-    old_rank = model.lattice.rank
-    pairing_vector = [frac(pairings.get(b, 0)) for b in model.lattice.basis]
-    unknown = set(pairings) - set(model.lattice.basis)
+    old = model.lattice
+    unknown = set(pairings) - set(old.basis)
     if unknown:
         raise LatticeError(f"pairings against unknown classes: {sorted(unknown)}")
 
-    basis = model.lattice.basis + (first,)
-    rows = [list(row) + [pairing_vector[i]] for i, row in enumerate(model.lattice.gram)]
-    rows.append(pairing_vector + [e_sq])
-    lattice = IntersectionLattice(basis, tuple(tuple(r) for r in rows))
+    # The declared pairings and e_sq, scaled to integers, border the rows over
+    # the lcm of the two denominators.
+    scale, (border,) = integer_rows([[frac(pairings.get(b, 0)) for b in old.basis] + [e_sq]])
+    den = lcm(old.den, scale)
+    border = tuple(den // scale * y for y in border)
+    rows = tuple(tuple(den // old.den * x for x in row) + (y,) for row, y in zip(old.rows, border))
+    lattice = _lattice(old.basis + (first,), rows + (border,), den)
 
     def extend(cls: DivisorClass) -> DivisorClass:
         return _extend(lattice, cls, (0,))
 
-    first_class = _unit(lattice, old_rank)
+    first_class = _unit(lattice, old.rank)
     second_class = _extend(lattice, original.cls, (-1,))
     if second_class.dot(second_class) != e_sq:
         raise LatticeError(
@@ -739,21 +723,7 @@ def split_curve(
         extend(model.canonical),
         model.chi,
         (),
-        model.provenance
-        + (
-            ProvenanceStep(
-                "split_curve",
-                _canonical(
-                    {
-                        "curve": curve_name,
-                        "into": list(into),
-                        "self_int": rat_str(e_sq),
-                        "pairings": {k: rat_str(frac(v)) for k, v in sorted(pairings.items())},
-                        "name": name,
-                    }
-                ),
-            ),
-        ),
+        model.provenance + (_step("split_curve", curve_name, into, self_int, pairings, name),),
     )
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
@@ -874,15 +844,18 @@ def contract(
     # the integral scale * G.  G_C is negative definite, so the fraction-free
     # elimination of its k columns takes no row exchange, and the rows below
     # the block then hold the block's determinant times the Schur complement.
-    scale, g = integer_rows(model.lattice.gram)
+    scale, g = model.lattice.den, model.lattice.rows
     images = [[sum(x * row[j] for x, row in zip(c.num, g) if x) for j in range(n)] for c in classes]
     block = [[sum(a * b for a, b in zip(image, c.num)) for c in classes] for image in images]
     bordered = [row + [image[j] for j in kept] for row, image in zip(block, images)] + [
         [image[i] for image in images] + [g[i][j] for j in kept] for i in kept
     ]
     schur, _, minor = integer_reduce(bordered, k)
-    gram = tuple(tuple(Fraction(x, scale * minor) for x in row[k:]) for row in schur[k:])
-    lattice = IntersectionLattice(tuple(model.lattice.basis[i] for i in kept), gram)
+    lattice = _lattice(
+        tuple(model.lattice.basis[i] for i in kept),
+        tuple(tuple(row[k:]) for row in schur[k:]),
+        scale * minor,
+    )
 
     def express(d: DivisorClass) -> DivisorClass:
         coeffs = [pivot * x for x in d.num]
@@ -899,13 +872,7 @@ def contract(
         canonical,
         chi,
         (),
-        model.provenance
-        + (
-            ProvenanceStep(
-                "contract",
-                _canonical({"curves": list(names), "name": name}),
-            ),
-        ),
+        model.provenance + (_step("contract", names, name),),
     )
     curves = []
     contracted = set(names)
@@ -949,46 +916,18 @@ def nakai_check(model: SurfaceModel, d: DivisorClass) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _replay_declare(_: SurfaceModel | None, args: dict) -> SurfaceModel:
-    return declare_surface(
-        args["name"],
-        args["basis"],
-        [[frac(x) for x in row] for row in args["gram"]],
-        {k: frac(v) for k, v in args["canonical"].items()},
-        args["chi"],
-        [(cname, {k: frac(v) for k, v in coeffs.items()}) for cname, coeffs in args["tracked"]],
-    )
-
-
-def _replay_attach(model: SurfaceModel, args: dict) -> SurfaceModel:
-    from .configurations import config_from_json
-
-    return attach_resolution(
-        model, config_from_json(args["config"]), args["through"], args["name"]
-    )
-
-
-_REPLAY: dict[str, Callable[[SurfaceModel | None, dict], SurfaceModel]] = {
-    "p2": lambda _m, _a: make_p2(),
-    "hirzebruch": lambda _m, a: make_hirzebruch(a["n"]),
-    "declare": _replay_declare,
-    "track": lambda m, a: track(m, a["name"], {k: frac(v) for k, v in a["coeffs"].items()}, a["irreducible"]),
-    "rename_curve": lambda m, a: rename_curve(m, a["old"], a["new"]),
-    "untrack": lambda m, a: untrack(m, a["names"]),
-    "blow_up": lambda m, a: blow_up(m, a["center"], a["exceptional"], a["name"]),
-    "double_cover": lambda m, a: double_cover(
-        m, m.divisor({k: frac(v) for k, v in a["half_branch"].items()}), a["branch_components"], a["name"]
-    ),
-    "attach_resolution": _replay_attach,
-    "split_curve": lambda m, a: split_curve(
-        m,
-        a["curve"],
-        tuple(a["into"]),
-        frac(a["self_int"]),
-        {k: frac(v) for k, v in a["pairings"].items()},
-        a["name"],
-    ),
-    "contract": lambda m, a: contract(m, a["curves"], a["name"]).model,
+_REPLAY: dict[str, Callable[..., SurfaceModel]] = {
+    "p2": lambda _m: make_p2(),
+    "hirzebruch": lambda _m, n: make_hirzebruch(n),
+    "declare": lambda _m, *args: declare_surface(*args),
+    "track": track,
+    "rename_curve": rename_curve,
+    "untrack": untrack,
+    "blow_up": blow_up,
+    "double_cover": double_cover,
+    "attach_resolution": attach_resolution,
+    "split_curve": split_curve,
+    "contract": lambda m, *args: contract(m, *args).model,
 }
 
 
@@ -998,7 +937,7 @@ def replay(provenance: Sequence[ProvenanceStep]) -> SurfaceModel:
     for step in provenance:
         if step.op not in _REPLAY:
             raise ValueError(f"unknown provenance op {step.op!r}")
-        model = _REPLAY[step.op](model, json.loads(step.args))
+        model = _REPLAY[step.op](model, *step.args)
     if model is None:
         raise ValueError("empty provenance")
     return model

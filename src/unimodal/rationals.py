@@ -9,11 +9,12 @@ sparse elimination over Z/p for one small prime p; its rank is only a lower
 bound for the rank over Q, so a caller uses it where a matching upper bound
 makes the value exact.  :func:`integer_reduce` is the fraction-free
 Gauss-Jordan elimination of integer rows that the lattice contraction takes
-its kernel vectors and Schur complements from.  :func:`row_reduce` serves only
-the callers that need a reduced matrix over Q: solving and nullspaces.
-:func:`det` is an independent oracle for the tests.  A bounded reader for
-rationals from input follows.  Floating point never appears; every result is
-exact.  Matrices are plain lists of lists (rows) of ``Fraction``.
+its kernel vectors and Schur complements from; :func:`nullspace`,
+:func:`solve` and :func:`solve_in_span` read the reduced row echelon form
+off it.  :func:`det` is an independent oracle for the tests.  A bounded
+reader for rationals from input follows.  Floating point never appears;
+every result is exact.  Matrices are plain lists of lists (rows) of
+``Fraction``.
 
 The last section holds the integer-polynomial kernels of the plane-curve
 layer: gcds (a modular test, then the primitive PRS), Yun's squarefree
@@ -30,7 +31,6 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Vector = list[Fraction]
-Matrix = list[Vector]
 
 
 def frac(value: int | str | Fraction) -> Fraction:
@@ -80,36 +80,6 @@ def bounded_rational(value: int | str | Fraction) -> Fraction:
     if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
         raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
     return q
-
-
-def _copy(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [list(row) for row in rows]
-
-
-def row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = _copy(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -191,14 +161,14 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> l
         ncols = len(rows[0])
     if not rows:
         return [[frac(1 if i == j else 0) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = row_reduce(rows)
+    reduced, pivots, d = integer_reduce(integer_rows(rows)[1])
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Vector] = []
     for f in free:
         v = [frac(0)] * ncols
         v[f] = frac(1)
         for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+            v[c] = Fraction(-reduced[r][f], d)
         basis.append(v)
     return basis
 
@@ -210,7 +180,7 @@ def det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return frac(1)
-    m = _copy(matrix)
+    m = [list(row) for row in matrix]
     result = frac(1)
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
@@ -237,10 +207,10 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vect
     if len(rhs) != n:
         raise ValueError("dimension mismatch")
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    reduced, pivots = row_reduce(aug)
+    reduced, pivots, d = integer_reduce(integer_rows(aug)[1])
     if pivots != list(range(n)):
         raise ValueError("singular system")
-    return [reduced[i][n] for i in range(n)]
+    return [Fraction(reduced[i][n], d) for i in range(n)]
 
 
 def solve_in_span(columns: Sequence[Vector], target: Vector) -> Vector:
@@ -252,15 +222,12 @@ def solve_in_span(columns: Sequence[Vector], target: Vector) -> Vector:
     ncols = len(columns)
     nrows = len(target)
     aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    reduced, pivots = row_reduce(aug)
+    reduced, pivots, d = integer_reduce(integer_rows(aug)[1])
     if ncols in pivots:
         raise ValueError("target not in span")
     if pivots != list(range(ncols)):
         raise ValueError("columns are linearly dependent")
-    coords = [frac(0)] * ncols
-    for r, c in enumerate(pivots):
-        coords[c] = reduced[r][ncols]
-    return coords
+    return [Fraction(reduced[c][ncols], d) for c in pivots]
 
 
 def integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:

@@ -21,6 +21,38 @@ from unimodal.planecurves import (
 from unimodal.rationals import det, integer_rank, negative_semidefinite_nullity
 
 
+def _copy(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    return [list(row) for row in rows]
+
+
+def row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q and the list of pivot columns, by
+    Gauss-Jordan elimination in Fractions (pivots left to right, each on the
+    first remaining row that is nonzero there)."""
+    m = _copy(rows)
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 def rank_by_minors(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank as the largest size of a nonvanishing minor (exponential)."""
     if not rows or not rows[0]:

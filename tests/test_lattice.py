@@ -374,6 +374,35 @@ def test_provenance_replay_bit_for_bit():
     assert replay(final.provenance) == final
 
 
+def test_provenance_keeps_the_arguments_as_they_were_passed():
+    center = {"C": 2}
+    blown = blow_up(track(make_p2(), "C", {"H": 6}), center, exceptional="G")
+    through = {"C": {"E": 1}}
+    resolved = attach_resolution(blown, CurveConfiguration((Component("E", -2, 0),)), through)
+    center["C"] = 0
+    through["C"]["E"] = 0
+    through["G"] = {"E": 1}
+    assert replay(blown.provenance) == blown
+    assert replay(resolved.provenance) == resolved
+    hash(resolved.provenance)  # immutable all the way down
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((F(-1), F(1)), (F(2), F(0))),  # not symmetric
+        ((F(-1), F(1)), (F(1),)),  # a short row
+        ((F(-1), F(1)),),  # a missing row
+        ((F(-1), F(1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(1))),  # too many rows
+    ],
+)
+def test_malformed_gram_is_refused(gram):
+    from unimodal.lattice import IntersectionLattice
+
+    with pytest.raises(LatticeError):
+        IntersectionLattice(("a", "b"), gram)
+
+
 def test_pairing_symmetry_random():
     rng = random.Random(7)
     for _ in range(50):

@@ -42,11 +42,10 @@ from unimodal.rationals import (
     negative_semidefinite_nullity,
     nullspace,
     rank,
-    row_reduce,
     solve,
 )
 
-from oracles import is_negative_semidefinite, rank_by_minors, tjurina_number_exact
+from oracles import is_negative_semidefinite, rank_by_minors, row_reduce, tjurina_number_exact
 
 rationals = st.builds(
     Fraction,
@@ -121,7 +120,7 @@ def test_pairing_of_built_classes_rescales_nothing(monkeypatch):
     model = blow_up(make_hirzebruch(1), exceptional="G")
     a = model.divisor({"Cinf": "1/2", "Gamma": 3, "G": "-2/3"})
     b = Fraction(1, 5) * model.canonical
-    expected = a.dot(b)  # the lattice scales its Gram matrix once, here
+    expected = a.dot(b)
     calls = []
 
     def recording(matrix):
@@ -189,6 +188,9 @@ def test_adjunction_parity(tag, coeffs):
 @given(base_models())
 @settings(max_examples=8, derandomize=True)
 def test_blow_up_contract_round_trip(tag):
+    """The lattice that comes back through a Schur complement equals the one
+    built from its Gram matrix, fields and hash alike (the integer rows are
+    normalised)."""
     model = _model(tag)
     blown = blow_up(model, exceptional="G")
     assert blown.c2 == model.c2 + 1
@@ -196,6 +198,7 @@ def test_blow_up_contract_round_trip(tag):
     assert back.chi == model.chi
     assert back.canonical.coeffs == model.canonical.coeffs
     assert back.lattice.gram == model.lattice.gram
+    assert back.lattice == model.lattice and hash(back.lattice) == hash(model.lattice)
     assert back.c2 == model.c2
 
 
