@@ -306,10 +306,7 @@ class SurfaceModel:
         return _unit(self.lattice, self.lattice.index(name))
 
     def divisor(self, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
-        vector = [frac(0)] * self.lattice.rank
-        for name, value in coeffs.items():
-            vector[self.lattice.index(name)] = frac(value)
-        return DivisorClass(self.lattice, tuple(vector))
+        return _class_of(self.lattice, coeffs)
 
     def zero(self) -> DivisorClass:
         return _divisor(self.lattice, (0,) * self.lattice.rank)
@@ -337,7 +334,7 @@ class SurfaceModel:
 
     def adjunction_pa(self, d: DivisorClass) -> Fraction:
         """1 + (d + K).d / 2, from one pairing."""
-        return 1 + self.intersect(d + self.canonical, d) / 2
+        return _adjunction_pa(self.canonical, d)
 
     def rr_chi(self, d: DivisorClass) -> Fraction:
         """chi + (d - K).d / 2, from one pairing."""
@@ -354,6 +351,20 @@ class SurfaceModel:
 
     def _with(self, **changes) -> "SurfaceModel":
         return replace(self, **changes)
+
+
+def _class_of(lattice: IntersectionLattice, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
+    """The class with the given coefficients on named basis classes, 0 elsewhere."""
+    vector = [frac(0)] * lattice.rank
+    for name, value in coeffs.items():
+        vector[lattice.index(name)] = frac(value)
+    return DivisorClass(lattice, tuple(vector))
+
+
+def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> Fraction:
+    """1 + (d + K).d / 2 on the lattice of K; a move's new curves take their
+    genus from it before the new model is built."""
+    return 1 + (d + canonical).dot(d) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,24 +419,14 @@ def declare_surface(
             i, j = basis.index(a), basis.index(b)
             rows[i][j] = rows[j][i] = frac(value)
     lattice = IntersectionLattice(basis, rows)
-    model = SurfaceModel(
-        name,
-        lattice,
-        DivisorClass(lattice, tuple(frac(canonical.get(b, 0)) for b in basis)),
-        chi,
-        (),
-        (step,),
-    )
+    canonical_class = DivisorClass(lattice, tuple(frac(canonical.get(b, 0)) for b in basis))
+    curves = []
     for cname, coeffs in tracked:
-        model = _track_quiet(model, cname, model.divisor(coeffs))
-    return model
-
-
-def _track_quiet(model: SurfaceModel, name: str, cls: DivisorClass) -> SurfaceModel:
-    pa = model.adjunction_pa(cls)
-    _require_genus(name, pa)
-    curve = TrackedCurve(name, cls, pa)
-    return model._with(tracked=model.tracked + (curve,))
+        cls = _class_of(lattice, coeffs)
+        pa = _adjunction_pa(canonical_class, cls)
+        _require_genus(cname, pa)
+        curves.append(TrackedCurve(cname, cls, pa))
+    return SurfaceModel(name, lattice, canonical_class, chi, tuple(curves), (step,))
 
 
 def _require_genus(name: str, pa: Fraction) -> None:
@@ -506,19 +507,11 @@ def blow_up(
     lattice = _direct_sum(model.lattice, (exceptional,), ((-1,),))
     g_class = _unit(lattice, old_rank)
     canonical = _extend(lattice, model.canonical, (1,))
-    new_model = SurfaceModel(
-        name or f"blow-up of {model.name}",
-        lattice,
-        canonical,
-        model.chi,
-        (),
-        model.provenance + (_step("blow_up", center, exceptional, name),),
-    )
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
         mult = center.get(curve.name, 0)
         cls = _extend(lattice, curve.cls, (-mult,))
-        pa = new_model.adjunction_pa(cls)
+        pa = _adjunction_pa(canonical, cls)
         expected = curve.pa - Fraction(mult * (mult - 1), 2)
         if pa != expected:
             raise LatticeError(f"strict-transform genus of {curve.name!r} is inconsistent")
@@ -526,7 +519,14 @@ def blow_up(
             _require_genus(curve.name, pa)
         curves.append(TrackedCurve(curve.name, cls, pa, curve.irreducible))
     curves.append(TrackedCurve(exceptional, g_class, frac(0)))
-    return new_model._with(tracked=tuple(curves))
+    return SurfaceModel(
+        name or f"blow-up of {model.name}",
+        lattice,
+        canonical,
+        model.chi,
+        tuple(curves),
+        model.provenance + (_step("blow_up", center, exceptional, name),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +570,6 @@ def double_cover(
         return _divisor(lattice, cls.num, cls.den)
 
     canonical = pullback(model.canonical) + pullback(half_branch)
-    new_model = SurfaceModel(
-        name or f"double cover of {model.name}",
-        lattice,
-        canonical,
-        int(chi),
-        (),
-        model.provenance + (_step("double_cover", half_branch, branch_components, name),),
-    )
     curves: list[TrackedCurve] = []
     branch_set = set(branch_components)
     for curve in model.tracked:
@@ -587,8 +579,15 @@ def double_cover(
         else:
             cls = pullback(curve.cls)
             cname = f"{curve.name}_pre"
-        curves.append(TrackedCurve(cname, cls, new_model.adjunction_pa(cls), curve.irreducible))
-    return new_model._with(tracked=tuple(curves))
+        curves.append(TrackedCurve(cname, cls, _adjunction_pa(canonical, cls), curve.irreducible))
+    return SurfaceModel(
+        name or f"double cover of {model.name}",
+        lattice,
+        canonical,
+        int(chi),
+        tuple(curves),
+        model.provenance + (_step("double_cover", half_branch, branch_components, name),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,31 +640,30 @@ def attach_resolution(
 
     canonical = _extend(lattice, model.canonical, [-z for z in discrepancy])
 
-    new_model = SurfaceModel(
-        name or f"resolution over {model.name}",
-        lattice,
-        canonical,
-        chi,
-        (),
-        model.provenance + (_step("attach_resolution", config, through, name),),
-    )
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
         mults = through.get(curve.name, {})
         cls = _extend(lattice, curve.cls, [-mults.get(n, 0) for n in config.names])
-        pa = new_model.adjunction_pa(cls)
+        pa = _adjunction_pa(canonical, cls)
         if curve.irreducible:
             _require_genus(curve.name, pa)
         curves.append(TrackedCurve(curve.name, cls, pa, curve.irreducible))
     for i, comp in enumerate(config.components):
         cls = _unit(lattice, old_rank + i)
-        pa = new_model.adjunction_pa(cls)
+        pa = _adjunction_pa(canonical, cls)
         if pa != comp.pa:
             raise LatticeError(
                 f"declared genus of {comp.name!r} disagrees with adjunction on the new model"
             )
         curves.append(TrackedCurve(comp.name, cls, pa))
-    return new_model._with(tracked=tuple(curves))
+    return SurfaceModel(
+        name or f"resolution over {model.name}",
+        lattice,
+        canonical,
+        chi,
+        tuple(curves),
+        model.provenance + (_step("attach_resolution", config, through, name),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -717,25 +715,25 @@ def split_curve(
             "split halves have different self-intersections; the declared pairings"
             " are inconsistent with an exchanging involution"
         )
-    new_model = SurfaceModel(
-        name or model.name,
-        lattice,
-        extend(model.canonical),
-        model.chi,
-        (),
-        model.provenance + (_step("split_curve", curve_name, into, self_int, pairings, name),),
-    )
+    canonical = extend(model.canonical)
     curves: list[TrackedCurve] = []
     for curve in model.tracked:
         if curve.name == curve_name:
             continue
         cls = extend(curve.cls)
-        curves.append(TrackedCurve(curve.name, cls, new_model.adjunction_pa(cls), curve.irreducible))
+        curves.append(TrackedCurve(curve.name, cls, _adjunction_pa(canonical, cls), curve.irreducible))
     for cname, cls in ((first, first_class), (second, second_class)):
-        pa = new_model.adjunction_pa(cls)
+        pa = _adjunction_pa(canonical, cls)
         _require_genus(cname, pa)
         curves.append(TrackedCurve(cname, cls, pa))
-    return new_model._with(tracked=tuple(curves))
+    return SurfaceModel(
+        name or model.name,
+        lattice,
+        canonical,
+        model.chi,
+        tuple(curves),
+        model.provenance + (_step("split_curve", curve_name, into, self_int, pairings, name),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -866,14 +864,6 @@ def contract(
         return _divisor(lattice, tuple(coeffs[i] for i in kept), pivot * d.den)
 
     canonical = express(model.canonical)
-    new_model = SurfaceModel(
-        name or f"contraction of {model.name}",
-        lattice,
-        canonical,
-        chi,
-        (),
-        model.provenance + (_step("contract", names, name),),
-    )
     curves = []
     contracted = set(names)
     for curve in model.tracked:
@@ -881,16 +871,21 @@ def contract(
             continue
         cls = express(curve.cls)
         if kind != "blow-down":
-            degree = new_model.intersect(canonical, cls)
+            degree = canonical.dot(cls)
             if degree.denominator != 1:
                 raise ContractionError(
                     f"K of the contraction pairs fractionally with {curve.name!r};"
                     " the model would not be Gorenstein"
                 )
-        curves.append(
-            TrackedCurve(curve.name, cls, new_model.adjunction_pa(cls), curve.irreducible)
-        )
-    result = new_model._with(tracked=tuple(curves))
+        curves.append(TrackedCurve(curve.name, cls, _adjunction_pa(canonical, cls), curve.irreducible))
+    result = SurfaceModel(
+        name or f"contraction of {model.name}",
+        lattice,
+        canonical,
+        chi,
+        tuple(curves),
+        model.provenance + (_step("contract", names, name),),
+    )
     return Contraction(result, kind, label, tuple(zip(names, cycle)))
 
 

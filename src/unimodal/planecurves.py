@@ -242,26 +242,66 @@ def germ(terms: dict[tuple[int, int], int | str | Fraction]) -> Germ:
 
 
 def germ_of(form: HomogeneousForm, point: MarkedPoint) -> Germ:
-    """Affine germ of the form at a rational point, in the chart of its pivot."""
+    """Affine germ of the form at a rational point, in the chart of its pivot.
+
+    The form is dehomogenised at x_pivot = 1, each term keyed by its two other
+    exponents, and translated by the point's two other coordinates
+    (:func:`_translate`).
+    """
     pivot = next(i for i, c in enumerate(point.coords) if c != 0)
-    others = [i for i in range(3) if i != pivot]
-    out: Germ = {}
-    for e, c in form.terms:
-        # substitute x_pivot = 1, x_other = p_other + local variable
-        contributions = {(0, 0): c}
-        for slot, var in enumerate(others):
-            power = e[var]
-            base = point.coords[var]
-            expanded: Germ = {}
-            for (a, b), coeff in contributions.items():
-                for m in range(power + 1):
-                    binom = Fraction(math.comb(power, m))
-                    key = (a + m, b) if slot == 0 else (a, b + m)
-                    expanded[key] = expanded.get(key, frac(0)) + coeff * binom * base ** (power - m)
-            contributions = expanded
-        for key, coeff in contributions.items():
-            out[key] = out.get(key, frac(0)) + coeff
-    return {e: c for e, c in out.items() if c != 0}
+    u, v = (i for i in range(3) if i != pivot)
+    affine = {(e[u], e[v]): c for e, c in form.terms}
+    return _translate(affine, (point.coords[u], point.coords[v]))
+
+
+def _translate(g: Germ, shift: tuple[Fraction, Fraction]) -> Germ:
+    """The germ g(u + s, v + t) for ``shift = (s, t)``, zero terms dropped.
+
+    The germ is scaled once to integer numerators over one denominator
+    (`rationals.integer_rows`) and shifted one variable at a time; only the
+    result is turned back into Fractions, one per term.
+    """
+    den, (numerators,) = integer_rows([list(g.values())])
+    terms = dict(zip(g, numerators))
+    for var, value in enumerate(shift):
+        terms, scale = _shift(terms, var, value.numerator, value.denominator)
+        den *= scale
+    return {e: Fraction(c, den) for e, c in terms.items() if c}
+
+
+def _shift(
+    terms: dict[tuple[int, int], int], var: int, p: int, q: int
+) -> tuple[dict[tuple[int, int], int], int]:
+    """``(q^n h(.., x + p/q, ..), q^n)`` for integer terms h, x the variable
+    ``var`` and n its largest exponent in h.
+
+    The terms are grouped by the other variable's exponent.  A group
+    sum c_a x^a of top degree m becomes q^(n - m) sum c_a q^(m - a) (q x + p)^a,
+    by Horner's rule in (q x + p) on integers.
+    """
+    if not p or not terms:
+        return terms, 1
+    groups: dict[int, dict[int, int]] = {}
+    for e, c in terms.items():
+        groups.setdefault(e[1 - var], {})[e[var]] = c
+    n = max(max(group) for group in groups.values())
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * q)
+    out: dict[tuple[int, int], int] = {}
+    for other, group in groups.items():
+        m = max(group)
+        acc = [group[m]]
+        for a in range(m - 1, -1, -1):  # acc <- acc * (q x + p) + c_a q^(m - a)
+            acc = (
+                [p * acc[0] + group.get(a, 0) * powers[m - a]]
+                + [p * x + q * y for x, y in zip(acc[1:], acc)]
+                + [q * acc[-1]]
+            )
+        for i, c in enumerate(acc):
+            if c:
+                out[(i, other) if var == 0 else (other, i)] = c * powers[n - m]
+    return out, powers[n]
 
 
 def germ_multiplicity(g: Germ) -> int:
@@ -336,26 +376,23 @@ def _directions(g: Germ) -> list[Direction]:
 
 
 def _blow_up_at_direction(g: Germ, direction: Direction) -> Germ:
-    """Strict-transform germ at the point of the exceptional line the direction marks."""
+    """Strict-transform germ at the point of the exceptional line the direction marks.
+
+    In the first chart, (u, v) -> (v (root + u'), v) divided by v^m, the term
+    c u^a v^b becomes c (u' + root)^a v^(a + b - m): the germ is re-keyed to
+    (a, a + b - m) and translated by (root, 0) (:func:`_translate`).
+    """
     m = germ_multiplicity(g)
-    out: Germ = {}
     if direction.root is None and direction.degree == 1:
         # second chart: (u, v) -> (u, u v'); divide by u^m
+        out: Germ = {}
         for (a, b), c in g.items():
             key = (a + b - m, b)
             out[key] = out.get(key, frac(0)) + c
         return {e: c for e, c in out.items() if c != 0}
     if direction.degree != 1:
         raise UndecidableOverQ("cannot follow an irrational tangent direction")
-    # first chart: (u, v) -> (v (root + u'), v); divide by v^m
-    root = direction.root
-    for (a, b), c in g.items():
-        for i in range(a + 1):
-            binom = Fraction(math.comb(a, i))
-            coeff = c * binom * root ** (a - i)
-            key = (i, a + b - m)
-            out[key] = out.get(key, frac(0)) + coeff
-    return {e: c for e, c in out.items() if c != 0}
+    return _translate({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, frac(0)))
 
 
 @dataclass(frozen=True)
@@ -632,6 +669,18 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
     h_p(k) >= h(k) >= at_least; h_p(k) = at_least <= k is then exact.
     Otherwise the exact ranks run as above, from the same rows.
 
+    The rows are those of `_jacobian_rows`, which leaves out the Koszul rows
+    m g_j whose multiplier m is divisible by the leading monomial L_i of an
+    earlier generator g_i = c_i L_i + (terms after L_i in lex order), i < j.
+    Both ranks stay right.  The kept rows are a subset of all rows, so
+    rank_p(kept) <= rank_Q(all) and h_p(k) >= h(k) still holds.  Over Q a
+    dropped row lies in the span of the kept ones: for m = m' L_i,
+    c_i m g_j = (m' g_j) g_i - (g_i - c_i L_i) m' g_j, where the first part
+    is a combination of rows of g_i and the second of rows of g_j with
+    multipliers m' t > m in lex order.  Induction on j, and for one j on the
+    multiplier from the lex-largest down, puts each in the span of the kept
+    rows, so the exact ranks are those of all rows.
+
     The search starts at 3(d-2) + 1, one past the socle degree of the Milnor
     algebra of a smooth curve, and takes no rank in a degree above
     (d-1)^2 + 3(d-2).  Reaching that cap (a non-reduced curve always does)
@@ -668,19 +717,27 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
 def _jacobian_rows(
     generators: list[dict[Exponent, int]], degree: int, k: int
 ) -> tuple[int, list[dict[int, int]]]:
-    """dim S_k and the sparse integer rows spanning J_k, for generators of one
+    """dim S_k and sparse integer rows spanning J_k, for generators of one
     degree: h(k) is the first minus the rank of the second.
 
     The columns follow the reversed monomial basis, z-heavy monomials first,
     so the pivots fall there first, while the rows come in the basis order,
     x-heavy multipliers first.  On the branch sextics this takes a quarter to
     a half of the elimination time of columns in basis order.
+
+    The Koszul rows are left out: m g_j is skipped when the multiplier m is
+    divisible by the leading monomial min(g_i) of an earlier generator,
+    i < j (the lex-smallest exponent, the column the elimination pivots on).
+    Those rows lie in the span of the kept ones (see :func:`tjurina_number`).
     """
     columns = monomial_basis(k)[::-1]
     index = {mono: i for i, mono in enumerate(columns)}
+    leading = [min(generator) for generator in generators]
     rows = []
     for a, b, c in monomial_basis(k - degree):
-        for generator in generators:
+        for n, generator in enumerate(generators):
+            if any(a >= i and b >= j and c >= l for i, j, l in leading[:n]):
+                continue
             rows.append({index[(a + i, b + j, c + l)]: coeff for (i, j, l), coeff in generator.items()})
     return len(columns), rows
 

@@ -7,15 +7,20 @@ or more direct route than the kernel it checks.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from unimodal.configurations import CurveConfiguration, FundamentalCycle, _pairings
 from unimodal.planecurves import (
+    Direction,
+    Germ,
     HomogeneousForm,
     MarkedPoint,
+    UndecidableOverQ,
     _integer_terms,
     _stabilizer_rows,
+    germ_multiplicity,
     monomial_basis,
 )
 from unimodal.rationals import det, integer_rank, negative_semidefinite_nullity
@@ -126,11 +131,59 @@ def tjurina_number_exact(form: HomogeneousForm, at_least: int = 0) -> int | None
 
 
 def _jacobian_quotient_dim(generators: list[dict], degree: int, k: int) -> int:
-    """dim S_k - rank J_k, on columns in the monomial basis order."""
-    index = {mono: i for i, mono in enumerate(monomial_basis(k))}
+    ncols, rows = jacobian_rows_all(generators, degree, k)
+    return ncols - integer_rank(rows)
+
+
+def jacobian_rows_all(generators: list[dict], degree: int, k: int) -> tuple[int, list[dict[int, int]]]:
+    """`planecurves._jacobian_rows` with every row m g_j, the Koszul rows too:
+    dim S_k and the rows, on the same columns (reversed monomial basis)."""
+    index = {mono: i for i, mono in enumerate(monomial_basis(k)[::-1])}
     rows = [
         {index[(a + i, b + j, c + l)]: coeff for (i, j, l), coeff in generator.items()}
         for a, b, c in monomial_basis(k - degree)
         for generator in generators
     ]
-    return len(index) - integer_rank(rows)
+    return len(index), rows
+
+
+def germ_of_by_expansion(form: HomogeneousForm, point: MarkedPoint) -> Germ:
+    """`planecurves.germ_of` term by term in Fractions: x_pivot = 1 and each
+    other coordinate p + (local variable), expanded by the binomial theorem."""
+    pivot = next(i for i, c in enumerate(point.coords) if c != 0)
+    others = [i for i in range(3) if i != pivot]
+    out: Germ = {}
+    for e, c in form.terms:
+        contributions = {(0, 0): c}
+        for slot, var in enumerate(others):
+            power = e[var]
+            base = point.coords[var]
+            expanded: Germ = {}
+            for (a, b), coeff in contributions.items():
+                for m in range(power + 1):
+                    key = (a + m, b) if slot == 0 else (a, b + m)
+                    term = coeff * math.comb(power, m) * base ** (power - m)
+                    expanded[key] = expanded.get(key, Fraction(0)) + term
+            contributions = expanded
+        for key, coeff in contributions.items():
+            out[key] = out.get(key, Fraction(0)) + coeff
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def blow_up_at_direction_by_expansion(g: Germ, direction: Direction) -> Germ:
+    """`planecurves._blow_up_at_direction` term by term in Fractions: in the
+    first chart each c u^a v^b expanded by the binomial theorem."""
+    m = germ_multiplicity(g)
+    out: Germ = {}
+    if direction.root is None and direction.degree == 1:  # (u, v) -> (u, u v')
+        for (a, b), c in g.items():
+            key = (a + b - m, b)
+            out[key] = out.get(key, Fraction(0)) + c
+        return {e: c for e, c in out.items() if c != 0}
+    if direction.degree != 1:
+        raise UndecidableOverQ("cannot follow an irrational tangent direction")
+    for (a, b), c in g.items():  # (u, v) -> (v (root + u'), v)
+        for i in range(a + 1):
+            key = (i, a + b - m)
+            out[key] = out.get(key, Fraction(0)) + c * math.comb(a, i) * direction.root ** (a - i)
+    return {e: c for e, c in out.items() if c != 0}

@@ -30,7 +30,20 @@ from unimodal.lattice import (
     track,
 )
 from unimodal.pipelines import EnSpec, ZwSpec, en_variants, run_en_pipeline, run_zw_pipeline
-from unimodal.planecurves import HomogeneousForm, monomial_basis, tjurina_number
+from unimodal.planecurves import (
+    MAX_DEGREE,
+    Direction,
+    HomogeneousForm,
+    MarkedPoint,
+    UndecidableOverQ,
+    _blow_up_at_direction,
+    _integer_terms,
+    _jacobian_rows,
+    germ_of,
+    monomial,
+    monomial_basis,
+    tjurina_number,
+)
 from unimodal.rationals import (
     det,
     MODULAR_PRIME,
@@ -45,7 +58,15 @@ from unimodal.rationals import (
     solve,
 )
 
-from oracles import is_negative_semidefinite, rank_by_minors, row_reduce, tjurina_number_exact
+from oracles import (
+    blow_up_at_direction_by_expansion,
+    germ_of_by_expansion,
+    is_negative_semidefinite,
+    jacobian_rows_all,
+    rank_by_minors,
+    row_reduce,
+    tjurina_number_exact,
+)
 
 rationals = st.builds(
     Fraction,
@@ -417,6 +438,129 @@ def test_tjurina_number_agrees_with_exact_ranks_alone(curve):
     assert tjurina_number(curve) == tau
     if tau is not None:
         assert tjurina_number(curve, at_least=tau) == tjurina_number_exact(curve, at_least=tau) == tau
+
+
+# ---------------------------------------------------------------------------
+# Koszul rows of the Jacobian ideal, against every row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def curves_with_singularities(draw):
+    """Cubics, quartics and sextics: x^d + y^d + z^d plus random terms (mostly
+    smooth), x^d + y^d + (x^2 + y^2) z^(d-2) plus random terms of z-degree
+    below d - 1 (singular at [0:0:1]), and a line or conic times such a
+    smooth form.  The base terms keep the curves reduced, as a non-reduced
+    sextic would run both Tjurina searches to their cap."""
+    degree = draw(st.sampled_from([3, 4, 6]))
+
+    def form(d, singular_at_z=False):
+        basis = [m for m in monomial_basis(d) if not (singular_at_z and m[2] >= d - 1)]
+        support = draw(st.sets(st.sampled_from(basis), max_size=8))
+        terms = {m: draw(st.integers(-9, 9)) for m in support}
+        base = [(d, 0, 0), (0, d, 0)]
+        base += [(2, 0, d - 2), (0, 2, d - 2)] if singular_at_z else [(0, 0, d)]
+        for m in base:
+            terms[m] = terms.get(m, 0) + 1
+        return HomogeneousForm.from_dict(d, terms)
+
+    shape = draw(st.sampled_from(["smooth", "singular", "product"]))
+    if shape == "product":
+        factor = draw(st.sampled_from([1, 2]))
+        return form(factor) * form(degree - factor)
+    return form(degree, singular_at_z=shape == "singular")
+
+
+@given(curves_with_singularities())
+@settings(max_examples=45, derandomize=True, deadline=None)
+def test_koszul_rows_keep_the_rank_of_all_rows(curve):
+    d = curve.degree
+    generators = [g for g in (_integer_terms(dict(curve.partial(v).terms)) for v in range(3)) if g]
+    k = max(3 * (d - 2) + 1, d - 1)  # the start degree of `tjurina_number`
+    ncols, kept = _jacobian_rows(generators, d - 1, k)
+    all_ncols, every = jacobian_rows_all(generators, d - 1, k)
+    assert ncols == all_ncols and all(row in every for row in kept)
+    assert integer_rank(kept) == integer_rank(every)
+    assert tjurina_number(curve) == tjurina_number_exact(curve)
+
+
+def test_koszul_rows_of_the_fermat_sextic():
+    # F = x^6 + y^6 + z^6: leading monomials x^5, y^5, z^5 of the partials
+    curve = monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6)
+    generators = [_integer_terms(dict(curve.partial(v).terms)) for v in range(3)]
+    ncols, kept = _jacobian_rows(generators, 5, 13)
+    _, every = jacobian_rows_all(generators, 5, 13)
+    # multipliers of degree 8: y^5 rows skipped where x^5 | m (10 of 45), z^5 rows
+    # where x^5 | m or y^5 | m (20); the 105 kept rows are a basis of S_13
+    assert len(every) == 3 * 45 and len(kept) == 3 * 45 - 10 - 20 == ncols
+    assert integer_rank(kept) == integer_rank(every) == ncols
+
+
+# ---------------------------------------------------------------------------
+# Germ translation, against the term-by-term Fraction expansion
+# ---------------------------------------------------------------------------
+
+small_or_huge = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def germs(draw, max_degree=30):
+    """Germs up to degree 30 (blow-ups reach 29), constant term allowed."""
+    support = draw(st.sets(
+        st.tuples(st.integers(0, max_degree), st.integers(0, max_degree)).filter(
+            lambda e: sum(e) <= max_degree
+        ),
+        min_size=1,
+        max_size=10,
+    ))
+    g = {e: draw(small_or_huge) for e in support}
+    g = {e: c for e, c in g.items() if c}
+    assume(g)
+    return g
+
+
+@st.composite
+def forms_and_points(draw):
+    degree = draw(st.integers(0, MAX_DEGREE + 4))
+    support = draw(st.sets(st.sampled_from(monomial_basis(degree)), min_size=1, max_size=10))
+    form = HomogeneousForm.from_dict(degree, {m: draw(small_or_huge) for m in support})
+    assume(not form.is_zero)
+    pivot = draw(st.integers(0, 2))
+    coords = [draw(st.one_of(st.just(Fraction(0)), small_or_huge)) for _ in range(3)]
+    coords[pivot] = Fraction(1)
+    coords[:pivot] = [Fraction(0)] * pivot
+    return form, MarkedPoint(tuple(coords))
+
+
+@given(forms_and_points())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_germ_of_agrees_with_the_fraction_expansion(case):
+    form, point = case
+    assert germ_of(form, point) == germ_of_by_expansion(form, point)
+
+
+directions = st.one_of(
+    st.just(Direction(None, 1)),
+    st.just(Direction(Fraction(0), 1)),
+    small_or_huge.map(lambda root: Direction(root, 1)),
+)
+
+
+@given(germs(), directions)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_blow_up_agrees_with_the_fraction_expansion(g, direction):
+    assert _blow_up_at_direction(g, direction) == blow_up_at_direction_by_expansion(g, direction)
+
+
+def test_blow_up_of_an_irrational_direction_is_refused_by_both():
+    g = {(2, 0): Fraction(1), (0, 2): Fraction(1)}
+    for blow_up in (_blow_up_at_direction, blow_up_at_direction_by_expansion):
+        with pytest.raises(UndecidableOverQ):
+            blow_up(g, Direction(None, 1, degree=2))
 
 
 # ---------------------------------------------------------------------------
