@@ -428,6 +428,14 @@ def test_cli_corpus_json_matches_golden(capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["dims", "catalog"])
+def test_cli_json_matches_golden(capsys, command):
+    # regenerate with tools/build_goldens.py
+    golden = Path(__file__).parent / "goldens" / f"{command}.json"
+    assert main([command, "--report=json"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def _chain(n, head=None):
     components = [{"name": f"A{i}", "self_int": "-2", "pa": "0"} for i in range(n)]
     contacts = [{"pair": [f"A{i}", f"A{i + 1}"], "mult": "1"} for i in range(n - 1)]
