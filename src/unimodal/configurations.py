@@ -11,14 +11,14 @@ Self-intersections, genera and multiplicities are Python integers, so the
 Gram matrix is integral and the algorithms on top of it run on integers:
 negative definiteness, the incremental fundamental-cycle computation with a
 brute-force oracle, the minimally-elliptic classification, recognition of the
-restricted Kodaira fibre list, Euler-number budgeting, and the catalog of
+restricted Kodaira fibre list by isomorphism with the one table that builds
+each fibre, Euler-number budgeting, and the catalog of
 exceptional unimodal double points E12..E14, Z11..Z13, W12, W13 together with
 A_n and the two degree-one elliptic T-singularities.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +28,6 @@ from .rationals import (
     bounded_rational,
     frac,
     is_negative_definite as _gram_negative_definite,
-    negative_semidefinite_nullity,
     rat_str,
 )
 
@@ -118,10 +117,6 @@ class CurveConfiguration:
             if contact.pair == pair:
                 return contact.mult
         return 0
-
-    def is_tangential(self, a: str, b: str) -> bool:
-        pair = frozenset((a, b))
-        return any(c.pair == pair and c.tangential for c in self.contacts)
 
     def integer_gram(self) -> tuple[tuple[int, ...], ...]:
         return self._integer_gram
@@ -528,57 +523,23 @@ def match_catalog(config: CurveConfiguration) -> CatalogEntry | None:
 def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
     """Recognize I_n (n >= 0), II, III or IV; None for anything else.
 
-    Demands the numerical fibre conditions: negative semidefinite Gram whose
-    radical is one-dimensional and spanned by the reduced total cycle, of
-    arithmetic genus one.
+    The first candidate for the number of components that is
+    :func:`isomorphic` to the configuration; each shape is written once, in
+    :func:`_fiber_configuration`.  Two necessary conditions come first: every
+    Gram row sums to 0 (F.E_i = 0 for the reduced total cycle F), and the
+    configuration is connected, which keeps the backtracking search off
+    disconnected inputs, where it can only fail, slowly.
     """
-    comps = config.components
-    if not comps:
+    n = len(config.components)
+    if not 1 <= n <= MAX_COMPONENTS:
         return None
-    gram = config.integer_gram()
-    # the reduced total cycle lies in the radical iff every row sums to 0
-    if any(sum(row) for row in gram) or negative_semidefinite_nullity(gram) != 1:
+    if any(sum(row) for row in config.integer_gram()) or not config.is_connected():
         return None
-    total = FundamentalCycle(config, tuple([1] * len(comps)))
-    if total.pa != 1:
-        return None
-
-    if len(comps) == 1:
-        c = comps[0]
-        if c.pa != 1 or c.self_int != 0:
-            return None
-        return {None: "I0", "node": "I1", "cusp": "II"}[c.sing]
-
-    if any(c.pa != 0 or c.self_int != -2 or c.sing is not None for c in comps):
-        return None
-
-    if len(comps) == 2:
-        if config.contact_mult(comps[0].name, comps[1].name) != 2:
-            return None
-        return "III" if config.is_tangential(comps[0].name, comps[1].name) else "I2"
-
-    if len(comps) == 3:
-        pairs = list(itertools.combinations(config.names, 2))
-        if any(config.contact_mult(*p) != 1 for p in pairs):
-            return None
-        if frozenset(config.names) in config.concurrent:
-            return "IV"
-        if config.concurrent:
-            return None
-        return "I3"
-
-    # longer cycles: every component meets exactly two others, once each
-    if config.concurrent or any(c.tangential for c in config.contacts):
-        return None
-    degree = {name: 0 for name in config.names}
-    for contact in config.contacts:
-        if contact.mult != 1:
-            return None
-        degree[contact.first] += 1
-        degree[contact.second] += 1
-    if any(d != 2 for d in degree.values()) or not config.is_connected():
-        return None
-    return f"I{len(comps)}"
+    candidates = {1: ("I0", "I1", "II"), 2: ("I2", "III"), 3: ("I3", "IV")}.get(n, (f"I{n}",))
+    for fiber_type in candidates:
+        if isomorphic(config, _fiber_configuration(fiber_type)):
+            return fiber_type
+    return None
 
 
 def fiber_euler_number(fiber_type: str) -> int:
@@ -633,12 +594,9 @@ def blown_up_fiber(fiber_type: str, blow_ups: tuple[int, ...]) -> CurveConfigura
 
 
 def _fiber_configuration(fiber_type: str) -> CurveConfiguration:
-    if fiber_type == "I0":
-        return _cfg([("E1", 0, 1)])
-    if fiber_type == "I1":
-        return _cfg([("E1", 0, 1, "node")])
-    if fiber_type == "II":
-        return _cfg([("E1", 0, 1, "cusp")])
+    one_component = {"I0": None, "I1": "node", "II": "cusp"}  # the singularity of E1
+    if fiber_type in one_component:
+        return _cfg([("E1", 0, 1, one_component[fiber_type])])
     if fiber_type == "III":
         return _cfg([("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)])
     if fiber_type == "IV":

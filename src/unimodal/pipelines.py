@@ -411,12 +411,25 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "self-intersection of the pulled-back canonical class of the contraction",
     )
 
-    final = contract(surface, exceptional_names, name=f"{sing} model")
+    w = _check_contracted_model(checks, surface, exceptional_names, sing, "degree-one")
+
+    if spec.germ_checks:
+        _germ_checks(checks, spec)
+
+    return checks.result(f"{sing}" + (f"-{spec.fiber_variant}" if spec.fiber_variant else ""), (base, cover, model, surface, w))
+
+
+def _check_contracted_model(
+    checks: _Recorder, surface: SurfaceModel, names: list[str], sing: str, degree: str
+) -> SurfaceModel:
+    """Contract the exceptional configuration to the stable model and check
+    its kind, K^2, chi, ampleness and geometric genus; returns the model."""
+    final = contract(surface, names, name=f"{sing} model")
     checks.expect(
         "contraction-kind",
         final.kind,
         "minimally-elliptic",
-        "the exceptional configuration contracts to a degree-one elliptic point",
+        f"the exceptional configuration contracts to a {degree} elliptic point",
     )
     w = final.model
     checks.expect("contracted-canonical-squared", w.k_squared, 1, "K^2 of the contracted model")
@@ -427,17 +440,8 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "ample",
         "ampleness against every tracked curve",
     )
-    checks.expect(
-        "geometric-genus",
-        w.chi - 1,
-        2,
-        "geometric genus from chi with irregularity zero",
-    )
-
-    if spec.germ_checks:
-        _germ_checks(checks, spec)
-
-    return checks.result(f"{sing}" + (f"-{spec.fiber_variant}" if spec.fiber_variant else ""), (base, cover, model, surface, w))
+    checks.expect("geometric-genus", w.chi - 1, 2, "geometric genus from chi with irregularity zero")
+    return w
 
 
 def _check_exceptional_configuration(
@@ -774,23 +778,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         "canonical class of the double plane",
     )
 
-    final = contract(resolution, list(names), name=f"{sing} model")
-    checks.expect(
-        "contraction-kind",
-        final.kind,
-        "minimally-elliptic",
-        "the exceptional configuration contracts to a degree-two elliptic point",
-    )
-    w = final.model
-    checks.expect("contracted-canonical-squared", w.k_squared, 1, "K^2 of the contracted model")
-    checks.expect("contracted-euler-characteristic", w.chi, 3, "chi of the contracted model")
-    checks.expect(
-        "contracted-canonical-ample",
-        nakai_check(w, w.canonical),
-        "ample",
-        "ampleness against every tracked curve",
-    )
-    checks.expect("geometric-genus", w.chi - 1, 2, "geometric genus from chi with irregularity zero")
+    w = _check_contracted_model(checks, resolution, list(names), sing, "degree-two")
 
     if spec.family_case is not None:
         fam = _family_for(sing, spec.family_case)

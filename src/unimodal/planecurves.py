@@ -5,12 +5,14 @@ at rational points, multiplicity trees via chart-by-chart blow-up, A_n
 detection through exact Milnor numbers, [3,3]-point recognition with the
 degree-one elliptic profile, restriction patterns along lines, linear systems
 with imposed conditions, and infinitesimal stabilizers of marked points and
-lines in the plane.
+lines in the plane.  Milnor numbers and local intersection numbers are both
+the colength dim O/(f, g) of two germs, certified by one kernel,
+:func:`_colength`.
 
 Everything that cannot be decided over the rationals is reported as grouped
 degree data or raised as :class:`UndecidableOverQ`; nothing is approximated.
-Tangent directions, squarefree packets and common components come from the
-integer-polynomial kernels of `rationals`; sympy is loaded only by the
+Tangent directions and common components come from the integer-polynomial
+kernels of `rationals`; sympy is loaded only by the
 :func:`rational_singular_points` diagnostic.
 """
 
@@ -199,10 +201,10 @@ def form_to_json(form: HomogeneousForm) -> dict:
 # kernels of `rationals` stay in the tens of milliseconds (Python 3.11, one
 # Xeon core, worst of five dense random germs): `_share_component` of the
 # partials takes 6 ms, 27 ms with a common component of degree 8; the
-# factorization of a tangent cone (`_directions`) 44 ms; the squarefree
-# packets of a binary form 1 ms; an `an-type` check 12 ms.  The bounds were
-# set when sympy's bivariate gcd took 2 s at these bounds; they stay, as
-# changing them changes exit codes.
+# factorization of a tangent cone (`_directions`) 44 ms; an `an-type` check
+# 12 ms (a high colength with large coefficients costs far more: `_colength`).
+# The bounds were set when sympy's bivariate gcd took 2 s at these bounds;
+# they stay, as changing them changes exit codes.
 # Coefficients are read by `rationals.bounded_rational` (MAX_COEFF_BITS).
 MAX_DEGREE = 16  # form degree and total degree of a germ monomial
 
@@ -469,11 +471,12 @@ def _mult_tree(g: Germ, depth: int) -> GermNode:
 
 
 def local_intersection(f: Germ, g: Germ) -> int:
-    """Intersection multiplicity of two germs at the origin.
+    """Intersection multiplicity dim O/(f, g) of two germs at the origin.
 
-    Uses the blow-up recursion: m(f) m(g) plus the contributions at common
-    infinitely-near points.  Common irrational directions raise
-    :class:`UndecidableOverQ`; a common component is an error.
+    A germ that misses the origin meets the other with multiplicity 0; a zero
+    germ and a common component through the origin are errors.  Otherwise
+    (f, g) is primary to the maximal ideal and :func:`_colength` returns the
+    exact number, also when the germs share an irrational tangent direction.
     """
     if not f or not g:
         raise ValueError("zero germ")
@@ -481,32 +484,7 @@ def local_intersection(f: Germ, g: Germ) -> int:
         return 0
     if _share_component(f, g):
         raise ValueError("infinite intersection: the germs share a component through the point")
-    return _blow_up_intersection(f, g)
-
-
-def _blow_up_intersection(f: Germ, g: Germ) -> int:
-    """The recursion of :func:`local_intersection` for germs through the origin
-    with no common component there.
-
-    A common component of the strict transforms at a point of the exceptional
-    line would map to a common component of the germs through the origin, so
-    the check is not repeated.  Both strict transforms at a common tangent
-    direction pass through the new origin.
-    """
-    mf, mg = germ_multiplicity(f), germ_multiplicity(g)
-    total = mf * mg
-    directions_f, directions_g = _directions(f), _directions(g)
-    dirs_f = {d.root: d for d in directions_f if d.degree == 1}
-    dirs_g = {d.root: d for d in directions_g if d.degree == 1}
-    if any(d.degree != 1 for d in directions_f) and any(d.degree != 1 for d in directions_g):
-        raise UndecidableOverQ("possible common irrational tangent direction")
-    for root, df in dirs_f.items():
-        if root not in dirs_g:
-            continue
-        child_f = _blow_up_at_direction(f, df)
-        child_g = _blow_up_at_direction(g, dirs_g[root])
-        total += _blow_up_intersection(child_f, child_g)
-    return total
+    return _colength(f, g)
 
 
 def _share_component(f: Germ, g: Germ) -> bool:
@@ -566,14 +544,12 @@ def an_type_at(
     """Classify a point as smooth, A_n, or other.
 
     A_n means multiplicity two with Milnor number n.  The Milnor number
-    mu = dim O/J, J = (f_u, f_v), is certified by exact linear algebra.  Let
-    d(b) = dim O/(J + m^b).  An equality d(b) = d(b+1) means
-    m^b is in J + m^(b+1), so m^b is in J by Nakayama's lemma and mu = d(b).
-    The search starts at b = 1 (d(1) = 1 at a singular point) and raises b
-    by one; d rises strictly until the stop, so it ends by b = mu.  The
-    candidate only caps b at 16*candidate + 16: reaching the cap without an
-    equal pair certifies mu > 16*candidate + 16, reported as inconclusive,
-    never silenced.  A corank-zero point must come out with mu = 1.
+    mu = dim O/(f_u, f_v) is the colength of the partials, certified by
+    :func:`_colength` (an equal pair d(b) = d(b+1) and Nakayama's lemma),
+    whose search ends by b = mu.  The candidate only caps b at
+    16*candidate + 16: reaching the cap without an equal pair certifies
+    mu > 16*candidate + 16, reported as inconclusive, never silenced.  A
+    corank-zero point must come out with mu = 1.
     """
     g = _coerce_germ(form_or_germ, point)
     if not g:
@@ -597,27 +573,52 @@ def an_type_at(
     disc = b * b - 4 * a * c
     corank = 0 if disc != 0 else 1
 
-    dim = 1  # d(1): both partials vanish at the origin
-    for b in range(1, 16 * candidate + 17):
-        previous, dim = dim, _local_algebra_dim(gu, gv, b + 1)
-        if dim == previous:  # d(b) = d(b + 1): mu = d(b)
-            if corank == 0 and dim != 1:
-                return AnVerdict("inconclusive", None, m, dim, "corank and Milnor number disagree")
-            return AnVerdict("A", dim, m, dim)
-    return AnVerdict("inconclusive", None, m, None, "Milnor number failed to stabilize")
+    mu = _colength(gu, gv, 16 * candidate + 16)
+    if mu is None:
+        return AnVerdict("inconclusive", None, m, None, "Milnor number failed to stabilize")
+    if corank == 0 and mu != 1:
+        return AnVerdict("inconclusive", None, m, mu, "corank and Milnor number disagree")
+    return AnVerdict("A", mu, m, mu)
 
 
-def _local_algebra_dim(gu: Germ, gv: Germ, bound: int) -> int:
-    """Dimension of O/(J + m^bound) where J is generated by the two partials.
+def _colength(f: Germ, g: Germ, cap: int | None = None) -> int | None:
+    """dim O/(f, g) of two germs through the origin with no common component
+    there; None once the search passes ``cap``.
 
-    The generators are scaled to integer coefficients, which leaves J as it
-    is.  The rows, the generators times each monomial below the bound, come
-    monomial by monomial: with the columns in the same order this keeps the
-    fill-in of the elimination small.
+    Let d(b) = dim O/(f, g, m^b).  If d(b) = d(b+1), then m^b lies in
+    (f, g) + m^(b+1), hence in (f, g) by Nakayama's lemma, and
+    dim O/(f, g) = d(b).  The search raises b from 1, where d(1) = 1.  With
+    no common component (f, g) is m-primary, so an equal pair exists; d
+    rises strictly before it, so d(b) >= b and the search stops by
+    b = dim O/(f, g).  Passing ``cap`` certifies dim O/(f, g) > cap.
+
+    A detect-33 decomposition multiplies back to a germ of degree at most
+    :data:`MAX_DEGREE`, so deg f + deg g <= 16 and Bezout's theorem bounds
+    dim O/(f, g) <= 64.  There, f = v - u^8 - 2 u v^3 + 3 u^2 v^5 against
+    v^8 + 5 f takes 1.1 s (Python 3.11, one Xeon core).  Large coefficients
+    cost far more, as the integers of the elimination grow: a dense residual
+    of degree 15 with 64-bit coefficients against v (i = 15) took 265 s.
+    """
+    dim = 1
+    for b in itertools.count(1):
+        if cap is not None and b > cap:
+            return None
+        previous, dim = dim, _local_algebra_dim(f, g, b + 1)
+        if dim == previous:
+            return dim
+
+
+def _local_algebra_dim(f: Germ, g: Germ, bound: int) -> int:
+    """d(bound) = dim O/(f, g, m^bound), the truncation :func:`_colength` steps.
+
+    The generators are scaled to integer coefficients, which leaves the ideal
+    as it is.  The rows, the generators times each monomial below the bound,
+    come monomial by monomial: with the columns in the same order this keeps
+    the fill-in of the elimination small.
     """
     monomials = [(a, b) for a in range(bound) for b in range(bound - a)]
     index = {mono: i for i, mono in enumerate(monomials)}
-    generators = [_integer_terms(gu), _integer_terms(gv)]
+    generators = [_integer_terms(f), _integer_terms(g)]
     rows: list[dict[int, int]] = []
     for a, b in monomials:
         for generator in generators:
@@ -832,7 +833,6 @@ class RestrictionPattern:
     contained: bool
     orders: tuple[int, ...]
     residual_degree: int
-    residual_squarefree: tuple[tuple[int, int], ...]  # (multiplicity, degree) packets
 
     @property
     def total(self) -> int:
@@ -844,13 +844,12 @@ def restrict_to_line(
     line: HomogeneousForm,
     marked_points: tuple[MarkedPoint, ...] = (),
 ) -> RestrictionPattern:
-    """Vanishing orders of the restriction at marked points plus residual data.
+    """Vanishing orders of the restriction at marked points and the residual degree.
 
     Each order is counted while the restriction is divided by the point's
     linear factor, so what is left after the last point is the residual.  The
-    marked points must be distinct.  The residual factorization is reported
-    through squarefree degree packets only; containment of the line in the
-    curve is a result, not an error.
+    marked points must be distinct.  Containment of the line in the curve is
+    a result, not an error.
     """
     if line.degree != 1:
         raise ValueError("restriction needs a line")
@@ -862,7 +861,7 @@ def restrict_to_line(
     base = _two_points_on_line(line)
     residual = _restrict_binary(form, base)
     if all(c == 0 for c in residual):
-        return RestrictionPattern(True, (), 0, ())
+        return RestrictionPattern(True, (), 0)
     orders = []
     for p in marked_points:
         s, t = _line_coordinates(base, p)
@@ -871,8 +870,7 @@ def restrict_to_line(
             residual = _binary_divide(residual, s, t)
             order += 1
         orders.append(order)
-    degree = len(residual) - 1
-    return RestrictionPattern(False, tuple(orders), degree, _squarefree_packets(residual))
+    return RestrictionPattern(False, tuple(orders), len(residual) - 1)
 
 
 def _two_points_on_line(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -944,22 +942,6 @@ def _binary_divide(coeffs: list[Fraction], s: Fraction, t: Fraction) -> list[Fra
         return out
     # root (1 : 0): divide by t, dropping the pure s-power coefficient
     return coeffs[:-1]
-
-
-def _squarefree_packets(coeffs: list[Fraction]) -> tuple[tuple[int, int], ...]:
-    degree = len(coeffs) - 1
-    if degree <= 0 or all(c == 0 for c in coeffs):
-        return ()
-    poly = integer_rows([coeffs])[1][0]
-    while poly[-1] == 0:
-        poly.pop()
-    packets: dict[int, int] = {}
-    infinity = len(coeffs) - len(poly)
-    if infinity > 0:
-        packets[infinity] = packets.get(infinity, 0) + 1
-    for factor, mult in squarefree_decomposition(poly):
-        packets[mult] = packets.get(mult, 0) + len(factor) - 1
-    return tuple(sorted(packets.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -1186,8 +1168,8 @@ class SmoothnessReport:
     The scan eliminates the partials by resultants and inspects rational
     roots; it certifies only "no rational singular points" plus the degree
     accounting of the eliminant, never smoothness over the algebraic closure.
-    It is a diagnostic only: it names the rational culprits once
-    :func:`tjurina_number` has shown singular points beyond the expected ones.
+    It is a diagnostic only, which no engine path calls: the family check
+    reads singular points beyond the marked ones off :func:`tjurina_number`.
     """
 
     singular_points: tuple[MarkedPoint, ...]

@@ -196,6 +196,15 @@ def _parse_germ(data) -> dict:
         raise ScenarioError(f"germ: {err}") from None
 
 
+def _parse_33_block(block: Mapping) -> tuple[dict, tuple[dict, dict] | None]:
+    """The germ of a [3,3]-point block and its optional (residual, smooth) pair."""
+    shape = _parse_germ(block["germ"])
+    if "decomposition" not in block:
+        return shape, None
+    first, second = block["decomposition"]
+    return shape, (_parse_germ(first), _parse_germ(second))
+
+
 def _field(payload: Mapping, key: str, default, types: tuple[type, ...], meaning: str):
     """``payload[key]``, or the default, when its JSON type is exactly one of
     ``types`` (so a boolean is no integer and 6.9 no profile); else ScenarioError."""
@@ -209,15 +218,7 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
     if construction == "en":
         config = config_from_json(payload["config"]) if "config" in payload else None
-        branch_germ = None
-        if "branch_germ" in payload:
-            block = payload["branch_germ"]
-            shape = _parse_germ(block["germ"])
-            decomposition = None
-            if "decomposition" in block:
-                first, second = block["decomposition"]
-                decomposition = (_parse_germ(first), _parse_germ(second))
-            branch_germ = (shape, decomposition)
+        branch_germ = _parse_33_block(payload["branch_germ"]) if "branch_germ" in payload else None
         spec = EnSpec(
             singularity=_field(payload, "singularity", None, (str,), "a string"),
             profile=_field(payload, "profile", 6, (int,), "the integer 6 or 7"),
@@ -287,11 +288,7 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
             verdict = _an_verdict(check)
             values[name] = _an_label(verdict)
         elif op == "detect-33":
-            shape = _parse_germ(check["germ"])
-            decomposition = None
-            if "decomposition" in check:
-                first, second = check["decomposition"]
-                decomposition = (_parse_germ(first), _parse_germ(second))
+            shape, decomposition = _parse_33_block(check)
             verdict = detect_33_point(shape, decomposition=decomposition)
             parts = [
                 "true" if verdict.is_33 else "false",

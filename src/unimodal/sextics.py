@@ -32,7 +32,6 @@ from .planecurves import (
     monomial_basis,
     monomial_exclusions,
     orbit_dim_count,
-    rational_singular_points,
     restrict_to_line,
     stabilizer_dim,
     tjurina_number,
@@ -311,7 +310,6 @@ class FamilyVerification:
     residual_degree: int
     mark: AnVerdict | None
     excess: int | None  # total Tjurina number beyond the mark's; None if uncertified
-    rational_culprits: tuple[MarkedPoint, ...]  # listed only when the excess is not 0
     orbit_count: int
     variant_orbit_count: int | None
 
@@ -325,9 +323,7 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     exclusion set does not force the declared cusp on a general member).
     The excess is the total Tjurina number of the representative minus that
     of the mark (n for a certified A_n, 0 without a mark); 0 certifies that
-    no other singular point exists over the algebraic closure.  Only a
-    nonzero or uncertified excess triggers the rational-point scan, which
-    lists the rational culprits for the diagnostic.
+    no other singular point exists over the algebraic closure.
 
     The mark's Tjurina number is passed to `tjurina_number` as a lower
     bound.  An A_n point is quasi-homogeneous, so its Jacobian scheme has
@@ -362,11 +358,6 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
         seen.add((orders, residual, excess) + ((mark.kind, mark.n) if mark else ()))
     if len(seen) != 1:
         raise ValueError(f"{fam.family_id}: specializations disagree: {sorted(map(str, seen))}")
-    culprits: tuple[MarkedPoint, ...] = ()
-    if excess != 0:
-        expected_points = () if fam.singular_mark is None else (fam.singular_mark[0],)
-        report = rational_singular_points(rep)
-        culprits = tuple(p for p in report.singular_points if p not in expected_points)
     variant = (
         fam.orbit_dim_count(fam.variant_exclusions) if fam.variant_exclusions else None
     )
@@ -376,7 +367,6 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
         residual,
         mark,
         excess,
-        culprits,
         fam.orbit_dim_count(),
         variant,
     )

@@ -18,6 +18,8 @@ from unimodal.planecurves import (
     HomogeneousForm,
     MarkedPoint,
     UndecidableOverQ,
+    _blow_up_at_direction,
+    _directions,
     _integer_terms,
     _stabilizer_rows,
     germ_multiplicity,
@@ -187,3 +189,27 @@ def blow_up_at_direction_by_expansion(g: Germ, direction: Direction) -> Germ:
             key = (i, a + b - m)
             out[key] = out.get(key, Fraction(0)) + c * math.comb(a, i) * direction.root ** (a - i)
     return {e: c for e, c in out.items() if c != 0}
+
+
+def intersection_by_blow_ups(f: Germ, g: Germ) -> int:
+    """The local intersection number of two germs through the origin with no
+    common component there, by the blow-up recursion: m(f) m(g) plus the
+    numbers of the strict transforms at each common tangent direction.
+
+    A common component of the strict transforms at a point of the exceptional
+    line would map to a common component of the germs, and both strict
+    transforms at a common tangent direction pass through the new origin.
+    Common irrational directions raise :class:`UndecidableOverQ`.
+    """
+    total = germ_multiplicity(f) * germ_multiplicity(g)
+    directions_f, directions_g = _directions(f), _directions(g)
+    dirs_f = {d.root: d for d in directions_f if d.degree == 1}
+    dirs_g = {d.root: d for d in directions_g if d.degree == 1}
+    if any(d.degree != 1 for d in directions_f) and any(d.degree != 1 for d in directions_g):
+        raise UndecidableOverQ("possible common irrational tangent direction")
+    for root, df in dirs_f.items():
+        if root in dirs_g:
+            total += intersection_by_blow_ups(
+                _blow_up_at_direction(f, df), _blow_up_at_direction(g, dirs_g[root])
+            )
+    return total

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,23 @@ def test_recognize_rejects_non_fibers():
     assert recognize_kodaira_fiber(cfg([("E", -2, 0)])) is None
     chain = cfg([("A", -2, 0), ("B", -2, 0)], [("A", "B", 1)])
     assert recognize_kodaira_fiber(chain) is None
+    # a contact of multiplicity one at a single point is no Kodaira shape
+    for concurrent in ((), [("A", "B", "C")]):
+        tangential = cfg(
+            [("A", -2, 0), ("B", -2, 0), ("C", -2, 0)],
+            [("A", "B", 1, True), ("A", "C", 1), ("B", "C", 1)],
+            concurrent,
+        )
+        assert recognize_kodaira_fiber(tangential) is None
+    # two disjoint 32-cycles pass the row-sum test; the connectivity test
+    # rejects them before any isomorphism search
+    two_cycles = cfg(
+        [(f"{side}{i}", -2, 0) for side in "AB" for i in range(32)],
+        [(f"{side}{i}", f"{side}{(i + 1) % 32}", 1) for side in "AB" for i in range(32)],
+    )
+    start = time.perf_counter()
+    assert recognize_kodaira_fiber(two_cycles) is None
+    assert time.perf_counter() - start < 0.05
 
 
 def test_recognition_relabeling_invariance():
@@ -333,6 +351,11 @@ def test_recognition_relabeling_invariance():
             [("A", "B", "C")],
         ),
     }
+    for n in range(4, 65):
+        examples[f"I{n}"] = cfg(
+            [(f"E{i}", -2, 0) for i in range(n)],
+            [(f"E{i}", f"E{(i + 1) % n}", 1) for i in range(n)],
+        )
     for expected, config in examples.items():
         names = list(config.names)
         for _ in range(4):
@@ -340,6 +363,12 @@ def test_recognition_relabeling_invariance():
             rng.shuffle(perm)
             relabeled = config.relabel(dict(zip(names, [f"z{i}" for i in range(len(names))])))
             relabeled = relabeled.relabel(dict(zip(relabeled.names, perm)))
+            # the recognizer must not depend on the order of the records either
+            relabeled = CurveConfiguration(
+                tuple(rng.sample(relabeled.components, len(relabeled.components))),
+                tuple(rng.sample(relabeled.contacts, len(relabeled.contacts))),
+                relabeled.concurrent,
+            )
             assert recognize_kodaira_fiber(relabeled) == expected
 
 

@@ -293,13 +293,11 @@ def test_local_intersection_checks_for_a_common_component_once(monkeypatch):
     assert calls == [1]
 
 
-def test_local_intersection_undecidable_over_q():
-    from unimodal.planecurves import UndecidableOverQ
-
+def test_local_intersection_through_a_common_irrational_tangent():
     f = germ({(2, 0): 1, (0, 2): -2})  # tangent directions y = ±sqrt(2) z
     g = germ({(2, 0): 1, (0, 2): -2, (0, 3): 1})
-    with pytest.raises(UndecidableOverQ):
-        local_intersection(f, g)
+    # (f, g) = (f, z^3), of colength 2 * 3
+    assert local_intersection(f, g) == 6
 
 
 def test_an_type_inconclusive_when_bound_exhausted():
@@ -350,7 +348,7 @@ def _disguised_an(n, rng):
 
 def test_an_milnor_matches_intersection_of_partials():
     # mu = dim O/(f_u, f_v) is the intersection number of the two partials,
-    # which local_intersection computes by blow-ups instead
+    # which local_intersection computes without the candidate's cap
     rng = random.Random(7)
     for n in range(1, 9):
         g = _disguised_an(n, rng)

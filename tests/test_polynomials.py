@@ -15,7 +15,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import unimodal.rationals as rationals
-from unimodal.planecurves import _directions, _share_component, _squarefree_packets, germ_mul
+from unimodal.planecurves import _directions, _share_component, germ_mul
 from unimodal.rationals import (
     bivariate_gcd,
     irreducible_factors,
@@ -110,16 +110,6 @@ def test_tangent_directions_agree_with_factor_list_over_q(f, scales):
     assert infinity == ([m - poly.degree()] if m > poly.degree() else [])
     assert [(d.root, d.multiplicity) for d in directions if d.root is not None] == roots
     assert [(d.degree, d.multiplicity) for d in directions if d.degree > 1] == packets
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(polynomial_st, st.integers(0, 3), st.fractions(max_denominator=30).filter(bool))
-def test_squarefree_packets_agree_with_sqf_list(f, infinity, scale):
-    coeffs = [Fraction(c) * scale for c in f] + [Fraction(0)] * infinity
-    packets: dict[int, int] = {infinity: 1} if infinity else {}
-    for p, i in _sympy_poly(f).sqf_list()[1]:
-        packets[int(i)] = packets.get(int(i), 0) + int(p.degree())
-    assert _squarefree_packets(coeffs) == tuple(sorted(packets.items()))
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,11 @@ from unimodal.planecurves import (
     _blow_up_at_direction,
     _integer_terms,
     _jacobian_rows,
+    _share_component,
+    germ,
+    germ_mul,
     germ_of,
+    local_intersection,
     monomial,
     monomial_basis,
     tjurina_number,
@@ -61,6 +65,7 @@ from unimodal.rationals import (
 from oracles import (
     blow_up_at_direction_by_expansion,
     germ_of_by_expansion,
+    intersection_by_blow_ups,
     is_negative_semidefinite,
     jacobian_rows_all,
     rank_by_minors,
@@ -561,6 +566,61 @@ def test_blow_up_of_an_irrational_direction_is_refused_by_both():
     for blow_up in (_blow_up_at_direction, blow_up_at_direction_by_expansion):
         with pytest.raises(UndecidableOverQ):
             blow_up(g, Direction(None, 1, degree=2))
+
+
+small_nonzero = st.builds(Fraction, st.integers(1, 7) | st.integers(-7, -1), st.integers(1, 4))
+
+
+@st.composite
+def smooth_branches(draw):
+    """A germ a u + b v + higher terms through the origin, (a, b) != (0, 0):
+    smooth, with a rational tangent."""
+    a, b = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -2), (2, 3)]))
+    g = {(1, 0): Fraction(a), (0, 1): Fraction(b)}
+    for e in draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: 2 <= sum(e) <= 3
+    ), max_size=3)):
+        g[e] = draw(small_nonzero)
+    return germ({e: c for e, c in g.items() if c})
+
+
+@st.composite
+def germ_pairs(draw):
+    """Two germs through the origin, each a product of one to three smooth
+    branches with rational tangents, so every tangent direction is rational;
+    pairs with a common component are left out."""
+    f, g = ({(0, 0): Fraction(1)}, {(0, 0): Fraction(1)})
+    for _ in range(draw(st.integers(1, 3))):
+        f = germ_mul(f, draw(smooth_branches()))
+    for _ in range(draw(st.integers(1, 3))):
+        g = germ_mul(g, draw(smooth_branches()))
+    assume(not _share_component(f, g))
+    return f, g, None
+
+
+@st.composite
+def branches_with_contact(draw):
+    """v - p(u) and v - p(u) - c u^k, or the same with u and v swapped: two
+    smooth branches with contact k, so their intersection number is k."""
+    k = draw(st.integers(1, 12))
+    p = {(a, 0): draw(small_nonzero) for a in draw(st.sets(st.integers(1, 6), max_size=3))}
+    f = {(0, 1): Fraction(1), **{e: -c for e, c in p.items()}}
+    c = draw(small_nonzero)
+    g = dict(f)
+    g[(k, 0)] = g.get((k, 0), Fraction(0)) - c
+    f, g = germ(f), germ({e: x for e, x in g.items() if x})
+    if draw(st.booleans()):
+        f, g = ({(b, a): x for (a, b), x in h.items()} for h in (f, g))
+    return f, g, k
+
+
+@given(st.one_of(germ_pairs(), branches_with_contact()))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_local_intersection_agrees_with_the_blow_up_recursion(case):
+    f, g, contact = case
+    number = local_intersection(f, g)
+    assert number == intersection_by_blow_ups(f, g)
+    assert contact is None or number == contact
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ def test_verify_family_outcomes():
         outcome = verify_family(fam)
         assert outcome.orders == fam.expected_orders
         assert outcome.excess == 0
-        assert outcome.rational_culprits == ()
         if fam.singular_mark is None:
             assert outcome.mark is None
         else:
