@@ -19,10 +19,9 @@ A_n and the two degree-one elliptic T-singularities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rationals import (
     bounded_rational,
@@ -43,50 +42,64 @@ def _require_int(owner: str, field: str, value) -> None:
         raise TypeError(f"{owner}: {field} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Component:
+class _ComponentFields(NamedTuple):
     name: str
     self_int: int
     pa: int = 0
     sing: str | None = None  # "node" | "cusp" for an irreducible curve singularity
 
-    def __post_init__(self) -> None:
+
+class Component(_ComponentFields):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "Component":
+        self = super().__new__(cls, *fields, **named)
         _require_int(f"component {self.name}", "self-intersection", self.self_int)
         _require_int(f"component {self.name}", "arithmetic genus", self.pa)
         if self.pa < 0:
             raise ValueError(f"component {self.name}: negative arithmetic genus")
         if self.sing not in (None, "node", "cusp"):
             raise ValueError(f"component {self.name}: unknown singularity marker {self.sing!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Contact:
-    """Intersection record for an unordered pair of components."""
-
+class _ContactFields(NamedTuple):
     first: str
     second: str
     mult: int
     tangential: bool = False  # multiplicity concentrated at a single point
 
-    def __post_init__(self) -> None:
+
+class Contact(_ContactFields):
+    """Intersection record for an unordered pair of components."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "Contact":
+        self = super().__new__(cls, *fields, **named)
         if self.first == self.second:
             raise ValueError("contact needs two distinct components")
         _require_int(f"contact {self.first}-{self.second}", "multiplicity", self.mult)
         if self.mult < 1:
             raise ValueError("contact multiplicity must be positive")
+        return self
 
     @property
     def pair(self) -> frozenset[str]:
         return frozenset((self.first, self.second))
 
 
-@dataclass(frozen=True)
-class CurveConfiguration:
+class _CurveConfigurationFields(NamedTuple):
     components: tuple[Component, ...]
     contacts: tuple[Contact, ...] = ()
     concurrent: tuple[frozenset[str], ...] = ()  # declared triple points
 
-    def __post_init__(self) -> None:
+
+class CurveConfiguration(_CurveConfigurationFields):
+    # no __slots__: the cached Gram matrix lives in the instance __dict__
+
+    def __new__(cls, *fields, **named) -> "CurveConfiguration":
+        self = super().__new__(cls, *fields, **named)
         names = [c.name for c in self.components]
         if len(set(names)) != len(names):
             raise ValueError("duplicate component names")
@@ -100,6 +113,7 @@ class CurveConfiguration:
         for triple in self.concurrent:
             if len(triple) != 3 or not triple <= set(names):
                 raise ValueError("a concurrency flag names three known components")
+        return self
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -184,8 +198,7 @@ def is_negative_definite(config: CurveConfiguration) -> bool:
     return _gram_negative_definite(config.integer_gram())
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
+class FundamentalCycle(NamedTuple):
     config: CurveConfiguration
     coeffs: tuple[int, ...]
 
@@ -257,8 +270,7 @@ def _laufer_cycle(config: CurveConfiguration) -> FundamentalCycle:
     raise ValueError(f"the fundamental cycle needs more than {MAX_LAUFER_ITERATIONS} Laufer steps")
 
 
-@dataclass(frozen=True)
-class EllipticClassification:
+class EllipticClassification(NamedTuple):
     kind: str  # "minimally-elliptic" | "rational" | "not-elliptic"
     degree: int | None  # -Z^2 for a minimally elliptic point
     cycle: FundamentalCycle
@@ -302,8 +314,7 @@ def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassific
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     config: CurveConfiguration
     expected_self_int: int  # Z^2
@@ -551,8 +562,7 @@ def fiber_euler_number(fiber_type: str) -> int:
         raise ValueError(f"unknown fibre type {fiber_type!r}") from None
 
 
-@dataclass(frozen=True)
-class BudgetVerdict:
+class BudgetVerdict(NamedTuple):
     feasible: bool
     remainder: int
 

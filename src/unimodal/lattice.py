@@ -25,12 +25,11 @@ lists the operations with their call arguments as immutable values, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .configurations import (
     Component,
@@ -50,8 +49,13 @@ class ContractionError(ValueError):
     """Configuration that cannot be contracted to a Gorenstein model."""
 
 
-@dataclass(frozen=True, init=False)
-class IntersectionLattice:
+class _LatticeFields(NamedTuple):
+    basis: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+
+class IntersectionLattice(_LatticeFields):
     """An ordered named basis with the Gram matrix ``rows / den``.
 
     Kept normalised as a divisor class is: ``den > 0`` and
@@ -62,18 +66,19 @@ class IntersectionLattice:
     Fraction view.
     """
 
-    basis: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    den: int
+    __slots__ = ()
 
-    def __init__(self, basis: Sequence[str], gram: Sequence[Sequence[int | Fraction]]) -> None:
+    def __new__(cls, basis: Sequence[str], gram: Sequence[Sequence[int | Fraction]]) -> "IntersectionLattice":
         n = len(basis)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix shape does not match the basis")
         den, rows = integer_rows(gram)
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise LatticeError("Gram matrix is not symmetric")
-        _set_lattice(self, tuple(basis), tuple(map(tuple, rows)), den)
+        return _lattice(tuple(basis), tuple(map(tuple, rows)), den)
+
+    def __reduce__(self):
+        return _lattice, tuple(self)
 
     @property
     def rank(self) -> int:
@@ -90,10 +95,9 @@ class IntersectionLattice:
             raise LatticeError(f"no basis class named {name!r}") from None
 
 
-def _set_lattice(
-    lattice: IntersectionLattice, basis: tuple[str, ...], rows: tuple[tuple[int, ...], ...], den: int
-) -> None:
-    """Give ``lattice`` the Gram matrix rows / den (den != 0), normalised by one gcd."""
+def _lattice(basis: tuple[str, ...], rows: tuple[tuple[int, ...], ...], den: int) -> IntersectionLattice:
+    """The lattice with Gram matrix rows / den (den != 0), normalised by one gcd;
+    no Fraction is built."""
     if len(set(basis)) != len(basis):
         raise LatticeError("duplicate basis names")
     common = gcd(den, *chain.from_iterable(rows))
@@ -101,16 +105,7 @@ def _set_lattice(
         common = -common
     if common != 1:
         rows, den = tuple(tuple(x // common for x in row) for row in rows), den // common
-    object.__setattr__(lattice, "basis", basis)
-    object.__setattr__(lattice, "rows", rows)
-    object.__setattr__(lattice, "den", den)
-
-
-def _lattice(basis: tuple[str, ...], rows: tuple[tuple[int, ...], ...], den: int) -> IntersectionLattice:
-    """The lattice with Gram matrix rows / den, built without a Fraction."""
-    lattice = object.__new__(IntersectionLattice)
-    _set_lattice(lattice, basis, rows, den)
-    return lattice
+    return tuple.__new__(IntersectionLattice, (basis, rows, den))
 
 
 def _direct_sum(
@@ -245,16 +240,14 @@ def _extend(lattice: IntersectionLattice, cls: DivisorClass, tail: Sequence[int]
     return _divisor(lattice, cls.num + tuple(t * cls.den for t in tail), cls.den)
 
 
-@dataclass(frozen=True)
-class TrackedCurve:
+class TrackedCurve(NamedTuple):
     name: str
     cls: DivisorClass
     pa: Fraction
     irreducible: bool = True
 
 
-@dataclass(frozen=True)
-class ProvenanceStep:
+class ProvenanceStep(NamedTuple):
     """One operation and its call arguments after the model, positionally.
 
     The arguments are kept as immutable values (names, numbers, divisor
@@ -272,7 +265,7 @@ class ProvenanceStep:
 def _frozen(value):
     if isinstance(value, dict):
         return tuple((k, _frozen(v)) for k, v in value.items())
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # a record is a tuple too, and stays as it is
         return tuple(map(_frozen, value))
     return value
 
@@ -281,8 +274,7 @@ def _step(op: str, *args) -> ProvenanceStep:
     return ProvenanceStep(op, _frozen(args))
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class _SurfaceModelFields(NamedTuple):
     name: str
     lattice: IntersectionLattice
     canonical: DivisorClass
@@ -290,7 +282,12 @@ class SurfaceModel:
     tracked: tuple[TrackedCurve, ...]
     provenance: tuple[ProvenanceStep, ...]
 
-    def __post_init__(self) -> None:
+
+class SurfaceModel(_SurfaceModelFields):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "SurfaceModel":
+        self = super().__new__(cls, *fields, **named)
         if self.canonical.lattice != self.lattice:
             raise LatticeError("canonical class does not belong to the model lattice")
         for curve in self.tracked:
@@ -299,6 +296,7 @@ class SurfaceModel:
         names = [c.name for c in self.tracked]
         if len(set(names)) != len(names):
             raise LatticeError("duplicate tracked-curve names")
+        return self
 
     # -- class construction -------------------------------------------------
 
@@ -350,7 +348,7 @@ class SurfaceModel:
         return 12 * self.chi - self.k_squared
 
     def _with(self, **changes) -> "SurfaceModel":
-        return replace(self, **changes)
+        return SurfaceModel(*self._replace(**changes))
 
 
 def _class_of(lattice: IntersectionLattice, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
@@ -741,8 +739,7 @@ def split_curve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(NamedTuple):
     model: SurfaceModel
     kind: str  # "blow-down" | "rational-double-point" | "minimally-elliptic"
     label: str

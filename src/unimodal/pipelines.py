@@ -16,8 +16,8 @@ silently repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .configurations import (
     Component,
@@ -50,8 +50,7 @@ from .rationals import frac, rat_str
 from .sextics import FAMILIES, SexticFamily, family, verify_family
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """A stated value that the exact recomputation does not reproduce."""
 
     flag: str
@@ -78,13 +77,12 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
         return rat_str(value)
-    if isinstance(value, (tuple, list)):
+    if type(value) in (tuple, list):  # a record is a tuple too, and prints as itself
         return ",".join(_fmt(v) for v in value)
     return str(value)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     computed: str
     expected: str
@@ -93,8 +91,7 @@ class CheckRecord:
     flag: str | None = None
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     label: str
     checks: tuple[CheckRecord, ...]
     diagnostics: tuple[tuple[str, str], ...]
@@ -184,8 +181,7 @@ def section_class_coefficient(pa_bisection: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnSpec:
+class EnSpec(NamedTuple):
     singularity: str  # "E12" | "E13" | "E14"
     profile: int = 6  # which degree-one elliptic point sits over the [3,3]
     fiber_variant: str | None = None  # second-fibre shape for E13/E14
@@ -201,8 +197,7 @@ _EN_VARIANTS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class _Variant:
+class _Variant(NamedTuple):
     ade: str  # "A1" | "A2"
     tangential: bool  # fibre components meet at a single point
     concurrent: bool  # three fibre components through one point
@@ -369,7 +364,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         fiber = configuration_of(surface, fiber_names)
         second_fiber = CurveConfiguration(
             fiber.components,
-            tuple(replace(c, tangential=variant.tangential) for c in fiber.contacts),
+            tuple(Contact(c.first, c.second, c.mult, variant.tangential) for c in fiber.contacts),
             (frozenset(fiber_names),) if variant.concurrent else (),
         )
         checks.expect(
@@ -608,8 +603,7 @@ def _germ_checks(checks: _Recorder, spec: EnSpec) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZwSpec:
+class ZwSpec(NamedTuple):
     singularity: str  # Z11 | Z12 | Z13 | W12 | W13
     family_case: int | None = 1
     config: CurveConfiguration | None = None
@@ -874,5 +868,5 @@ def run_riemann_hurwitz_check() -> PipelineResult:
             "double-cover-branch-degree",
             "ade-contraction",
         ):
-            checks.records.append(replace(result.check(name), name=f"{sing.lower()}-{name}"))
+            checks.records.append(result.check(name)._replace(name=f"{sing.lower()}-{name}"))
     return checks.result("riemann-hurwitz", ())

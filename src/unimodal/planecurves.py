@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rationals import (
     MAX_COEFF_BITS,
@@ -73,17 +73,22 @@ class UndecidableOverQ(ValueError):
 Exponent = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
+class _HomogeneousFormFields(NamedTuple):
     degree: int
     terms: tuple[tuple[Exponent, Fraction], ...]  # sorted, nonzero coefficients
 
-    def __post_init__(self) -> None:
+
+class HomogeneousForm(_HomogeneousFormFields):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "HomogeneousForm":
+        self = super().__new__(cls, *fields, **named)
         for (i, j, k), coeff in self.terms:
             if i + j + k != self.degree:
                 raise ValueError(f"monomial {(i, j, k)} does not have degree {self.degree}")
             if coeff == 0:
                 raise ValueError("zero coefficients must be dropped")
+        return self
 
     @staticmethod
     def from_dict(degree: int, coeffs: dict[Exponent, int | str | Fraction]) -> "HomogeneousForm":
@@ -164,16 +169,21 @@ def linear_form(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> Homo
     return HomogeneousForm.from_dict(1, {(1, 0, 0): frac(a), (0, 1, 0): frac(b), (0, 0, 1): frac(c)})
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class _MarkedPointFields(NamedTuple):
     coords: tuple[Fraction, Fraction, Fraction]
 
-    def __post_init__(self) -> None:
+
+class MarkedPoint(_MarkedPointFields):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "MarkedPoint":
+        self = super().__new__(cls, *fields, **named)
         if all(c == 0 for c in self.coords):
             raise ValueError("a projective point needs a nonzero coordinate")
         pivot = next(c for c in self.coords if c != 0)
         if pivot != 1:
             raise ValueError("points must be normalized: first nonzero coordinate 1")
+        return self
 
     @staticmethod
     def of(x: int | str | Fraction, y: int | str | Fraction, z: int | str | Fraction) -> "MarkedPoint":
@@ -341,8 +351,7 @@ def _tangent_cone(g: Germ) -> Germ:
     return {e: c for e, c in g.items() if e[0] + e[1] == m}
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(NamedTuple):
     """One tangent direction of a germ: either rational or a grouped conjugate packet."""
 
     root: Fraction | None  # None encodes the direction of the second chart axis
@@ -397,8 +406,7 @@ def _blow_up_at_direction(g: Germ, direction: Direction) -> Germ:
     return _translate({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, frac(0)))
 
 
-@dataclass(frozen=True)
-class GermNode:
+class GermNode(NamedTuple):
     """A node of a multiplicity tree: rational children plus grouped packets."""
 
     multiplicity: int
@@ -524,8 +532,7 @@ def _over_zv(h: Germ) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnVerdict:
+class AnVerdict(NamedTuple):
     kind: str  # "smooth" | "A" | "other" | "inconclusive"
     n: int | None
     multiplicity: int
@@ -748,8 +755,7 @@ def _jacobian_rows(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThreeThreeVerdict:
+class ThreeThreeVerdict(NamedTuple):
     is_33: bool
     profile: int | None  # 6 or 7 when the resolution matches the degree-one catalog
     first_neighborhood: tuple[int, ...]  # multiplicities of the rational points there
@@ -828,8 +834,7 @@ def _t_profile(g: Germ) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionPattern:
+class RestrictionPattern(NamedTuple):
     contained: bool
     orders: tuple[int, ...]
     residual_degree: int
@@ -955,22 +960,26 @@ def monomial_basis(degree: int) -> list[Exponent]:
     ]
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     label: str
     row: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class ConditionSystem:
+class _ConditionSystemFields(NamedTuple):
     degree: int
     conditions: tuple[Condition, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class ConditionSystem(_ConditionSystemFields):
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "ConditionSystem":
+        self = super().__new__(cls, *fields, **named)
         expected = len(monomial_basis(self.degree))
         for condition in self.conditions:
             if len(condition.row) != expected:
                 raise ValueError(f"condition {condition.label!r} has the wrong length")
+        return self
 
     def extend(self, more: "ConditionSystem") -> "ConditionSystem":
         if more.degree != self.degree:
@@ -1161,8 +1170,7 @@ def stabilizer_dim(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     """Rational singular points plus degree bookkeeping for the rest.
 
     The scan eliminates the partials by resultants and inspects rational

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import __version__
 from .configurations import (
@@ -70,23 +69,20 @@ class ScenarioError(ValueError):
     """Malformed scenario input; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class ExpectedEntry:
+class ExpectedEntry(NamedTuple):
     value: str
     claimed: str | None = None
     flag: str | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     kind: str
     payload: Mapping
     expected: tuple[tuple[str, ExpectedEntry], ...]
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     name: str
     kind: str
     assertions: tuple[CheckRecord, ...]
@@ -99,8 +95,7 @@ class ScenarioReport:
         return 1 if self.count("fail") else 0
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     engine: str
     schema: str
     scenarios: tuple[ScenarioReport, ...]
@@ -355,7 +350,7 @@ def _agree(pin: ExpectedEntry, record: CheckRecord) -> CheckRecord:
     if pin.flag is not None:
         stated.append(f"flag {pin.flag}")
     expected = pin.value + (f" ({', '.join(stated)})" if stated else "")
-    return replace(record, expected=expected, status="fail")
+    return record._replace(expected=expected, status="fail")
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:

@@ -19,8 +19,8 @@ ones, demanding identical combinatorial output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .planecurves import (
     AnVerdict,
@@ -50,8 +50,7 @@ def _pt(x, y, z) -> MarkedPoint:
     return MarkedPoint.of(x, y, z)
 
 
-@dataclass(frozen=True)
-class SexticFamily:
+class SexticFamily(NamedTuple):
     family_id: str
     singularity: str
     case: int
@@ -303,8 +302,7 @@ def family(family_id: str) -> SexticFamily:
     raise KeyError(family_id)
 
 
-@dataclass(frozen=True)
-class FamilyVerification:
+class FamilyVerification(NamedTuple):
     family_id: str
     orders: tuple[int, ...]
     residual_degree: int

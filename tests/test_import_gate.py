@@ -1,5 +1,6 @@
 """The engine runs without sympy: importing the command line loads none, and
-the bundled corpus reproduces its golden report with sympy blocked."""
+the bundled corpus reproduces its golden report with sympy blocked.  The
+import also loads neither `dataclasses` nor `inspect`."""
 
 from __future__ import annotations
 
@@ -23,6 +24,13 @@ def test_importing_the_cli_loads_no_sympy():
     proc = _python("import sys, unimodal.cli; print('sympy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples: no generated methods to compile on import
+    proc = _python("import sys, unimodal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_corpus_reproduces_the_golden_with_sympy_blocked():

@@ -372,6 +372,10 @@ def test_provenance_replay_bit_for_bit():
     )
     final = contract(resolved, ["Gp_half"]).model
     assert replay(final.provenance) == final
+    # a record equals the plain tuple of its fields, so equality alone would
+    # not see the configuration logged as a bare tuple
+    (step,) = [s for s in final.provenance if s.op == "attach_resolution"]
+    assert type(step.args[0]) is CurveConfiguration
 
 
 def test_provenance_keeps_the_arguments_as_they_were_passed():
