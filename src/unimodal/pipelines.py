@@ -610,7 +610,6 @@ class ZwSpec(NamedTuple):
 
 
 _ZW_TYPES = ("Z11", "Z12", "Z13", "W12", "W13")
-_ZW_ADE = {"Z11": None, "W12": None, "Z12": "A1", "W13": "A1", "Z13": "A2"}
 
 
 def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
@@ -720,13 +719,15 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         for name in names
         if k3.intersect(k3.curve_class(name), image_cycle) == 0
     ]
-    expected_ade = _ZW_ADE[sing]
+    # the A_n of the branch sextic's mark; every family of one singularity has the same
+    mark = _family_for(sing, 1).singular_mark
+    expected_ade = "none" if mark is None else f"A{mark[1]}"
     if ade_names:
         ade = contract(k3, ade_names, name=f"singular K3 model for {sing}")
         checks.expect(
             "ade-contraction",
             ade.label,
-            expected_ade or "none",
+            expected_ade,
             "rational double point produced by contracting the trivial part of the cycle",
         )
         barred = ade.model
@@ -734,7 +735,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         checks.expect(
             "ade-contraction",
             "none",
-            expected_ade or "none",
+            expected_ade,
             "rational double point produced by contracting the trivial part of the cycle",
         )
         barred = k3

@@ -5,9 +5,12 @@ at rational points, multiplicity trees via chart-by-chart blow-up, A_n
 detection through exact Milnor numbers, [3,3]-point recognition with the
 degree-one elliptic profile, restriction patterns along lines, linear systems
 with imposed conditions, and infinitesimal stabilizers of marked points and
-lines in the plane.  Milnor numbers and local intersection numbers are both
-the colength dim O/(f, g) of two germs, certified by one kernel,
-:func:`_colength`.
+lines in the plane.  Every local computation at a plane point reads one
+germ, :func:`germ_of`, in the point's chart: A_n and [3,3] checks,
+multiplicity trees, the orders of a restriction to a line, and the
+multiplicity, line-order and infinitely-near conditions of a linear system.
+Milnor numbers and local intersection numbers are both the colength
+dim O/(f, g) of two germs, certified by one kernel, :func:`_colength`.
 
 Everything that cannot be decided over the rationals is reported as grouped
 degree data or raised as :class:`UndecidableOverQ`; nothing is approximated.
@@ -19,7 +22,6 @@ kernels of `rationals`; sympy is loaded only by the
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -38,7 +40,6 @@ from .rationals import (
     poly_value,
     rank,
     rat_str,
-    solve_in_span,
     squarefree_decomposition,
 )
 
@@ -260,10 +261,16 @@ def germ_of(form: HomogeneousForm, point: MarkedPoint) -> Germ:
     exponents, and translated by the point's two other coordinates
     (:func:`_translate`).
     """
-    pivot = next(i for i, c in enumerate(point.coords) if c != 0)
-    u, v = (i for i in range(3) if i != pivot)
+    u, v = _chart_axes(point)
     affine = {(e[u], e[v]): c for e, c in form.terms}
     return _translate(affine, (point.coords[u], point.coords[v]))
+
+
+def _chart_axes(point: MarkedPoint) -> tuple[int, int]:
+    """The two coordinates other than the point's pivot, in order: its chart (u, v)."""
+    pivot = next(i for i, c in enumerate(point.coords) if c != 0)
+    u, v = (i for i in range(3) if i != pivot)
+    return u, v
 
 
 def _translate(g: Germ, shift: tuple[Fraction, Fraction]) -> Germ:
@@ -851,10 +858,12 @@ def restrict_to_line(
 ) -> RestrictionPattern:
     """Vanishing orders of the restriction at marked points and the residual degree.
 
-    Each order is counted while the restriction is divided by the point's
-    linear factor, so what is left after the last point is the residual.  The
-    marked points must be distinct.  Containment of the line in the curve is
-    a result, not an error.
+    Each order is read off the germ at the point (:func:`_line_order`).  The
+    marked points must be distinct, so the residual degree is the degree of
+    the form minus the orders.  Containment of the line in the curve is a
+    result, not an error: every coefficient of the restriction vanishes,
+    which one point of the line decides, the first marked one or else
+    [l_y : -l_x : 0] ([1:0:0] on the line z = 0).
     """
     if line.degree != 1:
         raise ValueError("restriction needs a line")
@@ -863,90 +872,45 @@ def restrict_to_line(
     for p in marked_points:
         if line.evaluate(p) != 0:
             raise ValueError(f"marked point {p} does not lie on the line")
-    base = _two_points_on_line(line)
-    residual = _restrict_binary(form, base)
-    if all(c == 0 for c in residual):
+    ell = _line_coefficients(line)
+    points = marked_points or (
+        MarkedPoint.of(ell[1], -ell[0], 0) if ell[0] or ell[1] else MarkedPoint.of(1, 0, 0),
+    )
+    orders = [_line_order(form, ell, p) for p in points]
+    if None in orders:
         return RestrictionPattern(True, (), 0)
-    orders = []
-    for p in marked_points:
-        s, t = _line_coordinates(base, p)
-        order = 0
-        while _binary_value(residual, s, t) == 0:  # nonzero, so of degree >= 1 here
-            residual = _binary_divide(residual, s, t)
-            order += 1
-        orders.append(order)
-    return RestrictionPattern(False, tuple(orders), len(residual) - 1)
+    orders = orders[: len(marked_points)]
+    return RestrictionPattern(False, tuple(orders), form.degree - sum(orders))
 
 
-def _two_points_on_line(line: HomogeneousForm) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    coeffs = [line.coeff((1, 0, 0)), line.coeff((0, 1, 0)), line.coeff((0, 0, 1))]
-    kernel = nullspace([coeffs], 3)
-    if len(kernel) != 2:
+def _line_coefficients(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fraction]:
+    """(l_x, l_y, l_z) of a line l, refused when all three are zero."""
+    ell = (line.coeff((1, 0, 0)), line.coeff((0, 1, 0)), line.coeff((0, 0, 1)))
+    if not any(ell):
         raise ValueError("degenerate line")
-    return tuple(kernel[0]), tuple(kernel[1])
+    return ell
 
 
-def _restrict_binary(form: HomogeneousForm, base) -> list[Fraction]:
-    """Coefficients of F(s p0 + t p1) as a binary form, index = power of s.
+def _line_values(g: Germ, ell: tuple[Fraction, ...], point: MarkedPoint) -> dict[int, Fraction]:
+    """k -> g_k(alpha, beta), g_k the degree-k part of the germ g at a point of the line.
 
-    The powers of each coordinate's linear form a s + b t are expanded once,
-    as sparse {s-power: coefficient} maps, so each term of F costs the product
-    of three cached powers.
+    In the point's chart (u, v) the line l = 0 is l_u u + l_v v = 0, the line
+    through the origin in the direction (alpha, beta) = (l_v, -l_u), so the
+    restriction to it is sum_k g_k(alpha, beta) t^k.
     """
-    p0, p1 = base
-    d = form.degree
-    powers = []
-    for var in range(3):
-        linear = {idx: c for idx, c in ((1, p0[var]), (0, p1[var])) if c != 0}
-        var_powers = [{0: frac(1)}]
-        for _ in range(d):
-            var_powers.append(_binary_product(var_powers[-1], linear))
-        powers.append(var_powers)
-    out = [frac(0)] * (d + 1)
-    for (i, j, k), c in form.terms:
-        poly = _binary_product(_binary_product(powers[0][i], powers[1][j]), powers[2][k])
-        for idx, coeff in poly.items():
-            out[idx] += c * coeff
-    return out
+    u, v = _chart_axes(point)
+    alpha, beta = ell[v], -ell[u]
+    values: dict[int, Fraction] = {}
+    for (a, b), c in g.items():
+        values[a + b] = values.get(a + b, 0) + c * alpha**a * beta**b
+    return values
 
 
-def _binary_product(f: dict[int, Fraction], g: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for i, a in f.items():
-        for j, b in g.items():
-            out[i + j] = out.get(i + j, 0) + a * b
-    return out
-
-
-def _line_coordinates(base, point: MarkedPoint) -> tuple[Fraction, Fraction]:
-    p0, p1 = base
-    columns = [list(p0), list(p1)]
-    coords = solve_in_span(columns, list(point.coords))
-    return coords[0], coords[1]
-
-
-def _binary_value(coeffs: list[Fraction], s: Fraction, t: Fraction) -> Fraction:
-    return sum(c * s**idx * t ** (len(coeffs) - 1 - idx) for idx, c in enumerate(coeffs))
-
-
-def _binary_divide(coeffs: list[Fraction], s: Fraction, t: Fraction) -> list[Fraction]:
-    """Quotient of the binary form by a linear form vanishing at (s : t), up to scale.
-
-    The remainder is dropped, so the map is linear in the coefficients, and it
-    is the exact quotient when the form vanishes at the point.
-    """
-    d = len(coeffs) - 1
-    if t != 0:
-        # root (s : t) with t != 0: synthetic division in u = s/t
-        root = s / t
-        out = [frac(0)] * d
-        carry = frac(0)
-        for idx in range(d, 0, -1):
-            carry = coeffs[idx] + carry * root
-            out[idx - 1] = carry
-        return out
-    # root (1 : 0): divide by t, dropping the pure s-power coefficient
-    return coeffs[:-1]
+def _line_order(form: HomogeneousForm, ell: tuple[Fraction, ...], point: MarkedPoint) -> int | None:
+    """Order at the point of the form restricted to the line; None if the
+    restriction vanishes identically."""
+    values = _line_values(germ_of(form, point), ell, point)
+    return min((k for k, value in values.items() if value), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -960,14 +924,9 @@ def monomial_basis(degree: int) -> list[Exponent]:
     ]
 
 
-class Condition(NamedTuple):
-    label: str
-    row: tuple[Fraction, ...]
-
-
 class _ConditionSystemFields(NamedTuple):
     degree: int
-    conditions: tuple[Condition, ...] = ()
+    rows: tuple[tuple[Fraction, ...], ...] = ()  # one functional per row, over monomial_basis
 
 
 class ConditionSystem(_ConditionSystemFields):
@@ -976,82 +935,58 @@ class ConditionSystem(_ConditionSystemFields):
     def __new__(cls, *fields, **named) -> "ConditionSystem":
         self = super().__new__(cls, *fields, **named)
         expected = len(monomial_basis(self.degree))
-        for condition in self.conditions:
-            if len(condition.row) != expected:
-                raise ValueError(f"condition {condition.label!r} has the wrong length")
+        if any(len(row) != expected for row in self.rows):
+            raise ValueError(f"a condition row for degree {self.degree} needs {expected} entries")
         return self
 
     def extend(self, more: "ConditionSystem") -> "ConditionSystem":
         if more.degree != self.degree:
             raise ValueError("condition systems for different degrees")
-        return ConditionSystem(self.degree, self.conditions + more.conditions)
+        return ConditionSystem(self.degree, self.rows + more.rows)
 
     def rank(self) -> int:
-        return rank([list(c.row) for c in self.conditions])
+        return rank(self.rows)
+
+
+def _monomial_germs(degree: int, point: MarkedPoint) -> list[Germ]:
+    """The germ at the point of each monomial of the basis, in basis order."""
+    return [germ_of(monomial(*mono), point) for mono in monomial_basis(degree)]
 
 
 def multiplicity_conditions(degree: int, point: MarkedPoint, at_least: int) -> ConditionSystem:
-    """Partial-derivative functionals of order below ``at_least`` at the point.
+    """The germ's coefficients of u^a v^b, a + b below ``at_least``, at the point.
 
-    Only derivatives in the two chart variables appear: m(m+1)/2 functionals
-    for multiplicity at least m, the Euler relation making the rest redundant.
+    m(m+1)/2 functionals for multiplicity at least m, read in the point's
+    chart (:func:`germ_of`).
     """
-    pivot = next(i for i, c in enumerate(point.coords) if c != 0)
-    free = [i for i in range(3) if i != pivot]
-    basis = monomial_basis(degree)
-    conditions = []
-    for order in range(at_least):
-        for first in range(order + 1):
-            alpha = [0, 0, 0]
-            alpha[free[0]] = first
-            alpha[free[1]] = order - first
-            alpha = tuple(alpha)
-            row = [_derivative_at(mono, alpha, point) for mono in basis]
-            conditions.append(Condition(f"mult>={at_least}@{point}:d{alpha}", tuple(row)))
-    return ConditionSystem(degree, tuple(conditions))
-
-
-def _derivative_at(mono: Exponent, alpha: Exponent, point: MarkedPoint) -> Fraction:
-    value = frac(1)
-    for e, a, coordinate in zip(mono, alpha, point.coords):
-        if a > e:
-            return frac(0)
-        for step in range(a):
-            value *= e - step
-        value *= coordinate ** (e - a)
-    return value
+    germs = _monomial_germs(degree, point)
+    rows = tuple(
+        tuple(g.get((a, order - a), frac(0)) for g in germs)
+        for order in range(at_least)
+        for a in range(order + 1)
+    )
+    return ConditionSystem(degree, rows)
 
 
 def monomial_exclusions(degree: int, excluded: list[Exponent]) -> ConditionSystem:
     basis = monomial_basis(degree)
-    conditions = []
-    for exponent in excluded:
-        row = [frac(1 if mono == exponent else 0) for mono in basis]
-        conditions.append(Condition(f"no-{exponent}", tuple(row)))
-    return ConditionSystem(degree, tuple(conditions))
+    rows = tuple(
+        tuple(frac(1 if mono == exponent else 0) for mono in basis) for exponent in excluded
+    )
+    return ConditionSystem(degree, rows)
 
 
 def line_order_conditions(
     degree: int, line: HomogeneousForm, point: MarkedPoint, at_least: int
 ) -> ConditionSystem:
-    """Vanishing of the restriction to the line at the point to high order."""
-    base = _two_points_on_line(line)
+    """Vanishing of the restriction to the line at the point to order ``at_least``:
+    the coefficients g_k(alpha, beta), k below ``at_least``, of :func:`_line_values`."""
+    ell = _line_coefficients(line)
     if line.evaluate(point) != 0:
         raise ValueError("point must lie on the line")
-    s0, t0 = _line_coordinates(base, point)
-    basis = monomial_basis(degree)
-    rows = [[] for _ in range(at_least)]
-    for mono in basis:
-        form = HomogeneousForm.from_dict(degree, {mono: 1})
-        binary = _restrict_binary(form, base)
-        for row in rows:
-            row.append(_binary_value(binary, s0, t0))
-            binary = _binary_divide(binary, s0, t0)
-    conditions = tuple(
-        Condition(f"line-order>={at_least}@{point}:{order}", tuple(row))
-        for order, row in enumerate(rows)
-    )
-    return ConditionSystem(degree, conditions)
+    values = [_line_values(g, ell, point) for g in _monomial_germs(degree, point)]
+    rows = tuple(tuple(v.get(k, frac(0)) for v in values) for k in range(at_least))
+    return ConditionSystem(degree, rows)
 
 
 def infinitely_near_conditions(
@@ -1070,33 +1005,25 @@ def infinitely_near_conditions(
     carry their usual meaning on the locus where the first batch vanishes.
     """
     system = multiplicity_conditions(degree, point, first)
-    basis = monomial_basis(degree)
+    germs = _monomial_germs(degree, point)
     rows: dict[tuple[int, int], list[Fraction]] = {}
-    for mono_index, mono in enumerate(basis):
-        form = HomogeneousForm.from_dict(degree, {mono: 1})
-        g = germ_of(form, point)
-        transformed: Germ = {}
-        for (a, b), c in g.items():
-            if direction is None:
-                # second chart: (u, v) -> (u, u v'); key = (v'-power, u-power)
-                key = (b, a + b)
-                transformed[key] = transformed.get(key, frac(0)) + c
-            else:
-                for i in range(a + 1):
-                    binom = Fraction(math.comb(a, i))
-                    key = (i, a + b)
-                    transformed[key] = transformed.get(key, frac(0)) + c * binom * direction ** (a - i)
+    for mono_index, g in enumerate(germs):
+        if direction is None:
+            # second chart: (u, v) -> (u, u v'); key = (v'-power, u-power)
+            transformed = {(b, a + b): c for (a, b), c in g.items()}
+        else:
+            # first chart: (u, v) -> (v (direction + u'), v); key = (u'-power, v-power)
+            transformed = _translate(
+                {(a, a + b): c for (a, b), c in g.items()}, (direction, frac(0))
+            )
         # the strict transform divides out ``first`` powers of the exceptional
         # variable; demand every coefficient of total degree below ``second``.
         for (i, j), value in transformed.items():
             if j - first < 0 or i + j - first >= second:
                 continue
-            row = rows.setdefault((i, j), [frac(0)] * len(basis))
+            row = rows.setdefault((i, j), [frac(0)] * len(germs))
             row[mono_index] += value
-    extra = tuple(
-        Condition(f"infinitely-near>={second}@{point}:{key}", tuple(row))
-        for key, row in sorted(rows.items())
-    )
+    extra = tuple(tuple(row) for _, row in sorted(rows.items()))
     return system.extend(ConditionSystem(degree, extra))
 
 
@@ -1120,9 +1047,9 @@ def orbit_dim_count(
     """
     if continuous_params < 0:
         raise ValueError("continuous parameter count cannot be negative")
-    if linear_system_dim(conditions) < 0 and continuous_params == 0:
-        raise ValueError("empty family")
     free = len(monomial_basis(conditions.degree)) - conditions.rank()
+    if free == 0 and continuous_params == 0:
+        raise ValueError("empty family")
     return free + continuous_params - stabilizer_dim(points, lines)
 
 

@@ -11,7 +11,9 @@ makes the value exact.  :func:`integer_reduce` is the fraction-free
 Gauss-Jordan elimination of integer rows that the lattice contraction takes
 its kernel vectors and Schur complements from; :func:`nullspace`,
 :func:`solve` and :func:`solve_in_span` read the reduced row echelon form
-off it.  :func:`det` is an independent oracle for the tests.  A bounded
+off it.  :func:`det` is an independent oracle for the tests;
+:func:`solve_in_span` has no caller in the engine either, and both stay
+because the benchmark's tracer (``bench/tracing.py``) wraps them by name.  A bounded
 reader for rationals from input follows.  Floating point never appears;
 every result is exact.  Matrices are plain lists of lists (rows) of
 ``Fraction``.

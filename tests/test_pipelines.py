@@ -19,6 +19,7 @@ from unimodal.pipelines import (
     section_class_coefficient,
 )
 from unimodal.lattice import make_hirzebruch, make_p2
+from unimodal.sextics import FAMILIES
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -179,6 +180,19 @@ def test_zw_ade_labels():
     assert run_zw_pipeline(ZwSpec("Z12")).check("ade-contraction").computed == "A1"
     assert run_zw_pipeline(ZwSpec("W13")).check("ade-contraction").computed == "A1"
     assert run_zw_pipeline(ZwSpec("Z13")).check("ade-contraction").computed == "A2"
+
+
+def test_zw_ade_expects_the_branch_sextic_mark():
+    # the lattice's rational double point is checked against the A_n mark of
+    # the singularity's branch sextic, which every family of it must share
+    anchors = {"Z11": "none", "W12": "none", "Z12": "A1", "W13": "A1", "Z13": "A2"}
+    for sing, anchor in anchors.items():
+        marks = {fam.singular_mark for fam in FAMILIES if fam.singularity == sing}
+        assert len(marks) == 1, sing
+        (mark,) = marks
+        assert ("none" if mark is None else f"A{mark[1]}") == anchor
+        record = run_zw_pipeline(ZwSpec(sing, family_case=None)).check("ade-contraction")
+        assert (record.expected, record.status) == (anchor, "pass"), sing
 
 
 def test_zw_family_counts():

@@ -33,7 +33,7 @@ from unimodal.planecurves import (
     stabilizer_dim,
     tjurina_number,
 )
-from unimodal.rationals import MODULAR_PRIME, integer_rank
+from unimodal.rationals import MODULAR_PRIME, integer_rank, nullspace
 
 from oracles import stabilizer_dim_by_minors
 
@@ -139,6 +139,97 @@ def test_restriction_sum_rule_random():
         if pattern.contained:
             continue
         assert pattern.total == 4
+
+
+def _random_form(rng, degree):
+    coeffs = {
+        (i, j, degree - i - j): rng.randint(-3, 3) for i in range(degree + 1) for j in range(degree + 1 - i)
+    }
+    return HomogeneousForm.from_dict(degree, coeffs)
+
+
+def _random_line_with_points(rng, count):
+    """A line with small coefficients, some of them zero, and distinct rational points on it."""
+    while True:
+        ell = [rng.randint(-2, 2) for _ in range(3)]
+        if any(ell):
+            break
+    base = nullspace([[Fraction(c) for c in ell]], 3)
+    points = []
+    while len(points) < count:
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        if (s, t) != (0, 0):
+            p = pt(*(s * a + t * b for a, b in zip(*base)))
+            if p not in points:
+                points.append(p)
+    return linear_form(*ell), points
+
+
+def _form_through(rng, p, avoid=None):
+    """A nonzero random linear form vanishing at p and not at the point ``avoid``."""
+    pivot = next(i for i, c in enumerate(p.coords) if c)
+    while True:
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+        coeffs[pivot] -= linear_form(*coeffs).evaluate(p)  # p is normalised: p[pivot] = 1
+        form = linear_form(*coeffs)
+        if not form.is_zero and (avoid is None or form.evaluate(avoid) != 0):
+            return form
+
+
+def _nonvanishing_form(rng, degree, points):
+    while True:
+        form = _random_form(rng, degree)
+        if all(form.evaluate(p) != 0 for p in points):
+            return form
+
+
+def test_restriction_orders_are_local_intersections_with_the_line():
+    # F = prod m_i^k_i * R + L * H, with m_i through p_i and R nonzero at every
+    # p_i.  No m_i vanishes at the spare point, so none is a multiple of L, and
+    # F restricted to L vanishes to order exactly k_i at p_i.  The local
+    # intersection number of F and L at a marked point is an independent
+    # oracle for its order, planted or not.
+    rng = random.Random(16)
+    for _ in range(60):
+        degree = rng.randint(1, 6)
+        line, points = _random_line_with_points(rng, rng.randint(2, 5))
+        spare = points.pop()
+        planted, form = {}, HomogeneousForm.from_dict(0, {(0, 0, 0): 1})
+        for p in points:
+            k = rng.randint(1, 3)
+            if sum(planted.values()) + k > degree:
+                break
+            planted[p] = k
+            m = _form_through(rng, p, avoid=spare)
+            for _ in range(k):
+                form = form * m
+        form = form * _nonvanishing_form(rng, degree - sum(planted.values()), list(planted))
+        form = form + line * _random_form(rng, degree - 1)
+        marked = tuple(rng.sample(points, rng.randint(0, len(points))))
+        pattern = restrict_to_line(form, line, marked)
+        assert not pattern.contained
+        oracle = tuple(local_intersection(germ_of(form, p), germ_of(line, p)) for p in marked)
+        assert pattern.orders == oracle
+        assert all(order == planted[p] for p, order in zip(marked, oracle) if p in planted)
+        assert pattern.residual_degree == degree - sum(oracle)
+
+
+def test_restriction_detects_containment_with_and_without_marked_points():
+    rng = random.Random(61)
+    for _ in range(30):
+        degree = rng.randint(1, 5)
+        line, points = _random_line_with_points(rng, 2)
+        cofactor = _random_form(rng, degree - 1)
+        if cofactor.is_zero:
+            continue
+        form = line * cofactor
+        for marked in ((), (points[0],), tuple(points)):
+            assert restrict_to_line(form, line, marked) == (True, (), 0)
+        with pytest.raises(ValueError, match="infinite"):
+            local_intersection(germ_of(form, points[0]), germ_of(line, points[0]))
+        # one term off the line breaks the containment
+        off = next(e for e in monomial_basis(degree) if monomial(*e).evaluate(points[1]) != 0)
+        assert not restrict_to_line(form + monomial(*off), line).contained
 
 
 # -- germs and multiplicity trees ---------------------------------------------
@@ -417,7 +508,7 @@ def test_an_z13_shape_without_yx4():
 def test_linear_system_dims():
     p = pt(0, 0, 1)
     system = multiplicity_conditions(6, p, 3)
-    assert len(system.conditions) == 6
+    assert len(system.rows) == 6
     assert linear_system_dim(system) == 21  # 27 - 6 on sextics
 
     quintic_point = multiplicity_conditions(5, pt(1, 2, 3), 1)
@@ -446,19 +537,66 @@ def test_linear_system_bounds_random():
         dim = linear_system_dim(system)
         unconditioned = len(monomial_basis(d)) - 1
         assert dim <= unconditioned
-        assert dim >= unconditioned - len(system.conditions)
+        assert dim >= unconditioned - len(system.rows)
+
+
+def _annihilated(system, form):
+    vector = _coeff_vector(form)
+    return all(sum(c * v for c, v in zip(row, vector)) == 0 for row in system.rows)
 
 
 def test_line_order_conditions_match_restrictions():
     line = linear_form(0, 0, 1)
     system = line_order_conditions(6, line, pt(1, 0, 0), 3)
     # a form with a triple restriction zero at the point passes the functionals
-    f = lam_family(Fraction(2))
-    row_values = [
-        sum(c * value for c, value in zip(condition.row, _coeff_vector(f)))
-        for condition in system.conditions
-    ]
-    assert all(v == 0 for v in row_values)
+    assert _annihilated(system, lam_family(Fraction(2)))
+
+
+def test_line_order_system_rank_and_planted_contact():
+    rng = random.Random(17)
+    for _ in range(40):
+        degree = rng.randint(0, 6)
+        line, (p, q) = _random_line_with_points(rng, 2)
+        at_least = rng.randint(1, degree + 3)
+        system = line_order_conditions(degree, line, p, at_least)
+        assert len(system.rows) == at_least
+        assert system.rank() == min(at_least, degree + 1)
+        if at_least > degree:
+            continue
+        # contact of order at_least at p, plus anything through the line
+        m = _form_through(rng, p, avoid=q)
+        contact = HomogeneousForm.from_dict(0, {(0, 0, 0): 1})
+        for _ in range(at_least - 1):
+            contact = contact * m
+        cofactor = line * _random_form(rng, degree - 1)
+        rest = _nonvanishing_form(rng, degree - at_least, [p])
+        assert _annihilated(system, contact * m * rest + cofactor)
+        # one order less is seen by the system
+        rest = _nonvanishing_form(rng, degree - at_least + 1, [p])
+        assert not _annihilated(system, contact * rest + cofactor)
+
+
+def test_multiplicity_system_rank_and_planted_multiplicity():
+    rng = random.Random(18)
+    for _ in range(40):
+        degree = rng.randint(0, 6)
+        coords = [rng.randint(-2, 2) for _ in range(3)]
+        if not any(coords):
+            continue
+        p = pt(*coords)
+        m = rng.randint(0, degree + 1)
+        system = multiplicity_conditions(degree, p, m)
+        assert len(system.rows) == system.rank() == m * (m + 1) // 2
+        if not 1 <= m <= degree:
+            continue
+        # a product of m forms through p, times anything, has multiplicity >= m there
+        through = [_form_through(rng, p) for _ in range(m)]
+        product = HomogeneousForm.from_dict(0, {(0, 0, 0): 1})
+        for factor in through[:-1]:
+            product = product * factor
+        assert _annihilated(system, product * through[-1] * _random_form(rng, degree - m))
+        # m - 1 of them times a form nonzero at p has multiplicity m - 1 exactly
+        assert not _annihilated(system, product * _nonvanishing_form(rng, degree - m + 1, [p]))
 
 
 def _coeff_vector(form: HomogeneousForm):
@@ -479,10 +617,7 @@ def test_infinitely_near_conditions_cut_33_locus():
     assert linear_system_dim(system) == 28 - system.rank() - 1
     # a germ with the imposed [3,3] structure satisfies every functional
     member = germ({(3, 0): 1, (2, 2): 1, (0, 6): 1})  # local (y, z) shape
-    f = _homogenize_germ(member, 6)
-    vector = _coeff_vector(f)
-    for condition in system.conditions:
-        assert sum(c * v for c, v in zip(condition.row, vector)) == 0
+    assert _annihilated(system, _homogenize_germ(member, 6))
 
 
 # -- stabilizers -------------------------------------------------------------------
@@ -543,7 +678,7 @@ def test_orbit_count_transport_invariance():
     rng = random.Random(33)
     fam = family("z12-case1")
     base_count = fam.orbit_dim_count()
-    conditions = [list(c.row) for c in monomial_exclusions(5, list(fam.exclusions)).conditions]
+    conditions = [list(row) for row in monomial_exclusions(5, list(fam.exclusions)).rows]
     basis = monomial_basis(5)
     for _ in range(4):
         while True:

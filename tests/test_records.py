@@ -27,7 +27,7 @@ from unimodal.lattice import (
     track,
 )
 from unimodal.pipelines import CheckRecord, EnSpec, ZwSpec, run_en_pipeline, run_zw_pipeline
-from unimodal.planecurves import Condition, ConditionSystem, HomogeneousForm, MarkedPoint
+from unimodal.planecurves import ConditionSystem, HomogeneousForm, MarkedPoint
 from unimodal.scenarios import ExpectedEntry, _agree
 
 _E, _F = Component("E", -2), Component("F", -2)
@@ -49,7 +49,7 @@ REFUSED = [
     (HomogeneousForm, (1, (((1, 0, 0), F(0)),)), ValueError),  # zero coefficient kept
     (MarkedPoint, ((F(0), F(0), F(0)),), ValueError),
     (MarkedPoint, ((F(2), F(1), F(0)),), ValueError),  # not normalised
-    (ConditionSystem, (1, (Condition("c", (F(1),)),)), ValueError),  # 3 monomials of degree 1
+    (ConditionSystem, (1, ((F(1),),)), ValueError),  # a row of 1 entry; degree 1 has 3 monomials
     (IntersectionLattice, (("a", "a"), ((F(-1), F(0)), (F(0), F(-1)))), LatticeError),
     (IntersectionLattice, (("a", "b"), ((F(-1), F(1)), (F(2), F(0)))), LatticeError),
     (SurfaceModel, ("X", _P2.lattice, _FOREIGN, 1, (), ()), LatticeError),
