@@ -66,15 +66,16 @@ def _cmd_catalog(args) -> int:
 def _cmd_dims(args) -> int:
     rows = []
     for fam in FAMILIES:
+        counts = fam.counts()
         row = {
             "family": fam.family_id,
             "singularity": fam.singularity,
             "case": fam.case,
-            "computed": rat_str(fam.orbit_dim_count()),
+            "computed": rat_str(counts.orbit),
             "claimed": rat_str(fam.claimed_count),
         }
-        if fam.variant_exclusions is not None:
-            row["variant"] = rat_str(fam.orbit_dim_count(fam.variant_exclusions))
+        if counts.variant_orbit is not None:
+            row["variant"] = rat_str(counts.variant_orbit)
             row["flag"] = DISCREPANCIES["family-orbit-count"].flag
         rows.append(row)
     if args.report == "json":
@@ -83,7 +84,7 @@ def _cmd_dims(args) -> int:
     for row in rows:
         note = ""
         if "variant" in row:
-            note = f"  (variant with extra exclusion: {row['variant']}; {row['flag']})"
+            note = f"  (variant with the cusp's tangent rows: {row['variant']}; {row['flag']})"
         sys.stdout.write(
             f"{row['family']:10s} computed {row['computed']:>2s}"
             f"  claimed {row['claimed']:>2s}{note}\n"

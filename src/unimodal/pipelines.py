@@ -47,7 +47,7 @@ from .lattice import (
 )
 from .planecurves import Germ, detect_33_point, germ, stabilizer_dim
 from .rationals import frac, rat_str
-from .sextics import FAMILIES, SexticFamily, family, verify_family
+from .sextics import FAMILIES, FamilyVerification, SexticFamily, family, verify_family
 
 
 class Discrepancy(NamedTuple):
@@ -790,7 +790,7 @@ def _family_for(sing: str, case: int) -> SexticFamily:
     raise ValueError(f"no branch family for {sing} case {case}")
 
 
-def _family_checks(checks: _Recorder, fam: SexticFamily) -> None:
+def _family_checks(checks: _Recorder, fam: SexticFamily) -> FamilyVerification:
     verification = verify_family(fam)
     checks.expect(
         "family-restriction-orders",
@@ -821,21 +821,22 @@ def _family_checks(checks: _Recorder, fam: SexticFamily) -> None:
     )
     checks.expect(
         "family-orbit-count",
-        verification.orbit_count,
-        fam.claimed_count if fam.variant_exclusions is None else DISCREPANCIES["family-orbit-count"],
+        verification.counts.orbit,
+        fam.claimed_count if fam.stated_mark_n is None else DISCREPANCIES["family-orbit-count"],
         "affine family dimension minus the stabilizer of the markings",
     )
-    if fam.variant_exclusions is not None:
-        checks.note("family-orbit-count-variant", verification.variant_orbit_count)
+    if fam.stated_mark_n is not None:
+        checks.note("family-orbit-count-variant", verification.counts.variant_orbit)
+    return verification
 
 
 def run_dims_check(family_id: str) -> PipelineResult:
     """The checks of one branch-sextic family, with its stabilizer and parameter counts."""
     checks = _Recorder()
     fam = family(family_id)
-    _family_checks(checks, fam)
+    verification = _family_checks(checks, fam)
     checks.note("stabilizer-dim", stabilizer_dim(fam.marked_points, fam.marked_lines))
-    checks.note("affine-parameters", fam.affine_parameter_count())
+    checks.note("affine-parameters", verification.counts.affine)
     return checks.result(fam.family_id, ())
 
 

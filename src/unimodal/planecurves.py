@@ -8,7 +8,7 @@ with imposed conditions, and infinitesimal stabilizers of marked points and
 lines in the plane.  Every local computation at a plane point reads one
 germ, :func:`germ_of`, in the point's chart: A_n and [3,3] checks,
 multiplicity trees, the orders of a restriction to a line, and the
-multiplicity, line-order and infinitely-near conditions of a linear system.
+multiplicity, line-order and tangent-cone conditions of a linear system.
 Milnor numbers and local intersection numbers are both the colength
 dim O/(f, g) of two germs, certified by one kernel, :func:`_colength`.
 
@@ -22,6 +22,7 @@ kernels of `rationals`; sympy is loaded only by the
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -876,7 +877,7 @@ def restrict_to_line(
     points = marked_points or (
         MarkedPoint.of(ell[1], -ell[0], 0) if ell[0] or ell[1] else MarkedPoint.of(1, 0, 0),
     )
-    orders = [_line_order(form, ell, p) for p in points]
+    orders = [_line_order(form, line, p) for p in points]
     if None in orders:
         return RestrictionPattern(True, (), 0)
     orders = orders[: len(marked_points)]
@@ -891,25 +892,35 @@ def _line_coefficients(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fract
     return ell
 
 
-def _line_values(g: Germ, ell: tuple[Fraction, ...], point: MarkedPoint) -> dict[int, Fraction]:
-    """k -> g_k(alpha, beta), g_k the degree-k part of the germ g at a point of the line.
+def _plain(x: Fraction) -> int | Fraction:
+    """x as an int when it is one, for the much faster int arithmetic."""
+    return x.numerator if x.denominator == 1 else x
 
-    In the point's chart (u, v) the line l = 0 is l_u u + l_v v = 0, the line
-    through the origin in the direction (alpha, beta) = (l_v, -l_u), so the
-    restriction to it is sum_k g_k(alpha, beta) t^k.
-    """
+
+def _line_direction(line: HomogeneousForm, point: MarkedPoint) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) = (l_v, -l_u) at a point of the line: in the point's chart
+    (u, v) the line l = 0 is l_u u + l_v v = 0, through the origin in this direction."""
+    ell = _line_coefficients(line)
+    if line.evaluate(point) != 0:
+        raise ValueError("point must lie on the line")
     u, v = _chart_axes(point)
-    alpha, beta = ell[v], -ell[u]
+    return _plain(ell[v]), _plain(-ell[u])
+
+
+def _line_values(g: Germ, direction: tuple[Fraction, Fraction]) -> dict[int, Fraction]:
+    """k -> g_k(alpha, beta), g_k the degree-k part of the germ g at a point of a
+    line with direction (alpha, beta) there: the restriction is sum_k g_k(alpha, beta) t^k."""
+    alpha, beta = direction
     values: dict[int, Fraction] = {}
     for (a, b), c in g.items():
         values[a + b] = values.get(a + b, 0) + c * alpha**a * beta**b
     return values
 
 
-def _line_order(form: HomogeneousForm, ell: tuple[Fraction, ...], point: MarkedPoint) -> int | None:
+def _line_order(form: HomogeneousForm, line: HomogeneousForm, point: MarkedPoint) -> int | None:
     """Order at the point of the form restricted to the line; None if the
     restriction vanishes identically."""
-    values = _line_values(germ_of(form, point), ell, point)
+    values = _line_values(germ_of(form, point), _line_direction(line, point))
     return min((k for k, value in values.items() if value), default=None)
 
 
@@ -948,9 +959,29 @@ class ConditionSystem(_ConditionSystemFields):
         return rank(self.rows)
 
 
-def _monomial_germs(degree: int, point: MarkedPoint) -> list[Germ]:
-    """The germ at the point of each monomial of the basis, in basis order."""
-    return [germ_of(monomial(*mono), point) for mono in monomial_basis(degree)]
+def _monomial_germs(degree: int, point: MarkedPoint, below: int) -> list[Germ]:
+    """The terms of degree below ``below`` of the germ at the point of each
+    monomial of the basis, in basis order.
+
+    In the point's chart (u, v) a monomial is U^a V^b, and at the point (s, t)
+    its germ is (u + s)^a (v + t)^b: the coefficient of u^i v^j is
+    C(a, i) s^(a - i) C(b, j) t^(b - j), as :func:`germ_of` would give, an
+    int when s and t are integers.
+    """
+
+    def powers(x: Fraction) -> list[list[tuple[int, Fraction]]]:
+        """For a = 0..degree the nonzero terms (i, C(a, i) x^(a - i)) of (w + x)^a, i < below."""
+        return [
+            [(i, math.comb(a, i) * x ** (a - i)) for i in range(min(a, below - 1) + 1) if x or i == a]
+            for a in range(degree + 1)
+        ]
+
+    u, v = _chart_axes(point)
+    us, vs = powers(_plain(point.coords[u])), powers(_plain(point.coords[v]))
+    return [
+        {(i, j): c * d for i, c in us[mono[u]] for j, d in vs[mono[v]] if i + j < below}
+        for mono in monomial_basis(degree)
+    ]
 
 
 def multiplicity_conditions(degree: int, point: MarkedPoint, at_least: int) -> ConditionSystem:
@@ -959,19 +990,11 @@ def multiplicity_conditions(degree: int, point: MarkedPoint, at_least: int) -> C
     m(m+1)/2 functionals for multiplicity at least m, read in the point's
     chart (:func:`germ_of`).
     """
-    germs = _monomial_germs(degree, point)
+    germs = _monomial_germs(degree, point, at_least)
     rows = tuple(
-        tuple(g.get((a, order - a), frac(0)) for g in germs)
+        tuple(g.get((a, order - a), 0) for g in germs)
         for order in range(at_least)
         for a in range(order + 1)
-    )
-    return ConditionSystem(degree, rows)
-
-
-def monomial_exclusions(degree: int, excluded: list[Exponent]) -> ConditionSystem:
-    basis = monomial_basis(degree)
-    rows = tuple(
-        tuple(frac(1 if mono == exponent else 0) for mono in basis) for exponent in excluded
     )
     return ConditionSystem(degree, rows)
 
@@ -981,50 +1004,31 @@ def line_order_conditions(
 ) -> ConditionSystem:
     """Vanishing of the restriction to the line at the point to order ``at_least``:
     the coefficients g_k(alpha, beta), k below ``at_least``, of :func:`_line_values`."""
-    ell = _line_coefficients(line)
-    if line.evaluate(point) != 0:
-        raise ValueError("point must lie on the line")
-    values = [_line_values(g, ell, point) for g in _monomial_germs(degree, point)]
-    rows = tuple(tuple(v.get(k, frac(0)) for v in values) for k in range(at_least))
+    direction = _line_direction(line, point)
+    values = [_line_values(g, direction) for g in _monomial_germs(degree, point, at_least)]
+    rows = tuple(tuple(v.get(k, 0) for v in values) for k in range(at_least))
     return ConditionSystem(degree, rows)
 
 
-def infinitely_near_conditions(
-    degree: int,
-    point: MarkedPoint,
-    direction: Fraction | None,
-    first: int,
-    second: int,
-) -> ConditionSystem:
-    """Multiplicity ``first`` at the point and ``second`` at an infinitely-near point.
+def tangent_cone_conditions(degree: int, line: HomogeneousForm, point: MarkedPoint) -> ConditionSystem:
+    """Tangent cone l^2 at a double point: the gradient of the germ's quadratic
+    part G_2 = a u^2 + b uv + c v^2 vanishes at the line's direction (alpha, beta),
+    the rows 2a alpha + b beta and b alpha + 2c beta.
 
-    The direction is a rational tangent direction in the chart of the point's
-    pivot coordinate (None for the second chart axis).  The returned
-    functionals include the multiplicity conditions at the point itself; the
-    strict-transform conditions are linear on the whole coefficient space and
-    carry their usual meaning on the locus where the first batch vanishes.
+    That a cusp's tangent cone is a square is not linear; it is here only because
+    the line is given, as where the curve meets it with order >= 3 at the double
+    point: there the line is the cusp's tangent.
     """
-    system = multiplicity_conditions(degree, point, first)
-    germs = _monomial_germs(degree, point)
-    rows: dict[tuple[int, int], list[Fraction]] = {}
-    for mono_index, g in enumerate(germs):
-        if direction is None:
-            # second chart: (u, v) -> (u, u v'); key = (v'-power, u-power)
-            transformed = {(b, a + b): c for (a, b), c in g.items()}
-        else:
-            # first chart: (u, v) -> (v (direction + u'), v); key = (u'-power, v-power)
-            transformed = _translate(
-                {(a, a + b): c for (a, b), c in g.items()}, (direction, frac(0))
-            )
-        # the strict transform divides out ``first`` powers of the exceptional
-        # variable; demand every coefficient of total degree below ``second``.
-        for (i, j), value in transformed.items():
-            if j - first < 0 or i + j - first >= second:
-                continue
-            row = rows.setdefault((i, j), [frac(0)] * len(germs))
-            row[mono_index] += value
-    extra = tuple(tuple(row) for _, row in sorted(rows.items()))
-    return system.extend(ConditionSystem(degree, extra))
+    alpha, beta = _line_direction(line, point)
+    quadratic = [
+        [g.get(e, 0) for e in ((2, 0), (1, 1), (0, 2))]
+        for g in _monomial_germs(degree, point, 3)
+    ]
+    rows = (
+        tuple(2 * a * alpha + b * beta for a, b, _ in quadratic),
+        tuple(b * alpha + 2 * c * beta for _, b, c in quadratic),
+    )
+    return ConditionSystem(degree, rows)
 
 
 def linear_system_dim(system: ConditionSystem) -> int:
@@ -1041,16 +1045,18 @@ def orbit_dim_count(
 ) -> int:
     """Dimension of the projectivity orbit of a normalized curve family.
 
-    Affine parameter dimension (free coefficients after the conditions, plus
-    declared continuous parameters) minus the stabilizer dimension of the
-    markings.  An empty family is an error, not a count.
+    The family is the linear system the conditions cut out, normalised to an
+    affine chart, so its parameter dimension is the system's projective
+    dimension plus the declared continuous parameters; the count is that minus
+    the stabilizer dimension of the markings.  An empty system is an error,
+    not a count.
     """
     if continuous_params < 0:
         raise ValueError("continuous parameter count cannot be negative")
-    free = len(monomial_basis(conditions.degree)) - conditions.rank()
-    if free == 0 and continuous_params == 0:
+    dim = linear_system_dim(conditions)
+    if dim == -1:
         raise ValueError("empty family")
-    return free + continuous_params - stabilizer_dim(points, lines)
+    return dim + continuous_params - stabilizer_dim(points, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1076,7 @@ def _stabilizer_rows(
     """
     pairs = [(u, p.coords) for p in points for u in nullspace([list(p.coords)], 3)]
     for line in lines:
-        ell = [line.coeff((1, 0, 0)), line.coeff((0, 1, 0)), line.coeff((0, 0, 1))]
+        ell = list(_line_coefficients(line))
         pairs += [(ell, v) for v in nullspace([ell], 3)]
     return [
         [u[0] * p[0] - u[1] * p[1], u[1] * p[1] - u[2] * p[2]]

@@ -1,11 +1,12 @@
 """The ten normalized plane-sextic branch families and their orbit counts.
 
-Each family is a sextic of the shape ``base + z * f5`` with the base pinned by
-the restriction pattern along the line z = 0, the quintic part free except for
-declared monomial exclusions, and normalization markings (points, lines) fixed
-in the plane.  The orbit dimension count is the affine parameter dimension of
-the family (free quintic coefficients plus continuous parameters) minus the
-dimension of the projectivity stabilizer of the markings.
+Each family is a sextic of the shape ``base + z * f5``: the linear system
+cut out by its contact orders with the line z = 0 at the restriction points
+and by its A_n mark, normalised to an affine chart, with markings (points,
+lines) fixed in the plane.  The affine parameter dimension is the system's
+projective dimension plus the continuous parameter, and the orbit dimension
+count is that minus the dimension of the projectivity stabilizer of the
+markings.
 
 Representatives carry fixed small-integer quintic parts used to verify the
 curve-level claims: restriction pattern, the A-type at the marked point, and
@@ -24,24 +25,24 @@ from typing import NamedTuple
 
 from .planecurves import (
     AnVerdict,
+    ConditionSystem,
     HomogeneousForm,
     MarkedPoint,
     an_type_at,
+    line_order_conditions,
     linear_form,
+    linear_system_dim,
     monomial,
     monomial_basis,
-    monomial_exclusions,
+    multiplicity_conditions,
     orbit_dim_count,
     restrict_to_line,
-    stabilizer_dim,
+    tangent_cone_conditions,
     tjurina_number,
 )
 from .rationals import frac
 
 LINE = linear_form(0, 0, 1)  # the distinguished line z = 0
-
-_X5 = (5, 0, 0)
-_YX4 = (4, 1, 0)
 
 _LAMBDA_SAMPLES = (Fraction(2), Fraction(3), Fraction(5))
 
@@ -56,13 +57,12 @@ class SexticFamily(NamedTuple):
     case: int
     parametrized: bool
     bad_lambdas: tuple[Fraction, ...]
-    exclusions: tuple[tuple[int, int, int], ...]
     marked_points: tuple[MarkedPoint, ...]
     marked_lines: tuple[HomogeneousForm, ...]
     expected_orders: tuple[int, ...]
     singular_mark: tuple[MarkedPoint, int] | None  # (point, n) for an A_n on the sextic
     claimed_count: int
-    variant_exclusions: tuple[tuple[int, int, int], ...] | None = None
+    stated_mark_n: int | None = None  # the A_n the stated family imposes, below the mark's
 
     def base(self, lam: Fraction) -> HomogeneousForm:
         return _BASES[self.family_id](lam)
@@ -76,26 +76,51 @@ class SexticFamily(NamedTuple):
         return tuple(v for v in _LAMBDA_SAMPLES if v not in self.bad_lambdas)
 
     def representative(self, lam: Fraction) -> HomogeneousForm:
-        f5 = _REPRESENTATIVE_QUINTICS[self.family_id]
-        for exponent in self.exclusions:
-            if f5.coeff(exponent) != 0:
-                raise AssertionError("representative quintic violates its own exclusions")
-        return self.base(lam) + LINE * f5
+        return self.base(lam) + LINE * _REPRESENTATIVE_QUINTICS[self.family_id]
 
-    def affine_parameter_count(self, exclusions=None) -> int:
-        excl = self.exclusions if exclusions is None else exclusions
-        free = 21 - monomial_exclusions(5, list(excl)).rank()
-        return free + (1 if self.parametrized else 0)
+    def conditions(self, lam: Fraction) -> tuple[ConditionSystem, ConditionSystem]:
+        """The stated family's conditions on sextics at lam, and the rows its mark
+        imposes beyond them (none unless `stated_mark_n` is set).
 
-    def orbit_dim_count(self, exclusions=None) -> int:
-        """Affine family dimension minus the stabilizer of the markings."""
-        excl = self.exclusions if exclusions is None else exclusions
-        return orbit_dim_count(
-            monomial_exclusions(5, list(excl)),
-            1 if self.parametrized else 0,
-            self.marked_points,
-            self.marked_lines,
+        Each restriction point gives the line-order rows of its order; an A_n
+        mark gives a double point and, for a cusp, the tangent cone l^2, linear
+        because every cusp mark is a restriction point of order >= 3.
+        """
+        stated = beyond = ConditionSystem(6)
+        for point, order in zip(self.restriction_points(lam), self.expected_orders):
+            stated = stated.extend(line_order_conditions(6, LINE, point, order))
+        if self.singular_mark is not None:
+            point, n = self.singular_mark
+            stated = stated.extend(multiplicity_conditions(6, point, 2))
+            if n == 2:
+                cusp = tangent_cone_conditions(6, LINE, point)
+                if self.stated_mark_n == 1:
+                    beyond = cusp
+                else:
+                    stated = stated.extend(cusp)
+        return stated, beyond
+
+    def counts(self, conditions: tuple[ConditionSystem, ConditionSystem] | None = None) -> FamilyCounts:
+        """The stated family's affine and orbit counts, and the orbit count with
+        the full mark when the stated one is less, from the conditions at the
+        first lambda sample (built here unless given)."""
+        stated, beyond = conditions or self.conditions(self.lambda_samples()[0])
+        params = 1 if self.parametrized else 0
+        markings = (self.marked_points, self.marked_lines)
+        variant = None
+        if self.stated_mark_n is not None:
+            variant = orbit_dim_count(stated.extend(beyond), params, *markings)
+        return FamilyCounts(
+            linear_system_dim(stated) + params,
+            orbit_dim_count(stated, params, *markings),
+            variant,
         )
+
+
+class FamilyCounts(NamedTuple):
+    affine: int
+    orbit: int
+    variant_orbit: int | None  # with the full mark; None unless the stated one is less
 
 
 def _z11_base(lam: Fraction) -> HomogeneousForm:
@@ -163,135 +188,36 @@ _RESTRICTION_POINTS = {
 # Fixed quintic parts for the verified representatives.  Chosen once so that
 # the marked singularity comes out right and the total Tjurina number shows no
 # other singular point; the tests pin the outcome.
+_UNMARKED = monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(2, 0, 3, 3)
+_NODE = monomial(4, 1, 0) + monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5)
+_CUSP = monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5) + monomial(2, 3, 0, 7)
 _REPRESENTATIVE_QUINTICS = {
-    "z11-case1": monomial(5, 0, 0)
-    + monomial(0, 0, 5)
-    + monomial(0, 5, 0, 2)
-    + monomial(2, 0, 3, 3),
-    "z11-case2": monomial(5, 0, 0)
-    + monomial(0, 0, 5)
-    + monomial(0, 5, 0, 2)
-    + monomial(2, 0, 3, 3),
-    "z11-case3": monomial(5, 0, 0)
-    + monomial(0, 0, 5)
-    + monomial(0, 5, 0, 2)
-    + monomial(2, 0, 3, 3),
+    "z11-case1": _UNMARKED,
+    "z11-case2": _UNMARKED,
+    "z11-case3": _UNMARKED,
     "w12-case1": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(3, 0, 2, 3),
     "w12-case2": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(1, 4, 0, 2) + monomial(3, 0, 2, 3),
-    "w13": monomial(4, 1, 0)
-    + monomial(4, 0, 1, 2)
-    + monomial(0, 5, 0, 3)
-    + monomial(0, 0, 5, 5),
-    "z12-case1": monomial(4, 1, 0)
-    + monomial(4, 0, 1, 2)
-    + monomial(0, 5, 0, 3)
-    + monomial(0, 0, 5, 5),
-    "z12-case2": monomial(4, 1, 0)
-    + monomial(4, 0, 1, 2)
-    + monomial(0, 5, 0, 3)
-    + monomial(0, 0, 5, 5),
-    "z13-case1": monomial(4, 0, 1, 2)
-    + monomial(0, 5, 0, 3)
-    + monomial(0, 0, 5, 5)
-    + monomial(2, 3, 0, 7),
-    "z13-case2": monomial(4, 0, 1, 2)
-    + monomial(0, 5, 0, 3)
-    + monomial(0, 0, 5, 5)
-    + monomial(2, 3, 0, 7),
+    "w13": _NODE,
+    "z12-case1": _NODE,
+    "z12-case2": _NODE,
+    "z13-case1": _CUSP,
+    "z13-case2": _CUSP,
 }
 
+_PX, _PY = _pt(1, 0, 0), _pt(0, 1, 0)
+
+# id, type, case, parametrized, bad lambdas, marked points and lines, orders, mark, claimed count
 FAMILIES: tuple[SexticFamily, ...] = (
-    SexticFamily(
-        "z11-case1",
-        "Z11",
-        1,
-        True,
-        (frac(0), frac(1)),
-        (),
-        (_pt(1, 0, 0), _pt(1, 1, 0)),
-        (),
-        (3, 2, 1),
-        None,
-        18,
-    ),
-    SexticFamily(
-        "z11-case2", "Z11", 2, False, (), (), (_pt(1, 0, 0), _pt(1, 1, 0)), (), (3, 3), None, 17
-    ),
-    SexticFamily(
-        "z11-case3", "Z11", 3, False, (), (), (_pt(1, 0, 0), _pt(1, 1, 0)), (), (5, 1), None, 17
-    ),
-    SexticFamily(
-        "w12-case1", "W12", 1, True, (frac(0),), (), (_pt(1, 0, 0),), (LINE,), (4, 2), None, 17
-    ),
-    SexticFamily(
-        "w12-case2", "W12", 2, False, (), (), (_pt(1, 0, 0),), (LINE,), (6,), None, 16
-    ),
-    SexticFamily(
-        "w13",
-        "W13",
-        1,
-        False,
-        (),
-        (_X5,),
-        (_pt(1, 0, 0), _pt(0, 1, 0)),
-        (),
-        (4, 2),
-        (_pt(1, 0, 0), 1),
-        16,
-    ),
-    SexticFamily(
-        "z12-case1",
-        "Z12",
-        1,
-        True,
-        (frac(0),),
-        (_X5,),
-        (_pt(1, 0, 0), _pt(0, 1, 0)),
-        (),
-        (3, 2, 1),
-        (_pt(1, 0, 0), 1),
-        17,
-    ),
-    SexticFamily(
-        "z12-case2",
-        "Z12",
-        2,
-        False,
-        (),
-        (_X5,),
-        (_pt(1, 0, 0), _pt(0, 1, 0)),
-        (),
-        (3, 3),
-        (_pt(1, 0, 0), 1),
-        16,
-    ),
-    SexticFamily(
-        "z13-case1",
-        "Z13",
-        1,
-        True,
-        (frac(0),),
-        (_X5, _YX4),
-        (_pt(1, 0, 0), _pt(0, 1, 0)),
-        (),
-        (3, 2, 1),
-        (_pt(1, 0, 0), 2),
-        16,
-    ),
-    SexticFamily(
-        "z13-case2",
-        "Z13",
-        2,
-        False,
-        (),
-        (_X5,),
-        (_pt(1, 0, 0), _pt(0, 1, 0)),
-        (),
-        (3, 3),
-        (_pt(1, 0, 0), 2),
-        15,
-        variant_exclusions=(_X5, _YX4),
-    ),
+    SexticFamily("z11-case1", "Z11", 1, True, (frac(0), frac(1)), (_PX, _pt(1, 1, 0)), (), (3, 2, 1), None, 18),
+    SexticFamily("z11-case2", "Z11", 2, False, (), (_PX, _pt(1, 1, 0)), (), (3, 3), None, 17),
+    SexticFamily("z11-case3", "Z11", 3, False, (), (_PX, _pt(1, 1, 0)), (), (5, 1), None, 17),
+    SexticFamily("w12-case1", "W12", 1, True, (frac(0),), (_PX,), (LINE,), (4, 2), None, 17),
+    SexticFamily("w12-case2", "W12", 2, False, (), (_PX,), (LINE,), (6,), None, 16),
+    SexticFamily("w13", "W13", 1, False, (), (_PX, _PY), (), (4, 2), (_PX, 1), 16),
+    SexticFamily("z12-case1", "Z12", 1, True, (frac(0),), (_PX, _PY), (), (3, 2, 1), (_PX, 1), 17),
+    SexticFamily("z12-case2", "Z12", 2, False, (), (_PX, _PY), (), (3, 3), (_PX, 1), 16),
+    SexticFamily("z13-case1", "Z13", 1, True, (frac(0),), (_PX, _PY), (), (3, 2, 1), (_PX, 2), 16),
+    SexticFamily("z13-case2", "Z13", 2, False, (), (_PX, _PY), (), (3, 3), (_PX, 2), 15, stated_mark_n=1),
 )
 
 
@@ -308,8 +234,7 @@ class FamilyVerification(NamedTuple):
     residual_degree: int
     mark: AnVerdict | None
     excess: int | None  # total Tjurina number beyond the mark's; None if uncertified
-    orbit_count: int
-    variant_orbit_count: int | None
+    counts: FamilyCounts
 
 
 def verify_family(fam: SexticFamily) -> FamilyVerification:
@@ -317,8 +242,9 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
 
     All lambda specializations must give the same combinatorial output; the
     representative member must show exactly the declared singular point (for
-    the flagged family the variant exclusions are used, since the primary
-    exclusion set does not force the declared cusp on a general member).
+    the flagged family that is the full mark, a cusp, not the double point the
+    stated count imposes), and at the first lambda sample it must satisfy
+    every condition the counts are taken from, built once here.
     The excess is the total Tjurina number of the representative minus that
     of the mark (n for a certified A_n, 0 without a mark); 0 certifies that
     no other singular point exists over the algebraic closure.
@@ -334,13 +260,21 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     representative this one modular rank certifies at the first degree
     3(d-2) + 1.
     """
+    samples = fam.lambda_samples()
+    conditions = fam.conditions(samples[0])
     seen: set[tuple] = set()
     mark: AnVerdict | None = None
     excess: int | None = None
     orders: tuple[int, ...] = ()
     residual = 0
-    for lam in fam.lambda_samples():
+    for lam in samples:
         rep = fam.representative(lam)
+        if lam == samples[0]:
+            coeffs = dict(rep.terms)
+            vector = [coeffs.get(mono, 0) for mono in monomial_basis(6)]
+            for row in conditions[0].rows + conditions[1].rows:
+                if sum(c * x for c, x in zip(row, vector) if c and x):
+                    raise ValueError(f"{fam.family_id}: representative misses a condition")
         pattern = restrict_to_line(rep, LINE, fam.restriction_points(lam))
         if pattern.contained:
             raise ValueError(f"{fam.family_id}: representative contains the line")
@@ -356,15 +290,4 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
         seen.add((orders, residual, excess) + ((mark.kind, mark.n) if mark else ()))
     if len(seen) != 1:
         raise ValueError(f"{fam.family_id}: specializations disagree: {sorted(map(str, seen))}")
-    variant = (
-        fam.orbit_dim_count(fam.variant_exclusions) if fam.variant_exclusions else None
-    )
-    return FamilyVerification(
-        fam.family_id,
-        orders,
-        residual,
-        mark,
-        excess,
-        fam.orbit_dim_count(),
-        variant,
-    )
+    return FamilyVerification(fam.family_id, orders, residual, mark, excess, fam.counts(conditions))

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from unimodal.configurations import CurveConfiguration, FundamentalCycle, _pairings
 from unimodal.planecurves import (
+    ConditionSystem,
     Direction,
     Germ,
     HomogeneousForm,
@@ -84,6 +85,39 @@ def stabilizer_dim_by_minors(
 ) -> int:
     """`planecurves.stabilizer_dim` with the rank by minor enumeration."""
     return 8 - rank_by_minors(_stabilizer_rows(points, lines))
+
+
+# The branch families counted the old way: quintic parts f5 of base + z * f5
+# with the monomials of this table left out, 21 - rank(exclusions) + [lambda]
+# affine parameters.  The exclusions are hand-picked: x^5 z kills the linear
+# term of a double point at [1:0:0], x^4 y z the uv term of its tangent cone.
+_X5, _YX4 = (5, 0, 0), (4, 1, 0)
+FAMILY_EXCLUSIONS = {
+    "z11-case1": (),
+    "z11-case2": (),
+    "z11-case3": (),
+    "w12-case1": (),
+    "w12-case2": (),
+    "w13": (_X5,),
+    "z12-case1": (_X5,),
+    "z12-case2": (_X5,),
+    "z13-case1": (_X5, _YX4),
+    "z13-case2": (_X5,),
+}
+VARIANT_EXCLUSIONS = {"z13-case2": (_X5, _YX4)}  # the z13-case2 family with the cusp forced
+
+
+def exclusion_system(degree: int, excluded: Sequence[tuple[int, int, int]]) -> ConditionSystem:
+    """One unit row per excluded monomial of the given degree."""
+    basis = monomial_basis(degree)
+    return ConditionSystem(
+        degree, tuple(tuple(Fraction(mono == e) for mono in basis) for e in excluded)
+    )
+
+
+def excluded_affine_count(excluded: Sequence[tuple[int, int, int]], parametrized: bool) -> int:
+    """21 free quintic coefficients less the excluded ones, plus the parameter."""
+    return 21 - exclusion_system(5, excluded).rank() + (1 if parametrized else 0)
 
 
 def fundamental_cycle_brute_force(

@@ -144,10 +144,10 @@ def test_criterion_07_dimension_counts():
             "w13": 16,
         }
         for family_id, value in expected.items():
-            assert family(family_id).orbit_dim_count() == value, family_id
+            assert family(family_id).counts().orbit == value, family_id
         flagged = family("z13-case2")
-        assert flagged.orbit_dim_count() == 16
-        assert flagged.orbit_dim_count(flagged.variant_exclusions) == 15
+        assert flagged.counts().orbit == 16
+        assert flagged.counts().variant_orbit == 15
         assert flagged.claimed_count == 15
         run = run_zw_pipeline(ZwSpec("Z13", family_case=2))
         assert run.check("family-orbit-count").status == "flagged"

@@ -18,24 +18,23 @@ from unimodal.planecurves import (
     germ,
     germ_mul,
     germ_of,
-    infinitely_near_conditions,
     linear_form,
     linear_system_dim,
     line_order_conditions,
     local_intersection,
     monomial,
     monomial_basis,
-    monomial_exclusions,
     multiplicity_conditions,
     mult_sequence,
     rational_singular_points,
     restrict_to_line,
     stabilizer_dim,
+    tangent_cone_conditions,
     tjurina_number,
 )
 from unimodal.rationals import MODULAR_PRIME, integer_rank, nullspace
 
-from oracles import stabilizer_dim_by_minors
+from oracles import exclusion_system, stabilizer_dim_by_minors
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -514,14 +513,14 @@ def test_linear_system_dims():
     quintic_point = multiplicity_conditions(5, pt(1, 2, 3), 1)
     assert linear_system_dim(quintic_point) == 19
 
-    no_x5 = monomial_exclusions(5, [(5, 0, 0)])
+    no_x5 = exclusion_system(5, [(5, 0, 0)])
     assert linear_system_dim(no_x5) == 19
 
 
 def test_linear_system_empty_is_minus_one():
     everything = ConditionSystem(0, ())
     assert linear_system_dim(everything) == 0  # constants form a point
-    kill = monomial_exclusions(0, [(0, 0, 0)])
+    kill = ConditionSystem(0, ((Fraction(1),),))
     assert linear_system_dim(kill) == -1
 
 
@@ -603,21 +602,41 @@ def _coeff_vector(form: HomogeneousForm):
     return [form.coeff(mono) for mono in monomial_basis(form.degree)]
 
 
-def _homogenize_germ(g, degree):
-    coeffs = {}
-    for (a, b), c in g.items():
-        coeffs[(degree - a - b, a, b)] = c
-    return HomogeneousForm.from_dict(degree, coeffs)
+def test_monomial_germs_are_truncated_germs_of_the_monomials():
+    from unimodal.planecurves import _monomial_germs
+
+    rng = random.Random(19)
+    for _ in range(30):
+        degree, below = rng.randint(0, 6), rng.randint(0, 8)
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+        if not any(coords):
+            continue
+        p = pt(*coords)
+        for mono, g in zip(monomial_basis(degree), _monomial_germs(degree, p, below)):
+            full = germ_of(monomial(*mono), p)
+            assert g == {e: c for e, c in full.items() if sum(e) < below}, (mono, p, below)
 
 
-def test_infinitely_near_conditions_cut_33_locus():
-    # sextics with a [3,3]-point at [1:0:0] in the fibre direction z
-    system = infinitely_near_conditions(6, pt(1, 0, 0), Fraction(0), 3, 3)
-    assert system.rank() >= 6
-    assert linear_system_dim(system) == 28 - system.rank() - 1
-    # a germ with the imposed [3,3] structure satisfies every functional
-    member = germ({(3, 0): 1, (2, 2): 1, (0, 6): 1})  # local (y, z) shape
-    assert _annihilated(system, _homogenize_germ(member, 6))
+def test_tangent_cone_system_rank_and_planted_cusp_tangent():
+    # L^2 R + m1 m2 m3 S has quadratic part l^2 R(p) at p; L M R with M through p
+    # but not along L has quadratic part l mu R(p), whose gradient at the line's
+    # direction is mu(alpha, beta) grad(l), not zero
+    rng = random.Random(20)
+    for _ in range(40):
+        degree = rng.randint(0, 6)
+        line, (p, q) = _random_line_with_points(rng, 2)
+        system = tangent_cone_conditions(degree, line, p)
+        assert len(system.rows) == 2
+        assert system.rank() == (2 if degree >= 2 else 0)
+        if degree < 3:
+            continue
+        triple = _form_through(rng, p) * _form_through(rng, p) * _form_through(rng, p)
+        planted = line * line * _random_form(rng, degree - 2) + triple * _random_form(rng, degree - 3)
+        assert _annihilated(system, planted)
+        across = _form_through(rng, p, avoid=q)
+        assert not _annihilated(system, line * across * _nonvanishing_form(rng, degree - 2, [p]))
+    with pytest.raises(ValueError, match="point must lie on the line"):
+        tangent_cone_conditions(6, linear_form(0, 0, 1), pt(0, 0, 1))
 
 
 # -- stabilizers -------------------------------------------------------------------
@@ -652,58 +671,77 @@ def test_stabilizer_single_point_and_line():
     assert stabilizer_dim((pt(0, 0, 1),), (linear_form(0, 0, 1),)) == 4
 
 
+def _z_free_rows(keep):
+    """Sextic rows killing every z-free monomial but ``keep``: the restriction to
+    z = 0 is pinned to one binary sextic up to scale."""
+    basis = monomial_basis(6)
+    return ConditionSystem(
+        6,
+        tuple(
+            tuple(Fraction(mono == e) for mono in basis)
+            for e in basis
+            if e[2] == 0 and e != keep
+        ),
+    )
+
+
 def test_orbit_dim_count_generic():
     from unimodal.planecurves import orbit_dim_count
 
-    # quintics, one parameter, two fixed points: the largest family count
-    free = ConditionSystem(5, ())
-    assert orbit_dim_count(free, 1, (pt(1, 0, 0), pt(1, 1, 0))) == 18
+    # the restriction pinned, z * f5 free: 21 quintic coefficients
+    pinned = _z_free_rows((3, 3, 0))
+    assert linear_system_dim(pinned) == 21
+    # one parameter, two fixed points: the largest family count
+    assert orbit_dim_count(pinned, 1, (pt(1, 0, 0), pt(1, 1, 0))) == 18
     # fixed flag, no parameter
-    assert orbit_dim_count(free, 0, (pt(1, 0, 0),), (linear_form(0, 0, 1),)) == 16
-    # an empty family is an error, not a count
-    kill_all = monomial_exclusions(0, [(0, 0, 0)])
+    assert orbit_dim_count(pinned, 0, (pt(1, 0, 0),), (linear_form(0, 0, 1),)) == 16
+    # an empty family is an error, not a count, with or without a parameter
+    kill_all = ConditionSystem(0, ((Fraction(1),),))
+    for params in (0, 1):
+        with pytest.raises(ValueError, match="empty family"):
+            orbit_dim_count(kill_all, params)
     with pytest.raises(ValueError):
-        orbit_dim_count(kill_all)
-    with pytest.raises(ValueError):
-        orbit_dim_count(free, -1)
+        orbit_dim_count(pinned, -1)
 
 
 def test_orbit_count_transport_invariance():
     # transporting a family by a projectivity leaves its orbit count unchanged:
-    # the stabilizer is conjugated and the condition rank is preserved under
-    # the induced coefficient-space map
+    # the stabilizer is conjugated and the rank of the family's sextic system
+    # is preserved under the induced coefficient-space map
     from unimodal.rationals import det, rank
     from unimodal.sextics import family
 
     rng = random.Random(33)
-    fam = family("z12-case1")
-    base_count = fam.orbit_dim_count()
-    conditions = [list(row) for row in monomial_exclusions(5, list(fam.exclusions)).rows]
-    basis = monomial_basis(5)
-    for _ in range(4):
-        while True:
-            m = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            if det(m) != 0:
-                break
-        # induced linear map on quintic coefficients: column per basis monomial
-        induced = []
-        for mono in basis:
-            image = HomogeneousForm.from_dict(5, {mono: 1}).substitute_linear(m)
-            induced.append([image.coeff(target) for target in basis])
-        transported = [
-            [sum(row[k] * induced[k][j] for k in range(len(basis))) for j in range(len(basis))]
-            for row in conditions
-        ]
-        assert rank(transported) == rank(conditions)
-        moved_points = tuple(
-            MarkedPoint.of(*[sum(m[i][j] * p.coords[j] for j in range(3)) for i in range(3)])
-            for p in fam.marked_points
-        )
-        assert stabilizer_dim(moved_points) == stabilizer_dim(fam.marked_points)
-        transported_count = (
-            21 - rank(transported) + (1 if fam.parametrized else 0)
-        ) - stabilizer_dim(moved_points)
-        assert transported_count == base_count
+    for family_id in ("z12-case1", "z13-case1"):
+        fam = family(family_id)
+        base_count = fam.counts().orbit
+        stated, _ = fam.conditions(fam.lambda_samples()[0])
+        conditions = [list(row) for row in stated.rows]
+        basis = monomial_basis(6)
+        for _ in range(3):
+            while True:
+                m = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
+                if det(m) != 0:
+                    break
+            # induced linear map on sextic coefficients: column per basis monomial
+            induced = []
+            for mono in basis:
+                image = HomogeneousForm.from_dict(6, {mono: 1}).substitute_linear(m)
+                induced.append([image.coeff(target) for target in basis])
+            transported = [
+                [sum(row[k] * induced[k][j] for k in range(len(basis))) for j in range(len(basis))]
+                for row in conditions
+            ]
+            assert rank(transported) == rank(conditions)
+            moved_points = tuple(
+                MarkedPoint.of(*[sum(m[i][j] * p.coords[j] for j in range(3)) for i in range(3)])
+                for p in fam.marked_points
+            )
+            assert stabilizer_dim(moved_points) == stabilizer_dim(fam.marked_points)
+            transported_count = (
+                len(basis) - 1 - rank(transported) + (1 if fam.parametrized else 0)
+            ) - stabilizer_dim(moved_points)
+            assert transported_count == base_count
 
 
 def test_stabilizer_conjugation_invariance():

@@ -263,6 +263,14 @@ def test_repeated_marked_point_is_exit_2(tmp_path, capsys, point):
     assert "marked points must be distinct" in capsys.readouterr().err
 
 
+def test_stabilizer_of_the_zero_line_is_exit_2(tmp_path, capsys):
+    check = {"name": "s", "op": "stabilizer-dim", "points": [["1", "0", "0"]], "lines": [["0", "0", "0"]]}
+    path = tmp_path / "zero-line.scn"
+    path.write_text(scn("plane-check", {"checks": [check]}, {"s": {"value": "6"}}))
+    assert main(["verify", str(path)]) == 2
+    assert "degenerate line" in capsys.readouterr().err
+
+
 def test_input_bounds_admit_their_limits():
     from unimodal.planecurves import MAX_COEFF_BITS, MAX_DEGREE
 

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from unimodal.planecurves import monomial_basis, restrict_to_line, stabilizer_dim, tjurina_number
+from unimodal.planecurves import (
+    HomogeneousForm,
+    an_type_at,
+    monomial_basis,
+    restrict_to_line,
+    stabilizer_dim,
+    tjurina_number,
+)
+from unimodal.rationals import nullspace
 from unimodal.sextics import FAMILIES, LINE, family, verify_family
+
+from oracles import FAMILY_EXCLUSIONS, VARIANT_EXCLUSIONS, excluded_affine_count
 
 
 def test_family_table_is_complete():
@@ -24,30 +35,123 @@ def test_family_table_is_complete():
 
 def test_claimed_counts_match_computation():
     for fam in FAMILIES:
-        computed = fam.orbit_dim_count()
-        if fam.variant_exclusions is None:
-            assert computed == fam.claimed_count, fam.family_id
+        counts = fam.counts()
+        if fam.stated_mark_n is None:
+            assert counts.orbit == fam.claimed_count, fam.family_id
+            assert counts.variant_orbit is None
         else:
-            assert computed == 16
+            assert counts.orbit == 16
             assert fam.claimed_count == 15
-            assert fam.orbit_dim_count(fam.variant_exclusions) == 15
+            assert counts.variant_orbit == 15
 
 
 def test_orbit_counts_by_hand():
-    # 21 quintic coefficients, one lambda, two fixed points
+    # orders 3, 2, 1 pin the restriction to z = 0 up to scale: 28 - 6 rows is a
+    # P^21 of sextics, 21 quintic coefficients; one lambda, two fixed points
     z11 = family("z11-case1")
-    assert z11.affine_parameter_count() == 22
+    assert z11.counts().affine == 22
     assert stabilizer_dim(z11.marked_points, z11.marked_lines) == 4
-    assert z11.orbit_dim_count() == 18
-    # 21 coefficients, fixed flag
+    assert z11.counts().orbit == 18
+    # order 6 at one point: 7 rows, 21 coefficients, fixed flag
     w12 = family("w12-case2")
-    assert w12.affine_parameter_count() == 21
+    assert w12.counts().affine == 21
     assert stabilizer_dim(w12.marked_points, w12.marked_lines) == 5
-    assert w12.orbit_dim_count() == 16
-    # quintics without x^5: 20 coefficients, one lambda, two points
+    assert w12.counts().orbit == 16
+    # a double point at [1:0:0] adds the row of x^5 z to the 6 line rows:
+    # 20 coefficients, one lambda, two points
     z12 = family("z12-case1")
-    assert z12.affine_parameter_count() == 21
-    assert z12.orbit_dim_count() == 17
+    assert z12.counts().affine == 21
+    assert z12.counts().orbit == 17
+    # its cusp adds the row of x^4 y z
+    z13 = family("z13-case1")
+    assert z13.counts().affine == 20
+    assert z13.counts().orbit == 16
+
+
+def test_derived_counts_match_the_monomial_exclusions():
+    # the counts read off the conditions equal those of the hand-picked table
+    assert set(FAMILY_EXCLUSIONS) == {fam.family_id for fam in FAMILIES}
+    for fam in FAMILIES:
+        counts = fam.counts()
+        stabilizer = stabilizer_dim(fam.marked_points, fam.marked_lines)
+        expected = excluded_affine_count(FAMILY_EXCLUSIONS[fam.family_id], fam.parametrized)
+        assert counts.affine == expected, fam.family_id
+        assert counts.orbit == expected - stabilizer, fam.family_id
+        variant = VARIANT_EXCLUSIONS.get(fam.family_id)
+        if variant is None:
+            assert counts.variant_orbit is None, fam.family_id
+        else:
+            assert counts.variant_orbit == excluded_affine_count(variant, fam.parametrized) - stabilizer
+
+
+def _members(system, rng, count):
+    """Random members of the linear system the rows cut out on sextics."""
+    basis = monomial_basis(6)
+    kernel = nullspace([list(row) for row in system.rows], len(basis))
+    for _ in range(count):
+        weights = [rng.randint(-1000, 1000) for _ in kernel]
+        coeffs = [sum(w * v[i] for w, v in zip(weights, kernel)) for i in range(len(basis))]
+        yield HomogeneousForm.from_dict(6, dict(zip(basis, coeffs)))
+
+
+def test_random_members_have_the_declared_orders_and_mark():
+    # the conditions are the geometry: a general member shows the restriction
+    # pattern and the A_n mark, and the stated z13-case2 family only an A1
+    rng = random.Random(41)
+    for fam in FAMILIES:
+        lam = fam.lambda_samples()[0]
+        stated, beyond = fam.conditions(lam)
+        mark_n = fam.singular_mark[1] if fam.singular_mark else None
+        cases = [(stated, mark_n)]
+        if fam.stated_mark_n is not None:
+            cases = [(stated, fam.stated_mark_n), (stated.extend(beyond), mark_n)]
+        for system, n in cases:
+            for member in _members(system, rng, 10):
+                pattern = restrict_to_line(member, LINE, fam.restriction_points(lam))
+                assert pattern.orders == fam.expected_orders, fam.family_id
+                assert pattern.residual_degree == 0
+                if n:
+                    verdict = an_type_at(member, fam.singular_mark[0], candidate=max(2, n))
+                    assert verdict.is_a(n), (fam.family_id, verdict)
+
+
+def test_condition_rank_is_the_same_at_every_lambda():
+    for fam in FAMILIES:
+        ranks = set()
+        for lam in fam.lambda_samples() + (Fraction(7), Fraction(-3), Fraction(1, 2)):
+            stated, beyond = fam.conditions(lam)
+            ranks.add((stated.rank(), stated.extend(beyond).rank()))
+        assert len(ranks) == 1, (fam.family_id, ranks)
+
+
+def test_every_cusp_mark_is_a_restriction_point_of_order_at_least_three():
+    # what makes the tangent-cone rows linear: the line is the cusp's tangent
+    cusps = [fam for fam in FAMILIES if fam.singular_mark and fam.singular_mark[1] == 2]
+    assert {fam.family_id for fam in cusps} == {"z13-case1", "z13-case2"}
+    for fam in cusps:
+        point = fam.singular_mark[0]
+        for lam in fam.lambda_samples():
+            points = fam.restriction_points(lam)
+            assert point in points
+            assert fam.expected_orders[points.index(point)] >= 3
+
+
+def test_verify_family_builds_each_restriction_point_once(monkeypatch):
+    import unimodal.sextics as sextics
+
+    original = sextics.line_order_conditions
+    built = []
+
+    def recording(*args):
+        built.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(sextics, "line_order_conditions", recording)
+    for fam in FAMILIES:
+        built.clear()
+        verification = verify_family(fam)
+        assert built == list(fam.restriction_points(fam.lambda_samples()[0])), fam.family_id
+        assert verification.counts == fam.counts(), fam.family_id
 
 
 def test_restriction_patterns_all_families():
@@ -117,14 +221,27 @@ def test_representatives_certify_with_one_rank(monkeypatch):
             assert len(widths) == (1 if fam.singular_mark is None else 2), (fam.family_id, lam)
 
 
-def test_representative_respects_exclusions():
+def test_representative_satisfies_its_conditions():
+    for fam in FAMILIES:
+        for lam in fam.lambda_samples():
+            stated, beyond = fam.conditions(lam)
+            vector = [fam.representative(lam).coeff(mono) for mono in monomial_basis(6)]
+            for row in stated.rows + beyond.rows:
+                assert sum(c * x for c, x in zip(row, vector)) == 0, (fam.family_id, lam)
+    # z13-case1: a cusp at [1:0:0] along z = 0, so no x^5 z and no x^4 y z
+    rep = family("z13-case1").representative(Fraction(2))
+    assert rep.coeff((5, 0, 1)) == 0 and rep.coeff((4, 1, 1)) == 0
+
+
+def test_verify_family_refuses_a_representative_off_its_conditions(monkeypatch):
+    import unimodal.sextics as sextics
+
     fam = family("z13-case1")
-    for lam in fam.lambda_samples():
-        rep = fam.representative(lam)
-        assert rep.coeff((5, 0, 0)) == 0  # x^5 never appears with z^0... (base is z-free of x^5)
-        # no z * x^5 or z * y x^4 contributions from the quintic part
-        assert rep.coeff((5, 0, 1)) == 0
-        assert rep.coeff((4, 1, 1)) == 0
+    quintics = dict(sextics._REPRESENTATIVE_QUINTICS)
+    quintics["z13-case1"] = quintics["z13-case1"] + HomogeneousForm.from_dict(5, {(4, 1, 0): 1})
+    monkeypatch.setattr(sextics, "_REPRESENTATIVE_QUINTICS", quintics)
+    with pytest.raises(ValueError, match="misses a condition"):
+        verify_family(fam)
 
 
 def test_lambda_samples_avoid_excluded_values():

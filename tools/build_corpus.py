@@ -144,15 +144,15 @@ def dims_scenarios() -> None:
             "family-restriction-residual": v(6 - sum(fam.expected_orders)),
             "family-smoothness-scan": v(0),
             "stabilizer-dim": v(5 if fam.marked_lines else 4),
-            "affine-parameters": v(fam.affine_parameter_count()),
+            "affine-parameters": v(fam.counts().affine),
         }
         if fam.singular_mark is not None:
             expected["family-singular-mark"] = v(f"A{fam.singular_mark[1]}")
-        if fam.variant_exclusions is None:
+        if fam.stated_mark_n is None:
             expected["family-orbit-count"] = v(fam.claimed_count)
         else:
             expected["family-orbit-count"] = documented("family-orbit-count")
-            # the second monomial exclusion reaches the stated count
+            # the cusp's tangent rows, beyond the stated double point, reach the stated count
             expected["family-orbit-count-variant"] = v(fam.claimed_count)
         write(f"dims-{fam.family_id}", "dims-check", {"family": fam.family_id}, expected)
 
