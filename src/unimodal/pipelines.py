@@ -16,6 +16,7 @@ silently repaired.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ from .lattice import (
     track,
     untrack,
 )
-from .planecurves import Germ, detect_33_point, germ, stabilizer_dim
+from .planecurves import Germ, ThreeThreeVerdict, detect_33_point, germ, germ_mul
 from .rationals import frac, rat_str
 from .sextics import FAMILIES, FamilyVerification, SexticFamily, family, verify_family
 
@@ -551,22 +552,29 @@ _DECOMPOSITIONS = {
 }
 
 
-def _germ_checks(checks: _Recorder, spec: EnSpec) -> None:
-    profiles = set()
+@functools.cache
+def _normal_form_verdicts(profile: int) -> tuple[tuple[tuple[bool, int | None], ...], ThreeThreeVerdict]:
+    """The sorted (is_33, profile) of the branch normal form x^3 + lam^2 x^2 y^2
+    + y^profile at lam = 1, 2, 3, and the verdict on its fixed decomposition.
+
+    Both depend on the profile alone, so each is computed once per process.
+    """
+    shapes = set()
     for lam in (Fraction(1), Fraction(2), Fraction(3)):
-        shape = germ({(3, 0): 1, (2, 2): lam * lam, (0, spec.profile): 1})
-        verdict = detect_33_point(shape)
-        profiles.add((verdict.is_33, verdict.profile))
+        verdict = detect_33_point(germ({(3, 0): 1, (2, 2): lam * lam, (0, profile): 1}))
+        shapes.add((verdict.is_33, verdict.profile))
+    residual, smooth = _DECOMPOSITIONS[profile]
+    return tuple(sorted(shapes)), detect_33_point(germ_mul(residual, smooth), decomposition=(residual, smooth))
+
+
+def _germ_checks(checks: _Recorder, spec: EnSpec) -> None:
+    shapes, verdict = _normal_form_verdicts(spec.profile)
     checks.expect(
         "branch-germ-33-profile",
-        sorted(profiles),
+        list(shapes),
         [(True, spec.profile)],
         "the branch normal form has a [3,3]-point of the declared profile at every specialization",
     )
-    residual, smooth = _DECOMPOSITIONS[spec.profile]
-    from .planecurves import germ_mul
-
-    verdict = detect_33_point(germ_mul(residual, smooth), decomposition=(residual, smooth))
     checks.expect(
         "branch-germ-decomposition-intersection",
         verdict.local_intersection,
@@ -835,7 +843,7 @@ def run_dims_check(family_id: str) -> PipelineResult:
     checks = _Recorder()
     fam = family(family_id)
     verification = _family_checks(checks, fam)
-    checks.note("stabilizer-dim", stabilizer_dim(fam.marked_points, fam.marked_lines))
+    checks.note("stabilizer-dim", verification.counts.stabilizer)
     checks.note("affine-parameters", verification.counts.affine)
     return checks.result(fam.family_id, ())
 

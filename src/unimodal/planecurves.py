@@ -94,7 +94,7 @@ class HomogeneousForm(_HomogeneousFormFields):
 
     @staticmethod
     def from_dict(degree: int, coeffs: dict[Exponent, int | str | Fraction]) -> "HomogeneousForm":
-        cleaned = {e: frac(c) for e, c in coeffs.items() if frac(c) != 0}
+        cleaned = {e: c for e, c in zip(coeffs, map(frac, coeffs.values())) if c}
         return HomogeneousForm(degree, tuple(sorted(cleaned.items())))
 
     def coeff(self, exponent: Exponent) -> Fraction:
@@ -123,11 +123,13 @@ class HomogeneousForm(_HomogeneousFormFields):
         return HomogeneousForm.from_dict(self.degree, {e: s * c for e, c in self.terms})
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
+        theirs = [(e, _plain(y)) for e, y in other.terms]
         for (a, b, c), x in self.terms:
-            for (d, e, f), y in other.terms:
+            x = _plain(x)
+            for (d, e, f), y in theirs:
                 key = (a + d, b + e, c + f)
-                out[key] = out.get(key, frac(0)) + x * y
+                out[key] = out.get(key, 0) + x * y
         return HomogeneousForm.from_dict(self.degree + other.degree, out)
 
     def evaluate(self, point: "MarkedPoint") -> Fraction:
@@ -1037,26 +1039,21 @@ def linear_system_dim(system: ConditionSystem) -> int:
     return total - system.rank() - 1
 
 
-def orbit_dim_count(
-    conditions: ConditionSystem,
-    continuous_params: int = 0,
-    points: tuple[MarkedPoint, ...] = (),
-    lines: tuple["HomogeneousForm", ...] = (),
-) -> int:
+def orbit_dim_count(conditions: ConditionSystem, continuous_params: int = 0, stabilizer: int = 0) -> int:
     """Dimension of the projectivity orbit of a normalized curve family.
 
     The family is the linear system the conditions cut out, normalised to an
     affine chart, so its parameter dimension is the system's projective
     dimension plus the declared continuous parameters; the count is that minus
-    the stabilizer dimension of the markings.  An empty system is an error,
-    not a count.
+    the stabilizer dimension of the markings (:func:`stabilizer_dim`).  An
+    empty system is an error, not a count.
     """
     if continuous_params < 0:
         raise ValueError("continuous parameter count cannot be negative")
     dim = linear_system_dim(conditions)
     if dim == -1:
         raise ValueError("empty family")
-    return dim + continuous_params - stabilizer_dim(points, lines)
+    return dim + continuous_params - stabilizer
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ curve-level claims: restriction pattern, the A-type at the marked point, and
 the absence of any further singular point over the algebraic closure.  The
 last is certified by the total Tjurina number: an A_n point is
 quasi-homogeneous, so its Tjurina number is n, and a curve whose total equals
-that of its mark has no other singular point.  The symbolic parameter is
-handled by specialization at several rational values away from the excluded
-ones, demanding identical combinatorial output.
+that of its mark has no other singular point.  A family with the parameter
+lambda is verified at one value lambda_0 and certified for all lambda outside
+a finite set by two polynomial identities in lambda and the semicontinuity of
+rank (:func:`verify_family`).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .planecurves import (
     AnVerdict,
@@ -31,12 +33,12 @@ from .planecurves import (
     an_type_at,
     line_order_conditions,
     linear_form,
-    linear_system_dim,
     monomial,
     monomial_basis,
     multiplicity_conditions,
     orbit_dim_count,
     restrict_to_line,
+    stabilizer_dim,
     tangent_cone_conditions,
     tjurina_number,
 )
@@ -44,7 +46,10 @@ from .rationals import frac
 
 LINE = linear_form(0, 0, 1)  # the distinguished line z = 0
 
-_LAMBDA_SAMPLES = (Fraction(2), Fraction(3), Fraction(5))
+
+def _lambdas(bad: tuple[Fraction, ...]) -> Iterator[int]:
+    """2, 3, 4, ... without the excluded values: lambda_0, then the probes."""
+    return (v for v in itertools.count(2) if v not in bad)
 
 
 def _pt(x, y, z) -> MarkedPoint:
@@ -68,59 +73,65 @@ class SexticFamily(NamedTuple):
         return _BASES[self.family_id](lam)
 
     def restriction_points(self, lam: Fraction) -> tuple[MarkedPoint, ...]:
-        return _RESTRICTION_POINTS[self.family_id](lam)
+        return tuple(_pt(*coords) for coords in _RESTRICTION_POINTS[self.family_id](lam))
 
-    def lambda_samples(self) -> tuple[Fraction, ...]:
-        if not self.parametrized:
-            return (frac(0),)
-        return tuple(v for v in _LAMBDA_SAMPLES if v not in self.bad_lambdas)
+    def lambda_samples(self) -> tuple[Fraction]:
+        """The one value lambda_0 at which the family is specialized: the first of
+        2, 3, 4, ... outside `bad_lambdas` (0 without lambda)."""
+        return (frac(next(_lambdas(self.bad_lambdas)) if self.parametrized else 0),)
 
     def representative(self, lam: Fraction) -> HomogeneousForm:
         return self.base(lam) + LINE * _REPRESENTATIVE_QUINTICS[self.family_id]
 
-    def conditions(self, lam: Fraction) -> tuple[ConditionSystem, ConditionSystem]:
+    def conditions(
+        self, lam: Fraction, mark: tuple[ConditionSystem, ConditionSystem] | None = None
+    ) -> tuple[ConditionSystem, ConditionSystem]:
         """The stated family's conditions on sextics at lam, and the rows its mark
         imposes beyond them (none unless `stated_mark_n` is set).
 
         Each restriction point gives the line-order rows of its order; an A_n
         mark gives a double point and, for a cusp, the tangent cone l^2, linear
-        because every cusp mark is a restriction point of order >= 3.
+        because every cusp mark is a restriction point of order >= 3.  The
+        mark's rows are `mark_conditions`, built here unless given.
         """
-        stated = beyond = ConditionSystem(6)
+        stated = ConditionSystem(6)
         for point, order in zip(self.restriction_points(lam), self.expected_orders):
             stated = stated.extend(line_order_conditions(6, LINE, point, order))
-        if self.singular_mark is not None:
-            point, n = self.singular_mark
-            stated = stated.extend(multiplicity_conditions(6, point, 2))
-            if n == 2:
-                cusp = tangent_cone_conditions(6, LINE, point)
-                if self.stated_mark_n == 1:
-                    beyond = cusp
-                else:
-                    stated = stated.extend(cusp)
-        return stated, beyond
+        double, cusp = mark or self.mark_conditions()
+        if self.stated_mark_n == 1:
+            return stated.extend(double), cusp
+        return stated.extend(double).extend(cusp), ConditionSystem(6)
+
+    def mark_conditions(self) -> tuple[ConditionSystem, ConditionSystem]:
+        """The rows of a double point at the mark and, for an A_2 mark, of its
+        tangent cone l^2 (both empty without a mark).  Neither depends on lambda:
+        the mark is a fixed point and l the fixed line."""
+        if self.singular_mark is None:
+            return ConditionSystem(6), ConditionSystem(6)
+        point, n = self.singular_mark
+        cusp = tangent_cone_conditions(6, LINE, point) if n == 2 else ConditionSystem(6)
+        return multiplicity_conditions(6, point, 2), cusp
 
     def counts(self, conditions: tuple[ConditionSystem, ConditionSystem] | None = None) -> FamilyCounts:
         """The stated family's affine and orbit counts, and the orbit count with
-        the full mark when the stated one is less, from the conditions at the
-        first lambda sample (built here unless given)."""
+        the full mark when the stated one is less, from the conditions at
+        lambda_0 (built here unless given): one rank per system, and one of the
+        stabilizer of the markings."""
         stated, beyond = conditions or self.conditions(self.lambda_samples()[0])
         params = 1 if self.parametrized else 0
-        markings = (self.marked_points, self.marked_lines)
+        stabilizer = stabilizer_dim(self.marked_points, self.marked_lines)
+        orbit = orbit_dim_count(stated, params, stabilizer)
         variant = None
         if self.stated_mark_n is not None:
-            variant = orbit_dim_count(stated.extend(beyond), params, *markings)
-        return FamilyCounts(
-            linear_system_dim(stated) + params,
-            orbit_dim_count(stated, params, *markings),
-            variant,
-        )
+            variant = orbit_dim_count(stated.extend(beyond), params, stabilizer)
+        return FamilyCounts(orbit + stabilizer, orbit, variant, stabilizer)
 
 
 class FamilyCounts(NamedTuple):
     affine: int
     orbit: int
     variant_orbit: int | None  # with the full mark; None unless the stated one is less
+    stabilizer: int  # dimension of the projectivity stabilizer of the markings
 
 
 def _z11_base(lam: Fraction) -> HomogeneousForm:
@@ -172,17 +183,20 @@ _BASES = {
     "z13-case2": _z12_case2_base,
 }
 
+# The coordinates of each restriction point, before normalisation, so that
+# every one that depends on lambda is affine in lambda, as is every
+# lambda-dependent coefficient of a base (see `verify_family`).
 _RESTRICTION_POINTS = {
-    "z11-case1": lambda lam: (_pt(1, 0, 0), _pt(1, lam, 0), _pt(1, 1, 0)),
-    "z11-case2": lambda _: (_pt(1, 0, 0), _pt(1, 1, 0)),
-    "z11-case3": lambda _: (_pt(1, 0, 0), _pt(1, 1, 0)),
-    "w12-case1": lambda lam: (_pt(1, 0, 0), _pt(1, lam, 0)),
-    "w12-case2": lambda _: (_pt(1, 0, 0),),
-    "w13": lambda _: (_pt(1, 0, 0), _pt(0, 1, 0)),
-    "z12-case1": lambda lam: (_pt(1, 0, 0), _pt(0, 1, 0), _pt(lam, 1, 0)),
-    "z12-case2": lambda _: (_pt(1, 0, 0), _pt(0, 1, 0)),
-    "z13-case1": lambda lam: (_pt(1, 0, 0), _pt(0, 1, 0), _pt(lam, 1, 0)),
-    "z13-case2": lambda _: (_pt(1, 0, 0), _pt(0, 1, 0)),
+    "z11-case1": lambda lam: ((1, 0, 0), (1, lam, 0), (1, 1, 0)),
+    "z11-case2": lambda _: ((1, 0, 0), (1, 1, 0)),
+    "z11-case3": lambda _: ((1, 0, 0), (1, 1, 0)),
+    "w12-case1": lambda lam: ((1, 0, 0), (1, lam, 0)),
+    "w12-case2": lambda _: ((1, 0, 0),),
+    "w13": lambda _: ((1, 0, 0), (0, 1, 0)),
+    "z12-case1": lambda lam: ((1, 0, 0), (0, 1, 0), (lam, 1, 0)),
+    "z12-case2": lambda _: ((1, 0, 0), (0, 1, 0)),
+    "z13-case1": lambda lam: ((1, 0, 0), (0, 1, 0), (lam, 1, 0)),
+    "z13-case2": lambda _: ((1, 0, 0), (0, 1, 0)),
 }
 
 # Fixed quintic parts for the verified representatives.  Chosen once so that
@@ -238,16 +252,16 @@ class FamilyVerification(NamedTuple):
 
 
 def verify_family(fam: SexticFamily) -> FamilyVerification:
-    """Specialize, restrict, classify and count one family.
+    """Restrict, classify and count one family at lambda_0, and certify the
+    outcome for every lambda outside a finite set.
 
-    All lambda specializations must give the same combinatorial output; the
-    representative member must show exactly the declared singular point (for
-    the flagged family that is the full mark, a cusp, not the double point the
-    stated count imposes), and at the first lambda sample it must satisfy
-    every condition the counts are taken from, built once here.
-    The excess is the total Tjurina number of the representative minus that
-    of the mark (n for a certified A_n, 0 without a mark); 0 certifies that
-    no other singular point exists over the algebraic closure.
+    At lambda_0 the representative F = base + z f5 must satisfy every
+    condition the counts are taken from (built once here) and show exactly
+    the declared singular point (for the flagged family that is the full
+    mark, a cusp, not the double point the stated count imposes).  The excess
+    is the total Tjurina number of F minus that of the mark (n for a
+    certified A_n, 0 without a mark); 0 certifies that no other singular point
+    exists over the algebraic closure.
 
     The mark's Tjurina number is passed to `tjurina_number` as a lower
     bound.  An A_n point is quasi-homogeneous, so its Jacobian scheme has
@@ -259,35 +273,95 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     over Q, so n <= h(k) <= h_p(k): h_p(k) = n is exact.  On every
     representative this one modular rank certifies at the first degree
     3(d-2) + 1.
+
+    A family with the parameter takes no further rank.  Every
+    lambda-dependent coefficient of a base and of the coordinates of a
+    restriction point is affine in lambda.  So the base, a sextic, has
+    coefficients of degree at most 6 in lambda, and P = prod (p_y x - p_x y)^k
+    over the restriction points p(lambda) with orders k has degree at most the
+    sum of the k of the points that move (an affine map equal at two values
+    is constant).  Two identities in lambda are checked exactly, by
+    evaluation at deg + 1 values outside `bad_lambdas`, lambda_0 the first
+    (:func:`_certify_generic`):
+
+    (a) every 2x2 minor of the coefficient vectors of the z-free part of the
+        base and of P vanishes, degree at most 6 + deg P.  So F restricted to
+        z = 0 is proportional to P over Q(lambda); at lambda_0 it has the
+        orders k at distinct points, so for all but finitely many lambda its
+        orders are exactly k and its residual degree is 0.
+    (b) the rows of the mark (`SexticFamily.mark_conditions`), which do not
+        depend on lambda, annihilate F, degree at most 6.  So for every
+        lambda the mark is a double point, and for n = 2 its quadratic part
+        is a multiple of l^2, not a node: tau(mark) >= n.
+    (c) Ranks only drop under specialization, and rank_p <= rank_Q.  So for
+        all but finitely many lambda, h(k) <= h_p(k) at lambda_0, which is
+        n <= k; (b) gives h(k) >= n.  Then Gotzmann certifies the total n
+        as above: the mark is A_n and no other singular point exists.
+
+    The finite exceptional set is not computed, and the counts are read at
+    lambda_0.
     """
-    samples = fam.lambda_samples()
-    conditions = fam.conditions(samples[0])
-    seen: set[tuple] = set()
+    (lam,) = fam.lambda_samples()
+    mark_rows = fam.mark_conditions()
+    conditions = fam.conditions(lam, mark_rows)
+    base, tail = fam.base(lam), LINE * _REPRESENTATIVE_QUINTICS[fam.family_id]
+    rep = base + tail
+    coeffs = dict(rep.terms)
+    vector = [coeffs.get(mono, 0) for mono in monomial_basis(6)]
+    for row in conditions[0].rows + conditions[1].rows:
+        if sum(c * x for c, x in zip(row, vector) if c and x):
+            raise ValueError(f"{fam.family_id}: representative misses a condition")
+    pattern = restrict_to_line(rep, LINE, fam.restriction_points(lam))
+    if pattern.contained:
+        raise ValueError(f"{fam.family_id}: representative contains the line")
     mark: AnVerdict | None = None
-    excess: int | None = None
-    orders: tuple[int, ...] = ()
-    residual = 0
-    for lam in samples:
-        rep = fam.representative(lam)
-        if lam == samples[0]:
-            coeffs = dict(rep.terms)
-            vector = [coeffs.get(mono, 0) for mono in monomial_basis(6)]
-            for row in conditions[0].rows + conditions[1].rows:
-                if sum(c * x for c, x in zip(row, vector) if c and x):
-                    raise ValueError(f"{fam.family_id}: representative misses a condition")
-        pattern = restrict_to_line(rep, LINE, fam.restriction_points(lam))
-        if pattern.contained:
-            raise ValueError(f"{fam.family_id}: representative contains the line")
-        orders, residual = pattern.orders, pattern.residual_degree
-        if fam.singular_mark is None:
-            mark, mark_tau = None, 0
-        else:
-            point, n = fam.singular_mark
-            mark = an_type_at(rep, point, candidate=max(2, n))
-            mark_tau = mark.n if mark.kind == "A" else None
-        tau = tjurina_number(rep, at_least=mark_tau or 0)
-        excess = None if tau is None or mark_tau is None else tau - mark_tau
-        seen.add((orders, residual, excess) + ((mark.kind, mark.n) if mark else ()))
-    if len(seen) != 1:
-        raise ValueError(f"{fam.family_id}: specializations disagree: {sorted(map(str, seen))}")
-    return FamilyVerification(fam.family_id, orders, residual, mark, excess, fam.counts(conditions))
+    mark_tau: int | None = 0
+    if fam.singular_mark is not None:
+        point, n = fam.singular_mark
+        mark = an_type_at(rep, point, candidate=max(2, n))
+        mark_tau = mark.n if mark.kind == "A" else None
+    tau = tjurina_number(rep, at_least=mark_tau or 0)
+    excess = None if tau is None or mark_tau is None else tau - mark_tau
+    if fam.parametrized:
+        _certify_generic(fam, base, tail, mark_rows)
+    return FamilyVerification(
+        fam.family_id, pattern.orders, pattern.residual_degree, mark, excess, fam.counts(conditions)
+    )
+
+
+def _certify_generic(
+    fam: SexticFamily,
+    base: HomogeneousForm,
+    tail: HomogeneousForm,
+    mark: tuple[ConditionSystem, ConditionSystem],
+) -> None:
+    """Check identities (a) and (b) of :func:`verify_family` in lambda, given
+    the base at lambda_0, the part z f5 of the representative and the rows of
+    `SexticFamily.mark_conditions`."""
+    basis = monomial_basis(6)
+    rows = [[(basis[i], c) for i, c in enumerate(row) if c] for row in mark[0].rows + mark[1].rows]
+    fixed = dict(tail.terms)
+    offsets = [sum(c * fixed.get(mono, 0) for mono, c in row) for row in rows]
+
+    values = _lambdas(fam.bad_lambdas)
+    lams = [next(values), next(values)]
+    points = [_RESTRICTION_POINTS[fam.family_id](lam) for lam in lams]
+    moving = sum(k for k, p, q in zip(fam.expected_orders, *points) if p != q)
+    lams += itertools.islice(values, base.degree + moving - 1)  # deg + 1 values in all
+    for i, lam in enumerate(lams):
+        if i:
+            base = fam.base(lam)
+        terms = dict(base.terms)
+        restriction = [terms.get((a, 6 - a, 0), 0) for a in range(7)]
+        restriction = [c.numerator if c.denominator == 1 else c for c in restriction]  # ints are faster
+        product = [1]  # coefficients of x^a y^(deg - a)
+        coords = points[i] if i < 2 else _RESTRICTION_POINTS[fam.family_id](lam)
+        for (px, py, _), k in zip(coords, fam.expected_orders):
+            for _ in range(k):
+                product = [py * u - px * v for u, v in zip([0] + product, product + [0])]
+        j = next((j for j, c in enumerate(product) if c), 0)
+        if len(product) != 7 or any(r * product[j] != restriction[j] * q for r, q in zip(restriction, product)):
+            raise ValueError(f"{fam.family_id}: base disagrees with its restriction pattern at lambda = {lam}")
+        for row, offset in zip(rows, offsets):
+            if sum(c * terms.get(mono, 0) for mono, c in row) + offset:
+                raise ValueError(f"{fam.family_id}: representative misses its mark at lambda = {lam}")

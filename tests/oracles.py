@@ -23,10 +23,14 @@ from unimodal.planecurves import (
     _directions,
     _integer_terms,
     _stabilizer_rows,
+    an_type_at,
     germ_multiplicity,
     monomial_basis,
+    restrict_to_line,
+    tjurina_number,
 )
-from unimodal.rationals import det, integer_rank, negative_semidefinite_nullity
+from unimodal.rationals import det, frac, integer_rank, negative_semidefinite_nullity
+from unimodal.sextics import LINE, FamilyVerification, SexticFamily
 
 
 def _copy(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -118,6 +122,38 @@ def exclusion_system(degree: int, excluded: Sequence[tuple[int, int, int]]) -> C
 def excluded_affine_count(excluded: Sequence[tuple[int, int, int]], parametrized: bool) -> int:
     """21 free quintic coefficients less the excluded ones, plus the parameter."""
     return 21 - exclusion_system(5, excluded).rank() + (1 if parametrized else 0)
+
+
+def verify_family_by_samples(fam: SexticFamily, samples: Sequence[Fraction]) -> FamilyVerification:
+    """`sextics.verify_family` by specialization: restrict, classify and take
+    the total Tjurina number at every sample outside `bad_lambdas` (0 alone
+    without lambda), which must all agree; the conditions are checked and the
+    counts taken at the first sample."""
+    samples = [frac(v) for v in samples if v not in fam.bad_lambdas] if fam.parametrized else [frac(0)]
+    conditions = fam.conditions(samples[0])
+    seen: set[tuple] = set()
+    for lam in samples:
+        rep = fam.representative(lam)
+        if lam == samples[0]:
+            vector = [rep.coeff(mono) for mono in monomial_basis(6)]
+            for row in conditions[0].rows + conditions[1].rows:
+                if sum(c * x for c, x in zip(row, vector)):
+                    raise ValueError(f"{fam.family_id}: representative misses a condition")
+        pattern = restrict_to_line(rep, LINE, fam.restriction_points(lam))
+        if pattern.contained:
+            raise ValueError(f"{fam.family_id}: representative contains the line")
+        mark, mark_tau = None, 0
+        if fam.singular_mark is not None:
+            point, n = fam.singular_mark
+            mark = an_type_at(rep, point, candidate=max(2, n))
+            mark_tau = mark.n if mark.kind == "A" else None
+        tau = tjurina_number(rep, at_least=mark_tau or 0)
+        excess = None if tau is None or mark_tau is None else tau - mark_tau
+        seen.add((pattern.orders, pattern.residual_degree, excess, mark))
+    if len(seen) != 1:
+        raise ValueError(f"{fam.family_id}: specializations disagree: {sorted(map(str, seen))}")
+    ((orders, residual, excess, mark),) = seen
+    return FamilyVerification(fam.family_id, orders, residual, mark, excess, fam.counts(conditions))
 
 
 def fundamental_cycle_brute_force(

@@ -692,9 +692,9 @@ def test_orbit_dim_count_generic():
     pinned = _z_free_rows((3, 3, 0))
     assert linear_system_dim(pinned) == 21
     # one parameter, two fixed points: the largest family count
-    assert orbit_dim_count(pinned, 1, (pt(1, 0, 0), pt(1, 1, 0))) == 18
+    assert orbit_dim_count(pinned, 1, stabilizer_dim((pt(1, 0, 0), pt(1, 1, 0)))) == 18
     # fixed flag, no parameter
-    assert orbit_dim_count(pinned, 0, (pt(1, 0, 0),), (linear_form(0, 0, 1),)) == 16
+    assert orbit_dim_count(pinned, 0, stabilizer_dim((pt(1, 0, 0),), (linear_form(0, 0, 1),))) == 16
     # an empty family is an error, not a count, with or without a parameter
     kill_all = ConditionSystem(0, ((Fraction(1),),))
     for params in (0, 1):

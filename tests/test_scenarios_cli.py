@@ -65,6 +65,54 @@ def test_corpus_clean_with_three_flag_kinds():
     assert report.flags == ("nef-bundle-en-values", "noether-c2", "z13-case2-count")
 
 
+def test_corpus_pass_takes_one_jacobian_rank_per_family_and_normal_forms_once(monkeypatch):
+    # counted calls, no timing: one modular rank per branch family and no exact
+    # fallback, and the [3,3] normal-form verdicts only in the first pass of a process
+    import sys
+
+    import unimodal.pipelines as pipelines
+    import unimodal.planecurves as planecurves
+
+    original_rows = planecurves._jacobian_rows
+    original_modular = planecurves.modular_rank
+    original_exact = planecurves.integer_rank
+    original_33 = pipelines.detect_33_point
+    jacobian, modular, exact, normal_forms = [], [], [], []
+
+    def recording_rows(*args):
+        ncols, rows = original_rows(*args)
+        jacobian.append(rows)
+        return ncols, rows
+
+    def recording_modular(rows):
+        modular.append(rows)
+        return original_modular(rows)
+
+    def recording_exact(rows):
+        if any(rows is built for built in jacobian):  # not the ranks of local algebras
+            exact.append(rows)
+        return original_exact(rows)
+
+    def recording_33(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_normal_form_verdicts":
+            normal_forms.append(args)
+        return original_33(*args, **kwargs)
+
+    monkeypatch.setattr(planecurves, "_jacobian_rows", recording_rows)
+    monkeypatch.setattr(planecurves, "modular_rank", recording_modular)
+    monkeypatch.setattr(planecurves, "integer_rank", recording_exact)
+    monkeypatch.setattr(pipelines, "detect_33_point", recording_33)
+    pipelines._normal_form_verdicts.cache_clear()
+    # three shapes and one decomposition for each of the profiles 6 and 7
+    for expected_normal_forms in (8, 0):
+        for log in (jacobian, modular, exact, normal_forms):
+            log.clear()
+        report = run_corpus(CORPUS)
+        assert report.exit_code == 0
+        assert len(jacobian) == len(modular) == 10 and exact == []
+        assert len(normal_forms) == expected_normal_forms
+
+
 def test_corpus_deterministic_and_parallel_identical(capsys):
     serial = emit_report(run_corpus(CORPUS))
     again = emit_report(run_corpus(CORPUS))

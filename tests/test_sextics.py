@@ -8,6 +8,7 @@ import pytest
 from unimodal.planecurves import (
     HomogeneousForm,
     an_type_at,
+    monomial,
     monomial_basis,
     restrict_to_line,
     stabilizer_dim,
@@ -16,7 +17,7 @@ from unimodal.planecurves import (
 from unimodal.rationals import nullspace
 from unimodal.sextics import FAMILIES, LINE, family, verify_family
 
-from oracles import FAMILY_EXCLUSIONS, VARIANT_EXCLUSIONS, excluded_affine_count
+from oracles import FAMILY_EXCLUSIONS, VARIANT_EXCLUSIONS, excluded_affine_count, verify_family_by_samples
 
 
 def test_family_table_is_complete():
@@ -118,7 +119,7 @@ def test_random_members_have_the_declared_orders_and_mark():
 def test_condition_rank_is_the_same_at_every_lambda():
     for fam in FAMILIES:
         ranks = set()
-        for lam in fam.lambda_samples() + (Fraction(7), Fraction(-3), Fraction(1, 2)):
+        for lam in fam.lambda_samples() + (Fraction(3), Fraction(5), Fraction(7), Fraction(-3), Fraction(1, 2)):
             stated, beyond = fam.conditions(lam)
             ranks.add((stated.rank(), stated.extend(beyond).rank()))
         assert len(ranks) == 1, (fam.family_id, ranks)
@@ -160,6 +161,47 @@ def test_restriction_patterns_all_families():
             pattern = restrict_to_line(fam.base(lam), LINE, fam.restriction_points(lam))
             assert pattern.orders == fam.expected_orders, fam.family_id
             assert pattern.residual_degree == 0
+
+
+def test_one_specialization_agrees_with_the_sampled_oracle():
+    # the checks the generic certificate replaces, at five values besides lambda_0
+    samples = (Fraction(3), Fraction(5), Fraction(7), Fraction(-3), Fraction(1, 2))
+    for fam in FAMILIES:
+        assert verify_family_by_samples(fam, samples) == verify_family(fam), fam.family_id
+
+
+def _perturbed(monkeypatch, family_id, term):
+    """The family with (lam - lambda_0) * term added to its base."""
+    import unimodal.sextics as sextics
+
+    fam = family(family_id)
+    (lam0,) = fam.lambda_samples()
+    bases = dict(sextics._BASES)
+    original = bases[family_id]
+    bases[family_id] = lambda lam: original(lam) + (lam - lam0) * term
+    monkeypatch.setattr(sextics, "_BASES", bases)
+    return fam
+
+
+@pytest.mark.parametrize("family_id", ["z11-case1", "w12-case1", "z12-case1", "z13-case1"])
+def test_certificate_refuses_a_base_off_its_restriction_pattern(monkeypatch, family_id):
+    # at lambda_0 the perturbation vanishes and every specialized check passes
+    fam = _perturbed(monkeypatch, family_id, monomial(2, 4, 0))
+    (lam0,) = fam.lambda_samples()
+    assert verify_family_by_samples(fam, (lam0,)).orders == fam.expected_orders
+    with pytest.raises(ValueError, match="base disagrees with its restriction pattern"):
+        verify_family(fam)
+
+
+@pytest.mark.parametrize("family_id, term", [("z12-case1", (5, 0, 1)), ("z13-case1", (4, 1, 1))])
+def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, term):
+    # x^5 z breaks the double point at [1:0:0], x^4 y z the cusp's tangent cone;
+    # neither touches the restriction to z = 0
+    fam = _perturbed(monkeypatch, family_id, monomial(*term))
+    (lam0,) = fam.lambda_samples()
+    assert verify_family_by_samples(fam, (lam0,)).mark.is_a(fam.singular_mark[1])
+    with pytest.raises(ValueError, match="representative misses its mark"):
+        verify_family(fam)
 
 
 def test_verify_family_outcomes():
@@ -211,9 +253,10 @@ def test_representatives_certify_with_one_rank(monkeypatch):
         for log in (widths, jacobian, modular, exact):
             log.clear()
         verify_family(fam)
-        # the mark's Tjurina number as a lower bound: h_p(k) = tau(mark) <= k at the first k
-        assert widths == [first] * len(fam.lambda_samples()), fam.family_id
-        assert len(modular) == len(fam.lambda_samples()) and exact == [], fam.family_id
+        # the mark's Tjurina number as a lower bound: h_p(k) = tau(mark) <= k at the first k,
+        # at lambda_0 alone
+        assert widths == [first], fam.family_id
+        assert len(jacobian) == len(modular) == 1 and exact == [], fam.family_id
         for lam in fam.lambda_samples():
             widths.clear()
             tjurina_number(fam.representative(lam))
@@ -245,10 +288,10 @@ def test_verify_family_refuses_a_representative_off_its_conditions(monkeypatch):
 
 
 def test_lambda_samples_avoid_excluded_values():
-    z11 = family("z11-case1")
-    assert Fraction(0) not in z11.lambda_samples()
-    assert Fraction(1) not in z11.lambda_samples()
-    assert len(z11.lambda_samples()) >= 2
+    # one specialization, lambda_0 = 2, outside every family's excluded values
+    for fam in FAMILIES:
+        assert fam.lambda_samples() == ((Fraction(2),) if fam.parametrized else (Fraction(0),))
+        assert fam.lambda_samples()[0] not in fam.bad_lambdas
 
 
 def test_unknown_family_rejected():
