@@ -166,11 +166,11 @@ class HomogeneousForm(_HomogeneousFormFields):
 
 
 def monomial(i: int, j: int, k: int, coeff: int | str | Fraction = 1) -> HomogeneousForm:
-    return HomogeneousForm.from_dict(i + j + k, {(i, j, k): frac(coeff)})
+    return HomogeneousForm.from_dict(i + j + k, {(i, j, k): coeff})
 
 
 def linear_form(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> HomogeneousForm:
-    return HomogeneousForm.from_dict(1, {(1, 0, 0): frac(a), (0, 1, 0): frac(b), (0, 0, 1): frac(c)})
+    return HomogeneousForm.from_dict(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
 
 class _MarkedPointFields(NamedTuple):

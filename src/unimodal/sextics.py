@@ -135,8 +135,8 @@ class FamilyCounts(NamedTuple):
 
 
 def _z11_base(lam: Fraction) -> HomogeneousForm:
-    y3 = monomial(0, 3, 0)
-    return y3 * linear_form(lam, -1, 0) * linear_form(lam, -1, 0) * linear_form(1, -1, 0)
+    factor = linear_form(lam, -1, 0)
+    return monomial(0, 3, 0) * factor * factor * linear_form(1, -1, 0)
 
 
 def _z11_case2_base(_: Fraction) -> HomogeneousForm:
@@ -276,23 +276,24 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
 
     A family with the parameter takes no further rank.  Every
     lambda-dependent coefficient of a base and of the coordinates of a
-    restriction point is affine in lambda.  So the base, a sextic, has
-    coefficients of degree at most 6 in lambda, and P = prod (p_y x - p_x y)^k
-    over the restriction points p(lambda) with orders k has degree at most the
-    sum of the k of the points that move (an affine map equal at two values
-    is constant).  Two identities in lambda are checked exactly, by
-    evaluation at deg + 1 values outside `bad_lambdas`, lambda_0 the first
-    (:func:`_certify_generic`):
+    restriction point is affine in lambda, and a base is a product of linear
+    forms and monomials.  So the base, a sextic, has coefficients of degree at
+    most 6 in lambda, and P = prod (p_y x - p_x y)^k over the restriction
+    points p(lambda) with orders k has degree at most the sum of the k of the
+    points that move (an affine map equal at two values is constant).  Two
+    identities in lambda are checked exactly, by evaluation at deg + 1 values
+    outside `bad_lambdas`, lambda_0 the first (:func:`_certify_generic`):
 
     (a) every 2x2 minor of the coefficient vectors of the z-free part of the
-        base and of P vanishes, degree at most 6 + deg P.  So F restricted to
-        z = 0 is proportional to P over Q(lambda); at lambda_0 it has the
-        orders k at distinct points, so for all but finitely many lambda its
-        orders are exactly k and its residual degree is 0.
+        base and of P vanishes; each has degree at most 6 + deg P.  So F
+        restricted to z = 0 is c(lambda) P for a rational function c.  At
+        lambda_0 the restriction is nonzero and the points are distinct, so
+        for all but finitely many lambda its orders are exactly the k and its
+        residual degree is 0.
     (b) the rows of the mark (`SexticFamily.mark_conditions`), which do not
-        depend on lambda, annihilate F, degree at most 6.  So for every
-        lambda the mark is a double point, and for n = 2 its quadratic part
-        is a multiple of l^2, not a node: tau(mark) >= n.
+        depend on lambda, annihilate F; each product has degree at most 6.  So
+        for every lambda the mark is a double point, and for n = 2 its
+        quadratic part is a multiple of l^2, not a node: tau(mark) >= n.
     (c) Ranks only drop under specialization, and rank_p <= rank_Q.  So for
         all but finitely many lambda, h(k) <= h_p(k) at lambda_0, which is
         n <= k; (b) gives h(k) >= n.  Then Gotzmann certifies the total n
@@ -343,24 +344,23 @@ def _certify_generic(
     fixed = dict(tail.terms)
     offsets = [sum(c * fixed.get(mono, 0) for mono, c in row) for row in rows]
 
+    points = _RESTRICTION_POINTS[fam.family_id]
     values = _lambdas(fam.bad_lambdas)
     lams = [next(values), next(values)]
-    points = [_RESTRICTION_POINTS[fam.family_id](lam) for lam in lams]
-    moving = sum(k for k, p, q in zip(fam.expected_orders, *points) if p != q)
+    moving = sum(k for k, p, q in zip(fam.expected_orders, *map(points, lams)) if p != q)
     lams += itertools.islice(values, base.degree + moving - 1)  # deg + 1 values in all
     for i, lam in enumerate(lams):
-        if i:
-            base = fam.base(lam)
-        terms = dict(base.terms)
+        terms = dict((fam.base(lam) if i else base).terms)
         restriction = [terms.get((a, 6 - a, 0), 0) for a in range(7)]
         restriction = [c.numerator if c.denominator == 1 else c for c in restriction]  # ints are faster
         product = [1]  # coefficients of x^a y^(deg - a)
-        coords = points[i] if i < 2 else _RESTRICTION_POINTS[fam.family_id](lam)
-        for (px, py, _), k in zip(coords, fam.expected_orders):
+        for (px, py, _), k in zip(points(lam), fam.expected_orders):
             for _ in range(k):
                 product = [py * u - px * v for u, v in zip([0] + product, product + [0])]
         j = next((j for j, c in enumerate(product) if c), 0)
-        if len(product) != 7 or any(r * product[j] != restriction[j] * q for r, q in zip(restriction, product)):
+        if len(product) != len(restriction) or any(
+            r * product[j] != restriction[j] * q for r, q in zip(restriction, product)
+        ):
             raise ValueError(f"{fam.family_id}: base disagrees with its restriction pattern at lambda = {lam}")
         for row, offset in zip(rows, offsets):
             if sum(c * terms.get(mono, 0) for mono, c in row) + offset:

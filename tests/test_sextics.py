@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from unimodal.planecurves import (
+    ConditionSystem,
     HomogeneousForm,
     an_type_at,
     monomial,
@@ -155,6 +157,33 @@ def test_verify_family_builds_each_restriction_point_once(monkeypatch):
         assert verification.counts == fam.counts(), fam.family_id
 
 
+def test_dims_check_takes_one_rank_per_system_and_one_stabilizer(monkeypatch):
+    import unimodal.sextics as sextics
+    from unimodal.pipelines import run_dims_check
+
+    ranks, stabilizers = [], []
+    original_rank, original_stabilizer = ConditionSystem.rank, sextics.stabilizer_dim
+
+    def recording_rank(system):
+        ranks.append(system)
+        return original_rank(system)
+
+    def recording_stabilizer(*markings):
+        stabilizers.append(markings)
+        return original_stabilizer(*markings)
+
+    monkeypatch.setattr(ConditionSystem, "rank", recording_rank)
+    monkeypatch.setattr(sextics, "stabilizer_dim", recording_stabilizer)
+    for fam in FAMILIES:
+        ranks.clear()
+        stabilizers.clear()
+        diagnostics = dict(run_dims_check(fam.family_id).diagnostics)
+        # the stated system, and the one with the full mark for the flagged family
+        assert len(ranks) == (1 if fam.stated_mark_n is None else 2), fam.family_id
+        assert len(stabilizers) == 1, fam.family_id
+        assert diagnostics["stabilizer-dim"] == str(original_stabilizer(fam.marked_points, fam.marked_lines))
+
+
 def test_restriction_patterns_all_families():
     for fam in FAMILIES:
         for lam in fam.lambda_samples():
@@ -170,34 +199,39 @@ def test_one_specialization_agrees_with_the_sampled_oracle():
         assert verify_family_by_samples(fam, samples) == verify_family(fam), fam.family_id
 
 
-def _perturbed(monkeypatch, family_id, term):
-    """The family with (lam - lambda_0) * term added to its base."""
+def _perturbed(monkeypatch, family_id, term, roots):
+    """The family with delta * term added to its base, where delta =
+    (lam - lambda_0)(lam - lambda_0 - 1)... has the given number of roots."""
     import unimodal.sextics as sextics
 
     fam = family(family_id)
     (lam0,) = fam.lambda_samples()
     bases = dict(sextics._BASES)
     original = bases[family_id]
-    bases[family_id] = lambda lam: original(lam) + (lam - lam0) * term
+    bases[family_id] = lambda lam: original(lam) + math.prod(lam - lam0 - i for i in range(roots)) * term
     monkeypatch.setattr(sextics, "_BASES", bases)
     return fam
 
 
+# one root: wrong off lambda_0; six: a base of degree 6 in lambda that is right
+# at six values of lambda, which fewer values than the degree bound would pass
+@pytest.mark.parametrize("roots", [1, 6])
 @pytest.mark.parametrize("family_id", ["z11-case1", "w12-case1", "z12-case1", "z13-case1"])
-def test_certificate_refuses_a_base_off_its_restriction_pattern(monkeypatch, family_id):
+def test_certificate_refuses_a_base_off_its_restriction_pattern(monkeypatch, family_id, roots):
     # at lambda_0 the perturbation vanishes and every specialized check passes
-    fam = _perturbed(monkeypatch, family_id, monomial(2, 4, 0))
+    fam = _perturbed(monkeypatch, family_id, monomial(2, 4, 0), roots)
     (lam0,) = fam.lambda_samples()
     assert verify_family_by_samples(fam, (lam0,)).orders == fam.expected_orders
     with pytest.raises(ValueError, match="base disagrees with its restriction pattern"):
         verify_family(fam)
 
 
+@pytest.mark.parametrize("roots", [1, 6])
 @pytest.mark.parametrize("family_id, term", [("z12-case1", (5, 0, 1)), ("z13-case1", (4, 1, 1))])
-def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, term):
+def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, term, roots):
     # x^5 z breaks the double point at [1:0:0], x^4 y z the cusp's tangent cone;
     # neither touches the restriction to z = 0
-    fam = _perturbed(monkeypatch, family_id, monomial(*term))
+    fam = _perturbed(monkeypatch, family_id, monomial(*term), roots)
     (lam0,) = fam.lambda_samples()
     assert verify_family_by_samples(fam, (lam0,)).mark.is_a(fam.singular_mark[1])
     with pytest.raises(ValueError, match="representative misses its mark"):
