@@ -213,8 +213,8 @@ def _perturbed(monkeypatch, family_id, term, roots):
     return fam
 
 
-# one root: wrong off lambda_0; six: a base of degree 6 in lambda that is right
-# at six values of lambda, which fewer values than the degree bound would pass
+# one root: wrong at every value but lambda_0; six: a base of degree 6 in lambda,
+# right at the first six values, which a check at fewer values than the bound would pass
 @pytest.mark.parametrize("roots", [1, 6])
 @pytest.mark.parametrize("family_id", ["z11-case1", "w12-case1", "z12-case1", "z13-case1"])
 def test_certificate_refuses_a_base_off_its_restriction_pattern(monkeypatch, family_id, roots):
