@@ -16,7 +16,8 @@ blow-up borders them with -1, a double cover doubles them, an attached
 resolution borders them with the configuration's integer Gram matrix, and a
 contraction takes their Schur complement.  A divisor class is an integer
 vector over one positive denominator: sums, multiples and pairings run on
-integers, and a pairing builds one Fraction at the end.
+integers, and a pairing builds one Fraction at the end.  Adjunction pairs
+d + K with d in the same integer kernel and builds only the genus.
 
 Models are immutable; every operation returns a fresh model whose provenance
 lists the operations with their call arguments as immutable values, so
@@ -188,11 +189,7 @@ class DivisorClass:
     def dot(self, other: "DivisorClass") -> Fraction:
         """a.G.b, summed over the integers; one Fraction is built at the end."""
         self._same_lattice(other)
-        b = other.num
-        total = 0
-        for x, row in zip(self.num, self.lattice.rows):
-            if x:
-                total += x * sum(map(mul, row, b))
+        total = _pairing(self.lattice.rows, self.num, other.num)
         return Fraction(total, self.lattice.den * self.den * other.den)
 
     @property
@@ -210,6 +207,15 @@ class DivisorClass:
             else:
                 parts.append(f"{rat_str(value)}*{name}")
         return " + ".join(parts) if parts else "0"
+
+
+def _pairing(rows: Sequence[Sequence[int]], a: Iterable[int], b: Sequence[int]) -> int:
+    """The integer a.rows.b: the one pairing kernel of classes and of adjunction."""
+    total = 0
+    for x, row in zip(a, rows):
+        if x:
+            total += x * sum(map(mul, row, b))
+    return total
 
 
 def _set_fields(cls: DivisorClass, lattice: IntersectionLattice, num: tuple[int, ...], den: int) -> None:
@@ -361,8 +367,16 @@ def _class_of(lattice: IntersectionLattice, coeffs: Mapping[str, int | str | Fra
 
 def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> Fraction:
     """1 + (d + K).d / 2 on the lattice of K; a move's new curves take their
-    genus from it before the new model is built."""
-    return 1 + (d + canonical).dot(d) / 2
+    genus from it before the new model is built.
+
+    With K = k / a and d = n / b, (d + K).d is (a n + b k).rows.n over
+    a b^2 times the lattice's denominator: one integer pairing, one Fraction.
+    """
+    d._same_lattice(canonical)
+    a, b = canonical.den, d.den
+    total = _pairing(d.lattice.rows, [a * x + b * y for x, y in zip(d.num, canonical.num)], d.num)
+    den = 2 * d.lattice.den * a * b * b
+    return Fraction(den + total, den)
 
 
 # ---------------------------------------------------------------------------

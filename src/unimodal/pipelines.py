@@ -156,12 +156,14 @@ def branch_class_for(model: SurfaceModel) -> DivisorClass:
     raise ValueError(f"no branch class rule for base {model.name!r}")
 
 
+@functools.cache
 def section_class_coefficient(pa_bisection: int) -> Fraction:
     """Offset k in the section class Cinf + k*Gamma of the bisection image.
 
     The bisection maps to a section of the natural ruled surface; pairing the
     section identity against the canonical class, with the branch degree on
     the section supplied by the double-cover count 2 pa + 4, pins k exactly.
+    It depends on the genus alone, so it is computed once per process and genus.
     """
     if pa_bisection not in (0, 1):
         raise ValueError("the bisection genus is 0 or 1")

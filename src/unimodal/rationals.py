@@ -44,8 +44,12 @@ def frac(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.replace("−", "-").strip()
+        # a plain integer skips the Fraction regex; int reads the same digits
+        if (text[1:] if text[:1] in ("-", "+") else text).isdecimal():
+            return Fraction(int(text))
         try:
-            return Fraction(value.replace("−", "-").strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -53,6 +57,8 @@ def frac(value: int | str | Fraction) -> Fraction:
 
 def rat_str(value: Fraction | int) -> str:
     """Canonical string form: ``"3"``, ``"-3/2"``.  Inverse of :func:`frac`."""
+    if type(value) is int:  # not a bool, which frac refuses
+        return str(value)
     value = frac(value)
     if value.denominator == 1:
         return str(value.numerator)

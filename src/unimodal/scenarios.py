@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -424,46 +425,71 @@ def report_for(scenario: Scenario) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def report_to_json(report: Report) -> dict:
-    return {
-        "engine": report.engine,
-        "schema": report.schema,
-        "scenarios": [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "assertions": [
-                    {
-                        "name": a.name,
-                        "computed": a.computed,
-                        "expected": a.expected,
-                        "status": a.status,
-                        "anchor": a.anchor,
-                        "flag": a.flag,
-                    }
-                    for a in s.assertions
-                ],
-                "counts": {
-                    "pass": s.count("pass"),
-                    "fail": s.count("fail"),
-                    "flagged": s.count("flagged"),
-                },
-            }
-            for s in report.scenarios
-        ],
-        "summary": {
-            "scenarios": len(report.scenarios),
-            "pass": report.count("pass"),
-            "fail": report.count("fail"),
-            "flagged": report.count("flagged"),
-            "flags": list(report.flags),
-            "exit_code": report.exit_code,
-        },
-    }
+_RECORD = """        {
+          "anchor": %s,
+          "computed": %s,
+          "expected": %s,
+          "flag": %s,
+          "name": %s,
+          "status": %s
+        }"""
+_SCENARIO = """    {
+      "assertions": %s,
+      "counts": {
+        "fail": %d,
+        "flagged": %d,
+        "pass": %d
+      },
+      "kind": %s,
+      "name": %s
+    }"""
+_REPORT = """{
+  "engine": %s,
+  "scenarios": %s,
+  "schema": %s,
+  "summary": {
+    "exit_code": %d,
+    "fail": %d,
+    "flagged": %d,
+    "flags": %s,
+    "pass": %d,
+    "scenarios": %d
+  }
+}
+"""
+
+
+def _array(items: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def emit_report(report: Report) -> str:
-    return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(..., sort_keys=True, indent=2) + "\\n"`` writes it.
+
+    The schema's layout is fixed, so it is written directly, with each object's
+    keys in sorted order and every string escaped to ASCII by the encoder of
+    :mod:`json`.  Its oracle, the dict-and-``json.dumps`` pair this replaced,
+    lives in ``tests/oracles.py``.
+    """
+    q = encode_basestring_ascii
+    scenarios = []
+    for s in report.scenarios:
+        records = [
+            _RECORD % (
+                q(a.anchor), q(a.computed), q(a.expected),
+                "null" if a.flag is None else q(a.flag), q(a.name), q(a.status),
+            )
+            for a in s.assertions
+        ]
+        scenarios.append(_SCENARIO % (
+            _array(records, "      "), s.count("fail"), s.count("flagged"), s.count("pass"),
+            q(s.kind), q(s.name),
+        ))
+    flags = _array(["      " + q(f) for f in report.flags], "    ")
+    return _REPORT % (
+        q(report.engine), _array(scenarios, "  "), q(report.schema), report.exit_code,
+        report.count("fail"), report.count("flagged"), flags, report.count("pass"), len(report.scenarios),
+    )
 
 
 def parse_report(text: str) -> Report:

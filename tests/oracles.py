@@ -7,6 +7,7 @@ or more direct route than the kernel it checks.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +31,7 @@ from unimodal.planecurves import (
     tjurina_number,
 )
 from unimodal.rationals import det, frac, integer_rank, negative_semidefinite_nullity
+from unimodal.scenarios import Report
 from unimodal.sextics import LINE, FamilyVerification, SexticFamily
 
 
@@ -283,3 +285,47 @@ def intersection_by_blow_ups(f: Germ, g: Germ) -> int:
                 _blow_up_at_direction(f, df), _blow_up_at_direction(g, dirs_g[root])
             )
     return total
+
+
+def report_to_json(report: Report) -> dict:
+    """The report as JSON data, in the layout of the report schema."""
+    return {
+        "engine": report.engine,
+        "schema": report.schema,
+        "scenarios": [
+            {
+                "name": s.name,
+                "kind": s.kind,
+                "assertions": [
+                    {
+                        "name": a.name,
+                        "computed": a.computed,
+                        "expected": a.expected,
+                        "status": a.status,
+                        "anchor": a.anchor,
+                        "flag": a.flag,
+                    }
+                    for a in s.assertions
+                ],
+                "counts": {
+                    "pass": s.count("pass"),
+                    "fail": s.count("fail"),
+                    "flagged": s.count("flagged"),
+                },
+            }
+            for s in report.scenarios
+        ],
+        "summary": {
+            "scenarios": len(report.scenarios),
+            "pass": report.count("pass"),
+            "fail": report.count("fail"),
+            "flagged": report.count("flagged"),
+            "flags": list(report.flags),
+            "exit_code": report.exit_code,
+        },
+    }
+
+
+def emit_report_by_dumps(report: Report) -> str:
+    """The report text as :func:`json.dumps` writes :func:`report_to_json`."""
+    return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import unimodal.pipelines as pipelines
 from unimodal.configurations import (
@@ -19,6 +19,7 @@ from unimodal.configurations import (
 )
 from unimodal.lattice import (
     DivisorClass,
+    _adjunction_pa,
     IntersectionLattice,
     blow_up,
     contract,
@@ -50,6 +51,8 @@ from unimodal.planecurves import (
 )
 from unimodal.rationals import (
     det,
+    frac,
+    rat_str,
     MODULAR_PRIME,
     integer_rank,
     integer_reduce,
@@ -209,6 +212,71 @@ def test_adjunction_parity(tag, coeffs):
     d = DivisorClass(model.lattice, tuple(Fraction(c) for c in (coeffs * n)[:n]))
     parity = model.intersect(d, d) + model.intersect(model.canonical, d)
     assert parity % 2 == 0
+
+
+@given(lattices_with_classes(), st.sampled_from([1, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 6)]))
+@settings(max_examples=200, derandomize=True)
+def test_integer_adjunction_agrees_with_the_class_pairing(pair, scale):
+    """One integer pairing gives 1 + (d + K).d / 2, also on classes with
+    denominator 2 such as the half-branch classes of a double cover."""
+    canonical, d = pair
+    d = scale * d
+    assert _adjunction_pa(canonical, d) == 1 + (d + canonical).dot(d) / 2
+
+
+def test_tracked_genera_of_every_elliptic_model_agree_with_the_class_pairing():
+    for sing in ("E12", "E13", "E14"):
+        for variant in en_variants(sing):
+            for profile in (6, 7):
+                result = run_en_pipeline(EnSpec(sing, profile, variant, germ_checks=False))
+                for model in result.models:
+                    k = model.canonical
+                    for curve in model.tracked:
+                        assert curve.pa == 1 + (curve.cls + k).dot(curve.cls) / 2
+
+
+def _frac_by_regex(text: str) -> Fraction:
+    """`frac` of a string with no integer fast path: every string through the Fraction regex."""
+    try:
+        return Fraction(text.replace("−", "-").strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+@given(st.text(alphabet="0123456789+-−/_.e \t\n٣", max_size=8))
+@example("")
+@example("-")
+@example("--5")
+@example("1/0")
+@example(" +٣0_7 ")
+@settings(max_examples=500, derandomize=True)
+def test_frac_of_a_string_agrees_with_the_fraction_regex(text):
+    try:
+        expected = _frac_by_regex(text)
+    except (ValueError, TypeError) as err:
+        with pytest.raises(type(err)):
+            frac(text)
+    else:
+        value = frac(text)
+        assert type(value) is Fraction and value == expected
+
+
+@given(st.one_of(st.integers(), rationals))
+@settings(max_examples=100, derandomize=True)
+def test_rat_str_of_an_int_is_the_fraction_form(value):
+    q = Fraction(value)
+    expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    assert rat_str(value) == expected
+    assert frac(rat_str(value)) == q
+
+
+def test_booleans_are_no_rationals_but_format_as_json():
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            rat_str(value)
+        with pytest.raises(TypeError):
+            frac(value)
+    assert pipelines._fmt(True) == "true" and pipelines._fmt(False) == "false"
 
 
 @given(base_models())

@@ -6,12 +6,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unimodal.cli import main
+from unimodal.pipelines import FLAG_KINDS, CheckRecord
 from unimodal.scenarios import (
     MAX_CANDIDATE,
     Report,
     ScenarioError,
+    ScenarioReport,
     corpus_dir,
     emit_report,
     load_scenario,
@@ -21,6 +24,8 @@ from unimodal.scenarios import (
     run_corpus,
     run_scenario,
 )
+
+from oracles import emit_report_by_dumps
 
 CORPUS = Path(__file__).parent.parent / "src" / "unimodal" / "corpus"
 
@@ -111,6 +116,66 @@ def test_corpus_pass_takes_one_jacobian_rank_per_family_and_normal_forms_once(mo
         assert report.exit_code == 0
         assert len(jacobian) == len(modular) == 10 and exact == []
         assert len(normal_forms) == expected_normal_forms
+
+
+def test_corpus_pass_computes_the_section_coefficient_once_per_genus(monkeypatch):
+    # counted calls, no timing: the Hirzebruch base of `section_class_coefficient`
+    # is built once per bisection genus in the first pass of a process, never after
+    import sys
+
+    import unimodal.pipelines as pipelines
+
+    original = pipelines.make_hirzebruch
+    bases = []
+
+    def recording(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "section_class_coefficient":
+            bases.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "make_hirzebruch", recording)
+    pipelines.section_class_coefficient.cache_clear()
+    assert run_corpus(CORPUS).exit_code == 0
+    assert 1 <= len(bases) <= 2
+    bases.clear()
+    assert run_corpus(CORPUS).exit_code == 0
+    assert bases == []
+
+
+# text the report must escape: non-ASCII, quotes, backslashes, controls, lone surrogates
+_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=3),
+        st.sampled_from(["λ", "−", "Q̄", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "\ud800", "\udfff", "😀"]),
+    ),
+    max_size=4,
+).map("".join)
+_RECORDS = st.builds(
+    CheckRecord,
+    _TEXT,
+    _TEXT,
+    _TEXT,
+    st.one_of(st.sampled_from(["pass", "fail", "flagged"]), _TEXT),
+    _TEXT,
+    st.one_of(st.none(), st.sampled_from(FLAG_KINDS), _TEXT),
+)
+_REPORTS = st.builds(
+    Report,
+    _TEXT,
+    _TEXT,
+    st.lists(
+        st.builds(ScenarioReport, _TEXT, _TEXT, st.lists(_RECORDS, max_size=4).map(tuple)), max_size=3
+    ).map(tuple),
+)
+
+
+@given(_REPORTS)
+@example(Report("unimodal", "1", ()))
+@example(Report("unimodal", "1", (ScenarioReport("empty", "pipeline", ()),)))
+@example(Report("e", "1", (ScenarioReport("s", "k", (CheckRecord("a", "1", "1", "pass", "x"),)),)))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_report_writer_agrees_with_json_dumps(report):
+    assert emit_report(report) == emit_report_by_dumps(report)
 
 
 def test_corpus_deterministic_and_parallel_identical(capsys):
