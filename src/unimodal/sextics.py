@@ -1,22 +1,25 @@
 """The ten normalized plane-sextic branch families and their orbit counts.
 
-Each family is a sextic of the shape ``base + z * f5``: the linear system
-cut out by its contact orders with the line z = 0 at the restriction points
-and by its A_n mark, normalised to an affine chart, with markings (points,
-lines) fixed in the plane.  The affine parameter dimension is the system's
-projective dimension plus the continuous parameter, and the orbit dimension
-count is that minus the dimension of the projectivity stabilizer of the
-markings.
+Each family is stated once: its restriction points on the line z = 0, with
+coordinates affine in lambda, their contact orders, and its A_n mark.  The
+rest is derived from the points.  The base P = prod (p_y x - p_x y)^k over
+the points p with orders k is the restriction of every member to z = 0; the
+family has the parameter lambda when some point moves; the markings are the
+points that do not move and the line z = 0.  The family is the linear
+system of sextics cut out by the contact orders and the mark, normalised to
+an affine chart.  Its affine parameter dimension is the system's projective
+dimension plus the parameter, and the orbit dimension count is that minus
+the dimension of the projectivity stabilizer of the markings.
 
-Representatives carry fixed small-integer quintic parts used to verify the
-curve-level claims: restriction pattern, the A-type at the marked point, and
-the absence of any further singular point over the algebraic closure.  The
-last is certified by the total Tjurina number: an A_n point is
-quasi-homogeneous, so its Tjurina number is n, and a curve whose total equals
-that of its mark has no other singular point.  A family with the parameter
-lambda is verified at one value lambda_0 and certified for all lambda outside
-a finite set by two polynomial identities in lambda and the semicontinuity of
-rank (:func:`verify_family`).
+Representatives P + z f5 carry fixed small-integer quintics f5 used to
+verify the curve-level claims: restriction pattern, the A-type at the
+marked point, and the absence of any further singular point over the
+algebraic closure.  The last is certified by the total Tjurina number: an
+A_n point is quasi-homogeneous, so its Tjurina number is n, and a curve
+whose total equals that of its mark has no other singular point.  A family
+with the parameter lambda is verified at one value lambda_0 and certified
+for all lambda outside a finite set by one polynomial identity in lambda
+and the semicontinuity of rank (:func:`verify_family`).
 """
 
 from __future__ import annotations
@@ -47,11 +50,6 @@ from .rationals import frac
 LINE = linear_form(0, 0, 1)  # the distinguished line z = 0
 
 
-def _lambdas(bad: tuple[Fraction, ...]) -> Iterator[int]:
-    """2, 3, 4, ... without the excluded values: lambda_0, then the probes."""
-    return (v for v in itertools.count(2) if v not in bad)
-
-
 def _pt(x, y, z) -> MarkedPoint:
     return MarkedPoint.of(x, y, z)
 
@@ -60,27 +58,57 @@ class SexticFamily(NamedTuple):
     family_id: str
     singularity: str
     case: int
-    parametrized: bool
-    bad_lambdas: tuple[Fraction, ...]
-    marked_points: tuple[MarkedPoint, ...]
-    marked_lines: tuple[HomogeneousForm, ...]
-    expected_orders: tuple[int, ...]
+    expected_orders: tuple[int, ...]  # of the restriction points, in order
     singular_mark: tuple[MarkedPoint, int] | None  # (point, n) for an A_n on the sextic
     claimed_count: int
     stated_mark_n: int | None = None  # the A_n the stated family imposes, below the mark's
 
-    def base(self, lam: Fraction) -> HomogeneousForm:
-        return _BASES[self.family_id](lam)
+    def base(self, lam: Fraction | int) -> HomogeneousForm:
+        """P = prod (p_y x - p_x y)^k over the restriction points p, as written
+        in `_RESTRICTION_POINTS`, with their orders k: the restriction of every
+        member to z = 0."""
+        product = [1]  # coefficients of x^a y^(deg - a)
+        for (px, py, _), k in zip(_RESTRICTION_POINTS[self.family_id](lam), self.expected_orders):
+            for _ in range(k):
+                product = [py * u - px * v for u, v in zip([0] + product, product + [0])]
+        degree = len(product) - 1
+        return HomogeneousForm.from_dict(degree, {(a, degree - a, 0): c for a, c in enumerate(product)})
 
-    def restriction_points(self, lam: Fraction) -> tuple[MarkedPoint, ...]:
+    def restriction_points(self, lam: Fraction | int) -> tuple[MarkedPoint, ...]:
         return tuple(_pt(*coords) for coords in _RESTRICTION_POINTS[self.family_id](lam))
 
-    def lambda_samples(self) -> tuple[Fraction]:
-        """The one value lambda_0 at which the family is specialized: the first of
-        2, 3, 4, ... outside `bad_lambdas` (0 without lambda)."""
-        return (frac(next(_lambdas(self.bad_lambdas)) if self.parametrized else 0),)
+    def moving(self) -> tuple[bool, ...]:
+        """Whether each restriction point moves with lambda.  Its coordinates
+        are affine in lambda, so it moves when they differ at 0 and 1."""
+        points = _RESTRICTION_POINTS[self.family_id]
+        return tuple(p != q for p, q in zip(points(0), points(1)))
 
-    def representative(self, lam: Fraction) -> HomogeneousForm:
+    @property
+    def parametrized(self) -> bool:
+        return any(self.moving())
+
+    @property
+    def marked_points(self) -> tuple[MarkedPoint, ...]:
+        """The restriction points that do not move; with the line z = 0 they
+        are the markings the stabilizer fixes."""
+        points = _RESTRICTION_POINTS[self.family_id]
+        return tuple(_pt(*p) for p, q in zip(points(0), points(1)) if p == q)
+
+    def points_distinct(self, lam: Fraction | int) -> bool:
+        points = self.restriction_points(lam)
+        return len(set(points)) == len(points)
+
+    def lambdas(self) -> Iterator[int]:
+        """2, 3, 4, ... where the restriction points are pairwise distinct:
+        lambda_0, then the further values of the certificate."""
+        return (v for v in itertools.count(2) if self.points_distinct(v))
+
+    def lambda_samples(self) -> tuple[Fraction]:
+        """The one value lambda_0 at which the family is specialized: the first
+        of `lambdas` (0 without lambda)."""
+        return (frac(next(self.lambdas()) if self.parametrized else 0),)
+
+    def representative(self, lam: Fraction | int) -> HomogeneousForm:
         return self.base(lam) + LINE * _REPRESENTATIVE_QUINTICS[self.family_id]
 
     def conditions(
@@ -119,7 +147,7 @@ class SexticFamily(NamedTuple):
         stabilizer of the markings."""
         stated, beyond = conditions or self.conditions(self.lambda_samples()[0])
         params = 1 if self.parametrized else 0
-        stabilizer = stabilizer_dim(self.marked_points, self.marked_lines)
+        stabilizer = stabilizer_dim(self.marked_points, (LINE,))
         orbit = orbit_dim_count(stated, params, stabilizer)
         variant = None
         if self.stated_mark_n is not None:
@@ -134,58 +162,11 @@ class FamilyCounts(NamedTuple):
     stabilizer: int  # dimension of the projectivity stabilizer of the markings
 
 
-def _z11_base(lam: Fraction) -> HomogeneousForm:
-    factor = linear_form(lam, -1, 0)
-    return monomial(0, 3, 0) * factor * factor * linear_form(1, -1, 0)
-
-
-def _z11_case2_base(_: Fraction) -> HomogeneousForm:
-    y3 = monomial(0, 3, 0)
-    step = linear_form(1, -1, 0)
-    return y3 * step * step * step
-
-
-def _z11_case3_base(_: Fraction) -> HomogeneousForm:
-    return monomial(0, 5, 0) * linear_form(1, -1, 0)
-
-
-def _w12_base(lam: Fraction) -> HomogeneousForm:
-    factor = linear_form(-lam, 1, 0)
-    return monomial(0, 4, 0) * factor * factor
-
-
-def _w12_case2_base(_: Fraction) -> HomogeneousForm:
-    return monomial(0, 6, 0)
-
-
-def _w13_base(_: Fraction) -> HomogeneousForm:
-    return monomial(2, 4, 0)
-
-
-def _z12_case1_base(lam: Fraction) -> HomogeneousForm:
-    return monomial(2, 3, 0) * linear_form(1, -lam, 0)
-
-
-def _z12_case2_base(_: Fraction) -> HomogeneousForm:
-    return monomial(3, 3, 0)
-
-
-_BASES = {
-    "z11-case1": _z11_base,
-    "z11-case2": _z11_case2_base,
-    "z11-case3": _z11_case3_base,
-    "w12-case1": _w12_base,
-    "w12-case2": _w12_case2_base,
-    "w13": _w13_base,
-    "z12-case1": _z12_case1_base,
-    "z12-case2": _z12_case2_base,
-    "z13-case1": _z12_case1_base,
-    "z13-case2": _z12_case2_base,
-}
-
-# The coordinates of each restriction point, before normalisation, so that
-# every one that depends on lambda is affine in lambda, as is every
-# lambda-dependent coefficient of a base (see `verify_family`).
+# Each family's restriction points on z = 0, the one statement of its shape:
+# the base, the parameter and the markings are derived from it.  The
+# coordinates are written before normalisation, which fixes the sign of the
+# base, and every one that depends on lambda is affine in lambda (see
+# `verify_family`).
 _RESTRICTION_POINTS = {
     "z11-case1": lambda lam: ((1, 0, 0), (1, lam, 0), (1, 1, 0)),
     "z11-case2": lambda _: ((1, 0, 0), (1, 1, 0)),
@@ -202,9 +183,9 @@ _RESTRICTION_POINTS = {
 # Fixed quintic parts for the verified representatives.  Chosen once so that
 # the marked singularity comes out right and the total Tjurina number shows no
 # other singular point; the tests pin the outcome.
-_UNMARKED = monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(2, 0, 3, 3)
+_UNMARKED = monomial(5, 0, 0, -1) + monomial(0, 0, 5, -1) + monomial(0, 5, 0, -2) + monomial(2, 0, 3, -3)
 _NODE = monomial(4, 1, 0) + monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5)
-_CUSP = monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5) + monomial(2, 3, 0, 7)
+_CUSP = monomial(4, 0, 1, -2) + monomial(0, 5, 0, -3) + monomial(0, 0, 5, -5) + monomial(2, 3, 0, -7)
 _REPRESENTATIVE_QUINTICS = {
     "z11-case1": _UNMARKED,
     "z11-case2": _UNMARKED,
@@ -212,26 +193,26 @@ _REPRESENTATIVE_QUINTICS = {
     "w12-case1": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(3, 0, 2, 3),
     "w12-case2": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(1, 4, 0, 2) + monomial(3, 0, 2, 3),
     "w13": _NODE,
-    "z12-case1": _NODE,
-    "z12-case2": _NODE,
+    "z12-case1": (-1) * _NODE,
+    "z12-case2": (-1) * _NODE,
     "z13-case1": _CUSP,
     "z13-case2": _CUSP,
 }
 
-_PX, _PY = _pt(1, 0, 0), _pt(0, 1, 0)
+_PX = _pt(1, 0, 0)
 
-# id, type, case, parametrized, bad lambdas, marked points and lines, orders, mark, claimed count
+# id, type, case, orders of the restriction points, mark, claimed count
 FAMILIES: tuple[SexticFamily, ...] = (
-    SexticFamily("z11-case1", "Z11", 1, True, (frac(0), frac(1)), (_PX, _pt(1, 1, 0)), (), (3, 2, 1), None, 18),
-    SexticFamily("z11-case2", "Z11", 2, False, (), (_PX, _pt(1, 1, 0)), (), (3, 3), None, 17),
-    SexticFamily("z11-case3", "Z11", 3, False, (), (_PX, _pt(1, 1, 0)), (), (5, 1), None, 17),
-    SexticFamily("w12-case1", "W12", 1, True, (frac(0),), (_PX,), (LINE,), (4, 2), None, 17),
-    SexticFamily("w12-case2", "W12", 2, False, (), (_PX,), (LINE,), (6,), None, 16),
-    SexticFamily("w13", "W13", 1, False, (), (_PX, _PY), (), (4, 2), (_PX, 1), 16),
-    SexticFamily("z12-case1", "Z12", 1, True, (frac(0),), (_PX, _PY), (), (3, 2, 1), (_PX, 1), 17),
-    SexticFamily("z12-case2", "Z12", 2, False, (), (_PX, _PY), (), (3, 3), (_PX, 1), 16),
-    SexticFamily("z13-case1", "Z13", 1, True, (frac(0),), (_PX, _PY), (), (3, 2, 1), (_PX, 2), 16),
-    SexticFamily("z13-case2", "Z13", 2, False, (), (_PX, _PY), (), (3, 3), (_PX, 2), 15, stated_mark_n=1),
+    SexticFamily("z11-case1", "Z11", 1, (3, 2, 1), None, 18),
+    SexticFamily("z11-case2", "Z11", 2, (3, 3), None, 17),
+    SexticFamily("z11-case3", "Z11", 3, (5, 1), None, 17),
+    SexticFamily("w12-case1", "W12", 1, (4, 2), None, 17),
+    SexticFamily("w12-case2", "W12", 2, (6,), None, 16),
+    SexticFamily("w13", "W13", 1, (4, 2), (_PX, 1), 16),
+    SexticFamily("z12-case1", "Z12", 1, (3, 2, 1), (_PX, 1), 17),
+    SexticFamily("z12-case2", "Z12", 2, (3, 3), (_PX, 1), 16),
+    SexticFamily("z13-case1", "Z13", 1, (3, 2, 1), (_PX, 2), 16),
+    SexticFamily("z13-case2", "Z13", 2, (3, 3), (_PX, 2), 15, stated_mark_n=1),
 )
 
 
@@ -255,13 +236,13 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     """Restrict, classify and count one family at lambda_0, and certify the
     outcome for every lambda outside a finite set.
 
-    At lambda_0 the representative F = base + z f5 must satisfy every
-    condition the counts are taken from (built once here) and show exactly
-    the declared singular point (for the flagged family that is the full
-    mark, a cusp, not the double point the stated count imposes).  The excess
-    is the total Tjurina number of F minus that of the mark (n for a
-    certified A_n, 0 without a mark); 0 certifies that no other singular point
-    exists over the algebraic closure.
+    At lambda_0 the representative F = P + z f5 must satisfy every condition
+    the counts are taken from (built once here) and show exactly the
+    declared singular point (for the flagged family that is the full mark, a
+    cusp, not the double point the stated count imposes).  The excess is the
+    total Tjurina number of F minus that of the mark (n for a certified A_n,
+    0 without a mark); 0 certifies that no other singular point exists over
+    the algebraic closure.
 
     The mark's Tjurina number is passed to `tjurina_number` as a lower
     bound.  An A_n point is quasi-homogeneous, so its Jacobian scheme has
@@ -274,39 +255,35 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     representative this one modular rank certifies at the first degree
     3(d-2) + 1.
 
-    A family with the parameter takes no further rank.  Every
-    lambda-dependent coefficient of a base and of the coordinates of a
-    restriction point is affine in lambda, and a base is a product of linear
-    forms and monomials.  So the base, a sextic, has coefficients of degree at
-    most 6 in lambda, and P = prod (p_y x - p_x y)^k over the restriction
-    points p(lambda) with orders k has degree at most the sum of the k of the
-    points that move (an affine map equal at two values is constant).  Two
-    identities in lambda are checked exactly, by evaluation at deg + 1 values
-    outside `bad_lambdas`, lambda_0 the first (:func:`_certify_generic`):
+    A family with the parameter takes no further rank.  F restricted to
+    z = 0 is P = prod (p_y x - p_x y)^k by construction
+    (`SexticFamily.base`), so wherever the restriction points are pairwise
+    distinct its orders are exactly the k and its residual degree is 0: for
+    the orders, the exceptional set is exactly the set of lambda where two
+    restriction points meet.  The coordinates of every point are affine in
+    lambda, so the coefficients of P have degree at most the sum of the k of
+    the points that move (an affine map equal at two values is constant).
+    One identity in lambda is checked exactly, by evaluation at deg P + 1
+    values where the points are distinct, lambda_0 the first
+    (:func:`_certify_generic`):
 
-    (a) every 2x2 minor of the coefficient vectors of the z-free part of the
-        base and of P vanishes; each has degree at most 6 + deg P.  So F
-        restricted to z = 0 is c(lambda) P for a rational function c.  At
-        lambda_0 the restriction is nonzero and the points are distinct, so
-        for all but finitely many lambda its orders are exactly the k and its
-        residual degree is 0.
-    (b) the rows of the mark (`SexticFamily.mark_conditions`), which do not
-        depend on lambda, annihilate F; each product has degree at most 6.  So
-        for every lambda the mark is a double point, and for n = 2 its
-        quadratic part is a multiple of l^2, not a node: tau(mark) >= n.
-    (c) Ranks only drop under specialization, and rank_p <= rank_Q.  So for
+    (a) the rows of the mark (`SexticFamily.mark_conditions`), which do not
+        depend on lambda, annihilate F; each product has degree at most
+        deg P.  So for every lambda the mark is a double point, and for
+        n = 2 its quadratic part is a multiple of l^2, not a node:
+        tau(mark) >= n.  Without a mark there is nothing to check.
+    (b) Ranks only drop under specialization, and rank_p <= rank_Q.  So for
         all but finitely many lambda, h(k) <= h_p(k) at lambda_0, which is
-        n <= k; (b) gives h(k) >= n.  Then Gotzmann certifies the total n
+        n <= k; (a) gives h(k) >= n.  Then Gotzmann certifies the total n
         as above: the mark is A_n and no other singular point exists.
 
-    The finite exceptional set is not computed, and the counts are read at
-    lambda_0.
+    The finite exceptional set of (b) is not computed, and the counts are
+    read at lambda_0.
     """
     (lam,) = fam.lambda_samples()
     mark_rows = fam.mark_conditions()
     conditions = fam.conditions(lam, mark_rows)
-    base, tail = fam.base(lam), LINE * _REPRESENTATIVE_QUINTICS[fam.family_id]
-    rep = base + tail
+    rep = fam.representative(lam)
     coeffs = dict(rep.terms)
     vector = [coeffs.get(mono, 0) for mono in monomial_basis(6)]
     for row in conditions[0].rows + conditions[1].rows:
@@ -323,45 +300,21 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
         mark_tau = mark.n if mark.kind == "A" else None
     tau = tjurina_number(rep, at_least=mark_tau or 0)
     excess = None if tau is None or mark_tau is None else tau - mark_tau
-    if fam.parametrized:
-        _certify_generic(fam, base, tail, mark_rows)
+    if fam.parametrized and fam.singular_mark is not None:
+        _certify_generic(fam, mark_rows)
     return FamilyVerification(
         fam.family_id, pattern.orders, pattern.residual_degree, mark, excess, fam.counts(conditions)
     )
 
 
-def _certify_generic(
-    fam: SexticFamily,
-    base: HomogeneousForm,
-    tail: HomogeneousForm,
-    mark: tuple[ConditionSystem, ConditionSystem],
-) -> None:
-    """Check identities (a) and (b) of :func:`verify_family` in lambda, given
-    the base at lambda_0, the part z f5 of the representative and the rows of
-    `SexticFamily.mark_conditions`."""
+def _certify_generic(fam: SexticFamily, mark: tuple[ConditionSystem, ConditionSystem]) -> None:
+    """Check identity (a) of :func:`verify_family` at deg P + 1 values of
+    lambda, given the rows of `SexticFamily.mark_conditions`."""
     basis = monomial_basis(6)
     rows = [[(basis[i], c) for i, c in enumerate(row) if c] for row in mark[0].rows + mark[1].rows]
-    fixed = dict(tail.terms)
-    offsets = [sum(c * fixed.get(mono, 0) for mono, c in row) for row in rows]
-
-    points = _RESTRICTION_POINTS[fam.family_id]
-    values = _lambdas(fam.bad_lambdas)
-    lams = [next(values), next(values)]
-    moving = sum(k for k, p, q in zip(fam.expected_orders, *map(points, lams)) if p != q)
-    lams += itertools.islice(values, base.degree + moving - 1)  # deg + 1 values in all
-    for i, lam in enumerate(lams):
-        terms = dict((fam.base(lam) if i else base).terms)
-        restriction = [terms.get((a, 6 - a, 0), 0) for a in range(7)]
-        restriction = [c.numerator if c.denominator == 1 else c for c in restriction]  # ints are faster
-        product = [1]  # coefficients of x^a y^(deg - a)
-        for (px, py, _), k in zip(points(lam), fam.expected_orders):
-            for _ in range(k):
-                product = [py * u - px * v for u, v in zip([0] + product, product + [0])]
-        j = next((j for j, c in enumerate(product) if c), 0)
-        if len(product) != len(restriction) or any(
-            r * product[j] != restriction[j] * q for r, q in zip(restriction, product)
-        ):
-            raise ValueError(f"{fam.family_id}: base disagrees with its restriction pattern at lambda = {lam}")
-        for row, offset in zip(rows, offsets):
-            if sum(c * terms.get(mono, 0) for mono, c in row) + offset:
+    degree = sum(k for k, moves in zip(fam.expected_orders, fam.moving()) if moves)
+    for lam in itertools.islice(fam.lambdas(), degree + 1):
+        terms = dict(fam.representative(lam).terms)
+        for row in rows:
+            if sum(c * terms.get(mono, 0) for mono, c in row):
                 raise ValueError(f"{fam.family_id}: representative misses its mark at lambda = {lam}")

@@ -26,6 +26,8 @@ from unimodal.planecurves import (
     _stabilizer_rows,
     an_type_at,
     germ_multiplicity,
+    linear_form,
+    monomial,
     monomial_basis,
     restrict_to_line,
     tjurina_number,
@@ -126,12 +128,48 @@ def excluded_affine_count(excluded: Sequence[tuple[int, int, int]], parametrized
     return 21 - exclusion_system(5, excluded).rank() + (1 if parametrized else 0)
 
 
+# The branch-sextic representatives as once written by hand: each base apart
+# from its restriction points, plus z times the quintic chosen against it.
+_X_MINUS_Y = linear_form(1, -1, 0)
+HAND_BASES = {
+    "z11-case1": lambda lam: monomial(0, 3, 0) * linear_form(lam, -1, 0) * linear_form(lam, -1, 0) * _X_MINUS_Y,
+    "z11-case2": lambda _: monomial(0, 3, 0) * _X_MINUS_Y * _X_MINUS_Y * _X_MINUS_Y,
+    "z11-case3": lambda _: monomial(0, 5, 0) * _X_MINUS_Y,
+    "w12-case1": lambda lam: monomial(0, 4, 0) * linear_form(-lam, 1, 0) * linear_form(-lam, 1, 0),
+    "w12-case2": lambda _: monomial(0, 6, 0),
+    "w13": lambda _: monomial(2, 4, 0),
+    "z12-case1": lambda lam: monomial(2, 3, 0) * linear_form(1, -lam, 0),
+    "z12-case2": lambda _: monomial(3, 3, 0),
+    "z13-case1": lambda lam: monomial(2, 3, 0) * linear_form(1, -lam, 0),
+    "z13-case2": lambda _: monomial(3, 3, 0),
+}
+_UNMARKED = monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(2, 0, 3, 3)
+_NODE = monomial(4, 1, 0) + monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5)
+_CUSP = monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5) + monomial(2, 3, 0, 7)
+HAND_QUINTICS = {
+    "z11-case1": _UNMARKED,
+    "z11-case2": _UNMARKED,
+    "z11-case3": _UNMARKED,
+    "w12-case1": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(3, 0, 2, 3),
+    "w12-case2": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(1, 4, 0, 2) + monomial(3, 0, 2, 3),
+    "w13": _NODE,
+    "z12-case1": _NODE,
+    "z12-case2": _NODE,
+    "z13-case1": _CUSP,
+    "z13-case2": _CUSP,
+}
+
+
+def hand_representative(family_id: str, lam: Fraction) -> HomogeneousForm:
+    return HAND_BASES[family_id](lam) + LINE * HAND_QUINTICS[family_id]
+
+
 def verify_family_by_samples(fam: SexticFamily, samples: Sequence[Fraction]) -> FamilyVerification:
     """`sextics.verify_family` by specialization: restrict, classify and take
-    the total Tjurina number at every sample outside `bad_lambdas` (0 alone
-    without lambda), which must all agree; the conditions are checked and the
-    counts taken at the first sample."""
-    samples = [frac(v) for v in samples if v not in fam.bad_lambdas] if fam.parametrized else [frac(0)]
+    the total Tjurina number at every sample where the restriction points are
+    pairwise distinct (0 alone without lambda), which must all agree; the
+    conditions are checked and the counts taken at the first sample."""
+    samples = [frac(v) for v in samples if fam.points_distinct(v)] if fam.parametrized else [frac(0)]
     conditions = fam.conditions(samples[0])
     seen: set[tuple] = set()
     for lam in samples:

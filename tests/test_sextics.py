@@ -9,6 +9,7 @@ import pytest
 from unimodal.planecurves import (
     ConditionSystem,
     HomogeneousForm,
+    MarkedPoint,
     an_type_at,
     monomial,
     monomial_basis,
@@ -19,7 +20,13 @@ from unimodal.planecurves import (
 from unimodal.rationals import nullspace
 from unimodal.sextics import FAMILIES, LINE, family, verify_family
 
-from oracles import FAMILY_EXCLUSIONS, VARIANT_EXCLUSIONS, excluded_affine_count, verify_family_by_samples
+from oracles import (
+    FAMILY_EXCLUSIONS,
+    VARIANT_EXCLUSIONS,
+    excluded_affine_count,
+    hand_representative,
+    verify_family_by_samples,
+)
 
 
 def test_family_table_is_complete():
@@ -53,12 +60,12 @@ def test_orbit_counts_by_hand():
     # P^21 of sextics, 21 quintic coefficients; one lambda, two fixed points
     z11 = family("z11-case1")
     assert z11.counts().affine == 22
-    assert stabilizer_dim(z11.marked_points, z11.marked_lines) == 4
+    assert stabilizer_dim(z11.marked_points, (LINE,)) == 4
     assert z11.counts().orbit == 18
     # order 6 at one point: 7 rows, 21 coefficients, fixed flag
     w12 = family("w12-case2")
     assert w12.counts().affine == 21
-    assert stabilizer_dim(w12.marked_points, w12.marked_lines) == 5
+    assert stabilizer_dim(w12.marked_points, (LINE,)) == 5
     assert w12.counts().orbit == 16
     # a double point at [1:0:0] adds the row of x^5 z to the 6 line rows:
     # 20 coefficients, one lambda, two points
@@ -76,7 +83,7 @@ def test_derived_counts_match_the_monomial_exclusions():
     assert set(FAMILY_EXCLUSIONS) == {fam.family_id for fam in FAMILIES}
     for fam in FAMILIES:
         counts = fam.counts()
-        stabilizer = stabilizer_dim(fam.marked_points, fam.marked_lines)
+        stabilizer = stabilizer_dim(fam.marked_points, (LINE,))
         expected = excluded_affine_count(FAMILY_EXCLUSIONS[fam.family_id], fam.parametrized)
         assert counts.affine == expected, fam.family_id
         assert counts.orbit == expected - stabilizer, fam.family_id
@@ -181,7 +188,7 @@ def test_dims_check_takes_one_rank_per_system_and_one_stabilizer(monkeypatch):
         # the stated system, and the one with the full mark for the flagged family
         assert len(ranks) == (1 if fam.stated_mark_n is None else 2), fam.family_id
         assert len(stabilizers) == 1, fam.family_id
-        assert diagnostics["stabilizer-dim"] == str(original_stabilizer(fam.marked_points, fam.marked_lines))
+        assert diagnostics["stabilizer-dim"] == str(original_stabilizer(fam.marked_points, (LINE,)))
 
 
 def test_restriction_patterns_all_families():
@@ -199,43 +206,92 @@ def test_one_specialization_agrees_with_the_sampled_oracle():
         assert verify_family_by_samples(fam, samples) == verify_family(fam), fam.family_id
 
 
-def _perturbed(monkeypatch, family_id, term, roots):
-    """The family with delta * term added to its base, where delta =
-    (lam - lambda_0)(lam - lambda_0 - 1)... has the given number of roots."""
+def _with_points(monkeypatch, family_id, points):
+    """The family with its restriction points, the one statement of its shape,
+    replaced by `points` (a function of lambda)."""
     import unimodal.sextics as sextics
 
-    fam = family(family_id)
+    table = dict(sextics._RESTRICTION_POINTS)
+    table[family_id] = points
+    monkeypatch.setattr(sextics, "_RESTRICTION_POINTS", table)
+    return family(family_id)
+
+
+# The mark sits on [1:0:0] at the first one or two values the certificate
+# takes: a point of order >= 2 passes through it there and nowhere else.  No
+# table keeps it at more leading values than it has such moving points, and
+# each of them adds at least 2 to deg P, so the values fall short of deg P.
+@pytest.mark.parametrize(
+    "family_id, points, refused_at",
+    [
+        ("z12-case1", lambda lam: ((1, lam - 2, 0), (0, 1, 0), (lam, 1, 0)), 3),
+        ("z12-case1", lambda lam: ((1, lam - 2, 0), (1, lam - 3, 0), (lam, 1, 0)), 4),
+        ("z13-case1", lambda lam: ((1, lam - 2, 0), (0, 1, 0), (lam, 1, 0)), 3),
+    ],
+    ids=["z12-case1-1", "z12-case1-2", "z13-case1-1"],
+)
+def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, points, refused_at):
+    # at lambda_0 the points put the order-3 point on the mark and every specialized check passes
+    fam = _with_points(monkeypatch, family_id, points)
     (lam0,) = fam.lambda_samples()
-    bases = dict(sextics._BASES)
-    original = bases[family_id]
-    bases[family_id] = lambda lam: original(lam) + math.prod(lam - lam0 - i for i in range(roots)) * term
-    monkeypatch.setattr(sextics, "_BASES", bases)
-    return fam
-
-
-# one root: wrong at every value but lambda_0; six: a base of degree 6 in lambda,
-# right at the first six values, which a check at fewer values than the bound would pass
-@pytest.mark.parametrize("roots", [1, 6])
-@pytest.mark.parametrize("family_id", ["z11-case1", "w12-case1", "z12-case1", "z13-case1"])
-def test_certificate_refuses_a_base_off_its_restriction_pattern(monkeypatch, family_id, roots):
-    # at lambda_0 the perturbation vanishes and every specialized check passes
-    fam = _perturbed(monkeypatch, family_id, monomial(2, 4, 0), roots)
-    (lam0,) = fam.lambda_samples()
-    assert verify_family_by_samples(fam, (lam0,)).orders == fam.expected_orders
-    with pytest.raises(ValueError, match="base disagrees with its restriction pattern"):
-        verify_family(fam)
-
-
-@pytest.mark.parametrize("roots", [1, 6])
-@pytest.mark.parametrize("family_id, term", [("z12-case1", (5, 0, 1)), ("z13-case1", (4, 1, 1))])
-def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, term, roots):
-    # x^5 z breaks the double point at [1:0:0], x^4 y z the cusp's tangent cone;
-    # neither touches the restriction to z = 0
-    fam = _perturbed(monkeypatch, family_id, monomial(*term), roots)
-    (lam0,) = fam.lambda_samples()
+    assert lam0 == 2
     assert verify_family_by_samples(fam, (lam0,)).mark.is_a(fam.singular_mark[1])
-    with pytest.raises(ValueError, match="representative misses its mark"):
+    with pytest.raises(ValueError, match=f"representative misses its mark at lambda = {refused_at}$"):
         verify_family(fam)
+
+
+def test_lambda_samples_and_certificate_skip_colliding_points(monkeypatch):
+    import unimodal.sextics as sextics
+
+    # the moving point meets the fixed [0:1:0] at lambda = 2
+    fam = _with_points(monkeypatch, "z12-case1", lambda lam: ((1, 0, 0), (0, 1, 0), (lam - 2, 1, 0)))
+    assert not fam.points_distinct(2) and fam.points_distinct(3)
+    assert fam.lambda_samples() == (Fraction(3),)
+    original = sextics.SexticFamily.representative
+    seen = []
+
+    def recording(self, lam):
+        seen.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(sextics.SexticFamily, "representative", recording)
+    outcome = verify_family(fam)
+    # lambda_0, then the certificate's deg P + 1 = 2 values
+    assert seen == [3, 3, 4]
+    assert outcome.orders == fam.expected_orders and outcome.mark.is_a(1)
+
+
+def test_base_coefficients_have_degree_at_most_the_moving_orders():
+    # the degree bound the certificate counts its values by: the finite
+    # difference of order bound + 1 of every coefficient of P vanishes
+    for fam in FAMILIES:
+        bound = sum(k for k, moves in zip(fam.expected_orders, fam.moving()) if moves)
+        values = [fam.base(lam) for lam in range(bound + 2)]
+        for mono in monomial_basis(6):
+            column = [form.coeff(mono) for form in values]
+            difference = sum((-1) ** i * math.comb(bound + 1, i) * c for i, c in enumerate(column))
+            assert difference == 0, (fam.family_id, mono)
+
+
+def test_parameter_and_markings_are_read_off_the_points():
+    px, py, p11 = MarkedPoint.of(1, 0, 0), MarkedPoint.of(0, 1, 0), MarkedPoint.of(1, 1, 0)
+    parametrized = {fam.family_id for fam in FAMILIES if fam.parametrized}
+    assert parametrized == {"z11-case1", "w12-case1", "z12-case1", "z13-case1"}
+    for fam in FAMILIES:
+        expected = {"Z11": (px, p11), "W12": (px,)}.get(fam.singularity, (px, py))
+        assert fam.marked_points == expected, fam.family_id
+        # one point and the line, or two points (which fix the line)
+        assert fam.counts().stabilizer == (5 if len(expected) == 1 else 4), fam.family_id
+
+
+def test_representatives_are_the_hand_written_curves():
+    # the derived base is the one once written by hand up to a sign, and the
+    # quintic carries the same sign: each representative is the same curve
+    for fam in FAMILIES:
+        for lam in (Fraction(2), Fraction(3), Fraction(5), Fraction(-3), Fraction(1, 2)):
+            ours, theirs = fam.representative(lam), hand_representative(fam.family_id, lam)
+            ratio = ours.terms[0][1] / theirs.coeff(ours.terms[0][0])
+            assert ours == ratio * theirs, (fam.family_id, lam)
 
 
 def test_verify_family_outcomes():
@@ -325,7 +381,7 @@ def test_lambda_samples_avoid_excluded_values():
     # one specialization, lambda_0 = 2, outside every family's excluded values
     for fam in FAMILIES:
         assert fam.lambda_samples() == ((Fraction(2),) if fam.parametrized else (Fraction(0),))
-        assert fam.lambda_samples()[0] not in fam.bad_lambdas
+        assert fam.points_distinct(fam.lambda_samples()[0])
 
 
 def test_unknown_family_rejected():

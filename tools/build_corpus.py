@@ -143,7 +143,7 @@ def dims_scenarios() -> None:
             "family-restriction-orders": v(",".join(str(o) for o in fam.expected_orders)),
             "family-restriction-residual": v(6 - sum(fam.expected_orders)),
             "family-smoothness-scan": v(0),
-            "stabilizer-dim": v(5 if fam.marked_lines else 4),
+            "stabilizer-dim": v(5 if len(fam.marked_points) == 1 else 4),  # one point and the line, or two points
             "affine-parameters": v(fam.counts().affine),
         }
         if fam.singular_mark is not None:
