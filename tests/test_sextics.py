@@ -221,14 +221,17 @@ def _with_points(monkeypatch, family_id, points):
 # takes: a point of order >= 2 passes through it there and nowhere else.  No
 # table keeps it at more leading values than it has such moving points, and
 # each of them adds at least 2 to deg P, so the values fall short of deg P.
+# In the last case the points collide at lambda = 3, which the certificate
+# skips, so the mark is first missed at 4.
 @pytest.mark.parametrize(
     "family_id, points, refused_at",
     [
         ("z12-case1", lambda lam: ((1, lam - 2, 0), (0, 1, 0), (lam, 1, 0)), 3),
         ("z12-case1", lambda lam: ((1, lam - 2, 0), (1, lam - 3, 0), (lam, 1, 0)), 4),
         ("z13-case1", lambda lam: ((1, lam - 2, 0), (0, 1, 0), (lam, 1, 0)), 3),
+        ("z13-case1", lambda lam: ((1, lam - 2, 0), (0, 1, 0), (lam - 3, 1, 0)), 4),
     ],
-    ids=["z12-case1-1", "z12-case1-2", "z13-case1-1"],
+    ids=["z12-case1-1", "z12-case1-2", "z13-case1-1", "z13-case1-1-past-a-collision"],
 )
 def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, points, refused_at):
     # at lambda_0 the points put the order-3 point on the mark and every specialized check passes
