@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus = sub.add_parser("corpus", help="run every bundled scenario")
     corpus.add_argument("--report", choices=("text", "json"), default="text")
-    corpus.add_argument("--jobs", type=int, default=1, help="accepted; the corpus runs serially")
     corpus.add_argument("--dir", default=None, help="override the corpus directory")
     corpus.set_defaults(func=_cmd_corpus)
 

@@ -179,20 +179,6 @@ class CurveConfiguration(_CurveConfigurationFields):
             concurrent=tuple(t for t in self.concurrent if t <= keep),
         )
 
-    def relabel(self, mapping: dict[str, str]) -> "CurveConfiguration":
-        def m(name: str) -> str:
-            return mapping.get(name, name)
-
-        return CurveConfiguration(
-            components=tuple(
-                Component(m(c.name), c.self_int, c.pa, c.sing) for c in self.components
-            ),
-            contacts=tuple(
-                Contact(m(c.first), m(c.second), c.mult, c.tangential) for c in self.contacts
-            ),
-            concurrent=tuple(frozenset(m(x) for x in t) for t in self.concurrent),
-        )
-
 
 def is_negative_definite(config: CurveConfiguration) -> bool:
     return _gram_negative_definite(config.integer_gram())

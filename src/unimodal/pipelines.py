@@ -216,12 +216,6 @@ _VARIANT_DATA = {
 }
 
 
-def en_variants(singularity: str) -> tuple[str | None, ...]:
-    if singularity == "E12":
-        return (None,)
-    return _EN_VARIANTS[singularity]
-
-
 def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     sing = spec.singularity
     if sing not in _EN_VARIANTS:

@@ -146,24 +146,6 @@ class HomogeneousForm(_HomogeneousFormFields):
             out[tuple(new)] = out.get(tuple(new), frac(0)) + c * e[var]
         return HomogeneousForm.from_dict(max(self.degree - 1, 0), out)
 
-    def substitute_linear(self, matrix: list[list[Fraction]]) -> "HomogeneousForm":
-        """The form composed with x_i -> sum_j m[i][j] x_j."""
-        images = [
-            HomogeneousForm.from_dict(
-                1, {(1, 0, 0): row[0], (0, 1, 0): row[1], (0, 0, 1): row[2]}
-            )
-            for row in matrix
-        ]
-        out = HomogeneousForm.from_dict(0, {(0, 0, 0): 1})
-        total = HomogeneousForm.from_dict(self.degree, {})
-        for (i, j, k), c in self.terms:
-            term = HomogeneousForm.from_dict(0, {(0, 0, 0): c})
-            for power, image in ((i, images[0]), (j, images[1]), (k, images[2])):
-                for _ in range(power):
-                    term = term * image
-            total = total + term
-        return total
-
 
 def monomial(i: int, j: int, k: int, coeff: int | str | Fraction = 1) -> HomogeneousForm:
     return HomogeneousForm.from_dict(i + j + k, {(i, j, k): coeff})
@@ -199,13 +181,6 @@ class MarkedPoint(_MarkedPointFields):
 
     def __str__(self) -> str:
         return "[" + ":".join(rat_str(c) for c in self.coords) + "]"
-
-
-def form_to_json(form: HomogeneousForm) -> dict:
-    return {
-        "degree": form.degree,
-        "coeffs": {f"{i},{j},{k}": rat_str(c) for (i, j, k), c in form.terms},
-    }
 
 
 # Bounds on forms and germs read from input; beyond them a reader raises
@@ -437,8 +412,9 @@ class GermNode(NamedTuple):
         return own + sum(c.total_delta() for c in self.children)
 
 
-def mult_sequence(form_or_germ: HomogeneousForm | Germ, point: MarkedPoint | None = None, depth: int = 8) -> GermNode:
-    """Multiplicity tree at a point: blow up along rational directions, depth-bounded.
+def mult_sequence(g: Germ, depth: int = 8) -> GermNode:
+    """Multiplicity tree of a germ at the origin: blow up along rational
+    directions, depth-bounded (for a point of a plane curve, pass `germ_of`).
 
     Children are canonically sorted; irrational directions appear as grouped
     (degree, multiplicity) packets and are not followed.  Multiplicity 0 means
@@ -446,22 +422,11 @@ def mult_sequence(form_or_germ: HomogeneousForm | Germ, point: MarkedPoint | Non
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
-    g = _coerce_germ(form_or_germ, point)
     if not g:
         raise ValueError("zero form")
     if germ_evaluate_origin(g) != 0:
         return GermNode(0)
     return _mult_tree(g, depth)
-
-
-def _coerce_germ(form_or_germ: HomogeneousForm | Germ, point: MarkedPoint | None) -> Germ:
-    if isinstance(form_or_germ, HomogeneousForm):
-        if point is None:
-            raise ValueError("a homogeneous form needs a point")
-        return germ_of(form_or_germ, point)
-    if point is not None:
-        raise ValueError("a germ is already local; no point expected")
-    return dict(form_or_germ)
 
 
 def _mult_tree(g: Germ, depth: int) -> GermNode:
@@ -553,12 +518,9 @@ class AnVerdict(NamedTuple):
         return self.kind == "A" and self.n == n
 
 
-def an_type_at(
-    form_or_germ: HomogeneousForm | Germ,
-    point: MarkedPoint | None = None,
-    candidate: int = 6,
-) -> AnVerdict:
-    """Classify a point as smooth, A_n, or other.
+def an_type_at(g: Germ, candidate: int = 6) -> AnVerdict:
+    """Classify the origin of a germ as smooth, A_n, or other (for a point of
+    a plane curve, pass `germ_of`).
 
     A_n means multiplicity two with Milnor number n.  The Milnor number
     mu = dim O/(f_u, f_v) is the colength of the partials, certified by
@@ -568,7 +530,6 @@ def an_type_at(
     mu > 16*candidate + 16, reported as inconclusive, never silenced.  A
     corank-zero point must come out with mu = 1.
     """
-    g = _coerce_germ(form_or_germ, point)
     if not g:
         raise ValueError("zero form")
     if germ_evaluate_origin(g) != 0:
@@ -773,12 +734,9 @@ class ThreeThreeVerdict(NamedTuple):
     residual: AnVerdict | None = None
 
 
-def detect_33_point(
-    form_or_germ: HomogeneousForm | Germ,
-    point: MarkedPoint | None = None,
-    decomposition: tuple[Germ, Germ] | None = None,
-) -> ThreeThreeVerdict:
-    """Detect a triple point with one infinitely-near triple point.
+def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> ThreeThreeVerdict:
+    """Detect a triple point of a germ at the origin with one infinitely-near
+    triple point.
 
     The profile says which degree-one elliptic double-cover point the germ
     produces: 6 when the second neighborhood has three distinct directions, 7
@@ -790,7 +748,6 @@ def detect_33_point(
     local intersection number four and the residual piece carries the A-type
     the profile dictates (A_3 for 6, A_4 for 7).
     """
-    g = _coerce_germ(form_or_germ, point)
     if not g:
         raise ValueError("zero form")
     if germ_evaluate_origin(g) != 0 or germ_multiplicity(g) != 3:

@@ -49,6 +49,7 @@ from .planecurves import (
     detect_33_point,
     form_from_json,
     germ,
+    germ_of,
     linear_form,
     mult_sequence,
     parse_exponent,
@@ -316,10 +317,10 @@ def _an_verdict(check: Mapping):
     if not 1 <= candidate <= MAX_CANDIDATE:
         raise ScenarioError(f"an-type candidate {candidate} is outside 1..{MAX_CANDIDATE}")
     if "germ" in check:
-        return an_type_at(_parse_germ(check["germ"]), candidate=candidate)
-    form = form_from_json(check["form"])
-    point = _parse_point(check["point"])
-    return an_type_at(form, point, candidate=candidate)
+        g = _parse_germ(check["germ"])
+    else:
+        g = germ_of(form_from_json(check["form"]), _parse_point(check["point"]))
+    return an_type_at(g, candidate=candidate)
 
 
 def _an_label(verdict) -> str:
@@ -490,24 +491,6 @@ def emit_report(report: Report) -> str:
         q(report.engine), _array(scenarios, "  "), q(report.schema), report.exit_code,
         report.count("fail"), report.count("flagged"), flags, report.count("pass"), len(report.scenarios),
     )
-
-
-def parse_report(text: str) -> Report:
-    data = json.loads(text)
-    scenarios = tuple(
-        ScenarioReport(
-            s["name"],
-            s["kind"],
-            tuple(
-                CheckRecord(
-                    a["name"], a["computed"], a["expected"], a["status"], a["anchor"], a.get("flag")
-                )
-                for a in s["assertions"]
-            ),
-        )
-        for s in data["scenarios"]
-    )
-    return Report(data["engine"], data["schema"], scenarios)
 
 
 def render_text(report: Report) -> str:

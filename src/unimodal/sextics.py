@@ -11,8 +11,9 @@ an affine chart.  Its affine parameter dimension is the system's projective
 dimension plus the parameter, and the orbit dimension count is that minus
 the dimension of the projectivity stabilizer of the markings.
 
-Representatives P + z f5 carry fixed small-integer quintics f5 used to
-verify the curve-level claims: restriction pattern, the A-type at the
+Each family's representative P + z f5 takes the one quintic f5 of its mark
+kind (none, a node or a cusp), a sum of two or three monomials.  It
+verifies the curve-level claims: restriction pattern, the A-type at the
 marked point, and the absence of any further singular point over the
 algebraic closure.  The last is certified by the total Tjurina number: an
 A_n point is quasi-homogeneous, so its Tjurina number is n, and a curve
@@ -34,6 +35,7 @@ from .planecurves import (
     HomogeneousForm,
     MarkedPoint,
     an_type_at,
+    germ_of,
     line_order_conditions,
     linear_form,
     monomial,
@@ -48,10 +50,6 @@ from .planecurves import (
 from .rationals import frac
 
 LINE = linear_form(0, 0, 1)  # the distinguished line z = 0
-
-
-def _pt(x, y, z) -> MarkedPoint:
-    return MarkedPoint.of(x, y, z)
 
 
 class SexticFamily(NamedTuple):
@@ -75,7 +73,7 @@ class SexticFamily(NamedTuple):
         return HomogeneousForm.from_dict(degree, {(a, degree - a, 0): c for a, c in enumerate(product)})
 
     def restriction_points(self, lam: Fraction | int) -> tuple[MarkedPoint, ...]:
-        return tuple(_pt(*coords) for coords in _RESTRICTION_POINTS[self.family_id](lam))
+        return tuple(MarkedPoint.of(*coords) for coords in _RESTRICTION_POINTS[self.family_id](lam))
 
     def moving(self) -> tuple[bool, ...]:
         """Whether each restriction point moves with lambda.  Its coordinates
@@ -92,7 +90,7 @@ class SexticFamily(NamedTuple):
         """The restriction points that do not move; with the line z = 0 they
         are the markings the stabilizer fixes."""
         points = _RESTRICTION_POINTS[self.family_id]
-        return tuple(_pt(*p) for p, q in zip(points(0), points(1)) if p == q)
+        return tuple(MarkedPoint.of(*p) for p, q in zip(points(0), points(1)) if p == q)
 
     def points_distinct(self, lam: Fraction | int) -> bool:
         points = self.restriction_points(lam)
@@ -103,13 +101,15 @@ class SexticFamily(NamedTuple):
         lambda_0, then the further values of the certificate."""
         return (v for v in itertools.count(2) if self.points_distinct(v))
 
-    def lambda_samples(self) -> tuple[Fraction]:
-        """The one value lambda_0 at which the family is specialized: the first
-        of `lambdas` (0 without lambda)."""
-        return (frac(next(self.lambdas()) if self.parametrized else 0),)
+    @property
+    def lambda_0(self) -> Fraction:
+        """The one value at which the family is specialized: the first of
+        `lambdas` (0 without lambda)."""
+        return frac(next(self.lambdas()) if self.parametrized else 0)
 
     def representative(self, lam: Fraction | int) -> HomogeneousForm:
-        return self.base(lam) + LINE * _REPRESENTATIVE_QUINTICS[self.family_id]
+        """P + z f5, with the quintic f5 of the family's mark kind."""
+        return self.base(lam) + LINE * _QUINTICS[self.singular_mark[1] if self.singular_mark else 0]
 
     def conditions(
         self, lam: Fraction, mark: tuple[ConditionSystem, ConditionSystem] | None = None
@@ -145,7 +145,7 @@ class SexticFamily(NamedTuple):
         the full mark when the stated one is less, from the conditions at
         lambda_0 (built here unless given): one rank per system, and one of the
         stabilizer of the markings."""
-        stated, beyond = conditions or self.conditions(self.lambda_samples()[0])
+        stated, beyond = conditions or self.conditions(self.lambda_0)
         params = 1 if self.parametrized else 0
         stabilizer = stabilizer_dim(self.marked_points, (LINE,))
         orbit = orbit_dim_count(stated, params, stabilizer)
@@ -180,26 +180,18 @@ _RESTRICTION_POINTS = {
     "z13-case2": lambda _: ((1, 0, 0), (0, 1, 0)),
 }
 
-# Fixed quintic parts for the verified representatives.  Chosen once so that
-# the marked singularity comes out right and the total Tjurina number shows no
-# other singular point; the tests pin the outcome.
-_UNMARKED = monomial(5, 0, 0, -1) + monomial(0, 0, 5, -1) + monomial(0, 5, 0, -2) + monomial(2, 0, 3, -3)
-_NODE = monomial(4, 1, 0) + monomial(4, 0, 1, 2) + monomial(0, 5, 0, 3) + monomial(0, 0, 5, 5)
-_CUSP = monomial(4, 0, 1, -2) + monomial(0, 5, 0, -3) + monomial(0, 0, 5, -5) + monomial(2, 3, 0, -7)
-_REPRESENTATIVE_QUINTICS = {
-    "z11-case1": _UNMARKED,
-    "z11-case2": _UNMARKED,
-    "z11-case3": _UNMARKED,
-    "w12-case1": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(0, 5, 0, 2) + monomial(3, 0, 2, 3),
-    "w12-case2": monomial(5, 0, 0) + monomial(0, 0, 5) + monomial(1, 4, 0, 2) + monomial(3, 0, 2, 3),
-    "w13": _NODE,
-    "z12-case1": (-1) * _NODE,
-    "z12-case2": (-1) * _NODE,
-    "z13-case1": _CUSP,
-    "z13-case2": _CUSP,
+# The quintic f5 of every representative P + z f5, keyed by the n of the
+# family's A_n mark (0 without one).  In the chart x = 1 of the mark [1:0:0],
+# z x^4 y makes the quadratic part y z (a node) and z x^4 z makes it z^2 (a
+# cusp along the line); z x^5 keeps an unmarked one smooth there.
+# `verify_family` certifies each outcome.
+_QUINTICS = {
+    0: monomial(5, 0, 0) + monomial(1, 0, 4),
+    1: monomial(0, 5, 0) + monomial(1, 0, 4) + monomial(4, 1, 0),
+    2: monomial(0, 5, 0) + monomial(1, 0, 4) + monomial(4, 0, 1),
 }
 
-_PX = _pt(1, 0, 0)
+_PX = MarkedPoint.of(1, 0, 0)
 
 # id, type, case, orders of the restriction points, mark, claimed count
 FAMILIES: tuple[SexticFamily, ...] = (
@@ -236,10 +228,11 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     """Restrict, classify and count one family at lambda_0, and certify the
     outcome for every lambda outside a finite set.
 
-    At lambda_0 the representative F = P + z f5 must satisfy every condition
-    the counts are taken from (built once here) and show exactly the
-    declared singular point (for the flagged family that is the full mark, a
-    cusp, not the double point the stated count imposes).  The excess is the
+    At lambda_0 the representative F = P + z f5, f5 the quintic of the
+    family's mark kind, must satisfy every condition the counts are taken
+    from (built once here) and show exactly the declared singular point (for
+    the flagged family that is the full mark, a cusp, not the double point
+    the stated count imposes).  The excess is the
     total Tjurina number of F minus that of the mark (n for a certified A_n,
     0 without a mark); 0 certifies that no other singular point exists over
     the algebraic closure.
@@ -280,15 +273,12 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     The finite exceptional set of (b) is not computed, and the counts are
     read at lambda_0.
     """
-    (lam,) = fam.lambda_samples()
+    lam = fam.lambda_0
     mark_rows = fam.mark_conditions()
     conditions = fam.conditions(lam, mark_rows)
     rep = fam.representative(lam)
-    coeffs = dict(rep.terms)
-    vector = [coeffs.get(mono, 0) for mono in monomial_basis(6)]
-    for row in conditions[0].rows + conditions[1].rows:
-        if sum(c * x for c, x in zip(row, vector) if c and x):
-            raise ValueError(f"{fam.family_id}: representative misses a condition")
+    if not _annihilate(conditions[0].rows + conditions[1].rows, rep):
+        raise ValueError(f"{fam.family_id}: representative misses a condition")
     pattern = restrict_to_line(rep, LINE, fam.restriction_points(lam))
     if pattern.contained:
         raise ValueError(f"{fam.family_id}: representative contains the line")
@@ -296,25 +286,28 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     mark_tau: int | None = 0
     if fam.singular_mark is not None:
         point, n = fam.singular_mark
-        mark = an_type_at(rep, point, candidate=max(2, n))
+        mark = an_type_at(germ_of(rep, point), candidate=max(2, n))
         mark_tau = mark.n if mark.kind == "A" else None
     tau = tjurina_number(rep, at_least=mark_tau or 0)
     excess = None if tau is None or mark_tau is None else tau - mark_tau
     if fam.parametrized and fam.singular_mark is not None:
-        _certify_generic(fam, mark_rows)
+        _certify_generic(fam, mark_rows[0].rows + mark_rows[1].rows)
     return FamilyVerification(
         fam.family_id, pattern.orders, pattern.residual_degree, mark, excess, fam.counts(conditions)
     )
 
 
-def _certify_generic(fam: SexticFamily, mark: tuple[ConditionSystem, ConditionSystem]) -> None:
+def _annihilate(rows: tuple[tuple[Fraction, ...], ...], form: HomogeneousForm) -> bool:
+    """Whether every row, a functional over `monomial_basis(6)`, vanishes on the form."""
+    coeffs = dict(form.terms)
+    vector = [coeffs.get(mono, 0) for mono in monomial_basis(6)]
+    return not any(sum(c * x for c, x in zip(row, vector) if c and x) for row in rows)
+
+
+def _certify_generic(fam: SexticFamily, rows: tuple[tuple[Fraction, ...], ...]) -> None:
     """Check identity (a) of :func:`verify_family` at deg P + 1 values of
     lambda, given the rows of `SexticFamily.mark_conditions`."""
-    basis = monomial_basis(6)
-    rows = [[(basis[i], c) for i, c in enumerate(row) if c] for row in mark[0].rows + mark[1].rows]
     degree = sum(k for k, moves in zip(fam.expected_orders, fam.moving()) if moves)
     for lam in itertools.islice(fam.lambdas(), degree + 1):
-        terms = dict(fam.representative(lam).terms)
-        for row in rows:
-            if sum(c * terms.get(mono, 0) for mono, c in row):
-                raise ValueError(f"{fam.family_id}: representative misses its mark at lambda = {lam}")
+        if not _annihilate(rows, fam.representative(lam)):
+            raise ValueError(f"{fam.family_id}: representative misses its mark at lambda = {lam}")

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles that the tests compare the engine against.
+"""Independent brute-force oracles that the tests compare the engine against,
+and the helpers only the tests need.
 
-None of these is called by the engine; each recomputes a value by a slower
-or more direct route than the kernel it checks.
+None of these is called by the engine; each oracle recomputes a value by a
+slower or more direct route than the kernel it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from unimodal.configurations import CurveConfiguration, FundamentalCycle, _pairings
+from unimodal.configurations import Component, Contact, CurveConfiguration, FundamentalCycle, _pairings
+from unimodal.pipelines import _EN_VARIANTS, CheckRecord
 from unimodal.planecurves import (
     ConditionSystem,
     Direction,
@@ -26,14 +28,15 @@ from unimodal.planecurves import (
     _stabilizer_rows,
     an_type_at,
     germ_multiplicity,
+    germ_of,
     linear_form,
     monomial,
     monomial_basis,
     restrict_to_line,
     tjurina_number,
 )
-from unimodal.rationals import det, frac, integer_rank, negative_semidefinite_nullity
-from unimodal.scenarios import Report
+from unimodal.rationals import det, frac, integer_rank, negative_semidefinite_nullity, rat_str
+from unimodal.scenarios import Report, ScenarioReport
 from unimodal.sextics import LINE, FamilyVerification, SexticFamily
 
 
@@ -185,7 +188,7 @@ def verify_family_by_samples(fam: SexticFamily, samples: Sequence[Fraction]) -> 
         mark, mark_tau = None, 0
         if fam.singular_mark is not None:
             point, n = fam.singular_mark
-            mark = an_type_at(rep, point, candidate=max(2, n))
+            mark = an_type_at(germ_of(rep, point), candidate=max(2, n))
             mark_tau = mark.n if mark.kind == "A" else None
         tau = tjurina_number(rep, at_least=mark_tau or 0)
         excess = None if tau is None or mark_tau is None else tau - mark_tau
@@ -367,3 +370,64 @@ def report_to_json(report: Report) -> dict:
 def emit_report_by_dumps(report: Report) -> str:
     """The report text as :func:`json.dumps` writes :func:`report_to_json`."""
     return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"
+
+
+# Helpers the tests share and the engine does not need.
+
+
+def substitute_linear(form: HomogeneousForm, matrix: Sequence[Sequence[Fraction]]) -> HomogeneousForm:
+    """The form composed with x_i -> sum_j m[i][j] x_j."""
+    images = [linear_form(*row) for row in matrix]
+    total = HomogeneousForm.from_dict(form.degree, {})
+    for exponents, c in form.terms:
+        term = HomogeneousForm.from_dict(0, {(0, 0, 0): c})
+        for power, image in zip(exponents, images):
+            for _ in range(power):
+                term = term * image
+        total = total + term
+    return total
+
+
+def form_to_json(form: HomogeneousForm) -> dict:
+    """The form as a scenario file writes it (`planecurves.form_from_json`)."""
+    return {
+        "degree": form.degree,
+        "coeffs": {f"{i},{j},{k}": rat_str(c) for (i, j, k), c in form.terms},
+    }
+
+
+def parse_report(text: str) -> Report:
+    """The report that `scenarios.emit_report` wrote as `text`."""
+    data = json.loads(text)
+    scenarios = tuple(
+        ScenarioReport(
+            s["name"],
+            s["kind"],
+            tuple(
+                CheckRecord(
+                    a["name"], a["computed"], a["expected"], a["status"], a["anchor"], a.get("flag")
+                )
+                for a in s["assertions"]
+            ),
+        )
+        for s in data["scenarios"]
+    )
+    return Report(data["engine"], data["schema"], scenarios)
+
+
+def relabel(config: CurveConfiguration, mapping: dict[str, str]) -> CurveConfiguration:
+    """The configuration with its components renamed by `mapping` (others kept)."""
+
+    def m(name: str) -> str:
+        return mapping.get(name, name)
+
+    return CurveConfiguration(
+        components=tuple(Component(m(c.name), c.self_int, c.pa, c.sing) for c in config.components),
+        contacts=tuple(Contact(m(c.first), m(c.second), c.mult, c.tangential) for c in config.contacts),
+        concurrent=tuple(frozenset(m(x) for x in t) for t in config.concurrent),
+    )
+
+
+def en_variants(singularity: str) -> tuple[str | None, ...]:
+    """The second-fibre variants an elliptic-route type admits; (None,) for E12."""
+    return (None,) if singularity == "E12" else _EN_VARIANTS[singularity]

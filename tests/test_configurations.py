@@ -28,7 +28,7 @@ from unimodal.configurations import (
     recognize_kodaira_fiber,
 )
 
-from oracles import fundamental_cycle_brute_force
+from oracles import fundamental_cycle_brute_force, relabel
 
 
 def cfg(comps, contacts=(), concurrent=()):
@@ -186,8 +186,8 @@ def test_match_catalog_relabeling_invariance():
         names = list(entry.config.names)
         shuffled = names[:]
         rng.shuffle(shuffled)
-        relabeled = entry.config.relabel(dict(zip(names, [f"t{i}" for i in range(len(names))])))
-        relabeled = relabeled.relabel(dict(zip(relabeled.names, shuffled)))
+        relabeled = relabel(entry.config, dict(zip(names, [f"t{i}" for i in range(len(names))])))
+        relabeled = relabel(relabeled, dict(zip(relabeled.names, shuffled)))
         assert match_catalog(relabeled).label == label
 
 
@@ -216,7 +216,7 @@ def _shuffled(config, rng):
     names = list(config.names)
     fresh = [f"r{i}" for i in range(len(names))]
     rng.shuffle(fresh)
-    renamed = config.relabel(dict(zip(names, fresh)))
+    renamed = relabel(config, dict(zip(names, fresh)))
     components, contacts = list(renamed.components), list(renamed.contacts)
     rng.shuffle(components)
     rng.shuffle(contacts)
@@ -361,8 +361,8 @@ def test_recognition_relabeling_invariance():
         for _ in range(4):
             perm = names[:]
             rng.shuffle(perm)
-            relabeled = config.relabel(dict(zip(names, [f"z{i}" for i in range(len(names))])))
-            relabeled = relabeled.relabel(dict(zip(relabeled.names, perm)))
+            relabeled = relabel(config, dict(zip(names, [f"z{i}" for i in range(len(names))])))
+            relabeled = relabel(relabeled, dict(zip(relabeled.names, perm)))
             # the recognizer must not depend on the order of the records either
             relabeled = CurveConfiguration(
                 tuple(rng.sample(relabeled.components, len(relabeled.components))),

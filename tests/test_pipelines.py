@@ -11,7 +11,6 @@ from unimodal.pipelines import (
     EnSpec,
     ZwSpec,
     branch_class_for,
-    en_variants,
     run_en_pipeline,
     run_riemann_hurwitz_check,
     run_section_class_check,
@@ -20,6 +19,8 @@ from unimodal.pipelines import (
 )
 from unimodal.lattice import make_hirzebruch, make_p2
 from unimodal.sextics import FAMILIES
+
+from oracles import en_variants
 
 GOLDENS = Path(__file__).parent / "goldens"
 

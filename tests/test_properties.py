@@ -30,7 +30,7 @@ from unimodal.lattice import (
     replay,
     track,
 )
-from unimodal.pipelines import EnSpec, ZwSpec, en_variants, run_en_pipeline, run_zw_pipeline
+from unimodal.pipelines import EnSpec, ZwSpec, run_en_pipeline, run_zw_pipeline
 from unimodal.planecurves import (
     MAX_DEGREE,
     Direction,
@@ -67,6 +67,7 @@ from unimodal.rationals import (
 
 from oracles import (
     blow_up_at_direction_by_expansion,
+    en_variants,
     germ_of_by_expansion,
     intersection_by_blow_ups,
     is_negative_semidefinite,

@@ -18,14 +18,13 @@ from unimodal.scenarios import (
     corpus_dir,
     emit_report,
     load_scenario,
-    parse_report,
     parse_scenario,
     report_for,
     run_corpus,
     run_scenario,
 )
 
-from oracles import emit_report_by_dumps
+from oracles import emit_report_by_dumps, parse_report
 
 CORPUS = Path(__file__).parent.parent / "src" / "unimodal" / "corpus"
 
@@ -178,11 +177,19 @@ def test_report_writer_agrees_with_json_dumps(report):
     assert emit_report(report) == emit_report_by_dumps(report)
 
 
-def test_corpus_deterministic_and_parallel_identical(capsys):
-    serial = emit_report(run_corpus(CORPUS))
+def test_corpus_deterministic(capsys):
+    first = emit_report(run_corpus(CORPUS))
     again = emit_report(run_corpus(CORPUS))
-    assert main(["corpus", "--dir", str(CORPUS), "--report=json", "--jobs=4"]) == 0
-    assert serial == again == capsys.readouterr().out
+    assert main(["corpus", "--dir", str(CORPUS), "--report=json"]) == 0
+    assert first == again == capsys.readouterr().out
+
+
+def test_corpus_jobs_is_a_usage_error(capsys):
+    # the corpus runs serially; the option that was accepted and ignored is gone
+    with pytest.raises(SystemExit) as stopped:
+        main(["corpus", "--jobs=4"])
+    assert stopped.value.code == 2
+    assert "unrecognized arguments: --jobs=4" in capsys.readouterr().err
 
 
 def test_report_round_trip():
@@ -430,7 +437,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
 
 
 def test_cli_corpus_json(capsys):
-    assert main(["corpus", "--report=json", "--jobs=2"]) == 0
+    assert main(["corpus", "--report=json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["scenarios"] == 27
     assert payload["summary"]["fail"] == 0

@@ -11,7 +11,7 @@ from unimodal.planecurves import (
     HomogeneousForm,
     MarkedPoint,
     an_type_at,
-    monomial,
+    germ_of,
     monomial_basis,
     restrict_to_line,
     stabilizer_dim,
@@ -109,7 +109,7 @@ def test_random_members_have_the_declared_orders_and_mark():
     # pattern and the A_n mark, and the stated z13-case2 family only an A1
     rng = random.Random(41)
     for fam in FAMILIES:
-        lam = fam.lambda_samples()[0]
+        lam = fam.lambda_0
         stated, beyond = fam.conditions(lam)
         mark_n = fam.singular_mark[1] if fam.singular_mark else None
         cases = [(stated, mark_n)]
@@ -121,14 +121,14 @@ def test_random_members_have_the_declared_orders_and_mark():
                 assert pattern.orders == fam.expected_orders, fam.family_id
                 assert pattern.residual_degree == 0
                 if n:
-                    verdict = an_type_at(member, fam.singular_mark[0], candidate=max(2, n))
+                    verdict = an_type_at(germ_of(member, fam.singular_mark[0]), candidate=max(2, n))
                     assert verdict.is_a(n), (fam.family_id, verdict)
 
 
 def test_condition_rank_is_the_same_at_every_lambda():
     for fam in FAMILIES:
         ranks = set()
-        for lam in fam.lambda_samples() + (Fraction(3), Fraction(5), Fraction(7), Fraction(-3), Fraction(1, 2)):
+        for lam in (fam.lambda_0, Fraction(3), Fraction(5), Fraction(7), Fraction(-3), Fraction(1, 2)):
             stated, beyond = fam.conditions(lam)
             ranks.add((stated.rank(), stated.extend(beyond).rank()))
         assert len(ranks) == 1, (fam.family_id, ranks)
@@ -140,10 +140,9 @@ def test_every_cusp_mark_is_a_restriction_point_of_order_at_least_three():
     assert {fam.family_id for fam in cusps} == {"z13-case1", "z13-case2"}
     for fam in cusps:
         point = fam.singular_mark[0]
-        for lam in fam.lambda_samples():
-            points = fam.restriction_points(lam)
-            assert point in points
-            assert fam.expected_orders[points.index(point)] >= 3
+        points = fam.restriction_points(fam.lambda_0)
+        assert point in points
+        assert fam.expected_orders[points.index(point)] >= 3
 
 
 def test_verify_family_builds_each_restriction_point_once(monkeypatch):
@@ -160,7 +159,7 @@ def test_verify_family_builds_each_restriction_point_once(monkeypatch):
     for fam in FAMILIES:
         built.clear()
         verification = verify_family(fam)
-        assert built == list(fam.restriction_points(fam.lambda_samples()[0])), fam.family_id
+        assert built == list(fam.restriction_points(fam.lambda_0)), fam.family_id
         assert verification.counts == fam.counts(), fam.family_id
 
 
@@ -193,10 +192,9 @@ def test_dims_check_takes_one_rank_per_system_and_one_stabilizer(monkeypatch):
 
 def test_restriction_patterns_all_families():
     for fam in FAMILIES:
-        for lam in fam.lambda_samples():
-            pattern = restrict_to_line(fam.base(lam), LINE, fam.restriction_points(lam))
-            assert pattern.orders == fam.expected_orders, fam.family_id
-            assert pattern.residual_degree == 0
+        pattern = restrict_to_line(fam.base(fam.lambda_0), LINE, fam.restriction_points(fam.lambda_0))
+        assert pattern.orders == fam.expected_orders, fam.family_id
+        assert pattern.residual_degree == 0
 
 
 def test_one_specialization_agrees_with_the_sampled_oracle():
@@ -236,20 +234,20 @@ def _with_points(monkeypatch, family_id, points):
 def test_certificate_refuses_a_mark_broken_off_lambda_0(monkeypatch, family_id, points, refused_at):
     # at lambda_0 the points put the order-3 point on the mark and every specialized check passes
     fam = _with_points(monkeypatch, family_id, points)
-    (lam0,) = fam.lambda_samples()
+    lam0 = fam.lambda_0
     assert lam0 == 2
     assert verify_family_by_samples(fam, (lam0,)).mark.is_a(fam.singular_mark[1])
     with pytest.raises(ValueError, match=f"representative misses its mark at lambda = {refused_at}$"):
         verify_family(fam)
 
 
-def test_lambda_samples_and_certificate_skip_colliding_points(monkeypatch):
+def test_lambda_0_and_certificate_skip_colliding_points(monkeypatch):
     import unimodal.sextics as sextics
 
     # the moving point meets the fixed [0:1:0] at lambda = 2
     fam = _with_points(monkeypatch, "z12-case1", lambda lam: ((1, 0, 0), (0, 1, 0), (lam - 2, 1, 0)))
     assert not fam.points_distinct(2) and fam.points_distinct(3)
-    assert fam.lambda_samples() == (Fraction(3),)
+    assert fam.lambda_0 == Fraction(3)
     original = sextics.SexticFamily.representative
     seen = []
 
@@ -287,14 +285,29 @@ def test_parameter_and_markings_are_read_off_the_points():
         assert fam.counts().stabilizer == (5 if len(expected) == 1 else 4), fam.family_id
 
 
-def test_representatives_are_the_hand_written_curves():
-    # the derived base is the one once written by hand up to a sign, and the
-    # quintic carries the same sign: each representative is the same curve
+def _curve_verdict(fam, form, lam):
+    """The orders and residual degree of a member at lam, its mark, and its
+    total Tjurina number beyond the mark's n."""
+    pattern = restrict_to_line(form, LINE, fam.restriction_points(lam))
+    mark, mark_tau = None, 0
+    if fam.singular_mark is not None:
+        point, n = fam.singular_mark
+        mark = an_type_at(germ_of(form, point), candidate=max(2, n))
+        mark_tau = mark.n
+    return pattern.orders, pattern.residual_degree, mark, tjurina_number(form) - mark_tau
+
+
+def test_representatives_share_the_hand_written_verdicts():
+    # the quintic of the mark kind and the one once written by hand for the
+    # family give different curves with the same orders, mark and excess 0
     for fam in FAMILIES:
-        for lam in (Fraction(2), Fraction(3), Fraction(5), Fraction(-3), Fraction(1, 2)):
-            ours, theirs = fam.representative(lam), hand_representative(fam.family_id, lam)
-            ratio = ours.terms[0][1] / theirs.coeff(ours.terms[0][0])
-            assert ours == ratio * theirs, (fam.family_id, lam)
+        values = (fam.lambda_0, Fraction(3), Fraction(5), Fraction(7), Fraction(-3), Fraction(1, 2))
+        for lam in values if fam.parametrized else (fam.lambda_0,):
+            ours = _curve_verdict(fam, fam.representative(lam), lam)
+            assert ours == _curve_verdict(fam, hand_representative(fam.family_id, lam), lam), (fam.family_id, lam)
+            orders, residual, mark, excess = ours
+            assert orders == fam.expected_orders and residual == 0 and excess == 0, (fam.family_id, lam)
+            assert mark is None if fam.singular_mark is None else mark.is_a(fam.singular_mark[1])
 
 
 def test_verify_family_outcomes():
@@ -311,8 +324,7 @@ def test_verify_family_outcomes():
 def test_representatives_have_no_singular_point_beyond_the_mark():
     for fam in FAMILIES:
         mark_tau = 0 if fam.singular_mark is None else fam.singular_mark[1]
-        for lam in fam.lambda_samples():
-            assert tjurina_number(fam.representative(lam)) == mark_tau, (fam.family_id, lam)
+        assert tjurina_number(fam.representative(fam.lambda_0)) == mark_tau, fam.family_id
 
 
 def test_representatives_certify_with_one_rank(monkeypatch):
@@ -350,20 +362,18 @@ def test_representatives_certify_with_one_rank(monkeypatch):
         # at lambda_0 alone
         assert widths == [first], fam.family_id
         assert len(jacobian) == len(modular) == 1 and exact == [], fam.family_id
-        for lam in fam.lambda_samples():
-            widths.clear()
-            tjurina_number(fam.representative(lam))
-            # without a bound h(k) = 0 still certifies at once; a mark takes the equal pair
-            assert len(widths) == (1 if fam.singular_mark is None else 2), (fam.family_id, lam)
+        widths.clear()
+        tjurina_number(fam.representative(fam.lambda_0))
+        # without a bound h(k) = 0 still certifies at once; a mark takes the equal pair
+        assert len(widths) == (1 if fam.singular_mark is None else 2), fam.family_id
 
 
 def test_representative_satisfies_its_conditions():
     for fam in FAMILIES:
-        for lam in fam.lambda_samples():
-            stated, beyond = fam.conditions(lam)
-            vector = [fam.representative(lam).coeff(mono) for mono in monomial_basis(6)]
-            for row in stated.rows + beyond.rows:
-                assert sum(c * x for c, x in zip(row, vector)) == 0, (fam.family_id, lam)
+        stated, beyond = fam.conditions(fam.lambda_0)
+        vector = [fam.representative(fam.lambda_0).coeff(mono) for mono in monomial_basis(6)]
+        for row in stated.rows + beyond.rows:
+            assert sum(c * x for c, x in zip(row, vector)) == 0, fam.family_id
     # z13-case1: a cusp at [1:0:0] along z = 0, so no x^5 z and no x^4 y z
     rep = family("z13-case1").representative(Fraction(2))
     assert rep.coeff((5, 0, 1)) == 0 and rep.coeff((4, 1, 1)) == 0
@@ -373,18 +383,18 @@ def test_verify_family_refuses_a_representative_off_its_conditions(monkeypatch):
     import unimodal.sextics as sextics
 
     fam = family("z13-case1")
-    quintics = dict(sextics._REPRESENTATIVE_QUINTICS)
-    quintics["z13-case1"] = quintics["z13-case1"] + HomogeneousForm.from_dict(5, {(4, 1, 0): 1})
-    monkeypatch.setattr(sextics, "_REPRESENTATIVE_QUINTICS", quintics)
+    quintics = dict(sextics._QUINTICS)
+    quintics[2] = quintics[2] + HomogeneousForm.from_dict(5, {(4, 1, 0): 1})  # the cusp's quintic
+    monkeypatch.setattr(sextics, "_QUINTICS", quintics)
     with pytest.raises(ValueError, match="misses a condition"):
         verify_family(fam)
 
 
-def test_lambda_samples_avoid_excluded_values():
+def test_lambda_0_avoids_excluded_values():
     # one specialization, lambda_0 = 2, outside every family's excluded values
     for fam in FAMILIES:
-        assert fam.lambda_samples() == ((Fraction(2),) if fam.parametrized else (Fraction(0),))
-        assert fam.points_distinct(fam.lambda_samples()[0])
+        assert fam.lambda_0 == (Fraction(2) if fam.parametrized else Fraction(0))
+        assert fam.points_distinct(fam.lambda_0)
 
 
 def test_unknown_family_rejected():
