@@ -13,8 +13,9 @@ negative definiteness, the incremental fundamental-cycle computation with a
 brute-force oracle, the minimally-elliptic classification, recognition of the
 restricted Kodaira fibre list by isomorphism with the one table that builds
 each fibre, Euler-number budgeting, and the catalog of
-exceptional unimodal double points E12..E14, Z11..Z13, W12, W13 together with
-A_n and the two degree-one elliptic T-singularities.
+exceptional unimodal double points E12..E14, Z11..Z13, W12, W13 (each a
+Kodaira fibre blown up at smooth points) together with A_n and the two
+degree-one elliptic T-singularities.
 """
 
 from __future__ import annotations
@@ -296,6 +297,63 @@ def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassific
 
 
 # ---------------------------------------------------------------------------
+# Kodaira fibres and their blow-ups.
+# ---------------------------------------------------------------------------
+
+
+def _cfg(
+    comps: list[tuple[str, int, int] | tuple[str, int, int, str]],
+    contacts: list[tuple[str, str, int] | tuple[str, str, int, bool]] = (),
+    concurrent: list[tuple[str, str, str]] = (),
+) -> CurveConfiguration:
+    components = tuple(Component(*c) for c in comps)
+    contact_records = tuple(Contact(*c) for c in contacts)
+    triples = tuple(frozenset(t) for t in concurrent)
+    return CurveConfiguration(components, contact_records, triples)
+
+
+def _fiber_configuration(fiber_type: str) -> CurveConfiguration:
+    one_component = {"I0": None, "I1": "node", "II": "cusp"}  # the singularity of E1
+    if fiber_type in one_component:
+        return _cfg([("E1", 0, 1, one_component[fiber_type])])
+    if fiber_type == "III":
+        return _cfg([("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)])
+    if fiber_type == "IV":
+        return _cfg(
+            [("E1", -2, 0), ("E2", -2, 0), ("E3", -2, 0)],
+            [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
+            [("E1", "E2", "E3")],
+        )
+    if fiber_type == "I2":
+        return _cfg([("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2)])
+    if fiber_type.startswith("I") and fiber_type[1:].isdigit():
+        n = int(fiber_type[1:])
+        if n > MAX_COMPONENTS:
+            raise ValueError(f"fibre {fiber_type[:16]!r} has more than {MAX_COMPONENTS} components")
+        comps = [(f"E{i + 1}", -2, 0) for i in range(n)]
+        contacts = [(f"E{i + 1}", f"E{(i + 1) % n + 1}", 1) for i in range(n)]
+        return _cfg(comps, contacts)
+    raise ValueError(f"unsupported fibre type {fiber_type!r}")
+
+
+def blown_up_fiber(fiber_type: str, blow_ups: tuple[int, ...]) -> CurveConfiguration:
+    """Blow up a Kodaira fibre at smooth points, one count per component.
+
+    Builds the dual graphs of the exceptional catalog entries: each blow-up
+    at a smooth point of a component drops its self-intersection by one and
+    leaves every contact untouched.
+    """
+    base = _fiber_configuration(fiber_type)
+    if len(blow_ups) != len(base.components):
+        raise ValueError("one blow-up count per fibre component")
+    components = tuple(
+        Component(c.name, c.self_int - k, c.pa, c.sing)
+        for c, k in zip(base.components, blow_ups)
+    )
+    return CurveConfiguration(components, base.contacts, base.concurrent)
+
+
+# ---------------------------------------------------------------------------
 # Catalog of the exceptional unimodal double points plus A_n and T_{2,3,n}.
 # ---------------------------------------------------------------------------
 
@@ -314,110 +372,30 @@ class CatalogEntry(NamedTuple):
         return cycle.self_int, cycle.canonical_degree, cycle.pa
 
 
-def _cfg(
-    comps: list[tuple[str, int, int] | tuple[str, int, int, str]],
-    contacts: list[tuple[str, str, int] | tuple[str, str, int, bool]] = (),
-    concurrent: list[tuple[str, str, str]] = (),
-) -> CurveConfiguration:
-    components = tuple(Component(*c) for c in comps)
-    contact_records = tuple(Contact(*c) for c in contacts)
-    triples = tuple(frozenset(t) for t in concurrent)
-    return CurveConfiguration(components, contact_records, triples)
-
-
 def _an_chain(n: int) -> CurveConfiguration:
     comps = [(f"A{i + 1}", -2, 0) for i in range(n)]
     contacts = [(f"A{i + 1}", f"A{i + 2}", 1) for i in range(n - 1)]
     return _cfg(comps, contacts)
 
 
-EXCEPTIONAL_LABELS = ("E12", "E13", "E14", "Z11", "Z12", "Z13", "W12", "W13")
+# Each exceptional point's dual graph is a Kodaira fibre blown up at smooth
+# points: label -> (fibre, blow-ups per component, stated Z^2, stated K.Z,
+# normal form).  The stated Z^2 and K.Z are claims that `recomputed` checks.
+_EXCEPTIONAL = {
+    "E12": ("II", (1,), -1, 1, "z^3 + y^7 + a*y^5*z"),
+    "E13": ("III", (1, 0), -1, 1, "z^3 + y^5*z + a*y^8"),
+    "E14": ("IV", (1, 0, 0), -1, 1, "z^3 + y^8 + a*y^6*z"),
+    "Z11": ("II", (2,), -2, 2, "y*z^3 + y^5 + a*y^4*z"),
+    "Z12": ("III", (2, 0), -2, 2, "y*z^3 + y^4*z + a*y^3*z^2"),
+    "Z13": ("IV", (2, 0, 0), -2, 2, "y*z^3 + y^6 + a*y^5*z"),
+    "W12": ("III", (1, 1), -2, 2, "z^4 + y^5 + a*y^3*z^2"),
+    "W13": ("IV", (1, 1, 0), -2, 2, "z^4 + y^4*z + a*y^6"),
+}
+EXCEPTIONAL_LABELS = tuple(_EXCEPTIONAL)
 
-CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "E12",
-        _cfg([("E1", -1, 1, "cusp")]),
-        -1,
-        1,
-        "z^3 + y^7 + a*y^5*z",
-        kodaira_fiber="II",
-        blow_ups=(1,),
-    ),
-    CatalogEntry(
-        "E13",
-        _cfg([("E1", -3, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)]),
-        -1,
-        1,
-        "z^3 + y^5*z + a*y^8",
-        kodaira_fiber="III",
-        blow_ups=(1, 0),
-    ),
-    CatalogEntry(
-        "E14",
-        _cfg(
-            [("E1", -3, 0), ("E2", -2, 0), ("E3", -2, 0)],
-            [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
-            [("E1", "E2", "E3")],
-        ),
-        -1,
-        1,
-        "z^3 + y^8 + a*y^6*z",
-        kodaira_fiber="IV",
-        blow_ups=(1, 0, 0),
-    ),
-    CatalogEntry(
-        "Z11",
-        _cfg([("E1", -2, 1, "cusp")]),
-        -2,
-        2,
-        "y*z^3 + y^5 + a*y^4*z",
-        kodaira_fiber="II",
-        blow_ups=(2,),
-    ),
-    CatalogEntry(
-        "Z12",
-        _cfg([("E1", -4, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)]),
-        -2,
-        2,
-        "y*z^3 + y^4*z + a*y^3*z^2",
-        kodaira_fiber="III",
-        blow_ups=(2, 0),
-    ),
-    CatalogEntry(
-        "Z13",
-        _cfg(
-            [("E1", -4, 0), ("E2", -2, 0), ("E3", -2, 0)],
-            [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
-            [("E1", "E2", "E3")],
-        ),
-        -2,
-        2,
-        "y*z^3 + y^6 + a*y^5*z",
-        kodaira_fiber="IV",
-        blow_ups=(2, 0, 0),
-    ),
-    CatalogEntry(
-        "W12",
-        _cfg([("E1", -3, 0), ("E2", -3, 0)], [("E1", "E2", 2, True)]),
-        -2,
-        2,
-        "z^4 + y^5 + a*y^3*z^2",
-        kodaira_fiber="III",
-        blow_ups=(1, 1),
-    ),
-    CatalogEntry(
-        "W13",
-        _cfg(
-            [("E1", -3, 0), ("E2", -3, 0), ("E3", -2, 0)],
-            [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
-            [("E1", "E2", "E3")],
-        ),
-        -2,
-        2,
-        "z^4 + y^4*z + a*y^6",
-        kodaira_fiber="IV",
-        blow_ups=(1, 1, 0),
-    ),
+CATALOG: tuple[CatalogEntry, ...] = tuple(
+    CatalogEntry(label, blown_up_fiber(fiber, blow_ups), z2, kz, normal_form, fiber, blow_ups)
+    for label, (fiber, blow_ups, z2, kz, normal_form) in _EXCEPTIONAL.items()
 ) + tuple(
     CatalogEntry(f"A{n}", _an_chain(n), -2, 0, f"y^2 + z^{n + 1}") for n in range(1, 9)
 ) + (
@@ -513,7 +491,7 @@ def match_catalog(config: CurveConfiguration) -> CatalogEntry | None:
 
 
 # ---------------------------------------------------------------------------
-# Kodaira fibres (restricted list) and the Euler-number budget.
+# Kodaira fibre recognition (restricted list) and the Euler-number budget.
 # ---------------------------------------------------------------------------
 
 
@@ -570,47 +548,6 @@ def euler_budget(
         used += fiber_euler_number(multiple_fiber)
     remainder = total - used
     return BudgetVerdict(remainder >= 0, remainder)
-
-
-def blown_up_fiber(fiber_type: str, blow_ups: tuple[int, ...]) -> CurveConfiguration:
-    """Blow up a Kodaira fibre at smooth points, one count per component.
-
-    Reproduces the dual graphs of the catalog: each blow-up at a smooth point
-    of a component drops its self-intersection by one and leaves every contact
-    untouched.
-    """
-    base = _fiber_configuration(fiber_type)
-    if len(blow_ups) != len(base.components):
-        raise ValueError("one blow-up count per fibre component")
-    components = tuple(
-        Component(c.name, c.self_int - k, c.pa, c.sing)
-        for c, k in zip(base.components, blow_ups)
-    )
-    return CurveConfiguration(components, base.contacts, base.concurrent)
-
-
-def _fiber_configuration(fiber_type: str) -> CurveConfiguration:
-    one_component = {"I0": None, "I1": "node", "II": "cusp"}  # the singularity of E1
-    if fiber_type in one_component:
-        return _cfg([("E1", 0, 1, one_component[fiber_type])])
-    if fiber_type == "III":
-        return _cfg([("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)])
-    if fiber_type == "IV":
-        return _cfg(
-            [("E1", -2, 0), ("E2", -2, 0), ("E3", -2, 0)],
-            [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
-            [("E1", "E2", "E3")],
-        )
-    if fiber_type == "I2":
-        return _cfg([("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2)])
-    if fiber_type.startswith("I") and fiber_type[1:].isdigit():
-        n = int(fiber_type[1:])
-        if n > MAX_COMPONENTS:
-            raise ValueError(f"fibre {fiber_type[:16]!r} has more than {MAX_COMPONENTS} components")
-        comps = [(f"E{i + 1}", -2, 0) for i in range(n)]
-        contacts = [(f"E{i + 1}", f"E{(i + 1) % n + 1}", 1) for i in range(n)]
-        return _cfg(comps, contacts)
-    raise ValueError(f"unsupported fibre type {fiber_type!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .lattice import (
     track,
     untrack,
 )
-from .planecurves import Germ, ThreeThreeVerdict, detect_33_point, germ, germ_mul
+from .planecurves import ThreeThreeVerdict, detect_33_point, germ, germ_mul
 from .rationals import frac, rat_str
 from .sextics import FAMILIES, FamilyVerification, SexticFamily, family, verify_family
 
@@ -190,14 +190,9 @@ class EnSpec(NamedTuple):
     fiber_variant: str | None = None  # second-fibre shape for E13/E14
     config: CurveConfiguration | None = None  # declared exceptional configuration
     germ_checks: bool = True
-    branch_germ: tuple[Germ, tuple[Germ, Germ] | None] | None = None
 
 
-_EN_VARIANTS: dict[str, tuple[str, ...]] = {
-    "E12": (),
-    "E13": ("I2", "I3", "III", "IV"),
-    "E14": ("I3", "I4"),
-}
+_EN_TYPES = ("E12", "E13", "E14")
 
 
 class _Variant(NamedTuple):
@@ -218,13 +213,14 @@ _VARIANT_DATA = {
 
 def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     sing = spec.singularity
-    if sing not in _EN_VARIANTS:
+    if sing not in _EN_TYPES:
         raise ValueError(f"not an elliptic-route type: {sing!r}")
-    allowed = _EN_VARIANTS[sing]
+    variant = _VARIANT_DATA.get((sing, spec.fiber_variant))
     if sing == "E12":
         if spec.fiber_variant is not None:
             raise ValueError("E12 has no second-fibre variant")
-    elif spec.fiber_variant not in allowed:
+    elif variant is None:
+        allowed = tuple(v for s, v in _VARIANT_DATA if s == sing)
         raise ValueError(f"{sing} admits the variants {allowed}, not {spec.fiber_variant!r}")
     if spec.profile not in (6, 7):
         raise ValueError("the elliptic point profile is 6 or 7")
@@ -282,8 +278,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     )
 
     fiber_names: tuple[str, ...] = ()
-    if spec.fiber_variant is not None:
-        variant = _VARIANT_DATA[(sing, spec.fiber_variant)]
+    if variant is not None:
         if variant.ade == "A1":
             r_config = CurveConfiguration((Component("R1", -2, 0),))
             through = {"Cq": {"R1": 1}}
@@ -356,8 +351,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     )
 
     required = []
-    if spec.fiber_variant is not None:
-        variant = _VARIANT_DATA[(sing, spec.fiber_variant)]
+    if variant is not None:
         fiber = configuration_of(surface, fiber_names)
         second_fiber = CurveConfiguration(
             fiber.components,
@@ -392,10 +386,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     )
 
     exceptional_names = [c.name for c in declared.components if surface.has_curve(c.name)]
-    cycle_class = surface.zero()
-    for name in exceptional_names:
-        cycle_class = cycle_class + surface.curve_class(name)
-    pulled_canonical = surface.canonical + cycle_class
+    pulled_canonical = surface.canonical + _cycle_class(surface, exceptional_names)
     checks.expect(
         "canonical-plus-cycle-squared",
         surface.intersect(pulled_canonical, pulled_canonical),
@@ -409,6 +400,24 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         _germ_checks(checks, spec)
 
     return checks.result(f"{sing}" + (f"-{spec.fiber_variant}" if spec.fiber_variant else ""), (base, cover, model, surface, w))
+
+
+def _cycle_class(model: SurfaceModel, names: tuple[str, ...] | list[str]) -> DivisorClass:
+    """The sum of the classes of the named curves."""
+    cycle = model.zero()
+    for name in names:
+        cycle = cycle + model.curve_class(name)
+    return cycle
+
+
+def _check_catalog_match(checks: _Recorder, declared: CurveConfiguration, sing: str) -> None:
+    hit = match_catalog(declared)
+    checks.expect(
+        "catalog-match",
+        hit.label if hit else "none",
+        sing,
+        "the exceptional configuration is the declared catalog entry",
+    )
 
 
 def _check_contracted_model(
@@ -484,13 +493,7 @@ def _check_exceptional_configuration(
         "match",
         "pairwise intersection numbers of the exceptional components",
     )
-    hit = match_catalog(declared)
-    checks.expect(
-        "catalog-match",
-        hit.label if hit else "none",
-        sing,
-        "the exceptional configuration is the declared catalog entry",
-    )
+    _check_catalog_match(checks, declared, sing)
 
 
 def _check_adjunction(
@@ -584,22 +587,6 @@ def _germ_checks(checks: _Recorder, spec: EnSpec) -> None:
         f"A{expected_residual}",
         "A-type of the residual branch piece at the [3,3]-point",
     )
-    if spec.branch_germ is not None:
-        shape, decomposition = spec.branch_germ
-        verdict = detect_33_point(shape, decomposition=decomposition)
-        checks.expect(
-            "supplied-germ-33",
-            (verdict.is_33, verdict.profile),
-            (True, spec.profile),
-            "the supplied branch germ shows the declared [3,3]-profile",
-        )
-        if decomposition is not None:
-            checks.expect(
-                "supplied-germ-intersection",
-                verdict.local_intersection,
-                4,
-                "the supplied decomposition meets with local intersection four",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +627,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         [("G", {"G": 1})] + [(n, {n: 1}) for n in names],
     )
 
-    cycle = resolution.zero()
-    for name in names:
-        cycle = cycle + resolution.curve_class(name)
+    cycle = _cycle_class(resolution, names)
     checks.expect(
         "exceptional-cycle-squared",
         resolution.intersect(cycle, cycle),
@@ -664,13 +649,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     _check_adjunction(
         checks, resolution, declared, "declared genera satisfy adjunction against the computed canonical degrees"
     )
-    hit = match_catalog(declared)
-    checks.expect(
-        "catalog-match",
-        hit.label if hit else "none",
-        sing,
-        "the exceptional configuration is the declared catalog entry",
-    )
+    _check_catalog_match(checks, declared, sing)
     pulled = resolution.canonical + cycle
     checks.expect(
         "canonical-plus-cycle-squared",
@@ -698,9 +677,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     )
     checks.expect("blowdown-euler-characteristic", k3.chi, 2, "chi of the K3 carrier")
 
-    image_cycle = k3.zero()
-    for name in names:
-        image_cycle = image_cycle + k3.curve_class(name)
+    image_cycle = _cycle_class(k3, names)
     k3 = track(k3, "Ecycle", image_cycle.coeff_map(), irreducible=len(names) == 1)
     checks.expect(
         "pushed-cycle-squared",
@@ -728,21 +705,15 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     expected_ade = "none" if mark is None else f"A{mark[1]}"
     if ade_names:
         ade = contract(k3, ade_names, name=f"singular K3 model for {sing}")
-        checks.expect(
-            "ade-contraction",
-            ade.label,
-            expected_ade,
-            "rational double point produced by contracting the trivial part of the cycle",
-        )
-        barred = ade.model
+        ade_label, barred = ade.label, ade.model
     else:
-        checks.expect(
-            "ade-contraction",
-            "none",
-            expected_ade,
-            "rational double point produced by contracting the trivial part of the cycle",
-        )
-        barred = k3
+        ade_label, barred = "none", k3
+    checks.expect(
+        "ade-contraction",
+        ade_label,
+        expected_ade,
+        "rational double point produced by contracting the trivial part of the cycle",
+    )
     ebar = barred.curve_class("Ecycle")
     checks.expect(
         "model-cycle-squared",

@@ -514,9 +514,6 @@ class AnVerdict(NamedTuple):
     milnor: int | None = None
     reason: str | None = None
 
-    def is_a(self, n: int) -> bool:
-        return self.kind == "A" and self.n == n
-
 
 def an_type_at(g: Germ, candidate: int = 6) -> AnVerdict:
     """Classify the origin of a germ as smooth, A_n, or other (for a point of

@@ -2,12 +2,12 @@
 
 Every exact rank goes to :func:`integer_rank`, a fraction-free elimination
 of sparse integer rows after the denominators are cleared by
-:func:`integer_rows` (:func:`rank` scales each row and calls it); definite,
-semidefinite and the nullity go to the symmetric fraction-free elimination of
-:func:`negative_semidefinite_nullity`.  :func:`modular_rank` is the same
-sparse elimination over Z/p for one small prime p; its rank is only a lower
-bound for the rank over Q, so a caller uses it where a matching upper bound
-makes the value exact.  :func:`integer_reduce` is the fraction-free
+:func:`integer_rows` (:func:`rank` scales each row and calls it); negative
+definiteness is Sylvester's criterion on the pivots of a fraction-free
+(Bareiss) elimination in :func:`is_negative_definite`.  :func:`modular_rank`
+is the same sparse elimination over Z/p for one small prime p; its rank is
+only a lower bound for the rank over Q, so a caller uses it where a matching
+upper bound makes the value exact.  :func:`integer_reduce` is the fraction-free
 Gauss-Jordan elimination of integer rows that the lattice contraction takes
 its kernel vectors and Schur complements from; :func:`nullspace`,
 :func:`solve` and :func:`solve_in_span` read the reduced row echelon form
@@ -285,41 +285,29 @@ def integer_reduce(
 
 
 def is_negative_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Whether the symmetric matrix M has x.M.x < 0 for every x != 0."""
-    return negative_semidefinite_nullity(matrix) == 0
+    """Whether the symmetric matrix M has x.M.x < 0 for every x != 0.
 
-
-def negative_semidefinite_nullity(matrix: Sequence[Sequence[Fraction]]) -> int | None:
-    """The dimension of the radical of a negative semidefinite symmetric M;
-    None when some x has x.M.x > 0.
-
-    A fraction-free symmetric elimination of the integral -d*M on diagonal
-    pivots: a negative diagonal entry refutes, a positive one is eliminated
-    (Bareiss's exact division by the previous pivot, applied to rows and
-    columns alike), and when every remaining diagonal entry is 0 the rest
-    must vanish.  After pivots on the set S, the entry (i, j) is the minor of
-    -d*M on rows S+i and columns S+j, which is the last pivot (a positive
-    principal minor) times the entry of the Schur complement, so its sign is
-    the sign there.  The Schur complement then vanishes, so the rank is the
-    number of pivots and the nullity the number of rows left.
+    Sylvester's criterion on the integral -d*M: M is negative definite iff
+    every leading principal minor of -d*M is positive.  A fraction-free
+    elimination without row exchanges has these minors as its pivots: each
+    step updates the remaining block by Bareiss's exact division by the
+    previous pivot, after which its entry (i, j) is the minor of -d*M on the
+    leading rows and i, and the leading columns and j.  So the elimination
+    stops at the first pivot that is not positive.
     """
     a = [[-x for x in row] for row in integer_rows(matrix)[1]]
-    rest = list(range(len(a)))
+    n = len(a)
     previous = 1
-    while rest:
-        if any(a[i][i] < 0 for i in rest):
-            return None
-        k = next((i for i in rest if a[i][i] > 0), None)
-        if k is None:
-            return len(rest) if all(a[i][j] == 0 for i in rest for j in rest) else None
-        rest.remove(k)
+    for k in range(n):
         pivot, pivot_row = a[k][k], a[k]
-        for i in rest:
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
             row, factor = a[i], a[i][k]
-            for j in rest:
+            for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
         previous = pivot
-    return 0
+    return True
 
 
 # ---------------------------------------------------------------------------

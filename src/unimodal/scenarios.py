@@ -12,7 +12,6 @@ confirm a record or turn it into a failure.
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -60,7 +59,6 @@ from .rationals import rat_str
 
 SCHEMA_VERSION = "1"
 KINDS = ("pipeline", "config-check", "plane-check", "dims-check")
-CORPUS_ENV = "UNIMODAL_CORPUS"
 # An an-type candidate c caps the Milnor-number search of `an_type_at` at
 # b = 16c + 16.  At c = 8 a germ whose Milnor number lies beyond that cap (a
 # disguised A_200) exhausts the search in about a minute on a 2-core machine.
@@ -215,14 +213,12 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
     if construction == "en":
         config = config_from_json(payload["config"]) if "config" in payload else None
-        branch_germ = _parse_33_block(payload["branch_germ"]) if "branch_germ" in payload else None
         spec = EnSpec(
             singularity=_field(payload, "singularity", None, (str,), "a string"),
             profile=_field(payload, "profile", 6, (int,), "the integer 6 or 7"),
             fiber_variant=_field(payload, "fiber_variant", None, (str, type(None)), "a string or null"),
             config=config,
             germ_checks=_field(payload, "germ_checks", True, (bool,), "true or false"),
-            branch_germ=branch_germ,
         )
         return run_en_pipeline(spec)
     if construction == "zw":
@@ -405,9 +401,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 def corpus_dir(override: str | Path | None = None) -> Path:
     if override is not None:
         return Path(override)
-    env = os.environ.get(CORPUS_ENV)
-    if env:
-        return Path(env)
     return Path(resources.files("unimodal") / "corpus")
 
 

@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from unimodal.configurations import Component, Contact, CurveConfiguration, FundamentalCycle, _pairings
-from unimodal.pipelines import _EN_VARIANTS, CheckRecord
+from unimodal.pipelines import _VARIANT_DATA, CheckRecord
 from unimodal.planecurves import (
+    AnVerdict,
     ConditionSystem,
     Direction,
     Germ,
@@ -35,7 +36,7 @@ from unimodal.planecurves import (
     restrict_to_line,
     tjurina_number,
 )
-from unimodal.rationals import det, frac, integer_rank, negative_semidefinite_nullity, rat_str
+from unimodal.rationals import det, frac, integer_rank, rat_str
 from unimodal.scenarios import Report, ScenarioReport
 from unimodal.sextics import LINE, FamilyVerification, SexticFamily
 
@@ -83,11 +84,6 @@ def rank_by_minors(rows: Sequence[Sequence[Fraction]]) -> int:
                 if det([[rows[i][j] for j in csel] for i in rsel]) != 0:
                     return size
     return 0
-
-
-def is_negative_semidefinite(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Whether the symmetric matrix M has x.M.x <= 0 for every x."""
-    return negative_semidefinite_nullity(matrix) is not None
 
 
 def stabilizer_dim_by_minors(
@@ -428,6 +424,45 @@ def relabel(config: CurveConfiguration, mapping: dict[str, str]) -> CurveConfigu
     )
 
 
+def _config(comps, contacts=(), concurrent=()) -> CurveConfiguration:
+    return CurveConfiguration(
+        tuple(Component(*c) for c in comps),
+        tuple(Contact(*c) for c in contacts),
+        tuple(frozenset(t) for t in concurrent),
+    )
+
+
+# The exceptional dual graphs written out component by component: the oracle
+# for the catalog, which builds them from Kodaira fibres and blow-ups.
+HAND_EXCEPTIONAL = {
+    "E12": _config([("E1", -1, 1, "cusp")]),
+    "E13": _config([("E1", -3, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)]),
+    "E14": _config(
+        [("E1", -3, 0), ("E2", -2, 0), ("E3", -2, 0)],
+        [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
+        [("E1", "E2", "E3")],
+    ),
+    "Z11": _config([("E1", -2, 1, "cusp")]),
+    "Z12": _config([("E1", -4, 0), ("E2", -2, 0)], [("E1", "E2", 2, True)]),
+    "Z13": _config(
+        [("E1", -4, 0), ("E2", -2, 0), ("E3", -2, 0)],
+        [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
+        [("E1", "E2", "E3")],
+    ),
+    "W12": _config([("E1", -3, 0), ("E2", -3, 0)], [("E1", "E2", 2, True)]),
+    "W13": _config(
+        [("E1", -3, 0), ("E2", -3, 0), ("E3", -2, 0)],
+        [("E1", "E2", 1), ("E1", "E3", 1), ("E2", "E3", 1)],
+        [("E1", "E2", "E3")],
+    ),
+}
+
+
 def en_variants(singularity: str) -> tuple[str | None, ...]:
     """The second-fibre variants an elliptic-route type admits; (None,) for E12."""
-    return (None,) if singularity == "E12" else _EN_VARIANTS[singularity]
+    return (None,) if singularity == "E12" else tuple(v for s, v in _VARIANT_DATA if s == singularity)
+
+
+def is_a(verdict: AnVerdict, n: int) -> bool:
+    """Whether a verdict of `an_type_at` is A_n."""
+    return verdict.kind == "A" and verdict.n == n

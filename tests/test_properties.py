@@ -59,8 +59,6 @@ from unimodal.rationals import (
     integer_rows,
     is_negative_definite,
     modular_rank,
-    negative_semidefinite_nullity,
-    nullspace,
     rank,
     solve,
 )
@@ -70,7 +68,6 @@ from oracles import (
     en_variants,
     germ_of_by_expansion,
     intersection_by_blow_ups,
-    is_negative_semidefinite,
     jacobian_rows_all,
     rank_by_minors,
     row_reduce,
@@ -329,23 +326,13 @@ def test_tracked_integral_pairings_are_integral():
 
 
 # ---------------------------------------------------------------------------
-# Definiteness from one elimination, against the minor enumerations
+# Definiteness from one elimination, against the leading minors
 # ---------------------------------------------------------------------------
 
 
 def _negative_definite_by_minors(m):
     """Sylvester: the leading principal minors alternate in sign, starting negative."""
     return all((-1) ** (k + 1) * det([row[: k + 1] for row in m[: k + 1]]) > 0 for k in range(len(m)))
-
-
-def _negative_semidefinite_by_minors(m):
-    """Every principal minor of -M is nonnegative (2^n - 1 determinants)."""
-    n = len(m)
-    return all(
-        det([[-m[i][j] for j in sel] for i in sel]) >= 0
-        for size in range(1, n + 1)
-        for sel in combinations(range(n), size)
-    )
 
 
 @st.composite
@@ -375,16 +362,6 @@ def symmetric_matrices(draw):
 @settings(max_examples=400, derandomize=True)
 def test_definiteness_agrees_with_minor_enumeration(m):
     assert is_negative_definite(m) == _negative_definite_by_minors(m)
-    assert is_negative_semidefinite(m) == _negative_semidefinite_by_minors(m)
-
-
-@given(symmetric_matrices())
-@settings(max_examples=400, derandomize=True)
-def test_semidefinite_nullity_agrees_with_nullspace(m):
-    nullity = negative_semidefinite_nullity(m)
-    assert (nullity is not None) == _negative_semidefinite_by_minors(m)
-    if nullity is not None:
-        assert nullity == len(nullspace(m))
 
 
 @st.composite
@@ -447,14 +424,15 @@ def test_integer_reduction_of_a_definite_block_gives_its_schur_complement(m, k):
 
 
 def test_definiteness_on_long_chains_and_cycles():
-    # A_40 is negative definite; the 40-cycle (an I_40 fibre) is semidefinite, not definite
+    # A_40 is negative definite; the 40-cycle (an I_40 fibre) is not: its
+    # leading minors are those of A_39 up to the last, which is 0
     n = 40
     chain = [[Fraction(-2 if i == j else int(abs(i - j) == 1)) for j in range(n)] for i in range(n)]
     cycle = [[Fraction(-2 if i == j else int((i - j) % n in (1, n - 1))) for j in range(n)] for i in range(n)]
-    assert is_negative_definite(chain) and is_negative_semidefinite(chain)
-    assert not is_negative_definite(cycle) and is_negative_semidefinite(cycle)
-    cycle[0][0] += 1
-    assert not is_negative_semidefinite(cycle)
+    assert is_negative_definite(chain)
+    assert not is_negative_definite(cycle)
+    cycle[-1][-1] -= 1
+    assert is_negative_definite(cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -445,14 +445,15 @@ def test_cli_corpus_json(capsys):
 
 
 def test_cli_corpus_env_override(tmp_path, monkeypatch, capsys):
+    # UNIMODAL_CORPUS is no setting: only --dir overrides the corpus directory
     sub = tmp_path / "mini"
     sub.mkdir()
     (sub / "e12.scn").write_text((CORPUS / "e12.scn").read_text())
     monkeypatch.setenv("UNIMODAL_CORPUS", str(sub))
-    assert corpus_dir() == sub
+    assert corpus_dir() != sub
     assert main(["corpus", "--report=json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["scenarios"] == 1
+    assert payload["summary"]["scenarios"] == 27
 
 
 def test_cli_corpus_dir_flag(tmp_path, capsys):
