@@ -1,7 +1,8 @@
 """Exact plane-curve computations over the rationals.
 
 Homogeneous forms in three variables with rational coefficients, affine germs
-at rational points, multiplicity trees via chart-by-chart blow-up, A_n
+at rational points (each coefficient and coordinate an int where it is
+integral, `rationals.plain`), multiplicity trees via chart-by-chart blow-up, A_n
 detection through exact Milnor numbers, [3,3]-point recognition with the
 degree-one elliptic profile, restriction patterns along lines, linear systems
 with imposed conditions, and infinitesimal stabilizers of marked points and
@@ -21,6 +22,7 @@ kernels of `rationals`; sympy is loaded only by the
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 from .rationals import (
     MAX_COEFF_BITS,
+    MODULAR_PRIME,
     bivariate_gcd,
     bounded_rational,
     frac,
@@ -36,7 +39,7 @@ from .rationals import (
     integer_rows,
     irreducible_factors,
     modular_rank,
-    nullspace,
+    plain,
     poly_gcd,
     poly_value,
     rank,
@@ -77,7 +80,7 @@ Exponent = tuple[int, int, int]
 
 class _HomogeneousFormFields(NamedTuple):
     degree: int
-    terms: tuple[tuple[Exponent, Fraction], ...]  # sorted, nonzero coefficients
+    terms: tuple[tuple[Exponent, int | Fraction], ...]  # sorted, nonzero, `plain`
 
 
 class HomogeneousForm(_HomogeneousFormFields):
@@ -94,14 +97,14 @@ class HomogeneousForm(_HomogeneousFormFields):
 
     @staticmethod
     def from_dict(degree: int, coeffs: dict[Exponent, int | str | Fraction]) -> "HomogeneousForm":
-        cleaned = {e: c for e, c in zip(coeffs, map(frac, coeffs.values())) if c}
+        cleaned = {e: c for e, c in zip(coeffs, map(plain, coeffs.values())) if c}
         return HomogeneousForm(degree, tuple(sorted(cleaned.items())))
 
-    def coeff(self, exponent: Exponent) -> Fraction:
+    def coeff(self, exponent: Exponent) -> int | Fraction:
         for e, c in self.terms:
             if e == exponent:
                 return c
-        return frac(0)
+        return 0
 
     @property
     def is_zero(self) -> bool:
@@ -112,38 +115,36 @@ class HomogeneousForm(_HomogeneousFormFields):
             raise ValueError("cannot add forms of different degrees")
         out = dict(self.terms)
         for e, c in other.terms:
-            out[e] = out.get(e, frac(0)) + c
+            out[e] = out.get(e, 0) + c
         return HomogeneousForm.from_dict(max(self.degree, other.degree), out)
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         return self + (-1) * other
 
     def __rmul__(self, scalar: int | Fraction) -> "HomogeneousForm":
-        s = frac(scalar)
+        s = plain(scalar)
         return HomogeneousForm.from_dict(self.degree, {e: s * c for e, c in self.terms})
 
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         out: dict[Exponent, int | Fraction] = {}
-        theirs = [(e, _plain(y)) for e, y in other.terms]
         for (a, b, c), x in self.terms:
-            x = _plain(x)
-            for (d, e, f), y in theirs:
+            for (d, e, f), y in other.terms:
                 key = (a + d, b + e, c + f)
                 out[key] = out.get(key, 0) + x * y
         return HomogeneousForm.from_dict(self.degree + other.degree, out)
 
-    def evaluate(self, point: "MarkedPoint") -> Fraction:
+    def evaluate(self, point: "MarkedPoint") -> int | Fraction:
         x, y, z = point.coords
         return sum(c * x**i * y**j * z**k for (i, j, k), c in self.terms)
 
     def partial(self, var: int) -> "HomogeneousForm":
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for e, c in self.terms:
             if e[var] == 0:
                 continue
             new = list(e)
             new[var] -= 1
-            out[tuple(new)] = out.get(tuple(new), frac(0)) + c * e[var]
+            out[tuple(new)] = out.get(tuple(new), 0) + c * e[var]
         return HomogeneousForm.from_dict(max(self.degree - 1, 0), out)
 
 
@@ -156,7 +157,7 @@ def linear_form(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> Homo
 
 
 class _MarkedPointFields(NamedTuple):
-    coords: tuple[Fraction, Fraction, Fraction]
+    coords: tuple[int | Fraction, int | Fraction, int | Fraction]  # each `plain`
 
 
 class MarkedPoint(_MarkedPointFields):
@@ -173,11 +174,13 @@ class MarkedPoint(_MarkedPointFields):
 
     @staticmethod
     def of(x: int | str | Fraction, y: int | str | Fraction, z: int | str | Fraction) -> "MarkedPoint":
-        coords = (frac(x), frac(y), frac(z))
+        coords = (plain(x), plain(y), plain(z))
         pivot = next((c for c in coords if c != 0), None)
         if pivot is None:
             raise ValueError("a projective point needs a nonzero coordinate")
-        return MarkedPoint(tuple(c / pivot for c in coords))
+        if pivot != 1:
+            coords = tuple(plain(Fraction(c) / pivot) for c in coords)
+        return MarkedPoint(coords)
 
     def __str__(self) -> str:
         return "[" + ":".join(rat_str(c) for c in self.coords) + "]"
@@ -225,11 +228,11 @@ def form_from_json(data: dict) -> HomogeneousForm:
 # Affine germs
 # ---------------------------------------------------------------------------
 
-Germ = dict[tuple[int, int], Fraction]
+Germ = dict[tuple[int, int], int | Fraction]
 
 
 def germ(terms: dict[tuple[int, int], int | str | Fraction]) -> Germ:
-    return {e: frac(c) for e, c in terms.items() if frac(c) != 0}
+    return {e: c for e, c in zip(terms, map(plain, terms.values())) if c}
 
 
 def germ_of(form: HomogeneousForm, point: MarkedPoint) -> Germ:
@@ -251,19 +254,19 @@ def _chart_axes(point: MarkedPoint) -> tuple[int, int]:
     return u, v
 
 
-def _translate(g: Germ, shift: tuple[Fraction, Fraction]) -> Germ:
+def _translate(g: Germ, shift: tuple[int | Fraction, int | Fraction]) -> Germ:
     """The germ g(u + s, v + t) for ``shift = (s, t)``, zero terms dropped.
 
     The germ is scaled once to integer numerators over one denominator
     (`rationals.integer_rows`) and shifted one variable at a time; only the
-    result is turned back into Fractions, one per term.
+    result is divided back, a term an int where the denominator divides it.
     """
     den, (numerators,) = integer_rows([list(g.values())])
     terms = dict(zip(g, numerators))
     for var, value in enumerate(shift):
         terms, scale = _shift(terms, var, value.numerator, value.denominator)
         den *= scale
-    return {e: Fraction(c, den) for e, c in terms.items() if c}
+    return {e: c // den if c % den == 0 else Fraction(c, den) for e, c in terms.items() if c}
 
 
 def _shift(
@@ -307,8 +310,8 @@ def germ_multiplicity(g: Germ) -> int:
     return min(a + b for a, b in g)
 
 
-def germ_evaluate_origin(g: Germ) -> Fraction:
-    return g.get((0, 0), frac(0))
+def germ_evaluate_origin(g: Germ) -> int | Fraction:
+    return g.get((0, 0), 0)
 
 
 def _germ_partial(g: Germ, var: int) -> Germ:
@@ -318,7 +321,7 @@ def _germ_partial(g: Germ, var: int) -> Germ:
         if e == 0:
             continue
         key = (a - 1, b) if var == 0 else (a, b - 1)
-        out[key] = out.get(key, frac(0)) + c * e
+        out[key] = out.get(key, 0) + c * e
     return out
 
 
@@ -327,7 +330,7 @@ def germ_mul(f: Germ, g: Germ) -> Germ:
     for (a, b), x in f.items():
         for (c, d), y in g.items():
             key = (a + c, b + d)
-            out[key] = out.get(key, frac(0)) + x * y
+            out[key] = out.get(key, 0) + x * y
     return {e: c for e, c in out.items() if c != 0}
 
 
@@ -384,11 +387,11 @@ def _blow_up_at_direction(g: Germ, direction: Direction) -> Germ:
         out: Germ = {}
         for (a, b), c in g.items():
             key = (a + b - m, b)
-            out[key] = out.get(key, frac(0)) + c
+            out[key] = out.get(key, 0) + c
         return {e: c for e, c in out.items() if c != 0}
     if direction.degree != 1:
         raise UndecidableOverQ("cannot follow an irrational tangent direction")
-    return _translate({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, frac(0)))
+    return _translate({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, 0))
 
 
 class GermNode(NamedTuple):
@@ -542,9 +545,9 @@ def an_type_at(g: Germ, candidate: int = 6) -> AnVerdict:
         return AnVerdict("other", None, m, reason="non-isolated singular point")
 
     quad = {e: c for e, c in g.items() if e[0] + e[1] == 2}
-    a = quad.get((2, 0), frac(0))
-    b = quad.get((1, 1), frac(0))
-    c = quad.get((0, 2), frac(0))
+    a = quad.get((2, 0), 0)
+    b = quad.get((1, 1), 0)
+    c = quad.get((0, 2), 0)
     disc = b * b - 4 * a * c
     corank = 0 if disc != 0 else 1
 
@@ -640,15 +643,21 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
     the default 0 this is h(k) = 0, a smooth curve.  Any exact h(k) <
     at_least at k >= at_least - 1 contradicts the bound and raises ValueError.
 
-    That one rank is first taken mod the prime p of `rationals.modular_rank`.
-    A nonzero minor mod p is a nonzero integer minor, so rank_p <= rank_Q and
-    h_p(k) >= h(k) >= at_least; h_p(k) = at_least <= k is then exact.
-    Otherwise the exact ranks run as above, from the same rows.
+    The first rank, at k = start, is taken mod the prime p of
+    `rationals.modular_rank`, on rows built from the partials reduced mod p
+    once.  A nonzero minor mod p is a nonzero integer minor, so
+    rank_p <= rank_Q and h_p(k) >= h(k) >= at_least; h_p(k) = at_least <= k
+    is then exact.  Otherwise exact rows are built from the integer partials,
+    from degree k + 1 on, and h_p(k) stands in for h(k) in the first pair:
+    h(k) <= h_p(k) = h(k+1) <= k and Macaulay's bound h(k+1) <= h(k) make it
+    an equal pair.
 
     The rows are those of `_jacobian_rows`, which leaves out the Koszul rows
     m g_j whose multiplier m is divisible by the leading monomial L_i of an
     earlier generator g_i = c_i L_i + (terms after L_i in lex order), i < j.
-    Both ranks stay right.  The kept rows are a subset of all rows, so
+    The reduced partials keep every exponent of the integer ones, zero
+    coefficients too, so both leave out the same rows, and both ranks stay
+    right.  The kept rows are a subset of all rows, so
     rank_p(kept) <= rank_Q(all) and h_p(k) >= h(k) still holds.  Over Q a
     dropped row lies in the span of the kept ones: for m = m' L_i,
     c_i m g_j = (m' g_j) g_i - (g_i - c_i L_i) m' g_j, where the first part
@@ -667,6 +676,7 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
         raise ValueError("a plane curve needs a nonzero form of positive degree")
     generators = [_integer_terms(dict(form.partial(v).terms)) for v in range(3)]
     generators = [g for g in generators if g]
+    reduced = [{e: c % MODULAR_PRIME for e, c in g.items()} for g in generators]
 
     def checked(dim: int, k: int) -> int:
         """h(k) = dim, refused when below the bound in a degree k >= at_least - 1."""
@@ -676,12 +686,10 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
 
     start = max(3 * (d - 2) + 1, d - 1)
     cap = max((d - 1) ** 2 + 3 * (d - 2), start + 1)
-    ncols, rows = _jacobian_rows(generators, d - 1, start)
-    if at_least <= start and ncols - modular_rank(rows) == at_least:
-        return at_least  # h_p(start) >= h(start) >= at_least, so h(start) = at_least
-    dim = checked(ncols - integer_rank(rows), start)
+    ncols, rows = _jacobian_rows(reduced, d - 1, start)
+    dim = checked(ncols - modular_rank(rows), start)  # h_p(start) >= h(start)
     for k in range(start, cap):
-        if dim == at_least <= k:
+        if dim == at_least <= k:  # at start, h_p(start) >= h(start) >= at_least
             return dim
         ncols, rows = _jacobian_rows(generators, d - 1, k + 1)
         previous, dim = dim, checked(ncols - integer_rank(rows), k + 1)
@@ -840,7 +848,7 @@ def restrict_to_line(
     return RestrictionPattern(False, tuple(orders), form.degree - sum(orders))
 
 
-def _line_coefficients(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fraction]:
+def _line_coefficients(line: HomogeneousForm) -> tuple[int | Fraction, ...]:
     """(l_x, l_y, l_z) of a line l, refused when all three are zero."""
     ell = (line.coeff((1, 0, 0)), line.coeff((0, 1, 0)), line.coeff((0, 0, 1)))
     if not any(ell):
@@ -848,26 +856,21 @@ def _line_coefficients(line: HomogeneousForm) -> tuple[Fraction, Fraction, Fract
     return ell
 
 
-def _plain(x: Fraction) -> int | Fraction:
-    """x as an int when it is one, for the much faster int arithmetic."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _line_direction(line: HomogeneousForm, point: MarkedPoint) -> tuple[Fraction, Fraction]:
+def _line_direction(line: HomogeneousForm, point: MarkedPoint) -> tuple[int | Fraction, ...]:
     """(alpha, beta) = (l_v, -l_u) at a point of the line: in the point's chart
     (u, v) the line l = 0 is l_u u + l_v v = 0, through the origin in this direction."""
     ell = _line_coefficients(line)
     if line.evaluate(point) != 0:
         raise ValueError("point must lie on the line")
     u, v = _chart_axes(point)
-    return _plain(ell[v]), _plain(-ell[u])
+    return ell[v], -ell[u]
 
 
-def _line_values(g: Germ, direction: tuple[Fraction, Fraction]) -> dict[int, Fraction]:
+def _line_values(g: Germ, direction: tuple[int | Fraction, ...]) -> dict[int, int | Fraction]:
     """k -> g_k(alpha, beta), g_k the degree-k part of the germ g at a point of a
     line with direction (alpha, beta) there: the restriction is sum_k g_k(alpha, beta) t^k."""
     alpha, beta = direction
-    values: dict[int, Fraction] = {}
+    values: dict[int, int | Fraction] = {}
     for (a, b), c in g.items():
         values[a + b] = values.get(a + b, 0) + c * alpha**a * beta**b
     return values
@@ -885,15 +888,17 @@ def _line_order(form: HomogeneousForm, line: HomogeneousForm, point: MarkedPoint
 # ---------------------------------------------------------------------------
 
 
-def monomial_basis(degree: int) -> list[Exponent]:
-    return [
+@functools.cache
+def monomial_basis(degree: int) -> tuple[Exponent, ...]:
+    """The (d+1)(d+2)/2 exponents of degree d, x-heavy first; built once per degree."""
+    return tuple(
         (i, j, degree - i - j) for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)
-    ]
+    )
 
 
 class _ConditionSystemFields(NamedTuple):
     degree: int
-    rows: tuple[tuple[Fraction, ...], ...] = ()  # one functional per row, over monomial_basis
+    rows: tuple[tuple[int | Fraction, ...], ...] = ()  # one functional per row, over monomial_basis
 
 
 class ConditionSystem(_ConditionSystemFields):
@@ -901,7 +906,7 @@ class ConditionSystem(_ConditionSystemFields):
 
     def __new__(cls, *fields, **named) -> "ConditionSystem":
         self = super().__new__(cls, *fields, **named)
-        expected = len(monomial_basis(self.degree))
+        expected = (self.degree + 1) * (self.degree + 2) // 2
         if any(len(row) != expected for row in self.rows):
             raise ValueError(f"a condition row for degree {self.degree} needs {expected} entries")
         return self
@@ -925,7 +930,7 @@ def _monomial_germs(degree: int, point: MarkedPoint, below: int) -> list[Germ]:
     int when s and t are integers.
     """
 
-    def powers(x: Fraction) -> list[list[tuple[int, Fraction]]]:
+    def powers(x: int | Fraction) -> list[list[tuple[int, int | Fraction]]]:
         """For a = 0..degree the nonzero terms (i, C(a, i) x^(a - i)) of (w + x)^a, i < below."""
         return [
             [(i, math.comb(a, i) * x ** (a - i)) for i in range(min(a, below - 1) + 1) if x or i == a]
@@ -933,7 +938,7 @@ def _monomial_germs(degree: int, point: MarkedPoint, below: int) -> list[Germ]:
         ]
 
     u, v = _chart_axes(point)
-    us, vs = powers(_plain(point.coords[u])), powers(_plain(point.coords[v]))
+    us, vs = powers(point.coords[u]), powers(point.coords[v])
     return [
         {(i, j): c * d for i, c in us[mono[u]] for j, d in vs[mono[v]] if i + j < below}
         for mono in monomial_basis(degree)
@@ -1017,18 +1022,27 @@ def orbit_dim_count(conditions: ConditionSystem, continuous_params: int = 0, sta
 def _stabilizer_rows(
     points: tuple[MarkedPoint, ...],
     lines: tuple[HomogeneousForm, ...],
-) -> list[list[Fraction]]:
-    """The functionals A -> u^T A p on the traceless matrices A.
+) -> list[list[int]]:
+    """The functionals A -> u^T A p on the traceless matrices A, on integers.
 
-    A point p gives one pair (u, p) for each u of a basis of the u with
-    u.p = 0, a line l the pairs (l, v) with l.v = 0.  The basis of the
+    A point p, scaled to integer coordinates, gives the pairs (u, p) for the
+    nonzero cross products u = e_i x p, which span the u with u.p = 0; a line
+    l, scaled alike, the pairs (l, v) for v = e_i x l.  The basis of the
     traceless matrices is E11 - E22, E22 - E33, then Eij for i != j, so each
     row is u1 p1 - u2 p2, u2 p2 - u3 p3, then ui pj.
     """
-    pairs = [(u, p.coords) for p in points for u in nullspace([list(p.coords)], 3)]
+
+    def crossed(w: list[int]) -> list[tuple[int, int, int]]:
+        a, b, c = w
+        return [u for u in ((0, -c, b), (c, 0, -a), (-b, a, 0)) if any(u)]
+
+    pairs = []
+    for point in points:
+        p = integer_rows([point.coords])[1][0]
+        pairs += [(u, p) for u in crossed(p)]
     for line in lines:
-        ell = list(_line_coefficients(line))
-        pairs += [(ell, v) for v in nullspace([ell], 3)]
+        ell = integer_rows([_line_coefficients(line)])[1][0]
+        pairs += [(ell, v) for v in crossed(ell)]
     return [
         [u[0] * p[0] - u[1] * p[1], u[1] * p[1] - u[2] * p[2]]
         + [u[i] * p[j] for i in range(3) for j in range(3) if i != j]
@@ -1043,8 +1057,8 @@ def stabilizer_dim(
     """Dimension of the projectivity stabilizer of marked points and lines.
 
     Computed on the eight-dimensional traceless Lie algebra: each point
-    contributes the two functionals forcing its image into its own direction,
-    each line the dual pair; the answer is 8 minus the rank.
+    contributes functionals of rank two forcing its image into its own
+    direction, each line the dual ones; the answer is 8 minus the rank.
     """
     return 8 - rank(_stabilizer_rows(points, lines))
 

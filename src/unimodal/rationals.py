@@ -12,11 +12,12 @@ Gauss-Jordan elimination of integer rows that the lattice contraction takes
 its kernel vectors and Schur complements from; :func:`nullspace`,
 :func:`solve` and :func:`solve_in_span` read the reduced row echelon form
 off it.  :func:`det` is an independent oracle for the tests;
-:func:`solve_in_span` has no caller in the engine either, and both stay
-because the benchmark's tracer (``bench/tracing.py``) wraps them by name.  A bounded
-reader for rationals from input follows.  Floating point never appears;
-every result is exact.  Matrices are plain lists of lists (rows) of
-``Fraction``.
+:func:`nullspace` and :func:`solve_in_span` have no caller in the engine
+either, and all three stay because the benchmark's tracer
+(``bench/tracing.py``) wraps them by name.  A bounded reader for rationals
+from input follows.  Floating point never appears; every result is exact.
+Matrices are plain lists of lists (rows) of exact rationals: an ``int``
+where the value is integral (:func:`plain`), else a ``Fraction``.
 
 The last section holds the integer-polynomial kernels of the plane-curve
 layer: gcds (a modular test, then the primitive PRS), Yun's squarefree
@@ -53,6 +54,18 @@ def frac(value: int | str | Fraction) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def plain(value: int | str | Fraction) -> int | Fraction:
+    """The rational :func:`frac` reads, stored as an int when it is one.
+
+    An int and the equal Fraction compare and hash the same, and
+    :func:`rat_str` prints them alike, while int arithmetic is much faster.
+    """
+    if type(value) is int:
+        return value
+    value = frac(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def rat_str(value: Fraction | int) -> str:
@@ -135,29 +148,35 @@ def modular_rank(rows: Iterable[dict[int, int]]) -> int:
     (column -> entry).
 
     The elimination of :func:`integer_rank` over the field: a row is reduced
-    against the pivot row of its first column, and a new pivot row is scaled
-    to a pivot of 1.  A minor that is nonzero mod p is a nonzero integer
+    against the pivot row of its first column that is nonzero mod p.  Each
+    pivot row is kept as it came, beside the inverse of its pivot, so no
+    entry is reduced before an update touches it; rows already reduced mod p
+    stay below p.  A minor that is nonzero mod p is a nonzero integer
     minor, so the result is at most the rank over Q; it is exact only where
     the caller has a matching upper bound.
     """
     p = MODULAR_PRIME
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
     for row in rows:
-        row = {k: v % p for k, v in row.items() if v % p}
+        row = dict(row)
         while row:
             col = min(row)
-            pivot_row = pivots.get(col)
-            if pivot_row is None:
-                inverse = pow(row[col], -1, p)
-                pivots[col] = {k: v * inverse % p for k, v in row.items()}
+            lead = row[col] % p
+            if not lead:
+                del row[col]
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = (row, pow(lead, -1, p))
                 break
-            factor = row[col]
+            pivot_row, inverse = pivot
+            factor = lead * inverse % p
             for k, v in pivot_row.items():
                 new = (row.get(k, 0) - factor * v) % p
                 if new:
                     row[k] = new
                 else:
-                    del row[k]
+                    row.pop(k, None)
     return len(pivots)
 
 

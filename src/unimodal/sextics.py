@@ -47,7 +47,6 @@ from .planecurves import (
     tangent_cone_conditions,
     tjurina_number,
 )
-from .rationals import frac
 
 LINE = linear_form(0, 0, 1)  # the distinguished line z = 0
 
@@ -102,17 +101,17 @@ class SexticFamily(NamedTuple):
         return (v for v in itertools.count(2) if self.points_distinct(v))
 
     @property
-    def lambda_0(self) -> Fraction:
+    def lambda_0(self) -> int:
         """The one value at which the family is specialized: the first of
         `lambdas` (0 without lambda)."""
-        return frac(next(self.lambdas()) if self.parametrized else 0)
+        return next(self.lambdas()) if self.parametrized else 0
 
     def representative(self, lam: Fraction | int) -> HomogeneousForm:
         """P + z f5, with the quintic f5 of the family's mark kind."""
         return self.base(lam) + LINE * _QUINTICS[self.singular_mark[1] if self.singular_mark else 0]
 
     def conditions(
-        self, lam: Fraction, mark: tuple[ConditionSystem, ConditionSystem] | None = None
+        self, lam: Fraction | int, mark: tuple[ConditionSystem, ConditionSystem] | None = None
     ) -> tuple[ConditionSystem, ConditionSystem]:
         """The stated family's conditions on sextics at lam, and the rows its mark
         imposes beyond them (none unless `stated_mark_n` is set).
@@ -244,7 +243,8 @@ def verify_family(fam: SexticFamily) -> FamilyVerification:
     h(k+1) <= h(k), hence h(k+1) = h(k), and Gotzmann's persistence theorem
     (Math. Z. 158, 1978) certifies the total n from that single rank.  The
     rank is taken mod a small prime, and a rank mod p is at most the rank
-    over Q, so n <= h(k) <= h_p(k): h_p(k) = n is exact.  On every
+    over Q, so n <= h(k) <= h_p(k): h_p(k) = n is exact.  Its rows are
+    built from the partials of F reduced mod p once.  On every
     representative this one modular rank certifies at the first degree
     3(d-2) + 1.
 

@@ -26,7 +26,7 @@ from unimodal.planecurves import (
     _blow_up_at_direction,
     _directions,
     _integer_terms,
-    _stabilizer_rows,
+    _line_coefficients,
     an_type_at,
     germ_multiplicity,
     germ_of,
@@ -90,8 +90,62 @@ def stabilizer_dim_by_minors(
     points: tuple[MarkedPoint, ...] = (),
     lines: tuple[HomogeneousForm, ...] = (),
 ) -> int:
-    """`planecurves.stabilizer_dim` with the rank by minor enumeration."""
-    return 8 - rank_by_minors(_stabilizer_rows(points, lines))
+    """`planecurves.stabilizer_dim` from its definition, with the rank by minors.
+
+    The rows are the functionals A -> u^T A p, evaluated on the eight matrices
+    E11 - E22, E22 - E33 and Eij (i != j), for (u, p) a point p and a basis
+    e_j - (p_j / p_i) e_i of the u with u.p = 0, or a line l and a basis of
+    the v with l.v = 0.  Duplicate rows are dropped.  The rank is found by
+    bordering minors: a nonzero minor none of whose bordered minors is nonzero
+    gives the rank (Kronecker), which keeps tall matrices of low rank cheap.
+    """
+
+    def unit(i: int, j: int) -> list[list[Fraction]]:
+        return [[Fraction(int((a, b) == (i, j))) for b in range(3)] for a in range(3)]
+
+    def minus(m: list[list[Fraction]], n: list[list[Fraction]]) -> list[list[Fraction]]:
+        return [[x - y for x, y in zip(r, s)] for r, s in zip(m, n)]
+
+    basis = [minus(unit(0, 0), unit(1, 1)), minus(unit(1, 1), unit(2, 2))]
+    basis += [unit(i, j) for i in range(3) for j in range(3) if i != j]
+    pairs = [(u, list(p.coords)) for p in points for u in _perpendicular(p.coords)]
+    for line in lines:
+        ell = list(_line_coefficients(line))
+        pairs += [(ell, v) for v in _perpendicular(ell)]
+    rows = []
+    for u, p in pairs:
+        row = [sum(u[a] * m[a][b] * p[b] for a in range(3) for b in range(3)) for m in basis]
+        if row not in rows:
+            rows.append(row)
+    rsel: list[int] = []
+    csel: list[int] = []
+    while True:
+        border = next(
+            (
+                (i, j)
+                for i in range(len(rows))
+                if i not in rsel
+                for j in range(8)
+                if j not in csel and det([[rows[a][b] for b in csel + [j]] for a in rsel + [i]]) != 0
+            ),
+            None,
+        )
+        if border is None:
+            return 8 - len(rsel)
+        rsel.append(border[0])
+        csel.append(border[1])
+
+
+def _perpendicular(w: Sequence[Fraction]) -> list[list[Fraction]]:
+    """The basis e_j - (w_j / w_i) e_i, j != i, of the u with u.w = 0, w_i the
+    first nonzero coordinate."""
+    i = next(k for k, x in enumerate(w) if x != 0)
+    out = []
+    for j in (j for j in range(3) if j != i):
+        u = [Fraction(0)] * 3
+        u[j], u[i] = Fraction(1), -Fraction(w[j]) / w[i]
+        out.append(u)
+    return out
 
 
 # The branch families counted the old way: quintic parts f5 of base + z * f5

@@ -11,6 +11,8 @@ from unimodal.planecurves import (
     GermNode,
     HomogeneousForm,
     MarkedPoint,
+    _integer_terms,
+    _jacobian_rows,
     an_type_at,
     detect_33_point,
     form_from_json,
@@ -33,7 +35,14 @@ from unimodal.planecurves import (
 )
 from unimodal.rationals import MODULAR_PRIME, integer_rank, nullspace
 
-from oracles import exclusion_system, form_to_json, is_a, stabilizer_dim_by_minors, substitute_linear
+from oracles import (
+    exclusion_system,
+    form_to_json,
+    is_a,
+    stabilizer_dim_by_minors,
+    substitute_linear,
+    tjurina_number_exact,
+)
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -857,6 +866,46 @@ def test_tjurina_falls_back_to_exact_ranks_when_the_prime_drops_one(monkeypatch)
     # F_z = 6p z^5 vanishes mod p, so h_p is positive in every degree
     curve = monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6, MODULAR_PRIME)
     assert tjurina_number(curve) == 0 and len(exact) == 1
+
+
+def _recording_jacobian_rows(monkeypatch) -> list[tuple[int, list[dict[int, int]]]]:
+    import unimodal.planecurves as planecurves
+
+    built = []
+
+    def recording(generators, degree, k):
+        ncols, rows = _jacobian_rows(generators, degree, k)
+        built.append((k, rows))
+        return ncols, rows
+
+    monkeypatch.setattr(planecurves, "_jacobian_rows", recording)
+    return built
+
+
+def test_tjurina_rows_mod_p_leave_out_the_koszul_rows_of_the_integer_partials(monkeypatch):
+    built = _recording_jacobian_rows(monkeypatch)
+    # F_x = 6x^5 + p y^5: its leading term y^5 (the lex-smallest exponent) vanishes mod p,
+    # its other term does not
+    curve = monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6) + monomial(1, 5, 0, MODULAR_PRIME)
+    partials = [_integer_terms(dict(curve.partial(v).terms)) for v in range(3)]
+    assert partials[0] == {(5, 0, 0): 6, (0, 5, 0): MODULAR_PRIME} and min(partials[0]) == (0, 5, 0)
+    assert tjurina_number(curve) == tjurina_number_exact(curve) == 0
+    # the modular rows are the integer rows reduced mod p, so the rows y^5 m F_y are left out
+    # as over Q; mod p they are not in the span of the kept rows, h_p(13) > 0, and the exact
+    # rank at 14 certifies
+    _, integer = _jacobian_rows(partials, 5, 13)
+    assert [k for k, _ in built] == [13, 14]
+    assert built[0][1] == [{col: v % MODULAR_PRIME for col, v in row.items()} for row in integer]
+
+
+def test_tjurina_fallback_pairs_h_p_with_the_next_exact_value_only_when_equal(monkeypatch):
+    built = _recording_jacobian_rows(monkeypatch)
+    # four general lines (six nodes) plus p z^4, which smooths the three nodes off z = 0:
+    # h_p(7) = 6, then h(8) = h(9) = 3
+    curve = linear_form(1, 0, 0) * linear_form(0, 1, 0) * linear_form(0, 0, 1) * linear_form(1, 1, 1)
+    curve = curve + monomial(0, 0, 4, MODULAR_PRIME)
+    assert tjurina_number(curve) == tjurina_number_exact(curve) == 3
+    assert [k for k, _ in built] == [7, 8, 9]
 
 
 def test_tjurina_number_sees_irrational_nodes():

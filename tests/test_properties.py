@@ -44,9 +44,11 @@ from unimodal.planecurves import (
     germ,
     germ_mul,
     germ_of,
+    linear_form,
     local_intersection,
     monomial,
     monomial_basis,
+    stabilizer_dim,
     tjurina_number,
 )
 from unimodal.rationals import (
@@ -71,6 +73,7 @@ from oracles import (
     jacobian_rows_all,
     rank_by_minors,
     row_reduce,
+    stabilizer_dim_by_minors,
     tjurina_number_exact,
 )
 
@@ -549,6 +552,43 @@ def test_koszul_rows_of_the_fermat_sextic():
 
 
 # ---------------------------------------------------------------------------
+# Stabilizers of marked points and lines, against the definition and minors
+# ---------------------------------------------------------------------------
+
+small_rationals = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+nonzero_triples = st.tuples(small_rationals, small_rationals, small_rationals).filter(any)
+
+
+@st.composite
+def markings(draw):
+    """Up to four points and two lines: free points, coordinate points,
+    repeated points and points on a drawn line (l x w for a drawn w)."""
+    triples = draw(st.lists(nonzero_triples, max_size=2))
+    points = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["free", "coordinate", "repeated", "on a line"]))
+        if kind == "repeated" and points:
+            points.append(draw(st.sampled_from(points)))
+            continue
+        coords = draw(nonzero_triples)
+        if kind == "coordinate":
+            coords = draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        elif kind == "on a line" and triples:
+            (a, b, c), (x, y, z) = draw(st.sampled_from(triples)), coords
+            coords = (b * z - c * y, c * x - a * z, a * y - b * x)
+            assume(any(coords))
+        points.append(MarkedPoint.of(*coords))
+    return tuple(points), tuple(linear_form(*t) for t in triples)
+
+
+@given(markings())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_stabilizer_dim_agrees_with_the_definition_by_minors(case):
+    points, lines = case
+    assert stabilizer_dim(points, lines) == stabilizer_dim_by_minors(points, lines)
+
+
+# ---------------------------------------------------------------------------
 # Germ translation, against the term-by-term Fraction expansion
 # ---------------------------------------------------------------------------
 
@@ -593,6 +633,43 @@ def forms_and_points(draw):
 def test_germ_of_agrees_with_the_fraction_expansion(case):
     form, point = case
     assert germ_of(form, point) == germ_of_by_expansion(form, point)
+
+
+def _ints_where_integral(values) -> list:
+    return [c.numerator if c.denominator == 1 else c for c in map(Fraction, values)]
+
+
+def _integral_values_are_ints(values) -> bool:
+    return all(type(c) is int for c in values if Fraction(c).denominator == 1)
+
+
+@given(forms_and_points())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_integral_values_are_stored_as_ints_equal_to_their_fractions(case):
+    # built from Fractions and from ints where integral: equal, hashed and printed alike,
+    # and every integral value stored as an int
+    form, point = case
+    exponents = [e for e, _ in form.terms]
+    fractions = [Fraction(c) for _, c in form.terms]
+    ints = _ints_where_integral(fractions)
+    forms = [HomogeneousForm.from_dict(form.degree, dict(zip(exponents, v))) for v in (fractions, ints)]
+    points = [MarkedPoint.of(*map(Fraction, point.coords)), MarkedPoint.of(*_ints_where_integral(point.coords))]
+    germs_at = [germ_of(f, p) for f, p in zip(forms, points)]
+    germs_of_terms = [germ({(a, b): c for (a, b, _), c in zip(exponents, v)}) for v in (fractions, ints)]
+    cases = [
+        (forms[0], forms[1], [c for _, c in forms[0].terms]),
+        (points[0], points[1], list(points[0].coords)),
+    ]
+    for g, h in (germs_at, germs_of_terms):
+        cases.append((tuple(sorted(g.items())), tuple(sorted(h.items())), list(g.values())))
+    for first, second, values in cases:
+        assert first == second and hash(first) == hash(second)
+        assert _integral_values_are_ints(values)
+        assert [rat_str(c) for c in values] == [rat_str(Fraction(c)) for c in values]
+        assert pipelines._fmt(tuple(values)) == pipelines._fmt(tuple(map(Fraction, values)))
+    assert str(points[0]) == str(points[1])
+    for v in range(3):
+        assert _integral_values_are_ints(c for _, c in forms[0].partial(v).terms)
 
 
 directions = st.one_of(
