@@ -157,20 +157,7 @@ class CurveConfiguration(_CurveConfigurationFields):
         return [frac(2 * c.pa - 2 - c.self_int) for c in self.components]
 
     def is_connected(self) -> bool:
-        if not self.components:
-            return True
-        adjacency = {c.name: set() for c in self.components}
-        for contact in self.contacts:
-            adjacency[contact.first].add(contact.second)
-            adjacency[contact.second].add(contact.first)
-        todo = [self.components[0].name]
-        seen = {todo[0]}
-        while todo:
-            for other in adjacency[todo.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    todo.append(other)
-        return len(seen) == len(self.components)
+        return len(_connected_pieces(_links(self))) <= 1
 
     def subconfiguration(self, names: tuple[str, ...]) -> "CurveConfiguration":
         keep = set(names)

@@ -3,21 +3,29 @@
 A surface is modelled by the finitely generated sublattice of its numerical
 group spanned by the classes the construction actually touches: an ordered
 named basis with a symmetric rational Gram matrix, a canonical class, the
-holomorphic Euler characteristic, and a list of tracked curves.  The three
-structural moves are blow-up, double cover and contraction, plus the inverse
-of contraction (attaching the known resolution graph of a singular point) and
-the splitting of a tracked curve whose preimage decomposes on a double cover.
+holomorphic Euler characteristic, and a list of tracked curves.  The moves
+are the double cover, the splitting of a tracked curve whose preimage
+decomposes on a double cover, and the two moves across a point: attaching
+the resolution configuration of a point and contracting a configuration of
+tracked curves to one.  A blow-up is attaching the resolution of a smooth
+point, a single rational (-1)-curve.
+
+One rule, ``_point_kind``, says what a configuration resolves: a smooth
+point (discrepancy 1), a rational double point (crepant) or an elliptic
+Gorenstein point (K + Z orthogonal to every component, p_g = 1; Laufer,
+*On minimally elliptic singularities*, 1977).  Attaching and contracting
+both read the canonical class and chi across the point from it.
 
 A lattice holds its Gram matrix once, as integer rows over one positive
 denominator.  Rational data is scaled to integers once, where it enters:
 the lattice constructor, divisor classes and the pairings declared when a
 curve splits.  Every move derives its result's rows from its input's: a
-blow-up borders them with -1, a double cover doubles them, an attached
-resolution borders them with the configuration's integer Gram matrix, and a
-contraction takes their Schur complement.  A divisor class is an integer
-vector over one positive denominator: sums, multiples and pairings run on
-integers, and a pairing builds one Fraction at the end.  Adjunction pairs
-d + K with d in the same integer kernel and builds only the genus.
+double cover doubles them, an attached resolution (a blow-up too) borders
+them with the configuration's integer Gram matrix, and a contraction takes
+their Schur complement.  A divisor class is an integer vector over one
+positive denominator: sums, multiples and pairings run on integers, and a
+pairing builds one Fraction at the end.  Adjunction pairs d + K with d in
+the same integer kernel and builds only the genus.
 
 Models are immutable; every operation returns a fresh model whose provenance
 lists the operations with their call arguments as immutable values, so
@@ -36,6 +44,7 @@ from .configurations import (
     Component,
     Contact,
     CurveConfiguration,
+    FundamentalCycle,
     classify_minimally_elliptic,
     match_catalog,
 )
@@ -329,6 +338,10 @@ class SurfaceModel(_SurfaceModelFields):
     def curve_class(self, name: str) -> DivisorClass:
         return self.curve(name).cls
 
+    def curve_sum(self, names: Iterable[str]) -> DivisorClass:
+        """The sum of the classes of the named curves."""
+        return sum((self.curve_class(n) for n in names), self.zero())
+
     # -- numerics ------------------------------------------------------------
 
     def intersect(self, a: DivisorClass, b: DivisorClass) -> Fraction:
@@ -492,8 +505,109 @@ def untrack(model: SurfaceModel, names: Iterable[str]) -> SurfaceModel:
 
 
 # ---------------------------------------------------------------------------
-# Blow-up
+# Moves across a point: the rule, attaching a resolution, blow-up
 # ---------------------------------------------------------------------------
+
+
+def _point_kind(
+    config: CurveConfiguration, k_degrees: Sequence[int | Fraction]
+) -> tuple[str, FundamentalCycle, int, tuple[int, ...]]:
+    """What contracting ``config`` to a point makes, given K.E_i = ``k_degrees``:
+    ``(kind, fundamental cycle, p_g of the point, discrepancy a)``.
+
+    Across the point the canonical class of the resolution is
+    pi^*K + sum a_i E_i, and chi of the resolution is chi of the point's
+    model minus p_g.  One smooth rational (-1)-curve is a smooth point
+    ("blow-down", a = 1).  A rational configuration with every K.E_i = 0 is a
+    rational double point (crepant, a = 0).  A minimally elliptic one with
+    K + Z orthogonal to every E_i is an elliptic Gorenstein point (a = -Z,
+    p_g = 1).  Anything else raises ContractionError.
+    """
+    if [(c.self_int, c.pa) for c in config.components] == [(-1, 0)]:
+        return "blow-down", FundamentalCycle(config, (1,)), 0, (1,)
+    # The classification tests definiteness and takes the fundamental cycle once.
+    try:
+        classification = classify_minimally_elliptic(config)
+    except ValueError as err:
+        raise ContractionError(str(err)) from None
+    cycle = classification.cycle
+    if classification.kind == "rational":
+        if any(k_degrees):
+            raise ContractionError(
+                "rational configuration is not crepant; the point would not be Gorenstein"
+            )
+        return "rational-double-point", cycle, 0, (0,) * len(cycle.coeffs)
+    if classification.kind == "minimally-elliptic":
+        # (K + Z).E_i = K.E_i + Z.E_i, and Z.E_i is read on the configuration's Gram matrix.
+        for cname, k_degree, z_degree in zip(config.names, k_degrees, cycle.pairings()):
+            if k_degree + z_degree != 0:
+                raise ContractionError(
+                    f"K + Z is not orthogonal to {cname!r}; the point would not be Gorenstein"
+                )
+        return "minimally-elliptic", cycle, 1, tuple(-z for z in cycle.coeffs)
+    raise ContractionError("configuration is neither rational nor minimally elliptic")
+
+
+def attach_resolution(
+    model: SurfaceModel,
+    config: CurveConfiguration,
+    through: Mapping[str, Mapping[str, int]] | None = None,
+    name: str | None = None,
+) -> SurfaceModel:
+    """Replace a singular point by its known resolution configuration.
+
+    The configuration joins the lattice orthogonally to all pulled-back
+    classes, and the canonical class and chi change by :func:`_point_kind`,
+    read on the configuration's own canonical degrees 2 p_a - 2 - E^2.
+    ``through`` lists, per tracked curve passing through the point, the
+    multiplicities against each new component; those curves are replaced by
+    their strict transforms.
+    """
+    through = {k: dict(v) for k, v in dict(through or {}).items()}
+    step = _step("attach_resolution", config, through, name)
+    return _attach(model, config, through, name or f"resolution over {model.name}", step)
+
+
+def _attach(
+    model: SurfaceModel,
+    config: CurveConfiguration,
+    through: dict[str, dict[str, int]],
+    name: str,
+    step: ProvenanceStep,
+) -> SurfaceModel:
+    """The body of :func:`attach_resolution` and :func:`blow_up`."""
+    for comp in config.components:
+        if comp.name in model.lattice.basis:
+            raise LatticeError(f"basis name {comp.name!r} already taken")
+    for cname, mults in through.items():
+        model.curve(cname)
+        for comp_name, mult in mults.items():
+            config.component(comp_name)
+            if not isinstance(mult, int) or mult < 0:
+                raise ValueError(
+                    f"strict-transform multiplicities must be nonnegative integers, got {mult!r}"
+                )
+    k_degrees = [2 * c.pa - 2 - c.self_int for c in config.components]
+    _, _, pg, discrepancy = _point_kind(config, k_degrees)
+
+    old_rank, names = model.lattice.rank, config.names
+    lattice = _direct_sum(model.lattice, names, config.integer_gram())
+    canonical = _extend(lattice, model.canonical, discrepancy)
+    curves: list[TrackedCurve] = []
+    for curve in model.tracked:
+        mults = through.get(curve.name, {})
+        cls = _extend(lattice, curve.cls, [-mults.get(n, 0) for n in names])
+        pa = _adjunction_pa(canonical, cls)
+        if curve.irreducible:
+            _require_genus(curve.name, pa)
+        curves.append(TrackedCurve(curve.name, cls, pa, curve.irreducible))
+    # The rule gives K.E_i = 2 p_a - 2 - E^2 on the new model, so adjunction
+    # returns each component's declared genus.
+    curves += [
+        TrackedCurve(comp.name, _unit(lattice, old_rank + i), Fraction(comp.pa))
+        for i, comp in enumerate(config.components)
+    ]
+    return SurfaceModel(name, lattice, canonical, model.chi - pg, tuple(curves), model.provenance + (step,))
 
 
 def blow_up(
@@ -504,41 +618,16 @@ def blow_up(
 ) -> SurfaceModel:
     """Blow up one point; ``center`` lists tracked curves with their multiplicity there.
 
-    The lattice gains an orthogonal (-1) class, the canonical class gains it,
-    chi is unchanged, and each incident curve is replaced by its strict
-    transform with the usual genus drop m(m-1)/2.
+    Attaches the resolution of a smooth point, one rational (-1)-curve: the
+    canonical class gains it, chi is unchanged, and each incident curve is
+    replaced by its strict transform.  Its genus drops by m(m-1)/2, since
+    (pi^*C - mE)^2 + (pi^*K + E).(pi^*C - mE) = C^2 + K.C - m^2 + m.
     """
     center = dict(center or {})
-    if exceptional in model.lattice.basis:
-        raise LatticeError(f"basis name {exceptional!r} already taken")
-    for cname, mult in center.items():
-        model.curve(cname)
-        if not isinstance(mult, int) or mult < 0:
-            raise ValueError(f"multiplicity at the centre must be a nonnegative integer, got {mult!r}")
-    old_rank = model.lattice.rank
-    lattice = _direct_sum(model.lattice, (exceptional,), ((-1,),))
-    g_class = _unit(lattice, old_rank)
-    canonical = _extend(lattice, model.canonical, (1,))
-    curves: list[TrackedCurve] = []
-    for curve in model.tracked:
-        mult = center.get(curve.name, 0)
-        cls = _extend(lattice, curve.cls, (-mult,))
-        pa = _adjunction_pa(canonical, cls)
-        expected = curve.pa - Fraction(mult * (mult - 1), 2)
-        if pa != expected:
-            raise LatticeError(f"strict-transform genus of {curve.name!r} is inconsistent")
-        if curve.irreducible:
-            _require_genus(curve.name, pa)
-        curves.append(TrackedCurve(curve.name, cls, pa, curve.irreducible))
-    curves.append(TrackedCurve(exceptional, g_class, frac(0)))
-    return SurfaceModel(
-        name or f"blow-up of {model.name}",
-        lattice,
-        canonical,
-        model.chi,
-        tuple(curves),
-        model.provenance + (_step("blow_up", center, exceptional, name),),
-    )
+    config = CurveConfiguration((Component(exceptional, -1, 0),))
+    through = {cname: {exceptional: mult} for cname, mult in center.items()}
+    step = _step("blow_up", center, exceptional, name)
+    return _attach(model, config, through, name or f"blow-up of {model.name}", step)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +649,7 @@ def double_cover(
     """
     if half_branch.lattice != model.lattice:
         raise LatticeError("half-branch class does not belong to the model")
-    total = model.zero()
-    for cname in branch_components:
-        total = total + model.curve_class(cname)
-    residual = 2 * half_branch - total
+    residual = 2 * half_branch - model.curve_sum(branch_components)
     if any(x < 0 for x in residual.num):
         raise ValueError("branch components exceed twice the half-branch class")
 
@@ -599,82 +685,6 @@ def double_cover(
         int(chi),
         tuple(curves),
         model.provenance + (_step("double_cover", half_branch, branch_components, name),),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Attaching a resolution (inverse of contraction)
-# ---------------------------------------------------------------------------
-
-
-def attach_resolution(
-    model: SurfaceModel,
-    config: CurveConfiguration,
-    through: Mapping[str, Mapping[str, int]] | None = None,
-    name: str | None = None,
-) -> SurfaceModel:
-    """Replace a singular point by its known resolution configuration.
-
-    The configuration joins the lattice orthogonally to all pulled-back
-    classes.  For a minimally elliptic point the canonical class loses the
-    fundamental cycle and chi drops by one; for a crepant rational (ADE) point
-    both stay.  ``through`` lists, per tracked curve passing through the
-    point, the multiplicities against each new component; those curves are
-    replaced by their strict transforms.
-    """
-    through = {k: dict(v) for k, v in dict(through or {}).items()}
-    for comp in config.components:
-        if comp.name in model.lattice.basis:
-            raise LatticeError(f"basis name {comp.name!r} already taken")
-    for cname, mults in through.items():
-        model.curve(cname)
-        for comp_name, mult in mults.items():
-            config.component(comp_name)
-            if not isinstance(mult, int) or mult < 0:
-                raise ValueError("strict-transform multiplicities must be nonnegative integers")
-
-    classification = classify_minimally_elliptic(config)
-    if classification.kind == "minimally-elliptic":
-        chi = model.chi - 1
-        discrepancy = classification.cycle.coeffs
-    elif classification.kind == "rational":
-        if any(k != 0 for k in config.canonical_degrees()):
-            raise ContractionError(
-                "rational configuration is not crepant; only ADE points are supported"
-            )
-        chi = model.chi
-        discrepancy = (0,) * len(config.names)
-    else:
-        raise ContractionError("resolution configuration is neither rational nor minimally elliptic")
-
-    old_rank = model.lattice.rank
-    lattice = _direct_sum(model.lattice, config.names, config.integer_gram())
-
-    canonical = _extend(lattice, model.canonical, [-z for z in discrepancy])
-
-    curves: list[TrackedCurve] = []
-    for curve in model.tracked:
-        mults = through.get(curve.name, {})
-        cls = _extend(lattice, curve.cls, [-mults.get(n, 0) for n in config.names])
-        pa = _adjunction_pa(canonical, cls)
-        if curve.irreducible:
-            _require_genus(curve.name, pa)
-        curves.append(TrackedCurve(curve.name, cls, pa, curve.irreducible))
-    for i, comp in enumerate(config.components):
-        cls = _unit(lattice, old_rank + i)
-        pa = _adjunction_pa(canonical, cls)
-        if pa != comp.pa:
-            raise LatticeError(
-                f"declared genus of {comp.name!r} disagrees with adjunction on the new model"
-            )
-        curves.append(TrackedCurve(comp.name, cls, pa))
-    return SurfaceModel(
-        name or f"resolution over {model.name}",
-        lattice,
-        canonical,
-        chi,
-        tuple(curves),
-        model.provenance + (_step("attach_resolution", config, through, name),),
     )
 
 
@@ -788,50 +798,26 @@ def contract(
 ) -> Contraction:
     """Contract a negative definite configuration of tracked curves.
 
-    A single (-1) rational curve blows down smoothly.  An ADE configuration
-    contracts to a rational double point (crepant, chi unchanged).  A
-    minimally elliptic configuration contracts to an elliptic Gorenstein
-    point: the canonical class downstairs pulls back to K + Z and chi grows by
-    one.  Everything else is rejected.
+    :func:`_point_kind`, on the model's canonical degrees, decides the point:
+    a single (-1) rational curve blows down smoothly, an ADE configuration
+    contracts to a rational double point (labelled by the catalog), and a
+    minimally elliptic configuration to an elliptic Gorenstein point, whose
+    canonical class pulls back to K + Z, and chi grows by one.  Everything
+    else is rejected.
     """
     names = list(names)
     if not names:
         raise ValueError("nothing to contract")
     config = configuration_of(model, names)
     classes = [model.curve_class(n) for n in names]
-
-    if len(names) == 1 and config.components[0].self_int == -1 and config.components[0].pa == 0:
-        kind, label = "blow-down", "smooth point"
-        chi = model.chi
-        cycle: tuple[int, ...] = (1,)
+    kind, cycle, pg, _ = _point_kind(config, [model.intersect(model.canonical, c) for c in classes])
+    if kind == "rational-double-point":
+        entry = match_catalog(config)
+        label = entry.label if entry else "rational"
+    elif kind == "minimally-elliptic":
+        label = f"elliptic of degree {-cycle.self_int}"
     else:
-        # The classification tests definiteness and takes the fundamental cycle once.
-        try:
-            classification = classify_minimally_elliptic(config)
-        except ValueError as err:
-            raise ContractionError(str(err)) from None
-        cycle = classification.cycle.coeffs
-        k_degrees = [model.intersect(model.canonical, c) for c in classes]
-        if classification.kind == "rational":
-            if any(d != 0 for d in k_degrees):
-                raise ContractionError(
-                    "rational configuration is not crepant; contraction would not be Gorenstein"
-                )
-            entry = match_catalog(config)
-            kind, label = "rational-double-point", entry.label if entry else "rational"
-            chi = model.chi
-        elif classification.kind == "minimally-elliptic":
-            # (K + Z).E_l = K.E_l + Z.E_l, and Z.E_l is read on the configuration's Gram matrix.
-            for cname, k_degree, z_degree in zip(names, k_degrees, classification.cycle.pairings()):
-                if k_degree + z_degree != 0:
-                    raise ContractionError(
-                        f"K + Z is not orthogonal to {cname!r}; the contraction is not Gorenstein"
-                    )
-            kind = "minimally-elliptic"
-            label = f"elliptic of degree {classification.degree}"
-            chi = model.chi + 1
-        else:
-            raise ContractionError("configuration is neither rational nor minimally elliptic")
+        label = "smooth point"
 
     # The new lattice is the orthogonal complement of the contracted classes.
     # Its projection P has exactly their span as kernel, so one fraction-free
@@ -893,11 +879,11 @@ def contract(
         name or f"contraction of {model.name}",
         lattice,
         canonical,
-        chi,
+        model.chi + pg,
         tuple(curves),
         model.provenance + (_step("contract", names, name),),
     )
-    return Contraction(result, kind, label, tuple(zip(names, cycle)))
+    return Contraction(result, kind, label, tuple(zip(names, cycle.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .lattice import (
     untrack,
 )
 from .planecurves import ThreeThreeVerdict, detect_33_point, germ, germ_mul
-from .rationals import frac, rat_str
+from .rationals import rat_str
 from .sextics import FAMILIES, FamilyVerification, SexticFamily, family, verify_family
 
 
@@ -279,25 +279,15 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
 
     fiber_names: tuple[str, ...] = ()
     if variant is not None:
-        if variant.ade == "A1":
-            r_config = CurveConfiguration((Component("R1", -2, 0),))
-            through = {"Cq": {"R1": 1}}
-            resolution_names = ("R1",)
-        else:
-            r_config = CurveConfiguration(
-                (Component("R1", -2, 0), Component("R2", -2, 0)),
-                (Contact("R1", "R2", 1),),
-            )
-            through = {"Cq": {"R1": 1, "R2": 1}}
-            resolution_names = ("R1", "R2")
-        model = attach_resolution(model, r_config, through)
+        # the A1 or A2 chain over the extra branch point, its curves named A1 (and A2)
+        ade = catalog_entry(variant.ade).config
+        model = attach_resolution(model, ade, {"Cq": {n: 1 for n in ade.names}})
         if sing == "E14":
-            pairings = {"Cinf_pb": 1, "R1": 1}
-            model = split_curve(model, "Cq", ("E2", "E3"), -2, pairings)
-            fiber_names = ("E2", "E3") + resolution_names
+            model = split_curve(model, "Cq", ("E2", "E3"), -2, {"Cinf_pb": 1, "A1": 1})
+            fiber_names = ("E2", "E3") + ade.names
         else:
             model = rename_curve(model, "Cq", "E2")
-            fiber_names = ("E2",) + resolution_names
+            fiber_names = ("E2",) + ade.names
 
     step_down = contract(model, ["G"], name=f"minimal elliptic surface for {sing}")
     checks.expect(
@@ -337,7 +327,8 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "the exceptional curve is a bisection of the fibration",
     )
 
-    _check_exceptional_configuration(checks, surface, declared, sing)
+    exceptional_names = [c.name for c in declared.components if surface.has_curve(c.name)]
+    _check_exceptional_configuration(checks, surface, declared, exceptional_names, sing)
 
     multiple_type = "I0" if spec.profile == 6 else "I1"
     fiber_config = CurveConfiguration(
@@ -385,8 +376,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "the bisection image is the minimal section of the ruled base",
     )
 
-    exceptional_names = [c.name for c in declared.components if surface.has_curve(c.name)]
-    pulled_canonical = surface.canonical + _cycle_class(surface, exceptional_names)
+    pulled_canonical = surface.canonical + surface.curve_sum(exceptional_names)
     checks.expect(
         "canonical-plus-cycle-squared",
         surface.intersect(pulled_canonical, pulled_canonical),
@@ -400,14 +390,6 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         _germ_checks(checks, spec)
 
     return checks.result(f"{sing}" + (f"-{spec.fiber_variant}" if spec.fiber_variant else ""), (base, cover, model, surface, w))
-
-
-def _cycle_class(model: SurfaceModel, names: tuple[str, ...] | list[str]) -> DivisorClass:
-    """The sum of the classes of the named curves."""
-    cycle = model.zero()
-    for name in names:
-        cycle = cycle + model.curve_class(name)
-    return cycle
 
 
 def _check_catalog_match(checks: _Recorder, declared: CurveConfiguration, sing: str) -> None:
@@ -446,7 +428,7 @@ def _check_contracted_model(
 
 
 def _check_exceptional_configuration(
-    checks: _Recorder, surface: SurfaceModel, declared: CurveConfiguration, sing: str
+    checks: _Recorder, surface: SurfaceModel, declared: CurveConfiguration, names: list[str], sing: str
 ) -> None:
     _check_adjunction(
         checks,
@@ -454,42 +436,23 @@ def _check_exceptional_configuration(
         declared,
         "declared exceptional self-intersections satisfy adjunction against the computed canonical degrees",
     )
-    self_ints: list[Fraction] = []
-    declared_self_ints = []
-    genera: list[Fraction] = []
-    declared_genera = []
-    for component in declared.components:
-        if not surface.has_curve(component.name):
-            continue
-        cls = surface.curve_class(component.name)
-        self_ints.append(surface.intersect(cls, cls))
-        declared_self_ints.append(frac(component.self_int))
-        genera.append(surface.curve(component.name).pa)
-        declared_genera.append(frac(component.pa))
+    computed, stated = configuration_of(surface, names), declared.subconfiguration(tuple(names))
     checks.expect(
         "exceptional-self-intersections",
-        tuple(self_ints),
-        tuple(declared_self_ints),
+        tuple(c.self_int for c in computed.components),
+        tuple(c.self_int for c in stated.components),
         "computed self-intersections of the exceptional components",
     )
     checks.expect(
         "exceptional-genera",
-        tuple(genera),
-        tuple(declared_genera),
+        tuple(c.pa for c in computed.components),
+        tuple(c.pa for c in stated.components),
         "computed arithmetic genera of the exceptional components",
     )
-    mult_ok = all(
-        surface.intersect(
-            surface.curve_class(a.name), surface.curve_class(b.name)
-        )
-        == declared.contact_mult(a.name, b.name)
-        for i, a in enumerate(declared.components)
-        for b in declared.components[i + 1 :]
-        if surface.has_curve(a.name) and surface.has_curve(b.name)
-    )
+    contacts = [{(c.pair, c.mult) for c in config.contacts} for config in (computed, stated)]
     checks.expect(
         "exceptional-contacts",
-        "match" if mult_ok else "mismatch",
+        "match" if contacts[0] == contacts[1] else "mismatch",
         "match",
         "pairwise intersection numbers of the exceptional components",
     )
@@ -627,7 +590,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         [("G", {"G": 1})] + [(n, {n: 1}) for n in names],
     )
 
-    cycle = _cycle_class(resolution, names)
+    cycle = resolution.curve_sum(names)
     checks.expect(
         "exceptional-cycle-squared",
         resolution.intersect(cycle, cycle),
@@ -677,7 +640,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     )
     checks.expect("blowdown-euler-characteristic", k3.chi, 2, "chi of the K3 carrier")
 
-    image_cycle = _cycle_class(k3, names)
+    image_cycle = k3.curve_sum(names)
     k3 = track(k3, "Ecycle", image_cycle.coeff_map(), irreducible=len(names) == 1)
     checks.expect(
         "pushed-cycle-squared",

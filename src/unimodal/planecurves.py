@@ -655,16 +655,17 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
     The rows are those of `_jacobian_rows`, which leaves out the Koszul rows
     m g_j whose multiplier m is divisible by the leading monomial L_i of an
     earlier generator g_i = c_i L_i + (terms after L_i in lex order), i < j.
-    The reduced partials keep every exponent of the integer ones, zero
-    coefficients too, so both leave out the same rows, and both ranks stay
-    right.  The kept rows are a subset of all rows, so
-    rank_p(kept) <= rank_Q(all) and h_p(k) >= h(k) still holds.  Over Q a
-    dropped row lies in the span of the kept ones: for m = m' L_i,
-    c_i m g_j = (m' g_j) g_i - (g_i - c_i L_i) m' g_j, where the first part
-    is a combination of rows of g_i and the second of rows of g_j with
-    multipliers m' t > m in lex order.  Induction on j, and for one j on the
-    multiplier from the lex-largest down, puts each in the span of the kept
-    rows, so the exact ranks are those of all rows.
+    Over any field a dropped row lies in the span of the kept ones: for
+    m = m' L_i, c_i m g_j = (m' g_j) g_i - (g_i - c_i L_i) m' g_j, where the
+    first part is a combination of rows of g_i and the second of rows of g_j
+    with multipliers m' t > m in lex order.  Induction on j, and for one j on
+    the multiplier from the lex-largest down, puts each in the span of the
+    kept rows, so the kept rows have the rank of all rows.  The modular
+    generators are the partials reduced mod p, with the terms and the
+    partials that vanish mod p dropped, so they have leading terms of their
+    own and skip their own Koszul rows: rank_p(kept) is the rank mod p of all
+    rows of the integer partials, which is at most rank_Q, and
+    h_p(k) >= h(k) still holds.
 
     The search starts at 3(d-2) + 1, one past the socle degree of the Milnor
     algebra of a smooth curve, and takes no rank in a degree above
@@ -676,7 +677,8 @@ def tjurina_number(form: HomogeneousForm, at_least: int = 0) -> int | None:
         raise ValueError("a plane curve needs a nonzero form of positive degree")
     generators = [_integer_terms(dict(form.partial(v).terms)) for v in range(3)]
     generators = [g for g in generators if g]
-    reduced = [{e: c % MODULAR_PRIME for e, c in g.items()} for g in generators]
+    reduced = [{e: r for e, c in g.items() if (r := c % MODULAR_PRIME)} for g in generators]
+    reduced = [g for g in reduced if g]
 
     def checked(dim: int, k: int) -> int:
         """h(k) = dim, refused when below the bound in a degree k >= at_least - 1."""
@@ -1097,6 +1099,9 @@ def rational_singular_points(form: HomogeneousForm) -> SmoothnessReport:
     hence their gcd, to vanish at the (y : z) direction; rational directions
     are then lifted back through a univariate gcd in x.  The direction with
     y = z = 0 is the coordinate point, checked directly.
+
+    A diagnostic that no engine path calls: it needs sympy, which the
+    package's ``test`` extra installs.
     """
     sympy = _sympy()
     x, y, z = sympy.symbols("x y z")

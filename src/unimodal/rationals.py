@@ -103,11 +103,11 @@ def bounded_rational(value: int | str | Fraction) -> Fraction:
     return q
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q: each row scaled to integers, then :func:`integer_rank`."""
-    return integer_rank(
-        {j: x for j, x in enumerate(integer_rows([row])[1][0]) if x} for row in rows
-    )
+def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank over Q by :func:`integer_rank`; only a row holding a Fraction is
+    scaled to integers first."""
+    scaled = (row if all(type(x) is int for x in row) else integer_rows([row])[1][0] for row in rows)
+    return integer_rank({j: x for j, x in enumerate(row) if x} for row in scaled)
 
 
 def integer_rank(rows: Iterable[dict[int, int]]) -> int:

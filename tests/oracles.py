@@ -266,6 +266,21 @@ def fundamental_cycle_brute_force(
     return FundamentalCycle(config, tuple(min(z[i] for z in anti_nef) for i in range(n)))
 
 
+def is_connected_by_union(config: CurveConfiguration) -> bool:
+    """Whether the contact graph is connected, by merging the two ends of
+    every contact into one class (union-find); the empty configuration is."""
+    parent = {name: name for name in config.names}
+
+    def root(name: str) -> str:
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    for contact in config.contacts:
+        parent[root(contact.first)] = root(contact.second)
+    return len({root(name) for name in config.names}) <= 1
+
+
 def tjurina_number_exact(form: HomogeneousForm, at_least: int = 0) -> int | None:
     """`planecurves.tjurina_number` with every rank exact (`integer_rank`)
     and no modular shortcut: the same search, bound and ValueError."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from unimodal.configurations import CurveConfiguration, Component, Contact
+from unimodal.configurations import CurveConfiguration, Component, Contact, catalog_entry
 from unimodal.lattice import (
     ContractionError,
     LatticeError,
@@ -248,8 +248,12 @@ def test_contract_minus_three_curve_rejected():
         [("A", {"A": 1})],
     )
     assert s.curve("A").pa == 0
-    with pytest.raises(ContractionError):
+    with pytest.raises(ContractionError) as contracted:
         contract(s, ["A"])
+    # attaching it is refused by the same rule, with the same reason
+    with pytest.raises(ContractionError) as attached:
+        attach_resolution(make_p2(), CurveConfiguration((Component("A", -3, 0),)))
+    assert str(attached.value) == str(contracted.value)
 
 
 def test_contract_rejects_a_configuration_that_is_not_negative_definite():
@@ -293,6 +297,27 @@ def test_attach_resolution_inverts_elliptic_contraction():
     assert resolved.canonical == resolved.divisor({"K": 1, "E": -1})
     assert resolved.k_squared == 0
     assert resolved.curve("E").pa == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CurveConfiguration((Component("G", -1, 0),)),
+        catalog_entry("A2").config,
+        catalog_entry("T236").config,
+        catalog_entry("T237").config,
+    ],
+    ids=["smooth", "A2", "T236", "T237"],
+)
+@pytest.mark.parametrize("base", [make_p2, lambda: make_hirzebruch(1)], ids=["P2", "F1"])
+def test_contracting_an_attached_resolution_restores_the_model(config, base):
+    model = base()
+    resolved = attach_resolution(model, config)
+    back = contract(resolved, config.names).model
+    assert back.lattice == model.lattice
+    assert back.canonical == model.canonical
+    assert back.chi == model.chi
+    assert back.tracked == model.tracked
 
 
 def test_attach_ade_resolution_is_crepant():

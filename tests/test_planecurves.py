@@ -882,7 +882,7 @@ def _recording_jacobian_rows(monkeypatch) -> list[tuple[int, list[dict[int, int]
     return built
 
 
-def test_tjurina_rows_mod_p_leave_out_the_koszul_rows_of_the_integer_partials(monkeypatch):
+def test_tjurina_rows_mod_p_leave_out_the_koszul_rows_of_the_reduced_partials(monkeypatch):
     built = _recording_jacobian_rows(monkeypatch)
     # F_x = 6x^5 + p y^5: its leading term y^5 (the lex-smallest exponent) vanishes mod p,
     # its other term does not
@@ -890,12 +890,21 @@ def test_tjurina_rows_mod_p_leave_out_the_koszul_rows_of_the_integer_partials(mo
     partials = [_integer_terms(dict(curve.partial(v).terms)) for v in range(3)]
     assert partials[0] == {(5, 0, 0): 6, (0, 5, 0): MODULAR_PRIME} and min(partials[0]) == (0, 5, 0)
     assert tjurina_number(curve) == tjurina_number_exact(curve) == 0
-    # the modular rows are the integer rows reduced mod p, so the rows y^5 m F_y are left out
-    # as over Q; mod p they are not in the span of the kept rows, h_p(13) > 0, and the exact
-    # rank at 14 certifies
-    _, integer = _jacobian_rows(partials, 5, 13)
-    assert [k for k, _ in built] == [13, 14]
-    assert built[0][1] == [{col: v % MODULAR_PRIME for col, v in row.items()} for row in integer]
+    # the modular rows come from the partials with the terms that vanish mod p dropped, so F_x
+    # leads with x^5 and the rows x^5 m F_y are left out: h_p(13) = 0 certifies, with no exact rank
+    reduced = [{e: c % MODULAR_PRIME for e, c in g.items() if c % MODULAR_PRIME} for g in partials]
+    assert reduced[0] == {(5, 0, 0): 6}
+    assert [k for k, _ in built] == [13]
+    assert built[0][1] == _jacobian_rows(reduced, 5, 13)[1]
+
+
+def test_tjurina_rows_mod_p_drop_a_partial_that_vanishes_mod_p(monkeypatch):
+    built = _recording_jacobian_rows(monkeypatch)
+    # F_z = 6p z^5 vanishes mod p: the modular rows come from F_x and F_y alone
+    curve = monomial(6, 0, 0) + monomial(0, 6, 0) + monomial(0, 0, 6, MODULAR_PRIME)
+    partials = [_integer_terms(dict(curve.partial(v).terms)) for v in range(3)]
+    assert tjurina_number(curve) == 0
+    assert built[0] == (13, _jacobian_rows(partials[:2], 5, 13)[1])
 
 
 def test_tjurina_fallback_pairs_h_p_with_the_next_exact_value_only_when_equal(monkeypatch):

@@ -21,6 +21,7 @@ from unimodal.lattice import (
     DivisorClass,
     _adjunction_pa,
     IntersectionLattice,
+    attach_resolution,
     blow_up,
     contract,
     double_cover,
@@ -70,6 +71,7 @@ from oracles import (
     en_variants,
     germ_of_by_expansion,
     intersection_by_blow_ups,
+    is_connected_by_union,
     jacobian_rows_all,
     rank_by_minors,
     row_reduce,
@@ -278,6 +280,32 @@ def test_booleans_are_no_rationals_but_format_as_json():
         with pytest.raises(TypeError):
             frac(value)
     assert pipelines._fmt(True) == "true" and pipelines._fmt(False) == "false"
+
+
+@given(
+    base_models(),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=1),
+)
+@settings(max_examples=40, derandomize=True)
+def test_blow_up_is_attaching_the_resolution_of_a_smooth_point(tag, coeffs, mult, section_mult):
+    model = _model(tag)
+    model = track(model, "D", dict(zip(model.lattice.basis, coeffs)), irreducible=False)
+    center = {"D": mult}
+    if model.has_curve("Cinf"):
+        center["Cinf"] = section_mult
+    blown = blow_up(model, center, exceptional="G")
+    smooth_point = CurveConfiguration((Component("G", -1, 0),))
+    attached = attach_resolution(model, smooth_point, {c: {"G": m} for c, m in center.items()})
+    assert attached.lattice == blown.lattice
+    assert attached.canonical == blown.canonical
+    assert attached.chi == blown.chi == model.chi
+    assert attached.tracked == blown.tracked
+    # the strict transform of a curve with multiplicity m loses m(m-1)/2 of its genus
+    for curve in model.tracked:
+        m = center.get(curve.name, 0)
+        assert blown.curve(curve.name).pa == curve.pa - Fraction(m * (m - 1), 2)
 
 
 @given(base_models())
@@ -762,7 +790,7 @@ def _classify_by_subsets(config):
     for size in range(1, len(config.names)):
         for keep in combinations(config.names, size):
             sub = config.subconfiguration(keep)
-            if sub.is_connected() and fundamental_cycle(sub).pa != 0:
+            if is_connected_by_union(sub) and fundamental_cycle(sub).pa != 0:
                 return "not-elliptic"
     return "minimally-elliptic"
 
@@ -794,6 +822,15 @@ def negative_definite_configurations(draw):
 @settings(max_examples=500, derandomize=True)
 def test_classification_agrees_with_subset_enumeration(config):
     assert classify_minimally_elliptic(config).kind == _classify_by_subsets(config)
+
+
+@given(negative_definite_configurations())
+@settings(max_examples=200, derandomize=True)
+def test_connectivity_agrees_with_union_find(config):
+    assert config.is_connected() == is_connected_by_union(config)
+    for name in config.names:
+        sub = config.subconfiguration(tuple(n for n in config.names if n != name))
+        assert sub.is_connected() == is_connected_by_union(sub)
 
 
 def _cycle_invariants_by_fractions(cycle):
