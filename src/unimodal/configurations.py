@@ -126,13 +126,6 @@ class CurveConfiguration(_CurveConfigurationFields):
                 return c
         raise KeyError(name)
 
-    def contact_mult(self, a: str, b: str) -> int:
-        pair = frozenset((a, b))
-        for contact in self.contacts:
-            if contact.pair == pair:
-                return contact.mult
-        return 0
-
     def integer_gram(self) -> tuple[tuple[int, ...], ...]:
         return self._integer_gram
 
@@ -148,13 +141,6 @@ class CurveConfiguration(_CurveConfigurationFields):
             i, j = index[contact.first], index[contact.second]
             g[i][j] = g[j][i] = contact.mult
         return tuple(map(tuple, g))
-
-    def gram(self) -> list[list[Fraction]]:
-        return [[frac(x) for x in row] for row in self.integer_gram()]
-
-    def canonical_degrees(self) -> list[Fraction]:
-        """K.E_i = 2 p_a(E_i) - 2 - E_i^2 for each component."""
-        return [frac(2 * c.pa - 2 - c.self_int) for c in self.components]
 
     def is_connected(self) -> bool:
         return len(_connected_pieces(_links(self))) <= 1
@@ -299,7 +285,10 @@ def _cfg(
     return CurveConfiguration(components, contact_records, triples)
 
 
-def _fiber_configuration(fiber_type: str) -> CurveConfiguration:
+def fiber_configuration(fiber_type: str) -> CurveConfiguration:
+    """The Kodaira fibre I_n (n >= 0), II, III or IV, components E1, E2, ...:
+    the one table that builds each fibre, for the catalog, recognition and
+    the second fibre of the elliptic route."""
     one_component = {"I0": None, "I1": "node", "II": "cusp"}  # the singularity of E1
     if fiber_type in one_component:
         return _cfg([("E1", 0, 1, one_component[fiber_type])])
@@ -330,7 +319,7 @@ def blown_up_fiber(fiber_type: str, blow_ups: tuple[int, ...]) -> CurveConfigura
     at a smooth point of a component drops its self-intersection by one and
     leaves every contact untouched.
     """
-    base = _fiber_configuration(fiber_type)
+    base = fiber_configuration(fiber_type)
     if len(blow_ups) != len(base.components):
         raise ValueError("one blow-up count per fibre component")
     components = tuple(
@@ -487,7 +476,7 @@ def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
 
     The first candidate for the number of components that is
     :func:`isomorphic` to the configuration; each shape is written once, in
-    :func:`_fiber_configuration`.  Two necessary conditions come first: every
+    :func:`fiber_configuration`.  Two necessary conditions come first: every
     Gram row sums to 0 (F.E_i = 0 for the reduced total cycle F), and the
     configuration is connected, which keeps the backtracking search off
     disconnected inputs, where it can only fail, slowly.
@@ -499,7 +488,7 @@ def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
         return None
     candidates = {1: ("I0", "I1", "II"), 2: ("I2", "III"), 3: ("I3", "IV")}.get(n, (f"I{n}",))
     for fiber_type in candidates:
-        if isomorphic(config, _fiber_configuration(fiber_type)):
+        if isomorphic(config, fiber_configuration(fiber_type)):
             return fiber_type
     return None
 

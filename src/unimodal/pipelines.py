@@ -5,9 +5,15 @@ route starts from a ruled surface, takes the bicanonical double cover with a
 branch containing a fibre and a [3,3]-point, resolves the resulting degree-one
 elliptic point by attaching its known exceptional curve, contracts the
 leftover (-1)-curve to reach a minimal elliptic surface, and finally
-contracts the exceptional unimodal configuration.  The K3 route starts from
+contracts the exceptional unimodal configuration.  It states no configuration
+of its own: the curve F (T236 or T237) and the A_k chain over the extra branch
+point come from the catalog, the shape of the second Kodaira fibre from
+`configurations.fiber_configuration`, and both fibres are recognised on
+configurations read off the model.  The K3 route starts from
 the declared resolution lattice, blows down to a K3 carrier, contracts the
-(-2)-part, and feeds the branch sextic families.
+(-2)-part, and feeds the branch sextic families.  A type takes the elliptic
+route when its stated degree -Z^2 in the catalog is one, the K3 route when it
+is two.
 
 Every numerical claim along the way is recorded as a named check with an
 anchor describing the claim; documented discrepancies are flagged, never
@@ -21,11 +27,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .configurations import (
-    Component,
+    EXCEPTIONAL_LABELS,
     Contact,
     CurveConfiguration,
     catalog_entry,
     euler_budget,
+    fiber_configuration,
     match_catalog,
     recognize_kodaira_fiber,
 )
@@ -192,43 +199,28 @@ class EnSpec(NamedTuple):
     germ_checks: bool = True
 
 
-_EN_TYPES = ("E12", "E13", "E14")
-
-
-class _Variant(NamedTuple):
-    ade: str  # "A1" | "A2"
-    tangential: bool  # fibre components meet at a single point
-    concurrent: bool  # three fibre components through one point
-
-
-_VARIANT_DATA = {
-    ("E13", "I2"): _Variant("A1", False, False),
-    ("E13", "I3"): _Variant("A2", False, False),
-    ("E13", "III"): _Variant("A1", True, False),
-    ("E13", "IV"): _Variant("A2", False, True),
-    ("E14", "I3"): _Variant("A1", False, False),
-    ("E14", "I4"): _Variant("A2", False, False),
-}
+# the degree-one types (stated Z^2 = -1) take the elliptic route
+_EN_TYPES = tuple(label for label in EXCEPTIONAL_LABELS if catalog_entry(label).expected_self_int == -1)
+# the Kodaira fibres admitted through the extra branch point, per type
+_SECOND_FIBERS = {"E13": ("I2", "I3", "III", "IV"), "E14": ("I3", "I4")}
 
 
 def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     sing = spec.singularity
     if sing not in _EN_TYPES:
         raise ValueError(f"not an elliptic-route type: {sing!r}")
-    variant = _VARIANT_DATA.get((sing, spec.fiber_variant))
     if sing == "E12":
         if spec.fiber_variant is not None:
             raise ValueError("E12 has no second-fibre variant")
-    elif variant is None:
-        allowed = tuple(v for s, v in _VARIANT_DATA if s == sing)
-        raise ValueError(f"{sing} admits the variants {allowed}, not {spec.fiber_variant!r}")
+    elif spec.fiber_variant not in _SECOND_FIBERS[sing]:
+        raise ValueError(f"{sing} admits the variants {_SECOND_FIBERS[sing]}, not {spec.fiber_variant!r}")
     if spec.profile not in (6, 7):
         raise ValueError("the elliptic point profile is 6 or 7")
 
     checks = _Recorder()
     entry = catalog_entry(sing)
     declared = spec.config if spec.config is not None else entry.config
-    pa_bisection = 1 if sing == "E12" else 0
+    pa_bisection = entry.config.component("E1").pa  # E1 is the bisection
     twist = 1 - pa_bisection
 
     base = make_hirzebruch(twist)
@@ -265,8 +257,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     if spec.fiber_variant is not None:
         cover = rename_curve(cover, "Gammaq_pre", "Cq")
 
-    t_marker = None if spec.profile == 6 else "node"
-    t_config = CurveConfiguration((Component("F", -1, 1, t_marker),))
+    t_config = catalog_entry(f"T23{spec.profile}").config
     model = attach_resolution(
         cover, t_config, {"G": {"F": 1}, "E1": {"F": 1}}, name=f"resolution for {sing}"
     )
@@ -277,17 +268,18 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "resolving the degree-one elliptic point drops chi by one",
     )
 
-    fiber_names: tuple[str, ...] = ()
-    if variant is not None:
-        # the A1 or A2 chain over the extra branch point, its curves named A1 (and A2)
-        ade = catalog_entry(variant.ade).config
+    if spec.fiber_variant is not None:
+        # Cq, split in two for E14, and the A_k chain over the extra branch point
+        # (curves A1, ..., Ak) make up the second fibre
+        shape = fiber_configuration(spec.fiber_variant)
+        pieces = ("E2", "E3") if sing == "E14" else ("E2",)
+        ade = catalog_entry(f"A{len(shape.components) - len(pieces)}").config
         model = attach_resolution(model, ade, {"Cq": {n: 1 for n in ade.names}})
-        if sing == "E14":
-            model = split_curve(model, "Cq", ("E2", "E3"), -2, {"Cinf_pb": 1, "A1": 1})
-            fiber_names = ("E2", "E3") + ade.names
+        if len(pieces) == 2:
+            model = split_curve(model, "Cq", pieces, -2, {"Cinf_pb": 1, "A1": 1})
         else:
             model = rename_curve(model, "Cq", "E2")
-            fiber_names = ("E2",) + ade.names
+        fiber_names = pieces + ade.names
 
     step_down = contract(model, ["G"], name=f"minimal elliptic surface for {sing}")
     checks.expect(
@@ -330,24 +322,29 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     exceptional_names = [c.name for c in declared.components if surface.has_curve(c.name)]
     _check_exceptional_configuration(checks, surface, declared, exceptional_names, sing)
 
+    # F^2 = 0 and p_a(F) = 1 are read off the model; the lattice keeps no curve
+    # singularity, so F takes the marker of the attached T-curve (both checked records)
     multiple_type = "I0" if spec.profile == 6 else "I1"
-    fiber_config = CurveConfiguration(
-        (Component("F", 0, 1, t_marker),)
-    )
+    computed = configuration_of(surface, ["F"])
+    (f,) = computed.components
+    multiple_fiber = computed._replace(components=(f._replace(sing=t_config.component("F").sing),))
     checks.expect(
         "multiple-fiber-type",
-        recognize_kodaira_fiber(fiber_config) or "none",
+        recognize_kodaira_fiber(multiple_fiber) or "none",
         multiple_type,
         "shape of the reduction of the multiple fibre",
     )
 
     required = []
-    if variant is not None:
+    if spec.fiber_variant is not None:
+        # the tangency (III) and concurrency (IV) marks are the stated fibre's,
+        # not yet derived from the branch point (ROADMAP: derive the second-fibre variants)
         fiber = configuration_of(surface, fiber_names)
+        tangential = any(c.tangential for c in shape.contacts)
         second_fiber = CurveConfiguration(
             fiber.components,
-            tuple(Contact(c.first, c.second, c.mult, variant.tangential) for c in fiber.contacts),
-            (frozenset(fiber_names),) if variant.concurrent else (),
+            tuple(Contact(c.first, c.second, c.mult, tangential) for c in fiber.contacts),
+            (frozenset(fiber_names),) if shape.concurrent else (),
         )
         checks.expect(
             "second-fiber-type",
@@ -563,7 +560,8 @@ class ZwSpec(NamedTuple):
     config: CurveConfiguration | None = None
 
 
-_ZW_TYPES = ("Z11", "Z12", "Z13", "W12", "W13")
+# the degree-two types (stated Z^2 = -2) take the K3 route
+_ZW_TYPES = tuple(label for label in EXCEPTIONAL_LABELS if catalog_entry(label).expected_self_int == -2)
 
 
 def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:

@@ -194,7 +194,9 @@ class MarkedPoint(_MarkedPointFields):
 # Xeon core, worst of five dense random germs): `_share_component` of the
 # partials takes 6 ms, 27 ms with a common component of degree 8; the
 # factorization of a tangent cone (`_directions`) 44 ms; an `an-type` check
-# 12 ms (a high colength with large coefficients costs far more: `_colength`).
+# 12 ms, as the Milnor number of a dense random germ is small.  A high
+# colength with large coefficients costs far more: seconds to minutes, with
+# the worst cases in the `_colength` docstring.
 # The bounds were set when sympy's bivariate gcd took 2 s at these bounds;
 # they stay, as changing them changes exit codes.
 # Coefficients are read by `rationals.bounded_rational` (MAX_COEFF_BITS).
@@ -527,8 +529,10 @@ def an_type_at(g: Germ, candidate: int = 6) -> AnVerdict:
     :func:`_colength` (an equal pair d(b) = d(b+1) and Nakayama's lemma),
     whose search ends by b = mu.  The candidate only caps b at
     16*candidate + 16: reaching the cap without an equal pair certifies
-    mu > 16*candidate + 16, reported as inconclusive, never silenced.  A
-    corank-zero point must come out with mu = 1.
+    mu > 16*candidate + 16, reported as inconclusive, never silenced.  The
+    corank needs no test of its own: at multiplicity two, mu = 1 iff
+    (g_u, g_v) = m iff the linear parts of g_u and g_v are independent iff
+    b^2 - 4ac != 0 for the quadratic part a u^2 + b uv + c v^2.
     """
     if not g:
         raise ValueError("zero form")
@@ -544,18 +548,9 @@ def an_type_at(g: Germ, candidate: int = 6) -> AnVerdict:
     if not gu or not gv or _share_component(gu, gv):
         return AnVerdict("other", None, m, reason="non-isolated singular point")
 
-    quad = {e: c for e, c in g.items() if e[0] + e[1] == 2}
-    a = quad.get((2, 0), 0)
-    b = quad.get((1, 1), 0)
-    c = quad.get((0, 2), 0)
-    disc = b * b - 4 * a * c
-    corank = 0 if disc != 0 else 1
-
     mu = _colength(gu, gv, 16 * candidate + 16)
     if mu is None:
         return AnVerdict("inconclusive", None, m, None, "Milnor number failed to stabilize")
-    if corank == 0 and mu != 1:
-        return AnVerdict("inconclusive", None, m, mu, "corank and Milnor number disagree")
     return AnVerdict("A", mu, m, mu)
 
 
@@ -812,10 +807,6 @@ class RestrictionPattern(NamedTuple):
     contained: bool
     orders: tuple[int, ...]
     residual_degree: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.orders) + self.residual_degree
 
 
 def restrict_to_line(
@@ -1083,13 +1074,6 @@ class SmoothnessReport(NamedTuple):
     singular_points: tuple[MarkedPoint, ...]
     eliminant_degree: int
     unresolved_degree: int  # degree of the eliminant part without rational roots
-
-    @property
-    def note(self) -> str:
-        return (
-            f"no rational singular points beyond those listed; eliminant degree "
-            f"{self.eliminant_degree}, non-rational residual degree {self.unresolved_degree}"
-        )
 
 
 def rational_singular_points(form: HomogeneousForm) -> SmoothnessReport:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from unimodal.configurations import Component, Contact, CurveConfiguration, FundamentalCycle, _pairings
-from unimodal.pipelines import _VARIANT_DATA, CheckRecord
+from unimodal.pipelines import _SECOND_FIBERS, CheckRecord
 from unimodal.planecurves import (
     AnVerdict,
     ConditionSystem,
@@ -264,6 +264,27 @@ def fundamental_cycle_brute_force(
     if not anti_nef:
         return None
     return FundamentalCycle(config, tuple(min(z[i] for z in anti_nef) for i in range(n)))
+
+
+def fraction_gram(config: CurveConfiguration) -> list[list[Fraction]]:
+    """The Gram matrix in Fractions, built from the components and contacts."""
+    index = {name: i for i, name in enumerate(config.names)}
+    gram = [[Fraction(0)] * len(index) for _ in index]
+    for i, c in enumerate(config.components):
+        gram[i][i] = Fraction(c.self_int)
+    for contact in config.contacts:
+        i, j = index[contact.first], index[contact.second]
+        gram[i][j] = gram[j][i] = Fraction(contact.mult)
+    return gram
+
+
+def cycle_invariants_by_fractions(cycle: FundamentalCycle) -> tuple[Fraction, Fraction, Fraction]:
+    """Z^2, K.Z and p_a(Z) summed in Fractions on :func:`fraction_gram`, with
+    K.E_i = 2 p_a(E_i) - 2 - E_i^2."""
+    z, gram = cycle.coeffs, fraction_gram(cycle.config)
+    self_int = sum((Fraction(a) * g * b for a, row in zip(z, gram) for g, b in zip(row, z)), Fraction(0))
+    canonical = sum((a * Fraction(2 * c.pa - 2 - c.self_int) for a, c in zip(z, cycle.config.components)), Fraction(0))
+    return self_int, canonical, 1 + (self_int + canonical) / 2
 
 
 def is_connected_by_union(config: CurveConfiguration) -> bool:
@@ -529,7 +550,7 @@ HAND_EXCEPTIONAL = {
 
 def en_variants(singularity: str) -> tuple[str | None, ...]:
     """The second-fibre variants an elliptic-route type admits; (None,) for E12."""
-    return (None,) if singularity == "E12" else tuple(v for s, v in _VARIANT_DATA if s == singularity)
+    return _SECOND_FIBERS.get(singularity, (None,))
 
 
 def is_a(verdict: AnVerdict, n: int) -> bool:

@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from unimodal.configurations import Component, CurveConfiguration
+import unimodal.pipelines as pipelines
+from unimodal.configurations import (
+    EXCEPTIONAL_LABELS,
+    Component,
+    CurveConfiguration,
+    catalog_entry,
+    classify_minimally_elliptic,
+)
 from unimodal.lattice import replay
 from unimodal.pipelines import (
     EnSpec,
@@ -18,6 +25,7 @@ from unimodal.pipelines import (
     section_class_coefficient,
 )
 from unimodal.lattice import make_hirzebruch, make_p2
+from unimodal.scenarios import corpus_dir, load_scenario
 from unimodal.sextics import FAMILIES
 
 from oracles import en_variants
@@ -134,6 +142,35 @@ def test_en_second_fibers_recognized():
 def test_en_multiple_fiber_follows_profile():
     assert run_en_pipeline(EnSpec("E12", profile=6)).check("multiple-fiber-type").computed == "I0"
     assert run_en_pipeline(EnSpec("E12", profile=7)).check("multiple-fiber-type").computed == "I1"
+
+
+def test_en_multiple_fiber_carries_the_catalog_marker(monkeypatch):
+    # F is the catalog's T237 curve: with a cusp in place of its node the
+    # multiple fibre read off the surface is II, and the record fails
+    def cusped(label):
+        entry = catalog_entry(label)
+        if label != "T237":
+            return entry
+        return entry._replace(config=CurveConfiguration((Component("F", -1, 1, "cusp"),)))
+
+    monkeypatch.setattr(pipelines, "catalog_entry", cusped)
+    record = run_en_pipeline(EnSpec("E13", profile=7, fiber_variant="I3")).check("multiple-fiber-type")
+    assert (record.computed, record.expected, record.status) == ("II", "I1", "fail")
+
+
+def test_en_second_fibers_are_the_bundled_scenarios():
+    bundled = set()
+    for path in corpus_dir().glob("e1[34]-*.scn"):
+        payload = load_scenario(path).payload
+        bundled.add((payload["singularity"], payload["fiber_variant"]))
+    admitted = {(sing, variant) for sing, variants in pipelines._SECOND_FIBERS.items() for variant in variants}
+    assert admitted == bundled
+
+
+def test_route_types_are_the_catalog_degrees():
+    degrees = {label: classify_minimally_elliptic(catalog_entry(label).config).degree for label in EXCEPTIONAL_LABELS}
+    assert pipelines._EN_TYPES == tuple(label for label, d in degrees.items() if d == 1)
+    assert pipelines._ZW_TYPES == tuple(label for label, d in degrees.items() if d == 2)
 
 
 def test_en_euler_budget_remainder():

@@ -88,7 +88,7 @@ def test_restriction_z11_pattern():
     assert not pattern.contained
     assert pattern.orders == (3, 2, 1)
     assert pattern.residual_degree == 0
-    assert pattern.total == 6
+    assert sum(pattern.orders) + pattern.residual_degree == 6
 
 
 def test_restriction_w12_pattern():
@@ -145,7 +145,7 @@ def test_restriction_sum_rule_random():
         pattern = restrict_to_line(f, line, marked)
         if pattern.contained:
             continue
-        assert pattern.total == 4
+        assert sum(pattern.orders) + pattern.residual_degree == 4
 
 
 def _random_form(rng, degree):

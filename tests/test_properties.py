@@ -42,6 +42,7 @@ from unimodal.planecurves import (
     _integer_terms,
     _jacobian_rows,
     _share_component,
+    an_type_at,
     germ,
     germ_mul,
     germ_of,
@@ -68,6 +69,7 @@ from unimodal.rationals import (
 
 from oracles import (
     blow_up_at_direction_by_expansion,
+    cycle_invariants_by_fractions,
     en_variants,
     germ_of_by_expansion,
     intersection_by_blow_ups,
@@ -775,6 +777,32 @@ def test_local_intersection_agrees_with_the_blow_up_recursion(case):
     assert contact is None or number == contact
 
 
+@st.composite
+def double_points(draw):
+    """a u^2 + b uv + c v^2 plus up to four terms of degree 3 to 6; half of
+    the quadratic parts are squares (p u + q v)^2, of discriminant zero."""
+    if draw(st.booleans()):
+        p, q = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        a, b, c = p * p, 2 * p * q, q * q
+    else:
+        a, b, c = draw(st.tuples(*[st.integers(-4, 4)] * 3).filter(any))
+    g = {(2, 0): Fraction(a), (1, 1): Fraction(b), (0, 2): Fraction(c)}
+    for e in draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda e: 3 <= sum(e) <= 6
+    ), max_size=4)):
+        g[e] = draw(small_nonzero)
+    return germ({e: x for e, x in g.items() if x}), b * b - 4 * a * c
+
+
+@given(double_points())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_a1_exactly_when_the_quadratic_part_is_nondegenerate(case):
+    g, disc = case
+    verdict = an_type_at(g)
+    assume(verdict.kind == "A")  # an isolated point
+    assert (verdict.n == 1) == (disc != 0)
+
+
 # ---------------------------------------------------------------------------
 # Minimally elliptic classification, against the subset enumeration
 # ---------------------------------------------------------------------------
@@ -833,21 +861,13 @@ def test_connectivity_agrees_with_union_find(config):
         assert sub.is_connected() == is_connected_by_union(sub)
 
 
-def _cycle_invariants_by_fractions(cycle):
-    """Z^2, K.Z and p_a(Z) summed in Fractions on the Fraction Gram matrix."""
-    z, gram = cycle.coeffs, cycle.config.gram()
-    self_int = sum((Fraction(a) * g * b for a, row in zip(z, gram) for g, b in zip(row, z)), Fraction(0))
-    canonical = sum((a * k for a, k in zip(z, cycle.config.canonical_degrees())), Fraction(0))
-    return self_int, canonical, 1 + (self_int + canonical) / 2
-
-
 @given(negative_definite_configurations())
 @settings(max_examples=200, derandomize=True)
 def test_cycle_invariants_agree_with_fraction_formulas(config):
     cycle = fundamental_cycle(config)
     computed = (cycle.self_int, cycle.canonical_degree, cycle.pa)
     assert all(isinstance(x, Fraction) for x in computed)
-    assert computed == _cycle_invariants_by_fractions(cycle)
+    assert computed == cycle_invariants_by_fractions(cycle)
 
 
 def test_classification_of_the_catalog_agrees_with_subset_enumeration():
