@@ -21,7 +21,7 @@ degree-one elliptic T-singularities.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 from .rationals import (
@@ -476,10 +476,11 @@ def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
 
     The first candidate for the number of components that is
     :func:`isomorphic` to the configuration; each shape is written once, in
-    :func:`fiber_configuration`.  Two necessary conditions come first: every
-    Gram row sums to 0 (F.E_i = 0 for the reduced total cycle F), and the
-    configuration is connected, which keeps the backtracking search off
-    disconnected inputs, where it can only fail, slowly.
+    :func:`fiber_configuration`, and built once per process.  Two necessary
+    conditions come first: every Gram row sums to 0 (F.E_i = 0 for the
+    reduced total cycle F), and the configuration is connected, which keeps
+    the backtracking search off disconnected inputs, where it can only fail,
+    slowly.
     """
     n = len(config.components)
     if not 1 <= n <= MAX_COMPONENTS:
@@ -488,9 +489,17 @@ def recognize_kodaira_fiber(config: CurveConfiguration) -> str | None:
         return None
     candidates = {1: ("I0", "I1", "II"), 2: ("I2", "III"), 3: ("I3", "IV")}.get(n, (f"I{n}",))
     for fiber_type in candidates:
-        if isomorphic(config, fiber_configuration(fiber_type)):
+        if isomorphic(config, _candidate_fiber(fiber_type)):
             return fiber_type
     return None
+
+
+@cache
+def _candidate_fiber(fiber_type: str) -> CurveConfiguration:
+    """:func:`fiber_configuration` of a candidate name; the names are the
+    function's own, I_n with n <= MAX_COMPONENTS, II, III and IV, so the cache
+    is bounded.  The public function stays uncached: it reads input names."""
+    return fiber_configuration(fiber_type)
 
 
 def fiber_euler_number(fiber_type: str) -> int:

@@ -35,10 +35,7 @@ from .pipelines import (
     PipelineResult,
     ZwSpec,
     judge,
-    run_dims_check,
     run_en_pipeline,
-    run_riemann_hurwitz_check,
-    run_section_class_check,
     run_zw_pipeline,
 )
 from .planecurves import (
@@ -58,7 +55,7 @@ from .planecurves import (
 from .rationals import rat_str
 
 SCHEMA_VERSION = "1"
-KINDS = ("pipeline", "config-check", "plane-check", "dims-check")
+KINDS = ("pipeline", "config-check", "plane-check")
 # An an-type candidate c caps the Milnor-number search of `an_type_at` at
 # b = 16c + 16.  At c = 8 a germ whose Milnor number lies beyond that cap (a
 # disguised A_200) exhausts the search in about a minute on a 2-core machine.
@@ -229,10 +226,6 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
             config=config,
         )
         return run_zw_pipeline(spec)
-    if construction == "section-class":
-        return run_section_class_check()
-    if construction == "riemann-hurwitz":
-        return run_riemann_hurwitz_check()
     raise ScenarioError(f"unknown construction {construction!r}")
 
 
@@ -366,10 +359,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         elif scenario.kind == "plane-check":
             values = _plane_check_values(scenario.payload)
         else:
-            if scenario.kind == "dims-check":
-                result = run_dims_check(str(scenario.payload["family"]))
-            else:
-                result = _run_pipeline_payload(scenario.payload)
+            result = _run_pipeline_payload(scenario.payload)
             records, values = result.checks, dict(result.diagnostics)
     except ScenarioError:
         raise

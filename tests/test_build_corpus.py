@@ -22,8 +22,8 @@ def test_build_corpus_reproduces_the_bundled_scenarios(tmp_path, capsys):
     builder.OUT = tmp_path
     builder.main()
     written = sorted(p.name for p in tmp_path.glob("*.scn"))
-    assert len(written) == 27
+    assert len(written) == 25
     assert written == sorted(p.name for p in CORPUS.glob("*.scn"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name
-    assert "wrote 27 scenarios" in capsys.readouterr().out
+    assert "wrote 25 scenarios" in capsys.readouterr().out

@@ -314,6 +314,28 @@ def test_recognize_kodaira_fibers():
     assert recognize_kodaira_fiber(square) == "I4"
 
 
+def test_recognize_builds_each_candidate_fiber_once(monkeypatch):
+    # counted calls, no timing: a candidate shape is built once per process;
+    # the public builder stays uncached
+    import unimodal.configurations as configurations
+
+    original = configurations.fiber_configuration
+    built = []
+
+    def recording(fiber_type):
+        built.append(fiber_type)
+        return original(fiber_type)
+
+    monkeypatch.setattr(configurations, "fiber_configuration", recording)
+    configurations._candidate_fiber.cache_clear()
+    shapes = ("I0", "I1", "II", "I2", "III", "I3", "IV", "I5")
+    for _ in range(2):
+        for fiber_type in shapes:
+            assert recognize_kodaira_fiber(original(fiber_type)) == fiber_type
+    assert sorted(built) == sorted(shapes)
+    assert original("I2") is not original("I2")
+
+
 def test_recognize_rejects_non_fibers():
     assert recognize_kodaira_fiber(cfg([("E", -1, 0)])) is None
     assert recognize_kodaira_fiber(cfg([("E", -2, 0)])) is None

@@ -20,7 +20,6 @@ from unimodal.pipelines import (
     branch_class_for,
     run_en_pipeline,
     run_riemann_hurwitz_check,
-    run_section_class_check,
     run_zw_pipeline,
     section_class_coefficient,
 )
@@ -264,11 +263,25 @@ def test_zw_invalid_inputs():
 
 
 def test_standalone_checks():
-    section = run_section_class_check()
-    assert [r.status for r in section.checks] == ["pass", "pass"]
     hurwitz = run_riemann_hurwitz_check()
     assert hurwitz.failed == ()
     assert len(hurwitz.checks) == 25
+
+
+def test_double_plane_is_built_once_per_process(monkeypatch):
+    # counted calls, no timing: the double plane depends on no input
+    original = pipelines.make_p2
+    built = []
+
+    def recording():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(pipelines, "make_p2", recording)
+    pipelines._double_plane.cache_clear()
+    for sing in ("Z11", "W13", "Z11"):
+        assert run_zw_pipeline(ZwSpec(sing, family_case=None)).failed == ()
+    assert built == [1]
 
 
 def test_every_record_names_its_claim():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unimodal.cli import main
-from unimodal.pipelines import FLAG_KINDS, CheckRecord
+from unimodal.configurations import catalog_entry
+from unimodal.pipelines import FLAG_KINDS, CheckRecord, run_riemann_hurwitz_check
 from unimodal.scenarios import (
     MAX_CANDIDATE,
     Report,
@@ -23,10 +24,17 @@ from unimodal.scenarios import (
     run_corpus,
     run_scenario,
 )
+from unimodal.sextics import FAMILIES
 
 from oracles import emit_report_by_dumps, parse_report
 
 CORPUS = Path(__file__).parent.parent / "src" / "unimodal" / "corpus"
+
+
+# K3-route pipelines for tests that need engine records: without a family
+# (the cheapest pipeline) and with one
+_ZW_NO_FAMILY = {"construction": "zw", "singularity": "Z11", "family_case": None}
+_ZW_Z11_CASE2 = {"construction": "zw", "singularity": "Z11", "family_case": 2}
 
 
 def scn(kind: str, payload: dict, expected: dict, name: str = "t") -> str:
@@ -58,8 +66,8 @@ def test_parse_rejects_bad_input():
         )
 
 
-def test_corpus_has_27_scenarios():
-    assert len(sorted(CORPUS.glob("*.scn"))) == 27
+def test_corpus_has_25_scenarios():
+    assert len(sorted(CORPUS.glob("*.scn"))) == 25
 
 
 def test_corpus_clean_with_three_flag_kinds():
@@ -141,6 +149,67 @@ def test_corpus_pass_computes_the_section_coefficient_once_per_genus(monkeypatch
     assert bases == []
 
 
+def test_corpus_pass_runs_each_family_once_in_its_pipeline(monkeypatch):
+    # counted calls, no timing: each branch family is verified in one place,
+    # its K3-route pipeline scenario, and no scenario reaches the standalone
+    # Riemann-Hurwitz check
+    import unimodal.pipelines as pipelines
+    import unimodal.scenarios as scenarios
+
+    verified, zw_runs, hurwitz = [], [], []
+    original_verify, original_zw = pipelines.verify_family, scenarios.run_zw_pipeline
+
+    def recording_verify(fam):
+        verified.append(fam.family_id)
+        return original_verify(fam)
+
+    def recording_zw(spec):
+        zw_runs.append(spec)
+        return original_zw(spec)
+
+    monkeypatch.setattr(pipelines, "verify_family", recording_verify)
+    monkeypatch.setattr(scenarios, "run_zw_pipeline", recording_zw)
+    monkeypatch.setattr(pipelines, "run_riemann_hurwitz_check", lambda: hurwitz.append(1))
+    assert run_corpus(CORPUS).exit_code == 0
+    assert sorted(verified) == sorted(fam.family_id for fam in FAMILIES)
+    assert len(zw_runs) == 10
+    assert hurwitz == []
+
+
+def test_corpus_zw_scenarios_restate_the_riemann_hurwitz_check():
+    # its 25 records, z11- etc. dropped, are computed by every pipeline of the type
+    report = {s.name: s for s in run_corpus(CORPUS).scenarios}
+    by_type = {}
+    for path in sorted(CORPUS.glob("*.scn")):
+        scenario = load_scenario(path)
+        if scenario.payload.get("construction") == "zw":
+            by_type.setdefault(scenario.payload["singularity"].lower(), []).append(report[scenario.name])
+    assert sorted(by_type) == ["w12", "w13", "z11", "z12", "z13"]
+    records = run_riemann_hurwitz_check().checks
+    assert len(records) == 25
+    for record in records:
+        prefix, name = record.name.split("-", 1)
+        for scenario in by_type[prefix]:
+            (pinned,) = [a for a in scenario.assertions if a.name == name]
+            assert pinned.computed == record.computed, (scenario.name, name)
+
+
+def test_every_en_scenario_pins_the_section_class_coefficient():
+    genera = {}
+    for path in sorted(CORPUS.glob("*.scn")):
+        scenario = load_scenario(path)
+        if scenario.payload.get("construction") != "en":
+            continue
+        assert dict(scenario.expected)["section-class-coefficient"].value == "0", scenario.name
+        result = run_scenario(scenario)
+        (record,) = [a for a in result.assertions if a.name == "section-class-coefficient"]
+        assert (record.computed, record.status) == ("0", "pass"), scenario.name
+        singularity = scenario.payload["singularity"]
+        genera[singularity] = catalog_entry(singularity).config.component("E1").pa
+    # both bisection genera, so both ruled bases, occur
+    assert genera == {"E12": 1, "E13": 0, "E14": 0}
+
+
 # text the report must escape: non-ASCII, quotes, backslashes, controls, lone surrogates
 _TEXT = st.lists(
     st.one_of(
@@ -200,7 +269,7 @@ def test_report_round_trip():
 def test_e12_scenario_counts():
     scenario = load_scenario(CORPUS / "e12.scn")
     result = run_scenario(scenario)
-    assert result.count("pass") == 14
+    assert result.count("pass") == 15
     assert result.count("fail") == 0
     assert result.count("flagged") == 1  # the Euler-number discrepancy surfaces
     assert result.exit_code == 0
@@ -210,7 +279,7 @@ def test_scenario_missing_assertion_fails():
     scenario = parse_scenario(
         scn(
             "pipeline",
-            {"construction": "section-class"},
+            _ZW_NO_FAMILY,
             {"no-such-value": {"value": "1"}},
         )
     )
@@ -223,8 +292,8 @@ def test_scenario_value_regression_fails():
     scenario = parse_scenario(
         scn(
             "pipeline",
-            {"construction": "section-class"},
-            {"section-class-coefficient-genus-0": {"value": "7"}},
+            _ZW_NO_FAMILY,
+            {"pushed-cycle-squared": {"value": "7"}},
         )
     )
     assert run_scenario(scenario).exit_code == 1
@@ -405,8 +474,8 @@ def test_input_bounds_admit_their_limits():
     assert run_scenario(parse_scenario(text)).exit_code == 0
 
 
-def test_dims_check_scenario_flag():
-    scenario = load_scenario(CORPUS / "dims-z13-case2.scn")
+def test_zw_scenario_flag():
+    scenario = load_scenario(CORPUS / "z13-case2.scn")
     result = run_scenario(scenario)
     assert result.exit_code == 0
     flagged = [a for a in result.assertions if a.status == "flagged"]
@@ -439,7 +508,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
 def test_cli_corpus_json(capsys):
     assert main(["corpus", "--report=json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["scenarios"] == 27
+    assert payload["summary"]["scenarios"] == 25
     assert payload["summary"]["fail"] == 0
     assert payload["summary"]["flags"] == ["nef-bundle-en-values", "noether-c2", "z13-case2-count"]
 
@@ -453,13 +522,13 @@ def test_cli_corpus_env_override(tmp_path, monkeypatch, capsys):
     assert corpus_dir() != sub
     assert main(["corpus", "--report=json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["scenarios"] == 27
+    assert payload["summary"]["scenarios"] == 25
 
 
 def test_cli_corpus_dir_flag(tmp_path, capsys):
     sub = tmp_path / "two"
     sub.mkdir()
-    for name in ("e12.scn", "section-class.scn"):
+    for name in ("e12.scn", "w12-case2.scn"):
         (sub / name).write_text((CORPUS / name).read_text())
     assert main(["corpus", "--dir", str(sub), "--report=json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -705,9 +774,9 @@ def _verify_json(tmp_path, capsys, text):
     [
         ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
         ("plane-check", _PLANE_CUSP, "cusp", "A2"),
-        ("dims-check", {"family": "z11-case2"}, "stabilizer-dim", "4"),
+        ("pipeline", _ZW_Z11_CASE2, "stabilizer-dim", "4"),
     ],
-    ids=["config-check", "plane-check", "dims-check-diagnostic"],
+    ids=["config-check", "plane-check", "zw-diagnostic"],
 )
 def test_invented_flag_kind_is_exit_2(tmp_path, capsys, kind, payload, name, value):
     for flag in ("made-up", ["noether-c2"]):
@@ -721,9 +790,9 @@ def test_invented_flag_kind_is_exit_2(tmp_path, capsys, kind, payload, name, val
     [
         ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
         ("plane-check", _PLANE_CUSP, "cusp", "A2"),
-        ("dims-check", {"family": "z11-case2"}, "stabilizer-dim", "4"),
+        ("pipeline", _ZW_Z11_CASE2, "stabilizer-dim", "4"),
     ],
-    ids=["config-check", "plane-check", "dims-check-diagnostic"],
+    ids=["config-check", "plane-check", "zw-diagnostic"],
 )
 def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload, name, value):
     for pin in (
@@ -747,7 +816,7 @@ def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload,
 )
 def test_discrepancy_pinned_on_a_passing_engine_record_fails(tmp_path, capsys, pin):
     pin, expected = pin
-    text = scn("pipeline", {"construction": "section-class"}, {"section-class-coefficient-genus-0": pin})
+    text = scn("pipeline", _ZW_Z11_CASE2, {"family-restriction-residual": pin})
     code, report = _verify_json(tmp_path, capsys, text)
     assert code == 1
     assertion = report["scenarios"][0]["assertions"][0]
@@ -755,7 +824,7 @@ def test_discrepancy_pinned_on_a_passing_engine_record_fails(tmp_path, capsys, p
     assert report["summary"]["flags"] == []
     path = tmp_path / "pinned.scn"
     assert main(["verify", str(path)]) == 1
-    line = f"FAIL section-class-coefficient-genus-0: computed 0, expected {expected}"
+    line = f"FAIL family-restriction-residual: computed 0, expected {expected}"
     assert line in capsys.readouterr().out
 
 

@@ -166,7 +166,7 @@ def test_verify_family_builds_each_restriction_point_once(monkeypatch):
 
 def test_dims_check_takes_one_rank_per_system_and_one_stabilizer(monkeypatch):
     import unimodal.sextics as sextics
-    from unimodal.pipelines import run_dims_check
+    from unimodal.pipelines import ZwSpec, run_zw_pipeline
 
     ranks, stabilizers = [], []
     original_rank, original_stabilizer = ConditionSystem.rank, sextics.stabilizer_dim
@@ -184,7 +184,7 @@ def test_dims_check_takes_one_rank_per_system_and_one_stabilizer(monkeypatch):
     for fam in FAMILIES:
         ranks.clear()
         stabilizers.clear()
-        diagnostics = dict(run_dims_check(fam.family_id).diagnostics)
+        diagnostics = dict(run_zw_pipeline(ZwSpec(fam.singularity, fam.case)).diagnostics)
         # the stated system, and the one with the full mark for the flagged family
         assert len(ranks) == (1 if fam.stated_mark_n is None else 2), fam.family_id
         assert len(stabilizers) == 1, fam.family_id

@@ -63,6 +63,7 @@ def en_scenarios() -> None:
             "catalog-match": v("E12"),
             "multiple-fiber-type": v("I0"),
             "euler-budget": v("feasible"),
+            "section-class-coefficient": v(0),
             "contracted-canonical-squared": v(1),
             "contracted-euler-characteristic": v(3),
             "contracted-canonical-ample": v("ample"),
@@ -102,6 +103,7 @@ def en_scenarios() -> None:
                     "nef-bundle-on-bisection": documented("nef-bundle-on-bisection"),
                     "nef-bundle-squared": documented("nef-bundle-squared"),
                     "branch-germ-33-profile": v(f"true,{profile}"),
+                    "section-class-coefficient": v(0),
                     "contracted-canonical-squared": v(1),
                     "contracted-euler-characteristic": v(3),
                     "contracted-canonical-ample": v("ample"),
@@ -137,9 +139,28 @@ def catalog_scenarios() -> None:
         )
 
 
-def dims_scenarios() -> None:
+def zw_scenarios() -> None:
+    # the rational double point left by contracting the cycle's trivial part
+    ade = {"Z11": "none", "Z12": "A1", "Z13": "A2", "W12": "none", "W13": "A1"}
     for fam in FAMILIES:
         expected = {
+            "exceptional-cycle-squared": v(-2),
+            "exceptional-canonical-degree": v(2),
+            "exceptional-adjunction-integral": v("integral"),
+            "catalog-match": v(fam.singularity),
+            "canonical-plus-cycle-squared": v(1),
+            "cycle-meets-blowdown-curve": v(2),
+            "blowdown-kind": v("blow-down"),
+            "blowdown-canonical-trivial": v("trivial"),
+            "blowdown-euler-characteristic": v(2),
+            "pushed-cycle-squared": v(2),
+            "pushed-cycle-genus": v(2),
+            "pushed-cycle-euler-characteristic": v(3),
+            "double-cover-branch-degree": v(6),
+            "ade-contraction": v(ade[fam.singularity]),
+            "contracted-canonical-squared": v(1),
+            "contracted-euler-characteristic": v(3),
+            "contracted-canonical-ample": v("ample"),
             "family-restriction-orders": v(",".join(str(o) for o in fam.expected_orders)),
             "family-restriction-residual": v(6 - sum(fam.expected_orders)),
             "family-smoothness-scan": v(0),
@@ -154,39 +175,12 @@ def dims_scenarios() -> None:
             expected["family-orbit-count"] = documented("family-orbit-count")
             # the cusp's tangent rows, beyond the stated double point, reach the stated count
             expected["family-orbit-count-variant"] = v(fam.claimed_count)
-        write(f"dims-{fam.family_id}", "dims-check", {"family": fam.family_id}, expected)
-
-
-def standalone_scenarios() -> None:
-    write(
-        "section-class",
-        "pipeline",
-        {"construction": "section-class"},
-        {
-            "section-class-coefficient-genus-0": v(0),
-            "section-class-coefficient-genus-1": v(0),
-        },
-    )
-    expected = {}
-    for singularity, ade in (
-        ("Z11", "none"),
-        ("Z12", "A1"),
-        ("Z13", "A2"),
-        ("W12", "none"),
-        ("W13", "A1"),
-    ):
-        prefix = singularity.lower()
-        expected[f"{prefix}-pushed-cycle-squared"] = v(2)
-        expected[f"{prefix}-pushed-cycle-genus"] = v(2)
-        expected[f"{prefix}-pushed-cycle-euler-characteristic"] = v(3)
-        expected[f"{prefix}-double-cover-branch-degree"] = v(6)
-        expected[f"{prefix}-ade-contraction"] = v(ade)
-    write(
-        "zw-riemann-hurwitz",
-        "pipeline",
-        {"construction": "riemann-hurwitz"},
-        expected,
-    )
+        write(
+            fam.family_id,
+            "pipeline",
+            {"construction": "zw", "singularity": fam.singularity, "family_case": fam.case},
+            expected,
+        )
 
 
 def main() -> None:
@@ -195,8 +189,7 @@ def main() -> None:
         stale.unlink()
     en_scenarios()
     catalog_scenarios()
-    dims_scenarios()
-    standalone_scenarios()
+    zw_scenarios()
     print(f"wrote {len(list(OUT.glob('*.scn')))} scenarios to {OUT}")
 
 
