@@ -31,12 +31,6 @@ from oracles import emit_report_by_dumps, parse_report
 CORPUS = Path(__file__).parent.parent / "src" / "unimodal" / "corpus"
 
 
-# K3-route pipelines for tests that need engine records: without a family
-# (the cheapest pipeline) and with one
-_ZW_NO_FAMILY = {"construction": "zw", "singularity": "Z11", "family_case": None}
-_ZW_Z11_CASE2 = {"construction": "zw", "singularity": "Z11", "family_case": 2}
-
-
 def scn(kind: str, payload: dict, expected: dict, name: str = "t") -> str:
     return json.dumps(
         {"schema": "1", "kind": kind, "name": name, "payload": payload, "expected": expected}
@@ -279,7 +273,7 @@ def test_scenario_missing_assertion_fails():
     scenario = parse_scenario(
         scn(
             "pipeline",
-            _ZW_NO_FAMILY,
+            dict(_ZW, family_case=None),
             {"no-such-value": {"value": "1"}},
         )
     )
@@ -292,7 +286,7 @@ def test_scenario_value_regression_fails():
     scenario = parse_scenario(
         scn(
             "pipeline",
-            _ZW_NO_FAMILY,
+            dict(_ZW, family_case=None),
             {"pushed-cycle-squared": {"value": "7"}},
         )
     )
@@ -560,10 +554,16 @@ def test_cli_dims(capsys):
 
 
 def test_scenario_semantic_payload_error_is_exit_2(tmp_path):
-    text = scn("pipeline", {"construction": "en", "singularity": "E12", "fiber_variant": "I2"}, {})
     path = tmp_path / "illegal.scn"
-    path.write_text(text)
-    assert main(["verify", str(path)]) == 2
+    for text in (
+        scn("pipeline", {"construction": "en", "singularity": "E12", "fiber_variant": "I2"}, {}),
+        # the retired standalone checks and kind
+        scn("pipeline", {"construction": "section-class"}, {}),
+        scn("pipeline", {"construction": "riemann-hurwitz"}, {}),
+        scn("dims-check", {"family": "z11-case2"}, {}),
+    ):
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
 
 
 _EN = {"construction": "en", "singularity": "E12", "germ_checks": False}
@@ -774,7 +774,7 @@ def _verify_json(tmp_path, capsys, text):
     [
         ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
         ("plane-check", _PLANE_CUSP, "cusp", "A2"),
-        ("pipeline", _ZW_Z11_CASE2, "stabilizer-dim", "4"),
+        ("pipeline", dict(_ZW, family_case=2), "stabilizer-dim", "4"),
     ],
     ids=["config-check", "plane-check", "zw-diagnostic"],
 )
@@ -790,7 +790,7 @@ def test_invented_flag_kind_is_exit_2(tmp_path, capsys, kind, payload, name, val
     [
         ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
         ("plane-check", _PLANE_CUSP, "cusp", "A2"),
-        ("pipeline", _ZW_Z11_CASE2, "stabilizer-dim", "4"),
+        ("pipeline", dict(_ZW, family_case=2), "stabilizer-dim", "4"),
     ],
     ids=["config-check", "plane-check", "zw-diagnostic"],
 )
@@ -816,7 +816,7 @@ def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload,
 )
 def test_discrepancy_pinned_on_a_passing_engine_record_fails(tmp_path, capsys, pin):
     pin, expected = pin
-    text = scn("pipeline", _ZW_Z11_CASE2, {"family-restriction-residual": pin})
+    text = scn("pipeline", dict(_ZW, family_case=2), {"family-restriction-residual": pin})
     code, report = _verify_json(tmp_path, capsys, text)
     assert code == 1
     assertion = report["scenarios"][0]["assertions"][0]
