@@ -25,10 +25,13 @@ from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 from .rationals import (
+    MAX_COEFF_BITS,
+    MAX_COEFF_CHARS,
     bounded_rational,
-    frac,
+    decimal_int,
     is_negative_definite as _gram_negative_definite,
     rat_str,
+    ratio,
 )
 
 MAX_LAUFER_ITERATIONS = 10_000
@@ -163,30 +166,24 @@ class FundamentalCycle(NamedTuple):
     coeffs: tuple[int, ...]
 
     # Z^2 and K.Z are integer sums on the integral Gram matrix and the integer
-    # canonical degrees; each invariant builds one Fraction at the end.
+    # canonical degrees; only p_a divides, through `rationals.ratio`.
 
-    def _self_int(self) -> int:
-        return sum(a * p for a, p in zip(self.coeffs, _pairings(self.config.integer_gram(), self.coeffs)))
+    @property
+    def self_int(self) -> int:
+        return sum(a * p for a, p in zip(self.coeffs, self.pairings()))
 
-    def _canonical_degree(self) -> int:
+    @property
+    def canonical_degree(self) -> int:
         return sum(a * (2 * c.pa - 2 - c.self_int) for a, c in zip(self.coeffs, self.config.components))
 
     @property
-    def self_int(self) -> Fraction:
-        return Fraction(self._self_int())
-
-    @property
-    def canonical_degree(self) -> Fraction:
-        return Fraction(self._canonical_degree())
-
-    @property
-    def pa(self) -> Fraction:
+    def pa(self) -> int | Fraction:
         """1 + (Z^2 + K.Z) / 2."""
-        return Fraction(2 + self._self_int() + self._canonical_degree(), 2)
+        return ratio(2 + self.self_int + self.canonical_degree, 2)
 
-    def pairings(self) -> list[Fraction]:
+    def pairings(self) -> list[int]:
         """Z.E_i for every component; anti-nef means all are <= 0."""
-        return [frac(p) for p in _pairings(self.config.integer_gram(), self.coeffs)]
+        return _pairings(self.config.integer_gram(), self.coeffs)
 
 
 def _pairings(gram: Sequence[Sequence[int]], z) -> list[int]:
@@ -266,7 +263,7 @@ def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassific
             checked.add(piece)
             if _laufer_cycle(config.subconfiguration(tuple(piece))).pa != 0:
                 return EllipticClassification("not-elliptic", None, cycle)
-    return EllipticClassification("minimally-elliptic", -cycle._self_int(), cycle)
+    return EllipticClassification("minimally-elliptic", -cycle.self_int, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +340,7 @@ class CatalogEntry(NamedTuple):
     kodaira_fiber: str | None = None  # fibre the dual graph blows up from
     blow_ups: tuple[int, ...] = ()  # points blown up per fibre component
 
-    def recomputed(self) -> tuple[Fraction, Fraction, Fraction]:
+    def recomputed(self) -> tuple[int, int, int | Fraction]:
         cycle = fundamental_cycle(self.config)
         return cycle.self_int, cycle.canonical_degree, cycle.pa
 
@@ -398,17 +395,14 @@ def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
     and tangency) with every component mapped so far agree.  The concurrency
     flags are compared once every component is mapped.
     """
-    if len(a.components) != len(b.components):
-        return False
-    key = lambda c: (c.self_int, c.pa, c.sing or "")
-    if sorted(map(key, a.components)) != sorted(map(key, b.components)):
+    if len(a.components) != len(b.components) or _invariants(a) != _invariants(b):
         return False
     a_links, b_links = _links(a), _links(b)
     targets: dict[tuple, list[str]] = {}
     for c in b.components:
-        targets.setdefault(key(c), []).append(c.name)
+        targets.setdefault(_key(c), []).append(c.name)
     order = [name for piece in _connected_pieces(a_links) for name in piece]
-    a_keys = {c.name: key(c) for c in a.components}
+    a_keys = {c.name: _key(c) for c in a.components}
     b_triples = set(b.concurrent)
     mapping: dict[str, str] = {}
 
@@ -428,6 +422,16 @@ def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
         return False
 
     return extend(0)
+
+
+def _key(component: Component) -> tuple[int, int, str]:
+    """What a relabeling must keep of a component: self-intersection, genus, marker."""
+    return component.self_int, component.pa, component.sing or ""
+
+
+def _invariants(config: CurveConfiguration) -> tuple[tuple[int, int, str], ...]:
+    """The sorted multiset of component keys, equal on isomorphic configurations."""
+    return tuple(sorted(map(_key, config.components)))
 
 
 def _links(config: CurveConfiguration) -> dict[str, dict[str, tuple[int, bool]]]:
@@ -458,9 +462,25 @@ def _connected_pieces(links: dict[str, dict], removed: str | None = None) -> lis
     return pieces
 
 
-def match_catalog(config: CurveConfiguration) -> CatalogEntry | None:
-    """Graph-isomorphism match against the catalog; None when nothing fits."""
+def _index_catalog() -> dict[tuple, list[CatalogEntry]]:
+    """CATALOG by the invariants of its configurations, each bucket in catalog order."""
+    index: dict[tuple, list[CatalogEntry]] = {}
     for entry in CATALOG:
+        index.setdefault(_invariants(entry.config), []).append(entry)
+    return index
+
+
+_CATALOG_INDEX = _index_catalog()  # built once, read only
+
+
+def match_catalog(config: CurveConfiguration) -> CatalogEntry | None:
+    """The first catalog entry isomorphic to ``config``, None when nothing fits.
+
+    Only the entries with the same invariants (:func:`_invariants`) are
+    searched, which are the only ones :func:`isomorphic` can accept; the
+    bucket keeps catalog order, so the first match is the first in CATALOG.
+    """
+    for entry in _CATALOG_INDEX.get(_invariants(config), ()):
         if isomorphic(config, entry.config):
             return entry
     return None
@@ -564,9 +584,23 @@ def config_to_json(config: CurveConfiguration) -> dict:
 
 
 def bounded_int(value: int | str) -> int:
-    """An integer read from input, within the bounds of plane-check coefficients."""
+    """An integer read from input, within the bounds of plane-check coefficients.
+
+    An int, or a plain decimal string (`rationals.decimal_int`), is read
+    at once; every other string goes through `rationals.bounded_rational` and
+    must come out integral.  Both routes accept and refuse the same values.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"expected an integer, got {value!r}")
+    n = None
+    if type(value) is int:
+        n = value
+    elif isinstance(value, str) and len(value) <= MAX_COEFF_CHARS:
+        n = decimal_int(value)
+    if n is not None:
+        if n.bit_length() > MAX_COEFF_BITS:
+            raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
+        return n
     q = bounded_rational(value)
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {value!r}")

@@ -24,8 +24,11 @@ double cover doubles them, an attached resolution (a blow-up too) borders
 them with the configuration's integer Gram matrix, and a contraction takes
 their Schur complement.  A divisor class is an integer vector over one
 positive denominator: sums, multiples and pairings run on integers, and a
-pairing builds one Fraction at the end.  Adjunction pairs d + K with d in
-the same integer kernel and builds only the genus.
+pairing becomes a number once, at the end, through ``rationals.ratio``: an
+int when it is integral, a Fraction only when it is not.  Adjunction pairs
+d + K with d in the same integer kernel and builds only the genus, and a
+configuration of tracked curves reads its Gram matrix off one integer
+product of their numerators with the lattice rows.
 
 Models are immutable; every operation returns a fresh model whose provenance
 lists the operations with their call arguments as immutable values, so
@@ -48,7 +51,7 @@ from .configurations import (
     classify_minimally_elliptic,
     match_catalog,
 )
-from .rationals import frac, integer_reduce, integer_rows, rat_str
+from .rationals import frac, integer_reduce, integer_rows, plain, rat_str, ratio
 
 
 class LatticeError(ValueError):
@@ -192,21 +195,21 @@ class DivisorClass:
         return _divisor(self.lattice, tuple(-x for x in self.num), self.den)
 
     def __rmul__(self, scalar: int | str | Fraction) -> "DivisorClass":
-        s = frac(scalar)
+        s = scalar if type(scalar) is int else frac(scalar)
         return _divisor(self.lattice, tuple(s.numerator * x for x in self.num), s.denominator * self.den)
 
-    def dot(self, other: "DivisorClass") -> Fraction:
-        """a.G.b, summed over the integers; one Fraction is built at the end."""
+    def dot(self, other: "DivisorClass") -> int | Fraction:
+        """a.G.b, summed over the integers; an int when integral."""
         self._same_lattice(other)
         total = _pairing(self.lattice.rows, self.num, other.num)
-        return Fraction(total, self.lattice.den * self.den * other.den)
+        return ratio(total, self.lattice.den * self.den * other.den)
 
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def coeff_map(self) -> dict[str, Fraction]:
-        return {name: Fraction(x, self.den) for name, x in zip(self.lattice.basis, self.num) if x}
+    def coeff_map(self) -> dict[str, int | Fraction]:
+        return {name: ratio(x, self.den) for name, x in zip(self.lattice.basis, self.num) if x}
 
     def __str__(self) -> str:
         parts = []
@@ -258,7 +261,7 @@ def _extend(lattice: IntersectionLattice, cls: DivisorClass, tail: Sequence[int]
 class TrackedCurve(NamedTuple):
     name: str
     cls: DivisorClass
-    pa: Fraction
+    pa: int | Fraction  # by adjunction: an int, as an irreducible curve's always is, unless fractional
     irreducible: bool = True
 
 
@@ -344,25 +347,25 @@ class SurfaceModel(_SurfaceModelFields):
 
     # -- numerics ------------------------------------------------------------
 
-    def intersect(self, a: DivisorClass, b: DivisorClass) -> Fraction:
+    def intersect(self, a: DivisorClass, b: DivisorClass) -> int | Fraction:
         if a.lattice != self.lattice or b.lattice != self.lattice:
             raise LatticeError("classes do not belong to this model")
         return a.dot(b)
 
-    def adjunction_pa(self, d: DivisorClass) -> Fraction:
+    def adjunction_pa(self, d: DivisorClass) -> int | Fraction:
         """1 + (d + K).d / 2, from one pairing."""
         return _adjunction_pa(self.canonical, d)
 
-    def rr_chi(self, d: DivisorClass) -> Fraction:
+    def rr_chi(self, d: DivisorClass) -> int | Fraction:
         """chi + (d - K).d / 2, from one pairing."""
-        return self.chi + self.intersect(d - self.canonical, d) / 2
+        return self.chi + _half(self.intersect(d - self.canonical, d))
 
     @property
-    def k_squared(self) -> Fraction:
+    def k_squared(self) -> int | Fraction:
         return self.canonical.dot(self.canonical)
 
     @property
-    def c2(self) -> Fraction:
+    def c2(self) -> int | Fraction:
         """Topological Euler number imposed by Noether's identity, 12*chi - K^2."""
         return 12 * self.chi - self.k_squared
 
@@ -372,24 +375,29 @@ class SurfaceModel(_SurfaceModelFields):
 
 def _class_of(lattice: IntersectionLattice, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
     """The class with the given coefficients on named basis classes, 0 elsewhere."""
-    vector = [frac(0)] * lattice.rank
+    vector = [0] * lattice.rank
     for name, value in coeffs.items():
-        vector[lattice.index(name)] = frac(value)
+        vector[lattice.index(name)] = plain(value)
     return DivisorClass(lattice, tuple(vector))
 
 
-def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> Fraction:
+def _half(value: int | Fraction) -> int | Fraction:
+    """value / 2, exactly."""
+    return ratio(value.numerator, 2 * value.denominator)
+
+
+def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> int | Fraction:
     """1 + (d + K).d / 2 on the lattice of K; a move's new curves take their
     genus from it before the new model is built.
 
     With K = k / a and d = n / b, (d + K).d is (a n + b k).rows.n over
-    a b^2 times the lattice's denominator: one integer pairing, one Fraction.
+    a b^2 times the lattice's denominator: one integer pairing, one ratio.
     """
     d._same_lattice(canonical)
     a, b = canonical.den, d.den
     total = _pairing(d.lattice.rows, [a * x + b * y for x, y in zip(d.num, canonical.num)], d.num)
     den = 2 * d.lattice.den * a * b * b
-    return Fraction(den + total, den)
+    return ratio(den + total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +407,8 @@ def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> Fraction:
 
 def make_p2() -> SurfaceModel:
     """The projective plane: basis {H}, H^2 = 1, K = -3H, chi = 1."""
-    lattice = IntersectionLattice(("H",), ((frac(1),),))
-    canonical = DivisorClass(lattice, (frac(-3),))
+    lattice = IntersectionLattice(("H",), ((1,),))
+    canonical = DivisorClass(lattice, (-3,))
     step = _step("p2")
     return SurfaceModel("P2", lattice, canonical, 1, (), (step,))
 
@@ -409,12 +417,9 @@ def make_hirzebruch(n: int) -> SurfaceModel:
     """The ruled surface F_n: basis {Cinf, Gamma}, Cinf^2 = -n, K = -2Cinf-(n+2)Gamma."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("a Hirzebruch surface needs a nonnegative integer twist")
-    lattice = IntersectionLattice(
-        ("Cinf", "Gamma"),
-        ((frac(-n), frac(1)), (frac(1), frac(0))),
-    )
-    canonical = DivisorClass(lattice, (frac(-2), frac(-n - 2)))
-    section = TrackedCurve("Cinf", DivisorClass(lattice, (frac(1), frac(0))), frac(0))
+    lattice = IntersectionLattice(("Cinf", "Gamma"), ((-n, 1), (1, 0)))
+    canonical = DivisorClass(lattice, (-2, -n - 2))
+    section = TrackedCurve("Cinf", DivisorClass(lattice, (1, 0)), 0)
     step = _step("hirzebruch", n)
     return SurfaceModel(f"F{n}", lattice, canonical, 1, (section,), (step,))
 
@@ -438,13 +443,13 @@ def declare_surface(
     tracked = [(cname, dict(coeffs)) for cname, coeffs in tracked]
     step = _step("declare", name, basis, gram, canonical, chi, tracked)
     n = len(basis)
-    rows = [[frac(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for a, row in gram.items():
         for b, value in row.items():
             i, j = basis.index(a), basis.index(b)
-            rows[i][j] = rows[j][i] = frac(value)
+            rows[i][j] = rows[j][i] = plain(value)
     lattice = IntersectionLattice(basis, rows)
-    canonical_class = DivisorClass(lattice, tuple(frac(canonical.get(b, 0)) for b in basis))
+    canonical_class = DivisorClass(lattice, tuple(plain(canonical.get(b, 0)) for b in basis))
     curves = []
     for cname, coeffs in tracked:
         cls = _class_of(lattice, coeffs)
@@ -454,7 +459,7 @@ def declare_surface(
     return SurfaceModel(name, lattice, canonical_class, chi, tuple(curves), (step,))
 
 
-def _require_genus(name: str, pa: Fraction) -> None:
+def _require_genus(name: str, pa: int | Fraction) -> None:
     if pa.denominator != 1 or pa < 0:
         raise LatticeError(
             f"curve {name!r} would have arithmetic genus {rat_str(pa)};"
@@ -604,7 +609,7 @@ def _attach(
     # The rule gives K.E_i = 2 p_a - 2 - E^2 on the new model, so adjunction
     # returns each component's declared genus.
     curves += [
-        TrackedCurve(comp.name, _unit(lattice, old_rank + i), Fraction(comp.pa))
+        TrackedCurve(comp.name, _unit(lattice, old_rank + i), comp.pa)
         for i, comp in enumerate(config.components)
     ]
     return SurfaceModel(name, lattice, canonical, model.chi - pg, tuple(curves), model.provenance + (step,))
@@ -653,9 +658,8 @@ def double_cover(
     if any(x < 0 for x in residual.num):
         raise ValueError("branch components exceed twice the half-branch class")
 
-    chi_shift = half_branch.dot(half_branch + model.canonical) / 2
-    chi = 2 * model.chi + chi_shift
-    if chi.denominator != 1:
+    chi = 2 * model.chi + _half(half_branch.dot(half_branch + model.canonical))
+    if type(chi) is not int:
         raise LatticeError("double cover has non-integral holomorphic Euler characteristic")
 
     lattice = _lattice(
@@ -672,7 +676,7 @@ def double_cover(
     branch_set = set(branch_components)
     for curve in model.tracked:
         if curve.name in branch_set:
-            cls = Fraction(1, 2) * pullback(curve.cls)
+            cls = _divisor(lattice, curve.cls.num, 2 * curve.cls.den)  # half the pullback
             cname = f"{curve.name}_half"
         else:
             cls = pullback(curve.cls)
@@ -682,7 +686,7 @@ def double_cover(
         name or f"double cover of {model.name}",
         lattice,
         canonical,
-        int(chi),
+        chi,
         tuple(curves),
         model.provenance + (_step("double_cover", half_branch, branch_components, name),),
     )
@@ -713,7 +717,7 @@ def split_curve(
     for fresh in into:
         if fresh in model.lattice.basis or model.has_curve(fresh):
             raise LatticeError(f"name {fresh!r} already in use")
-    e_sq = frac(self_int)
+    e_sq = plain(self_int)
     old = model.lattice
     unknown = set(pairings) - set(old.basis)
     if unknown:
@@ -721,7 +725,7 @@ def split_curve(
 
     # The declared pairings and e_sq, scaled to integers, border the rows over
     # the lcm of the two denominators.
-    scale, (border,) = integer_rows([[frac(pairings.get(b, 0)) for b in old.basis] + [e_sq]])
+    scale, (border,) = integer_rows([[plain(pairings.get(b, 0)) for b in old.basis] + [e_sq]])
     den = lcm(old.den, scale)
     border = tuple(den // scale * y for y in border)
     rows = tuple(tuple(den // old.den * x for x in row) + (y,) for row, y in zip(old.rows, border))
@@ -772,23 +776,45 @@ class Contraction(NamedTuple):
 
 def configuration_of(model: SurfaceModel, names: Sequence[str]) -> CurveConfiguration:
     """Assemble the abstract configuration of a set of tracked curves."""
+    return _read_configuration(model, list(names))[0]
+
+
+def _read_configuration(
+    model: SurfaceModel, names: list[str]
+) -> tuple[CurveConfiguration, list[DivisorClass], list[list[int]], list[list[int]]]:
+    """The configuration of the named tracked curves, with what a contraction
+    reuses: their classes, each numerator times the lattice rows (its integer
+    pairings with the basis) and the products of those with the numerators.
+
+    Entry (i, j) of the last, over the lattice's denominator times the two
+    classes' denominators, is the pairing of curves i and j: one integer
+    product for the whole sub-Gram matrix.
+    """
+    curves = [model.curve(cname) for cname in names]
+    classes = [curve.cls for curve in curves]
+    # the rows are symmetric, so a row is also a column
+    images = [[sum(map(mul, c.num, row)) for row in model.lattice.rows] for c in classes]
+    block = [[sum(map(mul, image, c.num)) for c in classes] for image in images]
+
+    def pairing(i: int, j: int) -> int | Fraction:
+        return ratio(block[i][j], model.lattice.den * classes[i].den * classes[j].den)
+
     components = []
-    for cname in names:
-        curve = model.curve(cname)
-        self_int = curve.cls.dot(curve.cls)
-        if self_int.denominator != 1 or curve.pa.denominator != 1:
-            raise ContractionError(f"curve {cname!r} has fractional invariants")
-        components.append(Component(cname, int(self_int), int(curve.pa)))
+    for i, curve in enumerate(curves):
+        self_int = pairing(i, i)
+        if type(self_int) is not int or curve.pa.denominator != 1:
+            raise ContractionError(f"curve {curve.name!r} has fractional invariants")
+        components.append(Component(curve.name, self_int, int(curve.pa)))
     contacts = []
     for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            m = model.curve_class(a).dot(model.curve_class(b))
+        for j in range(i + 1, len(names)):
+            m = pairing(i, j)
             if m == 0:
                 continue
-            if m.denominator != 1 or m < 0:
-                raise ContractionError(f"curves {a!r}, {b!r} pair to {rat_str(m)}")
-            contacts.append(Contact(a, b, int(m)))
-    return CurveConfiguration(tuple(components), tuple(contacts))
+            if type(m) is not int or m < 0:
+                raise ContractionError(f"curves {a!r}, {names[j]!r} pair to {rat_str(m)}")
+            contacts.append(Contact(a, names[j], m))
+    return CurveConfiguration(tuple(components), tuple(contacts)), classes, images, block
 
 
 def contract(
@@ -808,9 +834,13 @@ def contract(
     names = list(names)
     if not names:
         raise ValueError("nothing to contract")
-    config = configuration_of(model, names)
-    classes = [model.curve_class(n) for n in names]
-    kind, cycle, pg, _ = _point_kind(config, [model.intersect(model.canonical, c) for c in classes])
+    config, classes, images, block = _read_configuration(model, names)
+    scale, g, canonical = model.lattice.den, model.lattice.rows, model.canonical
+    k_degrees = [
+        ratio(sum(map(mul, canonical.num, image)), scale * canonical.den * c.den)
+        for c, image in zip(classes, images)
+    ]
+    kind, cycle, pg, _ = _point_kind(config, k_degrees)
     if kind == "rational-double-point":
         entry = match_catalog(config)
         label = entry.label if entry else "rational"
@@ -839,9 +869,6 @@ def contract(
     # the integral scale * G.  G_C is negative definite, so the fraction-free
     # elimination of its k columns takes no row exchange, and the rows below
     # the block then hold the block's determinant times the Schur complement.
-    scale, g = model.lattice.den, model.lattice.rows
-    images = [[sum(x * row[j] for x, row in zip(c.num, g) if x) for j in range(n)] for c in classes]
-    block = [[sum(a * b for a, b in zip(image, c.num)) for c in classes] for image in images]
     bordered = [row + [image[j] for j in kept] for row, image in zip(block, images)] + [
         [image[i] for image in images] + [g[i][j] for j in kept] for i in kept
     ]

@@ -55,7 +55,7 @@ from .lattice import (
     untrack,
 )
 from .planecurves import ThreeThreeVerdict, detect_33_point, germ, germ_mul
-from .rationals import rat_str
+from .rationals import rat_str, ratio
 from .sextics import FAMILIES, SexticFamily, family, verify_family
 
 
@@ -82,6 +82,10 @@ FLAG_KINDS = tuple(sorted({d.flag for d in DISCREPANCIES.values()}))
 
 
 def _fmt(value) -> str:
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
@@ -165,7 +169,7 @@ def branch_class_for(model: SurfaceModel) -> DivisorClass:
 
 
 @functools.cache
-def section_class_coefficient(pa_bisection: int) -> Fraction:
+def section_class_coefficient(pa_bisection: int) -> int | Fraction:
     """Offset k in the section class Cinf + k*Gamma of the bisection image.
 
     The bisection maps to a section of the natural ruled surface; pairing the
@@ -179,7 +183,7 @@ def section_class_coefficient(pa_bisection: int) -> Fraction:
     cinf, gamma = base.basis_class("Cinf"), base.basis_class("Gamma")
     a = base.intersect(cinf, base.canonical)
     b = base.intersect(gamma, base.canonical)
-    k = (1 - (pa_bisection + 2) - a) / b
+    k = ratio(1 - (pa_bisection + 2) - a, b)
     section = cinf + k * gamma
     branch = branch_class_for(base)
     if base.intersect(branch, section) != 2 * pa_bisection + 4:
@@ -460,12 +464,12 @@ def _check_exceptional_configuration(
 def _check_adjunction(
     checks: _Recorder, model: SurfaceModel, declared: CurveConfiguration, anchor: str
 ) -> None:
-    """Adjunction, 1 + (E^2 + K.E)/2 = p_a, from each declared self-intersection
+    """Adjunction, 2 + E^2 + K.E = 2 p_a, from each declared self-intersection
     and genus and the computed canonical degree; a component the model does not
     track breaks it."""
     ok = all(
         model.has_curve(c.name)
-        and 1 + (c.self_int + model.intersect(model.canonical, model.curve_class(c.name))) / 2 == c.pa
+        and 2 + c.self_int + model.intersect(model.canonical, model.curve_class(c.name)) == 2 * c.pa
         for c in declared.components
     )
     checks.expect("exceptional-adjunction-integral", "integral" if ok else "broken", "integral", anchor)

@@ -710,17 +710,20 @@ def _jacobian_rows(
     divisible by the leading monomial min(g_i) of an earlier generator,
     i < j (the lex-smallest exponent, the column the elimination pivots on).
     Those rows lie in the span of the kept ones (see :func:`tjurina_number`).
+
+    In the reversed basis (x ascending, then y) the x^i y^j z^(k-i-j) sit at
+    column ``first[i] + j``, where ``first[i]`` = i(2k + 3 - i)/2 counts the
+    monomials with a smaller power of x.
     """
-    columns = monomial_basis(k)[::-1]
-    index = {mono: i for i, mono in enumerate(columns)}
+    first = [i * (2 * k + 3 - i) // 2 for i in range(k + 1)]
     leading = [min(generator) for generator in generators]
     rows = []
     for a, b, c in monomial_basis(k - degree):
         for n, generator in enumerate(generators):
             if any(a >= i and b >= j and c >= l for i, j, l in leading[:n]):
                 continue
-            rows.append({index[(a + i, b + j, c + l)]: coeff for (i, j, l), coeff in generator.items()})
-    return len(columns), rows
+            rows.append({first[a + i] + b + j: coeff for (i, j, _), coeff in generator.items()})
+    return (k + 1) * (k + 2) // 2, rows
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,25 @@ def frac(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.replace("−", "-").strip()
         # a plain integer skips the Fraction regex; int reads the same digits
-        if (text[1:] if text[:1] in ("-", "+") else text).isdecimal():
-            return Fraction(int(text))
+        n = decimal_int(value)
+        if n is not None:
+            return Fraction(n)
         try:
-            return Fraction(text)
+            return Fraction(value.replace("−", "-").strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def decimal_int(text: str) -> int | None:
+    """The integer a plain decimal string names, else None: surrounding spaces
+    are stripped, "−" reads as "-", and one sign is allowed.  The plain-integer
+    test of :func:`frac`, which reads every other string as a Fraction."""
+    text = text.replace("−", "-").strip()
+    if (text[1:] if text[:1] in ("-", "+") else text).isdecimal():
+        return int(text)
+    return None
 
 
 def plain(value: int | str | Fraction) -> int | Fraction:
@@ -66,6 +76,14 @@ def plain(value: int | str | Fraction) -> int | Fraction:
         return value
     value = frac(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def ratio(n: int, d: int) -> int | Fraction:
+    """The value n / d of two integers (d != 0): ``n // d`` when d divides n,
+    else the Fraction.  The one place an integer pairing becomes a number, so
+    an integral one stays an int, as :func:`plain` stores it."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def rat_str(value: Fraction | int) -> str:
@@ -83,7 +101,7 @@ def rat_str(value: Fraction | int) -> str:
 # below, a germ at the bounds costs tens of milliseconds (timings at
 # `planecurves.MAX_DEGREE`).
 MAX_COEFF_BITS = 64  # numerator and denominator of a coefficient
-_MAX_COEFF_CHARS = 64  # length of a coefficient string
+MAX_COEFF_CHARS = 64  # length of a coefficient string
 _MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
 
 
@@ -95,7 +113,7 @@ def bounded_rational(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, str):
         exponent = value.lower().partition("e")[2].strip().lstrip("+-")
-        if len(value) > _MAX_COEFF_CHARS or len(exponent) > _MAX_EXPONENT_DIGITS:
+        if len(value) > MAX_COEFF_CHARS or len(exponent) > _MAX_EXPONENT_DIGITS:
             raise ValueError(f"coefficient {value[:32]!r} exceeds the input bounds")
     q = frac(value)
     if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:

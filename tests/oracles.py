@@ -13,7 +13,16 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from unimodal.configurations import Component, Contact, CurveConfiguration, FundamentalCycle, _pairings
+from unimodal.configurations import (
+    CATALOG,
+    CatalogEntry,
+    Component,
+    Contact,
+    CurveConfiguration,
+    FundamentalCycle,
+    _pairings,
+    isomorphic,
+)
 from unimodal.pipelines import _SECOND_FIBERS, CheckRecord
 from unimodal.planecurves import (
     AnVerdict,
@@ -36,7 +45,7 @@ from unimodal.planecurves import (
     restrict_to_line,
     tjurina_number,
 )
-from unimodal.rationals import det, frac, integer_rank, rat_str
+from unimodal.rationals import bounded_rational, det, frac, integer_rank, rat_str
 from unimodal.scenarios import Report, ScenarioReport
 from unimodal.sextics import LINE, FamilyVerification, SexticFamily
 
@@ -285,6 +294,28 @@ def cycle_invariants_by_fractions(cycle: FundamentalCycle) -> tuple[Fraction, Fr
     self_int = sum((Fraction(a) * g * b for a, row in zip(z, gram) for g, b in zip(row, z)), Fraction(0))
     canonical = sum((a * Fraction(2 * c.pa - 2 - c.self_int) for a, c in zip(z, cycle.config.components)), Fraction(0))
     return self_int, canonical, 1 + (self_int + canonical) / 2
+
+
+def int_when_integral(value) -> bool:
+    """Whether a computed number keeps the int contract: an int exactly when
+    it is integral, a Fraction only when it is not, never a bool or a float."""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+def match_catalog_by_scan(config: CurveConfiguration) -> CatalogEntry | None:
+    """The first CATALOG entry isomorphic to ``config``, by a scan of every entry."""
+    return next((entry for entry in CATALOG if isomorphic(config, entry.config)), None)
+
+
+def bounded_int_by_rational(value: int | str) -> int:
+    """An integer read from input by the rational route: `bounded_rational`,
+    then the denominator check."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    q = bounded_rational(value)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return q.numerator
 
 
 def is_connected_by_union(config: CurveConfiguration) -> bool:

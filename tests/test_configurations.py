@@ -33,6 +33,8 @@ from oracles import (
     cycle_invariants_by_fractions,
     fraction_gram,
     fundamental_cycle_brute_force,
+    int_when_integral,
+    match_catalog_by_scan,
     relabel,
 )
 
@@ -133,11 +135,12 @@ def test_catalog_invariants_recomputed():
 
 def test_catalog_cycle_invariants_agree_with_fraction_formulas():
     """Z^2, K.Z and p_a(Z) as integer sums equal the sums in Fractions on a
-    Fraction Gram matrix and canonical degrees, for every catalog entry."""
+    Fraction Gram matrix and canonical degrees, for every catalog entry, and
+    each is an int exactly when it is integral."""
     for entry in CATALOG:
         cycle = fundamental_cycle(entry.config)
         computed = (cycle.self_int, cycle.canonical_degree, cycle.pa)
-        assert all(isinstance(x, Fraction) for x in computed), entry.label
+        assert all(map(int_when_integral, computed)), entry.label
         assert computed == cycle_invariants_by_fractions(cycle), entry.label
 
 
@@ -191,6 +194,26 @@ def test_match_catalog_relabeling_invariance():
         relabeled = relabel(entry.config, dict(zip(names, [f"t{i}" for i in range(len(names))])))
         relabeled = relabel(relabeled, dict(zip(relabeled.names, shuffled)))
         assert match_catalog(relabeled).label == label
+
+
+def test_match_catalog_index_returns_the_entry_of_a_scan():
+    """The lookup by invariants returns the very entry a scan of CATALOG
+    returns: on every entry relabelled and reordered, with its first contact's
+    tangency flipped, or with its concurrency dropped, and on small
+    configurations, most of which match no entry."""
+    rng = random.Random(13)
+    pool = list(_small_configurations())
+    for entry in CATALOG:
+        config = entry.config
+        pool += [_shuffled(config, rng), _shuffled(config, rng)]
+        if config.contacts:
+            pool.append(_shuffled(_flip_first_contact(config), rng))
+        if config.concurrent:
+            pool.append(_shuffled(CurveConfiguration(config.components, config.contacts), rng))
+    for config in pool:
+        assert match_catalog(config) is match_catalog_by_scan(config), config
+    matched = {match_catalog(config) for config in pool}
+    assert None in matched and matched - {None} == set(CATALOG)
 
 
 def _isomorphic_by_permutations(a, b):

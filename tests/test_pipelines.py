@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,28 @@ def test_every_record_names_its_claim():
     for result in results:
         for record in result.checks:
             assert record.anchor, (result.label, record.name)
+
+
+def test_no_record_prints_a_float():
+    """Every number a record or diagnostic prints is an integer or p/q: a float
+    from an inexact division would print as "2.0" or "0.5".  All 14 elliptic-
+    route combinations without the germ checks, and the five K3-route types
+    without a family."""
+    results = [
+        run_en_pipeline(EnSpec(sing, profile, variant, germ_checks=False))
+        for sing in ("E12", "E13", "E14")
+        for variant in en_variants(sing)
+        for profile in (6, 7)
+    ]
+    results += [run_zw_pipeline(ZwSpec(sing, family_case=None)) for sing in ("Z11", "Z12", "Z13", "W12", "W13")]
+    assert len(results) == 19
+    for result in results:
+        texts = [text for r in result.checks for text in (r.computed, r.expected)]
+        texts += [value for _, value in result.diagnostics]
+        for text in texts:
+            assert not re.search(r"\d\.|\.\d|\de[-+]?\d|\b(inf|nan)\b", text), (result.label, text)
+            if re.fullmatch(r"[-+\d./e]+", text):
+                assert re.fullmatch(r"-?\d+(/\d+)?", text), (result.label, text)
 
 
 def test_pipelines_deterministic():

@@ -13,14 +13,17 @@ from unimodal.configurations import (
     Component,
     Contact,
     CurveConfiguration,
+    bounded_int,
     classify_minimally_elliptic,
     fundamental_cycle,
     is_negative_definite as config_negative_definite,
+    match_catalog,
 )
 from unimodal.lattice import (
     DivisorClass,
     _adjunction_pa,
     IntersectionLattice,
+    SurfaceModel,
     attach_resolution,
     blow_up,
     contract,
@@ -69,12 +72,15 @@ from unimodal.rationals import (
 
 from oracles import (
     blow_up_at_direction_by_expansion,
+    bounded_int_by_rational,
     cycle_invariants_by_fractions,
     en_variants,
     germ_of_by_expansion,
+    int_when_integral,
     intersection_by_blow_ups,
     is_connected_by_union,
     jacobian_rows_all,
+    match_catalog_by_scan,
     rank_by_minors,
     row_reduce,
     stabilizer_dim_by_minors,
@@ -109,6 +115,19 @@ def lattices_with_classes(draw):
 def test_pairing_symmetry(pair):
     a, b = pair
     assert a.dot(b) == b.dot(a)
+
+
+@given(lattices_with_classes(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=200, derandomize=True)
+def test_pairings_are_ints_exactly_when_integral(pair, chi):
+    """The pairing, adjunction, Riemann-Roch, K^2 and c2 each give an int
+    exactly when the value is integral, a Fraction otherwise, never a float;
+    Riemann-Roch agrees with the formula in Fractions."""
+    canonical, d = pair
+    model = SurfaceModel("m", canonical.lattice, canonical, chi, (), ())
+    values = [d.dot(canonical), d.dot(d), model.adjunction_pa(d), model.rr_chi(d), model.k_squared, model.c2]
+    assert all(map(int_when_integral, values)), values
+    assert model.rr_chi(d) == chi + Fraction((d - canonical).dot(d)) / 2
 
 
 def _normalised(cls):
@@ -226,7 +245,7 @@ def test_integer_adjunction_agrees_with_the_class_pairing(pair, scale):
     denominator 2 such as the half-branch classes of a double cover."""
     canonical, d = pair
     d = scale * d
-    assert _adjunction_pa(canonical, d) == 1 + (d + canonical).dot(d) / 2
+    assert _adjunction_pa(canonical, d) == 1 + Fraction((d + canonical).dot(d)) / 2
 
 
 def test_tracked_genera_of_every_elliptic_model_agree_with_the_class_pairing():
@@ -237,7 +256,42 @@ def test_tracked_genera_of_every_elliptic_model_agree_with_the_class_pairing():
                 for model in result.models:
                     k = model.canonical
                     for curve in model.tracked:
-                        assert curve.pa == 1 + (curve.cls + k).dot(curve.cls) / 2
+                        assert curve.pa == 1 + Fraction((curve.cls + k).dot(curve.cls)) / 2
+
+
+def _outcome(read, value):
+    """What a reader makes of a value: the int it returns, or the type of the
+    exception it raises."""
+    try:
+        result = read(value)
+    except Exception as err:  # the exception type is the outcome compared
+        return type(err)
+    assert type(result) is int
+    return result
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789+-−/_.e \t٣", max_size=72),
+        st.integers(min_value=-(2**66), max_value=2**66),
+    )
+)
+@example("1e3")
+@example("10/2")
+@example(" +7 ")
+@example("−3")
+@example("٣")
+@example(2**64)
+@example(str(2**64))
+@example(str(2**64 - 1))
+@example("1" * 65)
+@example(" " * 60 + "7")
+@example(True)
+@example(1.0)
+@example(Fraction(4, 2))
+@settings(max_examples=500, derandomize=True)
+def test_bounded_int_agrees_with_the_rational_route(value):
+    assert _outcome(bounded_int, value) == _outcome(bounded_int_by_rational, value)
 
 
 def _frac_by_regex(text: str) -> Fraction:
@@ -499,6 +553,16 @@ def sparse_integer_rows(draw):
 def test_modular_rank_is_at_most_the_integer_rank(rows):
     assert modular_rank(rows) <= integer_rank(rows)
     assert modular_rank([{k: MODULAR_PRIME * v for k, v in row.items()} for row in rows]) == 0
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_jacobian_columns_follow_the_reversed_monomial_basis(k):
+    """With the unit generator every row is one multiplier, in basis order,
+    with its one entry at the multiplier's column in the reversed basis."""
+    columns = monomial_basis(k)[::-1]
+    ncols, rows = _jacobian_rows([{(0, 0, 0): 1}], 0, k)
+    assert ncols == len(columns)
+    assert rows == [{columns.index(m): 1} for m in monomial_basis(k)]
 
 
 @st.composite
@@ -866,8 +930,14 @@ def test_connectivity_agrees_with_union_find(config):
 def test_cycle_invariants_agree_with_fraction_formulas(config):
     cycle = fundamental_cycle(config)
     computed = (cycle.self_int, cycle.canonical_degree, cycle.pa)
-    assert all(isinstance(x, Fraction) for x in computed)
+    assert all(map(int_when_integral, computed))
     assert computed == cycle_invariants_by_fractions(cycle)
+
+
+@given(negative_definite_configurations())
+@settings(max_examples=200, derandomize=True)
+def test_match_catalog_agrees_with_a_scan(config):
+    assert match_catalog(config) is match_catalog_by_scan(config)
 
 
 def test_classification_of_the_catalog_agrees_with_subset_enumeration():
