@@ -261,7 +261,7 @@ def _extend(lattice: IntersectionLattice, cls: DivisorClass, tail: Sequence[int]
 class TrackedCurve(NamedTuple):
     name: str
     cls: DivisorClass
-    pa: int | Fraction  # by adjunction: an int, as an irreducible curve's always is, unless fractional
+    pa: int | Fraction  # by adjunction; an int when integral, as it is on an irreducible curve
     irreducible: bool = True
 
 
@@ -835,11 +835,9 @@ def contract(
     if not names:
         raise ValueError("nothing to contract")
     config, classes, images, block = _read_configuration(model, names)
-    scale, g, canonical = model.lattice.den, model.lattice.rows, model.canonical
-    k_degrees = [
-        ratio(sum(map(mul, canonical.num, image)), scale * canonical.den * c.den)
-        for c, image in zip(classes, images)
-    ]
+    scale, g = model.lattice.den, model.lattice.rows
+    k_num, k_den = model.canonical.num, model.canonical.den
+    k_degrees = [ratio(sum(map(mul, k_num, image)), scale * k_den * c.den) for c, image in zip(classes, images)]
     kind, cycle, pg, _ = _point_kind(config, k_degrees)
     if kind == "rational-double-point":
         entry = match_catalog(config)
