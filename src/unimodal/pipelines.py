@@ -104,10 +104,18 @@ class CheckRecord(NamedTuple):
     flag: str | None = None
 
 
+class Diagnostic(NamedTuple):
+    """A computed value that no claim states, with the anchor that says what it is."""
+
+    name: str
+    value: str
+    anchor: str
+
+
 class PipelineResult(NamedTuple):
     label: str
     checks: tuple[CheckRecord, ...]
-    diagnostics: tuple[tuple[str, str], ...]
+    diagnostics: tuple[Diagnostic, ...]
     models: tuple[SurfaceModel, ...]
 
     def check(self, name: str) -> CheckRecord:
@@ -142,13 +150,13 @@ def judge(name: str, computed, expected, anchor: str) -> CheckRecord:
 class _Recorder:
     def __init__(self) -> None:
         self.records: list[CheckRecord] = []
-        self.diagnostics: list[tuple[str, str]] = []
+        self.diagnostics: list[Diagnostic] = []
 
     def expect(self, name: str, computed, expected, anchor: str) -> None:
         self.records.append(judge(name, computed, expected, anchor))
 
-    def note(self, key: str, value) -> None:
-        self.diagnostics.append((key, _fmt(value)))
+    def note(self, name: str, value, anchor: str) -> None:
+        self.diagnostics.append(Diagnostic(name, _fmt(value), anchor))
 
     def result(self, label: str, models: tuple[SurfaceModel, ...]) -> PipelineResult:
         return PipelineResult(label, tuple(self.records), tuple(self.diagnostics), models)
@@ -366,7 +374,9 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "feasible",
         "the required singular fibres fit into the Euler number",
     )
-    checks.note("euler-budget-remainder", budget.remainder)
+    checks.note(
+        "euler-budget-remainder", budget.remainder, "Euler number left for I1 fibres beside the required fibres"
+    )
 
     _nef_bundle_diagnostics(checks, surface, sing, pa_bisection)
 
@@ -504,10 +514,26 @@ def _nef_bundle_diagnostics(
         # the stated values hold for E12; E13 and E14 land on the engine values
         documented = DISCREPANCIES[name]
         checks.expect(name, value, documented.stated if sing == "E12" else documented, anchor)
-    checks.note("nef-bundle-on-exceptional", blown.intersect(bundle, ghat))
-    checks.note("nef-bundle-canonical-degree", blown.intersect(blown.canonical, bundle))
-    checks.note("nef-bundle-euler-characteristic", blown.rr_chi(bundle))
-    checks.note("nef-bundle-pushforward-degree-sum", pa_bisection + 5)
+    checks.note(
+        "nef-bundle-on-exceptional",
+        blown.intersect(bundle, ghat),
+        "degree of the adjoint bundle on the exceptional curve over the half-fibre point",
+    )
+    checks.note(
+        "nef-bundle-canonical-degree",
+        blown.intersect(blown.canonical, bundle),
+        "canonical degree of the adjoint bundle",
+    )
+    checks.note(
+        "nef-bundle-euler-characteristic",
+        blown.rr_chi(bundle),
+        "Euler characteristic of the adjoint bundle by Riemann-Roch",
+    )
+    checks.note(
+        "nef-bundle-pushforward-degree-sum",
+        pa_bisection + 5,
+        "degree sum of the pushforward of the adjoint bundle to the ruled base",
+    )
 
 
 _DECOMPOSITIONS = {
@@ -774,9 +800,21 @@ def _family_checks(checks: _Recorder, fam: SexticFamily) -> None:
         "affine family dimension minus the stabilizer of the markings",
     )
     if fam.stated_mark_n is not None:
-        checks.note("family-orbit-count-variant", verification.counts.variant_orbit)
-    checks.note("stabilizer-dim", verification.counts.stabilizer)
-    checks.note("affine-parameters", verification.counts.affine)
+        checks.note(
+            "family-orbit-count-variant",
+            verification.counts.variant_orbit,
+            "orbit dimension count with the full mark in place of the stated one",
+        )
+    checks.note(
+        "stabilizer-dim",
+        verification.counts.stabilizer,
+        "dimension of the projectivity stabilizer of the marked points and the line",
+    )
+    checks.note(
+        "affine-parameters",
+        verification.counts.affine,
+        "affine parameter dimension of the branch sextic family",
+    )
 
 
 def run_riemann_hurwitz_check() -> PipelineResult:

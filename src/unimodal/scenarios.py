@@ -353,6 +353,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     """
     records: tuple[CheckRecord, ...] = ()
     anchor_default = f"{scenario.kind} value"
+    anchors: dict[str, str] = {}  # a pipeline diagnostic's own anchor
     try:
         if scenario.kind == "config-check":
             values = _config_check_values(scenario.payload)
@@ -360,7 +361,9 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             values = _plane_check_values(scenario.payload)
         else:
             result = _run_pipeline_payload(scenario.payload)
-            records, values = result.checks, dict(result.diagnostics)
+            records = result.checks
+            values = {note.name: note.value for note in result.diagnostics}
+            anchors = {note.name: note.anchor for note in result.diagnostics}
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as err:
@@ -371,7 +374,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     for name, pin in scenario.expected:
         record = record_map.get(name)
         if record is None and name in values:
-            record = judge(name, values[name], pin.value, anchor_default)
+            record = judge(name, values[name], pin.value, anchors.get(name, anchor_default))
         if record is None:
             assertions.append(CheckRecord(name, "missing", pin.value, "fail", anchor_default))
         else:

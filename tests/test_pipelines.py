@@ -93,7 +93,7 @@ def test_en_nef_bundle_values():
 
 def test_en_nef_bundle_chi_diagnostics():
     e12 = run_en_pipeline(EnSpec("E12"))
-    diag = dict(e12.diagnostics)
+    diag = {note.name: note.value for note in e12.diagnostics}
     assert diag["nef-bundle-euler-characteristic"] == "5"
     assert diag["nef-bundle-pushforward-degree-sum"] == "6"
 
@@ -175,7 +175,7 @@ def test_route_types_are_the_catalog_degrees():
 
 def test_en_euler_budget_remainder():
     result = run_en_pipeline(EnSpec("E14", profile=7, fiber_variant="I4"))
-    assert dict(result.diagnostics)["euler-budget-remainder"] == "19"
+    assert {note.name: note.value for note in result.diagnostics}["euler-budget-remainder"] == "19"
 
 
 def test_en_illegal_variants_rejected():
@@ -252,7 +252,7 @@ def test_zw_family_counts():
     flagged = run_zw_pipeline(ZwSpec("Z13", family_case=2))
     record = flagged.check("family-orbit-count")
     assert record.computed == "16" and record.status == "flagged"
-    assert dict(flagged.diagnostics)["family-orbit-count-variant"] == "15"
+    assert {note.name: note.value for note in flagged.diagnostics}["family-orbit-count-variant"] == "15"
     assert flagged.failed == ()
 
 
@@ -291,6 +291,8 @@ def test_every_record_names_its_claim():
     for result in results:
         for record in result.checks:
             assert record.anchor, (result.label, record.name)
+        for note in result.diagnostics:
+            assert note.anchor, (result.label, note.name)
 
 
 def test_no_record_prints_a_float():
@@ -308,7 +310,7 @@ def test_no_record_prints_a_float():
     assert len(results) == 19
     for result in results:
         texts = [text for r in result.checks for text in (r.computed, r.expected)]
-        texts += [value for _, value in result.diagnostics]
+        texts += [note.value for note in result.diagnostics]
         for text in texts:
             assert not re.search(r"\d\.|\.\d|\de[-+]?\d|\b(inf|nan)\b", text), (result.label, text)
             if re.fullmatch(r"[-+\d./e]+", text):
@@ -361,6 +363,6 @@ def test_goldens(name, runner):
             }
             for r in result.checks
         ],
-        "diagnostics": {k: v for k, v in result.diagnostics},
+        "diagnostics": {note.name: note.value for note in result.diagnostics},
     }
     assert computed == golden

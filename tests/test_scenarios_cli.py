@@ -71,6 +71,20 @@ def test_corpus_clean_with_three_flag_kinds():
     assert report.flags == ("nef-bundle-en-values", "noether-c2", "z13-case2-count")
 
 
+def test_corpus_pinned_diagnostics_name_their_claim():
+    """A pinned pipeline diagnostic reports the anchor the pipeline gives it,
+    not the scenario kind's default."""
+    report = run_corpus(CORPUS)
+    pinned = {
+        (a.name, a.anchor)
+        for s in report.scenarios
+        for a in s.assertions
+        if a.name in ("stabilizer-dim", "affine-parameters", "family-orbit-count-variant")
+    }
+    assert pinned and all(anchor != "pipeline value" for _, anchor in pinned)
+    assert len({anchor for _, anchor in pinned}) == 3
+
+
 def test_corpus_pass_takes_one_jacobian_rank_per_family_and_normal_forms_once(monkeypatch):
     # counted calls, no timing: one modular rank per branch family and no exact
     # fallback, and the [3,3] normal-form verdicts only in the first pass of a process
