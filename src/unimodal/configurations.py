@@ -395,7 +395,7 @@ def isomorphic(a: CurveConfiguration, b: CurveConfiguration) -> bool:
     and tangency) with every component mapped so far agree.  The concurrency
     flags are compared once every component is mapped.
     """
-    if len(a.components) != len(b.components) or _invariants(a) != _invariants(b):
+    if _invariants(a) != _invariants(b):
         return False
     a_links, b_links = _links(a), _links(b)
     targets: dict[tuple, list[str]] = {}

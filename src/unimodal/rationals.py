@@ -17,7 +17,8 @@ either, and all three stay because the benchmark's tracer
 (``bench/tracing.py``) wraps them by name.  A bounded reader for rationals
 from input follows.  Floating point never appears; every result is exact.
 Matrices are plain lists of lists (rows) of exact rationals: an ``int``
-where the value is integral (:func:`plain`), else a ``Fraction``.
+where the value is integral (:func:`plain`), else a ``Fraction``;
+:func:`ratio` gives the value of an integer ratio the same form.
 
 The last section holds the integer-polynomial kernels of the plane-curve
 layer: gcds (a modular test, then the primitive PRS), Yun's squarefree
