@@ -24,15 +24,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
-from .rationals import (
-    MAX_COEFF_BITS,
-    MAX_COEFF_CHARS,
-    bounded_rational,
-    decimal_int,
-    is_negative_definite as _gram_negative_definite,
-    rat_str,
-    ratio,
-)
+from .rationals import is_negative_definite as _gram_negative_definite, rat_str, ratio
 
 MAX_LAUFER_ITERATIONS = 10_000
 # Components of a configuration read from input, and of a Kodaira fibre I_n
@@ -164,13 +156,14 @@ def is_negative_definite(config: CurveConfiguration) -> bool:
 class FundamentalCycle(NamedTuple):
     config: CurveConfiguration
     coeffs: tuple[int, ...]
+    pairings: tuple[int, ...]  # Z.E_i for every component; anti-nef means all are <= 0
 
     # Z^2 and K.Z are integer sums on the integral Gram matrix and the integer
     # canonical degrees; only p_a divides, through `rationals.ratio`.
 
     @property
     def self_int(self) -> int:
-        return sum(a * p for a, p in zip(self.coeffs, self.pairings()))
+        return sum(a * p for a, p in zip(self.coeffs, self.pairings))
 
     @property
     def canonical_degree(self) -> int:
@@ -180,10 +173,6 @@ class FundamentalCycle(NamedTuple):
     def pa(self) -> int | Fraction:
         """1 + (Z^2 + K.Z) / 2."""
         return ratio(2 + self.self_int + self.canonical_degree, 2)
-
-    def pairings(self) -> list[int]:
-        """Z.E_i for every component; anti-nef means all are <= 0."""
-        return _pairings(self.config.integer_gram(), self.coeffs)
 
 
 def _pairings(gram: Sequence[Sequence[int]], z) -> list[int]:
@@ -220,7 +209,7 @@ def _laufer_cycle(config: CurveConfiguration) -> FundamentalCycle:
     for _ in range(MAX_LAUFER_ITERATIONS):
         bad = next((i for i, p in enumerate(pairings) if p > 0), None)
         if bad is None:
-            return FundamentalCycle(config, tuple(z))
+            return FundamentalCycle(config, tuple(z), tuple(pairings))
         copies = -(pairings[bad] // g[bad][bad])  # ceil(p / -E_b^2), with E_b^2 < 0
         z[bad] += copies
         pairings = [p + copies * x for p, x in zip(pairings, g[bad])]
@@ -556,11 +545,13 @@ def euler_budget(
 
 
 # ---------------------------------------------------------------------------
-# Serialization (scenario file format).
+# Serialization: the catalog as JSON.
 # ---------------------------------------------------------------------------
 
 
 def config_to_json(config: CurveConfiguration) -> dict:
+    """The configuration as a scenario file writes it; `scenarios.config_from_json`
+    reads it back."""
     return {
         "components": [
             {
@@ -581,80 +572,6 @@ def config_to_json(config: CurveConfiguration) -> dict:
         ],
         "concurrent": [sorted(t) for t in config.concurrent],
     }
-
-
-def bounded_int(value: int | str) -> int:
-    """An integer read from input, within the bounds of plane-check coefficients.
-
-    An int, or a plain decimal string (`rationals.decimal_int`), is read
-    at once; every other string goes through `rationals.bounded_rational` and
-    must come out integral.  Both routes accept and refuse the same values.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    n = None
-    if type(value) is int:
-        n = value
-    elif isinstance(value, str) and len(value) <= MAX_COEFF_CHARS:
-        n = decimal_int(value)
-    if n is not None:
-        if n.bit_length() > MAX_COEFF_BITS:
-            raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
-        return n
-    q = bounded_rational(value)
-    if q.denominator != 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return q.numerator
-
-
-def config_from_json(data: dict) -> CurveConfiguration:
-    """Read a configuration, refusing malformed or oversized input.
-
-    Integers go through :func:`bounded_int`, and at most
-    :data:`MAX_COMPONENTS` components are read; beyond that, or on a
-    component, contact or flag of the wrong shape, ValueError or TypeError.
-    """
-    records = {key: _json_list(data, key) for key in ("components", "contacts", "concurrent")}
-    if len(records["components"]) > MAX_COMPONENTS:
-        raise ValueError(f"a configuration has at most {MAX_COMPONENTS} components")
-    components = tuple(
-        Component(
-            _json_name(c["name"]), bounded_int(c["self_int"]), bounded_int(c.get("pa", "0")), c.get("sing")
-        )
-        for c in map(_json_object, records["components"])
-    )
-    contacts = []
-    for c in map(_json_object, records["contacts"]):
-        pair = c["pair"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"a contact pair names two components, got {pair!r}")
-        first, second = map(_json_name, pair)
-        contacts.append(Contact(first, second, bounded_int(c["mult"]), bool(c.get("tangential", False))))
-    concurrent = []
-    for triple in records["concurrent"]:
-        if not isinstance(triple, list):
-            raise TypeError(f"a concurrency flag is a list of names, got {triple!r}")
-        concurrent.append(frozenset(map(_json_name, triple)))
-    return CurveConfiguration(components, tuple(contacts), tuple(concurrent))
-
-
-def _json_object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {value!r}")
-    return value
-
-
-def _json_list(data, key: str) -> list:
-    value = _json_object(data).get(key, [])
-    if not isinstance(value, list):
-        raise TypeError(f"{key} must be a list, got {value!r}")
-    return value
-
-
-def _json_name(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"a component name is a string, got {value!r}")
-    return value
 
 
 def catalog_to_json() -> list[dict]:

@@ -529,7 +529,7 @@ def _point_kind(
     p_g = 1).  Anything else raises ContractionError.
     """
     if [(c.self_int, c.pa) for c in config.components] == [(-1, 0)]:
-        return "blow-down", FundamentalCycle(config, (1,)), 0, (1,)
+        return "blow-down", FundamentalCycle(config, (1,), (-1,)), 0, (1,)
     # The classification tests definiteness and takes the fundamental cycle once.
     try:
         classification = classify_minimally_elliptic(config)
@@ -544,7 +544,7 @@ def _point_kind(
         return "rational-double-point", cycle, 0, (0,) * len(cycle.coeffs)
     if classification.kind == "minimally-elliptic":
         # (K + Z).E_i = K.E_i + Z.E_i, and Z.E_i is read on the configuration's Gram matrix.
-        for cname, k_degree, z_degree in zip(config.names, k_degrees, cycle.pairings()):
+        for cname, k_degree, z_degree in zip(config.names, k_degrees, cycle.pairings):
             if k_degree + z_degree != 0:
                 raise ContractionError(
                     f"K + Z is not orthogonal to {cname!r}; the point would not be Gorenstein"

@@ -30,10 +30,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .rationals import (
-    MAX_COEFF_BITS,
     MODULAR_PRIME,
     bivariate_gcd,
-    bounded_rational,
     frac,
     integer_rank,
     integer_rows,
@@ -186,8 +184,8 @@ class MarkedPoint(_MarkedPointFields):
         return "[" + ":".join(rat_str(c) for c in self.coords) + "]"
 
 
-# Bounds on forms and germs read from input; beyond them a reader raises
-# ValueError, which a scenario reports as malformed input (exit 2).  The
+# Bounds on forms and germs read from input; beyond them the reader in
+# `scenarios` refuses the input as malformed (exit 2).  The
 # largest generated inputs have degree 12 and coefficients of 39 bits.  At
 # the bounds, degree 16 and 64-bit rational coefficients, the integer
 # kernels of `rationals` stay in the tens of milliseconds (Python 3.11, one
@@ -198,32 +196,9 @@ class MarkedPoint(_MarkedPointFields):
 # colength with large coefficients costs far more: seconds to minutes, with
 # the worst cases in the `_colength` docstring.
 # The bounds were set when sympy's bivariate gcd took 2 s at these bounds;
-# they stay, as changing them changes exit codes.
-# Coefficients are read by `rationals.bounded_rational` (MAX_COEFF_BITS).
+# they stay, as changing them changes exit codes.  The coefficient bounds
+# live with the reader, `scenarios.MAX_COEFF_BITS`.
 MAX_DEGREE = 16  # form degree and total degree of a germ monomial
-
-
-def parse_exponent(key: str, arity: int) -> tuple[int, ...]:
-    """Exponents "i,j,..." of a monomial read from input, each at least 0."""
-    parts = key.split(",")
-    if len(parts) != arity:
-        raise ValueError(f"monomial {key!r} needs {arity} exponents")
-    exponent = tuple(int(part) for part in parts)
-    if min(exponent) < 0 or sum(exponent) > MAX_DEGREE:
-        raise ValueError(f"monomial {key!r} is outside exponents 0.. and degree {MAX_DEGREE}")
-    return exponent
-
-
-def form_from_json(data: dict) -> HomogeneousForm:
-    degree = int(data["degree"])
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"form degree {degree} is outside 0..{MAX_DEGREE}")
-    coeffs = data.get("coeffs", {})
-    if not isinstance(coeffs, dict):
-        raise TypeError("the coeffs of a form are an object")
-    return HomogeneousForm.from_dict(
-        degree, {parse_exponent(key, 3): bounded_rational(value) for key, value in coeffs.items()}
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ its kernel vectors and Schur complements from; :func:`nullspace`,
 off it.  :func:`det` is an independent oracle for the tests;
 :func:`nullspace` and :func:`solve_in_span` have no caller in the engine
 either, and all three stay because the benchmark's tracer
-(``bench/tracing.py``) wraps them by name.  A bounded reader for rationals
-from input follows.  Floating point never appears; every result is exact.
+(``bench/tracing.py``) wraps them by name.  Floating point never appears;
+every result is exact.
 Matrices are plain lists of lists (rows) of exact rationals: an ``int``
 where the value is integral (:func:`plain`), else a ``Fraction``;
 :func:`ratio` gives the value of an integer ratio the same form.
@@ -46,25 +46,11 @@ def frac(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # a plain integer skips the Fraction regex; int reads the same digits
-        n = decimal_int(value)
-        if n is not None:
-            return Fraction(n)
         try:
             return Fraction(value.replace("−", "-").strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def decimal_int(text: str) -> int | None:
-    """The integer a plain decimal string names, else None: surrounding spaces
-    are stripped, "−" reads as "-", and one sign is allowed.  The plain-integer
-    test of :func:`frac`, which reads every other string as a Fraction."""
-    text = text.replace("−", "-").strip()
-    if (text[1:] if text[:1] in ("-", "+") else text).isdecimal():
-        return int(text)
-    return None
 
 
 def plain(value: int | str | Fraction) -> int | Fraction:
@@ -95,31 +81,6 @@ def rat_str(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-# Bounds on a rational read from input, shared by the readers of plane-curve
-# germs and forms and of curve configurations.  With the polynomial kernels
-# below, a germ at the bounds costs tens of milliseconds (timings at
-# `planecurves.MAX_DEGREE`).
-MAX_COEFF_BITS = 64  # numerator and denominator of a coefficient
-MAX_COEFF_CHARS = 64  # length of a coefficient string
-_MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
-
-
-def bounded_rational(value: int | str | Fraction) -> Fraction:
-    """A coefficient read from input, with numerator and denominator bounded.
-
-    A string's decimal exponent is bounded before :class:`Fraction` expands
-    it, so "1e100000" is refused at once instead of being built.
-    """
-    if isinstance(value, str):
-        exponent = value.lower().partition("e")[2].strip().lstrip("+-")
-        if len(value) > MAX_COEFF_CHARS or len(exponent) > _MAX_EXPONENT_DIGITS:
-            raise ValueError(f"coefficient {value[:32]!r} exceeds the input bounds")
-    q = frac(value)
-    if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
-        raise ValueError(f"coefficient exceeds {MAX_COEFF_BITS} bits")
-    return q
 
 
 def rank(rows: Sequence[Sequence[int | Fraction]]) -> int:

@@ -1,7 +1,9 @@
 """Scenario files, their execution, and machine-readable reports.
 
 A scenario is a JSON document (conventionally ``*.scn``) with a schema
-version, a kind, a payload and a block of expected assertions.  Reports are
+version, a kind, a payload and a block of expected assertions.  Every value
+in it is read here, by one rule per kind of value, and the other modules take
+typed values only.  Reports are
 JSON with sorted keys; integers and exact fractions travel as strings, never
 as floating point.  Every status comes from `pipelines.judge`: a "flagged"
 status is reserved for the documented discrepancies between stated and
@@ -12,6 +14,7 @@ confirm a record or turn it into a failure.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -19,10 +22,12 @@ from typing import Mapping, NamedTuple
 
 from . import __version__
 from .configurations import (
+    MAX_COMPONENTS,
+    Component,
+    Contact,
+    CurveConfiguration,
     blown_up_fiber,
-    bounded_int,
     classify_minimally_elliptic,
-    config_from_json,
     is_negative_definite,
     isomorphic,
     match_catalog,
@@ -39,20 +44,20 @@ from .pipelines import (
     run_zw_pipeline,
 )
 from .planecurves import (
+    MAX_DEGREE,
+    Germ,
+    HomogeneousForm,
     MarkedPoint,
     an_type_at,
-    bounded_rational,
     detect_33_point,
-    form_from_json,
     germ,
     germ_of,
     linear_form,
     mult_sequence,
-    parse_exponent,
     restrict_to_line,
     stabilizer_dim,
 )
-from .rationals import rat_str
+from .rationals import plain, rat_str
 
 SCHEMA_VERSION = "1"
 KINDS = ("pipeline", "config-check", "plane-check")
@@ -116,6 +121,155 @@ class Report(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Reading values: the format of a scenario file, one rule per kind of value
+# ---------------------------------------------------------------------------
+# Every value of a scenario file is read here, by the rules the README states;
+# the kernels take typed values only.  Anything else is ScenarioError (exit 2).
+
+# Bounds on a rational read from input.  With the polynomial kernels of
+# `rationals`, a germ at the bounds costs tens of milliseconds (timings at
+# `planecurves.MAX_DEGREE`).
+MAX_COEFF_BITS = 64  # numerator and denominator of a rational
+MAX_COEFF_CHARS = 64  # length of a rational string
+_MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false", int: "an integer",
+               type(None): "null"}
+
+
+def _typed(value, what: str, *kinds: type):
+    """``value`` when its JSON type is exactly one of ``kinds``: a boolean is no
+    integer, 2.7 no degree, the string "false" no flag and "10" no list."""
+    if type(value) not in kinds:
+        meaning = " or ".join(_JSON_TYPES[kind] for kind in kinds)
+        raise ScenarioError(f"{what} must be {meaning}, got {value!r:.40}")
+    return value
+
+
+def decimal_int(text: str) -> int | None:
+    """The integer a plain decimal string names, else None: surrounding spaces
+    are stripped, "−" reads as "-", and one sign is allowed."""
+    text = text.replace("−", "-").strip()
+    if (text[1:] if text[:1] in ("-", "+") else text).isdecimal():
+        return int(text)
+    return None
+
+
+def rational_from_json(value) -> int | Fraction:
+    """A rational, as `rationals.plain` stores it.
+
+    A string has at most :data:`MAX_COEFF_CHARS` characters.  A plain decimal
+    one is read by :func:`decimal_int`, without a Fraction; any other has its
+    decimal exponent bounded before :class:`Fraction` expands it, so
+    "1e100000" is refused at once.  Numerator and denominator have at most
+    :data:`MAX_COEFF_BITS` bits.
+    """
+    if type(value) is int:
+        q = value
+    elif type(value) is not str:
+        raise ScenarioError(f"a rational must be a string or an integer, got {value!r:.40}")
+    elif len(value) > MAX_COEFF_CHARS:
+        raise ScenarioError(f"rational {value!r:.40} is longer than {MAX_COEFF_CHARS} characters")
+    else:
+        q = decimal_int(value)
+        if q is None:
+            if len(value.lower().partition("e")[2].strip().lstrip("+-")) > _MAX_EXPONENT_DIGITS:
+                raise ScenarioError(f"rational {value!r} has an exponent past {_MAX_EXPONENT_DIGITS} digits")
+            q = plain(value)
+    if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
+        raise ScenarioError(f"rational {value!r:.40} exceeds {MAX_COEFF_BITS} bits")
+    return q
+
+
+def integral_from_json(value) -> int:
+    """A rational that is integral: a self-intersection, genus or contact multiplicity."""
+    q = rational_from_json(value)
+    if type(q) is not int:
+        raise ScenarioError(f"expected an integer, got {value!r:.40}")
+    return q
+
+
+def _rationals(value, what: str) -> list[int | Fraction]:
+    """A point's coordinates or a line's coefficients: a list of three rationals."""
+    items = _typed(value, what, list)
+    if len(items) != 3:
+        raise ScenarioError(f"{what} is a list of three rationals, got {items!r:.40}")
+    return [rational_from_json(c) for c in items]
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    return tuple(_typed(name, "a component name", str) for name in _typed(value, what, list))
+
+
+def _monomial(key: str, arity: int) -> tuple[int, ...]:
+    """Exponents "i,j,..." of a monomial, each at least 0, of total degree at
+    most `planecurves.MAX_DEGREE`."""
+    parts = key.split(",")
+    if len(parts) != arity:
+        raise ScenarioError(f"monomial {key!r:.40} needs {arity} exponents")
+    exponent = tuple(map(int, parts))
+    if min(exponent) < 0 or sum(exponent) > MAX_DEGREE:
+        raise ScenarioError(f"monomial {key!r:.40} is outside exponents 0.. and degree {MAX_DEGREE}")
+    return exponent
+
+
+def _terms(value, what: str, arity: int) -> dict:
+    terms = _typed(value, what, dict)
+    return {_monomial(key, arity): rational_from_json(c) for key, c in terms.items()}
+
+
+def form_from_json(data) -> HomogeneousForm:
+    data = _typed(data, "a form", dict)
+    degree = _typed(data["degree"], "a form degree", int)
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ScenarioError(f"form degree {degree} is outside 0..{MAX_DEGREE}")
+    return HomogeneousForm.from_dict(degree, _terms(data.get("coeffs", {}), "the coeffs of a form", 3))
+
+
+def _germ_from_json(data) -> Germ:
+    return germ(_terms(_typed(data, "a germ", dict).get("terms", {}), "the terms of a germ", 2))
+
+
+def _points(check: Mapping) -> tuple[MarkedPoint, ...]:
+    points = _typed(check.get("points", []), "points", list)
+    return tuple(MarkedPoint.of(*_rationals(p, "a point")) for p in points)
+
+
+def config_from_json(data) -> CurveConfiguration:
+    """A curve configuration of at most `configurations.MAX_COMPONENTS` components."""
+    data = _typed(data, "a configuration", dict)
+    components = _typed(data.get("components", []), "components", list)
+    if len(components) > MAX_COMPONENTS:
+        raise ScenarioError(f"a configuration has at most {MAX_COMPONENTS} components")
+    contacts = _typed(data.get("contacts", []), "contacts", list)
+    concurrent = _typed(data.get("concurrent", []), "concurrent", list)
+    return CurveConfiguration(
+        tuple(map(_component_from_json, components)),
+        tuple(map(_contact_from_json, contacts)),
+        tuple(frozenset(_names(triple, "a concurrency flag")) for triple in concurrent),
+    )
+
+
+def _component_from_json(data) -> Component:
+    data = _typed(data, "a component", dict)
+    return Component(
+        _typed(data["name"], "a component name", str),
+        integral_from_json(data["self_int"]),
+        integral_from_json(data.get("pa", 0)),
+        data.get("sing"),
+    )
+
+
+def _contact_from_json(data) -> Contact:
+    data = _typed(data, "a contact", dict)
+    pair = _names(data["pair"], "a contact pair")
+    if len(pair) != 2:
+        raise ScenarioError(f"a contact pair names two components, got {pair!r:.40}")
+    tangential = _typed(data.get("tangential", False), "tangential", bool)
+    return Contact(*pair, integral_from_json(data["mult"]), tangential)
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
@@ -127,6 +281,8 @@ def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
         raise ScenarioError(f"{source}:{err.lineno}:{err.colno}: {err.msg}") from None
     except ValueError as err:  # an integer literal past the interpreter's digit limit
         raise ScenarioError(f"{source}: {err}") from None
+    except RecursionError:
+        raise ScenarioError(f"{source}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: a scenario is a JSON object")
     schema = data.get("schema")
@@ -152,8 +308,11 @@ def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
         claimed, flag = entry.get("claimed"), entry.get("flag")
         if flag is not None and flag not in FLAG_KINDS:
             raise ScenarioError(f"{source}: expected entry {key!r} names an undocumented flag {flag!r}")
+        value = entry["value"]
+        if type(value) not in (str, int) or type(claimed) not in (str, int, type(None)):
+            raise ScenarioError(f"{source}: expected entry {key!r}: value and claimed are strings or ints")
         claimed = None if claimed is None else str(claimed)
-        expected.append((key, ExpectedEntry(str(entry["value"]), claimed, flag)))
+        expected.append((key, ExpectedEntry(str(value), claimed, flag)))
     return Scenario(name, kind, payload, tuple(expected))
 
 
@@ -171,62 +330,25 @@ def load_scenario(path: str | Path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _parse_point(coords) -> MarkedPoint:
-    if not isinstance(coords, (list, tuple)) or len(coords) != 3:
-        raise ScenarioError("a point is a list of three rationals")
-    return MarkedPoint.of(*[bounded_rational(str(c)) for c in coords])
-
-
-def _parse_germ(data) -> dict:
-    """A germ within the input bounds of `planecurves`; beyond them, exit 2."""
-    terms = data.get("terms", {}) if isinstance(data, dict) else None
-    if not isinstance(terms, dict):
-        raise ScenarioError("a germ is an object whose terms are an object")
-    try:
-        return germ({parse_exponent(k, 2): bounded_rational(v) for k, v in terms.items()})
-    except ValueError as err:
-        raise ScenarioError(f"germ: {err}") from None
-
-
-def _parse_33_block(block: Mapping) -> tuple[dict, tuple[dict, dict] | None]:
-    """The germ of a [3,3]-point block and its optional (residual, smooth) pair."""
-    shape = _parse_germ(block["germ"])
-    if "decomposition" not in block:
-        return shape, None
-    first, second = block["decomposition"]
-    return shape, (_parse_germ(first), _parse_germ(second))
-
-
-def _field(payload: Mapping, key: str, default, types: tuple[type, ...], meaning: str):
-    """``payload[key]``, or the default, when its JSON type is exactly one of
-    ``types`` (so a boolean is no integer and 6.9 no profile); else ScenarioError."""
-    value = payload.get(key, default)
-    if type(value) not in types:
-        raise ScenarioError(f"pipeline payload: {key} must be {meaning}, got {value!r}")
-    return value
-
-
 def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
+    if construction not in ("en", "zw"):
+        raise ScenarioError(f"unknown construction {construction!r}")
+    config = config_from_json(payload["config"]) if "config" in payload else None
+    singularity = _typed(payload.get("singularity"), "singularity", str)
     if construction == "en":
-        config = config_from_json(payload["config"]) if "config" in payload else None
-        spec = EnSpec(
-            singularity=_field(payload, "singularity", None, (str,), "a string"),
-            profile=_field(payload, "profile", 6, (int,), "the integer 6 or 7"),
-            fiber_variant=_field(payload, "fiber_variant", None, (str, type(None)), "a string or null"),
+        return run_en_pipeline(EnSpec(
+            singularity=singularity,
+            profile=_typed(payload.get("profile", 6), "profile", int),
+            fiber_variant=_typed(payload.get("fiber_variant"), "fiber_variant", str, type(None)),
             config=config,
-            germ_checks=_field(payload, "germ_checks", True, (bool,), "true or false"),
-        )
-        return run_en_pipeline(spec)
-    if construction == "zw":
-        config = config_from_json(payload["config"]) if "config" in payload else None
-        spec = ZwSpec(
-            singularity=_field(payload, "singularity", None, (str,), "a string"),
-            family_case=_field(payload, "family_case", 1, (int, type(None)), "an integer or null"),
-            config=config,
-        )
-        return run_zw_pipeline(spec)
-    raise ScenarioError(f"unknown construction {construction!r}")
+            germ_checks=_typed(payload.get("germ_checks", True), "germ_checks", bool),
+        ))
+    return run_zw_pipeline(ZwSpec(
+        singularity=singularity,
+        family_case=_typed(payload.get("family_case", 1), "family_case", int, type(None)),
+        config=config,
+    ))
 
 
 def _config_check_values(payload: Mapping) -> dict[str, str]:
@@ -248,23 +370,25 @@ def _config_check_values(payload: Mapping) -> dict[str, str]:
     entry = match_catalog(config)
     values["catalog-match"] = entry.label if entry else "none"
     values["kodaira-fiber"] = recognize_kodaira_fiber(config) or "none"
-    derived = payload.get("derived_from")
-    if derived:
-        rebuilt = blown_up_fiber(str(derived["fiber"]), tuple(map(bounded_int, derived["blow_ups"])))
+    if "derived_from" in payload:
+        derived = _typed(payload["derived_from"], "derived_from", dict)
+        counts = _typed(derived["blow_ups"], "blow_ups", list)
+        blow_ups = tuple(integral_from_json(_typed(k, "a blow-up count", int)) for k in counts)
+        rebuilt = blown_up_fiber(_typed(derived["fiber"], "a fibre type", str), blow_ups)
         values["blown-up-fiber-match"] = "match" if isomorphic(rebuilt, config) else "different"
     return values
 
 
 def _plane_check_values(payload: Mapping) -> dict[str, str]:
     values: dict[str, str] = {}
-    for check in payload.get("checks", []):
-        name = check["name"]
+    for check in _typed(payload.get("checks", []), "checks", list):
+        check = _typed(check, "a plane check", dict)
+        name = _typed(check["name"], "a check name", str)
         op = check["op"]
         if op == "restrict":
             form = form_from_json(check["form"])
             line = form_from_json(check["line"])
-            points = tuple(_parse_point(p) for p in check.get("points", []))
-            pattern = restrict_to_line(form, line, points)
+            pattern = restrict_to_line(form, line, _points(check))
             if pattern.contained:
                 values[name] = "contained"
             else:
@@ -274,7 +398,10 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
             verdict = _an_verdict(check)
             values[name] = _an_label(verdict)
         elif op == "detect-33":
-            shape, decomposition = _parse_33_block(check)
+            shape, decomposition = _germ_from_json(check["germ"]), None
+            if "decomposition" in check:
+                residual, smooth = _typed(check["decomposition"], "a decomposition", list)
+                decomposition = (_germ_from_json(residual), _germ_from_json(smooth))
             verdict = detect_33_point(shape, decomposition=decomposition)
             parts = [
                 "true" if verdict.is_33 else "false",
@@ -285,30 +412,24 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
                 parts.append(_an_label(verdict.residual))
             values[name] = ";".join(parts)
         elif op == "mult-tree":
-            shape = _parse_germ(check["germ"])
-            values[name] = _tree_label(mult_sequence(shape))
+            values[name] = _tree_label(mult_sequence(_germ_from_json(check["germ"])))
         elif op == "stabilizer-dim":
-            points = tuple(_parse_point(p) for p in check.get("points", []))
-            lines = tuple(
-                linear_form(*[bounded_rational(str(c)) for c in coeffs])
-                for coeffs in check.get("lines", [])
-            )
-            values[name] = str(stabilizer_dim(points, lines))
+            lines = _typed(check.get("lines", []), "lines", list)
+            lines = tuple(linear_form(*_rationals(coeffs, "a line")) for coeffs in lines)
+            values[name] = str(stabilizer_dim(_points(check), lines))
         else:
             raise ScenarioError(f"unknown plane-check op {op!r}")
     return values
 
 
 def _an_verdict(check: Mapping):
-    candidate = check.get("candidate", 6)
-    if isinstance(candidate, bool) or not isinstance(candidate, int):
-        raise ScenarioError(f"an-type candidate {candidate!r} is not an integer")
+    candidate = _typed(check.get("candidate", 6), "an-type candidate", int)
     if not 1 <= candidate <= MAX_CANDIDATE:
         raise ScenarioError(f"an-type candidate {candidate} is outside 1..{MAX_CANDIDATE}")
     if "germ" in check:
-        g = _parse_germ(check["germ"])
+        g = _germ_from_json(check["germ"])
     else:
-        g = germ_of(form_from_json(check["form"]), _parse_point(check["point"]))
+        g = germ_of(form_from_json(check["form"]), MarkedPoint.of(*_rationals(check["point"], "a point")))
     return an_type_at(g, candidate=candidate)
 
 
@@ -364,9 +485,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             records = result.checks
             values = {note.name: note.value for note in result.diagnostics}
             anchors = {note.name: note.anchor for note in result.diagnostics}
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError) as err:  # a ScenarioError is a ValueError
         raise ScenarioError(f"scenario {scenario.name!r}: malformed payload: {err}") from None
 
     record_map = {r.name: r for r in records}
@@ -392,9 +511,12 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
 
 def corpus_dir(override: str | Path | None = None) -> Path:
-    if override is not None:
-        return Path(override)
-    return Path(resources.files("unimodal") / "corpus")
+    if override is None:
+        return Path(resources.files("unimodal") / "corpus")
+    path = Path(override)
+    if not path.is_dir():
+        raise ScenarioError(f"{path}: not a directory")
+    return path
 
 
 def run_corpus(directory: str | Path | None = None) -> Report:

@@ -45,7 +45,7 @@ from unimodal.planecurves import (
     restrict_to_line,
     tjurina_number,
 )
-from unimodal.rationals import bounded_rational, det, frac, integer_rank, rat_str
+from unimodal.rationals import det, frac, integer_rank, rat_str
 from unimodal.scenarios import Report, ScenarioReport
 from unimodal.sextics import LINE, FamilyVerification, SexticFamily
 
@@ -272,7 +272,8 @@ def fundamental_cycle_brute_force(
     ]
     if not anti_nef:
         return None
-    return FundamentalCycle(config, tuple(min(z[i] for z in anti_nef) for i in range(n)))
+    z = tuple(min(z[i] for z in anti_nef) for i in range(n))
+    return FundamentalCycle(config, z, tuple(_pairings(g, z)))
 
 
 def fraction_gram(config: CurveConfiguration) -> list[list[Fraction]]:
@@ -307,14 +308,25 @@ def match_catalog_by_scan(config: CurveConfiguration) -> CatalogEntry | None:
     return next((entry for entry in CATALOG if isomorphic(config, entry.config)), None)
 
 
-def bounded_int_by_rational(value: int | str) -> int:
-    """An integer read from input by the rational route: `bounded_rational`,
-    then the denominator check."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    q = bounded_rational(value)
-    if q.denominator != 1:
-        raise ValueError(f"expected an integer, got {value!r}")
+def integral_by_fraction(value: int | str) -> int:
+    """An integral rational read from input (`scenarios.integral_from_json`)
+    by :class:`Fraction` alone: a string of at most 64 characters with at
+    most three exponent digits, or an int that is not a bool; numerator and
+    denominator of at most 64 bits; denominator 1.  ValueError otherwise."""
+    if type(value) is str:
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-")
+        if len(value) > 64 or len(exponent) > 3:
+            raise ValueError(f"{value[:32]!r} exceeds the input bounds")
+        try:
+            q = Fraction(value.replace("−", "-").strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    elif type(value) is int:
+        q = Fraction(value)
+    else:
+        raise ValueError(f"{value!r} is no string or int")
+    if max(abs(q.numerator), q.denominator).bit_length() > 64 or q.denominator != 1:
+        raise ValueError(f"{value!r} is no integer within 64 bits")
     return q.numerator
 
 

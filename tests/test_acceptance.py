@@ -192,7 +192,7 @@ def test_criterion_09_fundamental_cycle_oracle():
                 continue
             cases += 1
             cycle = fundamental_cycle(config)
-            assert all(p <= 0 for p in cycle.pairings())
+            assert all(p <= 0 for p in cycle.pairings)
             oracle = fundamental_cycle_brute_force(config, bound=max(4, *cycle.coeffs))
             assert oracle is not None and oracle.coeffs == cycle.coeffs
         elapsed = time.monotonic() - start

@@ -17,7 +17,6 @@ from unimodal.configurations import (
     blown_up_fiber,
     catalog_entry,
     classify_minimally_elliptic,
-    config_from_json,
     config_to_json,
     euler_budget,
     fiber_euler_number,
@@ -27,6 +26,7 @@ from unimodal.configurations import (
     match_catalog,
     recognize_kodaira_fiber,
 )
+from unimodal.scenarios import config_from_json
 
 from oracles import (
     HAND_EXCEPTIONAL,
@@ -99,7 +99,7 @@ def test_fundamental_cycle_nontrivial_coefficients():
     )
     z = fundamental_cycle(config)
     assert dict(zip(config.names, z.coeffs)) == {"C": 2, "L1": 1, "L2": 1, "L3": 1}
-    assert z.pairings() == [sum(r * c for r, c in zip(row, z.coeffs)) for row in fraction_gram(config)]
+    assert list(z.pairings) == [sum(r * c for r, c in zip(row, z.coeffs)) for row in fraction_gram(config)]
     oracle = fundamental_cycle_brute_force(config, bound=4)
     assert oracle.coeffs == z.coeffs
 
@@ -448,7 +448,7 @@ def test_laufer_matches_brute_force_random():
             continue
         cases += 1
         z = fundamental_cycle(config)
-        assert all(p <= 0 for p in z.pairings())
+        assert all(p <= 0 for p in z.pairings)
         bound = max(4, *z.coeffs)
         oracle = fundamental_cycle_brute_force(config, bound=bound)
         assert oracle is not None

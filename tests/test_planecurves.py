@@ -15,7 +15,6 @@ from unimodal.planecurves import (
     _jacobian_rows,
     an_type_at,
     detect_33_point,
-    form_from_json,
     germ,
     germ_mul,
     germ_of,
@@ -34,6 +33,7 @@ from unimodal.planecurves import (
     tjurina_number,
 )
 from unimodal.rationals import MODULAR_PRIME, integer_rank, nullspace
+from unimodal.scenarios import form_from_json
 
 from oracles import (
     exclusion_system,

@@ -13,7 +13,6 @@ from unimodal.configurations import (
     Component,
     Contact,
     CurveConfiguration,
-    bounded_int,
     classify_minimally_elliptic,
     fundamental_cycle,
     is_negative_definite as config_negative_definite,
@@ -69,14 +68,15 @@ from unimodal.rationals import (
     rank,
     solve,
 )
+from unimodal.scenarios import integral_from_json
 
 from oracles import (
     blow_up_at_direction_by_expansion,
-    bounded_int_by_rational,
     cycle_invariants_by_fractions,
     en_variants,
     germ_of_by_expansion,
     int_when_integral,
+    integral_by_fraction,
     intersection_by_blow_ups,
     is_connected_by_union,
     jacobian_rows_all,
@@ -260,12 +260,12 @@ def test_tracked_genera_of_every_elliptic_model_agree_with_the_class_pairing():
 
 
 def _outcome(read, value):
-    """What a reader makes of a value: the int it returns, or the type of the
-    exception it raises."""
+    """What a reader makes of a value: the int it returns, or ValueError when
+    it refuses the value (`scenarios.ScenarioError` is one)."""
     try:
         result = read(value)
-    except Exception as err:  # the exception type is the outcome compared
-        return type(err)
+    except ValueError:
+        return ValueError
     assert type(result) is int
     return result
 
@@ -291,7 +291,7 @@ def _outcome(read, value):
 @example(Fraction(4, 2))
 @settings(max_examples=500, derandomize=True)
 def test_bounded_int_agrees_with_the_rational_route(value):
-    assert _outcome(bounded_int, value) == _outcome(bounded_int_by_rational, value)
+    assert _outcome(integral_from_json, value) == _outcome(integral_by_fraction, value)
 
 
 def _frac_by_regex(text: str) -> Fraction:

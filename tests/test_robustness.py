@@ -47,6 +47,7 @@ BAD_VALUES = st.sampled_from(
     [
         None, True, -1, 0, 2.5, 17, 301, 9, "", "x", "-1/0", "1e100000", "9" * 5000,
         str(2**64), "1/" + str(2**64), [], [1], {}, {"a": 1}, "pipeline", "mystery",
+        "false", "10", 0.5,
     ]
 )
 BAD_KEYS = st.sampled_from(["0,17", "17,0,0", "0,301", "-1,2", "1,1,1,1", "a", "", "value"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from unimodal.scenarios import (
     ScenarioReport,
     corpus_dir,
     emit_report,
+    integral_from_json,
     load_scenario,
     parse_scenario,
+    rational_from_json,
     report_for,
     run_corpus,
     run_scenario,
@@ -469,7 +472,7 @@ def test_stabilizer_of_the_zero_line_is_exit_2(tmp_path, capsys):
 
 
 def test_input_bounds_admit_their_limits():
-    from unimodal.planecurves import MAX_COEFF_BITS, MAX_DEGREE
+    from unimodal.scenarios import MAX_COEFF_BITS, MAX_DEGREE
 
     big = str(2**MAX_COEFF_BITS - 1)
     terms = {"2,0": big, f"0,{MAX_DEGREE}": "-1/" + big}
@@ -714,6 +717,7 @@ def _component(**fields):
         ({"components": [], "concurrent": [1]}, None),
         (_chain(3), {"fiber": "I" + "9" * 12, "blow_ups": [0, 0, 0]}),
         (_chain(3), {"fiber": "I3", "blow_ups": [2.5, 0, 0]}),
+        (_chain(3), {"fiber": "I3", "blow_ups": [2**64, 0, 0]}),
         # a fundamental cycle beyond MAX_LAUFER_ITERATIONS steps: Z = (12911, 13816, 19967)
         # after 40 070 steps that add several copies at once
         (
@@ -892,3 +896,83 @@ def test_an_type_of_a_dense_germ_at_the_input_bounds_is_fast(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     assert time.perf_counter() - start < 0.5
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# One reader: a value of the wrong JSON type is malformed input, never a verdict
+# ---------------------------------------------------------------------------
+
+_LINE_Z = {"degree": 1, "coeffs": {"0,0,1": "1"}}
+_TWO_NODES = {"name": "s", "op": "stabilizer-dim", "points": [["1", "0", "0"], ["0", "1", "0"]]}
+_WRONG_JSON_TYPES = {
+    # bool("false") is true: two (-2)-curves with contact 2 were recognised as III, not I2
+    "tangential-string": ("config-check", {"config": {
+        "components": [{"name": "E1", "self_int": "-2"}, {"name": "E2", "self_int": "-2"}],
+        "contacts": [{"pair": ["E1", "E2"], "mult": "2", "tangential": "false"}],
+    }}),
+    # int() read 2.7 as 2 and true as 1
+    "degree-float": ("plane-check", {"checks": [
+        {"name": "r", "op": "restrict", "form": {"degree": 2.7, "coeffs": {"2,0,0": "1"}}, "line": _LINE_Z}
+    ]}),
+    "degree-bool": ("plane-check", {"checks": [
+        {"name": "r", "op": "restrict", "form": {"degree": True, "coeffs": {"1,0,0": "1"}}, "line": _LINE_Z}
+    ]}),
+    # str(0.5) read a float coordinate as 1/2
+    "point-float": ("plane-check", {"checks": [dict(_TWO_NODES, points=[["1", 0.5, "0"]])]}),
+    "line-float": ("plane-check", {"checks": [dict(_TWO_NODES, lines=[["0", 0.5, "1"]])]}),
+    # a string was read letter by letter: "100" as the line x = 0, "10" as the counts [1, 0]
+    "line-string": ("plane-check", {"checks": [dict(_TWO_NODES, lines=["100"])]}),
+    "blow-ups-string": ("config-check", {
+        "config": {
+            "components": [{"name": "E1", "self_int": "-3"}, {"name": "E2", "self_int": "-2"}],
+            "contacts": [{"pair": ["E1", "E2"], "mult": "2", "tangential": True}],
+        },
+        "derived_from": {"fiber": "III", "blow_ups": "10"},
+    }),
+    "check-name-int": ("plane-check", {"checks": [dict(_TWO_NODES, name=5)]}),
+}
+
+
+def _case_file(tmp_path, text: str) -> str:
+    path = tmp_path / "case.scn"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*_WRONG_JSON_TYPES, "pin-value-bool", "pin-claimed-bool", "nested-file", "corpus-dir-missing",
+     "corpus-dir-file"],
+)
+def test_a_value_of_the_wrong_json_type_a_nested_file_or_a_bad_corpus_dir_is_exit_2(tmp_path, capsys, case):
+    if case in _WRONG_JSON_TYPES:
+        argv = ["verify", _case_file(tmp_path, scn(*_WRONG_JSON_TYPES[case], {}))]
+    elif case.startswith("pin-"):
+        # str(True) is "True", which no engine value equals: exit 1 instead of 2
+        pin = {"value": True} if case == "pin-value-bool" else {"value": "2", "claimed": True}
+        argv = ["verify", _case_file(tmp_path, scn("plane-check", {"checks": [_TWO_NODES]}, {"s": pin}))]
+    elif case == "nested-file":
+        argv = ["verify", _case_file(tmp_path, "[" * 200_000)]
+    elif case == "corpus-dir-missing":
+        argv = ["corpus", "--dir", str(tmp_path / "typo")]
+    else:
+        argv = ["corpus", "--dir", _case_file(tmp_path, scn("plane-check", {"checks": []}, {}))]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "written,value",
+    [
+        ("-3", -3), ("−3", -3), (" +7 ", 7), ("1e3", 1000), ("10/2", 5), ("٣", 3), ("0", 0),
+        (str(2**64 - 1), 2**64 - 1), (str(-(2**64 - 1)), -(2**64 - 1)), (7, 7), (-(2**64 - 1), -(2**64 - 1)),
+        ("-1/2", Fraction(-1, 2)), ("3e-5", Fraction(3, 100_000)), ("-2.5", Fraction(-5, 2)),
+        ("1/" + str(2**64 - 1), Fraction(1, 2**64 - 1)),
+    ],
+)
+def test_every_written_value_form_reads_as_before(written, value):
+    # the forms the corpus, the benchmark generators and the tests write
+    read = rational_from_json(written)
+    assert read == value and type(read) is type(value)
+    if type(value) is int:
+        assert integral_from_json(written) == value
