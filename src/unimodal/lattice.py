@@ -33,6 +33,11 @@ product of their numerators with the lattice rows.
 Models are immutable; every operation returns a fresh model whose provenance
 lists the operations with their call arguments as immutable values, so
 ``replay`` re-runs the calls and reproduces the construction bit for bit.
+So a model is fixed by its provenance, and within a corpus pass
+(``SharedMoves``) each move is computed once per (parent provenance, step):
+a later call with the same parent and step gets the same immutable result.
+Keys compare by value, as the provenance does.  Outside a pass, and in
+``replay``, every move computes.
 """
 
 from __future__ import annotations
@@ -292,6 +297,40 @@ def _step(op: str, *args) -> ProvenanceStep:
     return ProvenanceStep(op, _frozen(args))
 
 
+# (parent provenance, step) -> what the move returned, while a pass is open
+_shared: dict[tuple[tuple[ProvenanceStep, ...], ProvenanceStep], object] | None = None
+
+
+class SharedMoves:
+    """A corpus pass: inside ``with SharedMoves():`` each move runs once per
+    (parent provenance, step), and a later call with the same parent and step
+    gets the same immutable result.  The results are dropped when the block
+    ends, also on error.
+    """
+
+    def __enter__(self) -> "SharedMoves":
+        global _shared
+        _shared = {}
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _shared
+        _shared = None
+
+
+def _once(parent: tuple[ProvenanceStep, ...], step: ProvenanceStep, body: Callable, *args):
+    """``body(*args)``, the work of a move whose result has provenance
+    ``parent + (step,)``; inside :class:`SharedMoves`, looked up first.  An
+    exception is not kept, so the call raises again when repeated."""
+    if _shared is None:
+        return body(*args)
+    key = (parent, step)
+    result = _shared.get(key)
+    if result is None:
+        result = _shared[key] = body(*args)
+    return result
+
+
 class _SurfaceModelFields(NamedTuple):
     name: str
     lattice: IntersectionLattice
@@ -407,9 +446,13 @@ def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> int | Fraction:
 
 def make_p2() -> SurfaceModel:
     """The projective plane: basis {H}, H^2 = 1, K = -3H, chi = 1."""
+    step = _step("p2")
+    return _once((), step, _make_p2, step)
+
+
+def _make_p2(step: ProvenanceStep) -> SurfaceModel:
     lattice = IntersectionLattice(("H",), ((1,),))
     canonical = DivisorClass(lattice, (-3,))
-    step = _step("p2")
     return SurfaceModel("P2", lattice, canonical, 1, (), (step,))
 
 
@@ -417,10 +460,14 @@ def make_hirzebruch(n: int) -> SurfaceModel:
     """The ruled surface F_n: basis {Cinf, Gamma}, Cinf^2 = -n, K = -2Cinf-(n+2)Gamma."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("a Hirzebruch surface needs a nonnegative integer twist")
+    step = _step("hirzebruch", n)
+    return _once((), step, _make_hirzebruch, n, step)
+
+
+def _make_hirzebruch(n: int, step: ProvenanceStep) -> SurfaceModel:
     lattice = IntersectionLattice(("Cinf", "Gamma"), ((-n, 1), (1, 0)))
     canonical = DivisorClass(lattice, (-2, -n - 2))
     section = TrackedCurve("Cinf", DivisorClass(lattice, (1, 0)), 0)
-    step = _step("hirzebruch", n)
     return SurfaceModel(f"F{n}", lattice, canonical, 1, (section,), (step,))
 
 
@@ -442,6 +489,18 @@ def declare_surface(
     canonical = dict(canonical)
     tracked = [(cname, dict(coeffs)) for cname, coeffs in tracked]
     step = _step("declare", name, basis, gram, canonical, chi, tracked)
+    return _once((), step, _declare_surface, name, basis, gram, canonical, chi, tracked, step)
+
+
+def _declare_surface(
+    name: str,
+    basis: tuple[str, ...],
+    gram: dict[str, dict[str, int | str | Fraction]],
+    canonical: dict[str, int | str | Fraction],
+    chi: int,
+    tracked: list[tuple[str, dict[str, int | str | Fraction]]],
+    step: ProvenanceStep,
+) -> SurfaceModel:
     n = len(basis)
     rows = [[0] * n for _ in range(n)]
     for a, row in gram.items():
@@ -474,23 +533,37 @@ def track(
     irreducible: bool = True,
 ) -> SurfaceModel:
     """Give a name to a class and start tracking it as a curve."""
+    coeffs = dict(coeffs)
+    step = _step("track", name, coeffs, irreducible)
+    return _once(model.provenance, step, _track, model, name, coeffs, irreducible, step)
+
+
+def _track(
+    model: SurfaceModel,
+    name: str,
+    coeffs: dict[str, int | str | Fraction],
+    irreducible: bool,
+    step: ProvenanceStep,
+) -> SurfaceModel:
     if model.has_curve(name):
         raise LatticeError(f"curve name {name!r} already tracked")
-    coeffs = dict(coeffs)
     cls = model.divisor(coeffs)
     pa = model.adjunction_pa(cls)
     if irreducible:
         _require_genus(name, pa)
     curve = TrackedCurve(name, cls, pa, irreducible)
-    step = _step("track", name, coeffs, irreducible)
     return model._with(tracked=model.tracked + (curve,), provenance=model.provenance + (step,))
 
 
 def rename_curve(model: SurfaceModel, old: str, new: str) -> SurfaceModel:
-    curve = model.curve(old)
+    step = _step("rename_curve", old, new)
+    return _once(model.provenance, step, _rename_curve, model, old, new, step)
+
+
+def _rename_curve(model: SurfaceModel, old: str, new: str, step: ProvenanceStep) -> SurfaceModel:
+    model.curve(old)
     if model.has_curve(new):
         raise LatticeError(f"curve name {new!r} already tracked")
-    step = _step("rename_curve", old, new)
     tracked = tuple(
         TrackedCurve(new, c.cls, c.pa, c.irreducible) if c.name == old else c
         for c in model.tracked
@@ -500,9 +573,13 @@ def rename_curve(model: SurfaceModel, old: str, new: str) -> SurfaceModel:
 
 def untrack(model: SurfaceModel, names: Iterable[str]) -> SurfaceModel:
     names = list(names)
+    step = _step("untrack", names)
+    return _once(model.provenance, step, _untrack, model, names, step)
+
+
+def _untrack(model: SurfaceModel, names: list[str], step: ProvenanceStep) -> SurfaceModel:
     for name in names:
         model.curve(name)
-    step = _step("untrack", names)
     return model._with(
         tracked=tuple(c for c in model.tracked if c.name not in names),
         provenance=model.provenance + (step,),
@@ -570,7 +647,8 @@ def attach_resolution(
     """
     through = {k: dict(v) for k, v in dict(through or {}).items()}
     step = _step("attach_resolution", config, through, name)
-    return _attach(model, config, through, name or f"resolution over {model.name}", step)
+    name = name or f"resolution over {model.name}"
+    return _once(model.provenance, step, _attach, model, config, through, name, step)
 
 
 def _attach(
@@ -632,7 +710,8 @@ def blow_up(
     config = CurveConfiguration((Component(exceptional, -1, 0),))
     through = {cname: {exceptional: mult} for cname, mult in center.items()}
     step = _step("blow_up", center, exceptional, name)
-    return _attach(model, config, through, name or f"blow-up of {model.name}", step)
+    name = name or f"blow-up of {model.name}"
+    return _once(model.provenance, step, _attach, model, config, through, name, step)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +731,17 @@ def double_cover(
     B acquires a reduced preimage with class (1/2) * pullback(B).  The new
     canonical class is the pullback of K + L and chi doubles plus L.(L+K)/2.
     """
+    step = _step("double_cover", half_branch, branch_components, name)
+    return _once(model.provenance, step, _double_cover, model, half_branch, branch_components, name, step)
+
+
+def _double_cover(
+    model: SurfaceModel,
+    half_branch: DivisorClass,
+    branch_components: Sequence[str],
+    name: str | None,
+    step: ProvenanceStep,
+) -> SurfaceModel:
     if half_branch.lattice != model.lattice:
         raise LatticeError("half-branch class does not belong to the model")
     residual = 2 * half_branch - model.curve_sum(branch_components)
@@ -688,7 +778,7 @@ def double_cover(
         canonical,
         chi,
         tuple(curves),
-        model.provenance + (_step("double_cover", half_branch, branch_components, name),),
+        model.provenance + (step,),
     )
 
 
@@ -712,6 +802,21 @@ def split_curve(
     self-intersection and nonnegative integral genus.
     """
     pairings = dict(pairings or {})
+    step = _step("split_curve", curve_name, into, self_int, pairings, name)
+    return _once(
+        model.provenance, step, _split_curve, model, curve_name, into, self_int, pairings, name, step
+    )
+
+
+def _split_curve(
+    model: SurfaceModel,
+    curve_name: str,
+    into: tuple[str, str],
+    self_int: int | str | Fraction,
+    pairings: dict[str, int | str | Fraction],
+    name: str | None,
+    step: ProvenanceStep,
+) -> SurfaceModel:
     original = model.curve(curve_name)
     first, second = into
     for fresh in into:
@@ -758,7 +863,7 @@ def split_curve(
         canonical,
         model.chi,
         tuple(curves),
-        model.provenance + (_step("split_curve", curve_name, into, self_int, pairings, name),),
+        model.provenance + (step,),
     )
 
 
@@ -832,6 +937,11 @@ def contract(
     else is rejected.
     """
     names = list(names)
+    step = _step("contract", names, name)
+    return _once(model.provenance, step, _contract, model, names, name, step)
+
+
+def _contract(model: SurfaceModel, names: list[str], name: str | None, step: ProvenanceStep) -> Contraction:
     if not names:
         raise ValueError("nothing to contract")
     config, classes, images, block = _read_configuration(model, names)
@@ -906,7 +1016,7 @@ def contract(
         canonical,
         model.chi + pg,
         tuple(curves),
-        model.provenance + (_step("contract", names, name),),
+        model.provenance + (step,),
     )
     return Contraction(result, kind, label, tuple(zip(names, cycle.coeffs)))
 
@@ -949,12 +1059,19 @@ _REPLAY: dict[str, Callable[..., SurfaceModel]] = {
 
 
 def replay(provenance: Sequence[ProvenanceStep]) -> SurfaceModel:
-    """Re-run a provenance log and return the resulting model."""
+    """Re-run a provenance log and return the resulting model.  Every move is
+    computed, also inside :class:`SharedMoves`, whose results it neither reads
+    nor adds to."""
+    global _shared
     model: SurfaceModel | None = None
-    for step in provenance:
-        if step.op not in _REPLAY:
-            raise ValueError(f"unknown provenance op {step.op!r}")
-        model = _REPLAY[step.op](model, *step.args)
+    outer, _shared = _shared, None
+    try:
+        for step in provenance:
+            if step.op not in _REPLAY:
+                raise ValueError(f"unknown provenance op {step.op!r}")
+            model = _REPLAY[step.op](model, *step.args)
+    finally:
+        _shared = outer
     if model is None:
         raise ValueError("empty provenance")
     return model

@@ -749,10 +749,8 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     return checks.result(f"{sing}-case{spec.family_case}" if spec.family_case else sing, models)
 
 
-@functools.cache
 def _double_plane() -> SurfaceModel:
-    """The double plane branched in a sextic.  It depends on no input, so it
-    is built once per process."""
+    """The double plane branched in a sextic."""
     plane = make_p2()
     return double_cover(plane, plane.divisor({"H": 3}), name="double plane")
 

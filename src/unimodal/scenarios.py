@@ -33,6 +33,7 @@ from .configurations import (
     match_catalog,
     recognize_kodaira_fiber,
 )
+from .lattice import SharedMoves
 from .pipelines import (
     FLAG_KINDS,
     CheckRecord,
@@ -149,6 +150,8 @@ def _typed(value, what: str, *kinds: type):
 def decimal_int(text: str) -> int | None:
     """The integer a plain decimal string names, else None: surrounding spaces
     are stripped, "−" reads as "-", and one sign is allowed."""
+    if text.isdecimal():  # most exponents and coefficients, read without a copy
+        return int(text)
     text = text.replace("−", "-").strip()
     if (text[1:] if text[:1] in ("-", "+") else text).isdecimal():
         return int(text)
@@ -202,12 +205,14 @@ def _names(value, what: str) -> tuple[str, ...]:
 
 
 def _monomial(key: str, arity: int) -> tuple[int, ...]:
-    """Exponents "i,j,..." of a monomial, each at least 0, of total degree at
-    most `planecurves.MAX_DEGREE`."""
+    """Exponents "i,j,..." of a monomial, each a decimal integer (`decimal_int`)
+    at least 0, of total degree at most `planecurves.MAX_DEGREE`."""
     parts = key.split(",")
     if len(parts) != arity:
         raise ScenarioError(f"monomial {key!r:.40} needs {arity} exponents")
-    exponent = tuple(map(int, parts))
+    exponent = tuple(map(decimal_int, parts))
+    if None in exponent:
+        raise ScenarioError(f"monomial {key!r:.40} has an exponent that is no decimal integer")
     if min(exponent) < 0 or sum(exponent) > MAX_DEGREE:
         raise ScenarioError(f"monomial {key!r:.40} is outside exponents 0.. and degree {MAX_DEGREE}")
     return exponent
@@ -520,9 +525,16 @@ def corpus_dir(override: str | Path | None = None) -> Path:
 
 
 def run_corpus(directory: str | Path | None = None) -> Report:
-    """Run every bundled scenario; output order follows sorted file names."""
+    """Run every bundled scenario; output order follows sorted file names.
+
+    The scenarios run in one `lattice.SharedMoves` pass, so a surface
+    construction several scenarios make is built once; each report is the one
+    `report_for` gives.
+    """
     scenarios = [load_scenario(p) for p in sorted(corpus_dir(directory).glob("*.scn"))]
-    return Report(f"unimodal {__version__}", SCHEMA_VERSION, tuple(map(run_scenario, scenarios)))
+    with SharedMoves():
+        reports = tuple(map(run_scenario, scenarios))
+    return Report(f"unimodal {__version__}", SCHEMA_VERSION, reports)
 
 
 def report_for(scenario: Scenario) -> Report:

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import unimodal.lattice as lattice
 from unimodal.configurations import CurveConfiguration, Component, Contact, catalog_entry
 from unimodal.lattice import (
     ContractionError,
     LatticeError,
+    SharedMoves,
     attach_resolution,
     blow_up,
     contract,
@@ -386,16 +388,17 @@ def test_noether_number_changes():
     assert res.model.c2 == p2.c2
 
 
-def test_provenance_replay_bit_for_bit():
+def _resolved_cover():
     f0 = track(make_hirzebruch(0), "Gp", {"Gamma": 1})
     f0 = track(f0, "Dprime", {"Cinf": 4, "Gamma": 5})
     cover = double_cover(f0, f0.divisor({"Cinf": 2, "Gamma": 3}), ["Gp", "Dprime"])
     cover = untrack(cover, ["Dprime_half"])
     config = CurveConfiguration((Component("Fhat", -1, 1),))
-    resolved = attach_resolution(
-        cover, config, {"Gp_half": {"Fhat": 1}, "Cinf_pre": {"Fhat": 1}}
-    )
-    final = contract(resolved, ["Gp_half"]).model
+    return attach_resolution(cover, config, {"Gp_half": {"Fhat": 1}, "Cinf_pre": {"Fhat": 1}})
+
+
+def test_provenance_replay_bit_for_bit():
+    final = contract(_resolved_cover(), ["Gp_half"]).model
     assert replay(final.provenance) == final
     # a record equals the plain tuple of its fields, so equality alone would
     # not see the configuration logged as a bare tuple
@@ -414,6 +417,34 @@ def test_provenance_keeps_the_arguments_as_they_were_passed():
     assert replay(blown.provenance) == blown
     assert replay(resolved.provenance) == resolved
     hash(resolved.provenance)  # immutable all the way down
+
+
+def test_inside_a_pass_a_move_is_shared_and_replay_rebuilds_it():
+    with SharedMoves():
+        model = _resolved_cover()
+        assert _resolved_cover() is model
+        rebuilt = replay(model.provenance)
+        assert rebuilt == model and rebuilt is not model
+        assert contract(model, ["Gp_half"]) is contract(model, ["Gp_half"])
+    again = _resolved_cover()
+    assert again == model and again is not model
+
+
+def test_inside_a_pass_a_move_that_raises_raises_again(monkeypatch):
+    runs = []
+    original = lattice._contract
+
+    def counting(*args):
+        runs.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "_contract", counting)
+    with SharedMoves():
+        line = track(make_p2(), "L", {"H": 1})
+        for _ in range(2):
+            with pytest.raises(ContractionError):
+                contract(line, ["L"])
+    assert runs == [1, 1]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import unimodal.lattice as lattice
 import unimodal.pipelines as pipelines
 from unimodal.configurations import (
     EXCEPTIONAL_LABELS,
@@ -25,7 +26,7 @@ from unimodal.pipelines import (
     section_class_coefficient,
 )
 from unimodal.lattice import make_hirzebruch, make_p2
-from unimodal.scenarios import corpus_dir, load_scenario
+from unimodal.scenarios import corpus_dir, load_scenario, run_corpus
 from unimodal.sextics import FAMILIES
 
 from oracles import en_variants
@@ -269,20 +270,21 @@ def test_standalone_checks():
     assert len(hurwitz.checks) == 25
 
 
-def test_double_plane_is_built_once_per_process(monkeypatch):
-    # counted calls, no timing: the double plane depends on no input
-    original = pipelines.make_p2
+def test_double_plane_is_built_once_per_pass(monkeypatch):
+    # counted runs of the plane's construction, no timing: the double plane
+    # depends on no input, so a corpus pass builds it once and the next pass again
+    original = lattice._make_p2
     built = []
 
-    def recording():
+    def recording(step):
         built.append(1)
-        return original()
+        return original(step)
 
-    monkeypatch.setattr(pipelines, "make_p2", recording)
-    pipelines._double_plane.cache_clear()
-    for sing in ("Z11", "W13", "Z11"):
-        assert run_zw_pipeline(ZwSpec(sing, family_case=None)).failed == ()
+    monkeypatch.setattr(lattice, "_make_p2", recording)
+    assert run_corpus().exit_code == 0
     assert built == [1]
+    assert run_corpus().exit_code == 0
+    assert built == [1, 1]
 
 
 def test_every_record_names_its_claim():

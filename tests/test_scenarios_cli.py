@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import unimodal.lattice as lattice
+import unimodal.pipelines as pipelines
 from unimodal.cli import main
 from unimodal.configurations import catalog_entry
+from unimodal.lattice import make_p2
 from unimodal.pipelines import FLAG_KINDS, CheckRecord, run_riemann_hurwitz_check
 from unimodal.scenarios import (
     MAX_CANDIDATE,
@@ -264,6 +268,53 @@ def test_corpus_deterministic(capsys):
     assert first == again == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("directory", ["bundled", "repeated-constructions"])
+def test_a_corpus_pass_reports_each_scenario_as_it_runs_alone(tmp_path, directory):
+    # inside a pass the lattice moves are shared between scenarios; outside, in
+    # report_for, every scenario builds its own
+    if directory == "bundled":
+        path = CORPUS
+    else:
+        path = tmp_path
+        for stem in ("e13-i2", "e13-iii", "z11-case1", "z11-case2", "z11-case3"):
+            shutil.copy(CORPUS / f"{stem}.scn", path)
+        data = json.loads((CORPUS / "e13-i2.scn").read_text())
+        (path / "e13-i2-copy.scn").write_text(json.dumps(dict(data, name="e13-i2-copy")))
+    alone = tuple(report_for(load_scenario(p)).scenarios[0] for p in sorted(path.glob("*.scn")))
+    assert run_corpus(path).scenarios == alone
+
+
+def test_a_corpus_pass_declares_each_k3_route_resolution_once(monkeypatch):
+    # counted calls, no timing: the ten K3-route scenarios of the corpus have
+    # five singularities, and the next pass builds all five again
+    calls, runs = [], []
+    move, body = pipelines.declare_surface, lattice._declare_surface
+
+    def calling(*args):
+        calls.append(args[0])
+        return move(*args)
+
+    def running(*args):
+        runs.append(args[0])
+        return body(*args)
+
+    monkeypatch.setattr(pipelines, "declare_surface", calling)
+    monkeypatch.setattr(lattice, "_declare_surface", running)
+    run_corpus(CORPUS)
+    assert len(calls) == 10
+    assert sorted(runs) == [f"minimal resolution for {s}" for s in ("W12", "W13", "Z11", "Z12", "Z13")]
+    run_corpus(CORPUS)
+    assert len(calls) == 20 and len(runs) == 10
+
+
+def test_a_corpus_pass_that_fails_leaves_no_moves_shared(tmp_path):
+    shutil.copy(CORPUS / "z11-case1.scn", tmp_path / "a.scn")
+    (tmp_path / "b.scn").write_text(scn("plane-check", {"checks": [{"name": "x", "op": "mystery"}]}, {}))
+    with pytest.raises(ScenarioError, match="mystery"):
+        run_corpus(tmp_path)
+    assert make_p2() is not make_p2()
+
+
 def test_corpus_jobs_is_a_usage_error(capsys):
     # the corpus runs serially; the option that was accepted and ignored is gone
     with pytest.raises(SystemExit) as stopped:
@@ -441,6 +492,7 @@ def test_oversized_or_malformed_germ_is_exit_2(tmp_path, capsys, monkeypatch, ge
         {"degree": 2, "coeffs": {"-1,3,0": "1"}},
         {"degree": 2, "coeffs": {"2,0,0": "1e100000"}},
         {"degree": 2, "coeffs": ["2,0,0"]},
+        {"degree": 10, "coeffs": {"1_0,0,0": "1"}},  # int() read the exponent "1_0" as 10
     ],
 )
 def test_oversized_or_malformed_form_is_exit_2(tmp_path, capsys, form):
