@@ -34,10 +34,11 @@ Models are immutable; every operation returns a fresh model whose provenance
 lists the operations with their call arguments as immutable values, so
 ``replay`` re-runs the calls and reproduces the construction bit for bit.
 So a model is fixed by its provenance, and within a corpus pass
-(``SharedMoves``) each move is computed once per (parent provenance, step):
-a later call with the same parent and step gets the same immutable result.
-Keys compare by value, as the provenance does.  Outside a pass, and in
-``replay``, every move computes.
+(``SharedMoves``) each move runs once per result provenance: it builds the
+provenance of its result first, and a later call that builds an equal one
+gets the same immutable result.  The provenance the result holds is the key,
+and keys compare by value.  Outside a pass, and in ``replay``, every move
+computes.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class DivisorClass:
     def __neg__(self) -> "DivisorClass":
         return _divisor(self.lattice, tuple(-x for x in self.num), self.den)
 
-    def __rmul__(self, scalar: int | str | Fraction) -> "DivisorClass":
+    def __rmul__(self, scalar: int | Fraction) -> "DivisorClass":
         s = scalar if type(scalar) is int else frac(scalar)
         return _divisor(self.lattice, tuple(s.numerator * x for x in self.num), s.denominator * self.den)
 
@@ -297,13 +298,14 @@ def _step(op: str, *args) -> ProvenanceStep:
     return ProvenanceStep(op, _frozen(args))
 
 
-# (parent provenance, step) -> what the move returned, while a pass is open
-_shared: dict[tuple[tuple[ProvenanceStep, ...], ProvenanceStep], object] | None = None
+# result provenance -> what the move returned, while a pass is open; the key is
+# the provenance the result holds (its model's, for a contraction)
+_shared: dict[tuple[ProvenanceStep, ...], object] | None = None
 
 
 class SharedMoves:
     """A corpus pass: inside ``with SharedMoves():`` each move runs once per
-    (parent provenance, step), and a later call with the same parent and step
+    result provenance, and a later call that would build the same provenance
     gets the same immutable result.  The results are dropped when the block
     ends, also on error.
     """
@@ -318,16 +320,17 @@ class SharedMoves:
         _shared = None
 
 
-def _once(parent: tuple[ProvenanceStep, ...], step: ProvenanceStep, body: Callable, *args):
-    """``body(*args)``, the work of a move whose result has provenance
-    ``parent + (step,)``; inside :class:`SharedMoves`, looked up first.  An
-    exception is not kept, so the call raises again when repeated."""
-    if _shared is None:
-        return body(*args)
-    key = (parent, step)
-    result = _shared.get(key)
-    if result is None:
-        result = _shared[key] = body(*args)
+def _recall(provenance: tuple[ProvenanceStep, ...]):
+    """What a move whose result has ``provenance`` returned earlier in the open
+    pass; None outside a pass and on a first call."""
+    return None if _shared is None else _shared.get(provenance)
+
+
+def _share(provenance: tuple[ProvenanceStep, ...], result):
+    """``result``, kept under ``provenance`` while a pass is open.  A move that
+    raises never gets here, so the call raises again when repeated."""
+    if _shared is not None:
+        _shared[provenance] = result
     return result
 
 
@@ -360,7 +363,7 @@ class SurfaceModel(_SurfaceModelFields):
     def basis_class(self, name: str) -> DivisorClass:
         return _unit(self.lattice, self.lattice.index(name))
 
-    def divisor(self, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
+    def divisor(self, coeffs: Mapping[str, int | Fraction]) -> DivisorClass:
         return _class_of(self.lattice, coeffs)
 
     def zero(self) -> DivisorClass:
@@ -412,7 +415,7 @@ class SurfaceModel(_SurfaceModelFields):
         return SurfaceModel(*self._replace(**changes))
 
 
-def _class_of(lattice: IntersectionLattice, coeffs: Mapping[str, int | str | Fraction]) -> DivisorClass:
+def _class_of(lattice: IntersectionLattice, coeffs: Mapping[str, int | Fraction]) -> DivisorClass:
     """The class with the given coefficients on named basis classes, 0 elsewhere."""
     vector = [0] * lattice.rank
     for name, value in coeffs.items():
@@ -446,38 +449,34 @@ def _adjunction_pa(canonical: DivisorClass, d: DivisorClass) -> int | Fraction:
 
 def make_p2() -> SurfaceModel:
     """The projective plane: basis {H}, H^2 = 1, K = -3H, chi = 1."""
-    step = _step("p2")
-    return _once((), step, _make_p2, step)
-
-
-def _make_p2(step: ProvenanceStep) -> SurfaceModel:
+    provenance = (_step("p2"),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     lattice = IntersectionLattice(("H",), ((1,),))
     canonical = DivisorClass(lattice, (-3,))
-    return SurfaceModel("P2", lattice, canonical, 1, (), (step,))
+    return _share(provenance, SurfaceModel("P2", lattice, canonical, 1, (), provenance))
 
 
 def make_hirzebruch(n: int) -> SurfaceModel:
     """The ruled surface F_n: basis {Cinf, Gamma}, Cinf^2 = -n, K = -2Cinf-(n+2)Gamma."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("a Hirzebruch surface needs a nonnegative integer twist")
-    step = _step("hirzebruch", n)
-    return _once((), step, _make_hirzebruch, n, step)
-
-
-def _make_hirzebruch(n: int, step: ProvenanceStep) -> SurfaceModel:
+    provenance = (_step("hirzebruch", n),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     lattice = IntersectionLattice(("Cinf", "Gamma"), ((-n, 1), (1, 0)))
     canonical = DivisorClass(lattice, (-2, -n - 2))
     section = TrackedCurve("Cinf", DivisorClass(lattice, (1, 0)), 0)
-    return SurfaceModel(f"F{n}", lattice, canonical, 1, (section,), (step,))
+    return _share(provenance, SurfaceModel(f"F{n}", lattice, canonical, 1, (section,), provenance))
 
 
 def declare_surface(
     name: str,
     basis: Sequence[str],
-    gram: Mapping[str, Mapping[str, int | str | Fraction]],
-    canonical: Mapping[str, int | str | Fraction],
+    gram: Mapping[str, Mapping[str, int | Fraction]],
+    canonical: Mapping[str, int | Fraction],
     chi: int,
-    tracked: Sequence[tuple[str, Mapping[str, int | str | Fraction]]] = (),
+    tracked: Sequence[tuple[str, Mapping[str, int | Fraction]]] = (),
 ) -> SurfaceModel:
     """Assemble a surface model from explicit data (replayable creation step).
 
@@ -488,19 +487,9 @@ def declare_surface(
     gram = {a: dict(row) for a, row in dict(gram).items()}
     canonical = dict(canonical)
     tracked = [(cname, dict(coeffs)) for cname, coeffs in tracked]
-    step = _step("declare", name, basis, gram, canonical, chi, tracked)
-    return _once((), step, _declare_surface, name, basis, gram, canonical, chi, tracked, step)
-
-
-def _declare_surface(
-    name: str,
-    basis: tuple[str, ...],
-    gram: dict[str, dict[str, int | str | Fraction]],
-    canonical: dict[str, int | str | Fraction],
-    chi: int,
-    tracked: list[tuple[str, dict[str, int | str | Fraction]]],
-    step: ProvenanceStep,
-) -> SurfaceModel:
+    provenance = (_step("declare", name, basis, gram, canonical, chi, tracked),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     n = len(basis)
     rows = [[0] * n for _ in range(n)]
     for a, row in gram.items():
@@ -515,7 +504,7 @@ def _declare_surface(
         pa = _adjunction_pa(canonical_class, cls)
         _require_genus(cname, pa)
         curves.append(TrackedCurve(cname, cls, pa))
-    return SurfaceModel(name, lattice, canonical_class, chi, tuple(curves), (step,))
+    return _share(provenance, SurfaceModel(name, lattice, canonical_class, chi, tuple(curves), provenance))
 
 
 def _require_genus(name: str, pa: int | Fraction) -> None:
@@ -529,22 +518,14 @@ def _require_genus(name: str, pa: int | Fraction) -> None:
 def track(
     model: SurfaceModel,
     name: str,
-    coeffs: Mapping[str, int | str | Fraction],
+    coeffs: Mapping[str, int | Fraction],
     irreducible: bool = True,
 ) -> SurfaceModel:
     """Give a name to a class and start tracking it as a curve."""
     coeffs = dict(coeffs)
-    step = _step("track", name, coeffs, irreducible)
-    return _once(model.provenance, step, _track, model, name, coeffs, irreducible, step)
-
-
-def _track(
-    model: SurfaceModel,
-    name: str,
-    coeffs: dict[str, int | str | Fraction],
-    irreducible: bool,
-    step: ProvenanceStep,
-) -> SurfaceModel:
+    provenance = model.provenance + (_step("track", name, coeffs, irreducible),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     if model.has_curve(name):
         raise LatticeError(f"curve name {name!r} already tracked")
     cls = model.divisor(coeffs)
@@ -552,15 +533,13 @@ def _track(
     if irreducible:
         _require_genus(name, pa)
     curve = TrackedCurve(name, cls, pa, irreducible)
-    return model._with(tracked=model.tracked + (curve,), provenance=model.provenance + (step,))
+    return _share(provenance, model._with(tracked=model.tracked + (curve,), provenance=provenance))
 
 
 def rename_curve(model: SurfaceModel, old: str, new: str) -> SurfaceModel:
-    step = _step("rename_curve", old, new)
-    return _once(model.provenance, step, _rename_curve, model, old, new, step)
-
-
-def _rename_curve(model: SurfaceModel, old: str, new: str, step: ProvenanceStep) -> SurfaceModel:
+    provenance = model.provenance + (_step("rename_curve", old, new),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     model.curve(old)
     if model.has_curve(new):
         raise LatticeError(f"curve name {new!r} already tracked")
@@ -568,22 +547,18 @@ def _rename_curve(model: SurfaceModel, old: str, new: str, step: ProvenanceStep)
         TrackedCurve(new, c.cls, c.pa, c.irreducible) if c.name == old else c
         for c in model.tracked
     )
-    return model._with(tracked=tracked, provenance=model.provenance + (step,))
+    return _share(provenance, model._with(tracked=tracked, provenance=provenance))
 
 
 def untrack(model: SurfaceModel, names: Iterable[str]) -> SurfaceModel:
     names = list(names)
-    step = _step("untrack", names)
-    return _once(model.provenance, step, _untrack, model, names, step)
-
-
-def _untrack(model: SurfaceModel, names: list[str], step: ProvenanceStep) -> SurfaceModel:
+    provenance = model.provenance + (_step("untrack", names),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     for name in names:
         model.curve(name)
-    return model._with(
-        tracked=tuple(c for c in model.tracked if c.name not in names),
-        provenance=model.provenance + (step,),
-    )
+    tracked = tuple(c for c in model.tracked if c.name not in names)
+    return _share(provenance, model._with(tracked=tracked, provenance=provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +621,10 @@ def attach_resolution(
     their strict transforms.
     """
     through = {k: dict(v) for k, v in dict(through or {}).items()}
-    step = _step("attach_resolution", config, through, name)
-    name = name or f"resolution over {model.name}"
-    return _once(model.provenance, step, _attach, model, config, through, name, step)
+    provenance = model.provenance + (_step("attach_resolution", config, through, name),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
+    return _attach(model, config, through, name or f"resolution over {model.name}", provenance)
 
 
 def _attach(
@@ -656,9 +632,10 @@ def _attach(
     config: CurveConfiguration,
     through: dict[str, dict[str, int]],
     name: str,
-    step: ProvenanceStep,
+    provenance: tuple[ProvenanceStep, ...],
 ) -> SurfaceModel:
-    """The body of :func:`attach_resolution` and :func:`blow_up`."""
+    """The body of :func:`attach_resolution` and :func:`blow_up`, whose result
+    has ``provenance``."""
     for comp in config.components:
         if comp.name in model.lattice.basis:
             raise LatticeError(f"basis name {comp.name!r} already taken")
@@ -690,7 +667,8 @@ def _attach(
         TrackedCurve(comp.name, _unit(lattice, old_rank + i), comp.pa)
         for i, comp in enumerate(config.components)
     ]
-    return SurfaceModel(name, lattice, canonical, model.chi - pg, tuple(curves), model.provenance + (step,))
+    result = SurfaceModel(name, lattice, canonical, model.chi - pg, tuple(curves), provenance)
+    return _share(provenance, result)
 
 
 def blow_up(
@@ -709,9 +687,10 @@ def blow_up(
     center = dict(center or {})
     config = CurveConfiguration((Component(exceptional, -1, 0),))
     through = {cname: {exceptional: mult} for cname, mult in center.items()}
-    step = _step("blow_up", center, exceptional, name)
-    name = name or f"blow-up of {model.name}"
-    return _once(model.provenance, step, _attach, model, config, through, name, step)
+    provenance = model.provenance + (_step("blow_up", center, exceptional, name),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
+    return _attach(model, config, through, name or f"blow-up of {model.name}", provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -731,17 +710,9 @@ def double_cover(
     B acquires a reduced preimage with class (1/2) * pullback(B).  The new
     canonical class is the pullback of K + L and chi doubles plus L.(L+K)/2.
     """
-    step = _step("double_cover", half_branch, branch_components, name)
-    return _once(model.provenance, step, _double_cover, model, half_branch, branch_components, name, step)
-
-
-def _double_cover(
-    model: SurfaceModel,
-    half_branch: DivisorClass,
-    branch_components: Sequence[str],
-    name: str | None,
-    step: ProvenanceStep,
-) -> SurfaceModel:
+    provenance = model.provenance + (_step("double_cover", half_branch, branch_components, name),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     if half_branch.lattice != model.lattice:
         raise LatticeError("half-branch class does not belong to the model")
     residual = 2 * half_branch - model.curve_sum(branch_components)
@@ -772,14 +743,15 @@ def _double_cover(
             cls = pullback(curve.cls)
             cname = f"{curve.name}_pre"
         curves.append(TrackedCurve(cname, cls, _adjunction_pa(canonical, cls), curve.irreducible))
-    return SurfaceModel(
+    result = SurfaceModel(
         name or f"double cover of {model.name}",
         lattice,
         canonical,
         chi,
         tuple(curves),
-        model.provenance + (step,),
+        provenance,
     )
+    return _share(provenance, result)
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +763,8 @@ def split_curve(
     model: SurfaceModel,
     curve_name: str,
     into: tuple[str, str],
-    self_int: int | str | Fraction,
-    pairings: Mapping[str, int | str | Fraction] | None = None,
+    self_int: int | Fraction,
+    pairings: Mapping[str, int | Fraction] | None = None,
     name: str | None = None,
 ) -> SurfaceModel:
     """Split a tracked curve into two components exchanged by an involution.
@@ -802,21 +774,9 @@ def split_curve(
     self-intersection and nonnegative integral genus.
     """
     pairings = dict(pairings or {})
-    step = _step("split_curve", curve_name, into, self_int, pairings, name)
-    return _once(
-        model.provenance, step, _split_curve, model, curve_name, into, self_int, pairings, name, step
-    )
-
-
-def _split_curve(
-    model: SurfaceModel,
-    curve_name: str,
-    into: tuple[str, str],
-    self_int: int | str | Fraction,
-    pairings: dict[str, int | str | Fraction],
-    name: str | None,
-    step: ProvenanceStep,
-) -> SurfaceModel:
+    provenance = model.provenance + (_step("split_curve", curve_name, into, self_int, pairings, name),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     original = model.curve(curve_name)
     first, second = into
     for fresh in into:
@@ -857,14 +817,15 @@ def _split_curve(
         pa = _adjunction_pa(canonical, cls)
         _require_genus(cname, pa)
         curves.append(TrackedCurve(cname, cls, pa))
-    return SurfaceModel(
+    result = SurfaceModel(
         name or model.name,
         lattice,
         canonical,
         model.chi,
         tuple(curves),
-        model.provenance + (step,),
+        provenance,
     )
+    return _share(provenance, result)
 
 
 # ---------------------------------------------------------------------------
@@ -937,11 +898,9 @@ def contract(
     else is rejected.
     """
     names = list(names)
-    step = _step("contract", names, name)
-    return _once(model.provenance, step, _contract, model, names, name, step)
-
-
-def _contract(model: SurfaceModel, names: list[str], name: str | None, step: ProvenanceStep) -> Contraction:
+    provenance = model.provenance + (_step("contract", names, name),)
+    if (shared := _recall(provenance)) is not None:
+        return shared
     if not names:
         raise ValueError("nothing to contract")
     config, classes, images, block = _read_configuration(model, names)
@@ -1016,9 +975,9 @@ def _contract(model: SurfaceModel, names: list[str], name: str | None, step: Pro
         canonical,
         model.chi + pg,
         tuple(curves),
-        model.provenance + (step,),
+        provenance,
     )
-    return Contraction(result, kind, label, tuple(zip(names, cycle.coeffs)))
+    return _share(provenance, Contraction(result, kind, label, tuple(zip(names, cycle.coeffs))))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class HomogeneousForm(_HomogeneousFormFields):
         return self
 
     @staticmethod
-    def from_dict(degree: int, coeffs: dict[Exponent, int | str | Fraction]) -> "HomogeneousForm":
+    def from_dict(degree: int, coeffs: dict[Exponent, int | Fraction]) -> "HomogeneousForm":
         cleaned = {e: c for e, c in zip(coeffs, map(plain, coeffs.values())) if c}
         return HomogeneousForm(degree, tuple(sorted(cleaned.items())))
 
@@ -146,7 +146,7 @@ class HomogeneousForm(_HomogeneousFormFields):
         return HomogeneousForm.from_dict(max(self.degree - 1, 0), out)
 
 
-def monomial(i: int, j: int, k: int, coeff: int | str | Fraction = 1) -> HomogeneousForm:
+def monomial(i: int, j: int, k: int, coeff: int | Fraction = 1) -> HomogeneousForm:
     return HomogeneousForm.from_dict(i + j + k, {(i, j, k): coeff})
 
 
@@ -171,7 +171,7 @@ class MarkedPoint(_MarkedPointFields):
         return self
 
     @staticmethod
-    def of(x: int | str | Fraction, y: int | str | Fraction, z: int | str | Fraction) -> "MarkedPoint":
+    def of(x: int | Fraction, y: int | Fraction, z: int | Fraction) -> "MarkedPoint":
         coords = (plain(x), plain(y), plain(z))
         pivot = next((c for c in coords if c != 0), None)
         if pivot is None:
@@ -208,7 +208,7 @@ MAX_DEGREE = 16  # form degree and total degree of a germ monomial
 Germ = dict[tuple[int, int], int | Fraction]
 
 
-def germ(terms: dict[tuple[int, int], int | str | Fraction]) -> Germ:
+def germ(terms: dict[tuple[int, int], int | Fraction]) -> Germ:
     return {e: c for e, c in zip(terms, map(plain, terms.values())) if c}
 
 
@@ -380,16 +380,6 @@ class GermNode(NamedTuple):
 
     def key(self):
         return (self.multiplicity, self.grouped, tuple(c.key() for c in self.children))
-
-    def total_delta(self) -> Fraction:
-        """Sum of m(m-1)/2 over the tree; demands grouped packets be simple."""
-        for degree, mult in self.grouped:
-            if mult > 1:
-                raise UndecidableOverQ(
-                    "delta invariant hidden behind a repeated irrational direction"
-                )
-        own = Fraction(self.multiplicity * (self.multiplicity - 1), 2)
-        return own + sum(c.total_delta() for c in self.children)
 
 
 def mult_sequence(g: Germ, depth: int = 8) -> GermNode:

@@ -37,23 +37,19 @@ from typing import Iterable, Sequence
 Vector = list[Fraction]
 
 
-def frac(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a ``"p/q"`` string or a Fraction to an exact Fraction."""
+def frac(value: int | Fraction) -> Fraction:
+    """Coerce an int or a Fraction to an exact Fraction; a string is read in
+    `scenarios` (``rational_from_json``), never here."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.replace("−", "-").strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def plain(value: int | str | Fraction) -> int | Fraction:
+def plain(value: int | Fraction) -> int | Fraction:
     """The rational :func:`frac` reads, stored as an int when it is one.
 
     An int and the equal Fraction compare and hash the same, and
@@ -74,7 +70,7 @@ def ratio(n: int, d: int) -> int | Fraction:
 
 
 def rat_str(value: Fraction | int) -> str:
-    """Canonical string form: ``"3"``, ``"-3/2"``.  Inverse of :func:`frac`."""
+    """Canonical string form: ``"3"``, ``"-3/2"``, which :class:`Fraction` reads back."""
     if type(value) is int:  # not a bool, which frac refuses
         return str(value)
     value = frac(value)

@@ -164,8 +164,9 @@ def rational_from_json(value) -> int | Fraction:
     A string has at most :data:`MAX_COEFF_CHARS` characters.  A plain decimal
     one is read by :func:`decimal_int`, without a Fraction; any other has its
     decimal exponent bounded before :class:`Fraction` expands it, so
-    "1e100000" is refused at once.  Numerator and denominator have at most
-    :data:`MAX_COEFF_BITS` bits.
+    "1e100000" is refused at once, and is read by :class:`Fraction` with
+    surrounding spaces stripped and "−" as "-".  Numerator and denominator have
+    at most :data:`MAX_COEFF_BITS` bits.
     """
     if type(value) is int:
         q = value
@@ -178,7 +179,10 @@ def rational_from_json(value) -> int | Fraction:
         if q is None:
             if len(value.lower().partition("e")[2].strip().lstrip("+-")) > _MAX_EXPONENT_DIGITS:
                 raise ScenarioError(f"rational {value!r} has an exponent past {_MAX_EXPONENT_DIGITS} digits")
-            q = plain(value)
+            try:
+                q = plain(Fraction(value.replace("−", "-").strip()))
+            except ZeroDivisionError:
+                raise ScenarioError(f"zero denominator in {value!r}") from None
     if max(abs(q.numerator), q.denominator).bit_length() > MAX_COEFF_BITS:
         raise ScenarioError(f"rational {value!r:.40} exceeds {MAX_COEFF_BITS} bits")
     return q

@@ -308,11 +308,11 @@ def match_catalog_by_scan(config: CurveConfiguration) -> CatalogEntry | None:
     return next((entry for entry in CATALOG if isomorphic(config, entry.config)), None)
 
 
-def integral_by_fraction(value: int | str) -> int:
-    """An integral rational read from input (`scenarios.integral_from_json`)
-    by :class:`Fraction` alone: a string of at most 64 characters with at
-    most three exponent digits, or an int that is not a bool; numerator and
-    denominator of at most 64 bits; denominator 1.  ValueError otherwise."""
+def rational_by_fraction(value: int | str) -> Fraction:
+    """A rational read from input (`scenarios.rational_from_json`) by
+    :class:`Fraction` alone: a string of at most 64 characters with at most
+    three exponent digits, or an int that is not a bool; numerator and
+    denominator of at most 64 bits.  ValueError otherwise."""
     if type(value) is str:
         exponent = value.lower().partition("e")[2].strip().lstrip("+-")
         if len(value) > 64 or len(exponent) > 3:
@@ -325,8 +325,17 @@ def integral_by_fraction(value: int | str) -> int:
         q = Fraction(value)
     else:
         raise ValueError(f"{value!r} is no string or int")
-    if max(abs(q.numerator), q.denominator).bit_length() > 64 or q.denominator != 1:
-        raise ValueError(f"{value!r} is no integer within 64 bits")
+    if max(abs(q.numerator), q.denominator).bit_length() > 64:
+        raise ValueError(f"{value!r} exceeds 64 bits")
+    return q
+
+
+def integral_by_fraction(value: int | str) -> int:
+    """An integral rational read from input (`scenarios.integral_from_json`):
+    :func:`rational_by_fraction` with denominator 1.  ValueError otherwise."""
+    q = rational_by_fraction(value)
+    if q.denominator != 1:
+        raise ValueError(f"{value!r} is no integer")
     return q.numerator
 
 

@@ -14,10 +14,12 @@ from unimodal.lattice import (
     attach_resolution,
     blow_up,
     contract,
+    declare_surface,
     double_cover,
     make_hirzebruch,
     make_p2,
     nakai_check,
+    rename_curve,
     replay,
     split_curve,
     track,
@@ -245,7 +247,7 @@ def test_contract_minus_three_curve_rejected():
         "bad",
         ["A", "H"],
         {"A": {"A": -3}, "H": {"H": 1}},
-        {"A": "-1/3", "H": -3},  # K.A = 1: a smooth rational (-3)-curve
+        {"A": Fraction(-1, 3), "H": -3},  # K.A = 1: a smooth rational (-3)-curve
         1,
         [("A", {"A": 1})],
     )
@@ -430,15 +432,49 @@ def test_inside_a_pass_a_move_is_shared_and_replay_rebuilds_it():
     assert again == model and again is not model
 
 
+def _split_carrier():
+    s = declare_surface("cover carrier", ["f", "A"], {"f": {"f": 0}, "A": {"A": -2}}, {}, 2, [("A", {"A": 1})])
+    return track(s, "Cq", {"f": 1, "A": -1}, irreducible=False)
+
+
+# one call of each public move, building its arguments afresh each time
+_MOVES = {
+    "make_p2": make_p2,
+    "make_hirzebruch": lambda: make_hirzebruch(1),
+    "declare_surface": lambda: declare_surface("K3 carrier", ["E"], {"E": {"E": 2}}, {}, 2, [("E", {"E": 1})]),
+    "track": lambda: track(make_p2(), "L", {"H": 1}),
+    "rename_curve": lambda: rename_curve(make_hirzebruch(1), "Cinf", "S"),
+    "untrack": lambda: untrack(make_hirzebruch(1), ["Cinf"]),
+    "attach_resolution": lambda: attach_resolution(make_p2(), CurveConfiguration((Component("E", -2, 0),))),
+    "blow_up": lambda: blow_up(track(make_p2(), "C", {"H": 6}), {"C": 2}),
+    "double_cover": lambda: double_cover(make_p2(), make_p2().divisor({"H": 3})),
+    "split_curve": lambda: split_curve(_split_carrier(), "Cq", ("E2", "E3"), -2, {"A": 1}),
+    "contract": lambda: contract(blow_up(make_p2()), ["G"]),
+}
+
+
+@pytest.mark.parametrize("move", list(_MOVES))
+def test_every_move_is_shared_inside_a_pass_and_replays(move):
+    assert len(_MOVES) == len(lattice._REPLAY)  # a case for every replayable move
+    call = _MOVES[move]
+    with SharedMoves():
+        first = call()
+        assert call() is first
+    again = call()
+    assert again == first and again is not first
+    model = first.model if move == "contract" else first
+    assert replay(model.provenance) == model
+
+
 def test_inside_a_pass_a_move_that_raises_raises_again(monkeypatch):
     runs = []
-    original = lattice._contract
+    point_kind = lattice._point_kind
 
     def counting(*args):
         runs.append(1)
-        return original(*args)
+        return point_kind(*args)
 
-    monkeypatch.setattr(lattice, "_contract", counting)
+    monkeypatch.setattr(lattice, "_point_kind", counting)
     with SharedMoves():
         line = track(make_p2(), "L", {"H": 1})
         for _ in range(2):

@@ -273,14 +273,15 @@ def test_standalone_checks():
 def test_double_plane_is_built_once_per_pass(monkeypatch):
     # counted runs of the plane's construction, no timing: the double plane
     # depends on no input, so a corpus pass builds it once and the next pass again
-    original = lattice._make_p2
+    share = lattice._share
     built = []
 
-    def recording(step):
-        built.append(1)
-        return original(step)
+    def recording(provenance, result):  # every computed move ends in _share
+        if provenance[-1].op == "p2":
+            built.append(1)
+        return share(provenance, result)
 
-    monkeypatch.setattr(lattice, "_make_p2", recording)
+    monkeypatch.setattr(lattice, "_share", recording)
     assert run_corpus().exit_code == 0
     assert built == [1]
     assert run_corpus().exit_code == 0

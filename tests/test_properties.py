@@ -65,10 +65,11 @@ from unimodal.rationals import (
     integer_rows,
     is_negative_definite,
     modular_rank,
+    plain,
     rank,
     solve,
 )
-from unimodal.scenarios import integral_from_json
+from unimodal.scenarios import integral_from_json, rational_from_json
 
 from oracles import (
     blow_up_at_direction_by_expansion,
@@ -82,6 +83,7 @@ from oracles import (
     jacobian_rows_all,
     match_catalog_by_scan,
     rank_by_minors,
+    rational_by_fraction,
     row_reduce,
     stabilizer_dim_by_minors,
     tjurina_number_exact,
@@ -171,7 +173,7 @@ def test_pairing_of_built_classes_rescales_nothing(monkeypatch):
     import unimodal.lattice as lattice_module
 
     model = blow_up(make_hirzebruch(1), exceptional="G")
-    a = model.divisor({"Cinf": "1/2", "Gamma": 3, "G": "-2/3"})
+    a = model.divisor({"Cinf": Fraction(1, 2), "Gamma": 3, "G": Fraction(-2, 3)})
     b = Fraction(1, 5) * model.canonical
     expected = a.dot(b)
     calls = []
@@ -294,30 +296,25 @@ def test_bounded_int_agrees_with_the_rational_route(value):
     assert _outcome(integral_from_json, value) == _outcome(integral_by_fraction, value)
 
 
-def _frac_by_regex(text: str) -> Fraction:
-    """`frac` of a string with no integer fast path: every string through the Fraction regex."""
-    try:
-        return Fraction(text.replace("−", "-").strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 @given(st.text(alphabet="0123456789+-−/_.e \t\n٣", max_size=8))
 @example("")
 @example("-")
 @example("--5")
 @example("1/0")
 @example(" +٣0_7 ")
+@example("1e100")  # past 64 bits
+@example("1e-9999")  # past three exponent digits
 @settings(max_examples=500, derandomize=True)
-def test_frac_of_a_string_agrees_with_the_fraction_regex(text):
+def test_rational_from_json_of_a_string_agrees_with_the_fraction_regex(text):
+    # the reader's rule for a string: every string through the Fraction regex, within the bounds
     try:
-        expected = _frac_by_regex(text)
-    except (ValueError, TypeError) as err:
-        with pytest.raises(type(err)):
-            frac(text)
+        expected = rational_by_fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rational_from_json(text)
     else:
-        value = frac(text)
-        assert type(value) is Fraction and value == expected
+        value = rational_from_json(text)
+        assert value == expected and int_when_integral(value)
 
 
 @given(st.one_of(st.integers(), rationals))
@@ -326,7 +323,7 @@ def test_rat_str_of_an_int_is_the_fraction_form(value):
     q = Fraction(value)
     expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     assert rat_str(value) == expected
-    assert frac(rat_str(value)) == q
+    assert Fraction(rat_str(value)) == q
 
 
 def test_booleans_are_no_rationals_but_format_as_json():
@@ -336,6 +333,13 @@ def test_booleans_are_no_rationals_but_format_as_json():
         with pytest.raises(TypeError):
             frac(value)
     assert pipelines._fmt(True) == "true" and pipelines._fmt(False) == "false"
+
+
+def test_the_kernels_read_no_strings():
+    # the scenario reader owns the string rule; a kernel takes an int or a Fraction
+    for read in (frac, plain):
+        with pytest.raises(TypeError):
+            read("1/2")
 
 
 @given(

@@ -288,18 +288,19 @@ def test_a_corpus_pass_declares_each_k3_route_resolution_once(monkeypatch):
     # counted calls, no timing: the ten K3-route scenarios of the corpus have
     # five singularities, and the next pass builds all five again
     calls, runs = [], []
-    move, body = pipelines.declare_surface, lattice._declare_surface
+    move, share = pipelines.declare_surface, lattice._share
 
     def calling(*args):
         calls.append(args[0])
         return move(*args)
 
-    def running(*args):
-        runs.append(args[0])
-        return body(*args)
+    def running(provenance, result):  # every computed move ends in _share
+        if provenance[-1].op == "declare":
+            runs.append(result.name)
+        return share(provenance, result)
 
     monkeypatch.setattr(pipelines, "declare_surface", calling)
-    monkeypatch.setattr(lattice, "_declare_surface", running)
+    monkeypatch.setattr(lattice, "_share", running)
     run_corpus(CORPUS)
     assert len(calls) == 10
     assert sorted(runs) == [f"minimal resolution for {s}" for s in ("W12", "W13", "Z11", "Z12", "Z13")]
