@@ -33,12 +33,13 @@ product of their numerators with the lattice rows.
 Models are immutable; every operation returns a fresh model whose provenance
 lists the operations with their call arguments as immutable values, so
 ``replay`` re-runs the calls and reproduces the construction bit for bit.
-So a model is fixed by its provenance, and within a corpus pass
-(``SharedMoves``) each move runs once per result provenance: it builds the
-provenance of its result first, and a later call that builds an equal one
-gets the same immutable result.  The provenance the result holds is the key,
-and keys compare by value.  Outside a pass, and in ``replay``, every move
-computes.
+The arguments are mathematical only, with no display name, so a model is
+fixed by its provenance and equal constructions have equal provenance.
+Within a corpus pass (``SharedMoves``) each move runs once per result
+provenance: it builds the provenance of its result first, and a later call
+that builds an equal one gets the same immutable result.  The provenance the
+result holds is the key, and keys compare by value.  Outside a pass, and in
+``replay``, every move computes.
 """
 
 from __future__ import annotations
@@ -335,7 +336,6 @@ def _share(provenance: tuple[ProvenanceStep, ...], result):
 
 
 class _SurfaceModelFields(NamedTuple):
-    name: str
     lattice: IntersectionLattice
     canonical: DivisorClass
     chi: int
@@ -454,7 +454,7 @@ def make_p2() -> SurfaceModel:
         return shared
     lattice = IntersectionLattice(("H",), ((1,),))
     canonical = DivisorClass(lattice, (-3,))
-    return _share(provenance, SurfaceModel("P2", lattice, canonical, 1, (), provenance))
+    return _share(provenance, SurfaceModel(lattice, canonical, 1, (), provenance))
 
 
 def make_hirzebruch(n: int) -> SurfaceModel:
@@ -467,11 +467,10 @@ def make_hirzebruch(n: int) -> SurfaceModel:
     lattice = IntersectionLattice(("Cinf", "Gamma"), ((-n, 1), (1, 0)))
     canonical = DivisorClass(lattice, (-2, -n - 2))
     section = TrackedCurve("Cinf", DivisorClass(lattice, (1, 0)), 0)
-    return _share(provenance, SurfaceModel(f"F{n}", lattice, canonical, 1, (section,), provenance))
+    return _share(provenance, SurfaceModel(lattice, canonical, 1, (section,), provenance))
 
 
 def declare_surface(
-    name: str,
     basis: Sequence[str],
     gram: Mapping[str, Mapping[str, int | Fraction]],
     canonical: Mapping[str, int | Fraction],
@@ -487,7 +486,7 @@ def declare_surface(
     gram = {a: dict(row) for a, row in dict(gram).items()}
     canonical = dict(canonical)
     tracked = [(cname, dict(coeffs)) for cname, coeffs in tracked]
-    provenance = (_step("declare", name, basis, gram, canonical, chi, tracked),)
+    provenance = (_step("declare", basis, gram, canonical, chi, tracked),)
     if (shared := _recall(provenance)) is not None:
         return shared
     n = len(basis)
@@ -504,7 +503,7 @@ def declare_surface(
         pa = _adjunction_pa(canonical_class, cls)
         _require_genus(cname, pa)
         curves.append(TrackedCurve(cname, cls, pa))
-    return _share(provenance, SurfaceModel(name, lattice, canonical_class, chi, tuple(curves), provenance))
+    return _share(provenance, SurfaceModel(lattice, canonical_class, chi, tuple(curves), provenance))
 
 
 def _require_genus(name: str, pa: int | Fraction) -> None:
@@ -609,7 +608,6 @@ def attach_resolution(
     model: SurfaceModel,
     config: CurveConfiguration,
     through: Mapping[str, Mapping[str, int]] | None = None,
-    name: str | None = None,
 ) -> SurfaceModel:
     """Replace a singular point by its known resolution configuration.
 
@@ -621,17 +619,16 @@ def attach_resolution(
     their strict transforms.
     """
     through = {k: dict(v) for k, v in dict(through or {}).items()}
-    provenance = model.provenance + (_step("attach_resolution", config, through, name),)
+    provenance = model.provenance + (_step("attach_resolution", config, through),)
     if (shared := _recall(provenance)) is not None:
         return shared
-    return _attach(model, config, through, name or f"resolution over {model.name}", provenance)
+    return _attach(model, config, through, provenance)
 
 
 def _attach(
     model: SurfaceModel,
     config: CurveConfiguration,
     through: dict[str, dict[str, int]],
-    name: str,
     provenance: tuple[ProvenanceStep, ...],
 ) -> SurfaceModel:
     """The body of :func:`attach_resolution` and :func:`blow_up`, whose result
@@ -667,7 +664,7 @@ def _attach(
         TrackedCurve(comp.name, _unit(lattice, old_rank + i), comp.pa)
         for i, comp in enumerate(config.components)
     ]
-    result = SurfaceModel(name, lattice, canonical, model.chi - pg, tuple(curves), provenance)
+    result = SurfaceModel(lattice, canonical, model.chi - pg, tuple(curves), provenance)
     return _share(provenance, result)
 
 
@@ -675,7 +672,6 @@ def blow_up(
     model: SurfaceModel,
     center: Mapping[str, int] | None = None,
     exceptional: str = "G",
-    name: str | None = None,
 ) -> SurfaceModel:
     """Blow up one point; ``center`` lists tracked curves with their multiplicity there.
 
@@ -687,10 +683,10 @@ def blow_up(
     center = dict(center or {})
     config = CurveConfiguration((Component(exceptional, -1, 0),))
     through = {cname: {exceptional: mult} for cname, mult in center.items()}
-    provenance = model.provenance + (_step("blow_up", center, exceptional, name),)
+    provenance = model.provenance + (_step("blow_up", center, exceptional),)
     if (shared := _recall(provenance)) is not None:
         return shared
-    return _attach(model, config, through, name or f"blow-up of {model.name}", provenance)
+    return _attach(model, config, through, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +698,6 @@ def double_cover(
     model: SurfaceModel,
     half_branch: DivisorClass,
     branch_components: Sequence[str] = (),
-    name: str | None = None,
 ) -> SurfaceModel:
     """Double cover with branch in |2L|, modelled before resolving branch singularities.
 
@@ -710,7 +705,7 @@ def double_cover(
     B acquires a reduced preimage with class (1/2) * pullback(B).  The new
     canonical class is the pullback of K + L and chi doubles plus L.(L+K)/2.
     """
-    provenance = model.provenance + (_step("double_cover", half_branch, branch_components, name),)
+    provenance = model.provenance + (_step("double_cover", half_branch, branch_components),)
     if (shared := _recall(provenance)) is not None:
         return shared
     if half_branch.lattice != model.lattice:
@@ -744,7 +739,6 @@ def double_cover(
             cname = f"{curve.name}_pre"
         curves.append(TrackedCurve(cname, cls, _adjunction_pa(canonical, cls), curve.irreducible))
     result = SurfaceModel(
-        name or f"double cover of {model.name}",
         lattice,
         canonical,
         chi,
@@ -765,7 +759,6 @@ def split_curve(
     into: tuple[str, str],
     self_int: int | Fraction,
     pairings: Mapping[str, int | Fraction] | None = None,
-    name: str | None = None,
 ) -> SurfaceModel:
     """Split a tracked curve into two components exchanged by an involution.
 
@@ -774,7 +767,7 @@ def split_curve(
     self-intersection and nonnegative integral genus.
     """
     pairings = dict(pairings or {})
-    provenance = model.provenance + (_step("split_curve", curve_name, into, self_int, pairings, name),)
+    provenance = model.provenance + (_step("split_curve", curve_name, into, self_int, pairings),)
     if (shared := _recall(provenance)) is not None:
         return shared
     original = model.curve(curve_name)
@@ -818,7 +811,6 @@ def split_curve(
         _require_genus(cname, pa)
         curves.append(TrackedCurve(cname, cls, pa))
     result = SurfaceModel(
-        name or model.name,
         lattice,
         canonical,
         model.chi,
@@ -886,7 +878,6 @@ def _read_configuration(
 def contract(
     model: SurfaceModel,
     names: Sequence[str],
-    name: str | None = None,
 ) -> Contraction:
     """Contract a negative definite configuration of tracked curves.
 
@@ -898,7 +889,7 @@ def contract(
     else is rejected.
     """
     names = list(names)
-    provenance = model.provenance + (_step("contract", names, name),)
+    provenance = model.provenance + (_step("contract", names),)
     if (shared := _recall(provenance)) is not None:
         return shared
     if not names:
@@ -970,7 +961,6 @@ def contract(
                 )
         curves.append(TrackedCurve(curve.name, cls, _adjunction_pa(canonical, cls), curve.irreducible))
     result = SurfaceModel(
-        name or f"contraction of {model.name}",
         lattice,
         canonical,
         model.chi + pg,

@@ -9,12 +9,13 @@ contracts the exceptional unimodal configuration.  It states no configuration
 of its own: the curve F (T236 or T237) and the A_k chain over the extra branch
 point come from the catalog, the shape of the second Kodaira fibre from
 `configurations.fiber_configuration`, and both fibres are recognised on
-configurations read off the model.  The K3 route starts from
-the declared resolution lattice, blows down to a K3 carrier, contracts the
+configurations read off the model.  The K3 route starts from the catalog
+entry's resolution lattice, blows down to a K3 carrier, contracts the
 (-2)-part, and checks the branch sextic family of its `family_case`; a family
 is verified only there, with its stabilizer and parameter counts noted.  A
 type takes the elliptic route when its stated degree -Z^2 in the catalog is
-one, the K3 route when it is two.
+one, the K3 route when it is two.  Neither route takes a configuration from
+the scenario: the catalog entry and the family table are their only data.
 
 Every numerical claim along the way is recorded as a named check with an
 anchor describing the claim; documented discrepancies are flagged, never
@@ -29,6 +30,7 @@ from typing import NamedTuple
 
 from .configurations import (
     EXCEPTIONAL_LABELS,
+    CatalogEntry,
     Contact,
     CurveConfiguration,
     catalog_entry,
@@ -173,7 +175,7 @@ def branch_class_for(model: SurfaceModel) -> DivisorClass:
         return model.divisor({"H": 6})
     if set(model.lattice.basis) == {"Cinf", "Gamma"}:
         return 2 * (model.basis_class("Gamma") - model.canonical)
-    raise ValueError(f"no branch class rule for base {model.name!r}")
+    raise ValueError(f"no branch class rule for the basis {model.lattice.basis}")
 
 
 @functools.cache
@@ -208,7 +210,6 @@ class EnSpec(NamedTuple):
     singularity: str  # "E12" | "E13" | "E14"
     profile: int = 6  # which degree-one elliptic point sits over the [3,3]
     fiber_variant: str | None = None  # second-fibre shape for E13/E14
-    config: CurveConfiguration | None = None  # declared exceptional configuration
     germ_checks: bool = True
 
 
@@ -232,7 +233,6 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
 
     checks = _Recorder()
     entry = catalog_entry(sing)
-    declared = spec.config if spec.config is not None else entry.config
     pa_bisection = entry.config.component("E1").pa  # E1 is the bisection
     twist = 1 - pa_bisection
 
@@ -244,13 +244,13 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         str(base.divisor({"Cinf": 4, "Gamma": 2 * twist + 6})),
         f"bicanonical branch class on the ruled base F{twist}",
     )
-    half = base.basis_class("Gamma") - base.canonical
+    half = Fraction(1, 2) * branch
     base = track(base, "Gammap", {"Gamma": 1})
     if spec.fiber_variant is not None:
         base = track(base, "Gammaq", {"Gamma": 1})
     base = track(base, "Dprime", (branch - base.basis_class("Gamma")).coeff_map())
 
-    cover = double_cover(base, half, ["Gammap", "Dprime"], name=f"cover for {sing}")
+    cover = double_cover(base, half, ["Gammap", "Dprime"])
     checks.expect(
         "cover-euler-characteristic",
         cover.chi,
@@ -272,7 +272,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
 
     t_config = catalog_entry(f"T23{spec.profile}").config
     model = attach_resolution(
-        cover, t_config, {"G": {"F": 1}, "E1": {"F": 1}}, name=f"resolution for {sing}"
+        cover, t_config, {"G": {"F": 1}, "E1": {"F": 1}}
     )
     checks.expect(
         "resolved-euler-characteristic",
@@ -294,7 +294,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
             model = rename_curve(model, "Cq", "E2")
         fiber_names = pieces + ade.names
 
-    step_down = contract(model, ["G"], name=f"minimal elliptic surface for {sing}")
+    step_down = contract(model, ["G"])
     checks.expect(
         "half-fiber-contraction-kind",
         step_down.kind,
@@ -332,8 +332,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "the exceptional curve is a bisection of the fibration",
     )
 
-    exceptional_names = [c.name for c in declared.components if surface.has_curve(c.name)]
-    _check_exceptional_configuration(checks, surface, declared, exceptional_names, sing)
+    _check_exceptional_configuration(checks, surface, entry)
 
     # F^2 = 0 and p_a(F) = 1 are read off the model; the lattice keeps no curve
     # singularity, so F takes the marker of the attached T-curve (both checked records)
@@ -388,7 +387,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "the bisection image is the minimal section of the ruled base",
     )
 
-    pulled_canonical = surface.canonical + surface.curve_sum(exceptional_names)
+    pulled_canonical = surface.canonical + surface.curve_sum(entry.config.names)
     checks.expect(
         "canonical-plus-cycle-squared",
         surface.intersect(pulled_canonical, pulled_canonical),
@@ -396,7 +395,7 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "self-intersection of the pulled-back canonical class of the contraction",
     )
 
-    w = _check_contracted_model(checks, surface, exceptional_names, sing, "degree-one")
+    w = _check_contracted_model(checks, surface, entry.config.names, "degree-one")
 
     if spec.germ_checks:
         _germ_checks(checks, spec)
@@ -404,22 +403,22 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     return checks.result(f"{sing}" + (f"-{spec.fiber_variant}" if spec.fiber_variant else ""), (base, cover, model, surface, w))
 
 
-def _check_catalog_match(checks: _Recorder, declared: CurveConfiguration, sing: str) -> None:
-    hit = match_catalog(declared)
+def _check_catalog_match(checks: _Recorder, entry: CatalogEntry) -> None:
+    hit = match_catalog(entry.config)
     checks.expect(
         "catalog-match",
         hit.label if hit else "none",
-        sing,
+        entry.label,
         "the exceptional configuration is the declared catalog entry",
     )
 
 
 def _check_contracted_model(
-    checks: _Recorder, surface: SurfaceModel, names: list[str], sing: str, degree: str
+    checks: _Recorder, surface: SurfaceModel, names: tuple[str, ...], degree: str
 ) -> SurfaceModel:
     """Contract the exceptional configuration to the stable model and check
     its kind, K^2, chi, ampleness and geometric genus; returns the model."""
-    final = contract(surface, names, name=f"{sing} model")
+    final = contract(surface, names)
     checks.expect(
         "contraction-kind",
         final.kind,
@@ -440,47 +439,45 @@ def _check_contracted_model(
 
 
 def _check_exceptional_configuration(
-    checks: _Recorder, surface: SurfaceModel, declared: CurveConfiguration, names: list[str], sing: str
+    checks: _Recorder, surface: SurfaceModel, entry: CatalogEntry
 ) -> None:
     _check_adjunction(
         checks,
         surface,
-        declared,
+        entry.config,
         "declared exceptional self-intersections satisfy adjunction against the computed canonical degrees",
     )
-    computed, stated = configuration_of(surface, names), declared.subconfiguration(tuple(names))
+    computed = configuration_of(surface, entry.config.names)
     checks.expect(
         "exceptional-self-intersections",
         tuple(c.self_int for c in computed.components),
-        tuple(c.self_int for c in stated.components),
+        tuple(c.self_int for c in entry.config.components),
         "computed self-intersections of the exceptional components",
     )
     checks.expect(
         "exceptional-genera",
         tuple(c.pa for c in computed.components),
-        tuple(c.pa for c in stated.components),
+        tuple(c.pa for c in entry.config.components),
         "computed arithmetic genera of the exceptional components",
     )
-    contacts = [{(c.pair, c.mult) for c in config.contacts} for config in (computed, stated)]
+    contacts = [{(c.pair, c.mult) for c in config.contacts} for config in (computed, entry.config)]
     checks.expect(
         "exceptional-contacts",
         "match" if contacts[0] == contacts[1] else "mismatch",
         "match",
         "pairwise intersection numbers of the exceptional components",
     )
-    _check_catalog_match(checks, declared, sing)
+    _check_catalog_match(checks, entry)
 
 
 def _check_adjunction(
-    checks: _Recorder, model: SurfaceModel, declared: CurveConfiguration, anchor: str
+    checks: _Recorder, model: SurfaceModel, stated: CurveConfiguration, anchor: str
 ) -> None:
-    """Adjunction, 2 + E^2 + K.E = 2 p_a, from each declared self-intersection
-    and genus and the computed canonical degree; a component the model does not
-    track breaks it."""
+    """Adjunction, 2 + E^2 + K.E = 2 p_a, from each catalog self-intersection
+    and genus and the computed canonical degree."""
     ok = all(
-        model.has_curve(c.name)
-        and 2 + c.self_int + model.intersect(model.canonical, model.curve_class(c.name)) == 2 * c.pa
-        for c in declared.components
+        2 + c.self_int + model.intersect(model.canonical, model.curve_class(c.name)) == 2 * c.pa
+        for c in stated.components
     )
     checks.expect("exceptional-adjunction-integral", "integral" if ok else "broken", "integral", anchor)
 
@@ -488,7 +485,7 @@ def _check_adjunction(
 def _nef_bundle_diagnostics(
     checks: _Recorder, surface: SurfaceModel, sing: str, pa_bisection: int
 ) -> None:
-    blown = blow_up(surface, {"F": 1}, exceptional="G2", name="bisection-bundle model")
+    blown = blow_up(surface, {"F": 1}, exceptional="G2")
     fhat = blown.curve_class("F")
     e1hat = blown.curve_class("E1")
     ghat = blown.basis_class("G2")
@@ -588,7 +585,6 @@ def _germ_checks(checks: _Recorder, spec: EnSpec) -> None:
 class ZwSpec(NamedTuple):
     singularity: str  # Z11 | Z12 | Z13 | W12 | W13
     family_case: int | None = 1
-    config: CurveConfiguration | None = None
 
 
 # the degree-two types (stated Z^2 = -2) take the K3 route
@@ -601,17 +597,15 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         raise ValueError(f"not a K3-route type: {sing!r}")
     checks = _Recorder()
     entry = catalog_entry(sing)
-    declared = spec.config if spec.config is not None else entry.config
 
-    names = declared.names
+    names = entry.config.names
     gram: dict[str, dict[str, int]] = {"G": {"G": -1}}
-    for component, incidences in zip(declared.components, entry.blow_ups):
+    for component, incidences in zip(entry.config.components, entry.blow_ups):
         gram.setdefault("G", {})[component.name] = incidences
         gram[component.name] = {component.name: component.self_int}
-    for contact in declared.contacts:
+    for contact in entry.config.contacts:
         gram.setdefault(contact.first, {})[contact.second] = contact.mult
     resolution = declare_surface(
-        f"minimal resolution for {sing}",
         ("G",) + names,
         gram,
         {"G": 1},
@@ -639,9 +633,9 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         "K^2 of the minimal resolution",
     )
     _check_adjunction(
-        checks, resolution, declared, "declared genera satisfy adjunction against the computed canonical degrees"
+        checks, resolution, entry.config, "declared genera satisfy adjunction against the computed canonical degrees"
     )
-    _check_catalog_match(checks, declared, sing)
+    _check_catalog_match(checks, entry)
     pulled = resolution.canonical + cycle
     checks.expect(
         "canonical-plus-cycle-squared",
@@ -656,7 +650,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         "the exceptional cycle meets the (-1)-curve twice",
     )
 
-    blowdown = contract(resolution, ["G"], name=f"K3 model for {sing}")
+    blowdown = contract(resolution, ["G"])
     checks.expect(
         "blowdown-kind", blowdown.kind, "blow-down", "the extra curve is a smooth (-1)-curve"
     )
@@ -696,7 +690,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     mark = _family_for(sing, 1).singular_mark
     expected_ade = "none" if mark is None else f"A{mark[1]}"
     if ade_names:
-        ade = contract(k3, ade_names, name=f"singular K3 model for {sing}")
+        ade = contract(k3, ade_names)
         ade_label, barred = ade.label, ade.model
     else:
         ade_label, barred = "none", k3
@@ -739,7 +733,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         "canonical class of the double plane",
     )
 
-    w = _check_contracted_model(checks, resolution, list(names), sing, "degree-two")
+    w = _check_contracted_model(checks, resolution, names, "degree-two")
 
     if spec.family_case is not None:
         fam = _family_for(sing, spec.family_case)
@@ -752,7 +746,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
 def _double_plane() -> SurfaceModel:
     """The double plane branched in a sextic."""
     plane = make_p2()
-    return double_cover(plane, plane.divisor({"H": 3}), name="double plane")
+    return double_cover(plane, Fraction(1, 2) * branch_class_for(plane))
 
 
 def _family_for(sing: str, case: int) -> SexticFamily:

@@ -134,6 +134,11 @@ MAX_COEFF_BITS = 64  # numerator and denominator of a rational
 MAX_COEFF_CHARS = 64  # length of a rational string
 _MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
 
+_PIPELINE_KEYS = {
+    "en": ("construction", "singularity", "profile", "fiber_variant", "germ_checks"),
+    "zw": ("construction", "singularity", "family_case"),
+}
+
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false", int: "an integer",
                type(None): "null"}
 
@@ -145,6 +150,13 @@ def _typed(value, what: str, *kinds: type):
         meaning = " or ".join(_JSON_TYPES[kind] for kind in kinds)
         raise ScenarioError(f"{what} must be {meaning}, got {value!r:.40}")
     return value
+
+
+def _closed(data: Mapping, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse any key outside ``allowed``: a misspelt or retired key is never dropped silently."""
+    for key in data:
+        if key not in allowed:
+            raise ScenarioError(f"{what} has an unknown key {key!r:.40}")
 
 
 def decimal_int(text: str) -> int | None:
@@ -294,6 +306,7 @@ def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
         raise ScenarioError(f"{source}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: a scenario is a JSON object")
+    _closed(data, ("schema", "kind", "name", "payload", "expected"), f"{source}: the scenario")
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
         raise ScenarioError(f"{source}: unsupported schema {schema!r}")
@@ -341,26 +354,25 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
-    if construction not in ("en", "zw"):
+    if construction not in _PIPELINE_KEYS:
         raise ScenarioError(f"unknown construction {construction!r}")
-    config = config_from_json(payload["config"]) if "config" in payload else None
+    _closed(payload, _PIPELINE_KEYS[construction], f"the {construction} pipeline payload")
     singularity = _typed(payload.get("singularity"), "singularity", str)
     if construction == "en":
         return run_en_pipeline(EnSpec(
             singularity=singularity,
             profile=_typed(payload.get("profile", 6), "profile", int),
             fiber_variant=_typed(payload.get("fiber_variant"), "fiber_variant", str, type(None)),
-            config=config,
             germ_checks=_typed(payload.get("germ_checks", True), "germ_checks", bool),
         ))
     return run_zw_pipeline(ZwSpec(
         singularity=singularity,
         family_case=_typed(payload.get("family_case", 1), "family_case", int, type(None)),
-        config=config,
     ))
 
 
 def _config_check_values(payload: Mapping) -> dict[str, str]:
+    _closed(payload, ("config", "derived_from"), "the config-check payload")
     config = config_from_json(payload["config"])
     values: dict[str, str] = {}
     nd = is_negative_definite(config)
@@ -389,6 +401,7 @@ def _config_check_values(payload: Mapping) -> dict[str, str]:
 
 
 def _plane_check_values(payload: Mapping) -> dict[str, str]:
+    _closed(payload, ("checks",), "the plane-check payload")
     values: dict[str, str] = {}
     for check in _typed(payload.get("checks", []), "checks", list):
         check = _typed(check, "a plane check", dict)

@@ -106,7 +106,7 @@ def test_rr_chi_on_k3_carrier():
     # chi = 2, K = 0: a class with D^2 = 2 has pa = 2 and chi(D) = 3.
     from unimodal.lattice import declare_surface
 
-    k3 = declare_surface("K3 carrier", ["E"], {"E": {"E": 2}}, {}, 2, [("Ecycle", {"E": 1})])
+    k3 = declare_surface(["E"], {"E": {"E": 2}}, {}, 2, [("Ecycle", {"E": 1})])
     cls = k3.curve_class("Ecycle")
     assert k3.adjunction_pa(cls) == 2
     assert k3.rr_chi(cls) == 3
@@ -226,7 +226,6 @@ def test_contract_a1_is_crepant():
     from unimodal.lattice import declare_surface
 
     s = declare_surface(
-        "with A1",
         ["A", "H"],
         {"A": {"A": -2}, "H": {"H": 1}},
         {"H": -3},
@@ -244,7 +243,6 @@ def test_contract_minus_three_curve_rejected():
     from unimodal.lattice import declare_surface
 
     s = declare_surface(
-        "bad",
         ["A", "H"],
         {"A": {"A": -3}, "H": {"H": 1}},
         {"A": Fraction(-1, 3), "H": -3},  # K.A = 1: a smooth rational (-3)-curve
@@ -274,7 +272,6 @@ def test_contract_elliptic_configuration():
     from unimodal.lattice import declare_surface
 
     x = declare_surface(
-        "elliptic X",
         ["F", "E"],
         {"F": {"F": 0, "E": 1}, "E": {"E": -1}},
         {"F": 1},
@@ -294,7 +291,7 @@ def test_contract_elliptic_configuration():
 def test_attach_resolution_inverts_elliptic_contraction():
     from unimodal.lattice import declare_surface
 
-    singular = declare_surface("W carrier", ["K"], {"K": {"K": 1}}, {"K": 1}, 3)
+    singular = declare_surface(["K"], {"K": {"K": 1}}, {"K": 1}, 3)
     config = CurveConfiguration((Component("E", -1, 1),))
     resolved = attach_resolution(singular, config)
     assert resolved.chi == 2
@@ -327,7 +324,7 @@ def test_contracting_an_attached_resolution_restores_the_model(config, base):
 def test_attach_ade_resolution_is_crepant():
     from unimodal.lattice import declare_surface
 
-    s = declare_surface("S", ["H"], {"H": {"H": 2}}, {}, 2)
+    s = declare_surface(["H"], {"H": {"H": 2}}, {}, 2)
     config = CurveConfiguration(
         (Component("A1", -2, 0), Component("A2", -2, 0)),
         (Contact("A1", "A2", 1),),
@@ -342,7 +339,6 @@ def test_split_curve_symmetric_halves():
     from unimodal.lattice import declare_surface
 
     s = declare_surface(
-        "cover carrier",
         ["f", "A"],
         {"f": {"f": 0}, "A": {"A": -2}},
         {},
@@ -433,7 +429,7 @@ def test_inside_a_pass_a_move_is_shared_and_replay_rebuilds_it():
 
 
 def _split_carrier():
-    s = declare_surface("cover carrier", ["f", "A"], {"f": {"f": 0}, "A": {"A": -2}}, {}, 2, [("A", {"A": 1})])
+    s = declare_surface(["f", "A"], {"f": {"f": 0}, "A": {"A": -2}}, {}, 2, [("A", {"A": 1})])
     return track(s, "Cq", {"f": 1, "A": -1}, irreducible=False)
 
 
@@ -441,7 +437,7 @@ def _split_carrier():
 _MOVES = {
     "make_p2": make_p2,
     "make_hirzebruch": lambda: make_hirzebruch(1),
-    "declare_surface": lambda: declare_surface("K3 carrier", ["E"], {"E": {"E": 2}}, {}, 2, [("E", {"E": 1})]),
+    "declare_surface": lambda: declare_surface(["E"], {"E": {"E": 2}}, {}, 2, [("E", {"E": 1})]),
     "track": lambda: track(make_p2(), "L", {"H": 1}),
     "rename_curve": lambda: rename_curve(make_hirzebruch(1), "Cinf", "S"),
     "untrack": lambda: untrack(make_hirzebruch(1), ["Cinf"]),

@@ -51,8 +51,8 @@ def test_branch_classes():
 def test_branch_class_unsupported_base():
     from unimodal.lattice import declare_surface
 
-    odd = declare_surface("odd", ["A"], {"A": {"A": 1}}, {"A": -1}, 1)
-    with pytest.raises(ValueError):
+    odd = declare_surface(["A"], {"A": {"A": 1}}, {"A": -1}, 1)
+    with pytest.raises(ValueError, match=r"no branch class rule for the basis \('A',\)"):
         branch_class_for(odd)
 
 
@@ -192,12 +192,31 @@ def test_en_illegal_variants_rejected():
         run_en_pipeline(EnSpec("Z11"))
 
 
-def test_en_catalog_mismatch_is_failure_not_exception():
+def test_en_catalog_mismatch_is_failure_not_exception(monkeypatch):
+    # the route reads the configuration from the catalog alone: an entry whose
+    # E1 is Z11's curve gives failing records, not an exception
     wrong = CurveConfiguration((Component("E1", -2, 1, "cusp"),))
-    result = run_en_pipeline(EnSpec("E12", config=wrong))
+
+    def patched(label):
+        entry = catalog_entry(label)
+        return entry._replace(config=wrong) if label == "E12" else entry
+
+    monkeypatch.setattr(pipelines, "catalog_entry", patched)
+    result = run_en_pipeline(EnSpec("E12"))
+    assert result.check("catalog-match").computed == "Z11"
     names = {r.name for r in result.failed}
     assert "catalog-match" in names
     assert "exceptional-self-intersections" in names
+
+
+def test_e13_i2_and_e14_i3_share_their_cover_inside_a_pass():
+    # a model is its provenance, with no label of its singularity, so the two
+    # constructions of one cover are one object within a corpus pass
+    with lattice.SharedMoves():
+        e13 = run_en_pipeline(EnSpec("E13", profile=6, fiber_variant="I2"))
+        e14 = run_en_pipeline(EnSpec("E14", profile=6, fiber_variant="I3"))
+    assert e13.models[1] is e14.models[1]
+    assert replay(e13.models[1].provenance) == e14.models[1]
 
 
 def test_zw_all_types_end_states():

@@ -126,7 +126,7 @@ def test_pairings_are_ints_exactly_when_integral(pair, chi):
     exactly when the value is integral, a Fraction otherwise, never a float;
     Riemann-Roch agrees with the formula in Fractions."""
     canonical, d = pair
-    model = SurfaceModel("m", canonical.lattice, canonical, chi, (), ())
+    model = SurfaceModel(canonical.lattice, canonical, chi, (), ())
     values = [d.dot(canonical), d.dot(d), model.adjunction_pa(d), model.rr_chi(d), model.k_squared, model.c2]
     assert all(map(int_when_integral, values)), values
     assert model.rr_chi(d) == chi + Fraction((d - canonical).dot(d)) / 2
@@ -1000,8 +1000,8 @@ def _pipeline_runs():
 def test_every_pipeline_contraction_is_an_orthogonal_projection(monkeypatch, label, run):
     seen = []
 
-    def checked_contract(model, names, name=None):
-        result = contract(model, names, name)
+    def checked_contract(model, names):
+        result = contract(model, names)
         _check_contraction(model, list(names), result.model)
         seen.append(names)
         return result

@@ -52,8 +52,8 @@ REFUSED = [
     (ConditionSystem, (1, ((F(1),),)), ValueError),  # a row of 1 entry; degree 1 has 3 monomials
     (IntersectionLattice, (("a", "a"), ((F(-1), F(0)), (F(0), F(-1)))), LatticeError),
     (IntersectionLattice, (("a", "b"), ((F(-1), F(1)), (F(2), F(0)))), LatticeError),
-    (SurfaceModel, ("X", _P2.lattice, _FOREIGN, 1, (), ()), LatticeError),
-    (SurfaceModel, ("X", _P2.lattice, _P2.canonical, 1, _P2.tracked * 2, ()), LatticeError),
+    (SurfaceModel, (_P2.lattice, _FOREIGN, 1, (), ()), LatticeError),
+    (SurfaceModel, (_P2.lattice, _P2.canonical, 1, _P2.tracked * 2, ()), LatticeError),
 ]
 
 

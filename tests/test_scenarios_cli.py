@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import unimodal.lattice as lattice
 import unimodal.pipelines as pipelines
 from unimodal.cli import main
-from unimodal.configurations import catalog_entry
+from unimodal.configurations import catalog_entry, config_to_json
 from unimodal.lattice import make_p2
 from unimodal.pipelines import FLAG_KINDS, CheckRecord, run_riemann_hurwitz_check
 from unimodal.scenarios import (
@@ -291,19 +291,19 @@ def test_a_corpus_pass_declares_each_k3_route_resolution_once(monkeypatch):
     move, share = pipelines.declare_surface, lattice._share
 
     def calling(*args):
-        calls.append(args[0])
+        calls.append(args)
         return move(*args)
 
     def running(provenance, result):  # every computed move ends in _share
         if provenance[-1].op == "declare":
-            runs.append(result.name)
+            runs.append(provenance)
         return share(provenance, result)
 
     monkeypatch.setattr(pipelines, "declare_surface", calling)
     monkeypatch.setattr(lattice, "_share", running)
     run_corpus(CORPUS)
     assert len(calls) == 10
-    assert sorted(runs) == [f"minimal resolution for {s}" for s in ("W12", "W13", "Z11", "Z12", "Z13")]
+    assert len(runs) == len(set(runs)) == 5
     run_corpus(CORPUS)
     assert len(calls) == 20 and len(runs) == 10
 
@@ -554,12 +554,12 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     data = json.loads((CORPUS / "e12.scn").read_text())
-    data["payload"]["config"]["components"][0]["self_int"] = "-2"
+    data["expected"]["exceptional-self-intersections"]["value"] = "-2"
     bad = tmp_path / "bad.scn"
     bad.write_text(json.dumps(data))
     assert main(["verify", str(bad)]) == 1
     out = capsys.readouterr().out
-    assert "exceptional-adjunction-integral" in out
+    assert "FAIL exceptional-self-intersections" in out
 
     trunc = tmp_path / "trunc.scn"
     trunc.write_text((CORPUS / "e12.scn").read_text()[:50])
@@ -678,6 +678,40 @@ def test_pipeline_payload_scalars_of_the_right_json_type_run(tmp_path, payload):
     path = tmp_path / "typed.scn"
     path.write_text(scn("pipeline", payload, {}))
     assert main(["verify", str(path)]) == 0
+
+
+def _renamed(data: dict, old: str, new: str) -> dict:
+    return {new if key == old else key: value for key, value in data.items()}
+
+
+def _with_payload(stem: str, **changes) -> dict:
+    data = json.loads((CORPUS / f"{stem}.scn").read_text())
+    return dict(data, payload=dict(data["payload"], **changes))
+
+
+_CHECK_E13 = json.loads((CORPUS / "catalog-e13.scn").read_text())
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        # the retired key, even with the catalog's own configuration
+        (_with_payload("e12", config=config_to_json(catalog_entry("E12").config)), "config"),
+        (_with_payload("e12", profle=7), "profle"),
+        (_with_payload("z11-case1", profile=6), "profile"),
+        (_with_payload("e13-i2", family_case=1), "family_case"),
+        (_renamed(json.loads((CORPUS / "e12.scn").read_text()), "expected", "expect"), "expect"),
+        (dict(_CHECK_E13, payload=_renamed(_CHECK_E13["payload"], "derived_from", "derived-from")), "derived-from"),
+        (json.loads(scn("plane-check", {"checks": [], "check": []}, {})), "check"),
+    ],
+    ids=["pipeline-config", "profle", "zw-profile", "en-family-case", "expect", "derived-from", "plane-check"],
+)
+def test_an_unknown_key_is_exit_2_and_named(tmp_path, capsys, data, key):
+    # a misspelt or retired key is never dropped silently
+    path = tmp_path / "unknown.scn"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_report_render_text_mentions_flags():

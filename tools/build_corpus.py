@@ -49,7 +49,6 @@ def en_scenarios() -> None:
             "construction": "en",
             "singularity": "E12",
             "profile": 6,
-            "config": config_to_json(catalog_entry("E12").config),
         },
         {
             "branch-class": v("4*Cinf + 6*Gamma"),
@@ -85,7 +84,6 @@ def en_scenarios() -> None:
                     "singularity": singularity,
                     "profile": profile,
                     "fiber_variant": fiber,
-                    "config": config_to_json(entry.config),
                 },
                 {
                     "branch-class": v("4*Cinf + 8*Gamma"),
