@@ -2,8 +2,10 @@
 
 A scenario is a JSON document (conventionally ``*.scn``) with a schema
 version, a kind, a payload and a block of expected assertions.  Every value
-in it is read here, by one rule per kind of value, and the other modules take
-typed values only.  Reports are
+in it is read here, by one rule per kind of value, and one per object: an
+object names its keys, and a key it does not name, a missing required key or a
+key written twice is malformed input.  The other modules take typed values
+only.  Reports are
 JSON with sorted keys; integers and exact fractions travel as strings, never
 as floating point.  Every status comes from `pipelines.judge`: a "flagged"
 status is reserved for the documented discrepancies between stated and
@@ -123,9 +125,11 @@ class Report(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Reading values: the format of a scenario file, one rule per kind of value
+# and one per object
 # ---------------------------------------------------------------------------
-# Every value of a scenario file is read here, by the rules the README states;
-# the kernels take typed values only.  Anything else is ScenarioError (exit 2).
+# Every value of a scenario file is read here, by the rules the README states,
+# and every object through `_fields`; the kernels take typed values only.
+# Anything else is ScenarioError (exit 2).
 
 # Bounds on a rational read from input.  With the polynomial kernels of
 # `rationals`, a germ at the bounds costs tens of milliseconds (timings at
@@ -133,11 +137,6 @@ class Report(NamedTuple):
 MAX_COEFF_BITS = 64  # numerator and denominator of a rational
 MAX_COEFF_CHARS = 64  # length of a rational string
 _MAX_EXPONENT_DIGITS = 3  # digits of a decimal exponent, as in "1e-5"
-
-_PIPELINE_KEYS = {
-    "en": ("construction", "singularity", "profile", "fiber_variant", "germ_checks"),
-    "zw": ("construction", "singularity", "family_case"),
-}
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false", int: "an integer",
                type(None): "null"}
@@ -152,11 +151,38 @@ def _typed(value, what: str, *kinds: type):
     return value
 
 
-def _closed(data: Mapping, allowed: tuple[str, ...], what: str) -> None:
-    """Refuse any key outside ``allowed``: a misspelt or retired key is never dropped silently."""
+# The default of an optional key whose absence means something of its own: a
+# written ``null`` is a value, read by the key's rule like any other.
+_ABSENT = object()
+
+
+def _fields(data, what: str, required: tuple[str, ...], optional: Mapping[str, object] = {}) -> list:
+    """The values of a JSON object ``data``: every key of ``required``, then
+    every key of ``optional``, an absent one as its default.  A key outside both
+    is refused, so a misspelt or retired key is never dropped silently, and so
+    is a missing required key; each message names the key."""
+    data = _typed(data, what, dict)
     for key in data:
-        if key not in allowed:
+        if key not in optional and key not in required:
             raise ScenarioError(f"{what} has an unknown key {key!r:.40}")
+    values = []
+    for key in required:
+        if key not in data:
+            raise ScenarioError(f"{what} needs the key {key!r}")
+        values.append(data[key])
+    for key, default in optional.items():
+        values.append(data.get(key, default))
+    return values
+
+
+def _unique(pairs: list) -> dict:
+    """A JSON object of distinct keys: a key written twice is never read as its last copy."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen: set[str] = set()
+        twice = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ScenarioError(f"the key {twice!r:.40} is written twice in one object")
+    return data
 
 
 def decimal_int(text: str) -> int | None:
@@ -235,35 +261,43 @@ def _monomial(key: str, arity: int) -> tuple[int, ...]:
 
 
 def _terms(value, what: str, arity: int) -> dict:
-    terms = _typed(value, what, dict)
-    return {_monomial(key, arity): rational_from_json(c) for key, c in terms.items()}
+    """A map of monomials to rationals, in which no monomial is written twice ("2,0" and "02,0")."""
+    terms = {}
+    for key, c in _typed(value, what, dict).items():
+        exponent = _monomial(key, arity)
+        if exponent in terms:
+            raise ScenarioError(f"{what} write the monomial {key!r:.40} twice")
+        terms[exponent] = rational_from_json(c)
+    return terms
 
 
 def form_from_json(data) -> HomogeneousForm:
-    data = _typed(data, "a form", dict)
-    degree = _typed(data["degree"], "a form degree", int)
+    degree, coeffs = _fields(data, "a form", ("degree",), {"coeffs": {}})
+    degree = _typed(degree, "a form degree", int)
     if not 0 <= degree <= MAX_DEGREE:
         raise ScenarioError(f"form degree {degree} is outside 0..{MAX_DEGREE}")
-    return HomogeneousForm.from_dict(degree, _terms(data.get("coeffs", {}), "the coeffs of a form", 3))
+    return HomogeneousForm.from_dict(degree, _terms(coeffs, "the coeffs of a form", 3))
 
 
 def _germ_from_json(data) -> Germ:
-    return germ(_terms(_typed(data, "a germ", dict).get("terms", {}), "the terms of a germ", 2))
+    (terms,) = _fields(data, "a germ", (), {"terms": {}})
+    return germ(_terms(terms, "the terms of a germ", 2))
 
 
-def _points(check: Mapping) -> tuple[MarkedPoint, ...]:
-    points = _typed(check.get("points", []), "points", list)
-    return tuple(MarkedPoint.of(*_rationals(p, "a point")) for p in points)
+def _points(value) -> tuple[MarkedPoint, ...]:
+    return tuple(MarkedPoint.of(*_rationals(p, "a point")) for p in _typed(value, "points", list))
 
 
 def config_from_json(data) -> CurveConfiguration:
     """A curve configuration of at most `configurations.MAX_COMPONENTS` components."""
-    data = _typed(data, "a configuration", dict)
-    components = _typed(data.get("components", []), "components", list)
+    components, contacts, concurrent = _fields(
+        data, "a configuration", (), {"components": [], "contacts": [], "concurrent": []}
+    )
+    components = _typed(components, "components", list)
     if len(components) > MAX_COMPONENTS:
         raise ScenarioError(f"a configuration has at most {MAX_COMPONENTS} components")
-    contacts = _typed(data.get("contacts", []), "contacts", list)
-    concurrent = _typed(data.get("concurrent", []), "concurrent", list)
+    contacts = _typed(contacts, "contacts", list)
+    concurrent = _typed(concurrent, "concurrent", list)
     return CurveConfiguration(
         tuple(map(_component_from_json, components)),
         tuple(map(_contact_from_json, contacts)),
@@ -272,22 +306,21 @@ def config_from_json(data) -> CurveConfiguration:
 
 
 def _component_from_json(data) -> Component:
-    data = _typed(data, "a component", dict)
+    name, self_int, pa, sing = _fields(data, "a component", ("name", "self_int"), {"pa": 0, "sing": None})
     return Component(
-        _typed(data["name"], "a component name", str),
-        integral_from_json(data["self_int"]),
-        integral_from_json(data.get("pa", 0)),
-        data.get("sing"),
+        _typed(name, "a component name", str),
+        integral_from_json(self_int),
+        integral_from_json(pa),
+        _typed(sing, "a component's sing", str, type(None)),
     )
 
 
 def _contact_from_json(data) -> Contact:
-    data = _typed(data, "a contact", dict)
-    pair = _names(data["pair"], "a contact pair")
+    pair, mult, tangential = _fields(data, "a contact", ("pair", "mult"), {"tangential": False})
+    pair = _names(pair, "a contact pair")
     if len(pair) != 2:
         raise ScenarioError(f"a contact pair names two components, got {pair!r:.40}")
-    tangential = _typed(data.get("tangential", False), "tangential", bool)
-    return Contact(*pair, integral_from_json(data["mult"]), tangential)
+    return Contact(*pair, integral_from_json(mult), _typed(tangential, "tangential", bool))
 
 
 # ---------------------------------------------------------------------------
@@ -297,40 +330,30 @@ def _contact_from_json(data) -> Contact:
 
 def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{source}:{err.lineno}:{err.colno}: {err.msg}") from None
-    except ValueError as err:  # an integer literal past the interpreter's digit limit
+    except ValueError as err:  # a key written twice, or an integer literal past the interpreter's digit limit
         raise ScenarioError(f"{source}: {err}") from None
     except RecursionError:
         raise ScenarioError(f"{source}: nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: a scenario is a JSON object")
-    _closed(data, ("schema", "kind", "name", "payload", "expected"), f"{source}: the scenario")
-    schema = data.get("schema")
+    schema, kind, name, payload, expected_block = _fields(
+        data, f"{source}: the scenario", ("schema", "kind", "name", "payload"), {"expected": {}}
+    )
     if schema != SCHEMA_VERSION:
-        raise ScenarioError(f"{source}: unsupported schema {schema!r}")
-    kind = data.get("kind")
+        raise ScenarioError(f"{source}: unsupported schema {schema!r:.40}")
     if kind not in KINDS:
-        raise ScenarioError(f"{source}: unknown kind {kind!r}")
-    name = data.get("name")
+        raise ScenarioError(f"{source}: unknown kind {kind!r:.40}")
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{source}: a scenario needs a name")
-    payload = data.get("payload")
-    if not isinstance(payload, dict):
-        raise ScenarioError(f"{source}: payload must be an object")
-    expected_block = data.get("expected", {})
-    if not isinstance(expected_block, dict):
-        raise ScenarioError(f"{source}: expected block must be an object")
+    _typed(payload, f"{source}: the payload", dict)
     expected = []
-    for key in sorted(expected_block):
-        entry = expected_block[key]
-        if not isinstance(entry, dict) or "value" not in entry:
-            raise ScenarioError(f"{source}: expected entry {key!r} needs a value")
-        claimed, flag = entry.get("claimed"), entry.get("flag")
+    for key, entry in sorted(_typed(expected_block, f"{source}: the expected block", dict).items()):
+        value, claimed, flag = _fields(
+            entry, f"{source}: expected entry {key!r}", ("value",), {"claimed": None, "flag": None}
+        )
         if flag is not None and flag not in FLAG_KINDS:
             raise ScenarioError(f"{source}: expected entry {key!r} names an undocumented flag {flag!r}")
-        value = entry["value"]
         if type(value) not in (str, int) or type(claimed) not in (str, int, type(None)):
             raise ScenarioError(f"{source}: expected entry {key!r}: value and claimed are strings or ints")
         claimed = None if claimed is None else str(claimed)
@@ -344,6 +367,8 @@ def load_scenario(path: str | Path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ScenarioError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"{path}: not UTF-8 at byte {err.start}") from None
     return parse_scenario(text, str(path))
 
 
@@ -354,26 +379,31 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
-    if construction not in _PIPELINE_KEYS:
-        raise ScenarioError(f"unknown construction {construction!r}")
-    _closed(payload, _PIPELINE_KEYS[construction], f"the {construction} pipeline payload")
-    singularity = _typed(payload.get("singularity"), "singularity", str)
     if construction == "en":
+        _, singularity, profile, fiber_variant, germ_checks = _fields(
+            payload, "the en pipeline payload", ("construction", "singularity"),
+            {"profile": 6, "fiber_variant": None, "germ_checks": True},
+        )
         return run_en_pipeline(EnSpec(
-            singularity=singularity,
-            profile=_typed(payload.get("profile", 6), "profile", int),
-            fiber_variant=_typed(payload.get("fiber_variant"), "fiber_variant", str, type(None)),
-            germ_checks=_typed(payload.get("germ_checks", True), "germ_checks", bool),
+            singularity=_typed(singularity, "singularity", str),
+            profile=_typed(profile, "profile", int),
+            fiber_variant=_typed(fiber_variant, "fiber_variant", str, type(None)),
+            germ_checks=_typed(germ_checks, "germ_checks", bool),
         ))
-    return run_zw_pipeline(ZwSpec(
-        singularity=singularity,
-        family_case=_typed(payload.get("family_case", 1), "family_case", int, type(None)),
-    ))
+    if construction == "zw":
+        _, singularity, family_case = _fields(
+            payload, "the zw pipeline payload", ("construction", "singularity"), {"family_case": 1}
+        )
+        return run_zw_pipeline(ZwSpec(
+            singularity=_typed(singularity, "singularity", str),
+            family_case=_typed(family_case, "family_case", int, type(None)),
+        ))
+    raise ScenarioError(f"unknown construction {construction!r:.40}: the key 'construction' is en or zw")
 
 
 def _config_check_values(payload: Mapping) -> dict[str, str]:
-    _closed(payload, ("config", "derived_from"), "the config-check payload")
-    config = config_from_json(payload["config"])
+    config, derived = _fields(payload, "the config-check payload", ("config",), {"derived_from": _ABSENT})
+    config = config_from_json(config)
     values: dict[str, str] = {}
     nd = is_negative_definite(config)
     values["negative-definite"] = "true" if nd else "false"
@@ -391,40 +421,54 @@ def _config_check_values(payload: Mapping) -> dict[str, str]:
     entry = match_catalog(config)
     values["catalog-match"] = entry.label if entry else "none"
     values["kodaira-fiber"] = recognize_kodaira_fiber(config) or "none"
-    if "derived_from" in payload:
-        derived = _typed(payload["derived_from"], "derived_from", dict)
-        counts = _typed(derived["blow_ups"], "blow_ups", list)
+    if derived is not _ABSENT:
+        fiber, counts = _fields(derived, "derived_from", ("fiber", "blow_ups"))
+        counts = _typed(counts, "blow_ups", list)
         blow_ups = tuple(integral_from_json(_typed(k, "a blow-up count", int)) for k in counts)
-        rebuilt = blown_up_fiber(_typed(derived["fiber"], "a fibre type", str), blow_ups)
+        rebuilt = blown_up_fiber(_typed(fiber, "a fibre type", str), blow_ups)
         values["blown-up-fiber-match"] = "match" if isomorphic(rebuilt, config) else "different"
     return values
 
 
+# The keys of a plane check beside "name" and "op", by op: the required ones,
+# and the optional ones with their defaults.
+_PLANE_OPS = {
+    "restrict": (("form", "line"), {"points": []}),
+    "an-type": ((), {"germ": _ABSENT, "form": _ABSENT, "point": _ABSENT, "candidate": 6}),
+    "detect-33": (("germ",), {"decomposition": _ABSENT}),
+    "mult-tree": (("germ",), {}),
+    "stabilizer-dim": ((), {"points": [], "lines": []}),
+}
+
+
 def _plane_check_values(payload: Mapping) -> dict[str, str]:
-    _closed(payload, ("checks",), "the plane-check payload")
+    (checks,) = _fields(payload, "the plane-check payload", (), {"checks": []})
     values: dict[str, str] = {}
-    for check in _typed(payload.get("checks", []), "checks", list):
-        check = _typed(check, "a plane check", dict)
-        name = _typed(check["name"], "a check name", str)
-        op = check["op"]
+    for check in _typed(checks, "checks", list):
+        op = _typed(check, "a plane check", dict).get("op")
+        if type(op) is not str or op not in _PLANE_OPS:
+            raise ScenarioError(f"unknown plane-check op {op!r:.40}: the key 'op' is one of {', '.join(_PLANE_OPS)}")
+        required, optional = _PLANE_OPS[op]
+        name, _, *fields = _fields(check, f"the {op} check", ("name", "op", *required), optional)
+        name = _typed(name, "a check name", str)
         if op == "restrict":
-            form = form_from_json(check["form"])
-            line = form_from_json(check["line"])
-            pattern = restrict_to_line(form, line, _points(check))
+            form, line, points = fields
+            pattern = restrict_to_line(form_from_json(form), form_from_json(line), _points(points))
             if pattern.contained:
                 values[name] = "contained"
             else:
                 orders = ",".join(str(o) for o in pattern.orders)
                 values[name] = f"orders={orders};residual={pattern.residual_degree}"
         elif op == "an-type":
-            verdict = _an_verdict(check)
-            values[name] = _an_label(verdict)
+            values[name] = _an_label(_an_verdict(*fields))
         elif op == "detect-33":
-            shape, decomposition = _germ_from_json(check["germ"]), None
-            if "decomposition" in check:
-                residual, smooth = _typed(check["decomposition"], "a decomposition", list)
+            shape, decomposition = fields
+            if decomposition is _ABSENT:
+                decomposition = None
+            else:
+                residual, smooth = _typed(decomposition, "a decomposition", list)
                 decomposition = (_germ_from_json(residual), _germ_from_json(smooth))
-            verdict = detect_33_point(shape, decomposition=decomposition)
+            verdict = detect_33_point(_germ_from_json(shape), decomposition=decomposition)
             parts = [
                 "true" if verdict.is_33 else "false",
                 str(verdict.profile) if verdict.profile else "none",
@@ -434,24 +478,26 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
                 parts.append(_an_label(verdict.residual))
             values[name] = ";".join(parts)
         elif op == "mult-tree":
-            values[name] = _tree_label(mult_sequence(_germ_from_json(check["germ"])))
-        elif op == "stabilizer-dim":
-            lines = _typed(check.get("lines", []), "lines", list)
-            lines = tuple(linear_form(*_rationals(coeffs, "a line")) for coeffs in lines)
-            values[name] = str(stabilizer_dim(_points(check), lines))
-        else:
-            raise ScenarioError(f"unknown plane-check op {op!r}")
+            (shape,) = fields
+            values[name] = _tree_label(mult_sequence(_germ_from_json(shape)))
+        else:  # stabilizer-dim
+            points, lines = fields
+            lines = tuple(linear_form(*_rationals(coeffs, "a line")) for coeffs in _typed(lines, "lines", list))
+            values[name] = str(stabilizer_dim(_points(points), lines))
     return values
 
 
-def _an_verdict(check: Mapping):
-    candidate = _typed(check.get("candidate", 6), "an-type candidate", int)
+def _an_verdict(shape, form, point, candidate):
+    """The A_n type of a germ, or of a form at a point: an an-type check takes one or the other."""
+    candidate = _typed(candidate, "an-type candidate", int)
     if not 1 <= candidate <= MAX_CANDIDATE:
         raise ScenarioError(f"an-type candidate {candidate} is outside 1..{MAX_CANDIDATE}")
-    if "germ" in check:
-        g = _germ_from_json(check["germ"])
+    if shape is not _ABSENT and form is _ABSENT and point is _ABSENT:
+        g = _germ_from_json(shape)
+    elif shape is _ABSENT and form is not _ABSENT and point is not _ABSENT:
+        g = germ_of(form_from_json(form), MarkedPoint.of(*_rationals(point, "a point")))
     else:
-        g = germ_of(form_from_json(check["form"]), MarkedPoint.of(*_rationals(check["point"], "a point")))
+        raise ScenarioError("the an-type check takes a 'germ', or a 'form' and a 'point', and not both")
     return an_type_at(g, candidate=candidate)
 
 

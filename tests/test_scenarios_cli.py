@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import operator
 import random
 import shutil
 import time
@@ -690,28 +693,195 @@ def _with_payload(stem: str, **changes) -> dict:
 
 
 _CHECK_E13 = json.loads((CORPUS / "catalog-e13.scn").read_text())
+_GERM_A1 = {"terms": {"2,0": "1", "0,2": "1"}}
+_LINE_X = {"degree": 1, "coeffs": {"1,0,0": "1"}}
+
+
+def _plane(check: dict, pins: dict | None = None) -> dict:
+    return json.loads(scn("plane-check", {"checks": [check]}, pins or {}))
 
 
 @pytest.mark.parametrize(
-    "data, key",
+    "data, message",
     [
         # the retired key, even with the catalog's own configuration
-        (_with_payload("e12", config=config_to_json(catalog_entry("E12").config)), "config"),
-        (_with_payload("e12", profle=7), "profle"),
-        (_with_payload("z11-case1", profile=6), "profile"),
-        (_with_payload("e13-i2", family_case=1), "family_case"),
-        (_renamed(json.loads((CORPUS / "e12.scn").read_text()), "expected", "expect"), "expect"),
-        (dict(_CHECK_E13, payload=_renamed(_CHECK_E13["payload"], "derived_from", "derived-from")), "derived-from"),
-        (json.loads(scn("plane-check", {"checks": [], "check": []}, {})), "check"),
+        (_with_payload("e12", config=config_to_json(catalog_entry("E12").config)), "unknown key 'config'"),
+        (_with_payload("e12", profle=7), "unknown key 'profle'"),
+        (_with_payload("z11-case1", profile=6), "unknown key 'profile'"),
+        (_with_payload("e13-i2", family_case=1), "unknown key 'family_case'"),
+        (_renamed(json.loads((CORPUS / "e12.scn").read_text()), "expected", "expect"), "unknown key 'expect'"),
+        (
+            dict(_CHECK_E13, payload=_renamed(_CHECK_E13["payload"], "derived_from", "derived-from")),
+            "unknown key 'derived-from'",
+        ),
+        (json.loads(scn("plane-check", {"checks": [], "check": []}, {})), "unknown key 'check'"),
+        # read as p_a 0, so catalog-match gave none where "pa" gives T236
+        (
+            json.loads(scn(
+                "config-check", {"config": {"components": [{"name": "F", "self_int": "-1", "genus": "1"}]}},
+                {"catalog-match": {"value": "T236"}},
+            )),
+            "unknown key 'genus'",
+        ),
+        # read as transverse, so kodaira-fiber gave I2 where "tangential" gives III
+        (
+            json.loads(scn("config-check", {"config": {
+                "components": [{"name": "E1", "self_int": "-2"}, {"name": "E2", "self_int": "-2"}],
+                "contacts": [{"pair": ["E1", "E2"], "mult": "2", "tangent": True}],
+            }}, {"kodaira-fiber": {"value": "III"}})),
+            "unknown key 'tangent'",
+        ),
+        (
+            _plane({"name": "r", "op": "restrict", "form": {"degree": 2, "coefs": {"2,0,0": "1"}}, "line": _LINE_X}),
+            "unknown key 'coefs'",
+        ),
+        (_plane({"name": "t", "op": "mult-tree", "germ": {"term": {"2,0": "1", "0,3": "1"}}}), "unknown key 'term'"),
+        (_plane({"name": "a", "op": "an-type", "germ": _GERM_A1, "candidat": 1}), "unknown key 'candidat'"),
+        (
+            _plane({"name": "d", "op": "detect-33", "germ": {"terms": {"3,0": "1", "0,3": "1"}},
+                    "decompostion": [_GERM_A1, _GERM_A1]}),
+            "unknown key 'decompostion'",
+        ),
+        (
+            dict(_CHECK_E13, payload=dict(_CHECK_E13["payload"], derived_from={"fibre": "III", "blow_ups": [1, 0]})),
+            "unknown key 'fibre'",
+        ),
+        (
+            _plane({"name": "s", "op": "stabilizer-dim"}, {"s": {"value": "8", "flg": "noether-c2"}}),
+            "unknown key 'flg'",
+        ),
+        # a germ silently won over a form and a point
+        (
+            _plane({"name": "a", "op": "an-type", "germ": _GERM_A1, "form": {"degree": 2, "coeffs": {"2,0,0": "1"}},
+                    "point": ["0", "0", "1"]}),
+            "takes a 'germ', or a 'form' and a 'point', and not both",
+        ),
+        # a traceback and exit 1
+        (b"\xff\xfe" + (CORPUS / "e12.scn").read_bytes(), "not UTF-8 at byte 0"),
+        # the last copy was read: profile 6 ran, and only the pins failed
+        (
+            (CORPUS / "e13-i3.scn").read_text().replace('"profile": 7', '"profile": 7, "profile": 6'),
+            "the key 'profile' is written twice",
+        ),
+        (_plane({"name": "t", "op": "mult-tree", "germ": {"terms": {"2,0": "1", "02,0": "1"}}}), "'02,0' twice"),
     ],
-    ids=["pipeline-config", "profle", "zw-profile", "en-family-case", "expect", "derived-from", "plane-check"],
+    ids=[
+        "pipeline-config", "profle", "zw-profile", "en-family-case", "expect", "derived-from", "plane-check",
+        "component-genus", "contact-tangent", "form-coefs", "germ-term", "an-type-candidat",
+        "detect-33-decompostion", "derived-from-fibre", "pin-flg", "an-type-germ-and-form", "not-utf-8",
+        "key-twice", "monomial-twice",
+    ],
 )
-def test_an_unknown_key_is_exit_2_and_named(tmp_path, capsys, data, key):
-    # a misspelt or retired key is never dropped silently
+def test_an_unknown_key_is_exit_2_and_named(tmp_path, capsys, data, message):
+    # a misspelt, retired, duplicated or unreadable key is never dropped silently
     path = tmp_path / "unknown.scn"
-    path.write_text(json.dumps(data))
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
     assert main(["verify", str(path)]) == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+# Every key each object of a scenario file requires, by what the object is (`_what`).
+_REQUIRED_KEYS = {
+    "scenario": ("schema", "kind", "name", "payload"),
+    "pin": ("value",),
+    "en": ("construction", "singularity"),
+    "zw": ("construction", "singularity"),
+    "config-check": ("config",),
+    "plane-check": (),
+    "derived_from": ("fiber", "blow_ups"),
+    "config": (),
+    "component": ("name", "self_int"),
+    "contact": ("pair", "mult"),
+    "restrict": ("name", "op", "form", "line"),
+    "an-type": ("name", "op"),
+    "detect-33": ("name", "op", "germ"),
+    "mult-tree": ("name", "op", "germ"),
+    "stabilizer-dim": ("name", "op"),
+    "form": ("degree",),
+    "germ": (),
+}
+
+
+def _what(path: tuple, obj: dict, doc: dict) -> str | None:
+    """What the object at ``path`` of a scenario is; None for a map whose keys are data."""
+    parent, last = (None, None, *path)[-2:]
+    if not path:
+        return "scenario"
+    if path[0] == "expected":
+        return "pin" if len(path) == 2 else None
+    if path == ("payload",):
+        return obj.get("construction") if doc["kind"] == "pipeline" else doc["kind"]
+    if last in ("coeffs", "terms"):
+        return None
+    if parent == "checks":
+        return obj["op"]
+    if last in ("form", "line"):
+        return "form"
+    if last == "germ" or parent == "decomposition":
+        return "germ"
+    return {"components": "component", "contacts": "contact"}.get(parent, last)
+
+
+def _objects(value, path: tuple = ()):
+    """(path, object) for every JSON object in ``value``."""
+    if isinstance(value, dict):
+        yield path, value
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _objects(child, (*path, key))
+
+
+# One check of every op, with every key its op takes.
+_EVERY_PLANE_CHECK = json.loads(scn("plane-check", {"checks": [
+    {"name": "r", "op": "restrict", "form": {"degree": 2, "coeffs": {"0,1,1": "1"}}, "line": _LINE_X,
+     "points": [["0", "1", "0"]]},
+    {"name": "a", "op": "an-type", "germ": _GERM_A1, "candidate": 2},
+    {"name": "f", "op": "an-type", "form": {"degree": 2, "coeffs": {"2,0,0": "1", "0,2,0": "1"}},
+     "point": ["0", "0", "1"], "candidate": 2},
+    {"name": "d", "op": "detect-33", "germ": {"terms": {"3,0": "1", "1,4": "-1", "2,2": "-2", "0,6": "2"}},
+     "decomposition": [{"terms": {"2,0": "1", "0,4": "-1"}}, {"terms": {"1,0": "1", "0,2": "-2"}}]},
+    {"name": "t", "op": "mult-tree", "germ": {"terms": {"2,0": "1", "0,5": "1"}}},
+    {"name": "s", "op": "stabilizer-dim", "points": [["1", "0", "0"]], "lines": [["0", "0", "1"]]},
+]}, {}))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [*(json.loads(path.read_text()) for path in sorted(CORPUS.glob("*.scn"))), _EVERY_PLANE_CHECK],
+    ids=[*(path.stem for path in sorted(CORPUS.glob("*.scn"))), "every-plane-check"],
+)
+def test_every_object_of_a_scenario_names_its_keys(tmp_path, capsys, doc):
+    # an unknown key and a missing required key are exit 2 and named, in every object but a map of data
+    path = tmp_path / "edited.scn"
+
+    def verify(edited: dict) -> tuple[int, str]:
+        path.write_text(json.dumps(edited))
+        code = main(["verify", str(path)])
+        return code, capsys.readouterr().err
+
+    assert verify(doc)[0] == 0
+    for where, obj in _objects(doc):
+        what = _what(where, obj, doc)
+        if what is None:
+            continue
+        edits = [(key, None) for key in _REQUIRED_KEYS[what]] + [("unknown-key", "1")]
+        for key, value in edits:
+            edited = copy.deepcopy(doc)
+            target = functools.reduce(operator.getitem, where, edited)
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+            code, err = verify(edited)
+            assert code == 2 and repr(key) in err, (what, where, key, err)
+            assert value is None or f"unknown key {key!r}" in err
 
 
 def test_report_render_text_mentions_flags():
