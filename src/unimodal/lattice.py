@@ -3,12 +3,21 @@
 A surface is modelled by the finitely generated sublattice of its numerical
 group spanned by the classes the construction actually touches: an ordered
 named basis with a symmetric rational Gram matrix, a canonical class, the
-holomorphic Euler characteristic, and a list of tracked curves.  The moves
-are the double cover, the splitting of a tracked curve whose preimage
-decomposes on a double cover, and the two moves across a point: attaching
-the resolution configuration of a point and contracting a configuration of
-tracked curves to one.  A blow-up is attaching the resolution of a smooth
-point, a single rational (-1)-curve.
+holomorphic Euler characteristic, and a list of tracked curves.  There are
+nine moves.  Three create a model: the plane, a Hirzebruch surface and a
+declared surface.  ``track`` names a class as a curve.  The others are the
+double cover, the splitting of a tracked curve whose preimage decomposes on
+a double cover, and the two moves across a point: attaching the resolution
+configuration of a point (a blow-up attaches the resolution of a smooth
+point, a single rational (-1)-curve) and contracting a configuration of
+tracked curves to one.
+
+One naming rule holds for every move: a creation move tracks no curve but
+the ones it is given, ``track`` adds the one it names, and every other move
+keeps the name of each tracked curve it carries.  A curve is named once,
+under the name the construction reads it by; a move drops only the curves
+it consumes (the split curve, the contracted ones) and adds only the ones it
+makes (the attached components, the two halves of a split).
 
 One rule, ``_point_kind``, says what a configuration resolves: a smooth
 point (discrepancy 1), a rational double point (crepant) or an elliptic
@@ -466,8 +475,7 @@ def make_hirzebruch(n: int) -> SurfaceModel:
         return shared
     lattice = IntersectionLattice(("Cinf", "Gamma"), ((-n, 1), (1, 0)))
     canonical = DivisorClass(lattice, (-2, -n - 2))
-    section = TrackedCurve("Cinf", DivisorClass(lattice, (1, 0)), 0)
-    return _share(provenance, SurfaceModel(lattice, canonical, 1, (section,), provenance))
+    return _share(provenance, SurfaceModel(lattice, canonical, 1, (), provenance))
 
 
 def declare_surface(
@@ -533,31 +541,6 @@ def track(
         _require_genus(name, pa)
     curve = TrackedCurve(name, cls, pa, irreducible)
     return _share(provenance, model._with(tracked=model.tracked + (curve,), provenance=provenance))
-
-
-def rename_curve(model: SurfaceModel, old: str, new: str) -> SurfaceModel:
-    provenance = model.provenance + (_step("rename_curve", old, new),)
-    if (shared := _recall(provenance)) is not None:
-        return shared
-    model.curve(old)
-    if model.has_curve(new):
-        raise LatticeError(f"curve name {new!r} already tracked")
-    tracked = tuple(
-        TrackedCurve(new, c.cls, c.pa, c.irreducible) if c.name == old else c
-        for c in model.tracked
-    )
-    return _share(provenance, model._with(tracked=tracked, provenance=provenance))
-
-
-def untrack(model: SurfaceModel, names: Iterable[str]) -> SurfaceModel:
-    names = list(names)
-    provenance = model.provenance + (_step("untrack", names),)
-    if (shared := _recall(provenance)) is not None:
-        return shared
-    for name in names:
-        model.curve(name)
-    tracked = tuple(c for c in model.tracked if c.name not in names)
-    return _share(provenance, model._with(tracked=tracked, provenance=provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +684,9 @@ def double_cover(
 ) -> SurfaceModel:
     """Double cover with branch in |2L|, modelled before resolving branch singularities.
 
-    Pulled-back classes pair at twice the downstairs value; a branch component
-    B acquires a reduced preimage with class (1/2) * pullback(B).  The new
+    Pulled-back classes pair at twice the downstairs value.  Each tracked
+    curve keeps its name: a branch component B now names its reduced preimage,
+    of class (1/2) * pullback(B), and any other curve its pullback.  The new
     canonical class is the pullback of K + L and chi doubles plus L.(L+K)/2.
     """
     provenance = model.provenance + (_step("double_cover", half_branch, branch_components),)
@@ -733,11 +717,9 @@ def double_cover(
     for curve in model.tracked:
         if curve.name in branch_set:
             cls = _divisor(lattice, curve.cls.num, 2 * curve.cls.den)  # half the pullback
-            cname = f"{curve.name}_half"
         else:
             cls = pullback(curve.cls)
-            cname = f"{curve.name}_pre"
-        curves.append(TrackedCurve(cname, cls, _adjunction_pa(canonical, cls), curve.irreducible))
+        curves.append(TrackedCurve(curve.name, cls, _adjunction_pa(canonical, cls), curve.irreducible))
     result = SurfaceModel(
         lattice,
         canonical,
@@ -764,7 +746,8 @@ def split_curve(
 
     The first component joins the basis with the declared pairings; the second
     is the difference.  Symmetry is enforced: both halves must have the same
-    self-intersection and nonnegative integral genus.
+    self-intersection and nonnegative integral genus.  The split curve leaves
+    the model, so either half may take its name.
     """
     pairings = dict(pairings or {})
     provenance = model.provenance + (_step("split_curve", curve_name, into, self_int, pairings),)
@@ -773,7 +756,7 @@ def split_curve(
     original = model.curve(curve_name)
     first, second = into
     for fresh in into:
-        if fresh in model.lattice.basis or model.has_curve(fresh):
+        if fresh in model.lattice.basis or (fresh != curve_name and model.has_curve(fresh)):
             raise LatticeError(f"name {fresh!r} already in use")
     e_sq = plain(self_int)
     old = model.lattice
@@ -997,8 +980,6 @@ _REPLAY: dict[str, Callable[..., SurfaceModel]] = {
     "hirzebruch": lambda _m, n: make_hirzebruch(n),
     "declare": lambda _m, *args: declare_surface(*args),
     "track": track,
-    "rename_curve": rename_curve,
-    "untrack": untrack,
     "blow_up": blow_up,
     "double_cover": double_cover,
     "attach_resolution": attach_resolution,

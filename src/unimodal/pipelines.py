@@ -5,7 +5,8 @@ route starts from a ruled surface, takes the bicanonical double cover with a
 branch containing a fibre and a [3,3]-point, resolves the resulting degree-one
 elliptic point by attaching its known exceptional curve, contracts the
 leftover (-1)-curve to reach a minimal elliptic surface, and finally
-contracts the exceptional unimodal configuration.  It states no configuration
+contracts the exceptional unimodal configuration.  It tracks each curve once,
+on the ruled base, under the name it is read by.  It states no configuration
 of its own: the curve F (T236 or T237) and the A_k chain over the extra branch
 point come from the catalog, the shape of the second Kodaira fibre from
 `configurations.fiber_configuration`, and both fibres are recognised on
@@ -51,10 +52,8 @@ from .lattice import (
     make_hirzebruch,
     make_p2,
     nakai_check,
-    rename_curve,
     split_curve,
     track,
-    untrack,
 )
 from .planecurves import ThreeThreeVerdict, detect_33_point, germ, germ_mul
 from .rationals import rat_str, ratio
@@ -245,12 +244,16 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         f"bicanonical branch class on the ruled base F{twist}",
     )
     half = Fraction(1, 2) * branch
-    base = track(base, "Gammap", {"Gamma": 1})
+    # each curve is tracked once, under the name it is read by: the section E1,
+    # the branch fibre G and the fibre E2 through the extra branch point; every
+    # move keeps the names, and double_cover checks that the rest of the
+    # branch, 2*half - G, is effective
+    base = track(base, "E1", {"Cinf": 1})
+    base = track(base, "G", {"Gamma": 1})
     if spec.fiber_variant is not None:
-        base = track(base, "Gammaq", {"Gamma": 1})
-    base = track(base, "Dprime", (branch - base.basis_class("Gamma")).coeff_map())
+        base = track(base, "E2", {"Gamma": 1})
 
-    cover = double_cover(base, half, ["Gammap", "Dprime"])
+    cover = double_cover(base, half, ["G"])
     checks.expect(
         "cover-euler-characteristic",
         cover.chi,
@@ -264,11 +267,6 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
         "canonical class of the cover is a ruling fibre",
     )
     checks.expect("cover-canonical-squared", cover.k_squared, 0, "K^2 of the cover")
-    cover = untrack(cover, ["Dprime_half"])
-    cover = rename_curve(cover, "Cinf_pre", "E1")
-    cover = rename_curve(cover, "Gammap_half", "G")
-    if spec.fiber_variant is not None:
-        cover = rename_curve(cover, "Gammaq_pre", "Cq")
 
     t_config = catalog_entry(f"T23{spec.profile}").config
     model = attach_resolution(
@@ -282,16 +280,14 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     )
 
     if spec.fiber_variant is not None:
-        # Cq, split in two for E14, and the A_k chain over the extra branch point
-        # (curves A1, ..., Ak) make up the second fibre
+        # E2, split into E2 and E3 for E14, and the A_k chain over the extra
+        # branch point (curves A1, ..., Ak) make up the second fibre
         shape = fiber_configuration(spec.fiber_variant)
         pieces = ("E2", "E3") if sing == "E14" else ("E2",)
         ade = catalog_entry(f"A{len(shape.components) - len(pieces)}").config
-        model = attach_resolution(model, ade, {"Cq": {n: 1 for n in ade.names}})
+        model = attach_resolution(model, ade, {"E2": {n: 1 for n in ade.names}})
         if len(pieces) == 2:
-            model = split_curve(model, "Cq", pieces, -2, {"Cinf_pb": 1, "A1": 1})
-        else:
-            model = rename_curve(model, "Cq", "E2")
+            model = split_curve(model, "E2", pieces, -2, {"Cinf_pb": 1, "A1": 1})
         fiber_names = pieces + ade.names
 
     step_down = contract(model, ["G"])

@@ -19,16 +19,19 @@ from unimodal.lattice import (
     make_hirzebruch,
     make_p2,
     nakai_check,
-    rename_curve,
     replay,
     split_curve,
     track,
-    untrack,
 )
 
 
 def F(x):
     return Fraction(x)
+
+
+@pytest.mark.parametrize("create", [make_p2, lambda: make_hirzebruch(0), lambda: make_hirzebruch(1)])
+def test_creation_moves_track_no_curve(create):
+    assert create().tracked == ()
 
 
 def test_p2_invariants():
@@ -189,18 +192,32 @@ def test_double_cover_f1_branch_class_and_pullback_doubling():
 
 
 def test_double_cover_branch_components_halved():
-    f0 = track(make_hirzebruch(0), "Gp", {"Gamma": 1})
-    f0 = track(f0, "Dprime", {"Cinf": 4, "Gamma": 5})
+    f0 = track(make_hirzebruch(0), "E1", {"Cinf": 1})
+    f0 = track(f0, "G", {"Gamma": 1})
+    f0 = track(f0, "D", {"Cinf": 4, "Gamma": 5})
     half = f0.divisor({"Cinf": 2, "Gamma": 3})
-    cover = double_cover(f0, half, ["Gp", "Dprime"])
-    gbar = cover.curve("Gp_half")
+    cover = double_cover(f0, half, ["G", "D"])
+    # every tracked curve keeps its name, in its place
+    assert [c.name for c in cover.tracked] == ["E1", "G", "D"]
+    gbar = cover.curve("G")
     assert gbar.cls == Fraction(1, 2) * cover.basis_class("Gamma_pb")
     assert cover.intersect(gbar.cls, gbar.cls) == 0
     assert gbar.pa == 1  # model genus before the elliptic point is resolved
-    dbar = cover.curve("Dprime_half")
-    e1bar = cover.curve("Cinf_pre")
+    dbar = cover.curve("D")
+    assert dbar.cls == cover.divisor({"Cinf_pb": 2, "Gamma_pb": Fraction(5, 2)})
+    e1bar = cover.curve("E1")
+    assert e1bar.cls == cover.basis_class("Cinf_pb")  # not a branch curve: its pullback
     assert cover.intersect(gbar.cls, e1bar.cls) == 1  # B~ . pullback = B . C
     assert cover.intersect(gbar.cls, dbar.cls) == 2  # (B . B')/2 = 4/2
+
+
+def test_double_cover_keeps_the_name_of_a_curve_off_the_branch():
+    f1 = track(make_hirzebruch(1), "S", {"Cinf": 1})
+    cover = double_cover(f1, f1.divisor({"Cinf": 2, "Gamma": 4}))
+    (section,) = cover.tracked
+    assert section.name == "S"
+    assert section.cls == cover.basis_class("Cinf_pb")
+    assert cover.intersect(section.cls, section.cls) == -2
 
 
 def test_double_cover_rejects_oversized_branch():
@@ -259,7 +276,7 @@ def test_contract_minus_three_curve_rejected():
 
 
 def test_contract_rejects_a_configuration_that_is_not_negative_definite():
-    f0 = make_hirzebruch(0)  # the section Cinf has Cinf^2 = 0
+    f0 = track(make_hirzebruch(0), "Cinf", {"Cinf": 1})  # the section has Cinf^2 = 0
     with pytest.raises(ContractionError, match="not negative definite"):
         contract(f0, ["Cinf"])
     f1 = track(blow_up(make_p2(), exceptional="G"), "L", {"H": 1, "G": -1})
@@ -356,21 +373,31 @@ def test_split_curve_symmetric_halves():
     assert e2 + e3 == out.divisor({"f": 1, "A": -1})
 
 
+@pytest.mark.parametrize("into", [("Cq", "E3"), ("E2", "Cq")])
+def test_split_curve_may_give_a_half_the_name_of_the_split_curve(into):
+    out = split_curve(_split_carrier(), "Cq", into, -2, {"A": 1})
+    assert [c.name for c in out.tracked] == ["A", *into]
+    assert out.curve_sum(into) == out.divisor({"f": 1, "A": -1})
+
+
+@pytest.mark.parametrize("taken", ["L", "f", "A"], ids=["tracked", "basis", "tracked-basis"])
+def test_split_curve_refuses_a_name_in_use(taken):
+    carrier = track(_split_carrier(), "L", {"f": 1})
+    with pytest.raises(LatticeError, match=f"name '{taken}' already in use"):
+        split_curve(carrier, "Cq", (taken, "E3"), -2, {"A": 1})
+    with pytest.raises(LatticeError, match=f"name '{taken}' already in use"):
+        split_curve(carrier, "Cq", ("E2", taken), -2, {"A": 1})
+
+
 def test_track_requires_integral_genus():
     f0 = make_hirzebruch(0)
     with pytest.raises(LatticeError):
         track(f0, "half", {"Cinf": Fraction(1, 2)})
 
 
-def test_untrack():
-    f0 = track(make_hirzebruch(0), "Gp", {"Gamma": 1})
-    out = untrack(f0, ["Gp"])
-    assert not out.has_curve("Gp")
-    assert out.has_curve("Cinf")
-
-
 def test_nakai_verdicts():
-    f0 = track(make_hirzebruch(0), "Gamma0", {"Gamma": 1})
+    f0 = track(make_hirzebruch(0), "Cinf", {"Cinf": 1})
+    f0 = track(f0, "Gamma0", {"Gamma": 1})
     ample = f0.divisor({"Cinf": 1, "Gamma": 1})
     assert nakai_check(f0, ample) == "ample"
     fiber = f0.divisor({"Gamma": 1})
@@ -387,16 +414,15 @@ def test_noether_number_changes():
 
 
 def _resolved_cover():
-    f0 = track(make_hirzebruch(0), "Gp", {"Gamma": 1})
-    f0 = track(f0, "Dprime", {"Cinf": 4, "Gamma": 5})
-    cover = double_cover(f0, f0.divisor({"Cinf": 2, "Gamma": 3}), ["Gp", "Dprime"])
-    cover = untrack(cover, ["Dprime_half"])
+    f0 = track(make_hirzebruch(0), "E1", {"Cinf": 1})
+    f0 = track(f0, "G", {"Gamma": 1})
+    cover = double_cover(f0, f0.divisor({"Cinf": 2, "Gamma": 3}), ["G"])
     config = CurveConfiguration((Component("Fhat", -1, 1),))
-    return attach_resolution(cover, config, {"Gp_half": {"Fhat": 1}, "Cinf_pre": {"Fhat": 1}})
+    return attach_resolution(cover, config, {"G": {"Fhat": 1}, "E1": {"Fhat": 1}})
 
 
 def test_provenance_replay_bit_for_bit():
-    final = contract(_resolved_cover(), ["Gp_half"]).model
+    final = contract(_resolved_cover(), ["G"]).model
     assert replay(final.provenance) == final
     # a record equals the plain tuple of its fields, so equality alone would
     # not see the configuration logged as a bare tuple
@@ -423,7 +449,7 @@ def test_inside_a_pass_a_move_is_shared_and_replay_rebuilds_it():
         assert _resolved_cover() is model
         rebuilt = replay(model.provenance)
         assert rebuilt == model and rebuilt is not model
-        assert contract(model, ["Gp_half"]) is contract(model, ["Gp_half"])
+        assert contract(model, ["G"]) is contract(model, ["G"])
     again = _resolved_cover()
     assert again == model and again is not model
 
@@ -439,8 +465,6 @@ _MOVES = {
     "make_hirzebruch": lambda: make_hirzebruch(1),
     "declare_surface": lambda: declare_surface(["E"], {"E": {"E": 2}}, {}, 2, [("E", {"E": 1})]),
     "track": lambda: track(make_p2(), "L", {"H": 1}),
-    "rename_curve": lambda: rename_curve(make_hirzebruch(1), "Cinf", "S"),
-    "untrack": lambda: untrack(make_hirzebruch(1), ["Cinf"]),
     "attach_resolution": lambda: attach_resolution(make_p2(), CurveConfiguration((Component("E", -2, 0),))),
     "blow_up": lambda: blow_up(track(make_p2(), "C", {"H": 6}), {"C": 2}),
     "double_cover": lambda: double_cover(make_p2(), make_p2().divisor({"H": 3})),

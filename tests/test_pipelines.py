@@ -348,10 +348,21 @@ def test_pipelines_deterministic():
     assert c == d
 
 
+def test_the_elliptic_route_tracks_each_curve_once_under_its_final_name():
+    for spec in all_en_specs():
+        base, cover, *_ = run_en_pipeline(spec._replace(germ_checks=False)).models
+        names = ["E1", "G"] + (["E2"] if spec.fiber_variant else [])
+        assert [step.op for step in cover.provenance] == ["hirzebruch"] + ["track"] * len(names) + ["double_cover"]
+        assert [c.name for c in base.tracked] == [c.name for c in cover.tracked] == names
+
+
 def test_pipeline_models_replayable():
-    result = run_en_pipeline(EnSpec("E14", fiber_variant="I4", profile=7))
-    for model in result.models[2:]:
-        assert replay(model.provenance) == model
+    # every model of the 14 elliptic-route constructions: each variant at both profiles
+    for spec in all_en_specs():
+        for profile in (6, 7):
+            result = run_en_pipeline(spec._replace(profile=profile, germ_checks=False))
+            for model in result.models:
+                assert replay(model.provenance) == model
     zw = run_zw_pipeline(ZwSpec("Z13", family_case=None))
     for model in zw.models:
         assert replay(model.provenance) == model
