@@ -109,6 +109,8 @@ class CurveConfiguration(_CurveConfigurationFields):
         for triple in self.concurrent:
             if len(triple) != 3 or not triple <= set(names):
                 raise ValueError("a concurrency flag names three known components")
+        if len(set(self.concurrent)) != len(self.concurrent):
+            raise ValueError("more than one concurrency flag for the same three components")
         return self
 
     @property

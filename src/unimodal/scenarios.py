@@ -301,8 +301,15 @@ def config_from_json(data) -> CurveConfiguration:
     return CurveConfiguration(
         tuple(map(_component_from_json, components)),
         tuple(map(_contact_from_json, contacts)),
-        tuple(frozenset(_names(triple, "a concurrency flag")) for triple in concurrent),
+        tuple(map(_concurrency_flag, concurrent)),
     )
+
+
+def _concurrency_flag(value) -> frozenset[str]:
+    names = _names(value, "a concurrency flag")
+    if len(set(names)) != 3 or len(names) != 3:
+        raise ScenarioError(f"a concurrency flag names three distinct components, got {names!r:.40}")
+    return frozenset(names)
 
 
 def _component_from_json(data) -> Component:

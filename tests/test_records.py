@@ -30,7 +30,7 @@ from unimodal.pipelines import CheckRecord, EnSpec, ZwSpec, run_en_pipeline, run
 from unimodal.planecurves import ConditionSystem, HomogeneousForm, MarkedPoint
 from unimodal.scenarios import ExpectedEntry, _agree
 
-_E, _F = Component("E", -2), Component("F", -2)
+_E, _F, _G = Component("E", -2), Component("F", -2), Component("G", -2)
 _P2 = track(make_p2(), "C", {"H": 1})
 _FOREIGN = make_hirzebruch(0).canonical
 
@@ -45,6 +45,7 @@ REFUSED = [
     (CurveConfiguration, ((_E,), (Contact("E", "F", 1),)), ValueError),
     (CurveConfiguration, ((_E, _F), (Contact("E", "F", 1), Contact("F", "E", 1))), ValueError),
     (CurveConfiguration, ((_E, _F), (), (frozenset("EF"),)), ValueError),
+    (CurveConfiguration, ((_E, _F, _G), (), (frozenset("EFG"), frozenset("GFE"))), ValueError),
     (HomogeneousForm, (2, (((1, 0, 0), F(1)),)), ValueError),  # degree 1 monomial
     (HomogeneousForm, (1, (((1, 0, 0), F(0)),)), ValueError),  # zero coefficient kept
     (MarkedPoint, ((F(0), F(0), F(0)),), ValueError),

@@ -972,6 +972,10 @@ def _component(**fields):
         (dict(_chain(2), contacts=[{"pair": "A0A1", "mult": "1"}]), None),
         (dict(_chain(2), contacts=[{"pair": ["A0", "A1"], "mult": "1e99999"}]), None),
         ({"components": [], "concurrent": [1]}, None),
+        # a concurrency flag names three distinct components, once
+        (dict(_chain(3), concurrent=[["A0", "A1", "A2", "A0"]]), None),
+        (dict(_chain(3), concurrent=[["A0", "A1", "A0"]]), None),
+        (dict(_chain(3), concurrent=[["A0", "A1", "A2"], ["A2", "A1", "A0"]]), None),
         (_chain(3), {"fiber": "I" + "9" * 12, "blow_ups": [0, 0, 0]}),
         (_chain(3), {"fiber": "I3", "blow_ups": [2.5, 0, 0]}),
         (_chain(3), {"fiber": "I3", "blow_ups": [2**64, 0, 0]}),
