@@ -725,9 +725,7 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
 
     children: list[tuple[Direction, Germ]] = []
     for direction in _directions(g):
-        if direction.degree != 1:
-            if direction.multiplicity >= 2:
-                raise UndecidableOverQ("repeated irrational tangent direction at a triple point")
+        if direction.degree != 1:  # simple: doubled, it would take degree >= 4 of the cubic cone
             continue
         children.append((direction, _blow_up_at_direction(g, direction)))
     mults = tuple(sorted(germ_multiplicity(child) for _, child in children if child))
@@ -761,8 +759,7 @@ def _t_profile(g: Germ) -> int | None:
         child = _blow_up_at_direction(g, doubles[0])
         if child and germ_multiplicity(child) == 1:
             return 7
-    if any(d.degree != 1 and d.multiplicity >= 2 for d in directions):
-        raise UndecidableOverQ("repeated irrational direction in the second neighborhood")
+    # no irrational direction is doubled: it would take degree >= 4 of the cubic cone
     return None
 
 
