@@ -405,7 +405,7 @@ def _check_catalog_match(checks: _Recorder, entry: CatalogEntry) -> None:
         "catalog-match",
         hit.label if hit else "none",
         entry.label,
-        "the exceptional configuration is the declared catalog entry",
+        "the catalog recognises the type's exceptional configuration as its own entry",
     )
 
 
@@ -437,12 +437,7 @@ def _check_contracted_model(
 def _check_exceptional_configuration(
     checks: _Recorder, surface: SurfaceModel, entry: CatalogEntry
 ) -> None:
-    _check_adjunction(
-        checks,
-        surface,
-        entry.config,
-        "declared exceptional self-intersections satisfy adjunction against the computed canonical degrees",
-    )
+    _check_adjunction(checks, surface, entry.config)
     computed = configuration_of(surface, entry.config.names)
     checks.expect(
         "exceptional-self-intersections",
@@ -466,16 +461,19 @@ def _check_exceptional_configuration(
     _check_catalog_match(checks, entry)
 
 
-def _check_adjunction(
-    checks: _Recorder, model: SurfaceModel, stated: CurveConfiguration, anchor: str
-) -> None:
+def _check_adjunction(checks: _Recorder, model: SurfaceModel, catalog: CurveConfiguration) -> None:
     """Adjunction, 2 + E^2 + K.E = 2 p_a, from each catalog self-intersection
     and genus and the computed canonical degree."""
     ok = all(
         2 + c.self_int + model.intersect(model.canonical, model.curve_class(c.name)) == 2 * c.pa
-        for c in stated.components
+        for c in catalog.components
     )
-    checks.expect("exceptional-adjunction-integral", "integral" if ok else "broken", "integral", anchor)
+    checks.expect(
+        "exceptional-adjunction-integral",
+        "integral" if ok else "broken",
+        "integral",
+        "catalog self-intersections and genera satisfy adjunction against the computed canonical degrees",
+    )
 
 
 def _nef_bundle_diagnostics(
@@ -628,9 +626,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         -1,
         "K^2 of the minimal resolution",
     )
-    _check_adjunction(
-        checks, resolution, entry.config, "declared genera satisfy adjunction against the computed canonical degrees"
-    )
+    _check_adjunction(checks, resolution, entry.config)
     _check_catalog_match(checks, entry)
     pulled = resolution.canonical + cycle
     checks.expect(
