@@ -307,7 +307,7 @@ def config_from_json(data) -> CurveConfiguration:
 
 def _concurrency_flag(value) -> frozenset[str]:
     names = _names(value, "a concurrency flag")
-    if len(set(names)) != 3 or len(names) != 3:
+    if len(names) != 3 or len(set(names)) != 3:
         raise ScenarioError(f"a concurrency flag names three distinct components, got {names!r:.40}")
     return frozenset(names)
 
