@@ -105,18 +105,10 @@ class CheckRecord(NamedTuple):
     flag: str | None = None
 
 
-class Diagnostic(NamedTuple):
-    """A computed value that no claim states, with the anchor that says what it is."""
-
-    name: str
-    value: str
-    anchor: str
-
-
 class PipelineResult(NamedTuple):
     label: str
     checks: tuple[CheckRecord, ...]
-    diagnostics: tuple[Diagnostic, ...]
+    diagnostics: tuple[CheckRecord, ...]  # values no claim states, each passing as itself
     models: tuple[SurfaceModel, ...]
 
     def check(self, name: str) -> CheckRecord:
@@ -151,13 +143,13 @@ def judge(name: str, computed, expected, anchor: str) -> CheckRecord:
 class _Recorder:
     def __init__(self) -> None:
         self.records: list[CheckRecord] = []
-        self.diagnostics: list[Diagnostic] = []
+        self.diagnostics: list[CheckRecord] = []
 
     def expect(self, name: str, computed, expected, anchor: str) -> None:
         self.records.append(judge(name, computed, expected, anchor))
 
     def note(self, name: str, value, anchor: str) -> None:
-        self.diagnostics.append(Diagnostic(name, _fmt(value), anchor))
+        self.diagnostics.append(judge(name, value, value, anchor))
 
     def result(self, label: str, models: tuple[SurfaceModel, ...]) -> PipelineResult:
         return PipelineResult(label, tuple(self.records), tuple(self.diagnostics), models)
@@ -565,7 +557,7 @@ def _germ_checks(checks: _Recorder, spec: EnSpec) -> None:
     expected_residual = (spec.profile - 6) + 3
     checks.expect(
         "branch-germ-residual-type",
-        f"A{verdict.residual.n}" if verdict.residual and verdict.residual.kind == "A" else "none",
+        verdict.residual.label if verdict.residual else "none",
         f"A{expected_residual}",
         "A-type of the residual branch piece at the [3,3]-point",
     )
@@ -764,10 +756,9 @@ def _family_checks(checks: _Recorder, fam: SexticFamily) -> None:
     )
     if fam.singular_mark is not None:
         point, n = fam.singular_mark
-        mark = verification.mark
         checks.expect(
             "family-singular-mark",
-            f"A{mark.n}" if mark and mark.kind == "A" else "none",
+            verification.mark.label,
             f"A{n}",
             f"curve singularity of the branch sextic at {point}",
         )

@@ -484,6 +484,11 @@ class AnVerdict(NamedTuple):
     milnor: int | None = None
     reason: str | None = None
 
+    @property
+    def label(self) -> str:
+        """``A<n>`` for an A_n point, else the kind."""
+        return f"A{self.n}" if self.kind == "A" else self.kind
+
 
 def an_type_at(g: Germ, candidate: int = 6) -> AnVerdict:
     """Classify the origin of a germ as smooth, A_n, or other (for a point of
@@ -699,7 +704,6 @@ def _jacobian_rows(
 class ThreeThreeVerdict(NamedTuple):
     is_33: bool
     profile: int | None  # 6 or 7 when the resolution matches the degree-one catalog
-    first_neighborhood: tuple[int, ...]  # multiplicities of the rational points there
     local_intersection: int | None = None
     residual: AnVerdict | None = None
 
@@ -721,21 +725,17 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
     if not g:
         raise ValueError("zero form")
     if germ_evaluate_origin(g) != 0 or germ_multiplicity(g) != 3:
-        return ThreeThreeVerdict(False, None, ())
+        return ThreeThreeVerdict(False, None)
 
-    children: list[tuple[Direction, Germ]] = []
-    for direction in _directions(g):
-        if direction.degree != 1:  # simple: doubled, it would take degree >= 4 of the cubic cone
-            continue
-        children.append((direction, _blow_up_at_direction(g, direction)))
-    mults = tuple(sorted(germ_multiplicity(child) for _, child in children if child))
-    triple_children = [child for _, child in children if child and germ_multiplicity(child) == 3]
+    # a direction of higher degree is simple: doubled, it would take degree >= 4 of the cubic cone
+    children = [_blow_up_at_direction(g, d) for d in _directions(g) if d.degree == 1]
+    triple_children = [child for child in children if child and germ_multiplicity(child) == 3]
     if len(triple_children) != 1:
-        return ThreeThreeVerdict(False, None, mults)
+        return ThreeThreeVerdict(False, None)
 
     profile = _t_profile(triple_children[0])
     if decomposition is None:
-        return ThreeThreeVerdict(True, profile, mults)
+        return ThreeThreeVerdict(True, profile)
 
     residual, smooth = decomposition
     if germ_mul(residual, smooth) != g:
@@ -744,7 +744,7 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
         raise ValueError("second decomposition factor must be smooth at the point")
     meeting = local_intersection(residual, smooth)
     residual_type = an_type_at(residual, candidate=max(4, (profile or 7) - 3))
-    return ThreeThreeVerdict(True, profile, mults, meeting, residual_type)
+    return ThreeThreeVerdict(True, profile, meeting, residual_type)
 
 
 def _t_profile(g: Germ) -> int | None:

@@ -7,10 +7,11 @@ object names its keys, and a key it does not name, a missing required key or a
 key written twice is malformed input.  The other modules take typed values
 only.  Reports are
 JSON with sorted keys; integers and exact fractions travel as strings, never
-as floating point.  Every status comes from `pipelines.judge`: a "flagged"
-status is reserved for the documented discrepancies between stated and
-recomputed values and can never mask a computation error, and a pin can only
-confirm a record or turn it into a failure.
+as floating point.  Every reported value is a `pipelines.CheckRecord` and
+every status comes from `pipelines.judge`: a value that no claim states passes
+as itself, a "flagged" status is reserved for the documented discrepancies
+between stated and recomputed values and can never mask a computation error,
+and a pin can only confirm a record or turn it into a failure.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .planecurves import (
     restrict_to_line,
     stabilizer_dim,
 )
-from .rationals import plain, rat_str
+from .rationals import plain
 
 SCHEMA_VERSION = "1"
 KINDS = ("pipeline", "config-check", "plane-check")
@@ -408,19 +409,19 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     raise ScenarioError(f"unknown construction {construction!r:.40}: the key 'construction' is en or zw")
 
 
-def _config_check_values(payload: Mapping) -> dict[str, str]:
+def _config_check_values(payload: Mapping) -> dict[str, object]:
     config, derived = _fields(payload, "the config-check payload", ("config",), {"derived_from": _ABSENT})
     config = config_from_json(config)
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     nd = is_negative_definite(config)
-    values["negative-definite"] = "true" if nd else "false"
+    values["negative-definite"] = nd
     if nd:
         classified = classify_minimally_elliptic(config)
         cycle = classified.cycle
-        values["cycle-coefficients"] = ",".join(str(c) for c in cycle.coeffs)
-        values["cycle-self-intersection"] = rat_str(cycle.self_int)
-        values["cycle-canonical-degree"] = rat_str(cycle.canonical_degree)
-        values["cycle-genus"] = rat_str(cycle.pa)
+        values["cycle-coefficients"] = cycle.coeffs
+        values["cycle-self-intersection"] = cycle.self_int
+        values["cycle-canonical-degree"] = cycle.canonical_degree
+        values["cycle-genus"] = cycle.pa
         if classified.kind == "minimally-elliptic":
             values["classification"] = f"minimally-elliptic-degree-{classified.degree}"
         else:
@@ -448,9 +449,9 @@ _PLANE_OPS = {
 }
 
 
-def _plane_check_values(payload: Mapping) -> dict[str, str]:
+def _plane_check_values(payload: Mapping) -> dict[str, object]:
     (checks,) = _fields(payload, "the plane-check payload", (), {"checks": []})
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for check in _typed(checks, "checks", list):
         op = _typed(check, "a plane check", dict).get("op")
         if type(op) is not str or op not in _PLANE_OPS:
@@ -467,7 +468,7 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
                 orders = ",".join(str(o) for o in pattern.orders)
                 values[name] = f"orders={orders};residual={pattern.residual_degree}"
         elif op == "an-type":
-            values[name] = _an_label(_an_verdict(*fields))
+            values[name] = _an_verdict(*fields).label
         elif op == "detect-33":
             shape, decomposition = fields
             if decomposition is _ABSENT:
@@ -482,7 +483,7 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
             ]
             if verdict.local_intersection is not None:
                 parts.append(str(verdict.local_intersection))
-                parts.append(_an_label(verdict.residual))
+                parts.append(verdict.residual.label)
             values[name] = ";".join(parts)
         elif op == "mult-tree":
             (shape,) = fields
@@ -490,7 +491,7 @@ def _plane_check_values(payload: Mapping) -> dict[str, str]:
         else:  # stabilizer-dim
             points, lines = fields
             lines = tuple(linear_form(*_rationals(coeffs, "a line")) for coeffs in _typed(lines, "lines", list))
-            values[name] = str(stabilizer_dim(_points(points), lines))
+            values[name] = stabilizer_dim(_points(points), lines)
     return values
 
 
@@ -506,14 +507,6 @@ def _an_verdict(shape, form, point, candidate):
     else:
         raise ScenarioError("the an-type check takes a 'germ', or a 'form' and a 'point', and not both")
     return an_type_at(g, candidate=candidate)
-
-
-def _an_label(verdict) -> str:
-    if verdict is None:
-        return "none"
-    if verdict.kind == "A":
-        return f"A{verdict.n}"
-    return verdict.kind
 
 
 def _tree_label(node) -> str:
@@ -541,25 +534,22 @@ def _agree(pin: ExpectedEntry, record: CheckRecord) -> CheckRecord:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    """Execute one scenario and merge its pins with the engine records.
+    """Execute one scenario and merge its pins with its records.
 
-    A pinned engine record is reported as that record; a pinned plain value
-    (a config-check or plane-check value, a diagnostic) passes or fails by
-    `judge`.  Unpinned records are reported only when they do not pass.
+    Every value a scenario reports is a `CheckRecord`: an engine check, or a
+    value that no claim states (a config-check or plane-check value, a
+    pipeline diagnostic), which passes as itself.  Each pin is merged with its
+    record by `_agree`, or fails as missing when there is none.  Unpinned
+    records are reported only when they do not pass.
     """
-    records: tuple[CheckRecord, ...] = ()
-    anchor_default = f"{scenario.kind} value"
-    anchors: dict[str, str] = {}  # a pipeline diagnostic's own anchor
+    anchor = f"{scenario.kind} value"
     try:
-        if scenario.kind == "config-check":
-            values = _config_check_values(scenario.payload)
-        elif scenario.kind == "plane-check":
-            values = _plane_check_values(scenario.payload)
-        else:
+        if scenario.kind == "pipeline":
             result = _run_pipeline_payload(scenario.payload)
-            records = result.checks
-            values = {note.name: note.value for note in result.diagnostics}
-            anchors = {note.name: note.anchor for note in result.diagnostics}
+            records = result.checks + result.diagnostics
+        else:
+            compute = _config_check_values if scenario.kind == "config-check" else _plane_check_values
+            records = tuple(judge(name, v, v, anchor) for name, v in compute(scenario.payload).items())
     except (KeyError, TypeError, ValueError) as err:  # a ScenarioError is a ValueError
         raise ScenarioError(f"scenario {scenario.name!r}: malformed payload: {err}") from None
 
@@ -567,10 +557,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     assertions: list[CheckRecord] = []
     for name, pin in scenario.expected:
         record = record_map.get(name)
-        if record is None and name in values:
-            record = judge(name, values[name], pin.value, anchors.get(name, anchor_default))
         if record is None:
-            assertions.append(CheckRecord(name, "missing", pin.value, "fail", anchor_default))
+            assertions.append(CheckRecord(name, "missing", pin.value, "fail", anchor))
         else:
             assertions.append(_agree(pin, record))
     pinned = {name for name, _ in scenario.expected}

@@ -502,6 +502,20 @@ def test_an_smooth_and_other():
     assert an_type_at(double_line).kind == "other"
 
 
+@pytest.mark.parametrize(
+    "shape,candidate,label",
+    [
+        ({(1, 0): 1, (0, 3): 2}, 6, "smooth"),
+        ({(2, 0): 1, (0, 3): 1}, 6, "A2"),
+        ({(3, 0): 1, (0, 3): 1}, 6, "other"),
+        ({(2, 0): 1, (0, 40): 1}, 1, "inconclusive"),  # mu = 39 lies beyond the cap 32
+    ],
+    ids=["smooth", "A", "other", "inconclusive"],
+)
+def test_an_verdict_label_is_a_n_or_the_kind(shape, candidate, label):
+    assert an_type_at(germ(shape), candidate=candidate).label == label
+
+
 def test_an_w13_shape():
     # y^4 x^2 + z f5 with f5(1,0,0) = 0 and the y x^4 coefficient nonzero: a node
     f5 = monomial(4, 1, 0) + monomial(4, 0, 1) + monomial(0, 5, 0) + monomial(0, 0, 5)

@@ -1048,32 +1048,46 @@ def _verify_json(tmp_path, capsys, text):
     return code, json.loads(captured.out) if code != 2 else None
 
 
-@pytest.mark.parametrize(
-    "kind,payload,name,value",
+# A value that no claim states, of each kind: a config-check value, a plane-check
+# value and a pipeline diagnostic, with the anchor of its record.
+_PLAIN_VALUES = pytest.mark.parametrize(
+    "kind,payload,name,value,anchor",
     [
-        ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
-        ("plane-check", _PLANE_CUSP, "cusp", "A2"),
-        ("pipeline", dict(_ZW, family_case=2), "stabilizer-dim", "4"),
+        ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true", "config-check value"),
+        ("plane-check", _PLANE_CUSP, "cusp", "A2", "plane-check value"),
+        (
+            "pipeline",
+            dict(_ZW, family_case=2),
+            "stabilizer-dim",
+            "4",
+            "dimension of the projectivity stabilizer of the marked points and the line",
+        ),
     ],
     ids=["config-check", "plane-check", "zw-diagnostic"],
 )
-def test_invented_flag_kind_is_exit_2(tmp_path, capsys, kind, payload, name, value):
+
+
+@_PLAIN_VALUES
+def test_plain_value_pin_confirms_or_fails_its_record(tmp_path, capsys, kind, payload, name, value, anchor):
+    wrong = f"{value}0"
+    for pin, code, status, expected in ((value, 0, "pass", value), (wrong, 1, "fail", wrong)):
+        exit_code, report = _verify_json(tmp_path, capsys, scn(kind, payload, {name: {"value": pin}}))
+        assert exit_code == code
+        assert report["scenarios"][0]["assertions"] == [
+            {"anchor": anchor, "computed": value, "expected": expected, "flag": None, "name": name, "status": status}
+        ]
+
+
+@_PLAIN_VALUES
+def test_invented_flag_kind_is_exit_2(tmp_path, capsys, kind, payload, name, value, anchor):
     for flag in ("made-up", ["noether-c2"]):
         pin = {"value": value, "claimed": "false", "flag": flag}
         code, report = _verify_json(tmp_path, capsys, scn(kind, payload, {name: pin}))
         assert code == 2 and report is None
 
 
-@pytest.mark.parametrize(
-    "kind,payload,name,value",
-    [
-        ("config-check", {"config": _CONFIG_E13}, "negative-definite", "true"),
-        ("plane-check", _PLANE_CUSP, "cusp", "A2"),
-        ("pipeline", dict(_ZW, family_case=2), "stabilizer-dim", "4"),
-    ],
-    ids=["config-check", "plane-check", "zw-diagnostic"],
-)
-def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload, name, value):
+@_PLAIN_VALUES
+def test_documented_flag_on_a_plain_value_fails(tmp_path, capsys, kind, payload, name, value, anchor):
     for pin in (
         {"value": value, "claimed": "23", "flag": "noether-c2"},
         {"value": value, "claimed": "23"},

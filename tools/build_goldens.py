@@ -63,7 +63,7 @@ def main() -> None:
                 }
                 for r in result.checks
             ],
-            "diagnostics": {note.name: note.value for note in result.diagnostics},
+            "diagnostics": {note.name: note.computed for note in result.diagnostics},
         }
         (OUT / f"{name}.json").write_text(
             json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
