@@ -217,11 +217,13 @@ def germ_of(form: HomogeneousForm, point: MarkedPoint) -> Germ:
 
     The form is dehomogenised at x_pivot = 1, each term keyed by its two other
     exponents, and translated by the point's two other coordinates
-    (:func:`_translate`).
+    (:func:`_integer_shift`); only here is the result divided back to exact
+    coefficients, a term an int where the denominator divides it.
     """
     u, v = _chart_axes(point)
     affine = {(e[u], e[v]): c for e, c in form.terms}
-    return _translate(affine, (point.coords[u], point.coords[v]))
+    terms, den = _integer_shift(affine, (point.coords[u], point.coords[v]))
+    return {e: c // den if c % den == 0 else Fraction(c, den) for e, c in terms.items() if c}
 
 
 def _chart_axes(point: MarkedPoint) -> tuple[int, int]:
@@ -231,19 +233,21 @@ def _chart_axes(point: MarkedPoint) -> tuple[int, int]:
     return u, v
 
 
-def _translate(g: Germ, shift: tuple[int | Fraction, int | Fraction]) -> Germ:
-    """The germ g(u + s, v + t) for ``shift = (s, t)``, zero terms dropped.
+def _integer_shift(
+    g: Germ, shift: tuple[int | Fraction, int | Fraction]
+) -> tuple[dict[tuple[int, int], int], int]:
+    """``(terms, den)`` with terms / den the germ g(u + s, v + t) for
+    ``shift = (s, t)``: integer terms and den > 0.
 
     The germ is scaled once to integer numerators over one denominator
-    (`rationals.integer_rows`) and shifted one variable at a time; only the
-    result is divided back, a term an int where the denominator divides it.
+    (`rationals.integer_rows`) and shifted one variable at a time.
     """
     den, (numerators,) = integer_rows([list(g.values())])
     terms = dict(zip(g, numerators))
     for var, value in enumerate(shift):
         terms, scale = _shift(terms, var, value.numerator, value.denominator)
         den *= scale
-    return {e: c // den if c % den == 0 else Fraction(c, den) for e, c in terms.items() if c}
+    return terms, den
 
 
 def _shift(
@@ -324,12 +328,16 @@ class Direction(NamedTuple):
     degree: int = 1  # 1 for rational; the factor degree for grouped packets
 
 
-def _directions(g: Germ) -> list[Direction]:
-    """The tangent directions: the second chart axis, then the rational roots
-    ascending, then the irreducible non-linear packets by (degree, multiplicity).
+def _directions(g: Germ, at_least: int = 1) -> list[Direction]:
+    """The tangent directions of multiplicity at least ``at_least`` (a positive
+    int): the second chart axis, then the rational roots ascending, then the
+    irreducible non-linear packets by (degree, multiplicity).
 
     The tangent cone, a binary form in (u, v), is read as a polynomial in
-    t = u/v; a drop in its degree is the multiplicity of the axis v = 0.
+    t = u/v; a drop in its degree is the multiplicity of the axis v = 0.  A
+    squarefree part of the cone whose multiplicity is below ``at_least`` is
+    skipped before it is factored, so a caller that follows only repeated
+    directions factors nothing else.
     """
     m = germ_multiplicity(g)
     cone = _integer_terms(_tangent_cone(g))
@@ -338,12 +346,15 @@ def _directions(g: Germ) -> list[Direction]:
         poly.pop()
     roots, packets = [], []
     for part, mult in squarefree_decomposition(poly):
+        if mult < at_least:
+            continue
         for factor in irreducible_factors(part):
             if len(factor) == 2:
                 roots.append(Direction(Fraction(-factor[0], factor[1]), mult))
             else:
                 packets.append(Direction(None, mult, degree=len(factor) - 1))
-    infinity = [Direction(None, m + 1 - len(poly))] if len(poly) <= m else []
+    axis = m + 1 - len(poly)
+    infinity = [Direction(None, axis)] if axis >= at_least else []
     return (
         infinity
         + sorted(roots, key=lambda d: d.root)
@@ -351,24 +362,33 @@ def _directions(g: Germ) -> list[Direction]:
     )
 
 
-def _blow_up_at_direction(g: Germ, direction: Direction) -> Germ:
-    """Strict-transform germ at the point of the exceptional line the direction marks.
+def _blow_up_at_direction(g: Germ, direction: Direction) -> dict[tuple[int, int], int]:
+    """Strict-transform germ at the point of the exceptional line the direction
+    marks, up to a positive rational factor: a primitive integer germ.
 
     In the first chart, (u, v) -> (v (root + u'), v) divided by v^m, the term
     c u^a v^b becomes c (u' + root)^a v^(a + b - m): the germ is re-keyed to
-    (a, a + b - m) and translated by (root, 0) (:func:`_translate`).
+    (a, a + b - m) and shifted by (root, 0) on integers (:func:`_integer_shift`).
+    In the second chart, (u, v) -> (u, u v') divided by u^m, it is re-keyed to
+    (a + b - m, b).  Both re-keyings are one to one.  Multiplicities, tangent
+    directions, A_n verdicts and colengths are the same for every nonzero
+    multiple of a germ, so a chain of blow-ups builds no Fraction; only
+    :func:`germ_of` divides back to exact coefficients.
     """
     m = germ_multiplicity(g)
-    if direction.root is None and direction.degree == 1:
-        # second chart: (u, v) -> (u, u v'); divide by u^m
-        out: Germ = {}
-        for (a, b), c in g.items():
-            key = (a + b - m, b)
-            out[key] = out.get(key, 0) + c
-        return {e: c for e, c in out.items() if c != 0}
     if direction.degree != 1:
         raise UndecidableOverQ("cannot follow an irrational tangent direction")
-    return _translate({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, 0))
+    if direction.root is None:  # second chart
+        terms = _integer_terms({(a + b - m, b): c for (a, b), c in g.items()})
+    else:
+        terms, _ = _integer_shift({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, 0))
+    content = math.gcd(*terms.values())
+    return {e: c // content for e, c in terms.items() if c}
+
+
+def _jet(g: Germ, top: int) -> Germ:
+    """The terms of the germ of degree at most ``top``."""
+    return {e: c for e, c in g.items() if e[0] + e[1] <= top}
 
 
 class GermNode(NamedTuple):
@@ -400,9 +420,22 @@ def mult_sequence(g: Germ, depth: int = 8) -> GermNode:
 
 
 def _mult_tree(g: Germ, depth: int) -> GermNode:
+    """The tree of :func:`mult_sequence` to the given depth, read from the
+    terms of degree at most depth * m alone, m the multiplicity.
+
+    One blow-up sends a term of degree n to terms of degree n - m and more,
+    and a point infinitely near a point of multiplicity m has multiplicity at
+    most m (the proximity inequality; Wall, *Singular Points of Plane
+    Curves*, 2004).  So, by induction on the depth, a tree of depth d reads
+    only the terms of degree at most d * m: the node reads the terms of
+    degree m, and a term of degree n > d * m reaches a child, of multiplicity
+    m' <= m, only in degrees above (d - 1) * m >= (d - 1) * m', which the
+    child's tree of depth d - 1 does not read.  A dropped term changes no node.
+    """
     m = germ_multiplicity(g)
     if m <= 1 or depth == 1:
         return GermNode(m)
+    g = _jet(g, depth * m)
     children = []
     grouped = []
     for direction in _directions(g):
@@ -712,6 +745,13 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
     """Detect a triple point of a germ at the origin with one infinitely-near
     triple point.
 
+    Only the cone's directions of multiplicity three are factored and
+    followed (``_directions(g, at_least=3)``): a point infinitely near in a
+    direction of multiplicity r has multiplicity at most r, and a cubic cone
+    has at most one triple direction, a rational one.  The profile reads
+    three levels of multiplicity at most 3, so by the argument of
+    :func:`_mult_tree` only the terms of degree at most 9 are blown up.
+
     The profile says which degree-one elliptic double-cover point the germ
     produces: 6 when the second neighborhood has three distinct directions, 7
     when it has a double direction that immediately smooths; anything deeper
@@ -727,13 +767,13 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
     if germ_evaluate_origin(g) != 0 or germ_multiplicity(g) != 3:
         return ThreeThreeVerdict(False, None)
 
-    # a direction of higher degree is simple: doubled, it would take degree >= 4 of the cubic cone
-    children = [_blow_up_at_direction(g, d) for d in _directions(g) if d.degree == 1]
-    triple_children = [child for child in children if child and germ_multiplicity(child) == 3]
-    if len(triple_children) != 1:
+    jet = _jet(g, 9)
+    triple = _directions(jet, at_least=3)
+    child = _blow_up_at_direction(jet, triple[0]) if triple else None
+    if child is None or germ_multiplicity(child) != 3:
         return ThreeThreeVerdict(False, None)
 
-    profile = _t_profile(triple_children[0])
+    profile = _t_profile(child)
     if decomposition is None:
         return ThreeThreeVerdict(True, profile)
 
@@ -748,18 +788,18 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
 
 
 def _t_profile(g: Germ) -> int | None:
-    """Match the infinitely-near triple germ against the two supported patterns."""
-    directions = _directions(g)
-    simple = all(d.multiplicity == 1 for d in directions)
-    if simple:
+    """Match the infinitely-near triple germ against the two supported patterns.
+
+    Only the cone's repeated directions are factored (``at_least=2``).  A
+    cubic cone has at most one, and it is rational: a repeated irrational
+    direction would take degree >= 4.  With none the cone has three distinct
+    directions, profile 6; a double one whose blow-up is smooth is profile 7.
+    """
+    repeated = _directions(g, at_least=2)
+    if not repeated:
         return 6
-    rational = [d for d in directions if d.degree == 1]
-    doubles = [d for d in rational if d.multiplicity == 2]
-    if len(doubles) == 1 and sum(d.multiplicity * d.degree for d in directions) == 3:
-        child = _blow_up_at_direction(g, doubles[0])
-        if child and germ_multiplicity(child) == 1:
-            return 7
-    # no irrational direction is doubled: it would take degree >= 4 of the cubic cone
+    if repeated[0].multiplicity == 2 and germ_multiplicity(_blow_up_at_direction(g, repeated[0])) == 1:
+        return 7
     return None
 
 

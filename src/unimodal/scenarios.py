@@ -459,6 +459,8 @@ def _plane_check_values(payload: Mapping) -> dict[str, object]:
         required, optional = _PLANE_OPS[op]
         name, _, *fields = _fields(check, f"the {op} check", ("name", "op", *required), optional)
         name = _typed(name, "a check name", str)
+        if name in values:  # one name, one reported value
+            raise ScenarioError(f"the check name {name!r} is written twice")
         if op == "restrict":
             form, line, points = fields
             pattern = restrict_to_line(form_from_json(form), form_from_json(line), _points(points))

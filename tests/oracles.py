@@ -29,6 +29,7 @@ from unimodal.planecurves import (
     ConditionSystem,
     Direction,
     Germ,
+    GermNode,
     HomogeneousForm,
     MarkedPoint,
     UndecidableOverQ,
@@ -37,6 +38,7 @@ from unimodal.planecurves import (
     _integer_terms,
     _line_coefficients,
     an_type_at,
+    germ_evaluate_origin,
     germ_multiplicity,
     germ_of,
     linear_form,
@@ -440,6 +442,47 @@ def blow_up_at_direction_by_expansion(g: Germ, direction: Direction) -> Germ:
             key = (i, a + b - m)
             out[key] = out.get(key, Fraction(0)) + c * math.comb(a, i) * direction.root ** (a - i)
     return {e: c for e, c in out.items() if c != 0}
+
+
+def mult_tree_by_expansion(g: Germ, depth: int = 8) -> GermNode:
+    """`planecurves.mult_sequence` with no truncation: every term of the germ
+    blown up in Fractions (:func:`blow_up_at_direction_by_expansion`), along
+    every rational direction of the fully factored tangent cone."""
+    if germ_evaluate_origin(g) != 0:
+        return GermNode(0)
+    m = germ_multiplicity(g)
+    if m <= 1 or depth == 1:
+        return GermNode(m)
+    directions = _directions(g)
+    children = [
+        mult_tree_by_expansion(blow_up_at_direction_by_expansion(g, d), depth - 1)
+        for d in directions
+        if d.degree == 1
+    ]
+    grouped = sorted((d.degree, d.multiplicity) for d in directions if d.degree != 1)
+    return GermNode(m, tuple(sorted(children, key=GermNode.key)), tuple(grouped))
+
+
+def detect_33_by_expansion(g: Germ) -> tuple[bool, int | None]:
+    """``(is_33, profile)`` of `planecurves.detect_33_point`, from the whole
+    germ blown up in Fractions along every rational direction, each cone
+    factored in full: one triple point among the first neighbours, then
+    profile 6 for three simple directions there and 7 for one double
+    direction whose blow-up is smooth."""
+    if germ_evaluate_origin(g) != 0 or germ_multiplicity(g) != 3:
+        return False, None
+    children = [blow_up_at_direction_by_expansion(g, d) for d in _directions(g) if d.degree == 1]
+    triple = [child for child in children if germ_multiplicity(child) == 3]
+    if len(triple) != 1:
+        return False, None
+    directions = _directions(triple[0])
+    if all(d.multiplicity == 1 for d in directions):
+        return True, 6
+    doubles = [d for d in directions if d.degree == 1 and d.multiplicity == 2]
+    if len(doubles) == 1:
+        if germ_multiplicity(blow_up_at_direction_by_expansion(triple[0], doubles[0])) == 1:
+            return True, 7
+    return True, None
 
 
 def intersection_by_blow_ups(f: Germ, g: Germ) -> int:

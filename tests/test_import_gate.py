@@ -1,6 +1,7 @@
 """The engine runs without sympy: importing the command line loads none, and
 the bundled corpus reproduces its golden report with sympy blocked.  The
-import also loads neither `dataclasses` nor `inspect`."""
+import also loads neither `dataclasses` nor `inspect`, and neither it nor a
+corpus run loads `argparse`, `gettext` or `locale`."""
 
 from __future__ import annotations
 
@@ -31,6 +32,18 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     proc = _python("import sys, unimodal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_cli_and_a_corpus_run_load_no_argparse_gettext_or_locale():
+    # the command line is parsed from a table, with no parser to build
+    proc = _python(
+        "import contextlib, io, sys, unimodal.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = unimodal.cli.main(['corpus', '--report=json'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_corpus_reproduces_the_golden_with_sympy_blocked():

@@ -26,7 +26,7 @@ from unimodal.pipelines import (
     section_class_coefficient,
 )
 from unimodal.lattice import make_hirzebruch, make_p2
-from unimodal.scenarios import corpus_dir, load_scenario, run_corpus
+from unimodal.scenarios import _run_pipeline_payload, corpus_dir, load_scenario, run_corpus
 from unimodal.sextics import FAMILIES
 
 from oracles import en_variants
@@ -315,6 +315,25 @@ def test_every_record_names_its_claim():
             assert record.anchor, (result.label, record.name)
         for note in result.diagnostics:
             assert note.anchor, (result.label, note.name)
+
+
+def test_every_pipeline_reports_each_record_name_once():
+    # run_scenario keys the records by name, so a second record of one name would hide the first
+    results = [
+        run_en_pipeline(EnSpec(sing, profile, variant, germ_checks))
+        for sing in ("E12", "E13", "E14")
+        for variant in en_variants(sing)
+        for profile in (6, 7)
+        for germ_checks in (True, False)
+    ]
+    results += [run_zw_pipeline(ZwSpec(fam.singularity, fam.case)) for fam in FAMILIES]
+    results += [run_zw_pipeline(ZwSpec(sing, None)) for sing in ("Z11", "Z12", "Z13", "W12", "W13")]
+    bundled = [load_scenario(path) for path in sorted(corpus_dir().glob("*.scn"))]
+    results += [_run_pipeline_payload(s.payload) for s in bundled if s.kind == "pipeline"]
+    assert len(results) == 28 + 10 + 5 + 17
+    for result in results:
+        names = [r.name for r in result.checks + result.diagnostics]
+        assert len(names) == len(set(names)), (result.label, sorted(n for n in names if names.count(n) > 1))
 
 
 def test_no_record_prints_a_float():

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import unimodal.planecurves as planecurves
 from unimodal.planecurves import (
     AnVerdict,
     ConditionSystem,
+    Direction,
     GermNode,
     HomogeneousForm,
     MarkedPoint,
+    _blow_up_at_direction,
     _integer_terms,
     _jacobian_rows,
     an_type_at,
@@ -32,7 +35,7 @@ from unimodal.planecurves import (
     tangent_cone_conditions,
     tjurina_number,
 )
-from unimodal.rationals import MODULAR_PRIME, integer_rank, nullspace
+from unimodal.rationals import MODULAR_PRIME, integer_rank, irreducible_factors, nullspace
 from unimodal.scenarios import form_from_json
 
 from oracles import (
@@ -346,6 +349,43 @@ def test_detect_33_beyond_catalog_has_no_profile():
     verdict = detect_33_point(g)
     assert verdict.is_33
     assert verdict.profile is None
+
+
+def test_detect_33_factors_only_the_repeated_linear_parts(monkeypatch):
+    # only a triple direction can carry a triple point, and only a double one
+    # a profile-7 tail; in a cubic cone both are linear, so the squarefree
+    # cubics (u^3 + v^3, and u^3 + u^2 v + v^3 after one blow-up) go unfactored
+    degrees = []
+
+    def recording(part):
+        degrees.append(len(part) - 1)
+        return irreducible_factors(part)
+
+    monkeypatch.setattr(planecurves, "irreducible_factors", recording)
+    for k, profile in ((6, 6), (7, 7), (8, None)):
+        verdict = detect_33_point(germ({(3, 0): 1, (2, 2): 1, (0, k): 1}))
+        assert verdict.is_33 and verdict.profile == profile
+    assert not detect_33_point(germ({(3, 0): 1, (0, 3): 1})).is_33
+    assert degrees and set(degrees) == {1}
+
+
+def test_a_blow_up_builds_no_fraction(monkeypatch):
+    # the strict transform is a primitive integer germ, up to a positive factor
+    g = germ({(3, 0): Fraction(1, 2), (2, 1): Fraction(-3, 4), (1, 3): 5, (0, 5): Fraction(7, 3)})
+    directions = (Direction(None, 1), Direction(Fraction(0), 1), Direction(Fraction(-2, 3), 1))
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    blown = [_blow_up_at_direction(g, d) for d in directions]
+    monkeypatch.undo()
+    assert made == []
+    assert all(type(c) is int for child in blown for c in child.values())
+    assert blown[0] == {(0, 0): 6, (0, 1): -9, (1, 3): 60, (2, 5): 28}  # 12 times the transform
 
 
 def test_detect_33_with_decomposition_n6():

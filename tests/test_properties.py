@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -45,6 +45,7 @@ from unimodal.planecurves import (
     _jacobian_rows,
     _share_component,
     an_type_at,
+    detect_33_point,
     germ,
     germ_mul,
     germ_of,
@@ -52,6 +53,7 @@ from unimodal.planecurves import (
     local_intersection,
     monomial,
     monomial_basis,
+    mult_sequence,
     stabilizer_dim,
     tjurina_number,
 )
@@ -74,6 +76,7 @@ from unimodal.scenarios import integral_from_json, rational_from_json
 from oracles import (
     blow_up_at_direction_by_expansion,
     cycle_invariants_by_fractions,
+    detect_33_by_expansion,
     en_variants,
     germ_of_by_expansion,
     int_when_integral,
@@ -82,6 +85,7 @@ from oracles import (
     is_connected_by_union,
     jacobian_rows_all,
     match_catalog_by_scan,
+    mult_tree_by_expansion,
     rank_by_minors,
     rational_by_fraction,
     row_reduce,
@@ -778,10 +782,22 @@ directions = st.one_of(
 )
 
 
+def _primitive_integer_form(g) -> dict:
+    """The germ times the positive rational that makes it a primitive integer germ."""
+    den = lcm(*(Fraction(c).denominator for c in g.values()))
+    ints = {e: int(c * den) for e, c in g.items()}
+    content = gcd(*ints.values())
+    return {e: c // content for e, c in ints.items()}
+
+
 @given(germs(), directions)
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_blow_up_agrees_with_the_fraction_expansion(g, direction):
-    assert _blow_up_at_direction(g, direction) == blow_up_at_direction_by_expansion(g, direction)
+    # a strict transform is defined only up to a unit: the blow-up is the
+    # expansion times a positive rational, as a primitive integer germ
+    blown = _blow_up_at_direction(g, direction)
+    assert all(type(c) is int for c in blown.values()) and gcd(*blown.values()) == 1
+    assert blown == _primitive_integer_form(blow_up_at_direction_by_expansion(g, direction))
 
 
 def test_blow_up_of_an_irrational_direction_is_refused_by_both():
@@ -789,6 +805,61 @@ def test_blow_up_of_an_irrational_direction_is_refused_by_both():
     for blow_up in (_blow_up_at_direction, blow_up_at_direction_by_expansion):
         with pytest.raises(UndecidableOverQ):
             blow_up(g, Direction(None, 1, degree=2))
+
+
+def _sheared(g, c):
+    """g(u + c v, v): the tangent u = 0 becomes u + c v = 0, a rational root -c."""
+    out: dict = {}
+    for (a, b), x in g.items():
+        for i in range(a + 1):
+            out[(i, a - i + b)] = out.get((i, a - i + b), 0) + x * comb(a, i) * c ** (a - i)
+    return germ({e: x for e, x in out.items() if x})
+
+
+small_units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def singular_germs(draw, multiplicities=(2, 3, 4)):
+    """A singular core of multiplicity m -- u^m - s v^b, a product of m smooth
+    branches u = p(v), or for m = 3 also u^3 + l u^2 v^2 + v^k -- plus up to
+    three terms of degree above m up to MAX_DEGREE, sheared by u -> u + c v
+    and perhaps with u and v swapped: chains of infinitely near points,
+    directions in both charts, and high terms that truncation drops."""
+    m = draw(st.sampled_from(multiplicities))
+    kind = draw(st.sampled_from(["power", "branches", "triple"] if m == 3 else ["power", "branches"]))
+    if kind == "power":
+        core = {(m, 0): Fraction(1), (0, draw(st.integers(m, 9))): -draw(small_units)}
+    elif kind == "branches":
+        core = {(0, 0): Fraction(1)}
+        for _ in range(m):
+            coeffs = draw(st.tuples(*[st.sampled_from([-1, 0, 1])] * 3))
+            core = germ_mul(core, germ({(1, 0): 1, **{(0, j + 1): -c for j, c in enumerate(coeffs)}}))
+    else:
+        core = {(3, 0): Fraction(1), (2, 2): draw(small_units), (0, draw(st.integers(4, 9))): Fraction(1)}
+    tail = draw(st.dictionaries(
+        st.tuples(st.integers(0, MAX_DEGREE), st.integers(0, MAX_DEGREE)).filter(lambda e: m < sum(e) <= MAX_DEGREE),
+        small_units,
+        max_size=3,
+    ))
+    g = germ({e: core.get(e, 0) + tail.get(e, 0) for e in {**core, **tail}})
+    g = _sheared(g, draw(st.sampled_from([0, 1, -2, Fraction(1, 2)])))
+    return {(b, a): c for (a, b), c in g.items()} if draw(st.booleans()) else g
+
+
+@given(singular_germs(), st.integers(1, 8))
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_mult_sequence_agrees_with_the_untruncated_fraction_tree(g, depth):
+    assert mult_sequence(g, depth) == mult_tree_by_expansion(g, depth)
+
+
+@given(singular_germs(multiplicities=(3,)))
+@example(_sheared(germ({(3, 0): 1, (2, 2): -1, (0, 6): 2, (7, 9): 1}), Fraction(1, 2)))
+@example(_sheared(germ({(3, 0): 1, (2, 2): 2, (0, 7): 1, (16, 0): -1}), -2))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_detect_33_agrees_with_the_all_directions_oracle(g):
+    verdict = detect_33_point(g)
+    assert (verdict.is_33, verdict.profile) == detect_33_by_expansion(g)
 
 
 small_nonzero = st.builds(Fraction, st.integers(1, 7) | st.integers(-7, -1), st.integers(1, 4))

@@ -327,6 +327,49 @@ def test_corpus_jobs_is_a_usage_error(capsys):
     assert "unrecognized arguments: --jobs=4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["check"], "argument command: invalid choice: 'check'"),
+        (["verify"], "the following arguments are required: file"),
+        (["corpus", "--report=xml"], "argument --report: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["dims", "--report", "xml"], "argument --report: invalid choice: 'xml'"),
+        (["catalog", "--report"], "argument --report: expected one argument"),
+        (["verify", "--dir", "x", str(CORPUS / "e12.scn")], "unrecognized arguments: --dir"),
+        (["corpus", "--rep=json"], "unrecognized arguments: --rep=json"),
+        (["dims", "extra"], "unrecognized arguments: extra"),
+    ],
+    ids=["no-command", "unknown-command", "verify-no-file", "report-xml", "report-xml-spaced",
+         "report-no-value", "verify-dir", "abbreviated-option", "extra-argument"],
+)
+def test_a_usage_error_is_exit_2_with_the_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: unimodal ")
+    assert f"\nunimodal: error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["corpus", "--help"], ["verify", "-h"]])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: unimodal ") and err == ""
+    if len(argv) == 1:
+        assert all(f"\n  {command} " in out for command in ("verify", "corpus", "catalog", "dims"))
+
+
+def test_report_takes_its_value_after_a_space_or_an_equals_sign(capsys):
+    for argv in (["dims", "--report", "json"], ["dims", "--report=json"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads((Path(__file__).parent / "goldens" / "dims.json").read_text())
+
+
 def test_report_round_trip():
     report = run_corpus(CORPUS)
     assert parse_report(emit_report(report)) == report
@@ -764,12 +807,20 @@ def _plane(check: dict, pins: dict | None = None) -> dict:
             "the key 'profile' is written twice",
         ),
         (_plane({"name": "t", "op": "mult-tree", "germ": {"terms": {"2,0": "1", "02,0": "1"}}}), "'02,0' twice"),
+        # only the last check was kept: the cusp's A2 verdict was lost, and the pin passed
+        (
+            json.loads(scn("plane-check", {"checks": [
+                {"name": "a", "op": "an-type", "germ": {"terms": {"2,0": "1", "0,3": "1"}}},
+                {"name": "a", "op": "an-type", "germ": {"terms": {"1,0": "1", "0,3": "1"}}},
+            ]}, {"a": {"value": "smooth"}})),
+            "the check name 'a' is written twice",
+        ),
     ],
     ids=[
         "pipeline-config", "profle", "zw-profile", "en-family-case", "expect", "derived-from", "plane-check",
         "component-genus", "contact-tangent", "form-coefs", "germ-term", "an-type-candidat",
         "detect-33-decompostion", "derived-from-fibre", "pin-flg", "an-type-germ-and-form", "not-utf-8",
-        "key-twice", "monomial-twice",
+        "key-twice", "monomial-twice", "check-name-twice",
     ],
 )
 def test_an_unknown_key_is_exit_2_and_named(tmp_path, capsys, data, message):
