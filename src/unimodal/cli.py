@@ -11,7 +11,6 @@ import json
 import sys
 
 from .configurations import catalog_to_json
-from .pipelines import DISCREPANCIES
 from .rationals import rat_str
 from .scenarios import (
     Report,
@@ -22,7 +21,7 @@ from .scenarios import (
     report_for,
     run_corpus,
 )
-from .sextics import FAMILIES
+from .sextics import COUNT_FLAG, FAMILIES
 
 
 def _print_report(report: Report, layout: str) -> int:
@@ -75,7 +74,7 @@ def _cmd_dims(args: dict) -> int:
         }
         if counts.variant_orbit is not None:
             row["variant"] = rat_str(counts.variant_orbit)
-            row["flag"] = DISCREPANCIES["family-orbit-count"].flag
+            row["flag"] = COUNT_FLAG
         rows.append(row)
     if args["report"] == "json":
         sys.stdout.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")

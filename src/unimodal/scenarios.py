@@ -7,11 +7,16 @@ object names its keys, and a key it does not name, a missing required key or a
 key written twice is malformed input.  The other modules take typed values
 only.  Reports are
 JSON with sorted keys; integers and exact fractions travel as strings, never
-as floating point.  Every reported value is a `pipelines.CheckRecord` and
-every status comes from `pipelines.judge`: a value that no claim states passes
-as itself, a "flagged" status is reserved for the documented discrepancies
-between stated and recomputed values and can never mask a computation error,
-and a pin can only confirm a record or turn it into a failure.
+as floating point.
+
+The engine computes and the pins claim.  Every reported value is a
+`pipelines.CheckRecord`: an engine check of an invariant, which passes or
+fails on its own, or a computed value, which passes as itself until a pin
+states it.  A scenario checks the claims it pins and the engine's
+invariants, nothing else.  A pin confirms its record, fails it, or, naming
+the kind of :data:`FLAG_KINDS` that documents the record, flags it: the
+record is flagged exactly when the computed value is the pin's value and the
+pin claims a different one, so a flag can never mask a computation error.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .configurations import (
 )
 from .lattice import SharedMoves
 from .pipelines import (
-    FLAG_KINDS,
     CheckRecord,
     EnSpec,
     PipelineResult,
@@ -62,9 +66,17 @@ from .planecurves import (
     stabilizer_dim,
 )
 from .rationals import plain
+from .sextics import COUNT_FLAG
 
 SCHEMA_VERSION = "1"
 KINDS = ("pipeline", "config-check", "plane-check")
+# The documented discrepancies between a stated value and its exact
+# recomputation (see README): each flag kind, and the records it may flag.
+FLAG_KINDS = {
+    "nef-bundle-en-values": ("nef-bundle-on-bisection", "nef-bundle-squared"),
+    "noether-c2": ("noether-euler-number",),
+    COUNT_FLAG: ("family-orbit-count",),
+}
 # An an-type candidate c caps the Milnor-number search of `an_type_at` at
 # b = 16c + 16.  At c = 8 a germ whose Milnor number lies beyond that cap (a
 # disguised A_200) exhausts the search in about a minute on a 2-core machine.
@@ -360,7 +372,7 @@ def parse_scenario(text: str, source: str = "<memory>") -> Scenario:
         value, claimed, flag = _fields(
             entry, f"{source}: expected entry {key!r}", ("value",), {"claimed": None, "flag": None}
         )
-        if flag is not None and flag not in FLAG_KINDS:
+        if flag is not None and (type(flag) is not str or flag not in FLAG_KINDS):
             raise ScenarioError(f"{source}: expected entry {key!r} names an undocumented flag {flag!r}")
         if type(value) not in (str, int) or type(claimed) not in (str, int, type(None)):
             raise ScenarioError(f"{source}: expected entry {key!r}: value and claimed are strings or ints")
@@ -520,12 +532,24 @@ def _tree_label(node) -> str:
 
 
 def _agree(pin: ExpectedEntry, record: CheckRecord) -> CheckRecord:
-    """A record as pinned: unchanged when the pin restates its computed value
-    and its documented discrepancy (none for a plain value), else failed and
-    expecting the pin as written, so the report names the part that differs."""
-    claimed = record.expected if record.flag else None
-    if (pin.value, pin.claimed, pin.flag) == (record.computed, claimed, record.flag):
-        return record
+    """A record as pinned.
+
+    A plain pin that restates the computed value leaves the record as the
+    engine judged it.  A pin with the flag kind of the record and a claimed
+    value flags a passing record whose computed value it restates, when the
+    claimed value differs from it; the flagged record expects the claimed
+    value.  Anything else fails, expecting the pin as written, so the report
+    names the part that differs.
+    """
+    if pin.value == record.computed:
+        if pin.claimed is None and pin.flag is None:
+            return record
+        if (
+            record.status == "pass"
+            and record.name in FLAG_KINDS.get(pin.flag, ())
+            and pin.claimed not in (None, pin.value)
+        ):
+            return record._replace(expected=pin.claimed, status="flagged", flag=pin.flag)
     stated = []
     if pin.claimed is not None:
         stated.append(f"claimed {pin.claimed}")
@@ -539,16 +563,16 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Execute one scenario and merge its pins with its records.
 
     Every value a scenario reports is a `CheckRecord`: an engine check, or a
-    value that no claim states (a config-check or plane-check value, a
-    pipeline diagnostic), which passes as itself.  Each pin is merged with its
-    record by `_agree`, or fails as missing when there is none.  Unpinned
-    records are reported only when they do not pass.
+    computed value (a config-check or plane-check value, a pipeline note),
+    which passes as itself.  Each pin is merged with its record by `_agree`,
+    or fails as missing when there is none.  Unpinned records are reported
+    only when they do not pass: a failed engine check.
     """
     anchor = f"{scenario.kind} value"
     try:
         if scenario.kind == "pipeline":
             result = _run_pipeline_payload(scenario.payload)
-            records = result.checks + result.diagnostics
+            records = result.checks + result.notes
         else:
             compute = _config_check_values if scenario.kind == "config-check" else _plane_check_values
             records = tuple(judge(name, v, v, anchor) for name, v in compute(scenario.payload).items())

@@ -26,12 +26,18 @@ from unimodal.pipelines import (
     section_class_coefficient,
 )
 from unimodal.lattice import make_hirzebruch, make_p2
-from unimodal.scenarios import _run_pipeline_payload, corpus_dir, load_scenario, run_corpus
+from unimodal.scenarios import _run_pipeline_payload, corpus_dir, load_scenario, run_corpus, run_scenario
 from unimodal.sextics import FAMILIES
 
 from oracles import en_variants
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+
+def corpus_record(scenario: str, name: str):
+    """The report record of one bundled scenario: a computed value as its pin claims it."""
+    report = run_scenario(load_scenario(corpus_dir() / f"{scenario}.scn"))
+    return next(a for a in report.assertions if a.name == name)
 
 
 def all_en_specs():
@@ -82,26 +88,28 @@ def test_en_nef_bundle_values():
     assert e12.check("nef-bundle-on-fiber").computed == "2"
     assert e12.check("nef-bundle-on-bisection").computed == "4"
     assert e12.check("nef-bundle-squared").computed == "8"
-    assert e12.check("nef-bundle-on-bisection").status == "pass"
+    assert corpus_record("e12", "nef-bundle-on-bisection").status == "pass"
     for sing, variant in (("E13", "I2"), ("E14", "I3")):
         result = run_en_pipeline(EnSpec(sing, fiber_variant=variant))
         bisection = result.check("nef-bundle-on-bisection")
         squared = result.check("nef-bundle-squared")
         assert (bisection.computed, squared.computed) == ("2", "6")
-        assert bisection.status == "flagged" and squared.status == "flagged"
         assert result.failed == ()
+        for name, stated in (("nef-bundle-on-bisection", "4"), ("nef-bundle-squared", "8")):
+            record = corpus_record(f"{sing}-{variant}".lower(), name)
+            assert (record.status, record.expected, record.flag) == ("flagged", stated, "nef-bundle-en-values")
 
 
 def test_en_nef_bundle_chi_diagnostics():
     e12 = run_en_pipeline(EnSpec("E12"))
-    diag = {note.name: note.computed for note in e12.diagnostics}
+    diag = {note.name: note.computed for note in e12.notes}
     assert diag["nef-bundle-euler-characteristic"] == "5"
     assert diag["nef-bundle-pushforward-degree-sum"] == "6"
 
 
 def test_en_noether_flag():
-    result = run_en_pipeline(EnSpec("E12"))
-    record = result.check("noether-euler-number")
+    assert run_en_pipeline(EnSpec("E12")).check("noether-euler-number").computed == "24"
+    record = corpus_record("e12", "noether-euler-number")
     assert record.status == "flagged"
     assert record.computed == "24"
     assert record.expected == "23"
@@ -147,7 +155,7 @@ def test_en_multiple_fiber_follows_profile():
 
 def test_en_multiple_fiber_carries_the_catalog_marker(monkeypatch):
     # F is the catalog's T237 curve: with a cusp in place of its node the
-    # multiple fibre read off the surface is II, and the record fails
+    # multiple fibre read off the surface is II, and the pinned record fails
     def cusped(label):
         entry = catalog_entry(label)
         if label != "T237":
@@ -155,7 +163,7 @@ def test_en_multiple_fiber_carries_the_catalog_marker(monkeypatch):
         return entry._replace(config=CurveConfiguration((Component("F", -1, 1, "cusp"),)))
 
     monkeypatch.setattr(pipelines, "catalog_entry", cusped)
-    record = run_en_pipeline(EnSpec("E13", profile=7, fiber_variant="I3")).check("multiple-fiber-type")
+    record = corpus_record("e13-i3", "multiple-fiber-type")
     assert (record.computed, record.expected, record.status) == ("II", "I1", "fail")
 
 
@@ -176,7 +184,7 @@ def test_route_types_are_the_catalog_degrees():
 
 def test_en_euler_budget_remainder():
     result = run_en_pipeline(EnSpec("E14", profile=7, fiber_variant="I4"))
-    assert {note.name: note.computed for note in result.diagnostics}["euler-budget-remainder"] == "19"
+    assert {note.name: note.computed for note in result.notes}["euler-budget-remainder"] == "19"
 
 
 def test_en_illegal_variants_rejected():
@@ -204,9 +212,8 @@ def test_en_catalog_mismatch_is_failure_not_exception(monkeypatch):
     monkeypatch.setattr(pipelines, "catalog_entry", patched)
     result = run_en_pipeline(EnSpec("E12"))
     assert result.check("catalog-match").computed == "Z11"
-    names = {r.name for r in result.failed}
-    assert "catalog-match" in names
-    assert "exceptional-self-intersections" in names
+    assert "exceptional-self-intersections" in {r.name for r in result.failed}
+    assert corpus_record("e12", "catalog-match").status == "fail"
 
 
 def test_e13_i2_and_e14_i3_share_their_cover_inside_a_pass():
@@ -240,17 +247,20 @@ def test_zw_ade_labels():
     assert run_zw_pipeline(ZwSpec("Z13")).check("ade-contraction").computed == "A2"
 
 
-def test_zw_ade_expects_the_branch_sextic_mark():
-    # the lattice's rational double point is checked against the A_n mark of
-    # the singularity's branch sextic, which every family of it must share
+def test_zw_ade_claims_are_the_branch_sextic_mark():
+    # the lattice's rational double point is claimed to be the A_n mark of the
+    # singularity's branch sextic, which every family of it must share
     anchors = {"Z11": "none", "W12": "none", "Z12": "A1", "W13": "A1", "Z13": "A2"}
     for sing, anchor in anchors.items():
         marks = {fam.singular_mark for fam in FAMILIES if fam.singularity == sing}
         assert len(marks) == 1, sing
         (mark,) = marks
         assert ("none" if mark is None else f"A{mark[1]}") == anchor
-        record = run_zw_pipeline(ZwSpec(sing, family_case=None)).check("ade-contraction")
-        assert (record.expected, record.status) == (anchor, "pass"), sing
+        assert run_zw_pipeline(ZwSpec(sing, family_case=None)).check("ade-contraction").computed == anchor
+        for fam in FAMILIES:
+            if fam.singularity == sing:
+                record = corpus_record(fam.family_id, "ade-contraction")
+                assert (record.expected, record.status) == (anchor, "pass"), fam.family_id
 
 
 def test_zw_family_counts():
@@ -267,12 +277,11 @@ def test_zw_family_counts():
     }
     for (sing, case), value in expectations.items():
         result = run_zw_pipeline(ZwSpec(sing, family_case=case))
-        record = result.check("family-orbit-count")
-        assert record.computed == value and record.status == "pass", (sing, case)
+        assert result.check("family-orbit-count").computed == value, (sing, case)
     flagged = run_zw_pipeline(ZwSpec("Z13", family_case=2))
-    record = flagged.check("family-orbit-count")
-    assert record.computed == "16" and record.status == "flagged"
-    assert {note.name: note.computed for note in flagged.diagnostics}["family-orbit-count-variant"] == "15"
+    assert flagged.check("family-orbit-count").computed == "16"
+    assert corpus_record("z13-case2", "family-orbit-count").status == "flagged"
+    assert {note.name: note.computed for note in flagged.notes}["family-orbit-count-variant"] == "15"
     assert flagged.failed == ()
 
 
@@ -313,7 +322,7 @@ def test_every_record_names_its_claim():
     for result in results:
         for record in result.checks:
             assert record.anchor, (result.label, record.name)
-        for note in result.diagnostics:
+        for note in result.notes:
             assert note.anchor, (result.label, note.name)
 
 
@@ -332,7 +341,7 @@ def test_every_pipeline_reports_each_record_name_once():
     results += [_run_pipeline_payload(s.payload) for s in bundled if s.kind == "pipeline"]
     assert len(results) == 28 + 10 + 5 + 17
     for result in results:
-        names = [r.name for r in result.checks + result.diagnostics]
+        names = [r.name for r in result.checks + result.notes]
         assert len(names) == len(set(names)), (result.label, sorted(n for n in names if names.count(n) > 1))
 
 
@@ -351,7 +360,7 @@ def test_no_record_prints_a_float():
     assert len(results) == 19
     for result in results:
         texts = [text for r in result.checks for text in (r.computed, r.expected)]
-        texts += [note.computed for note in result.diagnostics]
+        texts += [note.computed for note in result.notes]
         for text in texts:
             assert not re.search(r"\d\.|\.\d|\de[-+]?\d|\b(inf|nan)\b", text), (result.label, text)
             if re.fullmatch(r"[-+\d./e]+", text):
@@ -415,6 +424,6 @@ def test_goldens(name, runner):
             }
             for r in result.checks
         ],
-        "diagnostics": {note.name: note.computed for note in result.diagnostics},
+        "notes": {note.name: note.computed for note in result.notes},
     }
     assert computed == golden

@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import unimodal.lattice as lattice
 import unimodal.pipelines as pipelines
+import unimodal.scenarios as scenarios
 from unimodal.cli import main
 from unimodal.configurations import catalog_entry, config_to_json
 from unimodal.lattice import make_p2
-from unimodal.pipelines import FLAG_KINDS, CheckRecord, run_riemann_hurwitz_check
+from unimodal.pipelines import CheckRecord, run_riemann_hurwitz_check
 from unimodal.scenarios import (
+    FLAG_KINDS,
     MAX_CANDIDATE,
     Report,
     ScenarioError,
@@ -243,7 +245,7 @@ _RECORDS = st.builds(
     _TEXT,
     st.one_of(st.sampled_from(["pass", "fail", "flagged"]), _TEXT),
     _TEXT,
-    st.one_of(st.none(), st.sampled_from(FLAG_KINDS), _TEXT),
+    st.one_of(st.none(), st.sampled_from(sorted(FLAG_KINDS)), _TEXT),
 )
 _REPORTS = st.builds(
     Report,
@@ -378,9 +380,9 @@ def test_report_round_trip():
 def test_e12_scenario_counts():
     scenario = load_scenario(CORPUS / "e12.scn")
     result = run_scenario(scenario)
-    assert result.count("pass") == 15
+    assert result.count("pass") == 32
     assert result.count("fail") == 0
-    assert result.count("flagged") == 1  # the Euler-number discrepancy surfaces
+    assert result.count("flagged") == 1  # the Euler-number discrepancy, pinned as a flag
     assert result.exit_code == 0
 
 
@@ -1081,7 +1083,8 @@ def test_configuration_bounds_admit_their_limits():
 
 
 # ---------------------------------------------------------------------------
-# A pin can confirm a record or fail it; it can never flag or pass on its own
+# A pin confirms a record or fails it, and flags it only as the documented
+# discrepancy of that record; a failed engine check stays failed
 # ---------------------------------------------------------------------------
 
 _CONFIG_E13 = {
@@ -1175,12 +1178,12 @@ def test_discrepancy_pinned_on_a_passing_engine_record_fails(tmp_path, capsys, p
 @pytest.mark.parametrize(
     "pin",
     [
-        {"value": "24"},  # the discrepancy left out
         {"value": "24", "claimed": "23"},
         {"value": "24", "flag": "noether-c2"},
-        {"value": "24", "claimed": "22", "flag": "noether-c2"},
         {"value": "24", "claimed": "23", "flag": "nef-bundle-en-values"},
         {"value": "23", "claimed": "23", "flag": "noether-c2"},
+        {"value": "24", "claimed": "24", "flag": "noether-c2"},
+        {"value": "23"},
     ],
 )
 def test_pin_that_does_not_restate_the_discrepancy_fails(tmp_path, capsys, pin):
@@ -1191,6 +1194,29 @@ def test_pin_that_does_not_restate_the_discrepancy_fails(tmp_path, capsys, pin):
     statuses = {a["name"]: a["status"] for a in report["scenarios"][0]["assertions"]}
     assert statuses["noether-euler-number"] == "fail"
     assert "noether-c2" not in report["summary"]["flags"]
+
+
+def test_the_pin_states_the_claim(tmp_path, capsys):
+    # the engine holds no stated value: a scenario that claims the recomputed
+    # 24 passes, and one that claims 22 beside it flags 22
+    data = json.loads((CORPUS / "e13-i2.scn").read_text())
+    for pin, status, expected in (
+        ({"value": "24"}, "pass", "24"),
+        ({"value": "24", "claimed": "22", "flag": "noether-c2"}, "flagged", "22"),
+    ):
+        data["expected"] = {"noether-euler-number": pin}
+        code, report = _verify_json(tmp_path, capsys, json.dumps(data))
+        assert code == 0
+        (record,) = report["scenarios"][0]["assertions"]
+        assert (record["status"], record["computed"], record["expected"]) == (status, "24", expected)
+
+
+def test_a_flag_never_masks_a_failed_engine_check(monkeypatch):
+    # a pin that restates a failing invariant, with a flag kind, leaves it failed
+    monkeypatch.setitem(scenarios.FLAG_KINDS, "noether-c2", ("blowdown-kind",))
+    broken = CheckRecord("blowdown-kind", "contraction", "blow-down", "fail", "anchor")
+    pin = scenarios.ExpectedEntry("contraction", claimed="blow-down", flag="noether-c2")
+    assert scenarios._agree(pin, broken).status == "fail"
 
 
 def test_kodaira_check_of_a_64_component_complete_graph_is_fast(tmp_path, capsys):

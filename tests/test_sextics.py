@@ -184,12 +184,11 @@ def test_dims_check_takes_one_rank_per_system_and_one_stabilizer(monkeypatch):
     for fam in FAMILIES:
         ranks.clear()
         stabilizers.clear()
-        notes = run_zw_pipeline(ZwSpec(fam.singularity, fam.case)).diagnostics
-        diagnostics = {note.name: note.computed for note in notes}
+        notes = {note.name: note.computed for note in run_zw_pipeline(ZwSpec(fam.singularity, fam.case)).notes}
         # the stated system, and the one with the full mark for the flagged family
         assert len(ranks) == (1 if fam.stated_mark_n is None else 2), fam.family_id
         assert len(stabilizers) == 1, fam.family_id
-        assert diagnostics["stabilizer-dim"] == str(original_stabilizer(fam.marked_points, (LINE,)))
+        assert notes["stabilizer-dim"] == str(original_stabilizer(fam.marked_points, (LINE,)))
 
 
 def test_restriction_patterns_all_families():

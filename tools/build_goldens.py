@@ -1,7 +1,7 @@
 """Regenerate the goldens under tests/goldens/.
 
-One golden per singularity type, pinning every check record and diagnostic of
-a designated pipeline run, and the JSON output of three commands byte for
+One golden per singularity type, pinning every engine check and computed
+value (note) of a designated pipeline run, and the JSON output of three commands byte for
 byte: `corpus-report.json` (`unimodal corpus --report=json`, the machine
 report of the bundled corpus), `dims.json` (`unimodal dims --report=json`)
 and `catalog.json` (`unimodal catalog --report=json`).  Regenerate only
@@ -63,7 +63,7 @@ def main() -> None:
                 }
                 for r in result.checks
             ],
-            "diagnostics": {note.name: note.computed for note in result.diagnostics},
+            "notes": {note.name: note.computed for note in result.notes},
         }
         (OUT / f"{name}.json").write_text(
             json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
