@@ -182,7 +182,7 @@ def _pairings(gram: Sequence[Sequence[int]], z) -> list[int]:
     return [sum(a * x for a, x in zip(z, row)) for row in gram]
 
 
-def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
+def fundamental_cycle(config: CurveConfiguration, *, definite: bool = False) -> FundamentalCycle:
     """Smallest positive cycle Z with Z.E_i <= 0 for all i, by Laufer's loop.
 
     Starts at the reduced cycle and repeatedly takes the first component E_b
@@ -193,11 +193,13 @@ def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
     pairings live on the integral Gram matrix and are updated by the row of
     the added component, not recomputed.  A cycle that needs more than
     :data:`MAX_LAUFER_ITERATIONS` steps is refused with ValueError, so a
-    scenario asking for one is oversized input.
+    scenario asking for one is oversized input.  A configuration that is not
+    negative definite is refused with ValueError too, unless ``definite``
+    says that the caller has already found it negative definite.
     """
     if not config.components:
         raise ValueError("empty configuration has no fundamental cycle")
-    if not is_negative_definite(config):
+    if not definite and not is_negative_definite(config):
         raise ValueError("configuration is not negative definite")
     return _laufer_cycle(config)
 
@@ -224,7 +226,7 @@ class EllipticClassification(NamedTuple):
     cycle: FundamentalCycle
 
 
-def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassification:
+def classify_minimally_elliptic(config: CurveConfiguration, *, definite: bool = False) -> EllipticClassification:
     """Minimally elliptic iff p_a(Z) = 1 and every proper connected piece is rational.
 
     Only the connected pieces of E - {v}, for each component v, are checked:
@@ -237,9 +239,10 @@ def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassific
     p_a >= 0 as well.  So 0 <= p_a(Z_T) <= p_a(Z_S), and a rational S has only
     rational connected pieces.  The pieces are negative definite with the
     whole (their Gram matrices are principal submatrices), so their cycles are
-    taken without testing that again.
+    taken without testing that again, and so is the whole when ``definite``
+    says the caller has tested it (:func:`fundamental_cycle`).
     """
-    cycle = fundamental_cycle(config)
+    cycle = fundamental_cycle(config, definite=definite)
     pa = cycle.pa
     if pa == 0:
         return EllipticClassification("rational", None, cycle)

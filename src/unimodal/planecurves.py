@@ -234,10 +234,11 @@ def _chart_axes(point: MarkedPoint) -> tuple[int, int]:
 
 
 def _integer_shift(
-    g: Germ, shift: tuple[int | Fraction, int | Fraction]
+    g: Germ, shift: tuple[int | Fraction, int | Fraction], top: int | None = None
 ) -> tuple[dict[tuple[int, int], int], int]:
     """``(terms, den)`` with terms / den the germ g(u + s, v + t) for
-    ``shift = (s, t)``: integer terms and den > 0.
+    ``shift = (s, t)``: integer terms and den > 0; with ``top``, the terms of
+    total degree at most ``top`` that the shift builds (:func:`_shift`).
 
     The germ is scaled once to integer numerators over one denominator
     (`rationals.integer_rows`) and shifted one variable at a time.
@@ -245,20 +246,25 @@ def _integer_shift(
     den, (numerators,) = integer_rows([list(g.values())])
     terms = dict(zip(g, numerators))
     for var, value in enumerate(shift):
-        terms, scale = _shift(terms, var, value.numerator, value.denominator)
+        terms, scale = _shift(terms, var, value.numerator, value.denominator, top)
         den *= scale
     return terms, den
 
 
 def _shift(
-    terms: dict[tuple[int, int], int], var: int, p: int, q: int
+    terms: dict[tuple[int, int], int], var: int, p: int, q: int, top: int | None = None
 ) -> tuple[dict[tuple[int, int], int], int]:
     """``(q^n h(.., x + p/q, ..), q^n)`` for integer terms h, x the variable
-    ``var`` and n its largest exponent in h.
+    ``var`` and n its largest exponent in h; with ``top``, only its terms of
+    total degree at most ``top``.
 
     The terms are grouped by the other variable's exponent.  A group
     sum c_a x^a of top degree m becomes q^(n - m) sum c_a q^(m - a) (q x + p)^a,
-    by Horner's rule in (q x + p) on integers.
+    by Horner's rule in (q x + p) on integers.  A Horner step sends the
+    coefficient of x^i to those of x^i and x^(i + 1) only, so a step that
+    keeps the coefficients below x^k alone is exact on them: a group whose
+    other exponent is e keeps x^i for i <= top - e, and a group with
+    e > top is skipped.
     """
     if not p or not terms:
         return terms, 1
@@ -272,6 +278,9 @@ def _shift(
     out: dict[tuple[int, int], int] = {}
     for other, group in groups.items():
         m = max(group)
+        keep = m + 1 if top is None else top - other + 1  # the powers x^i with i < keep
+        if keep <= 0:
+            continue
         acc = [group[m]]
         for a in range(m - 1, -1, -1):  # acc <- acc * (q x + p) + c_a q^(m - a)
             acc = (
@@ -279,6 +288,7 @@ def _shift(
                 + [p * x + q * y for x, y in zip(acc[1:], acc)]
                 + [q * acc[-1]]
             )
+            del acc[keep:]
         for i, c in enumerate(acc):
             if c:
                 out[(i, other) if var == 0 else (other, i)] = c * powers[n - m]
@@ -315,8 +325,8 @@ def germ_mul(f: Germ, g: Germ) -> Germ:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def _tangent_cone(g: Germ) -> Germ:
-    m = germ_multiplicity(g)
+def _tangent_cone(g: Germ, m: int) -> Germ:
+    """The terms of degree m, the germ's multiplicity."""
     return {e: c for e, c in g.items() if e[0] + e[1] == m}
 
 
@@ -328,10 +338,11 @@ class Direction(NamedTuple):
     degree: int = 1  # 1 for rational; the factor degree for grouped packets
 
 
-def _directions(g: Germ, at_least: int = 1) -> list[Direction]:
+def _directions(g: Germ, at_least: int = 1, m: int | None = None) -> list[Direction]:
     """The tangent directions of multiplicity at least ``at_least`` (a positive
     int): the second chart axis, then the rational roots ascending, then the
-    irreducible non-linear packets by (degree, multiplicity).
+    irreducible non-linear packets by (degree, multiplicity).  ``m`` is the
+    germ's multiplicity, taken here unless the caller has it.
 
     The tangent cone, a binary form in (u, v), is read as a polynomial in
     t = u/v; a drop in its degree is the multiplicity of the axis v = 0.  A
@@ -339,8 +350,9 @@ def _directions(g: Germ, at_least: int = 1) -> list[Direction]:
     skipped before it is factored, so a caller that follows only repeated
     directions factors nothing else.
     """
-    m = germ_multiplicity(g)
-    cone = _integer_terms(_tangent_cone(g))
+    if m is None:
+        m = germ_multiplicity(g)
+    cone = _integer_terms(_tangent_cone(g, m))
     poly = [cone.get((a, m - a), 0) for a in range(m + 1)]
     while poly[-1] == 0:
         poly.pop()
@@ -362,9 +374,14 @@ def _directions(g: Germ, at_least: int = 1) -> list[Direction]:
     )
 
 
-def _blow_up_at_direction(g: Germ, direction: Direction) -> dict[tuple[int, int], int]:
+def _blow_up_at_direction(
+    g: Germ, direction: Direction, m: int | None = None, top: int | None = None
+) -> dict[tuple[int, int], int]:
     """Strict-transform germ at the point of the exceptional line the direction
-    marks, up to a positive rational factor: a primitive integer germ.
+    marks, up to a positive rational factor: a primitive integer germ.  ``m``
+    is the germ's multiplicity, taken here unless the caller has it; with
+    ``top``, a first-chart blow-up builds only the terms of degree at most
+    ``top`` (:func:`_shift`), and the content is that of those terms.
 
     In the first chart, (u, v) -> (v (root + u'), v) divided by v^m, the term
     c u^a v^b becomes c (u' + root)^a v^(a + b - m): the germ is re-keyed to
@@ -375,13 +392,14 @@ def _blow_up_at_direction(g: Germ, direction: Direction) -> dict[tuple[int, int]
     multiple of a germ, so a chain of blow-ups builds no Fraction; only
     :func:`germ_of` divides back to exact coefficients.
     """
-    m = germ_multiplicity(g)
+    if m is None:
+        m = germ_multiplicity(g)
     if direction.degree != 1:
         raise UndecidableOverQ("cannot follow an irrational tangent direction")
     if direction.root is None:  # second chart
         terms = _integer_terms({(a + b - m, b): c for (a, b), c in g.items()})
     else:
-        terms, _ = _integer_shift({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, 0))
+        terms, _ = _integer_shift({(a, a + b - m): c for (a, b), c in g.items()}, (direction.root, 0), top)
     content = math.gcd(*terms.values())
     return {e: c // content for e, c in terms.items() if c}
 
@@ -431,6 +449,12 @@ def _mult_tree(g: Germ, depth: int) -> GermNode:
     degree m, and a term of degree n > d * m reaches a child, of multiplicity
     m' <= m, only in degrees above (d - 1) * m >= (d - 1) * m', which the
     child's tree of depth d - 1 does not read.  A dropped term changes no node.
+
+    A child of a direction of multiplicity k meets the exceptional line there
+    with intersection number k, so its multiplicity is at most k, and its
+    tree reads no term above (d - 1) * k: its blow-up builds none
+    (:func:`_blow_up_at_direction`).  The multiplicity of each node is taken
+    once.
     """
     m = germ_multiplicity(g)
     if m <= 1 or depth == 1:
@@ -438,11 +462,11 @@ def _mult_tree(g: Germ, depth: int) -> GermNode:
     g = _jet(g, depth * m)
     children = []
     grouped = []
-    for direction in _directions(g):
+    for direction in _directions(g, m=m):
         if direction.degree != 1:
             grouped.append((direction.degree, direction.multiplicity))
             continue
-        child_germ = _blow_up_at_direction(g, direction)
+        child_germ = _blow_up_at_direction(g, direction, m, (depth - 1) * direction.multiplicity)
         child = _mult_tree(child_germ, depth - 1)
         if child.multiplicity > 0:
             children.append(child)

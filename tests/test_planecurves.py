@@ -388,6 +388,38 @@ def test_a_blow_up_builds_no_fraction(monkeypatch):
     assert blown[0] == {(0, 0): 6, (0, 1): -9, (1, 3): 60, (2, 5): 28}  # 12 times the transform
 
 
+def test_a_mult_tree_takes_each_multiplicity_once_and_builds_no_term_past_a_jet(monkeypatch):
+    # counted calls, no timing: four smooth branches u = 0, v, v + v^2 and
+    # v + v^2 + v^3, plus u^16, which the depth-3 tree does not read, and
+    # u^8 v^2, whose blow-up at the direction u = v has terms up to degree 14
+    g = germ({(1, 0): 1})
+    for branch in ({(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): -1, (0, 2): -1}, {(1, 0): 1, (0, 1): -1, (0, 2): -1, (0, 3): -1}):
+        g = germ_mul(g, germ(branch))
+    g.update({(16, 0): 1, (8, 2): 3})
+    multiplicities, jets = [], []
+    multiplicity, jet = planecurves.germ_multiplicity, planecurves._jet
+
+    def counting(h):
+        multiplicities.append(1)
+        return multiplicity(h)
+
+    def recording(h, top):
+        jets.append((len(h), len(jet(h, top))))
+        return jet(h, top)
+
+    monkeypatch.setattr(planecurves, "germ_multiplicity", counting)
+    monkeypatch.setattr(planecurves, "_jet", recording)
+    tree = mult_sequence(g, depth=3)
+    nodes = [tree]
+    for node in nodes:
+        nodes.extend(node.children)
+    assert [node.multiplicity for node in nodes] == [4, 1, 3, 1, 2]
+    assert len(multiplicities) == 5
+    (root, root_kept), *children = jets
+    assert root_kept < root  # the root's jet drops u^16
+    assert children and all(built == kept for built, kept in children)
+
+
 def test_detect_33_with_decomposition_n6():
     smooth = germ({(1, 0): 1, (0, 2): -2})  # y - 2 z^2
     residual = germ({(2, 0): 1, (0, 4): -1})  # y^2 - z^4, a tacnode

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import unimodal.configurations as configurations
 import unimodal.lattice as lattice
 import unimodal.pipelines as pipelines
 import unimodal.scenarios as scenarios
@@ -95,6 +96,24 @@ def test_corpus_pinned_diagnostics_name_their_claim():
     }
     assert pinned and all(anchor != "pipeline value" for _, anchor in pinned)
     assert len({anchor for _, anchor in pinned}) == 3
+
+
+def test_a_config_check_tests_definiteness_once(monkeypatch):
+    # counted calls, no timing: the classification of a negative definite
+    # configuration takes its fundamental cycle without a second test
+    calls = []
+    test = configurations.is_negative_definite
+
+    def counting(config):
+        calls.append(config)
+        return test(config)
+
+    monkeypatch.setattr(configurations, "is_negative_definite", counting)
+    monkeypatch.setattr(scenarios, "is_negative_definite", counting)
+    for path in sorted(CORPUS.glob("catalog-*.scn")):
+        calls.clear()
+        assert run_scenario(load_scenario(path)).exit_code == 0
+        assert len(calls) == 1, path.name
 
 
 def test_corpus_pass_takes_one_jacobian_rank_per_family_and_normal_forms_once(monkeypatch):
