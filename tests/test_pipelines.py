@@ -346,7 +346,7 @@ def test_every_pipeline_reports_each_record_name_once():
 
 
 def test_no_record_prints_a_float():
-    """Every number a record or diagnostic prints is an integer or p/q: a float
+    """Every number a check or note prints is an integer or p/q: a float
     from an inexact division would print as "2.0" or "0.5".  All 14 elliptic-
     route combinations without the germ checks, and the five K3-route types
     without a family."""

@@ -85,7 +85,7 @@ def test_corpus_clean_with_three_flag_kinds():
 
 
 def test_corpus_pinned_diagnostics_name_their_claim():
-    """A pinned pipeline diagnostic reports the anchor the pipeline gives it,
+    """A pinned pipeline note reports the anchor the pipeline gives it,
     not the scenario kind's default."""
     report = run_corpus(CORPUS)
     pinned = {
@@ -1121,8 +1121,8 @@ def _verify_json(tmp_path, capsys, text):
     return code, json.loads(captured.out) if code != 2 else None
 
 
-# A value that no claim states, of each kind: a config-check value, a plane-check
-# value and a pipeline diagnostic, with the anchor of its record.
+# A computed value of each kind: a config-check value, a plane-check value and
+# a pipeline note, with the anchor of its record.
 _PLAIN_VALUES = pytest.mark.parametrize(
     "kind,payload,name,value,anchor",
     [
