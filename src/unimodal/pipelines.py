@@ -107,27 +107,27 @@ class PipelineResult(NamedTuple):
 
 
 def judge(name: str, computed, expected, anchor: str) -> CheckRecord:
-    """The record of a recomputation: it passes when the computed value,
-    formatted once, equals the expected one, and fails otherwise."""
+    """The record of a recomputation: it passes when the computed value, as
+    the report prints it, equals the expected one, and fails otherwise."""
     c, e = _fmt(computed), _fmt(expected)
     return CheckRecord(name, c, e, "pass" if c == e else "fail", anchor)
 
 
 class _Recorder:
     def __init__(self) -> None:
-        self.records: list[CheckRecord] = []
+        self.checks: list[CheckRecord] = []
         self.notes: list[CheckRecord] = []
 
     def expect(self, name: str, computed, expected, anchor: str) -> None:
         """An invariant of the construction, which holds whatever the classification states."""
-        self.records.append(judge(name, computed, expected, anchor))
+        self.checks.append(judge(name, computed, expected, anchor))
 
     def note(self, name: str, value, anchor: str) -> None:
         """A computed value; the scenario that pins it states what it should be."""
         self.notes.append(judge(name, value, value, anchor))
 
     def result(self, label: str, models: tuple[SurfaceModel, ...]) -> PipelineResult:
-        return PipelineResult(label, tuple(self.records), tuple(self.notes), models)
+        return PipelineResult(label, tuple(self.checks), tuple(self.notes), models)
 
 
 # ---------------------------------------------------------------------------
@@ -702,5 +702,5 @@ def run_riemann_hurwitz_check() -> PipelineResult:
             "double-cover-branch-degree",
             "ade-contraction",
         ):
-            checks.records.append(result.check(name)._replace(name=f"{sing.lower()}-{name}"))
+            checks.checks.append(result.check(name)._replace(name=f"{sing.lower()}-{name}"))
     return checks.result("riemann-hurwitz", ())
