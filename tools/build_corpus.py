@@ -6,9 +6,10 @@ for an invariant of its construction; so a scenario checks exactly the
 claims it pins here, plus those invariants.  This file pins every claim of
 every bundled scenario: the invariants and counts of each construction, the
 catalog matches, the fibre types and the adjoint-bundle values, each written
-out once below.  The configurations come from the catalog and the family
-shapes and stated orbit counts from `sextics.FAMILIES`, the package tables
-that `unimodal catalog` and `unimodal dims` print.
+out once below.  The configurations with their stated Z^2 and K.Z come from
+the catalog, and the family shapes, marks and stated orbit counts from
+`sextics.FAMILIES`: the package tables that `unimodal catalog` and
+`unimodal dims` print.
 
 A stated value that the exact recomputation does not reproduce is pinned as
 the engine value claiming the stated one, under its flag kind (README, "The
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from unimodal.configurations import catalog_entry, config_to_json, fiber_euler_number
+from unimodal.configurations import EXCEPTIONAL_LABELS, catalog_entry, config_to_json, fiber_euler_number
 from unimodal.sextics import COUNT_FLAG, FAMILIES
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "unimodal" / "corpus"
@@ -126,9 +127,9 @@ def en_scenarios() -> None:
 
 
 def catalog_scenarios() -> None:
-    for label in ("E12", "E13", "E14", "Z11", "Z12", "Z13", "W12", "W13"):
+    for label in EXCEPTIONAL_LABELS:
         entry = catalog_entry(label)
-        degree = 1 if label.startswith("E") else 2
+        degree = -entry.expected_self_int  # the stated degree of the elliptic point
         coefficients = ",".join("1" for _ in entry.config.components)
         write(
             f"catalog-{label.lower()}",
@@ -143,8 +144,8 @@ def catalog_scenarios() -> None:
             {
                 "negative-definite": v("true"),
                 "cycle-coefficients": v(coefficients),
-                "cycle-self-intersection": v(-degree),
-                "cycle-canonical-degree": v(degree),
+                "cycle-self-intersection": v(entry.expected_self_int),
+                "cycle-canonical-degree": v(entry.expected_canonical_degree),
                 "cycle-genus": v(1),
                 "classification": v(f"minimally-elliptic-degree-{degree}"),
                 "catalog-match": v(label),
@@ -155,14 +156,15 @@ def catalog_scenarios() -> None:
 
 
 def zw_scenarios() -> None:
-    # the rational double point left by contracting the cycle's trivial part
-    ade = {"Z11": "none", "Z12": "A1", "Z13": "A2", "W12": "none", "W13": "A1"}
     for fam in FAMILIES:
+        entry = catalog_entry(fam.singularity)
+        # the rational double point left by contracting the cycle's trivial part is the sextic's mark
+        mark = "none" if fam.singular_mark is None else f"A{fam.singular_mark[1]}"
         stabilizer = 5 if len(fam.marked_points) == 1 else 4  # one point and the line, or two points
         orbit = fam.claimed_count if fam.stated_mark_n is None else Z13_CASE2_ORBIT
         expected = {
-            "exceptional-cycle-squared": v(-2),
-            "exceptional-canonical-degree": v(2),
+            "exceptional-cycle-squared": v(entry.expected_self_int),
+            "exceptional-canonical-degree": v(entry.expected_canonical_degree),
             "minimal-resolution-canonical-squared": v(-1),
             "catalog-match": v(fam.singularity),
             "canonical-plus-cycle-squared": v(1),
@@ -172,7 +174,7 @@ def zw_scenarios() -> None:
             "pushed-cycle-squared": v(2),
             "pushed-cycle-genus": v(2),
             "pushed-cycle-euler-characteristic": v(3),
-            "ade-contraction": v(ade[fam.singularity]),
+            "ade-contraction": v(mark),
             "model-cycle-squared": v(2),
             "model-cycle-genus": v(2),
             "double-cover-branch-degree": v(6),
@@ -188,7 +190,7 @@ def zw_scenarios() -> None:
             "blowdown-kind": v("blow-down"),
         }
         if fam.singular_mark is not None:
-            expected["family-singular-mark"] = v(f"A{fam.singular_mark[1]}")
+            expected["family-singular-mark"] = v(mark)
         if fam.stated_mark_n is None:
             expected["family-orbit-count"] = v(fam.claimed_count)
         else:
