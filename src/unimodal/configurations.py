@@ -92,7 +92,7 @@ class _CurveConfigurationFields(NamedTuple):
 
 
 class CurveConfiguration(_CurveConfigurationFields):
-    # no __slots__: the cached Gram matrix lives in the instance __dict__
+    # no __slots__: the cached Gram matrix and its definiteness live in the instance __dict__
 
     def __new__(cls, *fields, **named) -> "CurveConfiguration":
         self = super().__new__(cls, *fields, **named)
@@ -139,6 +139,11 @@ class CurveConfiguration(_CurveConfigurationFields):
             g[i][j] = g[j][i] = contact.mult
         return tuple(map(tuple, g))
 
+    @cached_property
+    def _negative_definite(self) -> bool:
+        """Whether the Gram matrix is negative definite, tested once per configuration."""
+        return _gram_negative_definite(self._integer_gram)
+
     def is_connected(self) -> bool:
         return len(_connected_pieces(_links(self))) <= 1
 
@@ -152,7 +157,7 @@ class CurveConfiguration(_CurveConfigurationFields):
 
 
 def is_negative_definite(config: CurveConfiguration) -> bool:
-    return _gram_negative_definite(config.integer_gram())
+    return config._negative_definite
 
 
 class FundamentalCycle(NamedTuple):
@@ -182,7 +187,7 @@ def _pairings(gram: Sequence[Sequence[int]], z) -> list[int]:
     return [sum(a * x for a, x in zip(z, row)) for row in gram]
 
 
-def fundamental_cycle(config: CurveConfiguration, *, definite: bool = False) -> FundamentalCycle:
+def fundamental_cycle(config: CurveConfiguration) -> FundamentalCycle:
     """Smallest positive cycle Z with Z.E_i <= 0 for all i, by Laufer's loop.
 
     Starts at the reduced cycle and repeatedly takes the first component E_b
@@ -193,13 +198,11 @@ def fundamental_cycle(config: CurveConfiguration, *, definite: bool = False) -> 
     pairings live on the integral Gram matrix and are updated by the row of
     the added component, not recomputed.  A cycle that needs more than
     :data:`MAX_LAUFER_ITERATIONS` steps is refused with ValueError, so a
-    scenario asking for one is oversized input.  A configuration that is not
-    negative definite is refused with ValueError too, unless ``definite``
-    says that the caller has already found it negative definite.
+    scenario asking for one is oversized input.
     """
     if not config.components:
         raise ValueError("empty configuration has no fundamental cycle")
-    if not definite and not is_negative_definite(config):
+    if not is_negative_definite(config):
         raise ValueError("configuration is not negative definite")
     return _laufer_cycle(config)
 
@@ -226,7 +229,7 @@ class EllipticClassification(NamedTuple):
     cycle: FundamentalCycle
 
 
-def classify_minimally_elliptic(config: CurveConfiguration, *, definite: bool = False) -> EllipticClassification:
+def classify_minimally_elliptic(config: CurveConfiguration) -> EllipticClassification:
     """Minimally elliptic iff p_a(Z) = 1 and every proper connected piece is rational.
 
     Only the connected pieces of E - {v}, for each component v, are checked:
@@ -239,10 +242,9 @@ def classify_minimally_elliptic(config: CurveConfiguration, *, definite: bool = 
     p_a >= 0 as well.  So 0 <= p_a(Z_T) <= p_a(Z_S), and a rational S has only
     rational connected pieces.  The pieces are negative definite with the
     whole (their Gram matrices are principal submatrices), so their cycles are
-    taken without testing that again, and so is the whole when ``definite``
-    says the caller has tested it (:func:`fundamental_cycle`).
+    taken without testing that again.
     """
-    cycle = fundamental_cycle(config, definite=definite)
+    cycle = fundamental_cycle(config)
     pa = cycle.pa
     if pa == 0:
         return EllipticClassification("rational", None, cycle)

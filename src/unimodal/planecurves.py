@@ -338,11 +338,11 @@ class Direction(NamedTuple):
     degree: int = 1  # 1 for rational; the factor degree for grouped packets
 
 
-def _directions(g: Germ, at_least: int = 1, m: int | None = None) -> list[Direction]:
+def _directions(g: Germ, m: int, at_least: int = 1) -> list[Direction]:
     """The tangent directions of multiplicity at least ``at_least`` (a positive
-    int): the second chart axis, then the rational roots ascending, then the
-    irreducible non-linear packets by (degree, multiplicity).  ``m`` is the
-    germ's multiplicity, taken here unless the caller has it.
+    int) of a germ of multiplicity m: the second chart axis, then the rational
+    roots ascending, then the irreducible non-linear packets by (degree,
+    multiplicity).
 
     The tangent cone, a binary form in (u, v), is read as a polynomial in
     t = u/v; a drop in its degree is the multiplicity of the axis v = 0.  A
@@ -350,8 +350,6 @@ def _directions(g: Germ, at_least: int = 1, m: int | None = None) -> list[Direct
     skipped before it is factored, so a caller that follows only repeated
     directions factors nothing else.
     """
-    if m is None:
-        m = germ_multiplicity(g)
     cone = _integer_terms(_tangent_cone(g, m))
     poly = [cone.get((a, m - a), 0) for a in range(m + 1)]
     while poly[-1] == 0:
@@ -375,13 +373,13 @@ def _directions(g: Germ, at_least: int = 1, m: int | None = None) -> list[Direct
 
 
 def _blow_up_at_direction(
-    g: Germ, direction: Direction, m: int | None = None, top: int | None = None
+    g: Germ, direction: Direction, m: int, top: int | None = None
 ) -> dict[tuple[int, int], int]:
-    """Strict-transform germ at the point of the exceptional line the direction
-    marks, up to a positive rational factor: a primitive integer germ.  ``m``
-    is the germ's multiplicity, taken here unless the caller has it; with
-    ``top``, a first-chart blow-up builds only the terms of degree at most
-    ``top`` (:func:`_shift`), and the content is that of those terms.
+    """Strict-transform germ, of a germ of multiplicity m, at the point of the
+    exceptional line the direction marks, up to a positive rational factor: a
+    primitive integer germ.  With ``top``, a first-chart blow-up builds only
+    the terms of degree at most ``top`` (:func:`_shift`), and the content is
+    that of those terms.
 
     In the first chart, (u, v) -> (v (root + u'), v) divided by v^m, the term
     c u^a v^b becomes c (u' + root)^a v^(a + b - m): the germ is re-keyed to
@@ -392,8 +390,6 @@ def _blow_up_at_direction(
     multiple of a germ, so a chain of blow-ups builds no Fraction; only
     :func:`germ_of` divides back to exact coefficients.
     """
-    if m is None:
-        m = germ_multiplicity(g)
     if direction.degree != 1:
         raise UndecidableOverQ("cannot follow an irrational tangent direction")
     if direction.root is None:  # second chart
@@ -462,7 +458,7 @@ def _mult_tree(g: Germ, depth: int) -> GermNode:
     g = _jet(g, depth * m)
     children = []
     grouped = []
-    for direction in _directions(g, m=m):
+    for direction in _directions(g, m):
         if direction.degree != 1:
             grouped.append((direction.degree, direction.multiplicity))
             continue
@@ -770,7 +766,7 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
     triple point.
 
     Only the cone's directions of multiplicity three are factored and
-    followed (``_directions(g, at_least=3)``): a point infinitely near in a
+    followed (``_directions(jet, 3, at_least=3)``): a point infinitely near in a
     direction of multiplicity r has multiplicity at most r, and a cubic cone
     has at most one triple direction, a rational one.  The profile reads
     three levels of multiplicity at most 3, so by the argument of
@@ -792,8 +788,8 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
         return ThreeThreeVerdict(False, None)
 
     jet = _jet(g, 9)
-    triple = _directions(jet, at_least=3)
-    child = _blow_up_at_direction(jet, triple[0]) if triple else None
+    triple = _directions(jet, 3, at_least=3)
+    child = _blow_up_at_direction(jet, triple[0], 3) if triple else None
     if child is None or germ_multiplicity(child) != 3:
         return ThreeThreeVerdict(False, None)
 
@@ -812,17 +808,18 @@ def detect_33_point(g: Germ, decomposition: tuple[Germ, Germ] | None = None) -> 
 
 
 def _t_profile(g: Germ) -> int | None:
-    """Match the infinitely-near triple germ against the two supported patterns.
+    """Match the infinitely-near triple germ, of multiplicity 3, against the
+    two supported patterns.
 
     Only the cone's repeated directions are factored (``at_least=2``).  A
     cubic cone has at most one, and it is rational: a repeated irrational
     direction would take degree >= 4.  With none the cone has three distinct
     directions, profile 6; a double one whose blow-up is smooth is profile 7.
     """
-    repeated = _directions(g, at_least=2)
+    repeated = _directions(g, 3, at_least=2)
     if not repeated:
         return 6
-    if repeated[0].multiplicity == 2 and germ_multiplicity(_blow_up_at_direction(g, repeated[0])) == 1:
+    if repeated[0].multiplicity == 2 and germ_multiplicity(_blow_up_at_direction(g, repeated[0], 3)) == 1:
         return 7
     return None
 

@@ -428,7 +428,7 @@ def _config_check_values(payload: Mapping) -> dict[str, object]:
     nd = is_negative_definite(config)
     values["negative-definite"] = nd
     if nd:
-        classified = classify_minimally_elliptic(config, definite=True)
+        classified = classify_minimally_elliptic(config)
         cycle = classified.cycle
         values["cycle-coefficients"] = cycle.coeffs
         values["cycle-self-intersection"] = cycle.self_int

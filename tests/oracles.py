@@ -453,7 +453,7 @@ def mult_tree_by_expansion(g: Germ, depth: int = 8) -> GermNode:
     m = germ_multiplicity(g)
     if m <= 1 or depth == 1:
         return GermNode(m)
-    directions = _directions(g)
+    directions = _directions(g, m)
     children = [
         mult_tree_by_expansion(blow_up_at_direction_by_expansion(g, d), depth - 1)
         for d in directions
@@ -471,11 +471,11 @@ def detect_33_by_expansion(g: Germ) -> tuple[bool, int | None]:
     direction whose blow-up is smooth."""
     if germ_evaluate_origin(g) != 0 or germ_multiplicity(g) != 3:
         return False, None
-    children = [blow_up_at_direction_by_expansion(g, d) for d in _directions(g) if d.degree == 1]
+    children = [blow_up_at_direction_by_expansion(g, d) for d in _directions(g, 3) if d.degree == 1]
     triple = [child for child in children if germ_multiplicity(child) == 3]
     if len(triple) != 1:
         return False, None
-    directions = _directions(triple[0])
+    directions = _directions(triple[0], 3)
     if all(d.multiplicity == 1 for d in directions):
         return True, 6
     doubles = [d for d in directions if d.degree == 1 and d.multiplicity == 2]
@@ -495,8 +495,9 @@ def intersection_by_blow_ups(f: Germ, g: Germ) -> int:
     transforms at a common tangent direction pass through the new origin.
     Common irrational directions raise :class:`UndecidableOverQ`.
     """
-    total = germ_multiplicity(f) * germ_multiplicity(g)
-    directions_f, directions_g = _directions(f), _directions(g)
+    m_f, m_g = germ_multiplicity(f), germ_multiplicity(g)
+    total = m_f * m_g
+    directions_f, directions_g = _directions(f, m_f), _directions(g, m_g)
     dirs_f = {d.root: d for d in directions_f if d.degree == 1}
     dirs_g = {d.root: d for d in directions_g if d.degree == 1}
     if any(d.degree != 1 for d in directions_f) and any(d.degree != 1 for d in directions_g):
@@ -504,7 +505,7 @@ def intersection_by_blow_ups(f: Germ, g: Germ) -> int:
     for root, df in dirs_f.items():
         if root in dirs_g:
             total += intersection_by_blow_ups(
-                _blow_up_at_direction(f, df), _blow_up_at_direction(g, dirs_g[root])
+                _blow_up_at_direction(f, df, m_f), _blow_up_at_direction(g, dirs_g[root], m_g)
             )
     return total
 

@@ -381,7 +381,7 @@ def test_a_blow_up_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    blown = [_blow_up_at_direction(g, d) for d in directions]
+    blown = [_blow_up_at_direction(g, d, 3) for d in directions]
     monkeypatch.undo()
     assert made == []
     assert all(type(c) is int for child in blown for c in child.values())

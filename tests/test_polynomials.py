@@ -105,7 +105,7 @@ def test_tangent_directions_agree_with_factor_list_over_q(f, scales):
     roots = sorted((-_fraction(p.all_coeffs()[1] / p.all_coeffs()[0]), int(i))
                    for p, i in factors if p.degree() == 1)
     packets = sorted((int(p.degree()), int(i)) for p, i in factors if p.degree() > 1)
-    directions = _directions(cone)
+    directions = _directions(cone, m)
     infinity = [d.multiplicity for d in directions if d.root is None and d.degree == 1]
     assert infinity == ([m - poly.degree()] if m > poly.degree() else [])
     assert [(d.root, d.multiplicity) for d in directions if d.root is not None] == roots

@@ -48,6 +48,7 @@ from unimodal.planecurves import (
     detect_33_point,
     germ,
     germ_mul,
+    germ_multiplicity,
     germ_of,
     linear_form,
     local_intersection,
@@ -795,16 +796,18 @@ def _primitive_integer_form(g) -> dict:
 def test_blow_up_agrees_with_the_fraction_expansion(g, direction):
     # a strict transform is defined only up to a unit: the blow-up is the
     # expansion times a positive rational, as a primitive integer germ
-    blown = _blow_up_at_direction(g, direction)
+    blown = _blow_up_at_direction(g, direction, germ_multiplicity(g))
     assert all(type(c) is int for c in blown.values()) and gcd(*blown.values()) == 1
     assert blown == _primitive_integer_form(blow_up_at_direction_by_expansion(g, direction))
 
 
 def test_blow_up_of_an_irrational_direction_is_refused_by_both():
     g = {(2, 0): Fraction(1), (0, 2): Fraction(1)}
-    for blow_up in (_blow_up_at_direction, blow_up_at_direction_by_expansion):
-        with pytest.raises(UndecidableOverQ):
-            blow_up(g, Direction(None, 1, degree=2))
+    irrational = Direction(None, 1, degree=2)
+    with pytest.raises(UndecidableOverQ):
+        _blow_up_at_direction(g, irrational, 2)
+    with pytest.raises(UndecidableOverQ):
+        blow_up_at_direction_by_expansion(g, irrational)
 
 
 def _sheared(g, c):

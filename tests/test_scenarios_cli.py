@@ -99,17 +99,16 @@ def test_corpus_pinned_diagnostics_name_their_claim():
 
 
 def test_a_config_check_tests_definiteness_once(monkeypatch):
-    # counted calls, no timing: the classification of a negative definite
-    # configuration takes its fundamental cycle without a second test
+    # counted calls, no timing: a configuration keeps its definiteness, so the
+    # classification's fundamental cycle reads it without a second Gram test
     calls = []
-    test = configurations.is_negative_definite
+    test = configurations._gram_negative_definite
 
-    def counting(config):
-        calls.append(config)
-        return test(config)
+    def counting(gram):
+        calls.append(gram)
+        return test(gram)
 
-    monkeypatch.setattr(configurations, "is_negative_definite", counting)
-    monkeypatch.setattr(scenarios, "is_negative_definite", counting)
+    monkeypatch.setattr(configurations, "_gram_negative_definite", counting)
     for path in sorted(CORPUS.glob("catalog-*.scn")):
         calls.clear()
         assert run_scenario(load_scenario(path)).exit_code == 0
@@ -224,7 +223,7 @@ def test_corpus_zw_scenarios_restate_the_riemann_hurwitz_check():
         if scenario.payload.get("construction") == "zw":
             by_type.setdefault(scenario.payload["singularity"].lower(), []).append(report[scenario.name])
     assert sorted(by_type) == ["w12", "w13", "z11", "z12", "z13"]
-    records = run_riemann_hurwitz_check().checks
+    records = run_riemann_hurwitz_check().notes
     assert len(records) == 25
     for record in records:
         prefix, name = record.name.split("-", 1)

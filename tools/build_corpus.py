@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from unimodal.configurations import EXCEPTIONAL_LABELS, catalog_entry, config_to_json, fiber_euler_number
+from unimodal.configurations import EXCEPTIONAL_LABELS, catalog_entry, config_to_json
 from unimodal.sextics import COUNT_FLAG, FAMILIES
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "unimodal" / "corpus"
@@ -72,10 +72,20 @@ def contracted_model() -> dict:
 
 
 def en_scenarios() -> None:
-    # (type, second fibre, profile) of the seven bundled elliptic-route constructions
-    cases = [("E12", None, 6)] + [("E13", f, p) for f, p in (("I2", 6), ("I3", 7), ("III", 6), ("IV", 6))]
-    cases += [("E14", f, p) for f, p in (("I3", 6), ("I4", 7))]
-    for singularity, fiber, profile in cases:
+    # (type, second fibre, profile, Euler number left for I1 fibres) of the
+    # seven bundled elliptic-route constructions: the remainder is 24 less the
+    # multiple fibre's e (0 for I0 at profile 6, 1 for I1 at profile 7) and
+    # the second fibre's (I_n: n, III: 3, IV: 4)
+    cases = [
+        ("E12", None, 6, 24),
+        ("E13", "I2", 6, 22),
+        ("E13", "I3", 7, 20),
+        ("E13", "III", 6, 21),
+        ("E13", "IV", 6, 20),
+        ("E14", "I3", 6, 21),
+        ("E14", "I4", 7, 19),
+    ]
+    for singularity, fiber, profile, remainder in cases:
         entry = catalog_entry(singularity)
         genus = entry.config.component("E1").pa  # of the bisection E1
         twist = 1 - genus  # the ruled base F0 or F1
@@ -93,10 +103,7 @@ def en_scenarios() -> None:
             "bisection-degree-on-fiber": v(2),
             "catalog-match": v(singularity),
             "multiple-fiber-type": v(multiple),
-            # the Euler number left for I1 fibres beside the multiple and second fibres
-            "euler-budget-remainder": v(
-                C2 - fiber_euler_number(multiple) - (fiber_euler_number(fiber) if fiber else 0)
-            ),
+            "euler-budget-remainder": v(remainder),
             "section-class-coefficient": v(0),
             "canonical-plus-cycle-squared": v(1),
             "nef-bundle-on-strict-half-fiber": v(0),
