@@ -5,7 +5,10 @@ group spanned by the classes the construction actually touches: an ordered
 named basis with a symmetric rational Gram matrix, a canonical class, the
 holomorphic Euler characteristic, and a list of tracked curves.  There are
 nine moves.  Three create a model: the plane, a Hirzebruch surface and a
-declared surface.  ``track`` names a class as a curve.  The others are the
+declared surface.  The pipelines start from the first two; like
+``rationals.det``, :func:`declare_surface` has no engine caller and stays
+while the benchmark's tracer (``bench/tracing.py``) wraps it by name.
+``track`` names a class as a curve.  The others are the
 double cover, the splitting of a tracked curve whose preimage decomposes on
 a double cover, and the two moves across a point: attaching the resolution
 configuration of a point (a blow-up attaches the resolution of a smooth
@@ -488,7 +491,8 @@ def declare_surface(
     """Assemble a surface model from explicit data (replayable creation step).
 
     ``gram`` is a sparse symmetric mapping; omitted entries are zero.
-    Tracked curves get their genus from adjunction.
+    Tracked curves get their genus from adjunction.  No pipeline calls it;
+    tests build lattices with it.
     """
     basis = tuple(basis)
     gram = {a: dict(row) for a, row in dict(gram).items()}

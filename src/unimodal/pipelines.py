@@ -10,10 +10,14 @@ on the ruled base, under the name it is read by.  It states no configuration
 of its own: the curve F (T236 or T237) and the A_k chain over the extra branch
 point come from the catalog, the shape of the second Kodaira fibre from
 `configurations.fiber_configuration`, and both fibres are recognised on
-configurations read off the model.  The K3 route starts from the catalog
-entry's resolution lattice, blows down to a K3 carrier, contracts the
-(-2)-part, and checks the branch sextic family of its `family_case`; a family
-is verified only there, with its stabilizer and parameter counts noted.  A
+configurations read off the model.  The K3 route starts from the double
+plane branched in a sextic: it tracks the preimage of the line, attaches the
+resolution of the sextic's mark, splits the preimage when it has two
+components and blows up one double point on it (the catalog's `blow_ups` say
+which components pass through it).  It reads the minimal resolution's
+exceptional configuration off the model, blows down to a K3 carrier,
+contracts the (-2)-part, and checks the branch sextic family of its
+`family_case`; a family is verified only there, with its counts noted.  A
 type takes the elliptic route when its stated degree -Z^2 in the catalog is
 one, the K3 route when it is two.  Neither route takes a configuration from
 the scenario: the catalog entry and the family table are their only data.
@@ -43,6 +47,7 @@ from .configurations import (
     catalog_entry,
     euler_budget,
     fiber_configuration,
+    fundamental_cycle,
     match_catalog,
     recognize_kodaira_fiber,
 )
@@ -53,7 +58,6 @@ from .lattice import (
     blow_up,
     configuration_of,
     contract,
-    declare_surface,
     double_cover,
     make_hirzebruch,
     make_p2,
@@ -339,15 +343,6 @@ def run_en_pipeline(spec: EnSpec) -> PipelineResult:
     return checks.result(f"{sing}" + (f"-{spec.fiber_variant}" if spec.fiber_variant else ""), (base, cover, model, surface, w))
 
 
-def _note_catalog_match(checks: _Recorder, entry: CatalogEntry) -> None:
-    hit = match_catalog(entry.config)
-    checks.note(
-        "catalog-match",
-        hit.label if hit else "none",
-        "the catalog recognises the type's exceptional configuration as its own entry",
-    )
-
-
 def _check_contracted_model(
     checks: _Recorder, surface: SurfaceModel, names: tuple[str, ...], degree: str
 ) -> SurfaceModel:
@@ -392,7 +387,12 @@ def _check_exceptional_configuration(
         "match",
         "pairwise intersection numbers of the exceptional components",
     )
-    _note_catalog_match(checks, entry)
+    hit = match_catalog(entry.config)
+    checks.note(
+        "catalog-match",
+        hit.label if hit else "none",
+        "the catalog recognises the type's exceptional configuration as its own entry",
+    )
 
 
 def _check_adjunction(checks: _Recorder, model: SurfaceModel, catalog: CurveConfiguration) -> None:
@@ -512,19 +512,23 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
     entry = catalog_entry(sing)
 
     names = entry.config.names
-    gram: dict[str, dict[str, int]] = {"G": {"G": -1}}
-    for component, incidences in zip(entry.config.components, entry.blow_ups):
-        gram.setdefault("G", {})[component.name] = incidences
-        gram[component.name] = {component.name: component.self_int}
-    for contact in entry.config.contacts:
-        gram.setdefault(contact.first, {})[contact.second] = contact.mult
-    resolution = declare_surface(
-        ("G",) + names,
-        gram,
-        {"G": 1},
-        2,
-        [("G", {"G": 1})] + [(n, {n: 1}) for n in names],
-    )
+    # G is blown up at a double point of the line's preimage L~ (Barth-Hulek-
+    # Peters-Van de Ven III.7): the components through it are the lines, the
+    # others resolve the sextic's mark; L~ pulls back to its strict transform
+    # plus the mark's fundamental cycle, and splits into two (-2)-curves that
+    # the covering involution swaps, each with half its pairings
+    center = {n: k for n, k in zip(names, entry.blow_ups) if k}
+    lines, marks = tuple(center), tuple(n for n in names if n not in center)
+    double_plane = _double_plane()
+    model = track(double_plane, lines[0], {"H_pb": 1})
+    if marks:
+        mark = entry.config.subconfiguration(marks)
+        model = attach_resolution(model, mark, {lines[0]: dict(zip(marks, fundamental_cycle(mark).coeffs))})
+    if len(lines) == 2:
+        preimage = model.curve_class(lines[0])
+        halves = {b: ratio(model.intersect(model.basis_class(b), preimage), 2) for b in model.lattice.basis}
+        model = split_curve(model, lines[0], lines, -2, halves)
+    resolution = blow_up(model, center)
 
     cycle = resolution.curve_sum(names)
     checks.note(
@@ -538,8 +542,7 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         "canonical degree of the exceptional cycle",
     )
     checks.note("minimal-resolution-canonical-squared", resolution.k_squared, "K^2 of the minimal resolution")
-    _check_adjunction(checks, resolution, entry.config)
-    _note_catalog_match(checks, entry)
+    _check_exceptional_configuration(checks, resolution, entry)
     pulled = resolution.canonical + cycle
     checks.note(
         "canonical-plus-cycle-squared",
@@ -607,7 +610,6 @@ def run_zw_pipeline(spec: ZwSpec) -> PipelineResult:
         "Riemann-Hurwitz branch degree of the cycle over its image line",
     )
 
-    double_plane = _double_plane()
     checks.expect(
         "double-plane-euler-characteristic",
         double_plane.chi,

@@ -401,8 +401,7 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
     construction = payload.get("construction")
     if construction == "en":
         _, singularity, profile, fiber_variant, germ_checks = _fields(
-            payload, "the en pipeline payload", ("construction", "singularity"),
-            {"profile": 6, "fiber_variant": None, "germ_checks": True},
+            payload, "the en pipeline payload", ("construction", "singularity"), EnSpec._field_defaults
         )
         return run_en_pipeline(EnSpec(
             singularity=_typed(singularity, "singularity", str),
@@ -412,7 +411,7 @@ def _run_pipeline_payload(payload: Mapping) -> PipelineResult:
         ))
     if construction == "zw":
         _, singularity, family_case = _fields(
-            payload, "the zw pipeline payload", ("construction", "singularity"), {"family_case": 1}
+            payload, "the zw pipeline payload", ("construction", "singularity"), ZwSpec._field_defaults
         )
         return run_zw_pipeline(ZwSpec(
             singularity=_typed(singularity, "singularity", str),

@@ -393,16 +393,52 @@ def test_the_elliptic_route_tracks_each_curve_once_under_its_final_name():
         assert [c.name for c in base.tracked] == [c.name for c in cover.tracked] == names
 
 
-def test_pipeline_models_replayable():
-    # every model of the 14 elliptic-route constructions: each variant at both profiles
-    for spec in all_en_specs():
-        for profile in (6, 7):
-            result = run_en_pipeline(spec._replace(profile=profile, germ_checks=False))
-            for model in result.models:
-                assert replay(model.provenance) == model
-    zw = run_zw_pipeline(ZwSpec("Z13", family_case=None))
-    for model in zw.models:
-        assert replay(model.provenance) == model
+def all_specs():
+    """Every EnSpec and ZwSpec a payload can name."""
+    for sing in ("E12", "E13", "E14"):
+        for variant in en_variants(sing):
+            for profile in (6, 7):
+                for germ_checks in (True, False):
+                    yield EnSpec(sing, profile, variant, germ_checks)
+    for sing in pipelines._ZW_TYPES:
+        yield ZwSpec(sing, family_case=None)
+        yield from (ZwSpec(sing, fam.case) for fam in FAMILIES if fam.singularity == sing)
+
+
+def test_every_pipeline_model_is_built_by_moves_and_replays():
+    # both routes build every surface from the plane or a ruled surface: no
+    # model is declared, and replaying a model's provenance reproduces it
+    specs = list(all_specs())
+    assert len(specs) == 28 + 15
+    for spec in specs:
+        run = run_en_pipeline if isinstance(spec, EnSpec) else run_zw_pipeline
+        for model in run(spec).models:
+            assert "declare" not in [step.op for step in model.provenance], spec
+            assert replay(model.provenance) == model
+
+
+def contacts_off_the_mark():
+    """The catalog contacts of the K3-route types with a component outside
+    the mark's resolution: (type, first, second)."""
+    for sing in pipelines._ZW_TYPES:
+        entry = catalog_entry(sing)
+        mark = {name for name, k in zip(entry.config.names, entry.blow_ups) if k == 0}
+        yield from ((sing, c.first, c.second) for c in entry.config.contacts if not c.pair <= mark)
+
+
+@pytest.mark.parametrize("sing,first,second", list(contacts_off_the_mark()))
+def test_a_k3_route_catalog_contact_off_by_one_fails_the_contact_check(monkeypatch, sing, first, second):
+    # the resolution is built from the lines through G and the mark's own
+    # configuration, so any other catalog contact is checked against the
+    # built surface, not written into it
+    entry = catalog_entry(sing)
+    contacts = tuple(
+        c._replace(mult=c.mult + 1) if (c.first, c.second) == (first, second) else c for c in entry.config.contacts
+    )
+    mutant = entry._replace(config=CurveConfiguration(entry.config.components, contacts, entry.config.concurrent))
+    monkeypatch.setattr(pipelines, "catalog_entry", lambda label: mutant if label == sing else catalog_entry(label))
+    result = run_zw_pipeline(ZwSpec(sing, family_case=None))
+    assert [r.name for r in result.failed] == ["exceptional-contacts"]
 
 
 @pytest.mark.parametrize(

@@ -307,22 +307,24 @@ def test_a_corpus_pass_reports_each_scenario_as_it_runs_alone(tmp_path, director
     assert run_corpus(path).scenarios == alone
 
 
-def test_a_corpus_pass_declares_each_k3_route_resolution_once(monkeypatch):
+def test_a_corpus_pass_blows_up_each_k3_route_double_plane_once(monkeypatch):
     # counted calls, no timing: the ten K3-route scenarios of the corpus have
-    # five singularities, and the next pass builds all five again
+    # five singularities, each blown up once on the double plane, and the next
+    # pass builds all five again
     calls, runs = [], []
-    move, share = pipelines.declare_surface, lattice._share
+    move, share = pipelines.blow_up, lattice._share
 
-    def calling(*args):
-        calls.append(args)
-        return move(*args)
+    def calling(model, *args, **named):
+        if model.provenance[0].op == "p2":
+            calls.append(args)
+        return move(model, *args, **named)
 
     def running(provenance, result):  # every computed move ends in _share
-        if provenance[-1].op == "declare":
+        if provenance[0].op == "p2" and provenance[-1].op == "blow_up":
             runs.append(provenance)
         return share(provenance, result)
 
-    monkeypatch.setattr(pipelines, "declare_surface", calling)
+    monkeypatch.setattr(pipelines, "blow_up", calling)
     monkeypatch.setattr(lattice, "_share", running)
     run_corpus(CORPUS)
     assert len(calls) == 10
